@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexsim::build_wait_graph;
-use icn_cwg::{DetectorScratch, WaitGraph};
+use icn_cwg::{DeadlockKind, DetectorScratch, WaitGraph};
 use icn_routing::Tfar;
 use icn_sim::{Network, SimConfig, SnapshotArena};
 use icn_topology::{KAryNCube, NodeId};
@@ -27,6 +27,41 @@ fn rebuild_wait_graph(arena: &SnapshotArena, g: &mut WaitGraph) {
 
 /// Drives a TFAR1 torus to the requested load for a while and returns it.
 fn congested_network(load: f64) -> Network {
+    drive_network(load, |_, cycle| cycle < 3_000)
+}
+
+/// A TFAR1 torus past the Fig. 6 knee under the runner's detect-and-recover
+/// loop (oldest message of each knot drained every 50 cycles), stopped at
+/// the first epoch whose wait graph holds a multi-cycle knot — the larger
+/// knots of a recovering network, which a wedged one never grows.
+fn knotted_network() -> Network {
+    let mut graph = WaitGraph::new(0);
+    let mut arena = SnapshotArena::new();
+    let mut scratch = DetectorScratch::new();
+    drive_network(1.0, |net, cycle| {
+        assert!(cycle < 100_000, "TFAR1 at full load must knot eventually");
+        if cycle % 50 != 0 {
+            return true;
+        }
+        net.wait_snapshot_into(&mut arena);
+        rebuild_wait_graph(&arena, &mut graph);
+        let analysis = graph.analyze_with(2_000, &mut scratch);
+        if analysis
+            .deadlocks
+            .iter()
+            .any(|d| d.kind() == DeadlockKind::MultiCycle)
+        {
+            return false;
+        }
+        for d in &analysis.deadlocks {
+            net.start_recovery(d.deadlock_set[0]);
+        }
+        true
+    })
+}
+
+/// Steps a TFAR1 torus at `load` while `keep_going(net, cycles_so_far)`.
+fn drive_network(load: f64, mut keep_going: impl FnMut(&mut Network, u32) -> bool) -> Network {
     let topo = KAryNCube::torus(8, 2, true);
     let injector = BernoulliInjector::for_load(&topo, load, 32);
     let mut net = Network::new(
@@ -39,7 +74,9 @@ fn congested_network(load: f64) -> Network {
         },
     );
     let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..3_000u32 {
+    let mut cycle = 0u32;
+    while keep_going(&mut net, cycle) {
+        cycle += 1;
         for node in 0..topo.num_nodes() as u32 {
             if injector.fires(&mut rng) {
                 if let Some(dst) = Pattern::Uniform.dest(&topo, NodeId(node), &mut rng) {
@@ -96,7 +133,8 @@ fn bench_detection(c: &mut Criterion) {
 /// analysis) on a saturated TFAR1 torus — the cost paid every 50 cycles.
 ///
 /// `fresh_alloc` is the pre-arena path (allocate snapshot, graph, and
-/// scratch per epoch); `arena_reuse` is the runner's hot path; and
+/// scratch per epoch); `arena_reuse` is the runner's hot path;
+/// `knot_epoch` is that path at the moment a knot has formed; and
 /// `fingerprint_skip` is what a steady clean epoch costs once the verdict
 /// is carried over (snapshot fill + hash compare only).
 fn bench_hot_epoch(c: &mut Criterion) {
@@ -123,6 +161,22 @@ fn bench_hot_epoch(c: &mut Criterion) {
             net.wait_snapshot_into(&mut arena);
             rebuild_wait_graph(&arena, &mut graph);
             black_box(graph.analyze_with(2_000, &mut scratch))
+        })
+    });
+
+    // The same path on a multi-cycle knot: descriptors, cycle density and
+    // the dependent census on top of the decomposition.
+    g.bench_function("knot_epoch", |b| {
+        let net = knotted_network();
+        let mut arena = SnapshotArena::new();
+        let mut graph = WaitGraph::new(0);
+        let mut scratch = DetectorScratch::new();
+        b.iter(|| {
+            net.wait_snapshot_into(&mut arena);
+            rebuild_wait_graph(&arena, &mut graph);
+            let analysis = graph.analyze_with(2_000, &mut scratch);
+            assert!(analysis.has_deadlock());
+            black_box(analysis)
         })
     });
 

@@ -67,8 +67,9 @@
 //! grid. Exits non-zero on the first divergence.
 //!
 //! `repro validate` runs the validation layer: the production detector
-//! is differentially checked against the independent naive oracle and
-//! the brute-force enumerator on randomized CWGs (`--cwgs`, default 512),
+//! is differentially checked against the independent naive oracle, the
+//! brute-force enumerator and the naive cycle counter (cycle census, knot
+//! density and their cap law) on randomized CWGs (`--cwgs`, default 512),
 //! on every detection epoch of `--configs` (default 16) seeded random
 //! live configurations (with full invariant auditing; `--shards N` runs
 //! them on the sharded engine so the oracle audits that path;
@@ -291,10 +292,17 @@ fn validate_main(args: &[String]) -> i32 {
     ];
     let mut checked = 0u64;
     let mut with_knots = 0u64;
+    let mut cycles_refereed = 0u64;
     'cwgs: for (name, params) in &shapes {
         for i in 0..num_cwgs {
             let (n, msgs) = v::random_snapshot(base_seed ^ i, params);
-            let diffs = v::check_messages(n, &msgs);
+            let mut diffs = v::check_messages(n, &msgs);
+            // Cycle counts and knot densities against the naive counter
+            // (skipped only when a snapshot is too cyclic to walk naively).
+            if let Some(cycle_diffs) = v::check_cycle_counts(n, &msgs) {
+                cycles_refereed += 1;
+                diffs.extend(cycle_diffs);
+            }
             checked += 1;
             if v::oracle_analyze(n, &msgs).has_deadlock() {
                 with_knots += 1;
@@ -310,7 +318,10 @@ fn validate_main(args: &[String]) -> i32 {
             }
         }
     }
-    println!("   {checked} snapshots checked, {with_knots} with knots — all agree");
+    println!(
+        "   {checked} snapshots checked, {with_knots} with knots, {cycles_refereed} with cycle \
+         counts refereed — all agree"
+    );
 
     // Stage 2: live campaign over seeded random configurations, each run
     // under the full invariant-auditing observer.

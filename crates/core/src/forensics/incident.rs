@@ -683,6 +683,13 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
 pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
     let topo = get(v, "topology")?;
     let sim = get(v, "sim")?;
+    let density_cap = get_u64(v, "density_cap")?;
+    if density_cap < 2 {
+        return Err(bad(
+            "`density_cap` must be at least 2: a smaller cap stops at the first \
+             cycle, so every knot would be classified multi-cycle",
+        ));
+    }
     let count_cycles_every = match get(v, "count_cycles_every")? {
         Json::Null => None,
         j => Some(
@@ -728,7 +735,7 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         },
         count_cycles_every,
         cycle_cap: get_u64(v, "cycle_cap")?,
-        density_cap: get_u64(v, "density_cap")?,
+        density_cap,
         fingerprint_skip: get_bool(v, "fingerprint_skip")?,
         recovery: recovery_from_name(get_str(v, "recovery")?)?,
         seed: get_u64(v, "seed")?,
@@ -786,6 +793,20 @@ mod tests {
         let text = config_to_json(&cfg).to_string();
         let back = config_from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn density_cap_below_two_is_rejected() {
+        // The field arrives over HTTP; a cap of 0 or 1 cannot distinguish
+        // single- from multi-cycle knots, so no such config is ever built.
+        let mut cfg = RunConfig::small_default();
+        for cap in [0, 1] {
+            cfg.density_cap = cap;
+            let err = config_from_json(&config_to_json(&cfg)).unwrap_err();
+            assert!(err.to_string().contains("density_cap"), "{err}");
+        }
+        cfg.density_cap = 2;
+        assert_eq!(config_from_json(&config_to_json(&cfg)).unwrap(), cfg);
     }
 
     #[test]

@@ -103,6 +103,7 @@ impl ForensicsState {
     /// Records a detection epoch's knots: formation statistics always,
     /// plus a full [`DeadlockIncident`] while under the cap. Called after
     /// the recovery loop so the outcome (victims) is known.
+    #[allow(clippy::too_many_arguments)]
     pub fn record_epoch(
         &mut self,
         run_cfg: &RunConfig,

@@ -110,7 +110,11 @@ pub struct RunConfig {
     pub count_cycles_every: Option<u64>,
     /// Cap on whole-graph elementary-cycle enumeration.
     pub cycle_cap: u64,
-    /// Cap on per-knot cycle-density enumeration.
+    /// Cap on per-knot cycle-density enumeration. Must be at least 2:
+    /// enumeration stops at the cap, so below 2 a single-cycle knot is
+    /// indistinguishable from a multi-cycle one and every deadlock would
+    /// be classified multi-cycle. [`forensics::config_from_json`] rejects
+    /// smaller values.
     pub density_cap: u64,
     /// Skip knot re-analysis when an epoch's blocked wait-state hashes
     /// identically to the previous epoch's and that epoch was clean. Exact

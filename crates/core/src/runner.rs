@@ -3,8 +3,7 @@
 use std::ops::ControlFlow;
 
 use icn_cwg::{
-    count_cycles, Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch,
-    DynamicWaitGraph, WaitGraph,
+    Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch, DynamicWaitGraph, WaitGraph,
 };
 use icn_sim::{Network, SnapshotArena, SnapshotFragment, StepEvents, WaitSnapshot, WaitUpdate};
 use icn_topology::NodeId;
@@ -472,19 +471,14 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 .collect();
 
             // Cyclic non-deadlock census count, taken before recovery
-            // mutates the graph. On a full-analysis epoch the scratch CSR
-            // is the graph's adjacency, so the count reuses it.
-            let census_count = if census_due {
-                Some(if arena.num_blocked() == 0 {
+            // mutates the graph.
+            let census_count = census_due.then(|| {
+                if arena.num_blocked() == 0 {
                     CycleCount::Exact(0)
-                } else if skip {
-                    graph.count_cycles(cfg.cycle_cap)
                 } else {
-                    count_cycles(scratch.csr(), cfg.cycle_cap)
-                })
-            } else {
-                None
-            };
+                    graph.count_cycles_with(cfg.cycle_cap, &mut scratch)
+                }
+            });
 
             {
                 let view = EpochView {

@@ -33,9 +33,10 @@ use std::ops::ControlFlow;
 use std::path::Path;
 
 pub use icn_validate::{
-    arena_msgs, check_messages, explore, minimal_deadlock_sets, minimize_divergence,
-    oracle_analyze, random_snapshot, Divergence, ExploreConfig, ExploreReport, ExploreRouting,
-    GenParams, OracleAnalysis, OracleDependent, OracleKnot, OracleMsg, SplitMix64, BRUTE_FORCE_CAP,
+    arena_msgs, check_cycle_counts, check_messages, explore, minimal_deadlock_sets,
+    minimize_divergence, oracle_analyze, random_snapshot, Divergence, ExploreConfig, ExploreReport,
+    ExploreRouting, GenParams, OracleAnalysis, OracleDependent, OracleKnot, OracleMsg, SplitMix64,
+    BRUTE_FORCE_CAP,
 };
 
 use icn_cwg::{Analysis, DependentKind};

@@ -1,10 +1,9 @@
 //! Knot detection and deadlock classification.
 
 use crate::adjacency::{Adjacency, Csr};
-use crate::cycles::{count_cycles, CycleCount};
+use crate::cycles::{is_cyclic, CycleCount, CycleScratch};
 use crate::graph::{MessageId, VertexId, WaitGraph};
 use crate::scc::SccScratch;
-use std::collections::HashSet;
 
 /// Deadlock taxonomy of §2.2: a knot containing exactly one elementary
 /// cycle is a *single-cycle deadlock*; more are *multi-cycle*.
@@ -43,7 +42,10 @@ pub struct Deadlock {
 }
 
 impl Deadlock {
-    /// Single- vs multi-cycle classification.
+    /// Single- vs multi-cycle classification. A capped density counts as
+    /// multi-cycle, which is only sound for a `density_cap` of at least 2:
+    /// at cap 1 (or 0) enumeration stops before a second cycle could be
+    /// ruled out, and every knot reads as multi-cycle.
     pub fn kind(&self) -> DeadlockKind {
         if self.cycle_density.value() <= 1 && !self.cycle_density.is_capped() {
             DeadlockKind::SingleCycle
@@ -77,27 +79,29 @@ impl Analysis {
 ///
 /// Holds the epoch's CSR adjacency (built once from the [`WaitGraph`] and
 /// shared by knot analysis, cycle counting, and the recovery loop's
-/// re-analyses) plus Tarjan scratch and the terminal-component marks. On a
-/// knot-free epoch [`WaitGraph::analyze_with`] performs no heap allocation
-/// once capacities have warmed up.
+/// re-analyses), Tarjan scratch, the per-component terminal and
+/// reaches-a-knot marks, and the cycle counter's buffers. Once capacities
+/// have warmed up, [`WaitGraph::analyze_with`] allocates nothing on a
+/// knot-free epoch and only the vectors of the returned [`Analysis`] on a
+/// knot-bearing one.
 #[derive(Clone, Debug, Default)]
 pub struct DetectorScratch {
     csr: Csr,
     scc: SccScratch,
     terminal: Vec<bool>,
+    /// Per component: is a knot, or has an arc path into one.
+    reaches_knot: Vec<bool>,
+    cycles: CycleScratch,
+    /// Staging for a knot's deadlock and resource sets, copied out at
+    /// their final size.
+    msgs: Vec<MessageId>,
+    vertices: Vec<VertexId>,
 }
 
 impl DetectorScratch {
     /// Empty scratch; capacities grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The CSR adjacency of the most recently analyzed graph (valid until
-    /// that graph is mutated or another graph is analyzed). Lets callers
-    /// run [`count_cycles`] on the epoch's adjacency without a rebuild.
-    pub fn csr(&self) -> &Csr {
-        &self.csr
     }
 
     /// Rebuilds the CSR from `g`, decomposes it, and marks which components
@@ -122,11 +126,35 @@ impl DetectorScratch {
     /// Whether component `ci` is a knot: terminal and non-trivial (more
     /// than one vertex, or a single vertex with a self-loop).
     fn is_knot(&self, ci: usize) -> bool {
-        if !self.terminal[ci] {
-            return false;
-        }
+        self.terminal[ci] && is_cyclic(&self.csr, self.scc.component(ci as u32))
+    }
+
+    /// The sorted, deduplicated owners of component `ci`'s vertices.
+    fn deadlock_set(&mut self, g: &WaitGraph, ci: usize) -> Vec<MessageId> {
+        self.msgs.clear();
         let comp = self.scc.component(ci as u32);
-        comp.len() >= 2 || self.csr.neighbors(comp[0]).contains(&comp[0])
+        self.msgs.extend(comp.iter().filter_map(|&v| g.owner(v)));
+        self.msgs.sort_unstable();
+        self.msgs.dedup();
+        self.msgs.clone()
+    }
+
+    /// Marks every component from which a knot is reachable. Tarjan numbers
+    /// components in reverse topological order — an arc only ever leads to
+    /// a smaller component id — so one ascending sweep settles each
+    /// component after all of its successors.
+    fn mark_reaches_knot(&mut self, nc: usize) {
+        self.reaches_knot.clear();
+        for ci in 0..nc {
+            let reaches = self.is_knot(ci)
+                || self.scc.component(ci as u32).iter().any(|&v| {
+                    self.csr.neighbors(v).iter().any(|&w| {
+                        let cw = self.scc.comp_of(w) as usize;
+                        cw != ci && self.reaches_knot[cw]
+                    })
+                });
+            self.reaches_knot.push(reaches);
+        }
     }
 }
 
@@ -149,92 +177,64 @@ impl WaitGraph {
     /// the necessary-and-sufficient deadlock condition of \[6\] given a
     /// connected routing function.
     ///
-    /// `density_cap` bounds the per-knot elementary-cycle enumeration.
+    /// `density_cap` bounds the per-knot elementary-cycle enumeration; below
+    /// 2 it cannot tell a single-cycle knot from a multi-cycle one (see
+    /// [`Deadlock::kind`]).
+    ///
+    /// Knots come out in Tarjan emission order (ascending component id),
+    /// the order [`knot_deadlock_sets`](Self::knot_deadlock_sets) uses too.
     pub fn analyze_with(&self, density_cap: u64, scratch: &mut DetectorScratch) -> Analysis {
         let nc = scratch.decompose(self);
 
         let mut deadlocks = Vec::new();
-        let mut deadlocked_msgs: HashSet<MessageId> = HashSet::new();
-        let mut knot_vertices: Vec<VertexId> = Vec::new();
         for ci in 0..nc {
             if !scratch.is_knot(ci) {
                 continue;
             }
-            let mut knot = scratch.scc.component(ci as u32).to_vec();
+            let deadlock_set = scratch.deadlock_set(self, ci);
+
+            scratch.vertices.clear();
+            for &m in &deadlock_set {
+                let chain = self.chain(m).expect("an owner has a chain");
+                scratch.vertices.extend_from_slice(chain);
+            }
+            scratch.vertices.sort_unstable();
+            scratch.vertices.dedup();
+            let resource_set = scratch.vertices.clone();
+
+            // The knot is already one SCC of the epoch CSR: count inside it
+            // directly.
+            let comp = scratch.scc.component(ci as u32);
+            let cycle_density = scratch
+                .cycles
+                .count_in_component(&scratch.csr, comp, density_cap);
+            let mut knot = comp.to_vec();
             knot.sort_unstable();
-            knot_vertices.extend_from_slice(&knot);
-
-            let mut dset: Vec<MessageId> = knot.iter().filter_map(|&v| self.owner(v)).collect();
-            dset.sort_unstable();
-            dset.dedup();
-            deadlocked_msgs.extend(dset.iter().copied());
-
-            let mut rset: Vec<VertexId> = dset
-                .iter()
-                .flat_map(|m| self.chain(*m).unwrap_or(&[]).iter().copied())
-                .collect();
-            rset.sort_unstable();
-            rset.dedup();
-
-            // Knot-restricted adjacency for the density count.
-            let knot_set: HashSet<VertexId> = knot.iter().copied().collect();
-            let sub: Vec<Vec<VertexId>> = (0..scratch.csr.num_vertices() as u32)
-                .map(|v| {
-                    if knot_set.contains(&v) {
-                        scratch
-                            .csr
-                            .neighbors(v)
-                            .iter()
-                            .copied()
-                            .filter(|t| knot_set.contains(t))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            let cycle_density = count_cycles(&sub, density_cap);
 
             deadlocks.push(Deadlock {
                 knot,
-                deadlock_set: dset,
-                resource_set: rset,
+                deadlock_set,
+                resource_set,
                 cycle_density,
             });
         }
 
         // Dependent census — only meaningful (and only paid for) when a
-        // knot exists: reverse reachability from knot vertices tells which
-        // blocked messages wait into a deadlock.
+        // knot exists: which blocked messages outside every deadlock set
+        // wait into a deadlock.
         let mut dependent = Vec::new();
         if !deadlocks.is_empty() {
-            let n = scratch.csr.num_vertices();
-            let mut radj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-            for v in 0..n as u32 {
-                for &w in scratch.csr.neighbors(v) {
-                    radj[w as usize].push(v);
-                }
-            }
-            let mut reaches_knot = vec![false; n];
-            let mut stack: Vec<VertexId> = knot_vertices.clone();
-            for &v in &knot_vertices {
-                reaches_knot[v as usize] = true;
-            }
-            while let Some(v) = stack.pop() {
-                for &p in &radj[v as usize] {
-                    if !reaches_knot[p as usize] {
-                        reaches_knot[p as usize] = true;
-                        stack.push(p);
-                    }
-                }
-            }
-
-            for msg in self.blocked_messages() {
-                if deadlocked_msgs.contains(&msg) {
+            scratch.mark_reaches_knot(nc);
+            let reaches = |v: VertexId| scratch.reaches_knot[scratch.scc.comp_of(v) as usize];
+            for (msg, chain, reqs) in self.blocked_entries() {
+                // A knot has no leaving arc, so a message owning any knot
+                // vertex owns its chain from there to the head: deadlock
+                // set membership is decided by the head alone.
+                let head = *chain.last().expect("chains are non-empty");
+                if scratch.is_knot(scratch.scc.comp_of(head) as usize) {
                     continue;
                 }
-                let reqs = self.requests_of(msg).unwrap();
-                let hits = reqs.iter().filter(|&&t| reaches_knot[t as usize]).count();
+                let hits = reqs.iter().filter(|&&t| reaches(t)).count();
                 if hits == 0 {
                     continue;
                 }
@@ -263,20 +263,28 @@ impl WaitGraph {
         let nc = scratch.decompose(self);
         let mut sets = Vec::new();
         for ci in 0..nc {
-            if !scratch.is_knot(ci) {
-                continue;
+            if scratch.is_knot(ci) {
+                sets.push(scratch.deadlock_set(self, ci));
             }
-            let mut dset: Vec<MessageId> = scratch
-                .scc
-                .component(ci as u32)
-                .iter()
-                .filter_map(|&v| self.owner(v))
-                .collect();
-            dset.sort_unstable();
-            dset.dedup();
-            sets.push(dset);
         }
         sets
+    }
+
+    /// Counts the elementary resource-dependency cycles in the snapshot
+    /// (capped at `cap`), reusing `scratch`. The paper uses this as the
+    /// congestion precursor metric when no deadlock exists — cyclic
+    /// non-deadlocks (§2.2.3).
+    pub fn count_cycles_with(&self, cap: u64, scratch: &mut DetectorScratch) -> CycleCount {
+        self.build_csr(&mut scratch.csr);
+        scratch.scc.run(&scratch.csr);
+        scratch
+            .cycles
+            .count_components(&scratch.csr, &scratch.scc, cap)
+    }
+
+    /// [`count_cycles_with`](Self::count_cycles_with) on fresh scratch.
+    pub fn count_cycles(&self, cap: u64) -> CycleCount {
+        self.count_cycles_with(cap, &mut DetectorScratch::new())
     }
 }
 
@@ -494,5 +502,84 @@ mod tests {
         g.remove_requests(1);
         let sets = g.knot_deadlock_sets(&mut scratch);
         assert_eq!(sets, vec![vec![3, 4]]);
+    }
+
+    /// One two-message knot over vertices `base..base + 4`.
+    fn add_pair_knot(g: &mut WaitGraph, first_msg: MessageId, base: VertexId) {
+        g.add_chain(first_msg, &[base, base + 1]);
+        g.add_chain(first_msg + 1, &[base + 2, base + 3]);
+        g.add_requests(first_msg, &[base + 2]);
+        g.add_requests(first_msg + 1, &[base]);
+    }
+
+    #[test]
+    fn knots_come_out_in_tarjan_emission_order() {
+        // Victim order feeds `start_recovery`, hence the run digest: both
+        // entry points must list knots by ascending component id, which
+        // for disconnected knots is ascending least vertex (Tarjan's outer
+        // loop starts roots in vertex order). Message ids run against the
+        // vertex order so that sorting by id would be caught.
+        let mut g = WaitGraph::new(12);
+        add_pair_knot(&mut g, 50, 0);
+        add_pair_knot(&mut g, 30, 4);
+        add_pair_knot(&mut g, 10, 8);
+        let mut scratch = DetectorScratch::new();
+
+        let expect = vec![vec![50, 51], vec![30, 31], vec![10, 11]];
+        let a = g.analyze_with(1000, &mut scratch);
+        let sets: Vec<_> = a.deadlocks.iter().map(|d| d.deadlock_set.clone()).collect();
+        assert_eq!(sets, expect);
+        let knots: Vec<_> = a.deadlocks.iter().map(|d| d.knot.clone()).collect();
+        assert_eq!(
+            knots,
+            vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9, 10, 11]]
+        );
+        assert_eq!(g.knot_deadlock_sets(&mut scratch), expect);
+
+        // Breaking the middle knot leaves the other two in the same order.
+        assert!(g.remove_requests(30));
+        let expect = vec![vec![50, 51], vec![10, 11]];
+        assert_eq!(g.knot_deadlock_sets(&mut scratch), expect);
+        let a = g.analyze_with(1000, &mut scratch);
+        let sets: Vec<_> = a.deadlocks.iter().map(|d| d.deadlock_set.clone()).collect();
+        assert_eq!(sets, expect);
+        // The broken knot's messages now wait on nothing deadlocked.
+        assert!(a.dependent.is_empty());
+    }
+
+    #[test]
+    fn ring_is_single_cycle_from_cap_two_up() {
+        let g = figure1_like();
+        for cap in [2, 3, 2_000] {
+            let d = &g.analyze(cap).deadlocks[0];
+            assert_eq!(d.cycle_density, CycleCount::Exact(1), "cap {cap}");
+            assert_eq!(d.kind(), DeadlockKind::SingleCycle, "cap {cap}");
+        }
+        // Why `density_cap >= 2` is required of configs: below it the count
+        // is capped before a second cycle could be ruled out.
+        assert_eq!(
+            g.analyze(1).deadlocks[0].cycle_density,
+            CycleCount::AtLeast(1)
+        );
+        assert_eq!(
+            g.analyze(0).deadlocks[0].cycle_density,
+            CycleCount::AtLeast(0)
+        );
+    }
+
+    #[test]
+    fn census_through_scratch_matches_fresh() {
+        let mut scratch = DetectorScratch::new();
+        let g = figure1_like();
+        let _ = g.analyze_with(1000, &mut scratch);
+        assert_eq!(g.count_cycles_with(100, &mut scratch), g.count_cycles(100));
+        assert_eq!(g.count_cycles(100), CycleCount::Exact(1));
+        // A differently sized graph through the same scratch.
+        let mut g2 = WaitGraph::new(4);
+        g2.add_chain(1, &[0, 1]);
+        assert_eq!(
+            g2.count_cycles_with(100, &mut scratch),
+            CycleCount::Exact(0)
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Capped elementary-cycle counting (Johnson's algorithm).
 
-use crate::adjacency::Adjacency;
-use crate::scc::{scc, SccScratch};
+use crate::adjacency::{Adjacency, Csr};
+use crate::scc::SccScratch;
 use crate::VertexId;
 
 /// A possibly-capped cycle count.
@@ -53,144 +53,238 @@ impl std::fmt::Display for CycleCount {
 /// Counts elementary cycles of `adj`, stopping once `cap` have been found.
 ///
 /// Cycles never span strongly connected components, so the graph is first
-/// decomposed with [`scc`] and Johnson's algorithm runs inside each
-/// non-trivial component — on CWG snapshots the overwhelming majority of
-/// vertices sit in trivial components, making this far cheaper than running
-/// Johnson on the full vertex range.
+/// decomposed and Johnson's algorithm runs inside each non-trivial
+/// component — on CWG snapshots the overwhelming majority of vertices sit
+/// in trivial components, making this far cheaper than running Johnson on
+/// the full vertex range.
+///
+/// Convenience wrapper that allocates fresh scratch; the detection loop
+/// counts through its [`DetectorScratch`](crate::DetectorScratch) instead.
 pub fn count_cycles<A: Adjacency + ?Sized>(adj: &A, cap: u64) -> CycleCount {
     let mut comps = SccScratch::new();
     comps.run(adj);
-    let mut total = CycleCount::Exact(0);
-    for comp in comps.components() {
-        let has_self_loop = comp.len() == 1 && adj.neighbors(comp[0]).contains(&comp[0]);
-        if comp.len() < 2 && !has_self_loop {
-            continue;
-        }
-        let remaining = cap.saturating_sub(total.value());
-        if remaining == 0 {
-            return CycleCount::AtLeast(total.value());
-        }
-        let local = count_in_component(adj, comp, remaining);
-        total = total.combine(local);
-    }
-    total
+    CycleScratch::default().count_components(adj, &comps, cap)
 }
 
-/// Johnson's algorithm restricted to one SCC, vertices remapped to `0..m`.
-fn count_in_component<A: Adjacency + ?Sized>(adj: &A, comp: &[VertexId], cap: u64) -> CycleCount {
-    let m = comp.len();
-    let mut index_of = std::collections::HashMap::with_capacity(m);
-    for (i, &v) in comp.iter().enumerate() {
-        index_of.insert(v, i as u32);
-    }
-    // Local adjacency, keeping only intra-component edges.
-    let local: Vec<Vec<u32>> = comp
-        .iter()
-        .map(|&v| {
-            adj.neighbors(v)
-                .iter()
-                .filter_map(|t| index_of.get(t).copied())
-                .collect()
-        })
-        .collect();
+/// Whether the strongly connected component `comp` of `adj` contains a
+/// cycle: more than one vertex, or a single vertex with a self-loop.
+pub(crate) fn is_cyclic<A: Adjacency + ?Sized>(adj: &A, comp: &[VertexId]) -> bool {
+    comp.len() >= 2 || adj.neighbors(comp[0]).contains(&comp[0])
+}
 
-    let mut count = 0u64;
-    let mut capped = false;
+/// Local-id sentinel: the vertex is outside the component being counted.
+const OUTSIDE: u32 = u32::MAX;
 
-    // For ascending start vertex s, count the cycles whose minimum vertex is
-    // s: explore only the sub-SCC of s within the subgraph induced on
-    // {s..m}, with Johnson's blocked-set pruning.
-    'starts: for s in 0..m as u32 {
-        // SCC of the induced subgraph {s..}.
-        let sub: Vec<Vec<u32>> = (0..m as u32)
-            .map(|v| {
-                if v < s {
-                    Vec::new()
-                } else {
-                    local[v as usize]
-                        .iter()
-                        .copied()
-                        .filter(|&t| t >= s)
-                        .collect()
-                }
-            })
-            .collect();
-        let sub_comps = scc(&sub);
-        let s_comp = sub_comps.comp_of[s as usize];
-        let in_k: Vec<bool> = (0..m as u32)
-            .map(|v| v >= s && sub_comps.comp_of[v as usize] == s_comp)
-            .collect();
-        if sub_comps.components[s_comp as usize].len() < 2 && !local[s as usize].contains(&s) {
-            continue;
-        }
+/// Reusable working storage for Johnson's algorithm on one component at a
+/// time. Every buffer is cleared and refilled, never reallocated, so
+/// counting allocates nothing once capacities have warmed up.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CycleScratch {
+    /// Graph vertex -> local id inside the component being counted;
+    /// [`OUTSIDE`] everywhere between calls.
+    local_of: Vec<u32>,
+    /// The component's induced adjacency over local ids `0..m`.
+    local: Csr,
+    /// Predecessor lists of `local`: `(source, index of the arc in
+    /// local.targets)` for every arc into a vertex.
+    rev_offsets: Vec<u32>,
+    rev: Vec<(u32, u32)>,
+    /// Johnson's B sets, one flag per arc of `local`: arc `v -> w` is set
+    /// while `v` is in `B(w)`.
+    in_b: Vec<bool>,
+    blocked: Vec<bool>,
+    /// Tarjan over the induced subgraph `{s..m}` of `local`.
+    scc: SccScratch,
+    /// Explicit-stack CIRCUIT(v): (vertex, next-arc cursor, found a cycle
+    /// below).
+    frames: Vec<(u32, u32, bool)>,
+    unblock_stack: Vec<u32>,
+}
 
-        let mut blocked = vec![false; m];
-        let mut b_sets: Vec<Vec<u32>> = vec![Vec::new(); m];
-        // Explicit-stack version of Johnson's CIRCUIT(v): each frame is
-        // (vertex, next-edge cursor, found-cycle-below flag).
-        let mut frames: Vec<(u32, usize, bool)> = vec![(s, 0, false)];
-        blocked[s as usize] = true;
-
-        while let Some(&mut (v, ref mut ei, ref mut found)) = frames.last_mut() {
-            let nexts = &local[v as usize];
-            let mut descended = false;
-            while *ei < nexts.len() {
-                let w = nexts[*ei];
-                *ei += 1;
-                if !in_k[w as usize] {
-                    continue;
-                }
-                if w == s {
-                    count += 1;
-                    *found = true;
-                    if count >= cap {
-                        capped = true;
-                        break 'starts;
-                    }
-                } else if !blocked[w as usize] {
-                    blocked[w as usize] = true;
-                    frames.push((w, 0, false));
-                    descended = true;
-                    break;
-                }
-            }
-            if descended {
+impl CycleScratch {
+    /// Sums [`count_in_component`](Self::count_in_component) over every
+    /// cyclic component of `comps` (a decomposition of `adj`), sharing
+    /// one budget of `cap` cycles.
+    pub(crate) fn count_components<A: Adjacency + ?Sized>(
+        &mut self,
+        adj: &A,
+        comps: &SccScratch,
+        cap: u64,
+    ) -> CycleCount {
+        let mut total = CycleCount::Exact(0);
+        for comp in comps.components() {
+            if !is_cyclic(adj, comp) {
                 continue;
             }
-            // Finished v: unwind one frame.
-            let (v, _, found) = frames.pop().unwrap();
-            if found {
-                unblock(v, &mut blocked, &mut b_sets);
-            } else {
-                for &w in &local[v as usize] {
-                    if in_k[w as usize] && !b_sets[w as usize].contains(&v) {
-                        b_sets[w as usize].push(v);
-                    }
+            let local = self.count_in_component(adj, comp, cap - total.value());
+            total = total.combine(local);
+            if total.is_capped() {
+                break;
+            }
+        }
+        total
+    }
+
+    /// Johnson's algorithm restricted to `comp`, one cyclic strongly
+    /// connected component of `adj`.
+    /// Reports `AtLeast(cap)` as soon as `cap` cycles have been found.
+    pub(crate) fn count_in_component<A: Adjacency + ?Sized>(
+        &mut self,
+        adj: &A,
+        comp: &[VertexId],
+        cap: u64,
+    ) -> CycleCount {
+        if cap == 0 {
+            return CycleCount::AtLeast(0);
+        }
+        self.load_component(adj, comp);
+        let m = comp.len() as u32;
+        let mut count = 0u64;
+
+        // For ascending start vertex s, count the cycles whose least vertex
+        // is s: they lie inside the SCC of s within the subgraph induced on
+        // {s..m}. Johnson's start selection jumps s straight to the least
+        // vertex of any non-trivial SCC of that subgraph and stops when
+        // there is none, so every pass finds at least one cycle.
+        let mut s = 0u32;
+        while s < m {
+            self.scc.run_from(&self.local, s);
+            let mut start: Option<(u32, u32)> = None;
+            for c in 0..self.scc.num_components() as u32 {
+                let members = self.scc.component(c);
+                if !is_cyclic(&self.local, members) {
+                    continue;
+                }
+                let least = *members.iter().min().expect("components are non-empty");
+                if start.is_none_or(|(best, _)| least < best) {
+                    start = Some((least, c));
                 }
             }
-            if let Some(&mut (_, _, ref mut parent_found)) = frames.last_mut() {
-                *parent_found |= found;
-            }
-        }
-    }
+            let Some((least, k)) = start else {
+                break;
+            };
+            s = least;
 
-    if capped {
-        CycleCount::AtLeast(count)
-    } else {
+            self.blocked.fill(false);
+            self.in_b.fill(false);
+            self.blocked[s as usize] = true;
+            self.frames.clear();
+            self.frames.push((s, self.local.offsets[s as usize], false));
+            while let Some(&mut (v, ref mut ei, ref mut found)) = self.frames.last_mut() {
+                let end = self.local.offsets[v as usize + 1];
+                let mut descended = false;
+                while *ei < end {
+                    let w = self.local.targets[*ei as usize];
+                    *ei += 1;
+                    if w < s || self.scc.comp_of(w) != k {
+                        continue;
+                    }
+                    if w == s {
+                        count += 1;
+                        *found = true;
+                        if count >= cap {
+                            return CycleCount::AtLeast(count);
+                        }
+                    } else if !self.blocked[w as usize] {
+                        self.blocked[w as usize] = true;
+                        self.frames.push((w, self.local.offsets[w as usize], false));
+                        descended = true;
+                        break;
+                    }
+                }
+                if descended {
+                    continue;
+                }
+                // Finished v: unwind one frame.
+                let (_, _, found) = self.frames.pop().expect("frame just inspected");
+                if found {
+                    self.unblock(v);
+                } else {
+                    let arcs = self.local.offsets[v as usize]..self.local.offsets[v as usize + 1];
+                    for e in arcs {
+                        let w = self.local.targets[e as usize];
+                        if w >= s && self.scc.comp_of(w) == k {
+                            self.in_b[e as usize] = true;
+                        }
+                    }
+                }
+                if let Some(&mut (_, _, ref mut parent_found)) = self.frames.last_mut() {
+                    *parent_found |= found;
+                }
+            }
+            s += 1;
+        }
         CycleCount::Exact(count)
     }
-}
 
-fn unblock(v: u32, blocked: &mut [bool], b_sets: &mut [Vec<u32>]) {
-    // Iterative unblock cascade.
-    let mut stack = vec![v];
-    while let Some(v) = stack.pop() {
-        if !blocked[v as usize] {
-            continue;
+    /// Fills `local` with the adjacency `adj` induces on `comp` (local id =
+    /// position in `comp`) and `rev` with its predecessor lists.
+    fn load_component<A: Adjacency + ?Sized>(&mut self, adj: &A, comp: &[VertexId]) {
+        let m = comp.len();
+        self.local_of.resize(adj.num_vertices(), OUTSIDE);
+        for (i, &v) in comp.iter().enumerate() {
+            self.local_of[v as usize] = i as u32;
         }
-        blocked[v as usize] = false;
-        for w in std::mem::take(&mut b_sets[v as usize]) {
-            stack.push(w);
+        self.local.reset(m);
+        for &v in comp {
+            let local_of = &self.local_of;
+            self.local.push_vertex(
+                adj.neighbors(v)
+                    .iter()
+                    .map(|&t| local_of[t as usize])
+                    .filter(|&t| t != OUTSIDE),
+            );
+        }
+        for &v in comp {
+            self.local_of[v as usize] = OUTSIDE;
+        }
+
+        // Counting sort of the arcs by target.
+        let arcs = self.local.targets.len();
+        self.rev_offsets.clear();
+        self.rev_offsets.resize(m + 1, 0);
+        for &w in &self.local.targets {
+            self.rev_offsets[w as usize + 1] += 1;
+        }
+        for w in 0..m {
+            self.rev_offsets[w + 1] += self.rev_offsets[w];
+        }
+        self.rev.clear();
+        self.rev.resize(arcs, (0, 0));
+        for v in 0..m {
+            for e in self.local.offsets[v]..self.local.offsets[v + 1] {
+                let w = self.local.targets[e as usize] as usize;
+                self.rev[self.rev_offsets[w] as usize] = (v as u32, e);
+                self.rev_offsets[w] += 1;
+            }
+        }
+        // Each offset now sits at its list's end; shift back to the starts.
+        self.rev_offsets.copy_within(0..m, 1);
+        self.rev_offsets[0] = 0;
+
+        self.in_b.clear();
+        self.in_b.resize(arcs, false);
+        self.blocked.clear();
+        self.blocked.resize(m, false);
+    }
+
+    /// Johnson's UNBLOCK cascade from `v`, iteratively.
+    fn unblock(&mut self, v: u32) {
+        self.unblock_stack.clear();
+        self.unblock_stack.push(v);
+        while let Some(w) = self.unblock_stack.pop() {
+            if !self.blocked[w as usize] {
+                continue;
+            }
+            self.blocked[w as usize] = false;
+            let preds =
+                self.rev_offsets[w as usize] as usize..self.rev_offsets[w as usize + 1] as usize;
+            for &(p, e) in &self.rev[preds] {
+                if self.in_b[e as usize] {
+                    self.in_b[e as usize] = false;
+                    self.unblock_stack.push(p);
+                }
+            }
         }
     }
 }
@@ -262,6 +356,61 @@ mod tests {
         let c = count_cycles(&adj, 10_000);
         assert!(!c.is_capped());
         assert!(c.value() > 1);
+    }
+
+    #[test]
+    fn huge_ring_costs_two_passes_not_one_per_vertex() {
+        // One SCC pass finds the ring, the next finds nothing left and
+        // stops. A pass per start vertex would be 50,000 passes over 50,000
+        // vertices: minutes instead of milliseconds.
+        let n = 50_000u32;
+        let mut adj: Vec<Vec<u32>> = (0..n).map(|v| vec![(v + 1) % n]).collect();
+        assert_eq!(count_cycles(&adj, 2_000), CycleCount::Exact(1));
+        // One chord back across half the ring adds exactly one cycle.
+        adj[n as usize - 1].push(n / 2);
+        assert_eq!(count_cycles(&adj, 2_000), CycleCount::Exact(2));
+    }
+
+    #[test]
+    fn scratch_reuse_across_components_and_graphs() {
+        // A large component first, then smaller ones in a smaller graph:
+        // nothing may leak between counts.
+        let k4: Vec<Vec<u32>> = (0..4u32)
+            .map(|v| (0..4u32).filter(|&w| w != v).collect())
+            .collect();
+        let small = vec![vec![1], vec![0, 2], vec![2, 0]];
+        let mut comps = SccScratch::new();
+        let mut scratch = CycleScratch::default();
+        for _ in 0..2 {
+            comps.run(&k4);
+            assert_eq!(
+                scratch.count_components(&k4, &comps, 1000),
+                CycleCount::Exact(20)
+            );
+            comps.run(&small);
+            // 0<->1, 0->1->2->0 and the self-loop at 2.
+            assert_eq!(
+                scratch.count_components(&small, &comps, 1000),
+                CycleCount::Exact(3)
+            );
+        }
+    }
+
+    #[test]
+    fn cap_law() {
+        // AtLeast(cap) exactly when cap <= the true count, also when the
+        // budget runs out between components.
+        let adj = vec![vec![1], vec![0, 2], vec![3], vec![2], vec![4]];
+        for cap in 0..=4 {
+            let expect = if cap <= 3 {
+                CycleCount::AtLeast(cap)
+            } else {
+                CycleCount::Exact(3)
+            };
+            assert_eq!(count_cycles(&adj, cap), expect, "cap {cap}");
+        }
+        let chain = vec![vec![1], vec![]];
+        assert_eq!(count_cycles(&chain, 0), CycleCount::Exact(0));
     }
 
     #[test]

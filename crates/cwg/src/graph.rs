@@ -204,23 +204,38 @@ impl WaitGraph {
     /// The chain owned by `msg` (acquisition order), if registered.
     pub fn chain(&self, msg: MessageId) -> Option<&[VertexId]> {
         let &slot = self.index.get(&msg)?;
-        let e = self.msgs[slot as usize];
-        Some(&self.chain_pool[e.chain_start as usize..(e.chain_start + e.chain_len) as usize])
+        Some(self.entry_chain(&self.msgs[slot as usize]))
     }
 
     /// Request targets of `msg`, if it is blocked.
     pub fn requests_of(&self, msg: MessageId) -> Option<&[VertexId]> {
         let &slot = self.index.get(&msg)?;
-        let e = self.msgs[slot as usize];
-        if e.req_len == 0 {
-            return None;
-        }
-        Some(&self.req_pool[e.req_start as usize..(e.req_start + e.req_len) as usize])
+        let e = &self.msgs[slot as usize];
+        (e.req_len > 0).then(|| self.entry_requests(e))
     }
 
     /// Messages with registered requests (the blocked messages).
     pub fn blocked_messages(&self) -> impl Iterator<Item = MessageId> + '_ {
         self.msgs.iter().filter(|e| e.req_len > 0).map(|e| e.id)
+    }
+
+    /// `(id, chain, requests)` of every blocked message, in registration
+    /// order, straight from the record table (no id lookups).
+    pub(crate) fn blocked_entries(
+        &self,
+    ) -> impl Iterator<Item = (MessageId, &[VertexId], &[VertexId])> + '_ {
+        self.msgs
+            .iter()
+            .filter(|e| e.req_len > 0)
+            .map(|e| (e.id, self.entry_chain(e), self.entry_requests(e)))
+    }
+
+    fn entry_chain(&self, e: &MsgEntry) -> &[VertexId] {
+        &self.chain_pool[e.chain_start as usize..(e.chain_start + e.chain_len) as usize]
+    }
+
+    fn entry_requests(&self, e: &MsgEntry) -> &[VertexId] {
+        &self.req_pool[e.req_start as usize..(e.req_start + e.req_len) as usize]
     }
 
     /// Number of blocked messages in the snapshot.
@@ -236,15 +251,6 @@ impl WaitGraph {
     /// Total dashed (request) arcs — the CWG "fan-out" mass.
     pub fn num_requests(&self) -> usize {
         self.num_dashed
-    }
-
-    /// Counts the elementary resource-dependency cycles in the snapshot
-    /// (capped at `cap`). The paper uses this as the congestion precursor
-    /// metric when no deadlock exists — cyclic non-deadlocks (§2.2.3).
-    pub fn count_cycles(&self, cap: u64) -> crate::CycleCount {
-        let mut csr = Csr::new();
-        self.build_csr(&mut csr);
-        crate::count_cycles(&csr, cap)
     }
 
     /// Refills `csr` with the targets-only adjacency, shared by the SCC,

@@ -60,6 +60,14 @@ impl SccScratch {
     /// overflow the call stack of the textbook recursive formulation on
     /// large networks.
     pub fn run<A: Adjacency + ?Sized>(&mut self, adj: &A) {
+        self.run_from(adj, 0);
+    }
+
+    /// Decomposes the subgraph of `adj` induced on vertices `lo..n`, as if
+    /// every vertex below `lo` (and every arc touching one) were absent:
+    /// components cover `lo..n` only. Johnson's cycle enumeration restarts
+    /// on such a suffix for each start vertex, without copying the graph.
+    pub(crate) fn run_from<A: Adjacency + ?Sized>(&mut self, adj: &A, lo: VertexId) {
         let n = adj.num_vertices();
         self.index.clear();
         self.index.resize(n, UNVISITED);
@@ -76,7 +84,7 @@ impl SccScratch {
         self.comp_vertices.clear();
         let mut next_index = 0u32;
 
-        for start in 0..n as u32 {
+        for start in lo..n as u32 {
             if self.index[start as usize] != UNVISITED {
                 continue;
             }
@@ -92,6 +100,9 @@ impl SccScratch {
                 if *ei < outs.len() {
                     let w = outs[*ei];
                     *ei += 1;
+                    if w < lo {
+                        continue;
+                    }
                     if self.index[w as usize] == UNVISITED {
                         self.index[w as usize] = next_index;
                         self.lowlink[w as usize] = next_index;

@@ -31,7 +31,7 @@ impl std::fmt::Display for Divergence {
 }
 
 /// Builds the production graph for a snapshot.
-fn production_graph(num_vertices: usize, msgs: &[OracleMsg]) -> WaitGraph {
+pub(crate) fn production_graph(num_vertices: usize, msgs: &[OracleMsg]) -> WaitGraph {
     let mut g = WaitGraph::new(num_vertices);
     for m in msgs {
         g.add_chain(m.id, &m.chain);
@@ -55,7 +55,7 @@ fn sorted_sets<T: Ord + Clone>(sets: &[Vec<T>]) -> Vec<Vec<T>> {
     out
 }
 
-fn push_if_ne<T: PartialEq + std::fmt::Debug>(
+pub(crate) fn push_if_ne<T: PartialEq + std::fmt::Debug>(
     out: &mut Vec<Divergence>,
     context: &str,
     production: &T,

@@ -3,7 +3,7 @@
 //! The production detector (`icn-cwg`) is heavily optimized — arena
 //! snapshots, in-place rebuilds, CSR + Tarjan knot finding, fingerprint
 //! skips — which is exactly why it needs an adversarial correctness net
-//! that shares none of that machinery. This crate provides three
+//! that shares none of that machinery. This crate provides these
 //! independent lines of defense:
 //!
 //! * [`oracle`] — a deliberately naive knot finder (dense adjacency
@@ -12,6 +12,9 @@
 //!   the paper's §2 definitions that must always agree.
 //! * [`diff`] — the differential harness comparing all of them on one
 //!   snapshot, with a greedy minimizer for any divergence.
+//! * [`cycles`] — a naive simple-path cycle counter refereeing the
+//!   production cycle counts (whole-graph census and knot density) and
+//!   their cap semantics.
 //! * [`gen`] — a seeded random CWG generator (own SplitMix64, no shared
 //!   randomness) biased to actually produce knots.
 //! * [`explore`] — exhaustive enumeration of every injection schedule on
@@ -21,6 +24,7 @@
 //! forensics-incident checking, the `repro validate` CLI) live in
 //! `flexsim::validate`, which builds on this crate.
 
+pub mod cycles;
 pub mod diff;
 pub mod explore;
 pub mod gen;
@@ -38,6 +42,7 @@ pub fn arena_msgs(arena: &icn_sim::SnapshotArena) -> Vec<oracle::OracleMsg> {
         .collect()
 }
 
+pub use cycles::check_cycle_counts;
 pub use diff::{check_messages, minimize_divergence, Divergence, BRUTE_FORCE_CAP};
 pub use explore::{explore, ExploreConfig, ExploreReport, ExploreRouting};
 pub use gen::{random_snapshot, GenParams, SplitMix64};

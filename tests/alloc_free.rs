@@ -1,6 +1,8 @@
 //! Proof that the steady-state detection epoch performs zero heap
 //! allocations: snapshot fill, wait-graph rebuild, and knot analysis all
-//! run in caller-owned storage once capacities have warmed up.
+//! run in caller-owned storage once capacities have warmed up. A
+//! knot-bearing epoch allocates only the vectors of the `Analysis` it
+//! returns, however large the vertex space around the knot.
 //!
 //! A counting global allocator tallies every alloc/realloc made by the
 //! test's own thread. The counter is thread-local so that allocations the
@@ -58,7 +60,12 @@ fn allocations(f: impl FnOnce()) -> u64 {
 
 /// The runner's per-epoch rebuild, spelled out over the public API.
 fn rebuild(arena: &SnapshotArena, g: &mut WaitGraph) {
-    g.reset(arena.num_vertices());
+    rebuild_in_space(arena, g, arena.num_vertices());
+}
+
+/// [`rebuild`] into a graph of `num_vertices` (at least the arena's own).
+fn rebuild_in_space(arena: &SnapshotArena, g: &mut WaitGraph, num_vertices: usize) {
+    g.reset(num_vertices);
     for m in arena.messages() {
         g.add_chain(m.id, m.chain);
     }
@@ -161,5 +168,56 @@ fn steady_state_detection_epoch_allocates_nothing() {
     assert_eq!(
         epoch_allocs, 0,
         "clean detection epoch must not allocate in steady state"
+    );
+
+    // --- Scenario 3: a wedged unidirectional ring, a knot every epoch. The
+    // only allocations are the vectors the returned values own (a constant
+    // per knot), and their number does not depend on the size of the
+    // vertex space the knot sits in. ---
+    let mut net = Network::new(
+        KAryNCube::torus(8, 1, false),
+        Box::new(Dor),
+        SimConfig {
+            vcs_per_channel: 1,
+            buffer_depth: 2,
+            msg_len: 24,
+        },
+    );
+    for i in 0..8u32 {
+        net.enqueue(NodeId(i), NodeId((i + 5) % 8));
+    }
+    for _ in 0..200 {
+        net.step();
+    }
+    net.wait_snapshot_into(&mut arena);
+    let n = arena.num_vertices();
+    let mut counts = Vec::new();
+    for space in [n, 16 * n] {
+        let mut scratch = DetectorScratch::new();
+        for _ in 0..3 {
+            rebuild_in_space(&arena, &mut graph, space);
+            let a = graph.analyze_with(2_000, &mut scratch);
+            assert_eq!(a.deadlocks.len(), 1, "the ring must be wedged");
+            assert_eq!(graph.knot_deadlock_sets(&mut scratch).len(), 1);
+        }
+        rebuild_in_space(&arena, &mut graph, space);
+        let analyze_allocs = allocations(|| {
+            let a = graph.analyze_with(2_000, &mut scratch);
+            assert!(a.has_deadlock());
+        });
+        let sets_allocs = allocations(|| {
+            let sets = graph.knot_deadlock_sets(&mut scratch);
+            assert_eq!(sets.len(), 1);
+        });
+        counts.push((analyze_allocs, sets_allocs));
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "allocations must not grow with the vertex space"
+    );
+    // `deadlocks` plus one knot's three vectors; `sets` plus one set.
+    assert!(
+        counts[0].0 <= 4 && counts[0].1 <= 2,
+        "a knot epoch allocates only what it returns, got {counts:?}"
     );
 }

@@ -281,9 +281,11 @@ fn killed_server_resumes_from_checkpoints_digest_exact() {
 #[test]
 fn partial_results_stream_whole_lines_and_cancel_settles_job() {
     let dir = temp_dir("cancel");
-    let grid = test_grid();
+    let mut grid = test_grid();
+    // Enough configs that one worker cannot finish them within the two
+    // request round-trips below, however fast a config runs.
+    grid.seeds = (21..=60).collect();
     let n = grid.expand().len();
-    // One worker: the grid cannot finish before the early requests land.
     let (addr, handle) = start_server(&dir, 1);
     let id = submit(addr, &grid);
 
@@ -457,6 +459,19 @@ fn bad_requests_get_clean_errors() {
     assert!(body.contains("error"), "errors are JSON: {body}");
     let (status, _) = http_request(addr, "GET", "/jobs/abc", None).unwrap();
     assert_eq!(status, 400);
+    // A density cap that cannot tell single- from multi-cycle knots is
+    // refused at the door: no job is created, nothing reaches the runner.
+    let mut grid = test_grid();
+    grid.base.density_cap = 1;
+    let (status, body) =
+        http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string())).unwrap();
+    assert_eq!(status, 400);
+    assert!(
+        body.contains("density_cap"),
+        "error names the field: {body}"
+    );
+    let (status, _) = http_request(addr, "GET", "/jobs/1", None).unwrap();
+    assert_eq!(status, 404, "the rejected grid created no job");
 
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
