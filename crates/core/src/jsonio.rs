@@ -214,6 +214,41 @@ pub fn record_payload(line: &str) -> Option<&str> {
     }
 }
 
+/// What one whole line of a checkpoint record stream turned out to be.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RecordLine {
+    /// Empty or whitespace only (guard newlines); never counted.
+    Blank,
+    /// A record: the payload of a frame whose length and CRC verify, or
+    /// a legacy bare line, parsed.
+    Record(Json),
+    /// Opens like a frame but fails verification (or verifies and does
+    /// not parse) — detected corruption.
+    CorruptFrame,
+    /// A bare line that is not JSON.
+    Garbage,
+}
+
+/// Turns one line of checkpoint text into a verified record or a
+/// classified loss. This is the only place checkpoint bytes become
+/// trusted values: [`scan_records`] applies it to every line of a whole
+/// document, [`crate::CheckpointTail`] to each newly sealed line.
+pub fn record_line(line: &str) -> RecordLine {
+    if line.trim().is_empty() {
+        return RecordLine::Blank;
+    }
+    let (payload, framed) = match unframe(line) {
+        Frame::Verified(p) => (Some(p), true),
+        Frame::Bare(p) => (Some(p), false),
+        Frame::Corrupt => (None, true),
+    };
+    match payload.and_then(|p| parse(p).ok()) {
+        Some(v) => RecordLine::Record(v),
+        None if framed => RecordLine::CorruptFrame,
+        None => RecordLine::Garbage,
+    }
+}
+
 /// Outcome of scanning a checkpoint record stream: framed lines verified
 /// against their CRC, legacy bare JSON lines parsed as before, and every
 /// damaged line accounted for instead of silently dropped.
@@ -249,21 +284,16 @@ pub fn scan_records(text: &str) -> RecordScan {
     let last_line = text.lines().filter(|l| !l.trim().is_empty()).count();
     let mut seen = 0usize;
     for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+        let verdict = record_line(line);
+        if verdict == RecordLine::Blank {
             continue;
         }
         seen += 1;
-        let is_tail = seen == last_line && !ends_with_newline;
-        let (payload, framed) = match unframe(line) {
-            Frame::Verified(p) => (Some(p), true),
-            Frame::Bare(p) => (Some(p), false),
-            Frame::Corrupt => (None, true),
-        };
-        match payload.and_then(|p| parse(p).ok()) {
-            Some(v) => scan.values.push((lineno, v)),
-            None if is_tail => scan.torn_tail = true,
-            None => {
-                if framed {
+        match verdict {
+            RecordLine::Record(v) => scan.values.push((lineno, v)),
+            _ if seen == last_line && !ends_with_newline => scan.torn_tail = true,
+            damaged => {
+                if damaged == RecordLine::CorruptFrame {
                     scan.corrupt_frames += 1;
                 } else {
                     scan.skipped += 1;

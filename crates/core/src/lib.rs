@@ -51,6 +51,7 @@ mod result;
 mod runner;
 mod spec;
 mod sweep;
+mod tail;
 pub mod validate;
 
 pub use checkpoint::{decode_result, encode_result};
@@ -67,6 +68,7 @@ pub use sweep::{
     sweep_supervised_report, CancelToken, CheckpointRestore, ReplicationSummary, SweepError,
     SweepOptions, SweepReport,
 };
+pub use tail::{read_results, CheckpointTail, LineSpan, Verdict};
 
 /// Version tag of the simulation semantics, baked into the campaign
 /// server's content-addressed cache keys. Bump it whenever a change can

@@ -8,9 +8,10 @@
 //! [`sweep`] is the historical strict wrapper: same execution, but any
 //! failed slot panics *after* every sibling has completed.
 
-use crate::checkpoint::{decode_result, encode_result};
-use crate::jsonio::{durable, frame_record, obj, scan_records, Json};
+use crate::checkpoint::encode_result;
+use crate::jsonio::{durable, frame_record, obj, Json};
 use crate::runner::{run_with, RunObserver};
+use crate::tail::CheckpointTail;
 use crate::{run, RunConfig, RunResult};
 use icn_sim::{Network, StepEvents};
 use std::ops::ControlFlow;
@@ -313,69 +314,24 @@ pub struct CheckpointRestore {
 /// Restores completed slots from a checkpoint file, reporting exactly
 /// what was kept and what was lost. See [`CheckpointRestore`] for the
 /// accounting semantics. Accepts both CRC-framed records (the current
-/// append format) and legacy bare JSON lines; damaged framed lines are
+/// append format) and legacy bare JSON lines; damaged lines are
 /// quarantined to `<path>.quarantine` so the evidence survives the next
-/// clean rewrite of the checkpoint.
+/// clean rewrite of the checkpoint. This is one whole-file
+/// [`CheckpointTail`] refresh; later records for a slot win.
 pub fn restore_checkpoint(
     path: &std::path::Path,
     configs: &[RunConfig],
     slots: &mut [Option<Result<RunResult, SweepError>>],
 ) -> CheckpointRestore {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return CheckpointRestore::default();
-    };
-    let scan = scan_records(&text);
-    let mut report = CheckpointRestore {
-        restored: 0,
-        skipped_lines: scan.skipped,
-        corrupt_frames: scan.corrupt_frames,
-        cancelled: 0,
-        torn_tail: scan.torn_tail,
-    };
-    if !scan.damaged_lines.is_empty() {
-        // Quarantine, not delete: keep the damaged bytes inspectable.
-        let _ = durable::append_line(
-            &path.with_extension("quarantine"),
-            &scan.damaged_lines.join("\n"),
-        );
-    }
-    for (_, v) in &scan.values {
-        // A `status` line persists a terminal cancel/timeout decision for
-        // its slot. Later lines win (a status after a result should not
-        // happen, but the scan is order-faithful either way).
-        let restorable = (|| {
-            let i = v.get("index").and_then(Json::as_u64)? as usize;
-            if i >= configs.len() {
-                return None;
-            }
-            let label = configs[i].label();
-            if v.get("label").and_then(Json::as_str) != Some(&label) {
-                return None;
-            }
-            if let Some(status) = v.get("status").and_then(Json::as_str) {
-                let timed_out = match status {
-                    "cancelled" => false,
-                    "timed_out" => true,
-                    _ => return None,
-                };
-                return Some((i, Err(SweepError::Cancelled { label, timed_out })));
-            }
-            let r = v.get("result").and_then(|r| decode_result(r).ok())?;
-            Some((i, Ok(r)))
-        })();
-        match restorable {
-            Some((i, r)) => {
-                if r.is_ok() {
-                    report.restored += 1;
-                } else {
-                    report.cancelled += 1;
-                }
-                slots[i] = Some(r);
-            }
-            None => report.skipped_lines += 1,
-        }
-    }
-    report
+    let mut tail = CheckpointTail::new(path, configs.iter().map(RunConfig::label).collect());
+    // An unreadable checkpoint restores nothing, like an absent one.
+    let _ = tail.refresh_with(|i, r| {
+        slots[i] = Some(r.map_err(|timed_out| SweepError::Cancelled {
+            label: configs[i].label(),
+            timed_out,
+        }));
+    });
+    tail.report()
 }
 
 /// Renders one checkpoint line: `{"index":i,"label":...,"result":{...}}`.

@@ -1,0 +1,269 @@
+//! Incremental reader over an append-only checkpoint file.
+//!
+//! A checkpoint only ever grows by whole `durable::append_line` records,
+//! so a reader that remembers how far it has verified never needs to look
+//! at those bytes again. [`CheckpointTail`] keeps that offset: each
+//! [`refresh`](CheckpointTail::refresh) reads only `[offset, len)`, pushes
+//! every newline-terminated line through [`record_line`] — the same
+//! frame/CRC/legacy path [`crate::jsonio::scan_records`] uses — and
+//! leaves an unterminated remainder unread until its newline (or a guard
+//! newline) arrives. What it keeps per configuration index is where the
+//! latest restorable record sits, not the record: fetching one is a
+//! re-read and re-verification of that single line.
+
+use std::fs::File;
+use std::io::{self, ErrorKind, Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
+
+use crate::checkpoint::decode_result;
+use crate::jsonio::{durable, record_line, record_payload, Json, RecordLine, FRAME_MARK};
+use crate::result::RunResult;
+use crate::sweep::CheckpointRestore;
+
+/// Where one line sits in the checkpoint file (newline excluded).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LineSpan {
+    pub offset: u64,
+    pub len: usize,
+}
+
+/// What the latest restorable record of a configuration says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// A decodable result record.
+    Result,
+    /// A persisted terminal cancellation.
+    Cancelled { timed_out: bool },
+}
+
+/// The one predicate deciding whether a verified record may settle a
+/// slot: its index is in range, its label equals the configuration's at
+/// that index, and it carries either a known terminal status or a result
+/// that decodes. `Err(timed_out)` is a terminal cancellation.
+fn restorable(v: &Json, labels: &[String]) -> Option<(usize, Result<RunResult, bool>)> {
+    let i = usize::try_from(v.get("index").and_then(Json::as_u64)?).ok()?;
+    if v.get("label").and_then(Json::as_str) != Some(labels.get(i)?) {
+        return None;
+    }
+    if let Some(status) = v.get("status").and_then(Json::as_str) {
+        return match status {
+            "cancelled" => Some((i, Err(false))),
+            "timed_out" => Some((i, Err(true))),
+            _ => None,
+        };
+    }
+    let r = v.get("result").and_then(|r| decode_result(r).ok())?;
+    Some((i, Ok(r)))
+}
+
+/// One line's text: a trailing `\r` stripped (as `str::lines` does),
+/// `None` when the bytes are not UTF-8.
+fn line_text(bytes: &[u8]) -> Option<&str> {
+    std::str::from_utf8(bytes.strip_suffix(b"\r").unwrap_or(bytes)).ok()
+}
+
+/// Incremental, verifying view of one checkpoint file. See the module
+/// docs.
+#[derive(Debug)]
+pub struct CheckpointTail {
+    path: PathBuf,
+    /// `RunConfig::label()` of each configuration, by index.
+    labels: Vec<String>,
+    /// Bytes verified so far; always just past a newline (or 0).
+    offset: u64,
+    /// Latest restorable record per index.
+    latest: Vec<Option<(Verdict, LineSpan)>>,
+    /// Every verified record carrying a `result`, in file order — the
+    /// results stream.
+    result_lines: Vec<LineSpan>,
+    /// Accounting since creation (or the last reset), in
+    /// [`CheckpointRestore`] terms; `torn_tail` describes the latest
+    /// refresh.
+    report: CheckpointRestore,
+}
+
+impl CheckpointTail {
+    /// A tail at offset 0 of `path` (which need not exist yet) for
+    /// configurations labelled `labels`.
+    pub fn new(path: impl Into<PathBuf>, labels: Vec<String>) -> CheckpointTail {
+        CheckpointTail {
+            path: path.into(),
+            latest: vec![None; labels.len()],
+            labels,
+            offset: 0,
+            result_lines: Vec::new(),
+            report: CheckpointRestore::default(),
+        }
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Accounting of everything read so far. `torn_tail` is whether the
+    /// file ended in an unterminated, non-blank remainder at the latest
+    /// refresh — unlike a whole-document scan the tail never reads such a
+    /// remainder, even one that would verify, because nothing may be
+    /// appended after it until a newline seals it.
+    pub fn report(&self) -> CheckpointRestore {
+        self.report
+    }
+
+    /// What the latest restorable record for `index` says, if there is
+    /// one.
+    pub fn verdict(&self, index: usize) -> Option<Verdict> {
+        self.latest.get(index)?.map(|(v, _)| v)
+    }
+
+    /// Lines of the results stream, in file order.
+    pub fn result_lines(&self) -> &[LineSpan] {
+        &self.result_lines
+    }
+
+    /// Reads what was appended since the last refresh. Returns the number
+    /// of bytes read.
+    pub fn refresh(&mut self) -> io::Result<u64> {
+        self.refresh_with(|_, _| {})
+    }
+
+    /// [`refresh`](Self::refresh), handing every restorable record to
+    /// `on_record` in file order as `(index, Ok(result))` or
+    /// `(index, Err(timed_out))`; a later record for an index supersedes
+    /// an earlier one.
+    pub fn refresh_with(
+        &mut self,
+        mut on_record: impl FnMut(usize, Result<RunResult, bool>),
+    ) -> io::Result<u64> {
+        let file = match File::open(&self.path) {
+            Ok(f) => Some(f),
+            // An absent checkpoint is an empty one.
+            Err(e) if e.kind() == ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        let len = match &file {
+            Some(f) => f.metadata()?.len(),
+            None => 0,
+        };
+        if len < self.offset {
+            // The file shrank: nothing remembered about it can be trusted.
+            self.reset();
+        }
+        let Some(mut file) = file.filter(|_| len > self.offset) else {
+            self.report.torn_tail = false;
+            return Ok(0);
+        };
+        file.seek(SeekFrom::Start(self.offset))?;
+        let mut fresh = Vec::with_capacity(usize::try_from(len - self.offset).unwrap_or(0));
+        file.take(len - self.offset).read_to_end(&mut fresh)?;
+
+        let sealed = fresh.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        let mut damaged: Vec<String> = Vec::new();
+        let mut at = self.offset;
+        for chunk in fresh[..sealed].split_inclusive(|&b| b == b'\n') {
+            let bytes = &chunk[..chunk.len() - 1];
+            let span = LineSpan {
+                offset: at,
+                len: bytes.len(),
+            };
+            at += chunk.len() as u64;
+            let line = match line_text(bytes) {
+                Some(line) => record_line(line),
+                None if bytes.first() == Some(&(FRAME_MARK as u8)) => RecordLine::CorruptFrame,
+                None => RecordLine::Garbage,
+            };
+            match line {
+                RecordLine::Blank => {}
+                RecordLine::Record(v) => {
+                    if v.get("result").is_some() {
+                        self.result_lines.push(span);
+                    }
+                    match restorable(&v, &self.labels) {
+                        Some((i, r)) => {
+                            let verdict = match r {
+                                Ok(_) => {
+                                    self.report.restored += 1;
+                                    Verdict::Result
+                                }
+                                Err(timed_out) => {
+                                    self.report.cancelled += 1;
+                                    Verdict::Cancelled { timed_out }
+                                }
+                            };
+                            self.latest[i] = Some((verdict, span));
+                            on_record(i, r);
+                        }
+                        None => self.report.skipped_lines += 1,
+                    }
+                }
+                lost => {
+                    if lost == RecordLine::CorruptFrame {
+                        self.report.corrupt_frames += 1;
+                    } else {
+                        self.report.skipped_lines += 1;
+                    }
+                    damaged.push(String::from_utf8_lossy(bytes).into_owned());
+                }
+            }
+        }
+        self.offset = at;
+        self.report.torn_tail = !fresh[sealed..].trim_ascii().is_empty();
+        if !damaged.is_empty() {
+            // Quarantine, not delete: keep the damaged bytes inspectable.
+            let _ =
+                durable::append_line(&self.path.with_extension("quarantine"), &damaged.join("\n"));
+        }
+        Ok(fresh.len() as u64)
+    }
+
+    fn reset(&mut self) {
+        self.offset = 0;
+        self.latest.iter_mut().for_each(|e| *e = None);
+        self.result_lines.clear();
+        self.report = CheckpointRestore::default();
+    }
+
+    /// The latest restorable record for `index`, fetched from disk: one
+    /// read of that line, verified and checked again exactly as when the
+    /// refresh first saw it. `Err(timed_out)` is a terminal cancellation;
+    /// `None` means no such record, or a line that no longer verifies.
+    pub fn record(&self, index: usize) -> Option<Result<RunResult, bool>> {
+        let (_, span) = (*self.latest.get(index)?)?;
+        let mut file = File::open(&self.path).ok()?;
+        file.seek(SeekFrom::Start(span.offset)).ok()?;
+        let mut bytes = vec![0u8; span.len];
+        file.read_exact(&mut bytes).ok()?;
+        let RecordLine::Record(v) = record_line(line_text(&bytes)?) else {
+            return None;
+        };
+        restorable(&v, &self.labels)
+            .filter(|(i, _)| *i == index)
+            .map(|(_, r)| r)
+    }
+}
+
+/// Renders the results stream of `path` — the payload of each of
+/// `lines`, newline-terminated, in order — from one read of the file.
+/// Every line is verified again on the way out; one that no longer
+/// verifies is left out.
+pub fn read_results(path: &Path, lines: &[LineSpan]) -> io::Result<String> {
+    let Some(last) = lines.last() else {
+        return Ok(String::new());
+    };
+    let mut bytes = Vec::new();
+    File::open(path)?
+        .take(last.offset + last.len as u64)
+        .read_to_end(&mut bytes)?;
+    let mut body = String::with_capacity(bytes.len());
+    for span in lines {
+        let payload = usize::try_from(span.offset)
+            .ok()
+            .and_then(|start| bytes.get(start..start.checked_add(span.len)?))
+            .and_then(line_text)
+            .and_then(record_payload);
+        if let Some(payload) = payload {
+            body.push_str(payload);
+            body.push('\n');
+        }
+    }
+    Ok(body)
+}

@@ -79,6 +79,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         500 => "Internal Server Error",
         _ => "Unknown",
     }
@@ -116,8 +117,11 @@ pub fn respond_with_headers(
         head.push_str("\r\n");
     }
     head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // Head and body leave in one write: two small segments would have the
+    // second wait on the peer's delayed ACK.
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -164,12 +168,11 @@ pub fn http_request_full(
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(120)))?;
     let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: campaign\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: campaign\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(message.as_bytes())?;
     stream.flush()?;
 
     let mut raw = Vec::new();

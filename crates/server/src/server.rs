@@ -23,8 +23,9 @@
 //! `jobs/job-<id>.ckpt.cancel` (durable cancellation marker), `leases/`
 //! (per-config ownership), and `cache/` (content-addressed results). A
 //! killed server recovers on the next [`CampaignServer::bind`]: grids are
-//! re-expanded, checkpoints restored with the core
-//! [`flexsim::restore_checkpoint`] (digest-exact, torn final lines
+//! re-expanded, checkpoints restored through the core
+//! [`flexsim::CheckpointTail`] (the reader behind
+//! [`flexsim::restore_checkpoint`]: digest-exact, torn final lines
 //! tolerated and surfaced, corrupt frames quarantined), and unfinished
 //! configurations re-enter the queues.
 //!
@@ -39,7 +40,7 @@
 
 use std::fs;
 use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
@@ -47,15 +48,15 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use flexsim::forensics::IncidentStore;
-use flexsim::jsonio::{durable, obj, record_payload, u64_arr, Json};
-use flexsim::{restore_checkpoint, RunResult, SweepError, SweepOptions, ENGINE_VERSION};
+use flexsim::jsonio::{durable, obj, u64_arr, Json};
+use flexsim::{read_results, SweepOptions, ENGINE_VERSION};
 
 use crate::cache::ResultCache;
 use crate::grid::SweepGrid;
 use crate::http::{read_request, respond_error, respond_json, respond_with_headers, Request};
 use crate::lease::LeaseDir;
 use crate::signal;
-use crate::state::{Job, Shared, SlotState};
+use crate::state::{Job, Shared, SlotState, Stats};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -100,6 +101,8 @@ impl ServerOptions {
 /// What the HTTP handlers need.
 struct Ctx {
     shared: Arc<Shared>,
+    /// The bound address; also where shutdown wakes the accept loop.
+    addr: SocketAddr,
     jobs_dir: PathBuf,
     incidents: IncidentStore,
     workers: usize,
@@ -110,7 +113,6 @@ struct Ctx {
 /// runs the accept loop until shutdown and drains gracefully.
 pub struct CampaignServer {
     listener: TcpListener,
-    addr: SocketAddr,
     ctx: Arc<Ctx>,
     workers: Vec<JoinHandle<()>>,
     http_threads: usize,
@@ -130,7 +132,11 @@ impl CampaignServer {
         let mut sweep = opts.sweep.clone();
         sweep.checkpoint = None;
         let shared = Shared::new(opts.workers, sweep, cache, leases);
-        recover_jobs(&shared, &jobs_dir);
+        let resumed = load_new_jobs(&shared, &jobs_dir);
+        shared
+            .stats
+            .jobs_resumed
+            .fetch_add(resumed, Ordering::Relaxed);
 
         let mut workers: Vec<JoinHandle<()>> = (0..opts.workers.max(1))
             .map(|w| {
@@ -151,11 +157,11 @@ impl CampaignServer {
             workers.push(
                 thread::Builder::new()
                     .name("campaign-scanner".into())
-                    .spawn(move || {
-                        while !s.shutdown.load(Ordering::SeqCst) {
-                            scan_sibling_jobs(&s, &dir);
-                            s.reconcile();
-                            thread::sleep(interval);
+                    .spawn(move || loop {
+                        load_new_jobs(&s, &dir);
+                        s.reconcile();
+                        if s.wait_shutdown(interval) {
+                            break;
                         }
                     })
                     .expect("spawn scanner"),
@@ -169,10 +175,10 @@ impl CampaignServer {
             workers.push(
                 thread::Builder::new()
                     .name("campaign-heartbeat".into())
-                    .spawn(move || {
-                        while !s.shutdown.load(Ordering::SeqCst) {
-                            s.heartbeat();
-                            thread::sleep(tick);
+                    .spawn(move || loop {
+                        s.heartbeat();
+                        if s.wait_shutdown(tick) {
+                            break;
                         }
                     })
                     .expect("spawn heartbeat"),
@@ -180,13 +186,12 @@ impl CampaignServer {
         }
 
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(CampaignServer {
             listener,
-            addr,
             ctx: Arc::new(Ctx {
                 shared,
+                addr,
                 jobs_dir,
                 incidents,
                 workers: opts.workers.max(1),
@@ -199,12 +204,16 @@ impl CampaignServer {
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.addr
     }
 
     /// Runs until `POST /shutdown` or SIGINT, then drains: in-flight
     /// requests and simulations finish and are checkpointed; queued
     /// configurations stay on disk for the next lifetime.
+    ///
+    /// The accept loop blocks in `accept` — a request is handed to a
+    /// handler the moment it connects — and whoever raises the shutdown
+    /// latch wakes it with a connection of its own ([`shut_down`]).
     pub fn serve(self) -> io::Result<()> {
         if self.handle_sigint {
             signal::install();
@@ -218,45 +227,84 @@ impl CampaignServer {
                 thread::Builder::new()
                     .name(format!("campaign-http-{h}"))
                     .spawn(move || loop {
-                        let next = rx.lock().unwrap().recv_timeout(Duration::from_millis(100));
+                        // The receiver lock is held while waiting: the
+                        // other handlers queue on it and take turns.
+                        let next = rx.lock().unwrap().recv();
                         match next {
                             Ok(stream) => handle_connection(&ctx, stream),
-                            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                            Err(mpsc::RecvError) => break,
                         }
                     })
                     .expect("spawn http handler")
             })
             .collect();
+        // SIGINT watcher. The handler may only flip an atomic, and the
+        // signal is installed with `SA_RESTART`, so it never interrupts
+        // `accept`: this thread turns the latch into a wake-up.
+        let watcher = {
+            let ctx = Arc::clone(&self.ctx);
+            thread::Builder::new()
+                .name("campaign-sigint".into())
+                .spawn(move || {
+                    while !ctx.shared.wait_shutdown(SIGINT_POLL) {
+                        if signal::triggered() {
+                            shut_down(&ctx);
+                        }
+                    }
+                })
+                .expect("spawn sigint watcher")
+        };
 
         loop {
-            if self.ctx.shared.shutdown.load(Ordering::SeqCst) || signal::triggered() {
+            let accepted = self.listener.accept();
+            if self.ctx.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     let _ = tx.send(stream);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(25));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(25)),
+                // Out of descriptors, or a connection reset before it was
+                // accepted: give the condition a moment to clear.
+                Err(_) => thread::sleep(ACCEPT_ERROR_PAUSE),
             }
         }
 
         // Drain: stop feeding handlers, let them finish queued requests,
-        // then stop the workers (their in-flight units checkpoint first).
+        // then collect the workers (their in-flight units checkpoint
+        // first).
         drop(tx);
         for h in handlers {
             let _ = h.join();
         }
-        self.ctx.shared.trigger_shutdown();
+        let _ = watcher.join();
         for w in self.workers {
             let _ = w.join();
         }
         Ok(())
     }
+}
+
+/// How often the SIGINT watcher looks at the signal latch.
+const SIGINT_POLL: Duration = Duration::from_millis(20);
+/// Pause after a failed `accept`, so a persistent error cannot spin.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(50);
+/// Read and write budget of an accepted connection: a client that stalls
+/// longer than this mid-request (or mid-response) loses its handler.
+const SOCKET_BUDGET: Duration = Duration::from_secs(5);
+
+/// Raises the shutdown latch and wakes the accept loop by connecting to
+/// the listener, so `serve` returns promptly.
+fn shut_down(ctx: &Ctx) {
+    ctx.shared.trigger_shutdown();
+    // A wildcard bind address is not connectable; its loopback is.
+    let ip = match ctx.addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+        ip => ip,
+    };
+    let wake = SocketAddr::new(ip, ctx.addr.port());
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
 }
 
 /// Lists the job ids with a grid file in `jobs_dir`.
@@ -279,10 +327,8 @@ fn job_ids_on_disk(jobs_dir: &std::path::Path) -> Vec<u64> {
 }
 
 /// Builds the in-memory [`Job`] for `id` from its on-disk grid and
-/// checkpoint. Restores completed and cancelled slots, applies the
-/// durable cancel marker, and seals a torn checkpoint tail with a guard
-/// newline so fresh appends start clean.
-fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64) -> Option<Job> {
+/// checkpoint (see [`Job::recover`]).
+fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64, stats: &Stats) -> Option<Job> {
     let grid_path = jobs_dir.join(format!("job-{id}.json"));
     let text = fs::read_to_string(&grid_path).ok()?;
     let grid = match SweepGrid::from_json(&text) {
@@ -295,70 +341,21 @@ fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64) -> Option<Job> {
             return None;
         }
     };
-    let configs = grid.expand();
-    let ckpt = jobs_dir.join(format!("job-{id}.ckpt.jsonl"));
-    let mut raw: Vec<Option<Result<RunResult, SweepError>>> = Vec::new();
-    raw.resize_with(configs.len(), || None);
-    let restore = restore_checkpoint(&ckpt, &configs, &mut raw);
-    if restore.torn_tail {
-        let _ = durable::append_line(&ckpt, "");
-    }
-    let slots: Vec<SlotState> = raw
-        .iter()
-        .map(|s| match s {
-            Some(Ok(_)) => SlotState::Done {
-                cached: false,
-                restored: true,
-            },
-            Some(Err(SweepError::Cancelled { timed_out, .. })) => SlotState::Cancelled {
-                timed_out: *timed_out,
-            },
-            _ => SlotState::Pending,
-        })
-        .collect();
-    let cancel = flexsim::CancelToken::new();
-    if ckpt.with_extension("cancel").exists() {
-        cancel.cancel();
-    }
-    Some(Job {
+    let mut job = Job::new(
         id,
-        configs,
-        slots,
-        ckpt,
-        restored: restore.restored,
-        ckpt_skipped: restore.skipped_lines,
-        ckpt_corrupt: restore.corrupt_frames,
-        torn_tail: restore.torn_tail,
-        cancel,
-        timeout: grid.timeout_ms.map(Duration::from_millis),
-        reclaimed_leases: 0,
-    })
+        grid.expand(),
+        jobs_dir.join(format!("job-{id}.ckpt.jsonl")),
+        grid.timeout_ms.map(Duration::from_millis),
+    );
+    job.recover(stats);
+    Some(job)
 }
 
-/// Re-creates every job found in `jobs_dir` and restores its checkpoint.
-fn recover_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) {
-    let mut inner = shared.inner.lock().unwrap();
-    for id in job_ids_on_disk(jobs_dir) {
-        let Some(mut job) = load_job_from_disk(jobs_dir, id) else {
-            continue;
-        };
-        if job.cancel.is_cancelled() {
-            for slot in &mut job.slots {
-                if *slot == SlotState::Pending {
-                    *slot = SlotState::Cancelled { timed_out: false };
-                }
-            }
-        }
-        inner.jobs.insert(id, job);
-        Shared::enqueue_pending(&mut inner, id);
-        inner.next_job_id = inner.next_job_id.max(id + 1);
-        shared.stats.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Fleet discovery: loads jobs that appeared in `jobs_dir` after startup
-/// (submitted through a sibling process).
-fn scan_sibling_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) {
+/// Loads every job in `jobs_dir` this process does not know yet — all of
+/// them at start-up (recovery), afterwards those submitted through a
+/// sibling process (fleet discovery) — and queues their unfinished
+/// slots. Returns how many were loaded.
+fn load_new_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) -> u64 {
     let ids = job_ids_on_disk(jobs_dir);
     let new: Vec<u64> = {
         let inner = shared.inner.lock().unwrap();
@@ -366,9 +363,10 @@ fn scan_sibling_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) {
             .filter(|id| !inner.jobs.contains_key(id))
             .collect()
     };
+    let mut loaded = 0;
     for id in new {
-        // Load outside the lock (grid parse + checkpoint scan do I/O).
-        let Some(job) = load_job_from_disk(jobs_dir, id) else {
+        // Load outside the lock (grid parse + checkpoint pass do I/O).
+        let Some(job) = load_job_from_disk(jobs_dir, id, &shared.stats) else {
             continue;
         };
         let mut inner = shared.inner.lock().unwrap();
@@ -381,25 +379,35 @@ fn scan_sibling_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) {
         inner.next_job_id = inner.next_job_id.max(id + 1);
         drop(inner);
         shared.work_cv.notify_all();
+        loaded += 1;
     }
+    loaded
 }
 
 /// Reads one request, dispatches it, writes the response. All errors end
 /// the connection; the protocol is one request per connection anyway.
 fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
     let mut stream = stream;
+    // A stalled client must not pin this handler.
+    let _ = stream.set_read_timeout(Some(SOCKET_BUDGET));
+    let _ = stream.set_write_timeout(Some(SOCKET_BUDGET));
     let req = match read_request(&stream) {
         Ok(r) => r,
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            let _ = respond_error(&mut stream, 408, "request not received in time");
+            return;
+        }
         Err(e) => {
             let _ = respond_error(&mut stream, 400, &e.to_string());
             return;
         }
     };
+    ctx.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     // `/shutdown` answers before raising the latch so the client sees the
     // acknowledgment.
     if req.method == "POST" && req.path == "/shutdown" {
         let _ = respond_json(&mut stream, 200, "{\"shutting_down\":true}");
-        ctx.shared.trigger_shutdown();
+        shut_down(ctx);
         return;
     }
     match dispatch(ctx, &req) {
@@ -485,19 +493,12 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
             Err(e) => return Err((500, format!("persisting grid: {e}"))),
         }
     };
-    let job = Job {
+    let job = Job::new(
         id,
         configs,
-        slots: vec![SlotState::Pending; n],
-        ckpt: ctx.jobs_dir.join(format!("job-{id}.ckpt.jsonl")),
-        restored: 0,
-        ckpt_skipped: 0,
-        ckpt_corrupt: 0,
-        torn_tail: false,
-        cancel: flexsim::CancelToken::new(),
-        timeout: grid.timeout_ms.map(Duration::from_millis),
-        reclaimed_leases: 0,
-    };
+        ctx.jobs_dir.join(format!("job-{id}.ckpt.jsonl")),
+        grid.timeout_ms.map(Duration::from_millis),
+    );
     inner.jobs.insert(id, job);
     Shared::enqueue_pending(&mut inner, id);
     drop(inner);
@@ -531,14 +532,14 @@ fn cancel_job(ctx: &Arc<Ctx>, id: u64) -> Reply {
         .map_err(|e| (500, format!("persisting cancel marker: {e}")))?;
     job.cancel.cancel();
     let mut newly_cancelled = 0usize;
-    for (index, slot) in job.slots.iter_mut().enumerate() {
+    for index in 0..job.slots().len() {
         // Status records are appended only for slots queued *here*: a
         // `Pending` slot may be lease-owned by a sibling whose cancelled
         // run will persist its own record — the marker already makes the
         // decision durable for everyone else.
-        let queued_here = *slot == SlotState::Queued;
-        if matches!(*slot, SlotState::Pending | SlotState::Queued) {
-            *slot = SlotState::Cancelled { timed_out: false };
+        let queued_here = job.slots()[index] == SlotState::Queued;
+        if queued_here || job.slots()[index] == SlotState::Pending {
+            job.set_slot(index, SlotState::Cancelled { timed_out: false });
             newly_cancelled += 1;
             if queued_here {
                 let line =
@@ -547,7 +548,7 @@ fn cancel_job(ctx: &Arc<Ctx>, id: u64) -> Reply {
             }
         }
     }
-    let t = job.tally();
+    let t = job.counts();
     let body = obj(vec![
         ("id", Json::U64(id)),
         ("cancelled", Json::Bool(true)),
@@ -563,7 +564,8 @@ fn job_status(ctx: &Arc<Ctx>, id: u64) -> Reply {
         .jobs
         .get(&id)
         .ok_or_else(|| (404, format!("no job {id}")))?;
-    let t = job.tally();
+    let t = job.counts();
+    debug_assert_eq!(t, job.tally(), "running slot counters drifted");
     let state = if job.is_settled() {
         "done"
     } else if t.running > 0 || t.done > 0 {
@@ -572,7 +574,7 @@ fn job_status(ctx: &Arc<Ctx>, id: u64) -> Reply {
         "queued"
     };
     let slots: Vec<Json> = job
-        .slots
+        .slots()
         .iter()
         .map(|s| {
             Json::Str(match s {
@@ -590,7 +592,7 @@ fn job_status(ctx: &Arc<Ctx>, id: u64) -> Reply {
     let body = obj(vec![
         ("id", Json::U64(id)),
         ("state", Json::Str(state.to_string())),
-        ("configs", Json::U64(job.slots.len() as u64)),
+        ("configs", Json::U64(job.slots().len() as u64)),
         ("pending", Json::U64(t.pending as u64)),
         ("running", Json::U64(t.running as u64)),
         ("completed", Json::U64(t.done as u64)),
@@ -602,10 +604,16 @@ fn job_status(ctx: &Arc<Ctx>, id: u64) -> Reply {
         (
             "checkpoint",
             obj(vec![
-                ("restored", Json::U64(job.restored as u64)),
-                ("skipped_lines", Json::U64(job.ckpt_skipped as u64)),
-                ("corrupt_frames", Json::U64(job.ckpt_corrupt as u64)),
-                ("torn_tail", Json::Bool(job.torn_tail)),
+                ("restored", Json::U64(job.recovered.restored as u64)),
+                (
+                    "skipped_lines",
+                    Json::U64(job.recovered.skipped_lines as u64),
+                ),
+                (
+                    "corrupt_frames",
+                    Json::U64(job.recovered.corrupt_frames as u64),
+                ),
+                ("torn_tail", Json::Bool(job.recovered.torn_tail)),
             ]),
         ),
         ("slots", Json::Arr(slots)),
@@ -620,34 +628,24 @@ fn job_status(ctx: &Arc<Ctx>, id: u64) -> Reply {
 /// the final word (`true`) or a partial snapshot worth re-fetching
 /// (`false`).
 fn job_results(ctx: &Arc<Ctx>, id: u64) -> Reply {
-    let (ckpt, settled) = {
+    let (tail, settled) = {
         let inner = ctx.shared.inner.lock().unwrap();
         let job = inner
             .jobs
             .get(&id)
             .ok_or_else(|| (404, format!("no job {id}")))?;
-        (job.ckpt.clone(), job.is_settled())
+        (Arc::clone(&job.tail), job.is_settled())
     };
-    let text = match fs::read_to_string(&ckpt) {
-        Ok(t) => t,
-        Err(e) if e.kind() == ErrorKind::NotFound => String::new(),
-        Err(e) => return Err((500, format!("reading results: {e}"))),
+    // Verify what was appended since the last look, then render the
+    // stream off the tail's lock: status records (cancelled / timed-out
+    // markers) are job bookkeeping and were never listed, and each listed
+    // line is checked against its CRC once more on the way out.
+    let (path, lines) = {
+        let mut tail = tail.lock().expect("tail lock");
+        ctx.shared.stats.refresh(&mut tail);
+        (tail.path().to_path_buf(), tail.result_lines().to_vec())
     };
-    let mut body = String::with_capacity(text.len());
-    for line in text.lines() {
-        let Some(payload) = record_payload(line) else {
-            continue;
-        };
-        // Status records (cancelled / timed-out markers) are job
-        // bookkeeping, not results.
-        if flexsim::jsonio::parse(payload)
-            .ok()
-            .is_some_and(|v| v.get("result").is_some())
-        {
-            body.push_str(payload);
-            body.push('\n');
-        }
-    }
+    let body = read_results(&path, &lines).map_err(|e| (500, format!("reading results: {e}")))?;
     Ok(Response {
         status: 200,
         content_type: "application/x-ndjson",
@@ -696,6 +694,20 @@ fn stats(ctx: &Arc<Ctx>) -> Reply {
         (
             "leases_reclaimed",
             Json::U64(s.leases_reclaimed.load(Ordering::Relaxed)),
+        ),
+        ("requests", Json::U64(s.requests.load(Ordering::Relaxed))),
+        (
+            "checkpoint",
+            obj(vec![
+                (
+                    "refreshes",
+                    Json::U64(s.ckpt_refreshes.load(Ordering::Relaxed)),
+                ),
+                (
+                    "bytes_read",
+                    Json::U64(s.ckpt_bytes_read.load(Ordering::Relaxed)),
+                ),
+            ]),
         ),
     ]);
     Ok(Response::json(body.to_string()))

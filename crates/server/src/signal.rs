@@ -1,7 +1,9 @@
 //! SIGINT latch without a libc dependency.
 //!
-//! The serve loop polls [`triggered`] between accepts; the handler only
-//! flips an `AtomicBool`, which is async-signal-safe. On non-Unix targets
+//! The handler only flips an `AtomicBool`, which is async-signal-safe;
+//! `signal()` installs it with `SA_RESTART`, so a blocked `accept` is not
+//! interrupted, and the serve loop's watcher thread polls [`triggered`]
+//! to turn the latch into a shutdown. On non-Unix targets
 //! the latch exists but never fires (Ctrl-C then terminates the process
 //! the default way, and `POST /shutdown` remains available).
 

@@ -21,9 +21,16 @@
 //! losing means a live sibling owns the config, and the slot returns to
 //! `Pending` until the reconciler either adopts the sibling's checkpoint
 //! record or reclaims the expired lease. After *winning* a lease the
-//! worker re-reads the checkpoint before simulating — a record appended
+//! worker consults the checkpoint before simulating — a record appended
 //! by a dead former owner is adopted, never recomputed — and the shared
 //! content-addressed cache is the final dedup guard.
+//!
+//! Every look at a checkpoint goes through the job's one
+//! [`CheckpointTail`]: a refresh reads and verifies only the bytes
+//! appended since the previous one, so the post-acquire check, the
+//! reconciler and `GET /jobs/:id/results` cost what is new, not what the
+//! job has accumulated. The tail has its own mutex, taken before the
+//! job-table lock when both are needed and never the other way round.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -31,10 +38,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use flexsim::jsonio::{durable, frame_record, scan_records, Json};
+use flexsim::jsonio::{durable, frame_record};
 use flexsim::{
-    checkpoint_line, checkpoint_status_line, decode_result, run_supervised_cancellable,
-    CancelToken, RunConfig, RunResult, SweepError, SweepOptions,
+    checkpoint_line, checkpoint_status_line, run_supervised_cancellable, CancelToken,
+    CheckpointRestore, CheckpointTail, RunConfig, RunResult, SweepError, SweepOptions, Verdict,
 };
 
 use crate::cache::ResultCache;
@@ -84,25 +91,55 @@ pub struct Tally {
     pub cancelled: usize,
 }
 
+impl Tally {
+    /// Adds `slot` to (or, with `add` false, removes it from) the counts.
+    /// `Queued` counts as pending — queue residency is a process-local
+    /// scheduling detail.
+    fn count(&mut self, slot: &SlotState, add: bool) {
+        let bump = |n: &mut usize| {
+            if add {
+                *n += 1
+            } else {
+                *n -= 1
+            }
+        };
+        match slot {
+            SlotState::Pending | SlotState::Queued => bump(&mut self.pending),
+            SlotState::Running => bump(&mut self.running),
+            SlotState::Done { cached, restored } => {
+                bump(&mut self.done);
+                if *cached {
+                    bump(&mut self.cached);
+                }
+                if *restored {
+                    bump(&mut self.restored);
+                }
+            }
+            SlotState::Failed(_) => bump(&mut self.failed),
+            SlotState::Cancelled { .. } => bump(&mut self.cancelled),
+        }
+    }
+}
+
 /// One submitted job.
 #[derive(Debug)]
 pub struct Job {
     pub id: u64,
     pub configs: Vec<RunConfig>,
-    pub slots: Vec<SlotState>,
+    /// Written only through [`Job::set_slot`], which keeps `counts` in
+    /// step.
+    slots: Vec<SlotState>,
+    counts: Tally,
     /// JSON-lines results/checkpoint file (framed core `checkpoint_line`
     /// records).
     pub ckpt: PathBuf,
-    /// Slots restored from the checkpoint at recovery.
-    pub restored: usize,
-    /// Checkpoint lines lost to corruption at recovery (surfaced in the
-    /// job status; nonzero means the file was damaged at rest).
-    pub ckpt_skipped: usize,
-    /// Framed checkpoint lines whose CRC failed at recovery — detected
-    /// (and quarantined) corruption.
-    pub ckpt_corrupt: usize,
-    /// Whether recovery found a torn final line (killed mid-append).
-    pub torn_tail: bool,
+    /// The incremental reader every look at `ckpt` goes through.
+    pub tail: Arc<Mutex<CheckpointTail>>,
+    /// What recovery found in the checkpoint: slots restored, lines lost
+    /// to corruption, CRC-failed (quarantined) frames, and whether the
+    /// file ended in a torn line (killed mid-append). Surfaced in the job
+    /// status; all zero for a job submitted to this process.
+    pub recovered: CheckpointRestore,
     /// Cooperative cancellation shared by every run of this job.
     pub cancel: CancelToken,
     /// Per-config wall-clock budget (from the grid's `timeout_ms`).
@@ -113,30 +150,110 @@ pub struct Job {
 }
 
 impl Job {
-    /// Slot counts for status reporting. `Queued` counts as pending —
-    /// queue residency is a process-local scheduling detail.
+    /// A job with every slot `Pending` and an unread checkpoint tail.
+    pub fn new(id: u64, configs: Vec<RunConfig>, ckpt: PathBuf, timeout: Option<Duration>) -> Job {
+        let n = configs.len();
+        let labels = configs.iter().map(RunConfig::label).collect();
+        Job {
+            id,
+            configs,
+            slots: vec![SlotState::Pending; n],
+            counts: Tally {
+                pending: n,
+                ..Tally::default()
+            },
+            tail: Arc::new(Mutex::new(CheckpointTail::new(&ckpt, labels))),
+            ckpt,
+            recovered: CheckpointRestore::default(),
+            cancel: CancelToken::new(),
+            timeout,
+            reclaimed_leases: 0,
+        }
+    }
+
+    pub fn slots(&self) -> &[SlotState] {
+        &self.slots
+    }
+
+    pub fn set_slot(&mut self, index: usize, state: SlotState) {
+        self.counts.count(&self.slots[index], false);
+        self.counts.count(&state, true);
+        self.slots[index] = state;
+    }
+
+    /// Slot counts for status reporting, kept current by
+    /// [`set_slot`](Job::set_slot).
+    pub fn counts(&self) -> Tally {
+        self.counts
+    }
+
+    /// [`counts`](Job::counts) recounted from the slots — the reference
+    /// the running counters are checked against.
     pub fn tally(&self) -> Tally {
         let mut t = Tally::default();
         for s in &self.slots {
-            match s {
-                SlotState::Pending | SlotState::Queued => t.pending += 1,
-                SlotState::Running => t.running += 1,
-                SlotState::Done { cached, restored } => {
-                    t.done += 1;
-                    t.cached += usize::from(*cached);
-                    t.restored += usize::from(*restored);
-                }
-                SlotState::Failed(_) => t.failed += 1,
-                SlotState::Cancelled { .. } => t.cancelled += 1,
-            }
+            t.count(s, true);
         }
         t
     }
 
     /// No slot is pending, queued, or running.
     pub fn is_settled(&self) -> bool {
-        let t = self.tally();
-        t.pending == 0 && t.running == 0
+        self.counts.pending == 0 && self.counts.running == 0
+    }
+
+    /// Settles from the checkpoint every slot that is not yet running
+    /// here and has a restorable record in `tail`.
+    fn adopt(&mut self, tail: &CheckpointTail) {
+        for index in 0..self.slots.len() {
+            if !matches!(self.slots[index], SlotState::Pending | SlotState::Queued) {
+                continue;
+            }
+            match tail.verdict(index) {
+                Some(Verdict::Result) => self.set_slot(
+                    index,
+                    SlotState::Done {
+                        cached: false,
+                        restored: true,
+                    },
+                ),
+                Some(Verdict::Cancelled { timed_out }) => {
+                    self.set_slot(index, SlotState::Cancelled { timed_out })
+                }
+                None => {}
+            }
+        }
+    }
+
+    /// Settles every not-yet-running slot of a cancelled job. No status
+    /// append here: the endpoint that raised the marker persisted lines
+    /// for its own slots, and duplicated lines from every fleet member
+    /// would only inflate accounting.
+    fn cancel_waiting(&mut self) {
+        for index in 0..self.slots.len() {
+            if matches!(self.slots[index], SlotState::Pending | SlotState::Queued) {
+                self.set_slot(index, SlotState::Cancelled { timed_out: false });
+            }
+        }
+    }
+
+    /// Recovery: the tail's first, whole-file pass. Restores completed
+    /// and cancelled slots, records what the pass found, seals a torn
+    /// tail with a guard newline so fresh appends start clean, and
+    /// applies the durable cancel marker.
+    pub fn recover(&mut self, stats: &Stats) {
+        let tail = Arc::clone(&self.tail);
+        let mut tail = tail.lock().expect("tail lock");
+        stats.refresh(&mut tail);
+        self.recovered = tail.report();
+        if self.recovered.torn_tail {
+            let _ = durable::append_line(&self.ckpt, "");
+        }
+        self.adopt(&tail);
+        if self.ckpt.with_extension("cancel").exists() {
+            self.cancel.cancel();
+            self.cancel_waiting();
+        }
     }
 }
 
@@ -159,6 +276,25 @@ pub struct Stats {
     pub jobs_completed: AtomicU64,
     /// Stale leases broken (work reclaimed from dead siblings).
     pub leases_reclaimed: AtomicU64,
+    /// HTTP requests read off accepted connections.
+    pub requests: AtomicU64,
+    /// Checkpoint tail refreshes, and the bytes they read.
+    pub ckpt_refreshes: AtomicU64,
+    pub ckpt_bytes_read: AtomicU64,
+}
+
+impl Stats {
+    /// Brings `tail` up to date with its file, counting the pass. A
+    /// failed read leaves the tail where it was; the next refresh retries.
+    pub fn refresh(&self, tail: &mut CheckpointTail) {
+        match tail.refresh() {
+            Ok(bytes) => {
+                self.ckpt_refreshes.fetch_add(1, Ordering::Relaxed);
+                self.ckpt_bytes_read.fetch_add(bytes, Ordering::Relaxed);
+            }
+            Err(e) => eprintln!("campaign: reading {}: {e}", tail.path().display()),
+        }
+    }
 }
 
 /// Everything the HTTP threads and the workers share.
@@ -169,6 +305,10 @@ pub struct Shared {
     /// exit; queued units stay in the job checkpoints' debt for the next
     /// server lifetime.
     pub shutdown: AtomicBool,
+    /// Where the periodic threads (scanner, heartbeat, SIGINT watcher)
+    /// sleep, so the latch wakes them at once.
+    shutdown_lock: Mutex<()>,
+    shutdown_cv: Condvar,
     pub stats: Stats,
     pub sweep: SweepOptions,
     pub cache: ResultCache,
@@ -194,6 +334,8 @@ impl Shared {
             inner: Mutex::new(inner),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            shutdown_lock: Mutex::new(()),
+            shutdown_cv: Condvar::new(),
             stats: Stats::default(),
             sweep,
             cache,
@@ -259,40 +401,46 @@ impl Shared {
         }
     }
 
-    /// Appends one framed record line to `ckpt` under the state lock
-    /// (the durable single-buffer `O_APPEND` write is what keeps sibling
-    /// *processes* from tearing each other; the lock serializes this
-    /// process's own workers).
+    /// Appends one framed record line to `ckpt`. No lock is held: the
+    /// durable single-buffer `O_APPEND` write is what keeps appenders —
+    /// this process's workers and sibling processes alike — from tearing
+    /// each other, and their fsyncs overlap.
     fn append_record(job: u64, ckpt: &Path, payload: &str) {
         if let Err(e) = durable::append_line(ckpt, &frame_record(payload)) {
             eprintln!("campaign: checkpoint append failed for job {job}: {e}");
         }
     }
 
-    /// Whether the shared checkpoint already holds a record for
-    /// `(job, index)` — consulted after winning a lease, so work a dead
-    /// former owner completed is adopted instead of recomputed.
-    fn checkpoint_record_for(ckpt: &Path, index: usize) -> Option<Result<RunResult, bool>> {
-        let text = std::fs::read_to_string(ckpt).ok()?;
-        let mut found = None;
-        for (_, v) in scan_records(&text).values {
-            if v.get("index").and_then(Json::as_u64) != Some(index as u64) {
-                continue;
-            }
-            if let Some(status) = v.get("status").and_then(Json::as_str) {
-                found = Some(Err(status == "timed_out"));
-            } else if let Some(r) = v.get("result").and_then(|r| decode_result(r).ok()) {
-                found = Some(Ok(r));
+    /// The shared checkpoint's restorable record for `index`, if any —
+    /// consulted after winning a lease, so work a dead former owner
+    /// completed is adopted instead of recomputed. Reads only what was
+    /// appended since the tail's last refresh, then one line.
+    fn checkpoint_record_for(
+        &self,
+        tail: &Mutex<CheckpointTail>,
+        index: usize,
+    ) -> Option<Result<RunResult, bool>> {
+        let mut tail = tail.lock().expect("tail lock");
+        self.stats.refresh(&mut tail);
+        tail.record(index)
+    }
+
+    /// Returns a `Running` slot to `Pending` (the lease went to a sibling
+    /// or could not be taken); the reconciler re-queues it.
+    fn unclaim(&self, unit: Unit) {
+        let mut inner = self.inner.lock().unwrap();
+        if let Some(job) = inner.jobs.get_mut(&unit.job) {
+            if job.slots[unit.index] == SlotState::Running {
+                job.set_slot(unit.index, SlotState::Pending);
             }
         }
-        found
     }
 
     /// Runs one unit to completion: lease claim, checkpoint adoption,
     /// cache lookup, supervised run on a miss, durable checkpoint append,
     /// cache store, slot update.
     fn execute_unit(self: &Arc<Shared>, unit: Unit) {
-        let (cfg, ckpt, cancel, timeout) = {
+        let (cfg, ckpt, tail, cancel, timeout) = {
             let mut inner = self.inner.lock().unwrap();
             let Some(job) = inner.jobs.get_mut(&unit.job) else {
                 return;
@@ -303,10 +451,11 @@ impl Shared {
             if job.slots[unit.index] != SlotState::Queued {
                 return;
             }
-            job.slots[unit.index] = SlotState::Running;
+            job.set_slot(unit.index, SlotState::Running);
             (
                 job.configs[unit.index].clone(),
                 job.ckpt.clone(),
+                Arc::clone(&job.tail),
                 job.cancel.clone(),
                 job.timeout,
             )
@@ -315,7 +464,7 @@ impl Shared {
         // Cancelled while queued: persist the terminal decision now
         // (unless some fleet member already did).
         if cancel.is_cancelled() {
-            let persist = Self::checkpoint_record_for(&ckpt, unit.index).is_none();
+            let persist = self.checkpoint_record_for(&tail, unit.index).is_none();
             self.finish_unit(unit, &cfg, &ckpt, Err(false), false, persist);
             return;
         }
@@ -324,27 +473,13 @@ impl Shared {
         // config is theirs — the reconciler will adopt their record.
         let acquired = match self.leases.try_acquire(unit.job, unit.index) {
             Ok(Some(a)) => a,
-            Ok(None) => {
-                let mut inner = self.inner.lock().unwrap();
-                if let Some(job) = inner.jobs.get_mut(&unit.job) {
-                    if job.slots[unit.index] == SlotState::Running {
-                        job.slots[unit.index] = SlotState::Pending;
-                    }
-                }
-                return;
-            }
+            Ok(None) => return self.unclaim(unit),
             Err(e) => {
                 eprintln!(
                     "campaign: lease acquire failed for job {} cfg {}: {e}",
                     unit.job, unit.index
                 );
-                let mut inner = self.inner.lock().unwrap();
-                if let Some(job) = inner.jobs.get_mut(&unit.job) {
-                    if job.slots[unit.index] == SlotState::Running {
-                        job.slots[unit.index] = SlotState::Pending;
-                    }
-                }
-                return;
+                return self.unclaim(unit);
             }
         };
         if acquired.reclaimed {
@@ -359,13 +494,12 @@ impl Shared {
             .unwrap()
             .insert((unit.job, unit.index), acquired.lease);
 
-        // With the lease won, re-read the shared checkpoint: a dead
+        // With the lease won, consult the shared checkpoint: a dead
         // former owner may have finished this config before dying. Its
-        // record is adopted, never recomputed — this re-check is what
-        // makes lease reclamation duplicate-free.
-        let (verdict, cached, persist) = match Self::checkpoint_record_for(&ckpt, unit.index) {
-            Some(Ok(r)) => (Ok(r), false, false),
-            Some(Err(timed_out)) => (Err(timed_out), false, false),
+        // record is adopted, never recomputed — this check is what makes
+        // lease reclamation duplicate-free.
+        let (verdict, cached, persist) = match self.checkpoint_record_for(&tail, unit.index) {
+            Some(verdict) => (verdict, false, false),
             None => match self.cache.lookup(&cfg) {
                 Some(hit) => (Ok(hit), true, true),
                 None => {
@@ -386,7 +520,7 @@ impl Shared {
                             self.release_lease(unit);
                             let mut inner = self.inner.lock().unwrap();
                             if let Some(job) = inner.jobs.get_mut(&unit.job) {
-                                job.slots[unit.index] = SlotState::Failed(e.to_string());
+                                job.set_slot(unit.index, SlotState::Failed(e.to_string()));
                                 if job.is_settled() {
                                     self.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -414,7 +548,8 @@ impl Shared {
     /// Persists (when `persist`) and records a terminal verdict for one
     /// unit: `Ok(result)` appends a result record, `Err(timed_out)` a
     /// status record. Adopted-from-disk verdicts pass `persist: false` —
-    /// their record already exists.
+    /// their record already exists. The fsync'd append comes first, off
+    /// the job-table lock; the slot flips only once the record is durable.
     fn finish_unit(
         self: &Arc<Shared>,
         unit: Unit,
@@ -424,37 +559,27 @@ impl Shared {
         cached: bool,
         persist: bool,
     ) {
+        if persist {
+            let payload = match &verdict {
+                Ok(result) => checkpoint_line(unit.index, &cfg.label(), result),
+                Err(timed_out) => checkpoint_status_line(unit.index, &cfg.label(), *timed_out),
+            };
+            Self::append_record(unit.job, ckpt, &payload);
+        }
         let mut inner = self.inner.lock().unwrap();
         let Some(job) = inner.jobs.get_mut(&unit.job) else {
             return;
         };
-        match &verdict {
-            Ok(result) => {
-                if persist {
-                    Self::append_record(
-                        unit.job,
-                        ckpt,
-                        &checkpoint_line(unit.index, &cfg.label(), result),
-                    );
-                }
-                job.slots[unit.index] = SlotState::Done {
+        job.set_slot(
+            unit.index,
+            match verdict {
+                Ok(_) => SlotState::Done {
                     cached,
                     restored: !persist,
-                };
-            }
-            Err(timed_out) => {
-                if persist {
-                    Self::append_record(
-                        unit.job,
-                        ckpt,
-                        &checkpoint_status_line(unit.index, &cfg.label(), *timed_out),
-                    );
-                }
-                job.slots[unit.index] = SlotState::Cancelled {
-                    timed_out: *timed_out,
-                };
-            }
-        }
+                },
+                Err(timed_out) => SlotState::Cancelled { timed_out },
+            },
+        );
         if job.is_settled() {
             self.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
         }
@@ -466,66 +591,35 @@ impl Shared {
     /// free (expired or never taken). Called periodically by the fleet
     /// scanner thread.
     pub fn reconcile(self: &Arc<Shared>) {
-        let jobs: Vec<(u64, PathBuf)> = {
+        let jobs: Vec<(u64, PathBuf, Arc<Mutex<CheckpointTail>>)> = {
             let inner = self.inner.lock().unwrap();
             inner
                 .jobs
                 .iter()
                 .filter(|(_, j)| !j.is_settled())
-                .map(|(id, j)| (*id, j.ckpt.clone()))
+                .map(|(id, j)| (*id, j.ckpt.clone(), Arc::clone(&j.tail)))
                 .collect()
         };
         let mut woke_work = false;
-        for (id, ckpt) in jobs {
-            // Read the checkpoint outside the lock; adoption below
-            // re-checks slot states under the lock.
-            let scan = std::fs::read_to_string(&ckpt)
-                .map(|text| scan_records(&text))
-                .ok();
+        for (id, ckpt, tail) in jobs {
+            // Read what the fleet appended outside the job-table lock;
+            // adoption below re-checks slot states under it.
+            let mut tail = tail.lock().expect("tail lock");
+            self.stats.refresh(&mut tail);
             let cancel_marker = ckpt.with_extension("cancel").exists();
             let mut inner = self.inner.lock().unwrap();
             let Some(job) = inner.jobs.get_mut(&id) else {
                 continue;
             };
+            let was_settled = job.is_settled();
             if cancel_marker && !job.cancel.is_cancelled() {
                 job.cancel.cancel();
             }
-            if let Some(scan) = scan {
-                for (_, v) in &scan.values {
-                    let Some(index) = v.get("index").and_then(Json::as_u64) else {
-                        continue;
-                    };
-                    let index = index as usize;
-                    if index >= job.slots.len() {
-                        continue;
-                    }
-                    if !matches!(job.slots[index], SlotState::Pending | SlotState::Queued) {
-                        continue;
-                    }
-                    if let Some(status) = v.get("status").and_then(Json::as_str) {
-                        job.slots[index] = SlotState::Cancelled {
-                            timed_out: status == "timed_out",
-                        };
-                    } else if v.get("result").is_some() {
-                        job.slots[index] = SlotState::Done {
-                            cached: false,
-                            restored: true,
-                        };
-                    }
-                }
-            }
+            job.adopt(&tail);
+            drop(tail);
             if job.cancel.is_cancelled() {
-                // Settle every not-yet-running slot as cancelled. No
-                // status append here: the endpoint that raised the marker
-                // persisted lines for its own slots, and duplicated lines
-                // from every fleet member would only inflate accounting.
-                for slot in &mut job.slots {
-                    if matches!(*slot, SlotState::Pending | SlotState::Queued) {
-                        *slot = SlotState::Cancelled { timed_out: false };
-                    }
-                }
+                job.cancel_waiting();
             }
-            let was_settled = job.is_settled();
             // Re-queue Pending slots (lease lost to a live sibling, or
             // never scheduled here): execute_unit re-arbitrates with the
             // lease, so the worst case is a cheap failed acquire.
@@ -550,10 +644,29 @@ impl Shared {
         }
     }
 
-    /// Raises the shutdown latch and wakes every waiter.
+    /// Raises the shutdown latch and wakes every waiter: the periodic
+    /// threads on the shutdown condvar, the workers on the work condvar.
+    /// Each latch store happens under the waiters' mutex, so none of them
+    /// can check the latch, miss the wake-up and sleep out its timeout.
     pub fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _periodic = self.shutdown_lock.lock().unwrap();
+            let _workers = self.inner.lock().unwrap();
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
+        self.shutdown_cv.notify_all();
         self.work_cv.notify_all();
+    }
+
+    /// Sleeps for `period` or until the shutdown latch rises, whichever
+    /// comes first. Returns whether the latch is up.
+    pub fn wait_shutdown(&self, period: Duration) -> bool {
+        let guard = self.shutdown_lock.lock().unwrap();
+        let _ = self
+            .shutdown_cv
+            .wait_timeout_while(guard, period, |_| !self.shutdown.load(Ordering::SeqCst))
+            .unwrap();
+        self.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -562,19 +675,12 @@ mod tests {
     use super::*;
 
     fn dummy_job(id: u64, slots: Vec<SlotState>) -> Job {
-        Job {
-            id,
-            configs: vec![RunConfig::small_default(); slots.len()],
-            slots,
-            ckpt: PathBuf::from("/nonexistent"),
-            restored: 0,
-            ckpt_skipped: 0,
-            ckpt_corrupt: 0,
-            torn_tail: false,
-            cancel: CancelToken::new(),
-            timeout: None,
-            reclaimed_leases: 0,
+        let configs = vec![RunConfig::small_default(); slots.len()];
+        let mut job = Job::new(id, configs, PathBuf::from("/nonexistent"), None);
+        for (index, slot) in slots.into_iter().enumerate() {
+            job.set_slot(index, slot);
         }
+        job
     }
 
     #[test]
@@ -637,6 +743,7 @@ mod tests {
                 cancelled: 1,
             }
         );
+        assert_eq!(job.counts(), job.tally());
         assert!(!job.is_settled());
         let done = dummy_job(
             2,
@@ -650,5 +757,110 @@ mod tests {
             ],
         );
         assert!(done.is_settled());
+    }
+
+    /// The running counters follow every slot transition a unit can take.
+    #[test]
+    fn counters_track_slot_transitions() {
+        let mut job = dummy_job(1, vec![SlotState::Pending; 3]);
+        let done = SlotState::Done {
+            cached: true,
+            restored: false,
+        };
+        for (index, state) in [
+            (0, SlotState::Queued),
+            (0, SlotState::Running),
+            (1, SlotState::Running),
+            (0, done.clone()),
+            (1, SlotState::Pending),
+            (1, SlotState::Failed("boom".into())),
+            (2, SlotState::Cancelled { timed_out: true }),
+        ] {
+            assert!(!job.is_settled());
+            job.set_slot(index, state);
+            assert_eq!(job.counts(), job.tally());
+        }
+        assert!(job.is_settled());
+        assert_eq!(job.counts().cached, 1);
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("icn-state-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A record is adopted only if it is *this* configuration's: a forged
+    /// record with a matching index but another label, or a status no
+    /// server writes, settles nothing — neither through the reconciler
+    /// nor through the post-acquire check.
+    #[test]
+    fn forged_records_are_not_adopted() {
+        let dir = temp_dir("forged");
+        let shared = Shared::new(
+            1,
+            SweepOptions::default(),
+            ResultCache::open(dir.join("cache")).unwrap(),
+            LeaseDir::open(dir.join("leases"), Duration::from_secs(5)).unwrap(),
+        );
+        let mut cfg = RunConfig::small_default();
+        cfg.warmup = 20;
+        cfg.measure = 60;
+        let result = flexsim::run(&cfg);
+        let configs: Vec<RunConfig> = [0.1, 0.2, 0.3]
+            .iter()
+            .map(|&load| RunConfig {
+                load,
+                ..cfg.clone()
+            })
+            .collect();
+        let labels: Vec<String> = configs.iter().map(RunConfig::label).collect();
+        assert_ne!(labels[0], labels[1], "labels tell the configs apart");
+
+        let ckpt = dir.join("job-1.ckpt.jsonl");
+        for payload in [
+            // Index 0 carrying config 1's label; index 1 with an unknown
+            // status; index 2 is genuine.
+            checkpoint_line(0, &labels[1], &result),
+            checkpoint_status_line(1, &labels[1], false).replace("cancelled", "paused"),
+            checkpoint_line(2, &labels[2], &result),
+        ] {
+            durable::append_line(&ckpt, &frame_record(&payload)).unwrap();
+        }
+        let job = Job::new(1, configs, ckpt, None);
+        let tail = Arc::clone(&job.tail);
+        shared.inner.lock().unwrap().jobs.insert(1, job);
+
+        shared.reconcile();
+        {
+            let inner = shared.inner.lock().unwrap();
+            let job = &inner.jobs[&1];
+            assert_eq!(
+                job.slots()[0],
+                SlotState::Queued,
+                "wrong label: not adopted"
+            );
+            assert_eq!(
+                job.slots()[1],
+                SlotState::Queued,
+                "unknown status: not adopted"
+            );
+            assert_eq!(
+                job.slots()[2],
+                SlotState::Done {
+                    cached: false,
+                    restored: true
+                }
+            );
+            assert_eq!(job.counts(), job.tally());
+        }
+        assert!(shared.checkpoint_record_for(&tail, 0).is_none());
+        assert!(shared.checkpoint_record_for(&tail, 1).is_none());
+        let adopted = shared
+            .checkpoint_record_for(&tail, 2)
+            .expect("genuine record");
+        assert_eq!(adopted.unwrap().digest(), result.digest());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

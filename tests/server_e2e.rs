@@ -10,6 +10,10 @@
 //!    checkpoints on restart and converges to the same digests.
 //! 3. Resubmitting an identical grid completes with zero simulations —
 //!    pure cache hits, verified through `GET /stats`.
+//! 4. The checkpoint is read incrementally: settling an N-config job
+//!    reads O(file) bytes, not O(N × file).
+//! 5. A client that stalls mid-request is answered 408 and pins no
+//!    handler.
 //!
 //! Everything runs on an ephemeral 127.0.0.1 port; no network egress.
 
@@ -22,7 +26,7 @@ use deadlock_characterization::flexsim::{
     decode_result, sweep_supervised, RunConfig, SweepOptions,
 };
 use deadlock_characterization::server::{
-    http_request, http_request_full, CampaignServer, ServerOptions, SweepGrid,
+    http_request, http_request_full, CampaignServer, ResultCache, ServerOptions, SweepGrid,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -472,6 +476,102 @@ fn bad_requests_get_clean_errors() {
     );
     let (status, _) = http_request(addr, "GET", "/jobs/1", None).unwrap();
     assert_eq!(status, 404, "the rejected grid created no job");
+
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Settling a job reads its checkpoint once, not once per config: every
+/// post-acquire check, reconcile tick and results fetch goes through the
+/// job's incremental tail, so the bytes all refreshes read together stay
+/// within a small multiple of the final file, however many configs the
+/// job has. (Re-reading the file after each lease win costs N/2 times
+/// its size.)
+#[test]
+fn checkpoint_bytes_read_are_linear_in_job_size() {
+    const CONFIGS: u64 = 1_500;
+    let dir = temp_dir("linear");
+    let mut grid = test_grid();
+    grid.seeds = (1..=CONFIGS).collect();
+    grid.loads = vec![0.2];
+    let configs = grid.expand();
+
+    // A warm cache without 1 500 simulations: one real result stored
+    // under every config's key (the cache checks the config, not what
+    // the result says).
+    let result = sweep_supervised(&configs[..1], &SweepOptions::default())
+        .remove(0)
+        .expect("direct run succeeds");
+    let cache = ResultCache::open(dir.join("cache")).unwrap();
+    for cfg in &configs {
+        cache.store(cfg, &result).unwrap();
+    }
+
+    let (addr, handle) = start_server(&dir, 2);
+    let id = submit(addr, &grid);
+    let status = poll_done(addr, id);
+    assert_eq!(
+        status.get("cached").and_then(Json::as_u64),
+        Some(CONFIGS),
+        "every slot is a cache hit: {status:?}"
+    );
+    assert_eq!(stats_u64(addr, &["sims_run"]), 0);
+    let (code, stream) =
+        http_request(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
+    assert_eq!(code, 200);
+    assert_eq!(stream.lines().count() as u64, CONFIGS);
+
+    let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
+    let size = std::fs::metadata(&ckpt).unwrap().len();
+    let read = stats_u64(addr, &["checkpoint", "bytes_read"]);
+    assert!(
+        read >= size,
+        "every record was verified: read {read} of {size} bytes"
+    );
+    assert!(
+        read <= 2 * size,
+        "refreshes read {read} bytes of a {size}-byte checkpoint"
+    );
+    assert!(stats_u64(addr, &["checkpoint", "refreshes"]) >= CONFIGS);
+    assert!(stats_u64(addr, &["requests"]) >= 4);
+
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that connects and then says nothing holds a handler only
+/// until its read budget runs out: it is answered 408, requests behind
+/// it are served without waiting for it, and the server still shuts
+/// down while it is connected.
+#[test]
+fn stalled_client_gets_408_and_delays_nobody() {
+    use std::io::Read;
+
+    let dir = temp_dir("stall");
+    let (addr, handle) = start_server(&dir, 1);
+    let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    let start = Instant::now();
+    for _ in 0..10 {
+        stats_u64(addr, &["requests"]);
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "ten requests behind a stalled client took {:?}",
+        start.elapsed()
+    );
+
+    let mut reply = String::new();
+    stalled
+        .read_to_string(&mut reply)
+        .expect("the server answers and closes");
+    assert!(
+        reply.starts_with("HTTP/1.1 408"),
+        "a stalled request is answered 408: {reply:?}"
+    );
 
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
