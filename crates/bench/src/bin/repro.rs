@@ -72,7 +72,7 @@
 //! density and their cap law) on randomized CWGs (`--cwgs`, default 512),
 //! on every detection epoch of `--configs` (default 16) seeded random
 //! live configurations (with full invariant auditing; `--shards N` runs
-//! them on the sharded engine so the oracle audits that path;
+//! them with N transfer-decide partitions so the oracle audits that path;
 //! `--incremental` repeats the campaign with every config forced through
 //! the event-patched incremental detector), on freshly
 //! captured forensics incidents, on every incident in `--store DIR` (if

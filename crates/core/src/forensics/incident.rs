@@ -667,7 +667,10 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
             },
         ),
         ("faults", crate::faults::plan_to_json(&cfg.faults)),
-        ("transfer_threads", Json::U64(cfg.transfer_threads as u64)),
+        // Format legacy: the knob is gone, but the constant member keeps
+        // the canonical text — and with it every stored cache key —
+        // byte-identical. `config_from_json` ignores it.
+        ("transfer_threads", Json::U64(1)),
         ("shards", Json::U64(cfg.shards as u64)),
         (
             "stall_threshold",
@@ -743,13 +746,6 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         faults: crate::faults::plan_from_json(get(v, "faults")?)?,
         // Absent in records written before the knob existed; the serial
         // engine is the semantic default either way.
-        transfer_threads: match get(v, "transfer_threads") {
-            Ok(j) => {
-                j.as_u64()
-                    .ok_or_else(|| bad("`transfer_threads` must be u64"))? as usize
-            }
-            Err(_) => 1,
-        },
         shards: match get(v, "shards") {
             Ok(j) => j.as_u64().ok_or_else(|| bad("`shards` must be u64"))? as usize,
             Err(_) => 1,
@@ -786,13 +782,37 @@ mod tests {
         cfg.count_cycles_every = Some(7);
         cfg.forensics = Some(ForensicsConfig::default());
         cfg.faults.link_outage(2, 50, 90).node_stall(120, 9, 40);
-        cfg.transfer_threads = 3;
         cfg.shards = 4;
         cfg.stall_threshold = Some(500);
         cfg.detection = DetectionMode::Incremental;
         let text = config_to_json(&cfg).to_string();
         let back = config_from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(cfg, back);
+    }
+
+    /// Stored incidents, checkpoints and cache entries outlive the
+    /// `transfer_threads` knob: a config written when it existed (PR-6
+    /// era: no `detection`, no `shards`) must still parse, whatever the
+    /// member holds, and so must one from before it.
+    #[test]
+    fn stored_configs_with_or_without_transfer_threads_still_parse() {
+        let stored = |legacy: &str| {
+            format!(
+                r#"{{"topology":{{"k":8,"n":2,"torus":true,"bidirectional":true}},"routing":{{"kind":"dor"}},"sim":{{"vcs_per_channel":1,"buffer_depth":2,"msg_len":32}},"pattern":{{"kind":"uniform"}},"len_dist":{{"kind":"fixed","len":32}},"load":0.5,"warmup":1000,"measure":4000,"detection_interval":50,"count_cycles_every":null,"cycle_cap":150000,"density_cap":2000,"fingerprint_skip":true,"recovery":"remove-oldest","seed":1554098974,"forensics":null,"faults":{{"events":[]}},{legacy}"stall_threshold":null}}"#
+            )
+        };
+        for legacy in [
+            r#""transfer_threads":4,"#,
+            r#""transfer_threads":"auto","#,
+            "",
+        ] {
+            let cfg = config_from_json(&parse(&stored(legacy)).unwrap()).unwrap();
+            assert_eq!(cfg, RunConfig::small_default(), "legacy member {legacy:?}");
+        }
+        // What is written today still carries the constant member, so the
+        // canonical text behind every cache key is unchanged.
+        let text = config_to_json(&RunConfig::small_default()).to_string();
+        assert!(text.contains(r#""transfer_threads":1,"shards":1,"#));
     }
 
     #[test]

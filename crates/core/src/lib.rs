@@ -74,9 +74,8 @@ pub use tail::{read_results, CheckpointTail, LineSpan, Verdict};
 /// server's content-addressed cache keys. Bump it whenever a change can
 /// alter any [`RunResult`] digest for an unchanged configuration — a
 /// perf refactor that stays byte-identical (the repo's differential
-/// suites enforce this, including at any `transfer_threads` count) does
-/// NOT need a bump, which is what makes cached results durable across
-/// such PRs.
+/// suites enforce this, including at any `shards` count) does NOT need a
+/// bump, which is what makes cached results durable across such PRs.
 pub const ENGINE_VERSION: &str = "flexsim-engine-v2";
 
 use icn_traffic::{MsgLenDist, Pattern};
@@ -136,18 +135,13 @@ pub struct RunConfig {
     /// failures). An empty plan is byte-identical to no plan.
     pub faults: FaultPlan,
     /// Decide partitions for the engine's transfer phase (see
-    /// [`icn_sim::Network::set_transfer_threads`]). 1 = serial fused
-    /// walk; values above 1 take effect only when the `parallel` cargo
-    /// feature is enabled, and produce byte-identical results either way.
-    pub transfer_threads: usize,
-    /// Spatial shards for the cycle-barrier sharded engine (see
-    /// [`icn_sim::Network::set_shards`]). 1 = the flat serial engine;
-    /// values above 1 partition the network into contiguous node ranges
-    /// that step concurrently inside each cycle, exchanging boundary
-    /// traffic at the barrier in canonical order. Like `transfer_threads`
-    /// this knob is digest-neutral — results are byte-identical at any
-    /// shard count — and takes effect only with the `parallel` cargo
-    /// feature (clamped to 1 otherwise).
+    /// [`icn_sim::Network::set_shards`]). 1 = the fused serial walk;
+    /// values above 1 split the pure transfer-decide pass over contiguous
+    /// ranges of the active-channel bitset (allocation, release, snapshot
+    /// capture and faulted runs stay serial). Digest-neutral — results are
+    /// byte-identical at any count — and effective only with the
+    /// `parallel` cargo feature (clamped to 1 otherwise, and to one
+    /// partition per 64 channels with it).
     pub shards: usize,
     /// Progress watchdog: when `Some(t)`, a run that makes no progress
     /// (no injection, link movement, drain, delivery, recovery start, or
@@ -182,7 +176,6 @@ impl RunConfig {
             seed: 0x5ca1ab1e,
             forensics: None,
             faults: FaultPlan::new(),
-            transfer_threads: 1,
             shards: 1,
             stall_threshold: None,
         }

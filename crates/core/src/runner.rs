@@ -5,7 +5,7 @@ use std::ops::ControlFlow;
 use icn_cwg::{
     Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch, DynamicWaitGraph, WaitGraph,
 };
-use icn_sim::{Network, SnapshotArena, SnapshotFragment, StepEvents, WaitSnapshot, WaitUpdate};
+use icn_sim::{Network, SnapshotArena, StepEvents, WaitSnapshot, WaitUpdate};
 use icn_topology::NodeId;
 use icn_traffic::BernoulliInjector;
 use rand::rngs::StdRng;
@@ -178,27 +178,22 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     }
     cfg.len_dist.validate();
     let mut net = Network::new(topo.clone(), cfg.routing.build(), cfg.sim);
-    let eff_threads = net.set_transfer_threads(cfg.transfer_threads);
-    if eff_threads < cfg.transfer_threads {
-        // Parallelism knobs are digest-neutral, so a downgrade never
-        // changes results — but sweeps and server configs that *asked* for
-        // parallelism deserve to know they ran serial. Once per process,
-        // not per run: a 10k-point sweep should not print 10k warnings.
-        log_once("transfer_threads_downgraded", || {
-            format!(
-                "flexsim: transfer_threads={} requested but running with {} \
-                 (build the `parallel` feature for more); results are identical",
-                cfg.transfer_threads, eff_threads
-            )
-        });
-    }
     let eff_shards = net.set_shards(cfg.shards);
     if eff_shards < cfg.shards {
+        // The knob is digest-neutral, so a clamp never changes results —
+        // but sweeps and server configs that *asked* for partitions
+        // deserve to know what they got. Once per process, not per run: a
+        // 10k-point sweep should not print 10k warnings.
         log_once("shards_downgraded", || {
+            let why = if cfg!(feature = "parallel") {
+                "one partition per 64 channels is the ceiling for this network"
+            } else {
+                "build the `parallel` feature for more"
+            };
             format!(
-                "flexsim: shards={} requested but running with {} \
-                 (build the `parallel` feature for more); results are identical",
-                cfg.shards, eff_shards
+                "flexsim: shards={} requested but running with {eff_shards} ({why}); \
+                 results are identical",
+                cfg.shards
             )
         });
     }
@@ -232,19 +227,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     let mut arena = SnapshotArena::new();
     let mut graph = WaitGraph::new(0);
     let mut scratch = DetectorScratch::new();
-    // Sharded snapshot capture: with a multi-shard plan installed, each
-    // detection epoch captures per-shard wait-state fragments (on scoped
-    // threads when cores allow) and stitches them into `arena` — exactly
-    // reproducing the serial capture, fragment reuse included.
-    let snapshot_shards = net.shard_plan().map_or(1, |p| p.shards());
-    let mut frags: Vec<SnapshotFragment> = (0..snapshot_shards)
-        .filter(|_| snapshot_shards > 1)
-        .map(|_| SnapshotFragment::new())
-        .collect();
-    let snap_workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(snapshot_shards);
     // Blocked-wait-state fingerprint of the previous epoch, kept only when
     // that epoch was verified knot-free. Knots (and resource cycles) are
     // closed exclusively by blocked messages — moving chains are CWG sinks
@@ -371,39 +353,11 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 None => true,
             };
             if captured {
-                if snapshot_shards > 1 {
-                    if snap_workers > 1 {
-                        std::thread::scope(|scope| {
-                            let net = &net;
-                            let mut rest: &mut [SnapshotFragment] = &mut frags;
-                            let mut base = 0usize;
-                            for w in 0..snap_workers {
-                                let n = (w + 1) * snapshot_shards / snap_workers
-                                    - w * snapshot_shards / snap_workers;
-                                let (chunk, tail) = rest.split_at_mut(n);
-                                rest = tail;
-                                let start = base;
-                                base += n;
-                                scope.spawn(move || {
-                                    for (k, frag) in chunk.iter_mut().enumerate() {
-                                        net.wait_snapshot_fragment(start + k, frag);
-                                    }
-                                });
-                            }
-                        });
-                    } else {
-                        for (s, frag) in frags.iter_mut().enumerate() {
-                            net.wait_snapshot_fragment(s, frag);
-                        }
-                    }
-                    arena.assemble(&frags);
-                } else {
-                    net.wait_snapshot_into(&mut arena);
-                }
+                net.wait_snapshot_into(&mut arena);
                 if let Some(d) = dwg.as_ref() {
                     // The lockstep invariant behind every incremental skip:
                     // the event-patched state hashes identically to a fresh
-                    // capture, at any shard count.
+                    // capture.
                     debug_assert_eq!(
                         d.fingerprint(),
                         arena.fingerprint(),

@@ -741,13 +741,22 @@ pub fn campaign(num_configs: usize, base_seed: u64) -> CampaignOutcome {
     campaign_with_shards(num_configs, base_seed, 1)
 }
 
-/// [`campaign`] with every drawn config forced to `shards` spatial
-/// shards, keeping the oracle auditing the sharded engine: the observer's
-/// per-epoch differential checks run against sharded stepping and the
-/// fragment-assembled snapshots. Digest-neutral, so the audit verdicts
-/// must be identical to the serial campaign's.
+/// [`campaign`] with every drawn config forced to `shards` decide
+/// partitions, keeping the oracle auditing the partitioned transfer
+/// path: the observer's per-cycle and per-epoch checks run against it.
+/// Digest-neutral, so the audit verdicts must be identical to the serial
+/// campaign's.
+///
+/// The drawn 4-ary 2-D networks have at most 64 channels — one word of
+/// the active-channel bitset, which cannot be partitioned — so with
+/// `shards > 1` their 8-ary twins (2–4 words) are audited instead.
 pub fn campaign_with_shards(num_configs: usize, base_seed: u64, shards: usize) -> CampaignOutcome {
-    campaign_with(num_configs, base_seed, |cfg| cfg.shards = shards)
+    campaign_with(num_configs, base_seed, |cfg| {
+        cfg.shards = shards;
+        if shards > 1 && cfg.topology.n == 2 {
+            cfg.topology.k = 8;
+        }
+    })
 }
 
 /// [`campaign`] with every drawn config forced to

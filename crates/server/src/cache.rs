@@ -2,10 +2,9 @@
 //!
 //! Every completed configuration is stored under a key derived from its
 //! *canonical digest*: the full [`config_to_json`] rendering (seed and
-//! fault plan included) with `transfer_threads` and `shards` normalized
-//! to 1 — the engine is digest-identical at any thread or shard count, so
-//! neither knob may fragment the cache — concatenated with
-//! [`flexsim::ENGINE_VERSION`].
+//! fault plan included) with `shards` normalized to 1 — the engine is
+//! digest-identical at any partition count, so the knob may not fragment
+//! the cache — concatenated with [`flexsim::ENGINE_VERSION`].
 //! Resubmitting any previously run configuration is answered from disk
 //! without simulating; an engine-semantics bump invalidates everything
 //! at once by changing every key.
@@ -34,14 +33,13 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
 }
 
 /// The canonical config text a cache key digests: config JSON with
-/// `transfer_threads` and `shards` pinned to 1 and `detection` pinned to
-/// snapshot, plus the engine version. All three knobs are digest-neutral
-/// (parallelism controls and the incremental detector produce
-/// byte-identical results), so leaving any in the key would fragment the
-/// cache with duplicate results.
+/// `shards` pinned to 1 and `detection` pinned to snapshot, plus the
+/// engine version. Both knobs are digest-neutral (the partitioned decide
+/// and the incremental detector produce byte-identical results), so
+/// leaving either in the key would fragment the cache with duplicate
+/// results.
 pub fn canonical_config(cfg: &RunConfig) -> String {
     let mut c = cfg.clone();
-    c.transfer_threads = 1;
     c.shards = 1;
     c.detection = flexsim::DetectionMode::Snapshot;
     format!("{}\u{0}{ENGINE_VERSION}", config_to_json(&c))
@@ -153,18 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn key_ignores_transfer_threads_but_not_seed() {
+    fn key_ignores_shards_but_not_seed() {
         let a = quick_cfg();
-        let mut b = a.clone();
-        b.transfer_threads = 4;
-        assert_eq!(
-            config_key(&a),
-            config_key(&b),
-            "thread count must not fragment"
-        );
         let mut s = a.clone();
         s.shards = 8;
-        s.transfer_threads = 2;
         assert_eq!(
             config_key(&a),
             config_key(&s),
@@ -183,6 +173,17 @@ mod tests {
             config_key(&a),
             config_key(&d),
             "fault plan is part of the identity"
+        );
+    }
+
+    /// Keys name entries on disk, so they must survive refactors of
+    /// `RunConfig` and of `config_to_json`: this is the key the paper's
+    /// default config has had since `flexsim-engine-v2`.
+    #[test]
+    fn paper_default_key_is_stable() {
+        assert_eq!(
+            config_key(&RunConfig::paper_default()),
+            "27c9cf890d8ee50fa49895efdd7e1fd6"
         );
     }
 

@@ -12,11 +12,14 @@
 //! machine), its bidirectional twin, adaptive TFAR with 2 VCs, and a
 //! deep-buffer virtual cut-through point; plus a faulted case under a
 //! `random_plan`-shaped schedule of link outages, a link kill, a router
-//! stall, and an injector outage. The proptest sweeps randomized
-//! above-saturation points on top.
+//! stall, and an injector outage, and a stall-heavy case that freezes
+//! every router in turn (the fused walk's stall hook). The proptest sweeps
+//! randomized above-saturation points on top. One case compares the
+//! activity engine with itself: an armed but unfired fault plan must
+//! change nothing observable.
 
 use icn_routing::{Dor, DuatoFar, RoutingAlgorithm, Tfar};
-use icn_sim::{FaultPlan, Network, SimConfig};
+use icn_sim::{FaultPlan, Network, SimConfig, StepEvents};
 use icn_topology::{KAryNCube, NodeId};
 use proptest::prelude::*;
 
@@ -89,23 +92,40 @@ fn goldens() -> Vec<Golden> {
     ]
 }
 
+/// A fresh instance of `g` with `plan` installed (when non-empty).
+fn build(g: &Golden, plan: &FaultPlan) -> Network {
+    let mut net = Network::new(g.topo.clone(), (g.routing)(), g.cfg);
+    if !plan.is_empty() {
+        net.set_fault_plan(plan);
+    }
+    net
+}
+
 /// Drives both steppers through `cycles` of above-saturation traffic
-/// (every node offers a message every cycle) with periodic recovery
-/// pulls, comparing everything. A non-empty `plan` is installed in both
-/// instances before stepping.
-fn saturated_case(g: &Golden, plan: &FaultPlan, seed: u64, cycles: u64) {
-    let build = || {
-        let mut net = Network::new(g.topo.clone(), (g.routing)(), g.cfg);
-        if !plan.is_empty() {
-            net.set_fault_plan(plan);
-        }
-        net
-    };
-    let mut a = build();
-    let mut b = build();
+/// under `plan`, invariants checked every `check_every` cycles.
+fn saturated_case(g: &Golden, plan: &FaultPlan, seed: u64, cycles: u64, check_every: u64) {
+    lockstep(
+        (build(g, plan), Network::step),
+        (build(g, plan), Network::step_reference),
+        seed,
+        cycles,
+        check_every,
+    );
+}
+
+/// Drives two instances, each with its own stepper, through `cycles` of
+/// above-saturation traffic (every node offers a message every cycle)
+/// with periodic recovery pulls, comparing everything.
+fn lockstep(
+    (mut a, step_a): (Network, fn(&mut Network) -> StepEvents),
+    (mut b, step_b): (Network, fn(&mut Network) -> StepEvents),
+    seed: u64,
+    cycles: u64,
+    check_every: u64,
+) {
+    let nodes = a.topology().num_nodes() as u64;
     a.enable_trace(1 << 15);
     b.enable_trace(1 << 15);
-    let nodes = g.topo.num_nodes() as u64;
     let mut arrivals = Rng(seed);
     for cycle in 0..cycles {
         for n in 0..nodes {
@@ -128,13 +148,13 @@ fn saturated_case(g: &Golden, plan: &FaultPlan, seed: u64, cycles: u64) {
                 assert_eq!(a.start_recovery(id), b.start_recovery(id));
             }
         }
-        let ea = a.step();
-        let eb = b.step_reference();
+        let ea = step_a(&mut a);
+        let eb = step_b(&mut b);
         assert_eq!(
             ea, eb,
             "step events diverged at cycle {cycle} (seed {seed})"
         );
-        if cycle % 32 == 0 || cycle + 1 == cycles {
+        if cycle % check_every == 0 || cycle + 1 == cycles {
             a.check_invariants();
             b.check_invariants();
             assert_eq!(a.blocked_count(), b.blocked_count(), "cycle {cycle}");
@@ -158,7 +178,7 @@ fn saturated_case(g: &Golden, plan: &FaultPlan, seed: u64, cycles: u64) {
 #[test]
 fn golden_regimes_agree_above_saturation() {
     for (i, g) in goldens().iter().enumerate() {
-        saturated_case(g, &FaultPlan::new(), 0x5a7_0000 + i as u64, 700);
+        saturated_case(g, &FaultPlan::new(), 0x5a7_0000 + i as u64, 700, 32);
     }
 }
 
@@ -185,7 +205,49 @@ fn faulted_golden_agrees_above_saturation() {
     plan.node_stall(at(&mut r), r.below(nodes) as u32, 1 + r.below(horizon / 20));
     plan.injector_down(at(&mut r), r.below(nodes) as u32, 1 + r.below(horizon / 20));
     plan.validate(channels as usize, nodes as usize);
-    saturated_case(g, &plan, 0xfau64 << 8, horizon);
+    saturated_case(g, &plan, 0xfau64 << 8, horizon, 32);
+}
+
+/// The fused walk's stall hook, above saturation: every router is frozen
+/// in turn (overlapping windows, several routers down at once), so stalls
+/// land on mid-transfer senders, on routers whose ejecting or recovering
+/// heads are draining, and on headers waiting to allocate — on the
+/// wedging golden and on the adaptive one — with every cycle checked.
+#[test]
+fn rolling_router_stalls_agree_above_saturation() {
+    let gs = goldens();
+    for (i, g) in [&gs[0], &gs[2]].into_iter().enumerate() {
+        let nodes = g.topo.num_nodes() as u64;
+        let mut r = Rng(0x57a1_11ed + i as u64);
+        let mut plan = FaultPlan::new();
+        for n in 0..nodes {
+            plan.node_stall(40 + 6 * n, n as u32, 8 + r.below(24));
+            // A second, shorter freeze at a scattered time.
+            plan.node_stall(60 + r.below(400), n as u32, 1 + r.below(6));
+        }
+        plan.validate(g.topo.num_channels(), nodes as usize);
+        saturated_case(g, &plan, 0x57a1u64 << 8 | i as u64, 520, 1);
+    }
+}
+
+/// An armed plan whose only event lies beyond the horizon switches the
+/// engine to its fault instantiation (stall hook compiled in, candidate
+/// caching off) and must change nothing observable: the sim-level twin of
+/// the digest check behind the benchmark's `sim.armed_plan_ratio`.
+#[test]
+fn armed_but_unfired_plan_equals_no_plan() {
+    let cycles = 500;
+    let mut armed = FaultPlan::new();
+    armed.link_outage(0, cycles + 10, cycles + 20);
+    for (i, g) in goldens().iter().enumerate() {
+        lockstep(
+            (build(g, &FaultPlan::new()), Network::step),
+            (build(g, &armed), Network::step),
+            0xa2_0000 + i as u64,
+            cycles,
+            32,
+        );
+    }
 }
 
 proptest! {
@@ -196,6 +258,6 @@ proptest! {
     fn saturation_differential_holds(seed in any::<u64>()) {
         let gs = goldens();
         let g = &gs[(seed % gs.len() as u64) as usize];
-        saturated_case(g, &FaultPlan::new(), seed, 420);
+        saturated_case(g, &FaultPlan::new(), seed, 420, 32);
     }
 }

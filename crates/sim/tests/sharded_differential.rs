@@ -1,15 +1,15 @@
-//! Sharded-engine differential: the spatially sharded activity stepper
+//! Partitioned-decide differential: an instance whose transfer phase runs
+//! the partitioned decide + canonical apply (`set_shards(n)`, `n > 1`)
 //! must be indistinguishable — same [`StepEvents`], counters, invariants,
-//! and wait-for snapshots, cycle for cycle — from the serial activity
-//! engine at every shard count. The allocation equivalence rests on a
-//! header only ever contending for resources of the node it sits at
-//! (owned by exactly one shard); these tests are what pins that argument
-//! to the implementation, above saturation where queues, migrations, and
-//! wakes are densest.
+//! wait-for snapshots and traces, cycle for cycle — from one running the
+//! fused serial walk, at every partition count. The argument (partition
+//! shape depends only on `(words, n)`, decisions only on start-of-cycle
+//! state, buffers applied in partition order) is pinned to the
+//! implementation here, above saturation where the scan set is densest.
 //!
-//! Everything here requires the `parallel` cargo feature (the shard knob
-//! is a no-op without it); the no-feature clamp itself is covered at the
-//! workspace level in `tests/engine_sharded.rs`.
+//! Everything here requires the `parallel` cargo feature (the knob is a
+//! no-op without it); the clamp itself is covered on both builds in
+//! `tests/engine_sharded.rs`.
 #![cfg(feature = "parallel")]
 
 use icn_routing::{Dor, DuatoFar, RoutingAlgorithm, Tfar};
@@ -40,11 +40,13 @@ struct Golden {
     cfg: SimConfig,
 }
 
-/// The four golden-regime points, as in the saturation differential.
+/// The four golden-regime points of the saturation differential, on
+/// 16-ary 2-cubes: 512 channels (8 active-set words) unidirectional and
+/// 1,024 (16 words) bidirectional, so every count up to 8 is effective.
 fn goldens() -> Vec<Golden> {
     vec![
         Golden {
-            topo: KAryNCube::torus(8, 2, false),
+            topo: KAryNCube::torus(16, 2, false),
             routing: || Box::new(Dor),
             cfg: SimConfig {
                 vcs_per_channel: 1,
@@ -53,7 +55,7 @@ fn goldens() -> Vec<Golden> {
             },
         },
         Golden {
-            topo: KAryNCube::torus(8, 2, true),
+            topo: KAryNCube::torus(16, 2, true),
             routing: || Box::new(Dor),
             cfg: SimConfig {
                 vcs_per_channel: 1,
@@ -62,7 +64,7 @@ fn goldens() -> Vec<Golden> {
             },
         },
         Golden {
-            topo: KAryNCube::torus(8, 2, true),
+            topo: KAryNCube::torus(16, 2, true),
             routing: || Box::new(Tfar),
             cfg: SimConfig {
                 vcs_per_channel: 2,
@@ -71,7 +73,7 @@ fn goldens() -> Vec<Golden> {
             },
         },
         Golden {
-            topo: KAryNCube::torus(8, 2, true),
+            topo: KAryNCube::torus(16, 2, true),
             routing: || Box::new(DuatoFar),
             cfg: SimConfig {
                 vcs_per_channel: 3,
@@ -82,23 +84,22 @@ fn goldens() -> Vec<Golden> {
     ]
 }
 
-/// Drives a serial and a sharded instance through `cycles` of
+/// Drives a serial and a partitioned instance through `cycles` of
 /// above-saturation traffic with periodic recovery pulls, comparing
-/// events, counters, invariants, and snapshot fingerprints cycle for
-/// cycle.
-fn sharded_lockstep(g: &Golden, shards: usize, seed: u64, cycles: u64) {
+/// events, counters, invariants and snapshot fingerprints cycle for cycle,
+/// and the full traces at the end.
+fn partitioned_lockstep(g: &Golden, shards: usize, seed: u64, cycles: u64) {
     let mut a = Network::new(g.topo.clone(), (g.routing)(), g.cfg);
     let mut b = Network::new(g.topo.clone(), (g.routing)(), g.cfg);
     assert_eq!(a.set_shards(1), 1);
-    let eff = b.set_shards(shards);
-    assert_eq!(eff, shards.min(g.topo.num_nodes()), "effective shard count");
+    let words = g.topo.num_channels().div_ceil(64);
+    assert_eq!(b.set_shards(shards), shards.min(words), "effective count");
+    a.enable_trace(1 << 16);
+    b.enable_trace(1 << 16);
     let nodes = g.topo.num_nodes() as u64;
     let mut arrivals = Rng(seed);
     let mut arena_a = icn_sim::SnapshotArena::new();
     let mut arena_b = icn_sim::SnapshotArena::new();
-    let mut frags: Vec<icn_sim::SnapshotFragment> =
-        (0..eff).map(|_| icn_sim::SnapshotFragment::new()).collect();
-    let mut assembled = icn_sim::SnapshotArena::new();
     for cycle in 0..cycles {
         for n in 0..nodes {
             let mut dst = arrivals.below(nodes);
@@ -108,9 +109,7 @@ fn sharded_lockstep(g: &Golden, shards: usize, seed: u64, cycles: u64) {
             a.enqueue(NodeId(n as u32), NodeId(dst as u32));
             b.enqueue(NodeId(n as u32), NodeId(dst as u32));
         }
-        // Recovery pulls cross the sharded scheduler: the victim's stale
-        // queue entry must die in its shard queue exactly as it does in
-        // the serial allocation queue.
+        // Recovery pulls keep the drain path hot between the two walks.
         if cycle % 48 == 47 {
             let victim = a
                 .active_ids()
@@ -125,7 +124,7 @@ fn sharded_lockstep(g: &Golden, shards: usize, seed: u64, cycles: u64) {
         let eb = b.step();
         assert_eq!(
             ea, eb,
-            "step events diverged at cycle {cycle} ({shards} shards, seed {seed})"
+            "step events diverged at cycle {cycle} ({shards} partitions, seed {seed})"
         );
         if cycle % 32 == 0 || cycle + 1 == cycles {
             a.check_invariants();
@@ -140,81 +139,43 @@ fn sharded_lockstep(g: &Golden, shards: usize, seed: u64, cycles: u64) {
                 arena_b.fingerprint(),
                 "wait-state diverged at cycle {cycle}"
             );
-            // Per-shard fragments stitched back together must reproduce
-            // the serial snapshot exactly: order, pool contents, blocked
-            // census, fingerprint.
-            for (s, frag) in frags.iter_mut().enumerate() {
-                b.wait_snapshot_fragment(s, frag);
-            }
-            assembled.assemble(&frags);
-            assert_eq!(assembled.num_vertices(), arena_a.num_vertices());
-            assert_eq!(assembled.cycle(), arena_a.cycle());
-            assert_eq!(assembled.len(), arena_a.len(), "cycle {cycle}");
-            assert_eq!(assembled.num_blocked(), arena_a.num_blocked());
-            assert_eq!(
-                assembled.fingerprint(),
-                arena_a.fingerprint(),
-                "assembled fragment fingerprint diverged at cycle {cycle}"
-            );
-            for (x, y) in assembled.messages().zip(arena_a.messages()) {
-                assert_eq!(x.id, y.id);
-                assert_eq!(x.chain, y.chain, "chain of msg {} at cycle {cycle}", x.id);
-                assert_eq!(x.requests, y.requests, "requests of msg {}", x.id);
-            }
         }
     }
     assert_eq!(
         a.totals(),
         b.totals(),
-        "lifetime counters diverged ({shards} shards, seed {seed})"
+        "lifetime counters diverged ({shards} partitions, seed {seed})"
     );
     assert_eq!(a.source_queued(), b.source_queued());
+    assert_eq!(a.take_trace(), b.take_trace(), "traces diverged");
 }
 
 #[test]
-fn golden_regimes_agree_at_every_shard_count() {
+fn golden_regimes_agree_at_every_partition_count() {
     for (i, g) in goldens().iter().enumerate() {
-        for shards in [2, 4, 8] {
-            sharded_lockstep(g, shards, 0x5aa_0000 + i as u64, 500);
+        for shards in [2, 3, 5, 8] {
+            partitioned_lockstep(g, shards, 0x5aa_0000 + i as u64, 300);
         }
     }
 }
 
-/// Shard counts that do not divide the node count exercise the unbalanced
-/// ranges and the masked sub-word decide boundaries.
+/// A request above the word count clamps to it — one-word partitions —
+/// and still agrees.
 #[test]
-fn ragged_shard_counts_agree() {
-    let gs = goldens();
-    for shards in [3, 5, 7, 11] {
-        sharded_lockstep(&gs[1], shards, 0x9a6_6e0, 400);
-    }
-}
-
-/// Oversharding clamps to the node count and still agrees.
-#[test]
-fn oversharding_clamps_and_agrees() {
-    let g = Golden {
-        topo: KAryNCube::torus(2, 2, true),
-        routing: || Box::new(Dor),
-        cfg: SimConfig {
-            vcs_per_channel: 2,
-            buffer_depth: 2,
-            msg_len: 4,
-        },
-    };
-    sharded_lockstep(&g, 64, 0xc1a_0b5, 300);
+fn overpartitioning_clamps_and_agrees() {
+    partitioned_lockstep(&goldens()[0], 64, 0xc1a_0b5, 300);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized above-saturation points: any golden regime, any seed,
-    /// any shard count 2..=9.
+    /// any partition count 2..=9.
     #[test]
-    fn sharded_differential_holds(seed in any::<u64>()) {
+    fn partitioned_differential_holds(seed in any::<u64>()) {
         let gs = goldens();
         let g = &gs[(seed % gs.len() as u64) as usize];
         let shards = 2 + (seed / 7 % 8) as usize;
-        sharded_lockstep(g, shards, seed, 320);
+        partitioned_lockstep(g, shards, seed, 200);
     }
 }

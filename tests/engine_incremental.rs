@@ -6,7 +6,7 @@
 //! At the run level, [`flexsim::DetectionMode::Incremental`] must produce
 //! [`RunResult::digest`]s byte-identical to snapshot mode on every golden
 //! regime, under armed fault plans, at every-cycle epochs, and (with the
-//! `parallel` feature) on the sharded engine.
+//! `parallel` feature) over the partitioned transfer path.
 //!
 //! [`RunResult::digest`]: flexsim::RunResult::digest
 
@@ -239,9 +239,10 @@ fn formation_cycles_are_identical_and_causal() {
 mod sharded {
     use super::*;
 
-    /// Sharded stepping allocates serially at the cycle barrier, so the
-    /// one global dirty list feeds the same incremental stream; digests
-    /// must match the flat snapshot engine at 4 shards.
+    /// Only the transfer-decide pass is partitioned — allocation (the
+    /// only phase that toggles `blocked`) stays serial — so the one dirty
+    /// list feeds the same incremental stream; digests must match the
+    /// flat snapshot engine at 4 partitions.
     #[test]
     fn incremental_is_digest_identical_at_four_shards() {
         let mut points = golden_saturated_points();

@@ -182,12 +182,11 @@ fn resubmission_at_different_shard_counts_hits_cache() {
     let sims_first = stats_u64(addr, &["sims_run"]);
     assert_eq!(sims_first, n as u64);
 
-    // Rounds 2..: same grid at different shard (and thread) counts — pure
-    // cache hits, zero new simulations, identical results.
-    for (shards, threads) in [(2, 1), (4, 2), (8, 1)] {
+    // Rounds 2..: same grid at different shard counts — pure cache hits,
+    // zero new simulations, identical results.
+    for shards in [2, 4, 8] {
         let mut regrid = grid.clone();
         regrid.base.shards = shards;
-        regrid.base.transfer_threads = threads;
         let id = submit(addr, &regrid);
         let status = poll_done(addr, id);
         assert_eq!(
