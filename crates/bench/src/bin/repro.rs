@@ -1,21 +1,18 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 //!
-//! ```text
-//! repro [fig5] [fig6] [fig7] [fig8] [degree] [traffic] [all] [--small] [--csv]
-//! repro forensics [--store DIR] [--seed N] [--max N] [--cycles N] [--no-prefix]
-//! repro validate [--configs N] [--cwgs N] [--seed N] [--shards N] [--incremental] [--store DIR] [--no-explore]
-//! repro faults [--seed N] [--expect-stall]
-//! repro serve [--addr HOST:PORT] [--data DIR] [--workers N] [--smoke]
-//!             [--port-file PATH] [--lease-ms N] [--scan-ms N]
-//! repro chaos [--iterations N] [--workers N]
-//! ```
+//! The command table ([`COMMANDS`]) is the one statement of what `repro`
+//! accepts: each entry declares its flags, a flag a command did not
+//! declare exits 2, and the usage text that error prints (try `repro
+//! --help`) is generated from the same table.
 //!
 //! With no experiment named, runs `all`. `--small` switches to the
 //! scaled-down configuration (8-ary 2-cube, short windows) used by the
 //! integration tests; the default is the paper's setup (16-ary 2-cube,
 //! 30,000 measured cycles — expect minutes of wall-clock). `--csv` also
 //! emits machine-readable CSV after each table; `--json` writes
-//! `repro_<id>.json` files next to the working directory.
+//! `repro_<id>.json` next to the working directory, one lossless record
+//! per line in the format `GET /jobs/:id/results` streams
+//! ([`flexsim::checkpoint_line`]; reload with [`flexsim::decode_result`]).
 //!
 //! `repro forensics` runs a known-deadlocking micro-configuration (a
 //! unidirectional 8-ary 2-cube under DOR, one VC, full load) with
@@ -66,6 +63,10 @@
 //! digest-identical to a clean in-process `sweep_supervised` of the same
 //! grid. Exits non-zero on the first divergence.
 //!
+//! `repro probe` drives one TFAR single-VC configuration and prints the
+//! per-epoch network state (blocked, in-network, knots, delivered) — the
+//! check that detected knots correspond to genuinely wedged networks.
+//!
 //! `repro validate` runs the validation layer: the production detector
 //! is differentially checked against the independent naive oracle, the
 //! brute-force enumerator and the naive cycle counter (cycle census, knot
@@ -88,15 +89,151 @@ use flexsim::{
     run, run_reference, ForensicsConfig, RecoveryPolicy, RoutingSpec, RunConfig, RunOutcome,
     TopologySpec,
 };
+use icn_bench::{
+    crash_storyline, direct_digests, knotting_config, resubmission_storyline, same, scratch_dir,
+    settles_to, short_grid, Member,
+};
 use icn_metrics::Histogram;
-use std::time::Instant;
+use icn_server::{CampaignServer, Client, ServerOptions};
+use std::path::Path;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 
-/// Parses `--flag value` from the argument list.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// One row of the command table: its usage line and its entry point,
+/// which returns the process exit code. The usage line *is* the
+/// declaration — `[--name]` declares a switch, `[--name META]` a flag
+/// with a value, the word after `repro` (if it is not bracketed) the
+/// command's name, and any other bracketed word positional arguments —
+/// so what `repro` accepts and what it prints as usage cannot drift.
+type Command = (&'static str, fn(&Args) -> i32);
+
+/// The experiment runner comes first: it is what `repro` does when no
+/// other command is named.
+const COMMANDS: &[Command] = &[
+    (
+        "repro [EXPERIMENT..|all] [--small] [--csv] [--json]",
+        figures_main,
+    ),
+    (
+        "repro forensics [--store DIR] [--seed N] [--max N] [--cycles N] [--no-prefix]",
+        forensics_main,
+    ),
+    (
+        "repro validate [--configs N] [--cwgs N] [--seed N] [--shards N] [--incremental] \
+         [--store DIR] [--no-explore]",
+        validate_main,
+    ),
+    ("repro faults [--seed N] [--expect-stall]", faults_main),
+    (
+        "repro serve [--addr HOST:PORT] [--data DIR] [--workers N] [--smoke] [--port-file PATH] \
+         [--lease-ms N] [--scan-ms N]",
+        serve_main,
+    ),
+    ("repro chaos [--iterations N] [--workers N]", chaos_main),
+    (
+        "repro probe <depth> <load> <recover:0|1> [cycles]",
+        probe_main,
+    ),
+];
+
+/// The command name a usage line declares, if any.
+fn command_name(usage: &str) -> Option<&str> {
+    usage
+        .split(' ')
+        .nth(1)
+        .filter(|w| !w.starts_with(['[', '<']))
+}
+
+/// The flags a usage line declares, with whether each takes a value.
+fn declared_flags(usage: &'static str) -> impl Iterator<Item = (&'static str, bool)> {
+    usage.split('[').filter_map(|part| {
+        let mut words = part.trim_end().trim_end_matches(']').split(' ');
+        let name = words.next().filter(|w| w.starts_with("--"))?;
+        Some((name, words.next().is_some()))
+    })
+}
+
+/// Every command's usage line.
+fn usage() -> String {
+    let lines: Vec<&str> = COMMANDS.iter().map(|(usage, _)| *usage).collect();
+    format!("usage: {}", lines.join("\n       "))
+}
+
+/// Parses `v` or exits 2 with the uniform "wants" message.
+fn parse_or_exit<T: FromStr>(what: &str, kind: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{what} wants {kind}, got `{v}`");
+        std::process::exit(2);
+    })
+}
+
+/// One command's arguments, checked against its usage line.
+struct Args {
+    usage: &'static str,
+    positional: Vec<String>,
+    /// Flags as given, in order, with their value if they take one.
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    fn parse(usage: &'static str, raw: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            usage,
+            positional: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut it = raw.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                args.positional.push(arg.clone());
+                continue;
+            }
+            let Some((name, takes_value)) = declared_flags(usage).find(|(name, _)| name == arg)
+            else {
+                return Err(format!("unknown flag `{arg}` for `{usage}`"));
+            };
+            let value = match takes_value {
+                true => Some(it.next().ok_or(format!("{name} wants a value"))?.clone()),
+                false => None,
+            };
+            args.given.push((name, value));
+        }
+        let takes_positionals = usage
+            .split(' ')
+            .any(|w| w.starts_with('<') || (w.starts_with('[') && !w.starts_with("[--")));
+        match args.positional.first() {
+            Some(stray) if !takes_positionals => {
+                Err(format!("unexpected argument `{stray}` for `{usage}`"))
+            }
+            _ => Ok(args),
+        }
+    }
+
+    fn lookup(&self, name: &str, takes_value: bool) -> Option<&(&'static str, Option<String>)> {
+        debug_assert!(
+            declared_flags(self.usage).any(|declared| declared == (name, takes_value)),
+            "`{name}` is not declared by `{}`",
+            self.usage
+        );
+        self.given.iter().find(|(n, _)| *n == name)
+    }
+
+    /// Whether the switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.lookup(name, false).is_some()
+    }
+
+    /// The raw value of `--name VALUE`, if given.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.lookup(name, true).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// `--name VALUE` parsed as `T`, or `default` when absent. A value
+    /// that does not parse exits 2.
+    fn flag<T: FromStr>(&self, name: &str, default: T) -> T {
+        self.value(name)
+            .map_or(default, |v| parse_or_exit(name, "an integer", v))
+    }
 }
 
 fn hist_row(name: &str, h: &Histogram) -> Vec<String> {
@@ -111,30 +248,14 @@ fn hist_row(name: &str, h: &Histogram) -> Vec<String> {
 }
 
 /// The `repro forensics` subcommand. Returns the process exit code.
-fn forensics_main(args: &[String]) -> i32 {
-    let store_dir = flag_value(args, "--store").unwrap_or("incidents");
-    let with_prefix = !args.iter().any(|a| a == "--no-prefix");
-    let parse_u64 = |flag: &str, default: u64| {
-        flag_value(args, flag).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} wants an integer, got `{v}`");
-                std::process::exit(2);
-            })
-        })
-    };
+fn forensics_main(args: &Args) -> i32 {
+    let store_dir = args.value("--store").unwrap_or("incidents");
+    let with_prefix = !args.switch("--no-prefix");
 
-    // The Figure-6 corner point scaled down: reliably knots within a few
-    // hundred cycles and keeps every replay/minimization probe cheap.
-    let mut cfg = RunConfig::small_default();
-    cfg.topology = TopologySpec::torus(8, 2, false);
-    cfg.routing = RoutingSpec::Dor;
-    cfg.sim.vcs_per_channel = 1;
-    cfg.load = 1.0;
-    cfg.warmup = 400;
-    cfg.measure = parse_u64("--cycles", 1_600);
-    cfg.seed = parse_u64("--seed", cfg.seed);
+    let mut cfg = knotting_config(args.flag("--cycles", 1_600));
+    cfg.seed = args.flag("--seed", cfg.seed);
     cfg.forensics = Some(ForensicsConfig {
-        max_incidents: parse_u64("--max", 8) as usize,
+        max_incidents: args.flag("--max", 8),
         ..ForensicsConfig::default()
     });
 
@@ -254,23 +375,15 @@ fn emit_divergence(repro: &str) {
 }
 
 /// The `repro validate` subcommand. Returns the process exit code.
-fn validate_main(args: &[String]) -> i32 {
+fn validate_main(args: &Args) -> i32 {
     use flexsim::validate as v;
 
-    let parse_u64 = |flag: &str, default: u64| {
-        flag_value(args, flag).map_or(default, |val| {
-            val.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} wants an integer, got `{val}`");
-                std::process::exit(2);
-            })
-        })
-    };
-    let num_cwgs = parse_u64("--cwgs", 512);
-    let num_configs = parse_u64("--configs", 16) as usize;
-    let base_seed = parse_u64("--seed", 0xdeadbeef);
-    let shards = parse_u64("--shards", 1) as usize;
-    let incremental = args.iter().any(|a| a == "--incremental");
-    let explore = !args.iter().any(|a| a == "--no-explore");
+    let num_cwgs: u64 = args.flag("--cwgs", 512);
+    let num_configs: usize = args.flag("--configs", 16);
+    let base_seed: u64 = args.flag("--seed", 0xdeadbeef);
+    let shards: usize = args.flag("--shards", 1);
+    let incremental = args.switch("--incremental");
+    let explore = !args.switch("--no-explore");
     let started = Instant::now();
     let mut ok = true;
 
@@ -278,17 +391,7 @@ fn validate_main(args: &[String]) -> i32 {
     println!("== validate: randomized CWG differential ==");
     let shapes = [
         ("default", v::GenParams::default()),
-        (
-            "dense",
-            v::GenParams {
-                num_vertices: 24,
-                max_messages: 12,
-                max_chain: 2,
-                max_requests: 2,
-                blocked_prob: 0.95,
-                owned_bias: 0.95,
-            },
-        ),
+        ("dense", v::GenParams::dense()),
     ];
     let mut checked = 0u64;
     let mut with_knots = 0u64;
@@ -332,36 +435,14 @@ fn validate_main(args: &[String]) -> i32 {
     } else {
         println!("== validate: live campaign over {num_configs} random configs ==");
     }
-    let campaign = v::campaign_with_shards(num_configs, base_seed, shards);
-    println!(
-        "   {} configs, {} epochs differentially checked, {} with knots",
-        campaign.configs, campaign.epochs_checked, campaign.deadlock_epochs
-    );
-    for (label, violations, repro) in &campaign.failures {
-        ok = false;
-        eprintln!("config `{label}` FAILED:");
-        for viol in violations {
-            eprintln!("   {viol}");
-        }
-        if let Some(r) = repro {
-            emit_divergence(r);
-        }
-    }
-
-    // Stage 2b: the same campaign forced through the incremental
-    // detector, auditing the event-patched CWG's every epoch.
-    if incremental {
-        println!(
-            "== validate: incremental-detection campaign over {num_configs} random configs =="
-        );
-        let campaign = v::campaign_incremental(num_configs, base_seed);
+    // Prints one campaign's tally and failures; true when it passed.
+    let report = |what: &str, campaign: v::CampaignOutcome| {
         println!(
             "   {} configs, {} epochs differentially checked, {} with knots",
             campaign.configs, campaign.epochs_checked, campaign.deadlock_epochs
         );
         for (label, violations, repro) in &campaign.failures {
-            ok = false;
-            eprintln!("incremental config `{label}` FAILED:");
+            eprintln!("{what} `{label}` FAILED:");
             for viol in violations {
                 eprintln!("   {viol}");
             }
@@ -369,17 +450,28 @@ fn validate_main(args: &[String]) -> i32 {
                 emit_divergence(r);
             }
         }
+        campaign.failures.is_empty()
+    };
+    ok &= report(
+        "config",
+        v::campaign_with_shards(num_configs, base_seed, shards),
+    );
+
+    // Stage 2b: the same campaign forced through the incremental
+    // detector, auditing the event-patched CWG's every epoch.
+    if incremental {
+        println!(
+            "== validate: incremental-detection campaign over {num_configs} random configs =="
+        );
+        ok &= report(
+            "incremental config",
+            v::campaign_incremental(num_configs, base_seed),
+        );
     }
 
     // Stage 3: fresh forensics incidents re-audited by the oracle.
     println!("== validate: fresh forensics incidents ==");
-    let mut cfg = RunConfig::small_default();
-    cfg.topology = TopologySpec::torus(8, 2, false);
-    cfg.routing = RoutingSpec::Dor;
-    cfg.sim.vcs_per_channel = 1;
-    cfg.load = 1.0;
-    cfg.warmup = 400;
-    cfg.measure = 800;
+    let mut cfg = knotting_config(800);
     cfg.forensics = Some(ForensicsConfig::default());
     let res = run(&cfg);
     println!("   {} incidents captured", res.forensic_incidents.len());
@@ -399,7 +491,7 @@ fn validate_main(args: &[String]) -> i32 {
     }
 
     // Stage 4: stored incidents, when a store directory is given.
-    if let Some(dir) = flag_value(args, "--store") {
+    if let Some(dir) = args.value("--store") {
         println!("== validate: incident store `{dir}` ==");
         match v::check_incident_store(dir) {
             Ok(failures) if failures.is_empty() => println!("   all stored incidents agree"),
@@ -445,26 +537,17 @@ fn validate_main(args: &[String]) -> i32 {
         if ok { "PASS" } else { "FAIL" },
         started.elapsed()
     );
-    if ok {
-        0
-    } else {
-        1
-    }
+    i32::from(!ok)
 }
 
 /// The `repro faults` subcommand. Returns the process exit code:
 /// 0 on success, 1 on any determinism or classification failure, and —
 /// under `--expect-stall` — exactly 2 when the watchdog fired as
 /// expected.
-fn faults_main(args: &[String]) -> i32 {
-    let seed = flag_value(args, "--seed").map_or(0xfa17_5eed, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--seed wants an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
+fn faults_main(args: &Args) -> i32 {
+    let seed: u64 = args.flag("--seed", 0xfa17_5eed);
 
-    if args.iter().any(|a| a == "--expect-stall") {
+    if args.switch("--expect-stall") {
         // A saturated single-VC unidirectional torus under TFAR with
         // recovery disabled wedges permanently once the first knot forms;
         // the watchdog must cut it instead of burning the full horizon.
@@ -570,537 +653,117 @@ fn faults_main(args: &[String]) -> i32 {
         );
         ok = false;
     }
-    if ok {
-        0
-    } else {
-        1
-    }
-}
-
-/// The grid used by `repro serve --smoke`: 2 loads × 2 seeds on the
-/// scaled-down torus, small enough to finish in seconds.
-fn smoke_grid() -> icn_server::SweepGrid {
-    let mut base = RunConfig::small_default();
-    base.warmup = 200;
-    base.measure = 600;
-    icn_server::SweepGrid {
-        base,
-        seeds: vec![11, 12],
-        loads: vec![0.15, 0.25],
-        timeout_ms: None,
-    }
+    i32::from(!ok)
 }
 
 /// Spawns a sibling `repro serve` process on `dir` with an ephemeral
-/// port (published through `<dir>/<tag>.port`) and fleet knobs tightened
-/// for fast failure detection. Returns the child and its port file.
+/// port and fleet knobs tightened for fast failure detection.
 fn spawn_serve(
-    dir: &std::path::Path,
+    dir: &Path,
     tag: &str,
     workers: usize,
     crash_plan: Option<&str>,
-) -> Result<(std::process::Child, std::path::PathBuf), String> {
+) -> Result<Member, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let port_file = dir.join(format!("{tag}.port"));
-    let _ = std::fs::remove_file(&port_file);
     let mut cmd = std::process::Command::new(exe);
     cmd.args(["serve", "--addr", "127.0.0.1:0", "--data"])
         .arg(dir)
-        .args([
-            "--workers",
-            &workers.to_string(),
-            "--lease-ms",
-            "1500",
-            "--scan-ms",
-            "120",
-            "--port-file",
-        ])
-        .arg(&port_file)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
-    if let Some(plan) = crash_plan {
-        cmd.env("ICN_DURABLE_CRASH", plan);
-    }
-    cmd.spawn()
-        .map(|child| (child, port_file))
-        .map_err(|e| format!("spawning {tag}: {e}"))
+        .args(["--workers", &workers.to_string()])
+        .args(["--lease-ms", "1500", "--scan-ms", "120", "--port-file"])
+        .arg(Member::port_file(dir, tag));
+    Member::launch(&mut cmd, dir, tag, crash_plan)
 }
 
-/// Polls a sibling's port file until it holds a bindable address.
-fn wait_addr(
-    child: &mut std::process::Child,
-    port_file: &std::path::Path,
-    timeout: std::time::Duration,
-) -> Result<std::net::SocketAddr, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Ok(text) = std::fs::read_to_string(port_file) {
-            if let Ok(addr) = text.trim().parse() {
-                return Ok(addr);
-            }
-        }
-        if let Ok(Some(status)) = child.try_wait() {
-            return Err(format!("sibling server exited before binding: {status}"));
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "sibling server never published {}",
-                port_file.display()
-            ));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-}
+/// The `--smoke` self-check: 2 loads × 2 seeds through an in-process
+/// server on an ephemeral port, then through a second process. Returns an
+/// error description on the first divergence.
+fn serve_smoke(data_dir: &Path, workers: usize) -> Result<(), String> {
+    let grid = short_grid(vec![11, 12], vec![0.15, 0.25]);
+    let n = grid.expand().len();
+    println!("== campaign smoke: direct sweep of {n} configs ==");
+    let want = direct_digests(&grid)?;
 
-/// Waits for a child to exit on its own (e.g. by injected crash).
-fn wait_exit(child: &mut std::process::Child, timeout: std::time::Duration) -> Result<(), String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match child.try_wait() {
-            Ok(Some(_)) => return Ok(()),
-            Ok(None) if Instant::now() > deadline => {
-                return Err("injected crash never fired".to_string())
-            }
-            Ok(None) => std::thread::sleep(std::time::Duration::from_millis(20)),
-            Err(e) => return Err(format!("waiting for sibling: {e}")),
-        }
-    }
-}
-
-/// Submits `grid` to a server and returns the job id.
-fn submit_grid(addr: std::net::SocketAddr, grid: &icn_server::SweepGrid) -> Result<u64, String> {
-    let (status, body) =
-        icn_server::http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string()))
-            .map_err(|e| format!("submit: {e}"))?;
-    if status != 200 {
-        return Err(format!("submit returned HTTP {status}: {body}"));
-    }
-    flexsim::jsonio::parse(&body)
-        .ok()
-        .and_then(|v| v.get("id").and_then(flexsim::jsonio::Json::as_u64))
-        .ok_or_else(|| format!("submit body lacks an id: {body}"))
-}
-
-/// Fetches `/jobs/:id/results` and returns the per-slot digests.
-fn fetch_digests(addr: std::net::SocketAddr, id: u64, n: usize) -> Result<Vec<String>, String> {
-    use flexsim::jsonio::Json;
-    let (status, stream) =
-        icn_server::http_request(addr, "GET", &format!("/jobs/{id}/results"), None)
-            .map_err(|e| format!("results: {e}"))?;
-    if status != 200 {
-        return Err(format!("results returned HTTP {status}"));
-    }
-    let mut got = vec![String::new(); n];
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        let v = flexsim::jsonio::parse(line).map_err(|e| format!("bad result line: {e}"))?;
-        let idx = v
-            .get("index")
-            .and_then(Json::as_u64)
-            .ok_or("result line lacks an index")? as usize;
-        let r = v
-            .get("result")
-            .ok_or("result line lacks a result")
-            .and_then(|r| flexsim::decode_result(r).map_err(|_| "undecodable result"))?;
-        if idx < n {
-            got[idx] = r.digest();
-        }
-    }
-    Ok(got)
-}
-
-/// Polls `GET /jobs/:id` until the job settles. Returns the final status
-/// JSON, or an error string on timeout or transport failure.
-fn poll_job(
-    addr: std::net::SocketAddr,
-    id: u64,
-    timeout: std::time::Duration,
-) -> Result<flexsim::jsonio::Json, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let (status, body) = icn_server::http_request(addr, "GET", &format!("/jobs/{id}"), None)
-            .map_err(|e| format!("polling job {id}: {e}"))?;
-        if status != 200 {
-            return Err(format!("job {id} status returned HTTP {status}: {body}"));
-        }
-        let v = flexsim::jsonio::parse(&body).map_err(|e| format!("bad status JSON: {e}"))?;
-        if v.get("state").and_then(flexsim::jsonio::Json::as_str) == Some("done") {
-            return Ok(v);
-        }
-        if Instant::now() > deadline {
-            return Err(format!("job {id} did not settle in {timeout:?}: {body}"));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-}
-
-/// The `--smoke` self-check body. Returns an error description on the
-/// first divergence.
-fn serve_smoke(data_dir: &std::path::Path, workers: usize) -> Result<(), String> {
-    use flexsim::jsonio::Json;
-
-    let grid = smoke_grid();
-    let configs = grid.expand();
-    println!(
-        "== campaign smoke: direct sweep of {} configs ==",
-        configs.len()
-    );
-    let direct = flexsim::sweep_supervised(&configs, &flexsim::SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().map(|x| x.digest()).unwrap_or_default())
-        .collect();
-
-    let mut opts = icn_server::ServerOptions::new(data_dir);
+    let mut opts = ServerOptions::new(data_dir);
     opts.workers = workers;
-    let server =
-        icn_server::CampaignServer::bind("127.0.0.1:0", &opts).map_err(|e| format!("bind: {e}"))?;
-    let addr = server.addr();
-    println!("== campaign smoke: server on {addr} ==");
-    let handle = std::thread::spawn(move || server.serve());
+    let (client, handle) = Client::serve_local(&opts).map_err(|e| format!("bind: {e}"))?;
+    println!("== campaign smoke: server on {} ==", client.addr);
 
-    let submit = |tag: &str| -> Result<u64, String> {
-        let (status, body) =
-            icn_server::http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string()))
-                .map_err(|e| format!("{tag} submit: {e}"))?;
-        if status != 200 {
-            return Err(format!("{tag} submit returned HTTP {status}: {body}"));
-        }
-        flexsim::jsonio::parse(&body)
-            .ok()
-            .and_then(|v| v.get("id").and_then(Json::as_u64))
-            .ok_or_else(|| format!("{tag} submit body lacks an id: {body}"))
-    };
-    let finish = |r: Result<(), String>| -> Result<(), String> {
-        // Always take the graceful path so the worker threads exit.
-        let _ = icn_server::http_request(addr, "POST", "/shutdown", None);
-        let joined = handle
-            .join()
-            .map_err(|_| "server thread panicked".to_string());
-        r.and_then(|()| joined.and_then(|io| io.map_err(|e| format!("serve: {e}"))))
-    };
-
-    let check = (|| -> Result<(), String> {
-        // Round 1: fresh submission must simulate everything and match
-        // the direct sweep digest-for-digest.
-        let id = submit("first")?;
-        poll_job(addr, id, std::time::Duration::from_secs(300))?;
-        let got = fetch_digests(addr, id, configs.len())?;
-        if got != want {
-            return Err(format!(
-                "digest mismatch vs direct sweep_supervised:\n  server: {got:?}\n  direct: {want:?}"
-            ));
-        }
-        println!(
-            "   {} results digest-identical to the direct sweep",
-            got.len()
-        );
-
-        // Round 2: identical resubmission must be answered entirely from
-        // the cache — zero new simulations.
-        let sims_before = stats_path(addr, &["sims_run"])?;
-        let id2 = submit("second")?;
-        let status2 = poll_job(addr, id2, std::time::Duration::from_secs(60))?;
-        let cached = status2.get("cached").and_then(Json::as_u64).unwrap_or(0);
-        let sims_after = stats_path(addr, &["sims_run"])?;
-        if sims_after != sims_before {
-            return Err(format!(
-                "resubmission ran {} new simulations (want 0)",
-                sims_after - sims_before
-            ));
-        }
-        if cached != configs.len() as u64 {
-            return Err(format!(
-                "resubmission reported {cached} cached slots (want {})",
-                configs.len()
-            ));
-        }
-        println!("   resubmission: {cached} cache hits, 0 new simulations");
+    let check = (|| {
+        // Rounds 1 and 2: a fresh submission simulates everything and
+        // matches the direct sweep; an identical one is all cache hits.
+        resubmission_storyline(client, &grid, &want)?;
+        println!("   {n} results digest-identical to the direct sweep");
+        println!("   resubmission: {n} cache hits, 0 new simulations");
 
         // Round 3: a second server *process* joins the same data dir and
         // takes a third identical submission — the content-addressed
         // cache written by this process must answer across the process
         // boundary, still without a single new simulation anywhere in
-        // the fleet.
-        let (mut sibling, port_file) = spawn_serve(data_dir, "smoke-sibling", 2, None)?;
-        let round3 = (|| -> Result<(), String> {
-            let addr2 = wait_addr(&mut sibling, &port_file, std::time::Duration::from_secs(30))?;
-            let id3 = submit_grid(addr2, &grid)?;
-            poll_job(addr2, id3, std::time::Duration::from_secs(60))?;
-            let got3 = fetch_digests(addr2, id3, configs.len())?;
-            if got3 != want {
-                return Err(format!(
-                    "second process served divergent digests:\n  fleet: {got3:?}\n  direct: {want:?}"
-                ));
-            }
-            // /stats is per-process; either member may have answered any
-            // slot (both scan the shared job), so the invariants are on
-            // the fleet-wide sums.
-            let sims = stats_path(addr, &["sims_run"])? + stats_path(addr2, &["sims_run"])?;
-            if sims != configs.len() as u64 {
-                return Err(format!(
-                    "fleet ran {sims} total simulations (want {} — the third \
-                     submission must be pure cache hits)",
-                    configs.len()
-                ));
-            }
-            let hits =
-                stats_path(addr, &["cache", "hits"])? + stats_path(addr2, &["cache", "hits"])?;
-            if hits < 2 * configs.len() as u64 {
-                return Err(format!(
-                    "fleet reports {hits} cache hits (want at least {})",
-                    2 * configs.len()
-                ));
-            }
-            let (st, _) = icn_server::http_request(addr2, "POST", "/shutdown", None)
-                .map_err(|e| format!("sibling shutdown: {e}"))?;
-            if st != 200 {
-                return Err(format!("sibling shutdown returned HTTP {st}"));
-            }
-            Ok(())
-        })();
-        if round3.is_err() {
-            let _ = sibling.kill();
-        }
-        let _ = sibling.wait();
-        round3?;
+        // the fleet. (An early return drops, and so kills, the sibling.)
+        let mut sibling = spawn_serve(data_dir, "smoke-sibling", 2, None)?;
+        let peer = Client::new(sibling.wait_addr(Duration::from_secs(30))?);
+        settles_to(peer, peer.submit(&grid)?, &want)?;
+        // /stats is per-process; either member may have answered any
+        // slot (both scan the shared job), so the invariants are on the
+        // fleet-wide sums: the third submission must be pure cache hits.
+        let sims = client.stat(&["sims_run"])? + peer.stat(&["sims_run"])?;
+        same("simulations run by the whole fleet", sims, n as u64)?;
+        let hits = client.stat(&["cache", "hits"])? + peer.stat(&["cache", "hits"])?;
+        same(
+            &format!("{hits} fleet-wide cache hits cover two submissions of {n}"),
+            hits >= 2 * n as u64,
+            true,
+        )?;
+        sibling.shutdown(peer.addr)?;
         println!("   second process: cross-process cache hits, 0 new simulations");
         Ok(())
     })();
-    finish(check)
+    // Always take the graceful path so the worker threads exit.
+    let _ = client.shutdown();
+    let served = handle
+        .join()
+        .map_err(|_| "server thread panicked".to_string())
+        .and_then(|io| io.map_err(|e| format!("serve: {e}")));
+    check.and(served)
 }
 
-/// Reads one `u64` leaf out of `GET /stats` by key path.
-fn stats_path(addr: std::net::SocketAddr, path: &[&str]) -> Result<u64, String> {
-    let (status, body) =
-        icn_server::http_request(addr, "GET", "/stats", None).map_err(|e| format!("stats: {e}"))?;
-    if status != 200 {
-        return Err(format!("stats returned HTTP {status}"));
-    }
-    let v = flexsim::jsonio::parse(&body).map_err(|e| format!("bad stats JSON: {e}"))?;
-    let mut cur = &v;
-    for key in path {
-        cur = cur
-            .get(key)
-            .ok_or_else(|| format!("stats body lacks `{}`: {body}", path.join(".")))?;
-    }
-    cur.as_u64()
-        .ok_or_else(|| format!("stats `{}` is not a u64: {body}", path.join(".")))
-}
+/// The `repro chaos` subcommand: [`crash_storyline`] through the shipped
+/// binary, alternating how life 1 dies.
+fn chaos_main(args: &Args) -> i32 {
+    let iterations: usize = args.flag("--iterations", 3);
+    let workers: usize = args.flag("--workers", 2);
 
-/// The grid used by `repro chaos`: 3 loads × 3 seeds, wide enough that a
-/// kill reliably lands mid-sweep.
-fn chaos_grid() -> icn_server::SweepGrid {
-    let mut base = RunConfig::small_default();
-    base.warmup = 200;
-    base.measure = 600;
-    icn_server::SweepGrid {
-        base,
-        seeds: vec![31, 32, 33],
-        loads: vec![0.15, 0.2, 0.25],
-        timeout_ms: None,
-    }
-}
-
-/// Counts the newline-terminated, non-empty checkpoint lines (the torn
-/// tail, if any, is excluded).
-fn full_line_count(ckpt: &std::path::Path) -> usize {
-    let Ok(text) = std::fs::read_to_string(ckpt) else {
-        return 0;
-    };
-    let Some(end) = text.rfind('\n') else {
-        return 0;
-    };
-    text[..=end]
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count()
-}
-
-/// Waits until the checkpoint holds at least `want` full lines.
-fn wait_lines(
-    ckpt: &std::path::Path,
-    want: usize,
-    timeout: std::time::Duration,
-) -> Result<usize, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let have = full_line_count(ckpt);
-        if have >= want {
-            return Ok(have);
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "checkpoint never reached {want} records (have {have})"
-            ));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-}
-
-/// Flips one byte in the middle of the last full checkpoint record —
-/// corruption at rest that the CRC framing must detect (quarantine the
-/// line, re-run the slot).
-fn garble_last_record(ckpt: &std::path::Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(ckpt).map_err(|e| format!("reading checkpoint: {e}"))?;
-    let end = text
-        .rfind('\n')
-        .ok_or("checkpoint has no full line to garble")?;
-    let start = text[..end].rfind('\n').map(|i| i + 1).unwrap_or(0);
-    if end <= start {
-        return Err("last checkpoint line is empty".to_string());
-    }
-    let mut bytes = text.into_bytes();
-    bytes[start + (end - start) / 2] ^= 0x01;
-    std::fs::write(ckpt, bytes).map_err(|e| format!("garbling checkpoint: {e}"))
-}
-
-/// Appends an unterminated framed fragment — the exact signature of a
-/// writer killed mid-append. Recovery must detect the torn tail and seal
-/// it with a guard newline.
-fn append_torn_fragment(ckpt: &std::path::Path) -> Result<(), String> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(ckpt)
-        .map_err(|e| format!("opening checkpoint: {e}"))?;
-    f.write_all(b"~2a:00000000:{\"index\":99,\"resul")
-        .map_err(|e| format!("tearing checkpoint tail: {e}"))
-}
-
-/// One chaos iteration. Returns a one-line summary on success.
-fn chaos_iteration(
-    iter: usize,
-    dir: &std::path::Path,
-    grid: &icn_server::SweepGrid,
-    want: &[String],
-    workers: usize,
-) -> Result<String, String> {
-    use flexsim::jsonio::Json;
-    use std::time::Duration;
-
-    // Life 1: one fleet member alone, pinned to a single worker so the
-    // injected crash point is deterministic — with two workers the
-    // second store's abort-at-rename can land before the first worker's
-    // checkpoint append, leaving zero durable records. Odd iterations
-    // die by a rename-time crash injected into the durable cache writes
-    // (the process aborts itself mid-sweep); even iterations are
-    // SIGKILLed from outside once the first checkpoint record lands.
-    let crash = (iter % 2 == 1).then_some("cache/:2");
-    let (mut w1, pf1) = spawn_serve(dir, "w1", 1, crash)?;
-    let life1 = (|| -> Result<u64, String> {
-        let addr1 = wait_addr(&mut w1, &pf1, Duration::from_secs(30))?;
-        let id = submit_grid(addr1, grid)?;
-        let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-        wait_lines(&ckpt, 1, Duration::from_secs(120))?;
-        if crash.is_some() {
-            wait_exit(&mut w1, Duration::from_secs(120))?;
-        } else {
-            let _ = w1.kill();
-        }
-        Ok(id)
-    })();
-    let _ = w1.kill();
-    let _ = w1.wait();
-    let id = life1?;
-
-    // Quiescent tampering: garble the last durable record and tear the
-    // tail the way a writer killed mid-append would.
-    let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-    garble_last_record(&ckpt)?;
-    append_torn_fragment(&ckpt)?;
-    // Recovery seals the torn fragment into one (garbage) full line, so
-    // real progress in life 2 starts past `baseline + 1`.
-    let baseline = full_line_count(&ckpt);
-
-    // Life 2: two members race to finish the job; one is SIGKILLed as
-    // soon as the fleet makes progress, and the survivor converges.
-    let (mut w2, pf2) = spawn_serve(dir, "w2", workers, None)?;
-    let (mut w3, pf3) = spawn_serve(dir, "w3", workers, None)?;
-    let verdict = (|| -> Result<String, String> {
-        wait_addr(&mut w2, &pf2, Duration::from_secs(30))?;
-        let addr3 = wait_addr(&mut w3, &pf3, Duration::from_secs(30))?;
-        let _ = wait_lines(&ckpt, baseline + 2, Duration::from_secs(120));
-        let _ = w2.kill();
-        let _ = w2.wait();
-        let status = poll_job(addr3, id, Duration::from_secs(300))?;
-        let got = fetch_digests(addr3, id, want.len())?;
-        if got != want {
-            return Err(format!(
-                "digest mismatch after chaos:\n  fleet: {got:?}\n  direct: {want:?}"
-            ));
-        }
-        // The loss accounting must be surfaced in the job status, and
-        // the garbled record must have been detected.
-        let ckrep = status
-            .get("checkpoint")
-            .ok_or("status lacks checkpoint accounting")?;
-        let corrupt = ckrep
-            .get("corrupt_frames")
-            .and_then(Json::as_u64)
-            .ok_or("status lacks checkpoint.corrupt_frames")?;
-        if corrupt == 0 {
-            return Err("the garbled record went undetected".to_string());
-        }
-        let reclaimed = status
-            .get("reclaimed_leases")
-            .and_then(Json::as_u64)
-            .ok_or("status lacks reclaimed_leases")?;
-        let _ = icn_server::http_request(addr3, "POST", "/shutdown", None);
-        Ok(format!(
-            "corrupt_frames={corrupt} reclaimed_leases={reclaimed}"
-        ))
-    })();
-    let _ = w2.kill();
-    let _ = w2.wait();
-    if verdict.is_err() {
-        let _ = w3.kill();
-    }
-    let _ = w3.wait();
-    verdict
-}
-
-/// The `repro chaos` subcommand. Returns the process exit code.
-fn chaos_main(args: &[String]) -> i32 {
-    let iterations: usize = flag_value(args, "--iterations").map_or(3, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--iterations wants an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let workers: usize = flag_value(args, "--workers").map_or(2, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--workers wants an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-
-    let grid = chaos_grid();
-    let configs = grid.expand();
-    println!("== chaos: direct sweep of {} configs ==", configs.len());
-    let direct = flexsim::sweep_supervised(&configs, &flexsim::SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().map(|x| x.digest()).unwrap_or_default())
-        .collect();
-
-    let root = std::env::temp_dir().join(format!("campaign-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut failures = 0usize;
-    for iter in 0..iterations {
-        let dir = root.join(format!("iter-{iter}"));
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
+    // 3 loads × 3 seeds, wide enough that a kill reliably lands mid-sweep.
+    let grid = short_grid(vec![31, 32, 33], vec![0.15, 0.2, 0.25]);
+    println!(
+        "== chaos: direct sweep of {} configs ==",
+        grid.expand().len()
+    );
+    let want = match direct_digests(&grid) {
+        Ok(want) => want,
+        Err(e) => {
+            eprintln!("chaos: {e}");
             return 1;
         }
-        match chaos_iteration(iter, &dir, &grid, &want, workers) {
-            Ok(summary) => println!("== chaos iteration {iter}: PASS ({summary}) =="),
+    };
+
+    let mut failures = 0usize;
+    for iter in 0..iterations {
+        let dir = scratch_dir(&format!("chaos-{iter}"));
+        // Odd iterations die by the injected abort-at-rename, even ones
+        // by SIGKILL from outside.
+        match crash_storyline(&spawn_serve, &dir, &grid, &want, iter % 2 == 1, workers) {
+            Ok(s) => println!(
+                "== chaos iteration {iter}: PASS (corrupt_frames={} reclaimed_leases={}) ==",
+                s.corrupt_frames, s.reclaimed_leases
+            ),
             Err(e) => {
                 eprintln!("== chaos iteration {iter}: FAIL — {e} ==");
                 failures += 1;
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&root);
     if failures == 0 {
         println!("chaos: PASS ({iterations} iterations)");
         0
@@ -1111,24 +774,14 @@ fn chaos_main(args: &[String]) -> i32 {
 }
 
 /// The `repro serve` subcommand. Returns the process exit code.
-fn serve_main(args: &[String]) -> i32 {
-    let workers = flag_value(args, "--workers").map_or_else(
-        || {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-        },
-        |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--workers wants an integer, got `{v}`");
-                std::process::exit(2);
-            })
-        },
+fn serve_main(args: &Args) -> i32 {
+    let workers = args.flag(
+        "--workers",
+        std::thread::available_parallelism().map_or(2, |n| n.get()),
     );
 
-    if args.iter().any(|a| a == "--smoke") {
-        let dir = std::env::temp_dir().join(format!("campaign-smoke-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    if args.switch("--smoke") {
+        let dir = scratch_dir("smoke");
         let verdict = serve_smoke(&dir, workers.min(4));
         let _ = std::fs::remove_dir_all(&dir);
         return match verdict {
@@ -1143,41 +796,34 @@ fn serve_main(args: &[String]) -> i32 {
         };
     }
 
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:8991");
-    let data = flag_value(args, "--data").unwrap_or("campaign-data");
-    let mut opts = icn_server::ServerOptions::new(data);
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:8991");
+    let data = args.value("--data").unwrap_or("campaign-data");
+    let mut opts = ServerOptions::new(data);
     opts.workers = workers;
     opts.handle_sigint = true;
-    if let Some(ms) = flag_value(args, "--lease-ms") {
-        match ms.parse::<u64>() {
-            Ok(ms) if ms > 0 => opts.lease_expiry = std::time::Duration::from_millis(ms),
-            _ => {
-                eprintln!("--lease-ms wants a positive integer, got `{ms}`");
-                return 2;
-            }
+    for (name, slot) in [
+        ("--lease-ms", &mut opts.lease_expiry),
+        ("--scan-ms", &mut opts.scan_interval),
+    ] {
+        let ms = args.flag(name, slot.as_millis() as u64);
+        if ms == 0 {
+            eprintln!("{name} wants a positive integer, got `0`");
+            return 2;
         }
+        *slot = Duration::from_millis(ms);
     }
-    if let Some(ms) = flag_value(args, "--scan-ms") {
-        match ms.parse::<u64>() {
-            Ok(ms) if ms > 0 => opts.scan_interval = std::time::Duration::from_millis(ms),
-            _ => {
-                eprintln!("--scan-ms wants a positive integer, got `{ms}`");
-                return 2;
-            }
-        }
-    }
-    let server = match icn_server::CampaignServer::bind(addr, &opts) {
+    let server = match CampaignServer::bind(addr, &opts) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind campaign server on {addr}: {e}");
             return 1;
         }
     };
-    if let Some(path) = flag_value(args, "--port-file") {
+    if let Some(path) = args.value("--port-file") {
         // Atomic write: a parent polling the file never reads a torn
         // address.
         if let Err(e) = flexsim::jsonio::durable::write_atomic(
-            std::path::Path::new(path),
+            Path::new(path),
             server.addr().to_string().as_bytes(),
         ) {
             eprintln!("cannot write --port-file {path}: {e}");
@@ -1202,61 +848,101 @@ fn serve_main(args: &[String]) -> i32 {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("forensics") {
-        std::process::exit(forensics_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        std::process::exit(serve_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        std::process::exit(chaos_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("faults") {
-        std::process::exit(faults_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("validate") {
-        std::process::exit(validate_main(&args[1..]));
-    }
-    let small = args.iter().any(|a| a == "--small");
-    let csv = args.iter().any(|a| a == "--csv");
-    let json = args.iter().any(|a| a == "--json");
-    let scale = if small { Scale::Small } else { Scale::Paper };
+/// The `repro probe` subcommand: one TFAR single-VC configuration on the
+/// raw engine, network state printed per detection epoch.
+fn probe_main(args: &Args) -> i32 {
+    use icn_topology::NodeId;
+    use rand::SeedableRng;
 
-    let mut wanted: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .collect();
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = vec![
-            "fig5".into(),
-            "fig6".into(),
-            "fig7".into(),
-            "fig8".into(),
-            "degree".into(),
-            "traffic".into(),
-            "ablate-interval".into(),
-            "ablate-victim".into(),
-            "ext-hypercube".into(),
-            "ext-misroute".into(),
-            "ext-hybrid".into(),
-        ];
+    let pos = |i: usize| args.positional.get(i).map(String::as_str);
+    let mut cfg = RunConfig::small_default();
+    cfg.routing = RoutingSpec::Tfar;
+    cfg.sim.vcs_per_channel = 1;
+    cfg.sim.buffer_depth = pos(0).map_or(32, |v| parse_or_exit("<depth>", "an integer", v));
+    cfg.load = pos(1).map_or(0.6, |v| parse_or_exit("<load>", "a number", v));
+    let recover = pos(2) == Some("1");
+    let cycles: u64 = pos(3).map_or(5000, |v| parse_or_exit("[cycles]", "an integer", v));
+
+    let topo = cfg.topology.build();
+    let mut net = icn_sim::Network::new(topo.clone(), cfg.routing.build(), cfg.sim);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+    let injector = icn_traffic::BernoulliInjector::for_load(&topo, cfg.load, cfg.sim.msg_len);
+    let mut delivered = 0u64;
+
+    for cycle in 0..cycles {
+        for node in 0..topo.num_nodes() as u32 {
+            if injector.fires(&mut rng) {
+                if let Some(dst) = cfg.pattern.dest(&topo, NodeId(node), &mut rng) {
+                    net.enqueue(NodeId(node), dst);
+                }
+            }
+        }
+        let ev = net.step();
+        delivered += ev.delivered.len() as u64;
+        if net.cycle().is_multiple_of(cfg.detection_interval) {
+            let snap = net.wait_snapshot();
+            let graph = flexsim::build_wait_graph(&snap);
+            let analysis = graph.analyze(2000);
+            let knots = analysis.deadlocks.len();
+            let kmax = analysis
+                .deadlocks
+                .iter()
+                .map(|d| d.deadlock_set.len())
+                .max()
+                .unwrap_or(0);
+            if cycle % 500 < 50 || knots > 0 {
+                println!(
+                    "cyc {:>6}  in-net {:>4}  blocked {:>4}  queued {:>6}  delivered {:>6}  knots {knots} (max set {kmax})",
+                    net.cycle(),
+                    net.in_network(),
+                    net.blocked_count(),
+                    net.source_queued(),
+                    delivered,
+                );
+            }
+            if recover {
+                for d in &analysis.deadlocks {
+                    let v = *d.deadlock_set.iter().min().unwrap();
+                    net.start_recovery(v);
+                }
+            }
+        }
     }
+    println!("final delivered={delivered}");
+    0
+}
+
+/// The experiment runner: regenerates the named figures (all of them
+/// when none, or `all`, is named). Returns the process exit code.
+fn figures_main(args: &Args) -> i32 {
+    let csv = args.switch("--csv");
+    let json = args.switch("--json");
+    let scale = if args.switch("--small") {
+        Scale::Small
+    } else {
+        Scale::Paper
+    };
 
     let mut available = experiments::all(scale);
     available.extend(flexsim::ablations::all(scale));
     available.extend(flexsim::extensions::all(scale));
-    let mut pass_all = true;
-    for id in &wanted {
-        let Some(exp) = available.iter().find(|e| e.id == id) else {
-            eprintln!(
-                "unknown experiment `{id}` (have: fig5 fig6 fig7 fig8 degree traffic \
-                 ablate-interval ablate-victim)"
-            );
-            std::process::exit(2);
+    let ids: Vec<&str> = available.iter().map(|e| e.id).collect();
+    let wanted: Vec<&str> =
+        if args.positional.is_empty() || args.positional.iter().any(|w| w == "all") {
+            ids.clone()
+        } else {
+            args.positional.iter().map(String::as_str).collect()
         };
+    if let Some(id) = wanted.iter().find(|id| !ids.contains(id)) {
+        eprintln!("unknown experiment `{id}` (have: {})", ids.join(" "));
+        return 2;
+    }
+
+    let mut pass_all = true;
+    for exp in wanted
+        .iter()
+        .filter_map(|id| available.iter().find(|e| e.id == *id))
+    {
         let started = Instant::now();
         println!("== {} ==", exp.title);
         println!(
@@ -1271,8 +957,12 @@ fn main() {
         }
         if json {
             let path = format!("repro_{}.json", exp.id);
-            std::fs::write(&path, flexsim::json::sweep_to_json(&results))
-                .unwrap_or_else(|e| eprintln!("cannot write {path}: {e}"));
+            let lines: String = results
+                .iter()
+                .enumerate()
+                .map(|(i, r)| flexsim::checkpoint_line(i, &r.label, r) + "\n")
+                .collect();
+            std::fs::write(&path, lines).unwrap_or_else(|e| eprintln!("cannot write {path}: {e}"));
             println!("   wrote {path}");
         }
         println!("{}", experiments::figure_chart(exp, &results).render());
@@ -1300,6 +990,27 @@ fn main() {
     }
     if !pass_all {
         eprintln!("some shape checks failed");
-        std::process::exit(1);
+        return 1;
+    }
+    0
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let named = raw.first().and_then(|arg| {
+        COMMANDS
+            .iter()
+            .find(|(line, _)| command_name(line) == Some(arg.as_str()))
+    });
+    let (&(line, run), rest) = match named {
+        Some(cmd) => (cmd, &raw[1..]),
+        None => (&COMMANDS[0], &raw[..]),
+    };
+    match Args::parse(line, rest) {
+        Ok(args) => std::process::exit(run(&args)),
+        Err(e) => {
+            eprintln!("repro: {e}\n{}", usage());
+            std::process::exit(2);
+        }
     }
 }

@@ -7,9 +7,10 @@
 //! accumulators serialize their full internal state, and forensic
 //! incidents reuse their own exact JSON form.
 //!
-//! This is deliberately distinct from [`crate::json::result_to_json`],
-//! which exports a flat, human-oriented summary of *derived* metrics and
-//! is lossy by design.
+//! It is the one result encoder: checkpoints, the result cache, the
+//! campaign server's results stream and `repro --json` all write
+//! [`encode_result`] objects. Derived, human-oriented columns come from
+//! [`crate::experiments::results_table`] (`repro --csv`).
 
 use icn_metrics::{Histogram, Mean, TimeSeries};
 

@@ -35,8 +35,7 @@ mod store;
 mod timeline;
 
 pub use incident::{
-    config_from_json, config_to_json, incidents_equal, CwgMsg, CwgSnapshot, DeadlockIncident,
-    MemberTimeline, RecoveryOutcome,
+    incidents_equal, CwgMsg, CwgSnapshot, DeadlockIncident, MemberTimeline, RecoveryOutcome,
 };
 pub use minimize::{minimize, minimize_cwg, shortest_prefix, MinimizedIncident, ShortestPrefix};
 pub use replay::{replay, ReplayReport};

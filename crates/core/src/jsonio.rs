@@ -3,12 +3,11 @@
 //! The value tree, parser, and writer live in [`icn_cwg::jsonio`] (the
 //! lowest crate that needs them); this module re-exports that surface and
 //! centralizes the helpers that used to be copy-pasted across
-//! `json.rs`, `checkpoint.rs`, `forensics/incident.rs`, and `faults.rs`:
-//! typed field accessors with uniform error messages, exact `f64`
-//! bit-pattern transport, scalar formatting for the flat summary export,
-//! and a JSON-lines scanner that understands torn final lines (the
-//! signature of an interrupted appender). The campaign server reuses all
-//! of it instead of growing a fourth copy.
+//! `checkpoint.rs`, `forensics/incident.rs`, and `faults.rs`: typed field
+//! accessors with uniform error messages, exact `f64` bit-pattern
+//! transport, and the CRC-framed record scanner that understands torn
+//! final lines (the signature of an interrupted appender). The campaign
+//! server reuses all of it instead of growing a fourth copy.
 
 pub use icn_cwg::jsonio::{obj, parse, u64_arr, Json, ParseError};
 
@@ -77,64 +76,6 @@ pub fn f64_bits(v: f64) -> Json {
 /// Reads a field written by [`f64_bits`].
 pub fn get_f64_bits(v: &Json, key: &str) -> Result<f64, ParseError> {
     Ok(f64::from_bits(get_u64(v, key)?))
-}
-
-/// Escapes a string for direct embedding between quotes in hand-written
-/// JSON (the flat-summary writer path).
-pub fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Formats a float for a human-oriented export: finite values print
-/// shortest-round-trip, non-finite values become `null`.
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Outcome of scanning a JSON-lines document (one value per line).
-///
-/// Checkpoint and result-stream files are written by a single appender,
-/// so the only legitimate corruption is a *torn final line*: the writer
-/// was killed mid-`writeln!`. The scanner distinguishes that case (a
-/// non-empty last line with no trailing newline that fails to parse)
-/// from interior garbage, which is counted as skipped.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LineScan {
-    /// Values that parsed, in file order, with their 0-based line number.
-    pub values: Vec<(usize, Json)>,
-    /// Interior lines that failed to parse (data loss worth surfacing).
-    pub skipped: usize,
-    /// Whether the document ends in a torn (partially written) line.
-    pub torn_tail: bool,
-}
-
-/// Scans a JSON-lines document. Empty lines are ignored entirely.
-pub fn scan_lines(text: &str) -> LineScan {
-    let mut scan = LineScan::default();
-    let ends_with_newline = text.is_empty() || text.ends_with('\n');
-    let last_line = text.lines().filter(|l| !l.trim().is_empty()).count();
-    let mut seen = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        seen += 1;
-        match parse(line) {
-            Ok(v) => scan.values.push((lineno, v)),
-            Err(_) => {
-                if seen == last_line && !ends_with_newline {
-                    scan.torn_tail = true;
-                } else {
-                    scan.skipped += 1;
-                }
-            }
-        }
-    }
-    scan
 }
 
 /// CRC-32 (IEEE, reflected) over `bytes` — the integrity check behind
@@ -330,97 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn esc_and_num() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(num(0.25), "0.25");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn scan_clean_document() {
-        let s = scan_lines("{\"a\":1}\n{\"a\":2}\n");
-        assert_eq!(s.values.len(), 2);
-        assert_eq!(s.skipped, 0);
-        assert!(!s.torn_tail);
-    }
-
-    #[test]
-    fn scan_counts_interior_garbage() {
-        let s = scan_lines("{\"a\":1}\nnot json\n{\"a\":2}\n");
-        assert_eq!(s.values.len(), 2);
-        assert_eq!(s.skipped, 1);
-        assert!(!s.torn_tail);
-        // Line numbers point at the surviving lines.
-        assert_eq!(s.values[0].0, 0);
-        assert_eq!(s.values[1].0, 2);
-    }
-
-    #[test]
-    fn scan_tolerates_torn_tail() {
-        let s = scan_lines("{\"a\":1}\n{\"a\":2,\"tr");
-        assert_eq!(s.values.len(), 1);
-        assert_eq!(s.skipped, 0);
-        assert!(s.torn_tail);
-    }
-
-    #[test]
-    fn torn_tail_requires_missing_newline() {
-        // A complete (newline-terminated) bad line is interior garbage,
-        // not a torn tail, even in final position.
-        let s = scan_lines("{\"a\":1}\ngarbage\n");
-        assert_eq!(s.skipped, 1);
-        assert!(!s.torn_tail);
-    }
-
-    #[test]
-    fn scan_lines_empty_file() {
-        let s = scan_lines("");
-        assert!(s.values.is_empty());
-        assert_eq!(s.skipped, 0);
-        assert!(!s.torn_tail);
-    }
-
-    #[test]
-    fn scan_lines_only_a_torn_line() {
-        // A file holding nothing but a partial record (writer killed during
-        // its very first append) is a torn tail, not interior loss.
-        let s = scan_lines("{\"a\":1,\"tr");
-        assert!(s.values.is_empty());
-        assert_eq!(s.skipped, 0);
-        assert!(s.torn_tail);
-    }
-
-    #[test]
-    fn scan_lines_crlf_tails() {
-        // CRLF-terminated records parse normally (`lines()` strips the \r
-        // that precedes a \n)...
-        let s = scan_lines("{\"a\":1}\r\n{\"a\":2}\r\n");
-        assert_eq!(s.values.len(), 2);
-        assert_eq!(s.skipped, 0);
-        assert!(!s.torn_tail);
-        // ...and a final record cut after its \r but before its \n is a
-        // torn tail: the bare \r stays attached to the last line and the
-        // document does not end in \n.
-        let s = scan_lines("{\"a\":1}\r\n{\"a\":2,\"tr\r");
-        assert_eq!(s.values.len(), 1);
-        assert_eq!(s.skipped, 0);
-        assert!(s.torn_tail);
-    }
-
-    #[test]
-    fn scan_lines_multi_torn_append() {
-        // Repeated kill-and-resume cycles: each dead writer leaves a torn
-        // tail, each resumed writer guards with a newline and appends after
-        // it. Only the *final* partial line is a torn tail; earlier torn
-        // fragments became interior lines and count as skipped.
-        let s = scan_lines("{\"a\":1}\n{\"a\":2,\"tr\n{\"a\":2}\n{\"a\":3,\"xy");
-        assert_eq!(s.values.len(), 2);
-        assert_eq!(s.skipped, 1);
-        assert!(s.torn_tail);
-    }
-
-    #[test]
     fn frame_round_trips_and_detects_flips() {
         let payload = "{\"index\":3,\"label\":\"s7\"}";
         let framed = frame_record(payload);
@@ -493,11 +343,40 @@ mod tests {
         assert_eq!(s, RecordScan::default());
     }
 
+    /// Bare-line documents: `(line numbers of the values, skipped,
+    /// torn_tail)`.
     #[test]
-    fn empty_and_blank_lines_ignored() {
-        let s = scan_lines("\n\n{\"a\":1}\n\n");
-        assert_eq!(s.values.len(), 1);
-        assert_eq!(s.skipped, 0);
-        assert!(!s.torn_tail);
+    fn scan_records_tail_and_line_number_edge_cases() {
+        let cases = [
+            // Line numbers skip blank and damaged lines.
+            (
+                "\n{\"a\":1}\nnot json\n\n{\"a\":2}\n",
+                (vec![1, 4], 1, false),
+            ),
+            // A newline-terminated bad line is interior loss even in final
+            // position; the same bytes without the newline are a torn tail.
+            ("{\"a\":1}\ngarbage\n", (vec![0], 1, false)),
+            ("{\"a\":1}\ngarbage", (vec![0], 0, true)),
+            // A file holding nothing but a partial first append.
+            ("{\"a\":1,\"tr", (vec![], 0, true)),
+            // `lines()` strips the \r that precedes a \n...
+            ("{\"a\":1}\r\n{\"a\":2}\r\n", (vec![0, 1], 0, false)),
+            // ...and a record cut after its \r but before its \n is torn.
+            ("{\"a\":1}\r\n{\"a\":2,\"tr\r", (vec![0], 0, true)),
+            // Kill-and-resume cycles: each resumed writer guards the dead
+            // writer's fragment with a newline and appends after it, so only
+            // the final partial line is a torn tail; earlier fragments are
+            // interior loss.
+            (
+                "{\"a\":1}\n{\"a\":2,\"tr\n{\"a\":2}\n{\"a\":3,\"xy",
+                (vec![0, 2], 1, true),
+            ),
+        ];
+        for (doc, want) in cases {
+            let s = scan_records(doc);
+            let lines: Vec<usize> = s.values.iter().map(|(lineno, _)| *lineno).collect();
+            assert_eq!((lines, s.skipped, s.torn_tail), want, "{doc:?}");
+            assert_eq!((s.corrupt_frames, s.damaged_lines.len()), (0, s.skipped));
+        }
     }
 }

@@ -44,7 +44,6 @@ pub mod experiments;
 pub mod extensions;
 pub mod faults;
 pub mod forensics;
-pub mod json;
 pub mod jsonio;
 pub mod report;
 mod result;
@@ -61,7 +60,9 @@ pub use result::{Incident, RunOutcome, RunResult, StallReport};
 pub use runner::{
     build_wait_graph, run, run_reference, run_reference_with, run_with, EpochView, RunObserver,
 };
-pub use spec::{DetectionMode, RecoveryPolicy, RoutingSpec, TopologySpec};
+pub use spec::{
+    config_from_json, config_to_json, DetectionMode, RecoveryPolicy, RoutingSpec, TopologySpec,
+};
 pub use sweep::{
     backoff_for, checkpoint_line, checkpoint_status_line, replicate, replication_summary,
     restore_checkpoint, run_supervised, run_supervised_cancellable, sweep, sweep_supervised,
@@ -114,7 +115,7 @@ pub struct RunConfig {
     /// Cap on per-knot cycle-density enumeration. Must be at least 2:
     /// enumeration stops at the cap, so below 2 a single-cycle knot is
     /// indistinguishable from a multi-cycle one and every deadlock would
-    /// be classified multi-cycle. [`forensics::config_from_json`] rejects
+    /// be classified multi-cycle. [`config_from_json`] rejects
     /// smaller values.
     pub density_cap: u64,
     /// Skip knot re-analysis when an epoch's blocked wait-state hashes

@@ -5,6 +5,10 @@ use icn_routing::{
 };
 use icn_topology::KAryNCube;
 
+mod codec;
+pub use codec::{config_from_json, config_to_json};
+pub(crate) use codec::{recovery_from_name, recovery_name};
+
 /// Network-shape specification (buildable, cloneable, comparable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TopologySpec {

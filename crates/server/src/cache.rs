@@ -18,9 +18,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use flexsim::forensics::config_to_json;
 use flexsim::jsonio::{obj, parse, Json};
-use flexsim::{decode_result, encode_result, RunConfig, RunResult, ENGINE_VERSION};
+use flexsim::{config_to_json, decode_result, encode_result, RunConfig, RunResult, ENGINE_VERSION};
 
 /// FNV-1a over `bytes`, seeded with `basis`.
 fn fnv1a(bytes: &[u8], basis: u64) -> u64 {

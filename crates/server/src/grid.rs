@@ -7,9 +7,8 @@
 //! at index `i` is the same on every server that ever sees the grid —
 //! job checkpoints refer to configs by index.
 
-use flexsim::forensics::{config_from_json, config_to_json};
 use flexsim::jsonio::{bad, get, obj, parse, u64_arr, Json, ParseError};
-use flexsim::RunConfig;
+use flexsim::{config_from_json, config_to_json, RunConfig};
 
 /// A parsed job submission.
 #[derive(Clone, Debug)]

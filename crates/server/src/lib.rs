@@ -8,6 +8,8 @@
 //! handling are all hand-rolled on `std`.
 //!
 //! * [`http`] — minimal HTTP/1.1 server- and client-side plumbing.
+//! * [`client`] — [`Client`]: submit / wait / results / stats / shutdown
+//!   over that plumbing, the one copy every test and CLI drives.
 //! * [`grid`] — sweep-grid submissions (`base × seeds × loads`).
 //! * [`cache`] — content-addressed result cache keyed on canonical
 //!   config digests and [`flexsim::ENGINE_VERSION`].
@@ -26,6 +28,7 @@
 //! assert this end to end.
 
 pub mod cache;
+pub mod client;
 pub mod grid;
 pub mod http;
 pub mod lease;
@@ -34,6 +37,7 @@ pub mod signal;
 pub mod state;
 
 pub use cache::{config_key, ResultCache};
+pub use client::Client;
 pub use grid::SweepGrid;
 pub use http::{http_request, http_request_full};
 pub use lease::LeaseDir;

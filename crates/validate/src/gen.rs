@@ -74,6 +74,22 @@ impl Default for GenParams {
     }
 }
 
+impl GenParams {
+    /// Denser, knottier shape: short chains, many messages, heavy
+    /// owned-vertex bias, so multi-knot and dependent-heavy snapshots are
+    /// common.
+    pub fn dense() -> Self {
+        Self {
+            num_vertices: 24,
+            max_messages: 12,
+            max_chain: 2,
+            max_requests: 2,
+            blocked_prob: 0.95,
+            owned_bias: 0.95,
+        }
+    }
+}
+
 /// Generates one seeded random snapshot: `(num_vertices, messages)`.
 pub fn random_snapshot(seed: u64, p: &GenParams) -> (usize, Vec<OracleMsg>) {
     let mut rng = SplitMix64::new(seed);

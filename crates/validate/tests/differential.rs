@@ -6,19 +6,6 @@ use icn_validate::{
 };
 use proptest::prelude::*;
 
-/// Denser, knottier shape: short chains, many messages, heavy owned-vertex
-/// bias, so multi-knot and dependent-heavy snapshots are common.
-fn dense() -> GenParams {
-    GenParams {
-        num_vertices: 24,
-        max_messages: 12,
-        max_chain: 2,
-        max_requests: 2,
-        blocked_prob: 0.95,
-        owned_bias: 0.95,
-    }
-}
-
 /// Snapshot shapes for the cycle-count oracle, small enough that the naive
 /// walk always finishes: sparse (few blocked heads among long chains),
 /// dense (short chains, nearly everything blocked on owned vertices),
@@ -28,7 +15,7 @@ fn dense() -> GenParams {
 fn cycle_shapes() -> [GenParams; 4] {
     [
         GenParams::default(),
-        dense(),
+        GenParams::dense(),
         GenParams {
             num_vertices: 40,
             max_messages: 20,
@@ -71,7 +58,7 @@ proptest! {
     /// The same agreement on the [`dense`] shape.
     #[test]
     fn production_matches_oracle_on_dense_cwgs(seed in any::<u64>()) {
-        let p = dense();
+        let p = GenParams::dense();
         let (n, msgs) = random_snapshot(seed, &p);
         let divergences = check_messages(n, &msgs);
         if !divergences.is_empty() {

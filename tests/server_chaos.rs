@@ -18,26 +18,13 @@
 //!
 //! Everything runs on ephemeral 127.0.0.1 ports; no network egress.
 
-use std::io::Write;
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
+use std::time::Duration;
 
-use deadlock_characterization::flexsim::jsonio::{durable, parse, Json};
-use deadlock_characterization::flexsim::{
-    decode_result, sweep_supervised, RunConfig, SweepOptions,
-};
-use deadlock_characterization::server::{
-    http_request, http_request_full, CampaignServer, ServerOptions, SweepGrid,
-};
-
-fn env_num(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use deadlock_characterization::flexsim::jsonio::{durable, Json};
+use deadlock_characterization::server::{CampaignServer, Client, ServerOptions, SweepGrid};
+use icn_bench::{crash_storyline, direct_digests, scratch_dir, settles_to, short_grid, Member};
 
 /// Re-exec entry point, not a test of its own: the chaos tests spawn
 /// this binary again with `--exact worker_entry` and `ICN_CHAOS_DATA`
@@ -52,328 +39,82 @@ fn worker_entry() {
         std::env::var("ICN_CHAOS_PORT_FILE").expect("worker_entry needs ICN_CHAOS_PORT_FILE"),
     );
     let mut opts = ServerOptions::new(&data);
-    opts.workers = env_num("ICN_CHAOS_WORKERS", 2) as usize;
-    opts.lease_expiry = Duration::from_millis(env_num("ICN_CHAOS_LEASE_MS", 1500));
-    opts.scan_interval = Duration::from_millis(env_num("ICN_CHAOS_SCAN_MS", 120));
+    opts.workers = std::env::var("ICN_CHAOS_WORKERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .expect("worker_entry needs ICN_CHAOS_WORKERS");
+    // Tightened for fast failure detection, as `repro chaos` does.
+    opts.lease_expiry = Duration::from_millis(1500);
+    opts.scan_interval = Duration::from_millis(120);
     let server = CampaignServer::bind("127.0.0.1:0", &opts).expect("bind chaos worker");
     durable::write_atomic(&port_file, server.addr().to_string().as_bytes()).expect("publish port");
     server.serve().expect("serve");
 }
 
-/// One spawned fleet member. Dropping it SIGKILLs the child, so a failed
-/// assertion never leaks a server process.
-struct Worker {
-    child: Child,
-    port_file: PathBuf,
-}
-
-impl Worker {
-    fn spawn(data: &Path, tag: &str, workers: usize, crash_plan: Option<&str>) -> Worker {
-        let port_file = data.join(format!("{tag}.port"));
-        let _ = std::fs::remove_file(&port_file);
-        let exe = std::env::current_exe().expect("current_exe");
-        let mut cmd = Command::new(exe);
-        cmd.args(["worker_entry", "--exact", "--test-threads", "1"])
-            .env("ICN_CHAOS_DATA", data)
-            .env("ICN_CHAOS_PORT_FILE", &port_file)
-            .env("ICN_CHAOS_WORKERS", workers.to_string())
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        if let Some(plan) = crash_plan {
-            cmd.env("ICN_DURABLE_CRASH", plan);
-        }
-        Worker {
-            child: cmd.spawn().expect("spawn chaos worker"),
-            port_file,
-        }
-    }
-
-    /// Polls the port file until the child publishes its bound address.
-    fn addr(&mut self) -> SocketAddr {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            if let Ok(text) = std::fs::read_to_string(&self.port_file) {
-                if let Ok(addr) = text.trim().parse() {
-                    return addr;
-                }
-            }
-            if let Ok(Some(status)) = self.child.try_wait() {
-                panic!("chaos worker exited before binding: {status}");
-            }
-            assert!(
-                Instant::now() < deadline,
-                "chaos worker never published {}",
-                self.port_file.display()
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    /// SIGKILL — `Child::kill` on Unix — and reap.
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-
-    /// Waits for the child to die on its own (injected crash).
-    fn wait_crash(&mut self) {
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) => {
-                    assert!(Instant::now() < deadline, "injected crash never fired");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("waiting for chaos worker: {e}"),
-            }
-        }
-    }
-
-    /// Graceful shutdown; asserts the child exits cleanly.
-    fn shutdown(mut self, addr: SocketAddr) {
-        let (status, _) = http_request(addr, "POST", "/shutdown", None).expect("shutdown");
-        assert_eq!(status, 200);
-        let st = self.child.wait().expect("reap worker");
-        assert!(st.success(), "worker exited uncleanly: {st}");
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("campaign-chaos-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// Starts a fleet member by re-executing this test binary into
+/// [`worker_entry`].
+fn test_spawner(
+    data: &Path,
+    tag: &str,
+    workers: usize,
+    crash_plan: Option<&str>,
+) -> Result<Member, String> {
+    let mut cmd = Command::new(std::env::current_exe().expect("current_exe"));
+    cmd.args(["worker_entry", "--exact", "--test-threads", "1"])
+        .env("ICN_CHAOS_DATA", data)
+        .env("ICN_CHAOS_PORT_FILE", Member::port_file(data, tag))
+        .env("ICN_CHAOS_WORKERS", workers.to_string());
+    Member::launch(&mut cmd, data, tag, crash_plan)
 }
 
 /// 3 loads × 2 seeds: wide enough that kills land mid-sweep.
 fn chaos_grid() -> SweepGrid {
-    let mut base = RunConfig::small_default();
-    base.warmup = 200;
-    base.measure = 600;
-    SweepGrid {
-        base,
-        seeds: vec![41, 42],
-        loads: vec![0.15, 0.2, 0.25],
-        timeout_ms: None,
-    }
-}
-
-fn direct_digests(grid: &SweepGrid) -> Vec<String> {
-    sweep_supervised(&grid.expand(), &SweepOptions::default())
-        .iter()
-        .map(|r| r.as_ref().expect("direct run succeeds").digest())
-        .collect()
-}
-
-fn submit(addr: SocketAddr, grid: &SweepGrid) -> u64 {
-    let (status, body) =
-        http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string())).expect("submit");
-    assert_eq!(status, 200, "submit failed: {body}");
-    parse(&body)
-        .unwrap()
-        .get("id")
-        .and_then(Json::as_u64)
-        .expect("submit returns an id")
-}
-
-/// Polls until `state == "done"`. Tolerates 404 early on — a sibling
-/// that has not yet scanned the job into memory.
-fn poll_done(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let (status, body) = http_request(addr, "GET", &format!("/jobs/{id}"), None).expect("poll");
-        if status == 200 {
-            let v = parse(&body).unwrap();
-            if v.get("state").and_then(Json::as_str) == Some("done") {
-                return v;
-            }
-        }
-        assert!(Instant::now() < deadline, "job {id} never settled: {body}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// Fetches the results stream; asserts completeness header and returns
-/// per-slot digests.
-fn result_digests(addr: SocketAddr, id: u64, n: usize, complete: &str) -> Vec<String> {
-    let (status, headers, stream) =
-        http_request_full(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
-    assert_eq!(status, 200);
-    let header = headers
-        .iter()
-        .find(|(k, _)| k == "x-job-complete")
-        .map(|(_, v)| v.as_str());
-    assert_eq!(header, Some(complete), "X-Job-Complete mismatch");
-    let mut out = vec![String::new(); n];
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        let v = parse(line).expect("every streamed line parses whole");
-        let idx = v.get("index").and_then(Json::as_u64).unwrap() as usize;
-        let r = decode_result(v.get("result").unwrap()).expect("decodable result");
-        out[idx] = r.digest();
-    }
-    out
-}
-
-fn stats_path(addr: SocketAddr, path: &[&str]) -> u64 {
-    let (status, body) = http_request(addr, "GET", "/stats", None).expect("stats");
-    assert_eq!(status, 200);
-    let v = parse(&body).unwrap();
-    let mut cur = &v;
-    for key in path {
-        cur = cur
-            .get(key)
-            .unwrap_or_else(|| panic!("stats lacks {path:?}: {body}"));
-    }
-    cur.as_u64().unwrap()
-}
-
-fn full_line_count(ckpt: &Path) -> usize {
-    let Ok(text) = std::fs::read_to_string(ckpt) else {
-        return 0;
-    };
-    let Some(end) = text.rfind('\n') else {
-        return 0;
-    };
-    text[..=end]
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count()
-}
-
-fn wait_lines(ckpt: &Path, want: usize) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while full_line_count(ckpt) < want {
-        assert!(
-            Instant::now() < deadline,
-            "checkpoint never reached {want} records (have {})",
-            full_line_count(ckpt)
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    short_grid(vec![41, 42], vec![0.15, 0.2, 0.25])
 }
 
 #[test]
 fn concurrent_fleet_completes_shared_grid_without_duplicate_sims() {
-    let dir = temp_dir("shared");
+    let dir = scratch_dir("chaos-test-shared");
     let grid = chaos_grid();
     let n = grid.expand().len();
-    let want = direct_digests(&grid);
+    let want = direct_digests(&grid).expect("direct sweep");
 
-    let mut a = Worker::spawn(&dir, "a", 2, None);
-    let mut b = Worker::spawn(&dir, "b", 2, None);
-    let addr_a = a.addr();
-    let addr_b = b.addr();
+    let mut a = test_spawner(&dir, "a", 2, None).expect("spawn a");
+    let mut b = test_spawner(&dir, "b", 2, None).expect("spawn b");
+    let via_a = Client::new(a.wait_addr(Duration::from_secs(60)).expect("a binds"));
+    let via_b = Client::new(b.wait_addr(Duration::from_secs(60)).expect("b binds"));
 
     // Submit through A; poll through B — the job must cross the process
     // boundary via the shared data dir, not shared memory.
-    let id = submit(addr_a, &grid);
-    let status = poll_done(addr_b, id);
+    let id = via_a.submit(&grid).expect("submit");
+    let status = settles_to(via_b, id, &want).expect("B settles A's job");
     assert_eq!(
         status.get("completed").and_then(Json::as_u64),
         Some(n as u64),
         "fleet completes every slot: {status:?}"
     );
-    assert_eq!(result_digests(addr_b, id, n, "true"), want);
-    // A's in-memory view trails the shared dir by one scanner pass;
-    // wait for its own "done" before asserting its completeness header.
-    poll_done(addr_a, id);
-    assert_eq!(result_digests(addr_a, id, n, "true"), want);
+    // A's in-memory view trails the shared dir by one scanner pass; its
+    // own "done" and complete stream follow.
+    settles_to(via_a, id, &want).expect("A settles");
 
     // Zero duplicated simulations: per-config leases make the fleet-wide
     // sum exactly the grid size.
-    let sims = stats_path(addr_a, &["sims_run"]) + stats_path(addr_b, &["sims_run"]);
+    let sims = via_a.stat(&["sims_run"]).unwrap() + via_b.stat(&["sims_run"]).unwrap();
     assert_eq!(sims, n as u64, "every config simulated exactly once");
 
-    a.shutdown(addr_a);
-    b.shutdown(addr_b);
+    a.shutdown(via_a.addr).expect("a exits cleanly");
+    b.shutdown(via_b.addr).expect("b exits cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Scenario 2 is [`crash_storyline`] — shared with `repro chaos` — with
+/// life 1 dying by the injected rename-time crash.
 #[test]
 fn fleet_survives_crashes_and_tampered_checkpoint_digest_exact() {
-    let dir = temp_dir("crash");
+    let dir = scratch_dir("chaos-test-crash");
     let grid = chaos_grid();
-    let n = grid.expand().len();
-    let want = direct_digests(&grid);
-
-    // Life 1: a single-worker member with a rename-time crash injected
-    // into its durable cache writes — it aborts itself mid-sweep on the
-    // second cache store, after exactly one record reached the
-    // checkpoint.
-    let mut a = Worker::spawn(&dir, "a", 1, Some("cache/:2"));
-    let addr_a = a.addr();
-    let id = submit(addr_a, &grid);
-    let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-    wait_lines(&ckpt, 1);
-    a.wait_crash();
-
-    // The fleet is quiescent: garble a byte inside the last durable
-    // record (CRC-detectable corruption at rest) and tear the tail the
-    // way a writer killed mid-append would.
-    let text = std::fs::read_to_string(&ckpt).expect("checkpoint exists");
-    let end = text.rfind('\n').expect("one full record");
-    let start = text[..end].rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let mut bytes = text.into_bytes();
-    bytes[start + (end - start) / 2] ^= 0x01;
-    std::fs::write(&ckpt, &bytes).unwrap();
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(&ckpt)
-        .unwrap()
-        .write_all(b"~2a:00000000:{\"index\":99,\"resul")
-        .unwrap();
-    // Recovery seals the torn fragment into one garbage line, so real
-    // progress starts past baseline + 1.
-    let baseline = full_line_count(&ckpt);
-
-    // Life 2: two members resume the job; SIGKILL one as soon as the
-    // fleet makes progress. The survivor reclaims its leases (dead-pid
-    // detection, no expiry wait on Linux) and converges.
-    let mut b = Worker::spawn(&dir, "b", 2, None);
-    let mut c = Worker::spawn(&dir, "c", 2, None);
-    let _addr_b = b.addr();
-    let addr_c = c.addr();
-    wait_lines(&ckpt, baseline + 2);
-    b.kill();
-
-    let status = poll_done(addr_c, id);
-    assert_eq!(result_digests(addr_c, id, n, "true"), want);
-    let ckrep = status
-        .get("checkpoint")
-        .expect("status surfaces checkpoint accounting");
-    assert!(
-        ckrep
-            .get("corrupt_frames")
-            .and_then(Json::as_u64)
-            .expect("corrupt_frames surfaced")
-            >= 1,
-        "the garbled record must be detected: {status:?}"
-    );
-    assert!(
-        status
-            .get("reclaimed_leases")
-            .and_then(Json::as_u64)
-            .is_some(),
-        "reclaimed leases must be surfaced: {status:?}"
-    );
-    assert!(
-        ckpt.with_extension("quarantine").exists()
-            || dir
-                .join("jobs")
-                .join(format!("job-{id}.ckpt.quarantine"))
-                .exists(),
-        "damaged lines are quarantined, not silently dropped"
-    );
-
-    c.shutdown(addr_c);
+    let want = direct_digests(&grid).expect("direct sweep");
+    crash_storyline(&test_spawner, &dir, &grid, &want, true, 2)
+        .expect("the fleet survives the storyline");
     let _ = std::fs::remove_dir_all(&dir);
 }

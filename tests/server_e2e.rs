@@ -17,149 +17,51 @@
 //!
 //! Everything runs on an ephemeral 127.0.0.1 port; no network egress.
 
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use deadlock_characterization::flexsim::jsonio::{parse, Json};
-use deadlock_characterization::flexsim::{
-    decode_result, sweep_supervised, RunConfig, SweepOptions,
-};
+use deadlock_characterization::flexsim::{sweep_supervised, RunConfig, SweepOptions};
 use deadlock_characterization::server::{
-    http_request, http_request_full, CampaignServer, ResultCache, ServerOptions, SweepGrid,
+    http_request, Client, ResultCache, ServerOptions, SweepGrid,
+};
+use icn_bench::{
+    checkpoint_path, direct_digests, knotting_config, resubmission_storyline, scratch_dir,
+    settles_to, short_grid, wait_lines,
 };
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("campaign-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+/// How long any job in this file may take to settle.
+const SETTLE: Duration = Duration::from_secs(300);
 
 /// A grid small enough to finish in seconds but wide enough to spread
 /// across workers: 2 loads × 2 seeds.
 fn test_grid() -> SweepGrid {
-    let mut base = RunConfig::small_default();
-    base.warmup = 200;
-    base.measure = 600;
-    SweepGrid {
-        base,
-        seeds: vec![21, 22],
-        loads: vec![0.15, 0.25],
-        timeout_ms: None,
-    }
+    short_grid(vec![21, 22], vec![0.15, 0.25])
 }
 
-fn start_server(data_dir: &Path, workers: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
+type Served = std::thread::JoinHandle<std::io::Result<()>>;
+
+fn start_server(data_dir: &Path, workers: usize) -> (Client, Served) {
     let mut opts = ServerOptions::new(data_dir);
     opts.workers = workers;
-    let server = CampaignServer::bind("127.0.0.1:0", &opts).expect("bind");
-    let addr = server.addr();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle)
+    Client::serve_local(&opts).expect("bind")
 }
 
-fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
-    let (status, _) = http_request(addr, "POST", "/shutdown", None).expect("shutdown");
-    assert_eq!(status, 200);
-    handle.join().expect("server thread");
+fn shutdown(client: Client, handle: Served) {
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("serve");
 }
 
-fn submit(addr: SocketAddr, grid: &SweepGrid) -> u64 {
-    let (status, body) =
-        http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string())).expect("submit");
-    assert_eq!(status, 200, "submit failed: {body}");
-    parse(&body)
-        .unwrap()
-        .get("id")
-        .and_then(Json::as_u64)
-        .expect("submit returns an id")
-}
-
-fn poll_done(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let (status, body) = http_request(addr, "GET", &format!("/jobs/{id}"), None).expect("poll");
-        assert_eq!(status, 200, "poll failed: {body}");
-        let v = parse(&body).unwrap();
-        if v.get("state").and_then(Json::as_str) == Some("done") {
-            return v;
-        }
-        assert!(Instant::now() < deadline, "job {id} never settled: {body}");
-        std::thread::sleep(Duration::from_millis(30));
-    }
-}
-
-/// Fetches `/jobs/:id/results` and returns per-slot digests.
-fn result_digests(addr: SocketAddr, id: u64, n: usize) -> Vec<String> {
-    let (status, stream) =
-        http_request(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
-    assert_eq!(status, 200);
-    let mut out = vec![String::new(); n];
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        let v = parse(line).expect("every streamed line parses");
-        let idx = v.get("index").and_then(Json::as_u64).unwrap() as usize;
-        let r = decode_result(v.get("result").unwrap()).expect("decodable result");
-        out[idx] = r.digest();
-    }
-    out
-}
-
-fn stats_u64(addr: SocketAddr, path: &[&str]) -> u64 {
-    let (status, body) = http_request(addr, "GET", "/stats", None).expect("stats");
-    assert_eq!(status, 200);
-    let v = parse(&body).unwrap();
-    let mut cur = &v;
-    for key in path {
-        cur = cur
-            .get(key)
-            .unwrap_or_else(|| panic!("stats lacks {path:?}: {body}"));
-    }
-    cur.as_u64().unwrap()
-}
-
+/// Criteria 1 and 3 are [`resubmission_storyline`], shared with `repro
+/// serve --smoke`.
 #[test]
 fn http_grid_matches_direct_sweep_and_resubmission_hits_cache() {
-    let dir = temp_dir("grid");
+    let dir = scratch_dir("e2e-grid");
     let grid = test_grid();
-    let configs = grid.expand();
-    let direct = sweep_supervised(&configs, &SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().expect("direct run succeeds").digest())
-        .collect();
-
-    let (addr, handle) = start_server(&dir, 3);
-
-    // Round 1: everything simulates, digests match the direct sweep.
-    let id = submit(addr, &grid);
-    let status = poll_done(addr, id);
-    assert_eq!(
-        status.get("completed").and_then(Json::as_u64),
-        Some(configs.len() as u64)
-    );
-    assert_eq!(status.get("failed").and_then(Json::as_u64), Some(0));
-    assert_eq!(result_digests(addr, id, configs.len()), want);
-    let sims_first = stats_u64(addr, &["sims_run"]);
-    assert_eq!(sims_first, configs.len() as u64);
-
-    // Round 2: identical grid — answered from the cache, zero new sims.
-    let id2 = submit(addr, &grid);
-    let status2 = poll_done(addr, id2);
-    assert_eq!(
-        status2.get("cached").and_then(Json::as_u64),
-        Some(configs.len() as u64),
-        "every slot should be a cache hit: {status2:?}"
-    );
-    assert_eq!(
-        stats_u64(addr, &["sims_run"]),
-        sims_first,
-        "no new simulations"
-    );
-    assert!(stats_u64(addr, &["cache", "hits"]) >= configs.len() as u64);
-    assert_eq!(result_digests(addr, id2, configs.len()), want);
-
-    shutdown(addr, handle);
+    let want = direct_digests(&grid).expect("direct sweep");
+    let (client, handle) = start_server(&dir, 3);
+    resubmission_storyline(client, &grid, &want).expect("served == direct, resubmission cached");
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -170,75 +72,53 @@ fn http_grid_matches_direct_sweep_and_resubmission_hits_cache() {
 /// engine-level.
 #[test]
 fn resubmission_at_different_shard_counts_hits_cache() {
-    let dir = temp_dir("shards");
+    let dir = scratch_dir("e2e-shards");
     let grid = test_grid();
-    let n = grid.expand().len();
-    let (addr, handle) = start_server(&dir, 3);
+    let want = direct_digests(&grid).expect("direct sweep");
+    let n = want.len() as u64;
+    let (client, handle) = start_server(&dir, 3);
 
-    // Round 1: flat engine, everything simulates.
-    let id = submit(addr, &grid);
-    poll_done(addr, id);
-    let want = result_digests(addr, id, n);
-    let sims_first = stats_u64(addr, &["sims_run"]);
-    assert_eq!(sims_first, n as u64);
+    // The flat engine simulates everything once (and caches it).
+    resubmission_storyline(client, &grid, &want).expect("flat engine");
 
-    // Rounds 2..: same grid at different shard counts — pure cache hits,
-    // zero new simulations, identical results.
+    // Same grid at different shard counts — pure cache hits, zero new
+    // simulations, identical results.
     for shards in [2, 4, 8] {
         let mut regrid = grid.clone();
         regrid.base.shards = shards;
-        let id = submit(addr, &regrid);
-        let status = poll_done(addr, id);
+        let id = client.submit(&regrid).expect("submit");
+        let status = settles_to(client, id, &want).expect("same results");
         assert_eq!(
             status.get("cached").and_then(Json::as_u64),
-            Some(n as u64),
+            Some(n),
             "shards={shards} should be answered from cache: {status:?}"
         );
         assert_eq!(
-            stats_u64(addr, &["sims_run"]),
-            sims_first,
+            client.stat(&["sims_run"]).unwrap(),
+            n,
             "shards={shards} must not run new simulations"
         );
-        assert_eq!(result_digests(addr, id, n), want);
     }
-    assert!(stats_u64(addr, &["cache", "hits"]) >= 3 * n as u64);
+    assert!(client.stat(&["cache", "hits"]).unwrap() >= 4 * n);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn killed_server_resumes_from_checkpoints_digest_exact() {
-    let dir = temp_dir("resume");
+    let dir = scratch_dir("e2e-resume");
     let grid = test_grid();
-    let configs = grid.expand();
-    let direct = sweep_supervised(&configs, &SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().expect("direct run succeeds").digest())
-        .collect();
+    let want = direct_digests(&grid).expect("direct sweep");
 
     // Life 1: a single slow worker; shut down as soon as the first result
     // lands, leaving the rest of the queue abandoned (the in-flight unit
     // finishes and checkpoints — that is the graceful contract).
-    let (addr, handle) = start_server(&dir, 1);
-    let id = submit(addr, &grid);
-    let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let done = std::fs::read_to_string(&ckpt)
-            .map(|t| t.lines().filter(|l| !l.trim().is_empty()).count())
-            .unwrap_or(0);
-        if done >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "no checkpoint line ever appeared"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    shutdown(addr, handle);
+    let (client, handle) = start_server(&dir, 1);
+    let id = client.submit(&grid).expect("submit");
+    let ckpt = checkpoint_path(&dir, id);
+    wait_lines(&ckpt, 1, SETTLE).expect("a first checkpoint record");
+    shutdown(client, handle);
 
     // Simulate the hard-kill signature on top: tear the final checkpoint
     // line in half (no trailing newline). The torn slot must re-run.
@@ -253,11 +133,11 @@ fn killed_server_resumes_from_checkpoints_digest_exact() {
 
     // Life 2: recovery re-expands the grid, restores what survived,
     // reruns the rest, and converges to the same digests.
-    let (addr2, handle2) = start_server(&dir, 3);
-    let status = poll_done(addr2, id);
+    let (client2, handle2) = start_server(&dir, 3);
+    let status = settles_to(client2, id, &want).expect("converges to the direct sweep");
     assert_eq!(
         status.get("completed").and_then(Json::as_u64),
-        Some(configs.len() as u64),
+        Some(want.len() as u64),
         "resumed job completes every slot: {status:?}"
     );
     let ckpt_report = status
@@ -268,12 +148,11 @@ fn killed_server_resumes_from_checkpoints_digest_exact() {
         Some(true),
         "the torn line must be detected and surfaced: {status:?}"
     );
-    assert_eq!(result_digests(addr2, id, configs.len()), want);
     assert!(
-        stats_u64(addr2, &["jobs", "resumed"]) >= 1,
+        client2.stat(&["jobs", "resumed"]).unwrap() >= 1,
         "recovery counts the resumed job"
     );
-    shutdown(addr2, handle2);
+    shutdown(client2, handle2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -283,39 +162,30 @@ fn killed_server_resumes_from_checkpoints_digest_exact() {
 /// /jobs/:id/cancel` settles every not-yet-finished slot terminally.
 #[test]
 fn partial_results_stream_whole_lines_and_cancel_settles_job() {
-    let dir = temp_dir("cancel");
+    let dir = scratch_dir("e2e-cancel");
     let mut grid = test_grid();
     // Enough configs that one worker cannot finish them within the two
     // request round-trips below, however fast a config runs.
     grid.seeds = (21..=60).collect();
     let n = grid.expand().len();
-    let (addr, handle) = start_server(&dir, 1);
-    let id = submit(addr, &grid);
+    let (client, handle) = start_server(&dir, 1);
+    let id = client.submit(&grid).expect("submit");
 
     // Early fetch: the job is still running, so the header must say the
-    // stream is partial — and every line it does carry parses whole.
-    let (status, headers, stream) =
-        http_request_full(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
-    assert_eq!(status, 200);
-    let complete = headers
-        .iter()
-        .find(|(k, _)| k == "x-job-complete")
-        .map(|(_, v)| v.as_str());
-    assert_eq!(complete, Some("false"), "job cannot be done yet");
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        assert!(
-            parse(line).is_ok(),
-            "partial stream leaked a torn line: {line}"
-        );
-    }
+    // stream is partial — and every line it does carry parses, indexes a
+    // slot and decodes (the client refuses anything less).
+    let (complete, _) = client
+        .result_digests(id, n)
+        .expect("a partial stream holds only whole records");
+    assert!(!complete, "job cannot be done yet");
 
     let (status, body) =
-        http_request(addr, "POST", &format!("/jobs/{id}/cancel"), None).expect("cancel");
+        http_request(client.addr, "POST", &format!("/jobs/{id}/cancel"), None).expect("cancel");
     assert_eq!(status, 200, "cancel failed: {body}");
     let v = parse(&body).unwrap();
     assert_eq!(v.get("cancelled").and_then(Json::as_bool), Some(true));
 
-    let status = poll_done(addr, id);
+    let status = client.wait_done(id, SETTLE).expect("settles");
     let completed = status.get("completed").and_then(Json::as_u64).unwrap();
     let cancelled = status.get("cancelled").and_then(Json::as_u64).unwrap();
     assert_eq!(
@@ -331,16 +201,11 @@ fn partial_results_stream_whole_lines_and_cancel_settles_job() {
 
     // The final stream carries exactly the completed slots' records and
     // declares itself complete.
-    let (_, headers, stream) =
-        http_request_full(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
-    let complete = headers
-        .iter()
-        .find(|(k, _)| k == "x-job-complete")
-        .map(|(_, v)| v.as_str());
-    assert_eq!(complete, Some("true"));
-    let lines = stream.lines().filter(|l| !l.trim().is_empty()).count();
+    let (complete, digests) = client.result_digests(id, n).expect("final stream");
+    assert!(complete);
     assert_eq!(
-        lines as u64, completed,
+        digests.iter().filter(|d| !d.is_empty()).count() as u64,
+        completed,
         "one result record per completed slot"
     );
 
@@ -351,7 +216,7 @@ fn partial_results_stream_whole_lines_and_cancel_settles_job() {
         .join(format!("job-{id}.ckpt.cancel"))
         .exists());
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -359,7 +224,7 @@ fn partial_results_stream_whole_lines_and_cancel_settles_job() {
 /// terminal state that survives a server restart without re-running.
 #[test]
 fn per_config_timeout_is_terminal_across_restarts() {
-    let dir = temp_dir("timeout");
+    let dir = scratch_dir("e2e-timeout");
     let mut base = RunConfig::small_default();
     base.warmup = 200;
     base.measure = 50_000; // far more cycles than 1 ms allows
@@ -370,9 +235,9 @@ fn per_config_timeout_is_terminal_across_restarts() {
         timeout_ms: Some(1),
     };
 
-    let (addr, handle) = start_server(&dir, 1);
-    let id = submit(addr, &grid);
-    let status = poll_done(addr, id);
+    let (client, handle) = start_server(&dir, 1);
+    let id = client.submit(&grid).expect("submit");
+    let status = client.wait_done(id, SETTLE).expect("settles");
     assert_eq!(
         status.get("cancelled").and_then(Json::as_u64),
         Some(1),
@@ -380,38 +245,32 @@ fn per_config_timeout_is_terminal_across_restarts() {
     );
     let slots = status.get("slots").and_then(Json::as_arr).unwrap();
     assert_eq!(slots[0].as_str(), Some("timed_out"));
-    shutdown(addr, handle);
+    shutdown(client, handle);
 
     // Life 2: the timed-out slot is restored from its status record, not
     // re-run — the job is settled immediately.
-    let (addr2, handle2) = start_server(&dir, 1);
-    let status2 = poll_done(addr2, id);
+    let (client2, handle2) = start_server(&dir, 1);
+    let status2 = client2.wait_done(id, SETTLE).expect("settles");
     let slots2 = status2.get("slots").and_then(Json::as_arr).unwrap();
     assert_eq!(
         slots2[0].as_str(),
         Some("timed_out"),
         "terminal: {status2:?}"
     );
-    assert_eq!(stats_u64(addr2, &["sims_run"]), 0, "nothing re-ran");
-    shutdown(addr2, handle2);
+    assert_eq!(client2.stat(&["sims_run"]).unwrap(), 0, "nothing re-ran");
+    shutdown(client2, handle2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn incident_endpoints_serve_stored_incidents() {
     use deadlock_characterization::flexsim::forensics::IncidentStore;
-    use deadlock_characterization::flexsim::{run, ForensicsConfig, RoutingSpec, TopologySpec};
+    use deadlock_characterization::flexsim::{run, ForensicsConfig};
 
-    let dir = temp_dir("incidents");
+    let dir = scratch_dir("e2e-incidents");
 
     // Produce a real incident and persist it where the server looks.
-    let mut cfg = RunConfig::small_default();
-    cfg.topology = TopologySpec::torus(8, 2, false);
-    cfg.routing = RoutingSpec::Dor;
-    cfg.sim.vcs_per_channel = 1;
-    cfg.load = 1.0;
-    cfg.warmup = 400;
-    cfg.measure = 800;
+    let mut cfg = knotting_config(800);
     cfg.forensics = Some(ForensicsConfig::default());
     let res = run(&cfg);
     assert!(
@@ -421,9 +280,9 @@ fn incident_endpoints_serve_stored_incidents() {
     let store = IncidentStore::open(dir.join("incidents")).unwrap();
     store.save(&res.forensic_incidents[0]).unwrap();
 
-    let (addr, handle) = start_server(&dir, 1);
+    let (client, handle) = start_server(&dir, 1);
 
-    let (status, body) = http_request(addr, "GET", "/incidents", None).unwrap();
+    let (status, body) = http_request(client.addr, "GET", "/incidents", None).unwrap();
     assert_eq!(status, 200);
     let index = parse(&body).unwrap();
     let entries = index.get("incidents").and_then(Json::as_arr).unwrap();
@@ -433,50 +292,55 @@ fn incident_endpoints_serve_stored_incidents() {
         Some("incident-00000.json")
     );
 
-    let (status, body) = http_request(addr, "GET", "/incidents/0", None).unwrap();
+    let (status, body) = http_request(client.addr, "GET", "/incidents/0", None).unwrap();
     assert_eq!(status, 200);
     assert!(parse(&body).is_ok(), "incident record is valid JSON");
 
-    let (status, dot) = http_request(addr, "GET", "/incidents/0/dot", None).unwrap();
+    let (status, dot) = http_request(client.addr, "GET", "/incidents/0/dot", None).unwrap();
     assert_eq!(status, 200);
     assert!(dot.starts_with("digraph"), "DOT rendering served as-is");
 
-    let (status, _) = http_request(addr, "GET", "/incidents/7", None).unwrap();
+    let (status, _) = http_request(client.addr, "GET", "/incidents/7", None).unwrap();
     assert_eq!(status, 404);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bad_requests_get_clean_errors() {
-    let dir = temp_dir("errors");
-    let (addr, handle) = start_server(&dir, 1);
+    let dir = scratch_dir("e2e-errors");
+    let (client, handle) = start_server(&dir, 1);
 
-    let (status, _) = http_request(addr, "GET", "/jobs/999", None).unwrap();
+    let (status, _) = http_request(client.addr, "GET", "/jobs/999", None).unwrap();
     assert_eq!(status, 404);
-    let (status, _) = http_request(addr, "GET", "/nope", None).unwrap();
+    let (status, _) = http_request(client.addr, "GET", "/nope", None).unwrap();
     assert_eq!(status, 404);
-    let (status, body) = http_request(addr, "POST", "/jobs", Some("{\"no\":1}")).unwrap();
+    let (status, body) = http_request(client.addr, "POST", "/jobs", Some("{\"no\":1}")).unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("error"), "errors are JSON: {body}");
-    let (status, _) = http_request(addr, "GET", "/jobs/abc", None).unwrap();
+    let (status, _) = http_request(client.addr, "GET", "/jobs/abc", None).unwrap();
     assert_eq!(status, 400);
     // A density cap that cannot tell single- from multi-cycle knots is
     // refused at the door: no job is created, nothing reaches the runner.
     let mut grid = test_grid();
     grid.base.density_cap = 1;
-    let (status, body) =
-        http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string())).unwrap();
+    let (status, body) = http_request(
+        client.addr,
+        "POST",
+        "/jobs",
+        Some(&grid.to_json().to_string()),
+    )
+    .unwrap();
     assert_eq!(status, 400);
     assert!(
         body.contains("density_cap"),
         "error names the field: {body}"
     );
-    let (status, _) = http_request(addr, "GET", "/jobs/1", None).unwrap();
+    let (status, _) = http_request(client.addr, "GET", "/jobs/1", None).unwrap();
     assert_eq!(status, 404, "the rejected grid created no job");
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -489,7 +353,7 @@ fn bad_requests_get_clean_errors() {
 #[test]
 fn checkpoint_bytes_read_are_linear_in_job_size() {
     const CONFIGS: u64 = 1_500;
-    let dir = temp_dir("linear");
+    let dir = scratch_dir("e2e-linear");
     let mut grid = test_grid();
     grid.seeds = (1..=CONFIGS).collect();
     grid.loads = vec![0.2];
@@ -506,23 +370,22 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
         cache.store(cfg, &result).unwrap();
     }
 
-    let (addr, handle) = start_server(&dir, 2);
-    let id = submit(addr, &grid);
-    let status = poll_done(addr, id);
+    let (client, handle) = start_server(&dir, 2);
+    let id = client.submit(&grid).expect("submit");
+    let status = client.wait_done(id, SETTLE).expect("settles");
     assert_eq!(
         status.get("cached").and_then(Json::as_u64),
         Some(CONFIGS),
         "every slot is a cache hit: {status:?}"
     );
-    assert_eq!(stats_u64(addr, &["sims_run"]), 0);
+    assert_eq!(client.stat(&["sims_run"]).unwrap(), 0);
     let (code, stream) =
-        http_request(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
+        http_request(client.addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
     assert_eq!(code, 200);
     assert_eq!(stream.lines().count() as u64, CONFIGS);
 
-    let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-    let size = std::fs::metadata(&ckpt).unwrap().len();
-    let read = stats_u64(addr, &["checkpoint", "bytes_read"]);
+    let size = std::fs::metadata(checkpoint_path(&dir, id)).unwrap().len();
+    let read = client.stat(&["checkpoint", "bytes_read"]).unwrap();
     assert!(
         read >= size,
         "every record was verified: read {read} of {size} bytes"
@@ -531,10 +394,10 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
         read <= 2 * size,
         "refreshes read {read} bytes of a {size}-byte checkpoint"
     );
-    assert!(stats_u64(addr, &["checkpoint", "refreshes"]) >= CONFIGS);
-    assert!(stats_u64(addr, &["requests"]) >= 4);
+    assert!(client.stat(&["checkpoint", "refreshes"]).unwrap() >= CONFIGS);
+    assert!(client.stat(&["requests"]).unwrap() >= 4);
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -546,16 +409,16 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
 fn stalled_client_gets_408_and_delays_nobody() {
     use std::io::Read;
 
-    let dir = temp_dir("stall");
-    let (addr, handle) = start_server(&dir, 1);
-    let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
+    let dir = scratch_dir("e2e-stall");
+    let (client, handle) = start_server(&dir, 1);
+    let mut stalled = std::net::TcpStream::connect(client.addr).expect("connect");
     stalled
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
 
     let start = Instant::now();
     for _ in 0..10 {
-        stats_u64(addr, &["requests"]);
+        client.stat(&["requests"]).unwrap();
     }
     assert!(
         start.elapsed() < Duration::from_secs(2),
@@ -572,6 +435,6 @@ fn stalled_client_gets_408_and_delays_nobody() {
         "a stalled request is answered 408: {reply:?}"
     );
 
-    shutdown(addr, handle);
+    shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,19 +30,7 @@ fn assert_no_divergence(n: usize, msgs: &[v::OracleMsg]) {
 
 #[test]
 fn oracle_matches_production_on_random_cwgs() {
-    let shapes = [
-        v::GenParams::default(),
-        // Dense variant: short chains, high blocking, requests biased onto
-        // owned vertices — maximizes knots per snapshot.
-        v::GenParams {
-            num_vertices: 24,
-            max_messages: 12,
-            max_chain: 2,
-            max_requests: 2,
-            blocked_prob: 0.95,
-            owned_bias: 0.95,
-        },
-    ];
+    let shapes = [v::GenParams::default(), v::GenParams::dense()];
     for params in &shapes {
         for seed in 0..200u64 {
             let (n, msgs) = v::random_snapshot(0x5eed ^ seed, params);
