@@ -236,6 +236,19 @@ pub fn full_line_count(ckpt: &Path) -> usize {
     sealed.lines().filter(|l| !l.trim().is_empty()).count()
 }
 
+/// The slot index of every verified result record in the checkpoint, in
+/// file order: `0..n` exactly when each slot was recorded once and only
+/// once.
+pub fn result_indices(ckpt: &Path) -> Vec<u64> {
+    let text = std::fs::read_to_string(ckpt).unwrap_or_default();
+    flexsim::jsonio::scan_records(&text)
+        .values
+        .iter()
+        .filter(|(_, v)| v.get("result").is_some())
+        .filter_map(|(_, v)| v.get("index").and_then(Json::as_u64))
+        .collect()
+}
+
 /// Waits until the checkpoint holds at least `want` full lines.
 pub fn wait_lines(ckpt: &Path, want: usize, timeout: Duration) -> Result<usize, String> {
     poll(timeout, || {

@@ -10,6 +10,10 @@
 //! newline) arrives. What it keeps per configuration index is where the
 //! latest restorable record sits, not the record: fetching one is a
 //! re-read and re-verification of that single line.
+//!
+//! Once every configuration's verdict is durable nothing a reader needs
+//! can be appended any more, and [`seal`](CheckpointTail::seal) shrinks
+//! the tail to what the results stream needs: the spans of its lines.
 
 use std::fs::File;
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom};
@@ -80,6 +84,9 @@ pub struct CheckpointTail {
     /// [`CheckpointRestore`] terms; `torn_tail` describes the latest
     /// refresh.
     report: CheckpointRestore,
+    /// Set by [`seal`](Self::seal): the file is never read for new
+    /// records again.
+    sealed: bool,
 }
 
 impl CheckpointTail {
@@ -93,6 +100,7 @@ impl CheckpointTail {
             offset: 0,
             result_lines: Vec::new(),
             report: CheckpointRestore::default(),
+            sealed: false,
         }
     }
 
@@ -134,6 +142,9 @@ impl CheckpointTail {
         &mut self,
         mut on_record: impl FnMut(usize, Result<RunResult, bool>),
     ) -> io::Result<u64> {
+        if self.sealed {
+            return Ok(0);
+        }
         let file = match File::open(&self.path) {
             Ok(f) => Some(f),
             // An absent checkpoint is an empty one.
@@ -213,6 +224,23 @@ impl CheckpointTail {
                 durable::append_line(&self.path.with_extension("quarantine"), &damaged.join("\n"));
         }
         Ok(fresh.len() as u64)
+    }
+
+    /// A last [`refresh`](Self::refresh), after which the tail stops
+    /// following its file and keeps only the results stream: `labels` and
+    /// the per-index records are released, later refreshes read nothing
+    /// and [`record`](Self::record) finds nothing. Meant for a checkpoint
+    /// in which every configuration has a durable verdict, so that nothing
+    /// a reader needs will be appended. [`read_results`] still verifies
+    /// each kept line on the way out. Returns the bytes the last refresh
+    /// read; on a failed read the tail stays unsealed.
+    pub fn seal(&mut self) -> io::Result<u64> {
+        let read = self.refresh()?;
+        self.sealed = true;
+        self.labels = Vec::new();
+        self.latest = Vec::new();
+        self.result_lines.shrink_to_fit();
+        Ok(read)
     }
 
     fn reset(&mut self) {

@@ -314,3 +314,34 @@ fn torn_tail_is_unread_until_sealed() {
     assert_eq!(quarantined.trim(), &good[..good.len() / 2]);
     assert!(parse(quarantined.trim()).is_err());
 }
+
+/// A sealed tail reads its last bytes, then never follows the file again:
+/// the results stream stays servable, the per-index records are gone.
+#[test]
+fn sealed_tail_keeps_only_the_results_stream() {
+    let path = temp_file("seal");
+    let labels = labels();
+    let base = template();
+    let line = |i: usize| frame_record(&checkpoint_line(i, &labels[i], &base));
+    let mut tail = CheckpointTail::new(&path, labels.clone());
+    append(&path, format!("{}\n", line(0)).as_bytes());
+    tail.refresh().unwrap();
+    append(&path, format!("{}\n", line(1)).as_bytes());
+
+    // The seal's own refresh picks up what was appended since the last.
+    assert_eq!(tail.seal().unwrap(), line(1).len() as u64 + 1);
+    assert_eq!(tail.result_lines().len(), 2);
+    assert_eq!(tail.report().restored, 2);
+    let body = read_results(&path, tail.result_lines()).unwrap();
+    assert_eq!(body.lines().count(), 2);
+
+    append(&path, format!("{}\n", line(2)).as_bytes());
+    assert_eq!(tail.refresh().unwrap(), 0, "a sealed tail reads nothing");
+    assert_eq!(tail.seal().unwrap(), 0);
+    assert_eq!(tail.result_lines().len(), 2, "result_lines intact");
+    assert_eq!(read_results(&path, tail.result_lines()).unwrap(), body);
+    for index in 0..SLOTS {
+        assert!(tail.record(index).is_none());
+        assert_eq!(tail.verdict(index), None);
+    }
+}

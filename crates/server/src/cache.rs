@@ -47,7 +47,11 @@ pub fn canonical_config(cfg: &RunConfig) -> String {
 /// 128-bit content key as 32 hex chars (two FNV-1a streams with distinct
 /// bases; collisions are additionally guarded by full-text comparison).
 pub fn config_key(cfg: &RunConfig) -> String {
-    let canon = canonical_config(cfg);
+    key_of(&canonical_config(cfg))
+}
+
+/// The key of an already rendered [`canonical_config`] text.
+fn key_of(canon: &str) -> String {
     let h1 = fnv1a(canon.as_bytes(), 0xcbf2_9ce4_8422_2325);
     let h2 = fnv1a(canon.as_bytes(), 0x6c62_272e_07bb_0142);
     format!("{h1:016x}{h2:016x}")
@@ -79,8 +83,8 @@ impl ResultCache {
     /// undecodable, stale engine version, or canonical-text mismatch)
     /// as a miss.
     pub fn lookup(&self, cfg: &RunConfig) -> Option<RunResult> {
-        let key = config_key(cfg);
         let canon = canonical_config(cfg);
+        let key = key_of(&canon);
         let hit = (|| {
             let text = fs::read_to_string(self.path_for(&key)).ok()?;
             let v = parse(&text).ok()?;
@@ -103,10 +107,11 @@ impl ResultCache {
     /// with one winner and identical content either way (the engine is
     /// deterministic).
     pub fn store(&self, cfg: &RunConfig, result: &RunResult) -> io::Result<()> {
-        let key = config_key(cfg);
+        let canon = canonical_config(cfg);
+        let key = key_of(&canon);
         let entry = obj(vec![
             ("key", Json::Str(key.clone())),
-            ("config", Json::Str(canonical_config(cfg))),
+            ("config", Json::Str(canon)),
             ("label", Json::Str(cfg.label())),
             ("result", encode_result(result)),
         ]);

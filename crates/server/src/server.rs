@@ -4,7 +4,7 @@
 //!
 //! | Method | Path                 | Meaning                                        |
 //! |--------|----------------------|------------------------------------------------|
-//! | POST   | `/jobs`              | Submit a sweep grid; returns `{"id", "configs"}` |
+//! | POST   | `/jobs`              | Submit a sweep grid; returns `{"id", "configs"}` (cached configs are settled before the reply: the job may already be `done`) |
 //! | GET    | `/jobs/:id`          | Job status with per-config progress            |
 //! | GET    | `/jobs/:id/results`  | Completed results as JSON lines (partial while running; `X-Job-Complete` header) |
 //! | POST   | `/jobs/:id/cancel`   | Cancel a job (durable, fleet-wide)             |
@@ -16,10 +16,12 @@
 //!
 //! # Durability
 //!
-//! Everything lives under `data_dir`: `jobs/job-<id>.json` (the canonical
-//! submitted grid, claimed cross-process with an exclusive create),
-//! `jobs/job-<id>.ckpt.jsonl` (CRC-framed completed results in the core
-//! checkpoint format — this file *is* the results stream),
+//! Everything lives under `data_dir`: `jobs/job-<id>.ckpt.jsonl`
+//! (CRC-framed completed results in the core checkpoint format — this
+//! file *is* the results stream; created first, exclusively, holding the
+//! submission's cache hits — that create is the cross-process id claim),
+//! `jobs/job-<id>.json` (the canonical submitted grid, whose creation
+//! publishes the job to the fleet; a checkpoint without one is no job),
 //! `jobs/job-<id>.ckpt.cancel` (durable cancellation marker), `leases/`
 //! (per-config ownership), and `cache/` (content-addressed results). A
 //! killed server recovers on the next [`CampaignServer::bind`]: grids are
@@ -48,8 +50,8 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use flexsim::forensics::IncidentStore;
-use flexsim::jsonio::{durable, obj, u64_arr, Json};
-use flexsim::{read_results, SweepOptions, ENGINE_VERSION};
+use flexsim::jsonio::{durable, frame_record, obj, u64_arr, Json};
+use flexsim::{checkpoint_line, read_results, SweepOptions, ENGINE_VERSION};
 
 use crate::cache::ResultCache;
 use crate::grid::SweepGrid;
@@ -472,6 +474,13 @@ fn parse_id(s: &str) -> Result<u64, (u16, String)> {
     s.parse().map_err(|_| (400, format!("bad id `{s}`")))
 }
 
+/// `POST /jobs`. A job is born with its cache hits: every configuration
+/// is looked up before the job exists, the hits are framed as ordinary
+/// checkpoint records, and the job id is claimed by creating the job's
+/// checkpoint already holding that batch — one write, one fsync — before
+/// the grid file that makes the job visible to the fleet. Only the misses
+/// are queued for the workers (and their leases); a fully cached grid is
+/// `done` in the reply's first status.
 fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
     let text = std::str::from_utf8(body).map_err(|_| (400, "body is not UTF-8".to_string()))?;
     let grid = SweepGrid::from_json(text).map_err(|e| (400, format!("bad grid: {e}")))?;
@@ -479,26 +488,62 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
     let n = configs.len();
     let grid_json = grid.to_json().to_string();
 
+    // Off the job-table lock: n file reads, and for each hit a record.
+    let mut hits = Vec::new();
+    let mut batch = String::new();
+    for (index, cfg) in configs.iter().enumerate() {
+        if let Some(result) = ctx.shared.cache.lookup(cfg) {
+            batch.push_str(&frame_record(&checkpoint_line(
+                index,
+                &cfg.label(),
+                &result,
+            )));
+            batch.push('\n');
+            hits.push(index);
+        }
+    }
+
     let mut inner = ctx.shared.inner.lock().unwrap();
-    // Claim a job id fleet-wide: the grid file is created with
+    // Claim a job id fleet-wide: both files are created with
     // `O_CREAT|O_EXCL`, so an id a sibling already took (our counter can
-    // lag theirs) fails cleanly and we advance to the next free one.
-    let id = loop {
+    // lag theirs) fails cleanly and we advance to the next free one. The
+    // checkpoint comes first — siblings discover a job by its grid file,
+    // so nobody sees the job before its hits are durable. A crash between
+    // the two creates leaves a checkpoint no grid names: never read,
+    // and its id is skipped here like any other taken one.
+    let (id, ckpt) = loop {
         let id = inner.next_job_id;
         inner.next_job_id += 1;
+        let ckpt = ctx.jobs_dir.join(format!("job-{id}.ckpt.jsonl"));
         let grid_path = ctx.jobs_dir.join(format!("job-{id}.json"));
-        match durable::create_exclusive(&grid_path, grid_json.as_bytes()) {
-            Ok(()) => break id,
+        let claimed = durable::create_exclusive(&ckpt, batch.as_bytes())
+            .and_then(|()| durable::create_exclusive(&grid_path, grid_json.as_bytes()));
+        match claimed {
+            Ok(()) => break (id, ckpt),
             Err(e) if e.kind() == ErrorKind::AlreadyExists => continue,
-            Err(e) => return Err((500, format!("persisting grid: {e}"))),
+            Err(e) => return Err((500, format!("persisting job {id}: {e}"))),
         }
     };
-    let job = Job::new(
+    let mut job = Job::new(
         id,
         configs,
-        ctx.jobs_dir.join(format!("job-{id}.ckpt.jsonl")),
+        ckpt,
         grid.timeout_ms.map(Duration::from_millis),
     );
+    for index in hits {
+        job.set_slot(
+            index,
+            SlotState::Done {
+                cached: true,
+                restored: false,
+            },
+        );
+    }
+    // Every config a hit: the job settles here and nowhere else.
+    let seal = job
+        .is_settled()
+        .then(|| ctx.shared.settle(&mut job))
+        .flatten();
     inner.jobs.insert(id, job);
     Shared::enqueue_pending(&mut inner, id);
     drop(inner);
@@ -507,6 +552,9 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
         .jobs_submitted
         .fetch_add(1, Ordering::Relaxed);
     ctx.shared.work_cv.notify_all();
+    if let Some(tail) = seal {
+        ctx.shared.stats.seal(&mut tail.lock().expect("tail lock"));
+    }
 
     let body = obj(vec![
         ("id", Json::U64(id)),
@@ -530,6 +578,7 @@ fn cancel_job(ctx: &Arc<Ctx>, id: u64) -> Reply {
     let marker = job.ckpt.with_extension("cancel");
     durable::write_atomic(&marker, b"cancelled\n")
         .map_err(|e| (500, format!("persisting cancel marker: {e}")))?;
+    let was_settled = job.is_settled();
     job.cancel.cancel();
     let mut newly_cancelled = 0usize;
     for index in 0..job.slots().len() {
@@ -547,6 +596,10 @@ fn cancel_job(ctx: &Arc<Ctx>, id: u64) -> Reply {
                 let _ = durable::append_line(&job.ckpt, &flexsim::jsonio::frame_record(&line));
             }
         }
+    }
+    if !was_settled && job.is_settled() {
+        // A cancelled job keeps its live tail (see `Job::release_settled`).
+        let _ = ctx.shared.settle(job);
     }
     let t = job.counts();
     let body = obj(vec![
@@ -691,6 +744,10 @@ fn stats(ctx: &Arc<Ctx>) -> Reply {
             ]),
         ),
         ("sims_run", Json::U64(s.sims_run.load(Ordering::Relaxed))),
+        (
+            "leases_acquired",
+            Json::U64(s.leases_acquired.load(Ordering::Relaxed)),
+        ),
         (
             "leases_reclaimed",
             Json::U64(s.leases_reclaimed.load(Ordering::Relaxed)),

@@ -25,6 +25,17 @@
 //! by a dead former owner is adopted, never recomputed — and the shared
 //! content-addressed cache is the final dedup guard.
 //!
+//! Leases guard work, not lookups: a configuration already in the cache
+//! when its job is submitted never reaches a worker. `submit_job` writes
+//! its record into the checkpoint the job is born with, before the job is
+//! published, so a checkpoint record is appended either by the submitter
+//! before publication or by a lease holder — never by anyone else.
+//!
+//! A job whose last slot settles is accounted once, in
+//! [`Shared::settle`], and gives back what only an unsettled job needs:
+//! its configurations, and — when every verdict is durable — the tail's
+//! per-index state ([`CheckpointTail::seal`]).
+//!
 //! Every look at a checkpoint goes through the job's one
 //! [`CheckpointTail`]: a refresh reads and verifies only the bytes
 //! appended since the previous one, so the post-acquire check, the
@@ -125,6 +136,8 @@ impl Tally {
 #[derive(Debug)]
 pub struct Job {
     pub id: u64,
+    /// Read only for slots that can still run (by `execute_unit` and the
+    /// cancel endpoint); empty once the job has settled.
     pub configs: Vec<RunConfig>,
     /// Written only through [`Job::set_slot`], which keeps `counts` in
     /// step.
@@ -237,10 +250,22 @@ impl Job {
         }
     }
 
+    /// Releases what only an unsettled job needs and says whether the
+    /// tail may be sealed too: only when every slot holds a durable
+    /// verdict. A `Failed` slot is memory-only (a restart retries it), and
+    /// a cancelled job may still receive the record of a sibling that was
+    /// mid-run when the marker landed, so both keep a live tail.
+    fn release_settled(&mut self) -> bool {
+        debug_assert!(self.is_settled());
+        self.configs = Vec::new();
+        self.counts.failed == 0 && !self.cancel.is_cancelled()
+    }
+
     /// Recovery: the tail's first, whole-file pass. Restores completed
     /// and cancelled slots, records what the pass found, seals a torn
     /// tail with a guard newline so fresh appends start clean, and
-    /// applies the durable cancel marker.
+    /// applies the durable cancel marker. A job that comes back settled
+    /// is released like one that settles here.
     pub fn recover(&mut self, stats: &Stats) {
         let tail = Arc::clone(&self.tail);
         let mut tail = tail.lock().expect("tail lock");
@@ -253,6 +278,9 @@ impl Job {
         if self.ckpt.with_extension("cancel").exists() {
             self.cancel.cancel();
             self.cancel_waiting();
+        }
+        if self.is_settled() && self.release_settled() {
+            stats.seal(&mut tail);
         }
     }
 }
@@ -274,6 +302,9 @@ pub struct Stats {
     pub jobs_submitted: AtomicU64,
     pub jobs_resumed: AtomicU64,
     pub jobs_completed: AtomicU64,
+    /// Leases won by this process's workers. Settling a cache hit at
+    /// submit takes none.
+    pub leases_acquired: AtomicU64,
     /// Stale leases broken (work reclaimed from dead siblings).
     pub leases_reclaimed: AtomicU64,
     /// HTTP requests read off accepted connections.
@@ -287,12 +318,24 @@ impl Stats {
     /// Brings `tail` up to date with its file, counting the pass. A
     /// failed read leaves the tail where it was; the next refresh retries.
     pub fn refresh(&self, tail: &mut CheckpointTail) {
-        match tail.refresh() {
+        let read = tail.refresh();
+        self.count_pass(tail.path(), read);
+    }
+
+    /// [`refresh`](Stats::refresh) for the last time: see
+    /// [`CheckpointTail::seal`].
+    pub(crate) fn seal(&self, tail: &mut CheckpointTail) {
+        let read = tail.seal();
+        self.count_pass(tail.path(), read);
+    }
+
+    fn count_pass(&self, path: &Path, read: std::io::Result<u64>) {
+        match read {
             Ok(bytes) => {
                 self.ckpt_refreshes.fetch_add(1, Ordering::Relaxed);
                 self.ckpt_bytes_read.fetch_add(bytes, Ordering::Relaxed);
             }
-            Err(e) => eprintln!("campaign: reading {}: {e}", tail.path().display()),
+            Err(e) => eprintln!("campaign: reading {}: {e}", path.display()),
         }
     }
 }
@@ -342,6 +385,17 @@ impl Shared {
             leases,
             held: Mutex::new(HashMap::new()),
         })
+    }
+
+    /// Accounts for a job whose last slot has just settled — called
+    /// exactly once per job, under the job-table lock, by whoever flipped
+    /// that slot. Returns the tail when it is to be sealed, which the
+    /// caller does through [`Stats::seal`] once the lock is released (the
+    /// seal reads the file).
+    #[must_use]
+    pub(crate) fn settle(&self, job: &mut Job) -> Option<Arc<Mutex<CheckpointTail>>> {
+        self.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        job.release_settled().then(|| Arc::clone(&job.tail))
     }
 
     /// Deals every `Pending` slot of `job_id` round-robin across the
@@ -482,6 +536,7 @@ impl Shared {
                 return self.unclaim(unit);
             }
         };
+        self.stats.leases_acquired.fetch_add(1, Ordering::Relaxed);
         if acquired.reclaimed {
             self.stats.leases_reclaimed.fetch_add(1, Ordering::Relaxed);
             let mut inner = self.inner.lock().unwrap();
@@ -522,7 +577,8 @@ impl Shared {
                             if let Some(job) = inner.jobs.get_mut(&unit.job) {
                                 job.set_slot(unit.index, SlotState::Failed(e.to_string()));
                                 if job.is_settled() {
-                                    self.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                                    // A failed slot keeps the tail live.
+                                    let _ = self.settle(job);
                                 }
                             }
                             return;
@@ -580,8 +636,10 @@ impl Shared {
                 Err(timed_out) => SlotState::Cancelled { timed_out },
             },
         );
-        if job.is_settled() {
-            self.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        let seal = job.is_settled().then(|| self.settle(job)).flatten();
+        drop(inner);
+        if let Some(tail) = seal {
+            self.stats.seal(&mut tail.lock().expect("tail lock"));
         }
     }
 
@@ -616,7 +674,6 @@ impl Shared {
                 job.cancel.cancel();
             }
             job.adopt(&tail);
-            drop(tail);
             if job.cancel.is_cancelled() {
                 job.cancel_waiting();
             }
@@ -624,10 +681,14 @@ impl Shared {
             // never scheduled here): execute_unit re-arbitrates with the
             // lease, so the worst case is a cheap failed acquire.
             Self::enqueue_pending(&mut inner, id);
-            let job = inner.jobs.get(&id).unwrap();
+            let job = inner.jobs.get_mut(&id).expect("looked up above");
             woke_work |= job.slots.contains(&SlotState::Queued);
-            if !was_settled && job.is_settled() {
-                self.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
+            let seal = (!was_settled && job.is_settled())
+                .then(|| self.settle(job))
+                .flatten();
+            drop(inner);
+            if seal.is_some() {
+                self.stats.seal(&mut tail);
             }
         }
         if woke_work {
@@ -782,6 +843,41 @@ mod tests {
         }
         assert!(job.is_settled());
         assert_eq!(job.counts().cached, 1);
+    }
+
+    /// Settlement is counted per job and gives the configurations back;
+    /// the tail is handed out for sealing only when every verdict is
+    /// durable — never with a `Failed` slot, never for a cancelled job.
+    #[test]
+    fn settled_job_has_empty_configs_and_seals_only_durable_verdicts() {
+        let dir = temp_dir("settle");
+        let shared = Shared::new(
+            1,
+            SweepOptions::default(),
+            ResultCache::open(dir.join("cache")).unwrap(),
+            LeaseDir::open(dir.join("leases"), Duration::from_secs(5)).unwrap(),
+        );
+        let done = SlotState::Done {
+            cached: true,
+            restored: false,
+        };
+        let timed_out = SlotState::Cancelled { timed_out: true };
+
+        let mut durable = dummy_job(1, vec![done.clone(), timed_out]);
+        assert_eq!(durable.configs.len(), 2);
+        assert!(shared.settle(&mut durable).is_some());
+        assert!(durable.configs.is_empty());
+
+        let mut failed = dummy_job(2, vec![done.clone(), SlotState::Failed("boom".into())]);
+        assert!(shared.settle(&mut failed).is_none());
+        assert!(failed.configs.is_empty());
+
+        let mut cancelled = dummy_job(3, vec![done, SlotState::Cancelled { timed_out: false }]);
+        cancelled.cancel.cancel();
+        assert!(shared.settle(&mut cancelled).is_none());
+
+        assert_eq!(shared.stats.jobs_completed.load(Ordering::Relaxed), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -15,6 +15,8 @@
 //!    member is SIGKILLed mid-sweep — and the survivor still converges
 //!    to results digest-identical to a clean in-process
 //!    `sweep_supervised`, with the corruption detected and surfaced.
+//! 3. A cached grid submitted to one member reaches its sibling already
+//!    settled: one record per slot, and the sibling takes no lease.
 //!
 //! Everything runs on ephemeral 127.0.0.1 ports; no network egress.
 
@@ -24,7 +26,10 @@ use std::time::Duration;
 
 use deadlock_characterization::flexsim::jsonio::{durable, Json};
 use deadlock_characterization::server::{CampaignServer, Client, ServerOptions, SweepGrid};
-use icn_bench::{crash_storyline, direct_digests, scratch_dir, settles_to, short_grid, Member};
+use icn_bench::{
+    checkpoint_path, crash_storyline, direct_digests, result_indices, scratch_dir, settles_to,
+    short_grid, Member,
+};
 
 /// Re-exec entry point, not a test of its own: the chaos tests spawn
 /// this binary again with `--exact worker_entry` and `ICN_CHAOS_DATA`
@@ -101,6 +106,48 @@ fn concurrent_fleet_completes_shared_grid_without_duplicate_sims() {
     // sum exactly the grid size.
     let sims = via_a.stat(&["sims_run"]).unwrap() + via_b.stat(&["sims_run"]).unwrap();
     assert_eq!(sims, n as u64, "every config simulated exactly once");
+
+    a.shutdown(via_a.addr).expect("a exits cleanly");
+    b.shutdown(via_b.addr).expect("b exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cached grid crosses the fleet already settled: the submitter wrote
+/// every record before it published the job, so the sibling whose scanner
+/// finds it has nothing to lease, nothing to simulate and nothing to
+/// append.
+#[test]
+fn cached_grid_reaches_the_sibling_settled_and_nobody_appends() {
+    let dir = scratch_dir("chaos-test-cached");
+    let grid = chaos_grid();
+    let n = grid.expand().len() as u64;
+    let want = direct_digests(&grid).expect("direct sweep");
+
+    // A fills the cache alone; B joins with its scanner running.
+    let mut a = test_spawner(&dir, "a", 2, None).expect("spawn a");
+    let via_a = Client::new(a.wait_addr(Duration::from_secs(60)).expect("a binds"));
+    let cold = via_a.submit(&grid).expect("submit");
+    settles_to(via_a, cold, &want).expect("cold run");
+    let mut b = test_spawner(&dir, "b", 2, None).expect("spawn b");
+    let via_b = Client::new(b.wait_addr(Duration::from_secs(60)).expect("b binds"));
+
+    let id = via_a.submit(&grid).expect("resubmit");
+    let status = settles_to(via_b, id, &want).expect("B serves A's settled job");
+    assert_eq!(
+        status.get("restored").and_then(Json::as_u64),
+        Some(n),
+        "B found every record in the checkpoint: {status:?}"
+    );
+    settles_to(via_a, id, &want).expect("A serves it too");
+    assert_eq!(via_b.stat(&["sims_run"]).unwrap(), 0);
+    assert_eq!(via_b.stat(&["leases_acquired"]).unwrap(), 0);
+    assert_eq!(via_a.stat(&["sims_run"]).unwrap(), n);
+    assert_eq!(via_a.stat(&["leases_acquired"]).unwrap(), n);
+    assert_eq!(
+        result_indices(&checkpoint_path(&dir, id)),
+        (0..n).collect::<Vec<_>>(),
+        "exactly one record per slot, all the submitter's"
+    );
 
     a.shutdown(via_a.addr).expect("a exits cleanly");
     b.shutdown(via_b.addr).expect("b exits cleanly");

@@ -14,20 +14,25 @@
 //!    reads O(file) bytes, not O(N × file).
 //! 5. A client that stalls mid-request is answered 408 and pins no
 //!    handler.
+//! 6. Cache hits settle at submit: a cached config takes no lease and
+//!    no worker, its record is in the checkpoint the job is born with,
+//!    and a checkpoint no grid names is never read.
 //!
 //! Everything runs on an ephemeral 127.0.0.1 port; no network egress.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use deadlock_characterization::flexsim::jsonio::{parse, Json};
-use deadlock_characterization::flexsim::{sweep_supervised, RunConfig, SweepOptions};
+use deadlock_characterization::flexsim::jsonio::{durable, frame_record, parse, Json};
+use deadlock_characterization::flexsim::{
+    checkpoint_line, sweep_supervised, RunConfig, SweepOptions,
+};
 use deadlock_characterization::server::{
     http_request, Client, ResultCache, ServerOptions, SweepGrid,
 };
 use icn_bench::{
-    checkpoint_path, direct_digests, knotting_config, resubmission_storyline, scratch_dir,
-    settles_to, short_grid, wait_lines,
+    checkpoint_path, direct_digests, full_line_count, garble_last_record, knotting_config,
+    resubmission_storyline, result_indices, scratch_dir, settles_to, short_grid, wait_lines,
 };
 
 /// How long any job in this file may take to settle.
@@ -349,7 +354,9 @@ fn bad_requests_get_clean_errors() {
 /// job's incremental tail, so the bytes all refreshes read together stay
 /// within a small multiple of the final file, however many configs the
 /// job has. (Re-reading the file after each lease win costs N/2 times
-/// its size.)
+/// its size.) The job is found on disk at start-up rather than submitted
+/// — a submission would settle its hits before any worker saw them — so
+/// every config is a late hit behind a lease win.
 #[test]
 fn checkpoint_bytes_read_are_linear_in_job_size() {
     const CONFIGS: u64 = 1_500;
@@ -370,8 +377,15 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
         cache.store(cfg, &result).unwrap();
     }
 
+    let id = 1;
+    std::fs::create_dir_all(dir.join("jobs")).unwrap();
+    std::fs::write(
+        dir.join("jobs").join(format!("job-{id}.json")),
+        grid.to_json().to_string(),
+    )
+    .unwrap();
+
     let (client, handle) = start_server(&dir, 2);
-    let id = client.submit(&grid).expect("submit");
     let status = client.wait_done(id, SETTLE).expect("settles");
     assert_eq!(
         status.get("cached").and_then(Json::as_u64),
@@ -379,6 +393,7 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
         "every slot is a cache hit: {status:?}"
     );
     assert_eq!(client.stat(&["sims_run"]).unwrap(), 0);
+    assert_eq!(client.stat(&["leases_acquired"]).unwrap(), CONFIGS);
     let (code, stream) =
         http_request(client.addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
     assert_eq!(code, 200);
@@ -395,7 +410,7 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
         "refreshes read {read} bytes of a {size}-byte checkpoint"
     );
     assert!(client.stat(&["checkpoint", "refreshes"]).unwrap() >= CONFIGS);
-    assert!(client.stat(&["requests"]).unwrap() >= 4);
+    assert!(client.stat(&["requests"]).unwrap() >= 3);
 
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
@@ -436,5 +451,193 @@ fn stalled_client_gets_408_and_delays_nobody() {
     );
 
     shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The three `/stats` counters the settle-at-submit rule is stated in.
+fn work_counters(client: Client) -> [u64; 3] {
+    [&["sims_run"][..], &["cache", "hits"], &["leases_acquired"]]
+        .map(|path| client.stat(path).expect("stats"))
+}
+
+fn deltas(before: [u64; 3], after: [u64; 3]) -> [u64; 3] {
+    [0, 1, 2].map(|k| after[k] - before[k])
+}
+
+/// A fully cached resubmission is settled inside `POST /jobs`: the first
+/// status already says `done`, the results stream is complete, no lease
+/// was taken and nothing simulated — and the checkpoint the job was born
+/// with holds each slot's record exactly once. `jobs.completed` moves by
+/// one, once: the scanner finds nothing left to settle.
+#[test]
+fn fully_cached_resubmission_is_done_at_submit_without_a_lease() {
+    let dir = scratch_dir("e2e-born-done");
+    let grid = test_grid();
+    let want = direct_digests(&grid).expect("direct sweep");
+    let n = want.len() as u64;
+    let mut opts = ServerOptions::new(&dir);
+    opts.workers = 2;
+    opts.scan_interval = Duration::from_millis(40);
+    let (client, handle) = Client::serve_local(&opts).expect("bind");
+
+    let cold = client.submit(&grid).expect("submit");
+    settles_to(client, cold, &want).expect("cold run");
+    assert_eq!(
+        work_counters(client),
+        [n, 0, n],
+        "a miss simulates under a lease"
+    );
+    let completed = client.stat(&["jobs", "completed"]).unwrap();
+
+    let before = work_counters(client);
+    let id = client.submit(&grid).expect("resubmit");
+    let (code, first) = http_request(client.addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+    assert_eq!(code, 200);
+    let first = parse(&first).unwrap();
+    assert_eq!(first.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(first.get("cached").and_then(Json::as_u64), Some(n));
+    let (complete, got) = client.result_digests(id, want.len()).expect("results");
+    assert!(complete, "X-Job-Complete: true on the first fetch");
+    assert_eq!(got, want, "served from the cache == the direct sweep");
+    assert_eq!(deltas(before, work_counters(client)), [0, n, 0]);
+
+    let ckpt = checkpoint_path(&dir, id);
+    assert_eq!(full_line_count(&ckpt) as u64, n);
+    assert_eq!(result_indices(&ckpt), (0..n).collect::<Vec<_>>());
+
+    // Several scanner passes later it is still counted once.
+    std::thread::sleep(Duration::from_millis(250));
+    assert_eq!(client.stat(&["jobs", "completed"]).unwrap(), completed + 1);
+    assert_eq!(full_line_count(&ckpt) as u64, n);
+
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A half-cached grid: the hits are settled at submit, the misses are
+/// simulated by workers under leases, and the checkpoint ends with one
+/// record per slot whoever wrote it.
+#[test]
+fn half_cached_grid_settles_hits_at_submit_and_leases_only_misses() {
+    let dir = scratch_dir("e2e-half-cached");
+    let grid = test_grid();
+    let want = direct_digests(&grid).expect("direct sweep");
+    let n = want.len() as u64;
+    let mut half = grid.clone();
+    half.loads.truncate(1);
+    let h = half.expand().len() as u64;
+    assert!(0 < h && h < n);
+    let (client, handle) = start_server(&dir, 2);
+
+    let warm = client.submit(&half).expect("submit");
+    client.wait_done(warm, SETTLE).expect("cache fill");
+
+    let before = work_counters(client);
+    let id = client.submit(&grid).expect("submit");
+    let status = settles_to(client, id, &want).expect("served == direct");
+    assert_eq!(status.get("cached").and_then(Json::as_u64), Some(h));
+    assert_eq!(status.get("completed").and_then(Json::as_u64), Some(n));
+    assert_eq!(deltas(before, work_counters(client)), [n - h, h, n - h]);
+
+    let ckpt = checkpoint_path(&dir, id);
+    assert_eq!(full_line_count(&ckpt) as u64, n);
+    let mut indices = result_indices(&ckpt);
+    indices.sort_unstable();
+    assert_eq!(indices, (0..n).collect::<Vec<_>>());
+
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a submitter killed between its two creates leaves behind — a
+/// checkpoint of valid records that no grid names — is not a job: it is
+/// never listed, never read, and its id is passed over.
+#[test]
+fn orphan_checkpoint_is_no_job_and_its_id_is_skipped() {
+    let dir = scratch_dir("e2e-orphan");
+    let grid = test_grid();
+    let configs = grid.expand();
+    let want = direct_digests(&grid).expect("direct sweep");
+
+    // Records that *would* restore every slot of this very grid, carrying
+    // another config's result: read by anyone, they would show.
+    let foreign = sweep_supervised(
+        &short_grid(vec![99], vec![0.3]).expand(),
+        &SweepOptions::default(),
+    )
+    .remove(0)
+    .expect("direct run");
+    assert!(!want.contains(&foreign.digest()));
+    let orphan = checkpoint_path(&dir, 1);
+    std::fs::create_dir_all(orphan.parent().unwrap()).unwrap();
+    for (index, cfg) in configs.iter().enumerate() {
+        let line = checkpoint_line(index, &cfg.label(), &foreign);
+        durable::append_line(&orphan, &frame_record(&line)).unwrap();
+    }
+    let planted = std::fs::read(&orphan).unwrap();
+
+    let (client, handle) = start_server(&dir, 2);
+    let (code, _) = http_request(client.addr, "GET", "/jobs/1", None).unwrap();
+    assert_eq!(code, 404, "an orphan checkpoint is not a job");
+    assert_eq!(client.stat(&["jobs", "resumed"]).unwrap(), 0);
+
+    let id = client.submit(&grid).expect("submit");
+    assert_eq!(id, 2, "the orphan's id is taken");
+    settles_to(client, id, &want).expect("none of the orphan's records");
+    assert_eq!(full_line_count(&checkpoint_path(&dir, id)), want.len());
+    let (code, _) = http_request(client.addr, "GET", "/jobs/1", None).unwrap();
+    assert_eq!(code, 404);
+    assert_eq!(std::fs::read(&orphan).unwrap(), planted, "never written");
+    assert!(!orphan.with_extension("quarantine").exists(), "never read");
+
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A settled job's tail is sealed, not trusted: a record garbled at rest
+/// is dropped from the stream on the next fetch, and a restarted server
+/// re-settles exactly that slot — from the cache, under one lease.
+#[test]
+fn sealed_job_garbled_at_rest_drops_the_line_and_resettles_the_slot() {
+    let dir = scratch_dir("e2e-sealed-garble");
+    let grid = test_grid();
+    let want = direct_digests(&grid).expect("direct sweep");
+    let n = want.len();
+    let (client, handle) = start_server(&dir, 2);
+    let cold = client.submit(&grid).expect("submit");
+    settles_to(client, cold, &want).expect("cold run");
+    let id = client.submit(&grid).expect("resubmit");
+    settles_to(client, id, &want).expect("settled at submit");
+
+    // The batch is in slot order: the last record is slot n - 1.
+    let ckpt = checkpoint_path(&dir, id);
+    garble_last_record(&ckpt).expect("garble");
+    let (complete, got) = client.result_digests(id, n).expect("results");
+    assert!(complete);
+    assert_eq!(got[..n - 1], want[..n - 1]);
+    assert_eq!(got[n - 1], "", "the damaged record is not served");
+    shutdown(client, handle);
+
+    let (client2, handle2) = start_server(&dir, 2);
+    let status = settles_to(client2, id, &want).expect("re-settled");
+    assert_eq!(
+        status
+            .get("checkpoint")
+            .and_then(|c| c.get("corrupt_frames"))
+            .and_then(Json::as_u64),
+        Some(1),
+        "the damage is surfaced: {status:?}"
+    );
+    assert_eq!(
+        status.get("restored").and_then(Json::as_u64),
+        Some(n as u64 - 1)
+    );
+    assert_eq!(
+        work_counters(client2),
+        [0, 1, 1],
+        "one slot, from the cache"
+    );
+    assert_eq!(full_line_count(&ckpt), n + 1);
+    shutdown(client2, handle2);
     let _ = std::fs::remove_dir_all(&dir);
 }
