@@ -72,10 +72,9 @@
 //! brute-force enumerator and the naive cycle counter (cycle census, knot
 //! density and their cap law) on randomized CWGs (`--cwgs`, default 512),
 //! on every detection epoch of `--configs` (default 16) seeded random
-//! live configurations (with full invariant auditing; `--shards N` runs
-//! them with N transfer-decide partitions so the oracle audits that path;
-//! `--incremental` repeats the campaign with every config forced through
-//! the event-patched incremental detector), on freshly
+//! live configurations (with full invariant auditing; `--incremental`
+//! repeats the campaign with every config forced through the
+//! event-patched incremental detector), on freshly
 //! captured forensics incidents, on every incident in `--store DIR` (if
 //! given), and — unless `--no-explore` — on every schedule of the
 //! exhaustive small-world explorer. Any disagreement exits non-zero and
@@ -119,8 +118,8 @@ const COMMANDS: &[Command] = &[
         forensics_main,
     ),
     (
-        "repro validate [--configs N] [--cwgs N] [--seed N] [--shards N] [--incremental] \
-         [--store DIR] [--no-explore]",
+        "repro validate [--configs N] [--cwgs N] [--seed N] [--incremental] [--store DIR] \
+         [--no-explore]",
         validate_main,
     ),
     ("repro faults [--seed N] [--expect-stall]", faults_main),
@@ -381,7 +380,6 @@ fn validate_main(args: &Args) -> i32 {
     let num_cwgs: u64 = args.flag("--cwgs", 512);
     let num_configs: usize = args.flag("--configs", 16);
     let base_seed: u64 = args.flag("--seed", 0xdeadbeef);
-    let shards: usize = args.flag("--shards", 1);
     let incremental = args.switch("--incremental");
     let explore = !args.switch("--no-explore");
     let started = Instant::now();
@@ -428,13 +426,7 @@ fn validate_main(args: &Args) -> i32 {
 
     // Stage 2: live campaign over seeded random configurations, each run
     // under the full invariant-auditing observer.
-    if shards > 1 {
-        println!(
-            "== validate: live campaign over {num_configs} random configs (shards={shards}) =="
-        );
-    } else {
-        println!("== validate: live campaign over {num_configs} random configs ==");
-    }
+    println!("== validate: live campaign over {num_configs} random configs ==");
     // Prints one campaign's tally and failures; true when it passed.
     let report = |what: &str, campaign: v::CampaignOutcome| {
         println!(
@@ -452,10 +444,7 @@ fn validate_main(args: &Args) -> i32 {
         }
         campaign.failures.is_empty()
     };
-    ok &= report(
-        "config",
-        v::campaign_with_shards(num_configs, base_seed, shards),
-    );
+    ok &= report("config", v::campaign(num_configs, base_seed));
 
     // Stage 2b: the same campaign forced through the incremental
     // detector, auditing the event-patched CWG's every epoch.

@@ -26,13 +26,20 @@ fn an_undeclared_flag_exits_2_naming_the_commands_flags() {
     );
     assert!(stderr(&out).contains("[--small]"), "{}", stderr(&out));
 
-    // Declared for `validate` is `--configs`; for `forensics`, not `--configs`.
+    // Declared for `validate` is `--configs`; for `forensics`, not
+    // `--configs`; and `--shards` went with the partitioned decide.
     for args in [
         ["validate", "--config", "4"],
         ["forensics", "--configs", "4"],
+        ["validate", "--shards", "4"],
     ] {
         let out = repro(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag `{}`", args[1])),
+            "{}",
+            stderr(&out)
+        );
         assert!(stderr(&out).contains("usage: repro"), "{}", stderr(&out));
     }
 }

@@ -7,7 +7,7 @@
 
 pub use icn_sim::{FaultEvent, FaultKind, FaultPlan};
 
-use crate::jsonio::{bad, obj, Json, ParseError};
+use crate::jsonio::{bad, narrow, obj, Json, ParseError};
 use crate::spec::TopologySpec;
 use crate::validate::SplitMix64;
 
@@ -67,17 +67,17 @@ pub fn plan_from_json(v: &Json) -> Result<FaultPlan, ParseError> {
             .ok_or_else(|| bad("fault event needs a `t` tag"))?;
         let kind = match tag {
             "link-down" => FaultKind::LinkDown {
-                channel: field_u64(e, "channel")? as u32,
+                channel: narrow(field_u64(e, "channel")?, "channel")?,
             },
             "link-up" => FaultKind::LinkUp {
-                channel: field_u64(e, "channel")? as u32,
+                channel: narrow(field_u64(e, "channel")?, "channel")?,
             },
             "node-stall" => FaultKind::NodeStall {
-                node: field_u64(e, "node")? as u32,
+                node: narrow(field_u64(e, "node")?, "node")?,
                 cycles: field_u64(e, "cycles")?,
             },
             "injector-down" => FaultKind::InjectorDown {
-                node: field_u64(e, "node")? as u32,
+                node: narrow(field_u64(e, "node")?, "node")?,
                 cycles: field_u64(e, "cycles")?,
             },
             other => return Err(bad(&format!("unknown fault kind `{other}`"))),

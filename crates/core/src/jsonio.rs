@@ -33,6 +33,12 @@ pub fn get_u64(v: &Json, key: &str) -> Result<u64, ParseError> {
         .ok_or_else(|| bad(&format!("`{key}` must be an unsigned integer")))
 }
 
+/// Narrows an untrusted `u64` to the width of the field it fills: a
+/// value that does not fit is an error, never a silent truncation.
+pub fn narrow<T: TryFrom<u64>>(n: u64, key: &str) -> Result<T, ParseError> {
+    T::try_from(n).map_err(|_| bad(&format!("`{key}` is out of range: {n}")))
+}
+
 /// Required numeric field (integers widen).
 pub fn get_f64(v: &Json, key: &str) -> Result<f64, ParseError> {
     get(v, key)?

@@ -75,8 +75,8 @@ pub use tail::{read_results, CheckpointTail, LineSpan, Verdict};
 /// server's content-addressed cache keys. Bump it whenever a change can
 /// alter any [`RunResult`] digest for an unchanged configuration — a
 /// perf refactor that stays byte-identical (the repo's differential
-/// suites enforce this, including at any `shards` count) does NOT need a
-/// bump, which is what makes cached results durable across such PRs.
+/// suites enforce this) does NOT need a bump, which is what makes cached
+/// results durable across such PRs.
 pub const ENGINE_VERSION: &str = "flexsim-engine-v2";
 
 use icn_traffic::{MsgLenDist, Pattern};
@@ -118,11 +118,6 @@ pub struct RunConfig {
     /// be classified multi-cycle. [`config_from_json`] rejects
     /// smaller values.
     pub density_cap: u64,
-    /// Skip knot re-analysis when an epoch's blocked wait-state hashes
-    /// identically to the previous epoch's and that epoch was clean. Exact
-    /// (knots are closed exclusively by blocked messages), modulo 64-bit
-    /// hash collisions; disable to force a full analysis every epoch.
-    pub fingerprint_skip: bool,
     /// How deadlocks are broken.
     pub recovery: RecoveryPolicy,
     /// RNG seed (traffic generation).
@@ -135,14 +130,9 @@ pub struct RunConfig {
     /// Scheduled fault injection (link outages, router stalls, injector
     /// failures). An empty plan is byte-identical to no plan.
     pub faults: FaultPlan,
-    /// Decide partitions for the engine's transfer phase (see
-    /// [`icn_sim::Network::set_shards`]). 1 = the fused serial walk;
-    /// values above 1 split the pure transfer-decide pass over contiguous
-    /// ranges of the active-channel bitset (allocation, release, snapshot
-    /// capture and faulted runs stay serial). Digest-neutral — results are
-    /// byte-identical at any count — and effective only with the
-    /// `parallel` cargo feature (clamped to 1 otherwise, and to one
-    /// partition per 64 channels with it).
+    /// Inert shim, read by nothing: the partitioned decide it selected is
+    /// gone. Kept only because `benchmark/src/run.rs` sets it; dropped
+    /// with ROADMAP item 1.
     pub shards: usize,
     /// Progress watchdog: when `Some(t)`, a run that makes no progress
     /// (no injection, link movement, drain, delivery, recovery start, or
@@ -172,7 +162,6 @@ impl RunConfig {
             count_cycles_every: None,
             cycle_cap: 150_000,
             density_cap: 2_000,
-            fingerprint_skip: true,
             recovery: RecoveryPolicy::RemoveOldest,
             seed: 0x5ca1ab1e,
             forensics: None,

@@ -16,26 +16,6 @@ use crate::result::{RunOutcome, RunResult, StallReport};
 use crate::spec::{DetectionMode, RecoveryPolicy};
 use crate::RunConfig;
 
-/// Prints `msg()` to stderr the first time `key` is seen in this process
-/// and never again; returns whether it printed. One shared registry for
-/// every once-style notice (parallelism downgrades today), so a 10k-point
-/// sweep emits each warning once, not 10k times.
-pub(crate) fn log_once(key: &'static str, msg: impl FnOnce() -> String) -> bool {
-    use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock};
-    static LOGGED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut seen = LOGGED
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .expect("log_once registry poisoned");
-    if seen.insert(key) {
-        eprintln!("{}", msg());
-        true
-    } else {
-        false
-    }
-}
-
 /// What [`RunObserver::on_epoch`] sees at a detection epoch: the snapshot,
 /// its analysis, and the network — immediately after knot analysis and
 /// before recovery mutates anything.
@@ -178,25 +158,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     }
     cfg.len_dist.validate();
     let mut net = Network::new(topo.clone(), cfg.routing.build(), cfg.sim);
-    let eff_shards = net.set_shards(cfg.shards);
-    if eff_shards < cfg.shards {
-        // The knob is digest-neutral, so a clamp never changes results —
-        // but sweeps and server configs that *asked* for partitions
-        // deserve to know what they got. Once per process, not per run: a
-        // 10k-point sweep should not print 10k warnings.
-        log_once("shards_downgraded", || {
-            let why = if cfg!(feature = "parallel") {
-                "one partition per 64 channels is the ceiling for this network"
-            } else {
-                "build the `parallel` feature for more"
-            };
-            format!(
-                "flexsim: shards={} requested but running with {eff_shards} ({why}); \
-                 results are identical",
-                cfg.shards
-            )
-        });
-    }
     if !cfg.faults.is_empty() {
         net.set_fault_plan(&cfg.faults);
     }
@@ -345,11 +306,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             // same thing). Census epochs always capture: the cycle census
             // reads the rebuilt graph.
             let captured = match dwg.as_ref() {
-                Some(d) => {
-                    !(cfg.fingerprint_skip
-                        && !census_due
-                        && clean_fingerprint == Some(d.fingerprint()))
-                }
+                Some(d) => census_due || clean_fingerprint != Some(d.fingerprint()),
                 None => true,
             };
             if captured {
@@ -373,7 +330,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             // uncaptured epoch already proved the latter.
             let skip = !captured
                 || arena.num_blocked() == 0
-                || (cfg.fingerprint_skip && clean_fingerprint == Some(arena.fingerprint()));
+                || clean_fingerprint == Some(arena.fingerprint());
 
             // The graph is needed for a full analysis, and also when a
             // census falls on a skipped epoch with blocked messages (the
@@ -620,22 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn log_once_fires_once_per_key() {
-        let calls = std::cell::Cell::new(0u32);
-        let msg = || {
-            calls.set(calls.get() + 1);
-            String::from("notice")
-        };
-        assert!(log_once("test-key-log-once-a", msg));
-        assert!(!log_once("test-key-log-once-a", msg));
-        assert!(!log_once("test-key-log-once-a", msg));
-        assert_eq!(calls.get(), 1, "message must be rendered only on first use");
-        // Distinct keys are independent.
-        assert!(log_once("test-key-log-once-b", msg));
-        assert_eq!(calls.get(), 2);
-    }
-
-    #[test]
     fn low_load_delivers_everything_cleanly() {
         let mut cfg = RunConfig::small_default();
         cfg.load = 0.2;
@@ -696,62 +637,6 @@ mod tests {
         let r = quick(&cfg);
         assert!(!r.cwg_cycles.is_empty());
         assert_eq!(r.cwg_cycles.len(), r.blocked_frac.len());
-    }
-
-    /// Every counter that feeds the paper's tables, as one comparable list.
-    fn counters(r: &RunResult) -> Vec<u64> {
-        vec![
-            r.generated,
-            r.injected,
-            r.delivered,
-            r.delivered_flits,
-            r.recovered,
-            r.deadlocks,
-            r.single_cycle_deadlocks,
-            r.multi_cycle_deadlocks,
-            r.victims_started,
-            r.dependent_committed,
-            r.dependent_transient,
-            r.counting_epochs,
-            r.cyclic_nondeadlock_epochs,
-            r.cwg_cycles.len() as u64,
-            r.incidents.len() as u64,
-            r.cycles_capped as u64,
-        ]
-    }
-
-    /// The fingerprint skip is an exact optimization: every measured
-    /// counter must be byte-identical with it on and off, both on a
-    /// deadlock-free point (where the skip fires constantly) and on a
-    /// deadlock-heavy one (where clean stretches between knots still skip).
-    #[test]
-    fn fingerprint_skip_preserves_all_counters() {
-        let mut clean = RunConfig::small_default();
-        clean.load = 0.2;
-        clean.routing = RoutingSpec::Tfar;
-        clean.sim.vcs_per_channel = 2;
-        clean.count_cycles_every = Some(3);
-
-        let mut heavy = RunConfig::small_default();
-        heavy.topology = TopologySpec::torus(8, 2, false);
-        heavy.routing = RoutingSpec::Dor;
-        heavy.sim.vcs_per_channel = 1;
-        heavy.load = 1.0;
-        heavy.count_cycles_every = Some(3);
-
-        for mut cfg in [clean, heavy] {
-            cfg.fingerprint_skip = true;
-            let on = quick(&cfg);
-            cfg.fingerprint_skip = false;
-            let off = quick(&cfg);
-            assert_eq!(counters(&on), counters(&off), "{}", cfg.label());
-            assert_eq!(on.latency.count(), off.latency.count());
-            assert_eq!(
-                on.resolution_latency.count(),
-                off.resolution_latency.count()
-            );
-            assert_eq!(on.deadlock_set.count(), off.deadlock_set.count());
-        }
     }
 
     #[test]

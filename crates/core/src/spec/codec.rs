@@ -11,7 +11,7 @@ use icn_topology::NodeId;
 use icn_traffic::{MsgLenDist, Pattern};
 
 use super::{DetectionMode, RecoveryPolicy, RoutingSpec, TopologySpec};
-use crate::jsonio::{bad, get, get_bool, get_f64, get_str, get_u64, obj, Json, ParseError};
+use crate::jsonio::{bad, get, get_bool, get_f64, get_str, get_u64, narrow, obj, Json, ParseError};
 use crate::{ForensicsConfig, RunConfig};
 
 pub(crate) fn recovery_name(p: RecoveryPolicy) -> &'static str {
@@ -56,7 +56,7 @@ fn routing_from_json(v: &Json) -> Result<RoutingSpec, ParseError> {
         "west-first" => RoutingSpec::WestFirst,
         "negative-first" => RoutingSpec::NegativeFirst,
         "misroute" => RoutingSpec::Misroute {
-            budget: get_u64(v, "budget")? as u8,
+            budget: narrow(get_u64(v, "budget")?, "budget")?,
         },
         other => return Err(bad(&format!("unknown routing `{other}`"))),
     })
@@ -86,7 +86,7 @@ fn pattern_from_json(v: &Json) -> Result<Pattern, ParseError> {
         "perfect-shuffle" => Pattern::PerfectShuffle,
         "bit-complement" => Pattern::BitComplement,
         "hot-spot" => Pattern::HotSpot {
-            hot: NodeId(get_u64(v, "hot")? as u32),
+            hot: NodeId(narrow(get_u64(v, "hot")?, "hot")?),
             fraction: get_f64(v, "fraction")?,
         },
         other => return Err(bad(&format!("unknown pattern `{other}`"))),
@@ -163,7 +163,9 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
         ),
         ("cycle_cap", Json::U64(cfg.cycle_cap)),
         ("density_cap", Json::U64(cfg.density_cap)),
-        ("fingerprint_skip", Json::Bool(cfg.fingerprint_skip)),
+        // Format legacy, like `transfer_threads` below: the skip is
+        // unconditional now, and the constant member keeps cache keys put.
+        ("fingerprint_skip", Json::Bool(true)),
         (
             "recovery",
             Json::Str(recovery_name(cfg.recovery).to_string()),
@@ -180,11 +182,11 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
             },
         ),
         ("faults", crate::faults::plan_to_json(&cfg.faults)),
-        // Format legacy: the knob is gone, but the constant member keeps
+        // Format legacy: the knobs are gone, but the constant members keep
         // the canonical text — and with it every stored cache key —
-        // byte-identical. `config_from_json` ignores it.
+        // byte-identical. `config_from_json` ignores them.
         ("transfer_threads", Json::U64(1)),
-        ("shards", Json::U64(cfg.shards as u64)),
+        ("shards", Json::U64(1)),
         (
             "stall_threshold",
             match cfg.stall_threshold {
@@ -222,7 +224,7 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
     };
     Ok(RunConfig {
         topology: TopologySpec {
-            k: get_u64(topo, "k")? as u16,
+            k: narrow(get_u64(topo, "k")?, "k")?,
             n: get_u64(topo, "n")? as usize,
             torus: get_bool(topo, "torus")?,
             bidirectional: get_bool(topo, "bidirectional")?,
@@ -252,17 +254,11 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         count_cycles_every,
         cycle_cap: get_u64(v, "cycle_cap")?,
         density_cap,
-        fingerprint_skip: get_bool(v, "fingerprint_skip")?,
         recovery: recovery_from_name(get_str(v, "recovery")?)?,
         seed: get_u64(v, "seed")?,
         forensics,
         faults: crate::faults::plan_from_json(get(v, "faults")?)?,
-        // Absent in records written before the knob existed; the serial
-        // engine is the semantic default either way.
-        shards: match get(v, "shards") {
-            Ok(j) => j.as_u64().ok_or_else(|| bad("`shards` must be u64"))? as usize,
-            Err(_) => 1,
-        },
+        shards: 1,
         stall_threshold: match get(v, "stall_threshold")? {
             Json::Null => None,
             j => Some(
@@ -296,7 +292,6 @@ mod tests {
         cfg.count_cycles_every = Some(7);
         cfg.forensics = Some(ForensicsConfig::default());
         cfg.faults.link_outage(2, 50, 90).node_stall(120, 9, 40);
-        cfg.shards = 4;
         cfg.stall_threshold = Some(500);
         cfg.detection = DetectionMode::Incremental;
         let text = config_to_json(&cfg).to_string();
@@ -341,6 +336,35 @@ mod tests {
         }
         cfg.density_cap = 2;
         assert_eq!(config_from_json(&config_to_json(&cfg)).unwrap(), cfg);
+    }
+
+    /// Every member narrower than the `u64` it travels as: a value that
+    /// does not fit is refused by name, never wrapped (`"k":65552` used to
+    /// simulate — and cache — a 16-ary network).
+    #[test]
+    fn out_of_range_members_are_rejected_not_truncated() {
+        let mut cfg = RunConfig::small_default();
+        cfg.routing = RoutingSpec::Misroute { budget: 3 };
+        cfg.pattern = Pattern::HotSpot {
+            hot: NodeId(5),
+            fraction: 0.15,
+        };
+        cfg.faults.link_outage(2, 50, 90).node_stall(120, 9, 40);
+        let text = config_to_json(&cfg).to_string();
+        for (valid, wrapping, key) in [
+            (r#""k":8"#, r#""k":65544"#, "k"),
+            (r#""budget":3"#, r#""budget":259"#, "budget"),
+            (r#""hot":5"#, r#""hot":4294967301"#, "hot"),
+            (r#""channel":2"#, r#""channel":4294967298"#, "channel"),
+            (r#""node":9"#, r#""node":4294967305"#, "node"),
+        ] {
+            assert!(text.contains(valid), "{valid} in {text}");
+            let forged = text.replacen(valid, wrapping, 1);
+            let err = config_from_json(&parse(&forged).unwrap()).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("`{key}` is out of range")), "{msg}");
+        }
+        assert_eq!(config_from_json(&parse(&text).unwrap()).unwrap(), cfg);
     }
 
     #[test]

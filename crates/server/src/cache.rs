@@ -2,9 +2,9 @@
 //!
 //! Every completed configuration is stored under a key derived from its
 //! *canonical digest*: the full [`config_to_json`] rendering (seed and
-//! fault plan included) with `shards` normalized to 1 — the engine is
-//! digest-identical at any partition count, so the knob may not fragment
-//! the cache — concatenated with [`flexsim::ENGINE_VERSION`].
+//! fault plan included) with `detection` normalized to snapshot — the
+//! two detectors are digest-identical, so the knob may not fragment the
+//! cache — concatenated with [`flexsim::ENGINE_VERSION`].
 //! Resubmitting any previously run configuration is answered from disk
 //! without simulating; an engine-semantics bump invalidates everything
 //! at once by changing every key.
@@ -32,14 +32,13 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
 }
 
 /// The canonical config text a cache key digests: config JSON with
-/// `shards` pinned to 1 and `detection` pinned to snapshot, plus the
-/// engine version. Both knobs are digest-neutral (the partitioned decide
-/// and the incremental detector produce byte-identical results), so
-/// leaving either in the key would fragment the cache with duplicate
-/// results.
+/// `detection` pinned to snapshot, plus the engine version. The knob is
+/// digest-neutral (the incremental detector produces byte-identical
+/// results), so leaving it in the key would fragment the cache with
+/// duplicate results. (`config_to_json` already writes the inert
+/// `shards` member as a constant.)
 pub fn canonical_config(cfg: &RunConfig) -> String {
     let mut c = cfg.clone();
-    c.shards = 1;
     c.detection = flexsim::DetectionMode::Snapshot;
     format!("{}\u{0}{ENGINE_VERSION}", config_to_json(&c))
 }

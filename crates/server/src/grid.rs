@@ -151,6 +151,37 @@ mod tests {
         assert_eq!(digests, expect);
     }
 
+    /// A submission's numbers are untrusted: one that does not fit its
+    /// field is a parse error (400 at the door), not a different network.
+    #[test]
+    fn rejects_out_of_range_config_members() {
+        let mut base = RunConfig::small_default();
+        base.routing = flexsim::RoutingSpec::Misroute { budget: 3 };
+        base.faults.link_outage(2, 50, 90).node_stall(120, 9, 40);
+        // The pattern type is not re-exported here; splice its text in.
+        let body = obj(vec![("base", config_to_json(&base))])
+            .to_string()
+            .replace(
+                r#"{"kind":"uniform"}"#,
+                r#"{"kind":"hot-spot","hot":5,"fraction":0.15}"#,
+            );
+        SweepGrid::from_json(&body).expect("in-range twin parses");
+        for (valid, wrapping) in [
+            (r#""k":8"#, r#""k":65544"#),
+            (r#""budget":3"#, r#""budget":259"#),
+            (r#""hot":5"#, r#""hot":4294967301"#),
+            (r#""channel":2"#, r#""channel":4294967298"#),
+            (r#""node":9"#, r#""node":4294967305"#),
+        ] {
+            assert!(body.contains(valid), "{valid} in {body}");
+            let err = SweepGrid::from_json(&body.replacen(valid, wrapping, 1)).unwrap_err();
+            assert!(
+                err.to_string().contains("out of range"),
+                "{wrapping}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn rejects_bad_axes() {
         let base = RunConfig::small_default();

@@ -280,20 +280,6 @@ pub struct Network {
     /// Bit-idempotent, so a VC that changes occupancy several times in one
     /// cycle carries exactly one mark.
     occ_dirty_words: Vec<u64>,
-    /// Decide partitions of the transfer phase (see [`Self::set_shards`]).
-    /// 1 = the fused serial walk. Above 1 the pure decide pass runs once
-    /// per contiguous word range of the active-channel bitset and the
-    /// decided moves are applied serially in ascending channel order.
-    /// Results depend on neither this count nor on how many OS threads
-    /// execute the partitions.
-    shards: usize,
-    /// Threads driving the partitioned decide, the caller included:
-    /// `min(shards, available_parallelism)`. 1 runs the partitions inline
-    /// — same partitions, same results, no spawn cost.
-    shard_workers: usize,
-    /// Partitioned-decide output buffers, one per partition (empty between
-    /// steps: the apply pass drains them every cycle).
-    xfer_bufs: Vec<Vec<Move>>,
     /// VC index → physical channel index. `vcs_per_channel` is a runtime
     /// value, so `v / vcs_per` in the per-move hot loops would compile to
     /// a hardware divide; this table is small enough to stay L1-resident.
@@ -389,92 +375,6 @@ pub(crate) fn compute_candidates(
     buf.retain(|c| !failed[c.channel.idx()]);
 }
 
-/// One decided flit movement, produced by the pure transfer-decision pass
-/// and executed by the canonical apply pass: VC `v` (owned by message slot
-/// `owner`) gains a flit that comes from VC `prev`, or from the source
-/// queue when `prev == FROM_SOURCE`.
-#[derive(Clone, Copy, Debug)]
-struct Move {
-    v: u32,
-    owner: u32,
-    prev: u32,
-}
-
-/// Read-only view of everything the transfer-decision pass consumes. All
-/// inputs are start-of-cycle state (`occ_start` is the occupancy snapshot;
-/// `link_rr`, `msg_uninjected`, ownership and feed caches are unmodified
-/// during deciding), so decisions are independent per channel: deciding a
-/// channel set in any partitioning yields the same moves, which is what
-/// makes the partitioned decide digest-identical to the serial walk.
-struct TransferCtx<'a> {
-    occ_start: &'a [u16],
-    vc_owner: &'a [u32],
-    vc_feed: &'a [u32],
-    msg_uninjected: &'a [u32],
-    owned_per_channel: &'a [u16],
-    link_rr: &'a [u8],
-    chan_scan: &'a [u64],
-    vcs_per: usize,
-    depth: u16,
-}
-
-/// Pure transfer-decision pass over the word range `words` of
-/// `ctx.chan_scan`: for each active channel, pick the one VC that carries
-/// a flit this cycle (round-robin tie-break, start-of-cycle occupancies)
-/// and record the move, in ascending channel order. Mutates nothing but
-/// `out`, so disjoint word ranges can be decided concurrently and their
-/// buffers applied in range order for a canonical apply. The decision
-/// body MUST stay in lockstep with [`Network::fused_transfer`]'s; the
-/// partitioned lockstep and digest suites pin the equivalence.
-fn decide_transfers(ctx: &TransferCtx<'_>, words: std::ops::Range<usize>, out: &mut Vec<Move>) {
-    for w in words {
-        let mut word = ctx.chan_scan[w];
-        let wbase = w << 6;
-        while word != 0 {
-            let ch = wbase + word.trailing_zeros() as usize;
-            word &= word - 1;
-            if ctx.owned_per_channel[ch] == 0 {
-                continue;
-            }
-            let base = ch * ctx.vcs_per;
-            let start = ctx.link_rr[ch] as usize;
-            for i in 0..ctx.vcs_per {
-                // `start + i < 2 * vcs_per`, so one conditional subtract
-                // replaces a hardware divide (`vcs_per` is not a constant).
-                let mut off = start + i;
-                if off >= ctx.vcs_per {
-                    off -= ctx.vcs_per;
-                }
-                let v = base + off;
-                let owner = ctx.vc_owner[v];
-                if owner == NO_OWNER || ctx.occ_start[v] >= ctx.depth {
-                    continue;
-                }
-                // The feed cache mirrors the owner's chain, so the movement
-                // decision touches only the dense per-VC vectors — never
-                // the message slab (the dense stepper still walks chains,
-                // which keeps the differential tests validating the cache).
-                let feed = ctx.vc_feed[v];
-                let moved = if feed == FROM_SOURCE {
-                    // Chain front: flits arrive from the source.
-                    ctx.msg_uninjected[owner as usize] > 0
-                } else {
-                    ctx.occ_start[feed as usize] >= 1
-                };
-                if !moved {
-                    continue;
-                }
-                out.push(Move {
-                    v: v as u32,
-                    owner,
-                    prev: feed,
-                });
-                break;
-            }
-        }
-    }
-}
-
 impl Network {
     /// A new, empty network.
     pub fn new(topo: KAryNCube, routing: Box<dyn RoutingAlgorithm>, cfg: SimConfig) -> Self {
@@ -534,9 +434,6 @@ impl Network {
             drain_idx: Vec::new(),
             drain_head: Vec::new(),
             occ_dirty_words: vec![0; n_vcs.div_ceil(64)],
-            shards: 1,
-            shard_workers: 1,
-            xfer_bufs: Vec::new(),
             vc_chan: (0..n_vcs)
                 .map(|v| (v / cfg.vcs_per_channel) as u32)
                 .collect(),
@@ -677,35 +574,12 @@ impl Network {
         }
     }
 
-    /// Sets the number of decide partitions for the activity transfer
-    /// phase and returns the **effective** value, so callers can surface
-    /// a clamp instead of silently running serial.
-    ///
-    /// With the `parallel` cargo feature, values above 1 (clamped to the
-    /// word count of the active-channel bitset, one word per 64 channels)
-    /// split the pure transfer-decision pass into that many contiguous
-    /// word ranges, decided on `min(n, available_parallelism)` threads
-    /// (the caller plus scoped workers; inline at 1); the decided moves
-    /// are then applied serially in partition order, i.e. ascending
-    /// channel order. Partition shape depends only on `(words, n)` and
-    /// decisions only on start-of-cycle state, so every observable —
-    /// events, traces, counters, digests — is byte-identical to the
-    /// serial engine at any count; the invariance suites enforce this.
-    /// Allocation, release and snapshot capture are always serial, and so
-    /// is every cycle of a run with a fault plan installed.
-    ///
-    /// Without the feature the call is a no-op and returns 1. Must be
-    /// called before stepping.
-    pub fn set_shards(&mut self, n: usize) -> usize {
-        assert_eq!(self.cycle, 0, "configure shards before stepping");
-        if cfg!(feature = "parallel") {
-            self.shards = n.min(self.chan_scan.len()).max(1);
-            self.shard_workers = std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .min(self.shards);
-            self.xfer_bufs.resize_with(self.shards, Vec::new);
-        }
-        self.shards
+    /// Inert shim: the partitioned decide is gone and every run takes the
+    /// fused serial walk, so the effective count is always 1. Kept only
+    /// because `benchmark/src/run.rs` calls it; dropped with ROADMAP
+    /// item 1.
+    pub fn set_shards(&mut self, _n: usize) -> usize {
+        1
     }
 
     // ------------------------------------------------------------------
@@ -2142,13 +2016,9 @@ impl Network {
         // swap.
         std::mem::swap(&mut self.chan_words, &mut self.chan_scan);
 
-        // Two walks, chosen from state fixed before the first step. Faulted
-        // runs always take the serial walk: the stall test lives only
-        // there, and they are rare.
+        // One walk; `fault_mode` is fixed before the first step.
         if self.fault_mode {
             self.fused_transfer::<true>(events, vcs_per, depth);
-        } else if self.shards > 1 {
-            self.partitioned_transfer(events, vcs_per, depth);
         } else {
             self.fused_transfer::<false>(events, vcs_per, depth);
         }
@@ -2184,64 +2054,6 @@ impl Network {
                 self.mark_release(slot);
             }
         }
-    }
-
-    /// Partitioned transfer: a pure decide pass over start-of-cycle state,
-    /// one [`decide_transfers`] call per contiguous word range of the scan
-    /// set, then a canonical apply pass. Partition shape depends only on
-    /// `(words, shards)`, decisions only on start-of-cycle state, and the
-    /// buffers are applied in partition order — ascending channel order —
-    /// so the move sequence is the fused serial walk's regardless of
-    /// partition count, worker count or scheduling.
-    fn partitioned_transfer(&mut self, events: &mut StepEvents, vcs_per: usize, depth: u16) {
-        let parts = self.shards;
-        let mut bufs = std::mem::take(&mut self.xfer_bufs);
-        debug_assert_eq!(bufs.len(), parts);
-        {
-            let ctx = &TransferCtx {
-                occ_start: &self.occ_start,
-                vc_owner: &self.vc_owner,
-                vc_feed: &self.vc_feed,
-                msg_uninjected: &self.msg_uninjected,
-                owned_per_channel: &self.owned_per_channel,
-                link_rr: &self.link_rr,
-                chan_scan: &self.chan_scan,
-                vcs_per,
-                depth,
-            };
-            let words = self.chan_scan.len();
-            let decide = |first: usize, chunk: &mut [Vec<Move>]| {
-                for (k, buf) in chunk.iter_mut().enumerate() {
-                    let i = first + k;
-                    decide_transfers(ctx, i * words / parts..(i + 1) * words / parts, buf);
-                }
-            };
-            if self.shard_workers <= 1 {
-                decide(0, &mut bufs);
-            } else {
-                // Contiguous blocks of partitions per worker, the first
-                // block on this thread: the thread layout affects only who
-                // fills which buffer, never what the buffers contain.
-                let per = parts.div_ceil(self.shard_workers);
-                let (own, rest) = bufs.split_at_mut(per);
-                std::thread::scope(|sc| {
-                    for (j, chunk) in rest.chunks_mut(per).enumerate() {
-                        sc.spawn(move || decide((j + 1) * per, chunk));
-                    }
-                    decide(0, own);
-                });
-            }
-        }
-        // The scan set is consumed; hand back an all-zero side for the
-        // next swap.
-        self.chan_scan.fill(0);
-        for buf in &mut bufs {
-            for &Move { v, owner, prev } in buf.iter() {
-                self.apply_move(v, owner, prev, vcs_per, events);
-            }
-            buf.clear();
-        }
-        self.xfer_bufs = bufs;
     }
 
     /// Serial fused decide+apply transfer walk: one ascending pass over the
@@ -2335,10 +2147,10 @@ impl Network {
                     if !moved {
                         continue;
                     }
-                    // Apply inline — MUST stay in lockstep with
-                    // `apply_move` (the partitioned path); the
-                    // partitioned lockstep and digest suites pin the
-                    // equivalence.
+                    // Apply: the served link stays active (round-robin
+                    // fairness), the fed VC may now feed its chain
+                    // successor, and the drained upstream VC regained
+                    // buffer space.
                     vc_occ[v] += 1;
                     occ_dirty_words[v >> 6] |= 1 << (v & 63);
                     events.link_flits += 1;
@@ -2384,66 +2196,6 @@ impl Network {
                     }
                     break;
                 }
-            }
-        }
-    }
-
-    /// Executes one decided transfer: flit enters `v`, leaves `prev` (or
-    /// the source when `prev == FROM_SOURCE`), with every activation and
-    /// release trigger the movement implies — the partitioned path's
-    /// out-of-line twin of the fused walk's inline apply.
-    #[inline]
-    fn apply_move(
-        &mut self,
-        v: u32,
-        owner: u32,
-        prev: u32,
-        vcs_per: usize,
-        events: &mut StepEvents,
-    ) {
-        let vi = v as usize;
-        let ch = self.vc_chan[vi] as usize;
-        self.vc_occ[vi] += 1;
-        self.mark_occ_dirty(v);
-        events.link_flits += 1;
-        let next_rr = vi - ch * vcs_per + 1;
-        self.link_rr[ch] = if next_rr == vcs_per { 0 } else { next_rr } as u8;
-        // The served link stays active (round-robin fairness); the
-        // fed VC may now feed its chain successor; the drained
-        // upstream VC regained buffer space.
-        self.activate_channel(ch);
-        let succ = self.vc_next[vi];
-        if succ != NO_OWNER {
-            self.activate_channel(self.vc_chan[succ as usize] as usize);
-        }
-        if prev == FROM_SOURCE {
-            let u = &mut self.msg_uninjected[owner as usize];
-            *u -= 1;
-            if *u == 0 {
-                // The injection channel frees — but the dense release
-                // phase scans the start-of-cycle active set, so a
-                // message injected *this* cycle (len 1) is only
-                // visited next cycle.
-                let injected_now = self.messages[owner as usize]
-                    .as_ref()
-                    .expect("owner live")
-                    .injected_at
-                    == self.cycle;
-                if !injected_now {
-                    self.mark_release(owner);
-                } else if !self.release_flag[owner as usize] {
-                    self.release_flag[owner as usize] = true;
-                    self.release_deferred.push(owner);
-                }
-            }
-        } else {
-            let p = prev as usize;
-            self.vc_occ[p] -= 1;
-            self.mark_occ_dirty(prev);
-            self.activate_channel(self.vc_chan[p] as usize);
-            if self.vc_occ[p] == 0 {
-                // Tail release may now be possible.
-                self.mark_release(owner);
             }
         }
     }
@@ -2907,9 +2659,6 @@ impl Network {
                 "stale cached drain head for slot {slot}"
             );
         }
-
-        // Partitioned-decide buffers fully drained between steps.
-        assert!(self.xfer_bufs.iter().all(Vec::is_empty));
 
         // Release work queue fully drained between steps; only deferred
         // visits (injection completed within the injection cycle) carry

@@ -5,8 +5,7 @@
 //! both steppers, through recovery pulls, and across fault transitions.
 //! At the run level, [`flexsim::DetectionMode::Incremental`] must produce
 //! [`RunResult::digest`]s byte-identical to snapshot mode on every golden
-//! regime, under armed fault plans, at every-cycle epochs, and (with the
-//! `parallel` feature) over the partitioned transfer path.
+//! regime, under armed fault plans, and at every-cycle epochs.
 //!
 //! [`RunResult::digest`]: flexsim::RunResult::digest
 
@@ -180,10 +179,9 @@ fn incremental_digest_matches_snapshot_under_faults() {
 
 /// `detection_interval = 1` makes every cycle an epoch: incremental mode
 /// then cross-checks its fingerprint against a fresh capture each cycle
-/// (a debug assertion inside the runner), and the digests must agree with
-/// the fingerprint fast path disabled too.
+/// (a debug assertion inside the runner).
 #[test]
-fn every_cycle_epochs_agree_with_and_without_skip() {
+fn every_cycle_epochs_agree_across_detection_modes() {
     let mut cfg = RunConfig::small_default();
     cfg.topology = flexsim::TopologySpec::torus(4, 2, false);
     cfg.sim.vcs_per_channel = 1;
@@ -194,12 +192,6 @@ fn every_cycle_epochs_agree_with_and_without_skip() {
     let want = run(&cfg).digest();
     cfg.detection = DetectionMode::Incremental;
     assert_eq!(run(&cfg).digest(), want);
-    cfg.fingerprint_skip = false;
-    cfg.detection = DetectionMode::Snapshot;
-    let strict = run(&cfg).digest();
-    cfg.detection = DetectionMode::Incremental;
-    assert_eq!(run(&cfg).digest(), strict);
-    assert_eq!(strict, want, "fingerprint skip must be exact");
 }
 
 /// Forensic capture rides on the same epochs; formation cycles recorded
@@ -232,36 +224,6 @@ fn formation_cycles_are_identical_and_causal() {
         .zip(inc.forensic_incidents.iter())
     {
         assert_eq!(a.formation_cycle, b.formation_cycle);
-    }
-}
-
-#[cfg(feature = "parallel")]
-mod sharded {
-    use super::*;
-
-    /// Only the transfer-decide pass is partitioned — allocation (the
-    /// only phase that toggles `blocked`) stays serial — so the one dirty
-    /// list feeds the same incremental stream; digests must match the
-    /// flat snapshot engine at 4 partitions.
-    #[test]
-    fn incremental_is_digest_identical_at_four_shards() {
-        let mut points = golden_saturated_points();
-        points.truncate(2);
-        for base in points {
-            let mut flat = base.clone();
-            flat.shards = 1;
-            flat.detection = DetectionMode::Snapshot;
-            let want = run(&flat).digest();
-            let mut inc = base.clone();
-            inc.shards = 4;
-            inc.detection = DetectionMode::Incremental;
-            assert_eq!(
-                run(&inc).digest(),
-                want,
-                "sharded incremental diverged for {}",
-                inc.label()
-            );
-        }
     }
 }
 

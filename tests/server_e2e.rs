@@ -342,8 +342,16 @@ fn bad_requests_get_clean_errors() {
         body.contains("density_cap"),
         "error names the field: {body}"
     );
+    // Nor is a number too wide for its field wrapped into another
+    // network: 65544 as u16 is the 8-ary torus this grid really asks for.
+    let body = test_grid().to_json().to_string();
+    assert!(body.contains("\"k\":8,"));
+    let forged = body.replacen("\"k\":8,", "\"k\":65544,", 1);
+    let (status, body) = http_request(client.addr, "POST", "/jobs", Some(&forged)).unwrap();
+    assert_eq!(status, 400);
+    assert!(body.contains("`k` is out of range"), "{body}");
     let (status, _) = http_request(client.addr, "GET", "/jobs/1", None).unwrap();
-    assert_eq!(status, 404, "the rejected grid created no job");
+    assert_eq!(status, 404, "the rejected grids created no job");
 
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
