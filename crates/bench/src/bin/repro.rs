@@ -72,9 +72,7 @@
 //! brute-force enumerator and the naive cycle counter (cycle census, knot
 //! density and their cap law) on randomized CWGs (`--cwgs`, default 512),
 //! on every detection epoch of `--configs` (default 16) seeded random
-//! live configurations (with full invariant auditing; `--incremental`
-//! repeats the campaign with every config forced through the
-//! event-patched incremental detector), on freshly
+//! live configurations (with full invariant auditing), on freshly
 //! captured forensics incidents, on every incident in `--store DIR` (if
 //! given), and — unless `--no-explore` — on every schedule of the
 //! exhaustive small-world explorer. Any disagreement exits non-zero and
@@ -118,8 +116,7 @@ const COMMANDS: &[Command] = &[
         forensics_main,
     ),
     (
-        "repro validate [--configs N] [--cwgs N] [--seed N] [--incremental] [--store DIR] \
-         [--no-explore]",
+        "repro validate [--configs N] [--cwgs N] [--seed N] [--store DIR] [--no-explore]",
         validate_main,
     ),
     ("repro faults [--seed N] [--expect-stall]", faults_main),
@@ -380,7 +377,6 @@ fn validate_main(args: &Args) -> i32 {
     let num_cwgs: u64 = args.flag("--cwgs", 512);
     let num_configs: usize = args.flag("--configs", 16);
     let base_seed: u64 = args.flag("--seed", 0xdeadbeef);
-    let incremental = args.switch("--incremental");
     let explore = !args.switch("--no-explore");
     let started = Instant::now();
     let mut ok = true;
@@ -427,36 +423,21 @@ fn validate_main(args: &Args) -> i32 {
     // Stage 2: live campaign over seeded random configurations, each run
     // under the full invariant-auditing observer.
     println!("== validate: live campaign over {num_configs} random configs ==");
-    // Prints one campaign's tally and failures; true when it passed.
-    let report = |what: &str, campaign: v::CampaignOutcome| {
-        println!(
-            "   {} configs, {} epochs differentially checked, {} with knots",
-            campaign.configs, campaign.epochs_checked, campaign.deadlock_epochs
-        );
-        for (label, violations, repro) in &campaign.failures {
-            eprintln!("{what} `{label}` FAILED:");
-            for viol in violations {
-                eprintln!("   {viol}");
-            }
-            if let Some(r) = repro {
-                emit_divergence(r);
-            }
+    let campaign = v::campaign(num_configs, base_seed);
+    println!(
+        "   {} configs, {} epochs differentially checked, {} with knots",
+        campaign.configs, campaign.epochs_checked, campaign.deadlock_epochs
+    );
+    for (label, violations, repro) in &campaign.failures {
+        eprintln!("config `{label}` FAILED:");
+        for viol in violations {
+            eprintln!("   {viol}");
         }
-        campaign.failures.is_empty()
-    };
-    ok &= report("config", v::campaign(num_configs, base_seed));
-
-    // Stage 2b: the same campaign forced through the incremental
-    // detector, auditing the event-patched CWG's every epoch.
-    if incremental {
-        println!(
-            "== validate: incremental-detection campaign over {num_configs} random configs =="
-        );
-        ok &= report(
-            "incremental config",
-            v::campaign_incremental(num_configs, base_seed),
-        );
+        if let Some(r) = repro {
+            emit_divergence(r);
+        }
     }
+    ok &= campaign.ok();
 
     // Stage 3: fresh forensics incidents re-audited by the oracle.
     println!("== validate: fresh forensics incidents ==");

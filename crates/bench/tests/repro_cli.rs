@@ -27,11 +27,13 @@ fn an_undeclared_flag_exits_2_naming_the_commands_flags() {
     assert!(stderr(&out).contains("[--small]"), "{}", stderr(&out));
 
     // Declared for `validate` is `--configs`; for `forensics`, not
-    // `--configs`; and `--shards` went with the partitioned decide.
+    // `--configs`; `--shards` went with the partitioned decide and
+    // `--incremental` with the second detector.
     for args in [
         ["validate", "--config", "4"],
         ["forensics", "--configs", "4"],
         ["validate", "--shards", "4"],
+        ["validate", "--incremental", "--no-explore"],
     ] {
         let out = repro(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -165,8 +165,8 @@ pub struct DeadlockIncident {
     pub cycle: u64,
     /// Exact formation cycle: the latest block stamp across the epoch's
     /// deadlock-set members — when the last participant wedged. At most
-    /// [`cycle`](Self::cycle); the gap is the detection lag the
-    /// incremental detector eliminates from recovery dispatch.
+    /// [`cycle`](Self::cycle); the gap is the detection lag, bounded by
+    /// `detection_interval`.
     pub formation_cycle: u64,
     /// The exact configuration — including the seed — that produced it.
     pub config: RunConfig,

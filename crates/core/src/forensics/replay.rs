@@ -5,9 +5,13 @@
 //! incident's config halts at the incident epoch with — if the record is
 //! faithful — the *same* blocked wait-state. The assertion is two-fold:
 //! the order-independent 64-bit wait-state fingerprint must match, and so
-//! must the deadlock sets (the message ids of each knot).
+//! must the deadlock sets (the message ids of each knot). The replay is
+//! not a forensic run, so the runner captures nothing at the epoch; the
+//! observer takes the one snapshot the fingerprint comes from.
 
 use std::ops::ControlFlow;
+
+use icn_sim::SnapshotArena;
 
 use crate::runner::{run_with, EpochView, RunObserver};
 
@@ -56,7 +60,9 @@ struct HaltAtEpoch {
 impl RunObserver for HaltAtEpoch {
     fn on_epoch(&mut self, view: &EpochView<'_>) -> ControlFlow<()> {
         if view.cycle == self.target {
-            self.fingerprint = Some(view.arena.fingerprint());
+            let mut arena = SnapshotArena::new();
+            view.net.wait_snapshot_into(&mut arena);
+            self.fingerprint = Some(arena.fingerprint());
             self.sets = view
                 .analysis
                 .deadlocks

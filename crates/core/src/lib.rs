@@ -60,9 +60,7 @@ pub use result::{Incident, RunOutcome, RunResult, StallReport};
 pub use runner::{
     build_wait_graph, run, run_reference, run_reference_with, run_with, EpochView, RunObserver,
 };
-pub use spec::{
-    config_from_json, config_to_json, DetectionMode, RecoveryPolicy, RoutingSpec, TopologySpec,
-};
+pub use spec::{config_from_json, config_to_json, RecoveryPolicy, RoutingSpec, TopologySpec};
 pub use sweep::{
     backoff_for, checkpoint_line, checkpoint_status_line, replicate, replication_summary,
     restore_checkpoint, run_supervised, run_supervised_cancellable, sweep, sweep_supervised,
@@ -101,12 +99,10 @@ pub struct RunConfig {
     pub warmup: u64,
     /// Measured cycles (the paper uses 30,000 beyond steady state).
     pub measure: u64,
-    /// Deadlock-detection cadence in cycles (paper: 50).
+    /// Deadlock-detection cadence in cycles (paper: 50): how often the
+    /// event-patched wait graph is brought up to date and asked for a knot
+    /// verdict. `1` gives every knot's exact first-true cycle.
     pub detection_interval: u64,
-    /// How knots are detected: epoch snapshots (the reference) or the
-    /// event-driven incremental CWG checked every cycle. Digest-neutral —
-    /// both modes produce byte-identical [`RunResult`]s.
-    pub detection: DetectionMode,
     /// When `Some(n)`, count CWG resource-dependency cycles every `n`-th
     /// detection epoch (the cyclic non-deadlock metric; costs time).
     pub count_cycles_every: Option<u64>,
@@ -158,7 +154,6 @@ impl RunConfig {
             warmup: 10_000,
             measure: 30_000,
             detection_interval: 50,
-            detection: DetectionMode::Snapshot,
             count_cycles_every: None,
             cycle_cap: 150_000,
             density_cap: 2_000,

@@ -121,9 +121,7 @@ pub struct RunResult {
     pub resolution_latency: Histogram,
     /// Detection lag per knot: cycles from the knot's formation (the
     /// latest block stamp across the deadlock set) to the detection epoch
-    /// that found it. Snapshot mode's lag is bounded by
-    /// `detection_interval`; incremental mode records the same values
-    /// (digest-identical) but exposes per-cycle liveness to observers.
+    /// that found it; bounded by `detection_interval`.
     pub detection_lag: Histogram,
     /// The first few deadlocks in full detail, for inspection.
     pub incidents: Vec<Incident>,

@@ -13,10 +13,10 @@ use rand::SeedableRng;
 
 use crate::forensics::ForensicsState;
 use crate::result::{RunOutcome, RunResult, StallReport};
-use crate::spec::{DetectionMode, RecoveryPolicy};
+use crate::spec::RecoveryPolicy;
 use crate::RunConfig;
 
-/// What [`RunObserver::on_epoch`] sees at a detection epoch: the snapshot,
+/// What [`RunObserver::on_epoch`] sees at a detection epoch: the verdict,
 /// its analysis, and the network — immediately after knot analysis and
 /// before recovery mutates anything.
 pub struct EpochView<'a> {
@@ -24,26 +24,22 @@ pub struct EpochView<'a> {
     pub cycle: u64,
     /// 1-based detection-epoch ordinal.
     pub epoch: u64,
-    /// The wait-for snapshot the analysis was computed from.
+    /// The runner's wait-for snapshot arena — fresh only when `captured`.
     pub arena: &'a SnapshotArena,
-    /// The epoch's knot analysis (empty when `skipped`).
+    /// The epoch's knot analysis: empty (bar `num_blocked`) whenever the
+    /// event-patched wait graph certifies the epoch knot-free.
     pub analysis: &'a Analysis,
-    /// Whether the fingerprint fast path skipped the full analysis (the
-    /// epoch matched a previously verified clean wait-state).
+    /// Whether the epoch was settled without asking for a verdict at all:
+    /// nothing is blocked, or the blocked wait-state fingerprint equals
+    /// the last verified knot-free epoch's.
     pub skipped: bool,
-    /// Whether `arena` was (re)captured at this epoch. Incremental
-    /// detection skips the snapshot capture entirely when the live
-    /// wait-state fingerprint matches a verified-clean epoch, so on
-    /// `captured == false` epochs the arena holds a stale earlier capture
-    /// — auditors needing fresh state must take their own snapshot (the
-    /// analysis and `skipped` remain exact either way).
+    /// Whether `arena` was refilled at this epoch. The detector works from
+    /// the engine's wait-state events, not from captures, so the arena is
+    /// refilled only where something reads it (a knot epoch of a forensic
+    /// run); otherwise it holds a stale earlier capture, or nothing —
+    /// auditors needing the wait state must take their own snapshot from
+    /// `net` (the analysis and `skipped` are exact either way).
     pub captured: bool,
-    /// Incremental mode only: the cycle at which the dynamic CWG first
-    /// reported the currently live knot (`None` when knot-free, and always
-    /// `None` in snapshot mode). This is the exact first-true detection
-    /// cycle, which can postdate the last member's block — a foreign
-    /// message taking the final escape VC closes the knot later.
-    pub knot_live_since: Option<u64>,
     /// The network, read-only.
     pub net: &'a Network,
 }
@@ -89,20 +85,6 @@ pub fn build_wait_graph(snap: &WaitSnapshot) -> WaitGraph {
     g
 }
 
-/// Rebuilds `g` in place from an arena snapshot — the hot-path counterpart
-/// of [`build_wait_graph`]; allocation-free once capacities have warmed up.
-fn rebuild_wait_graph(arena: &SnapshotArena, g: &mut WaitGraph) {
-    g.reset(arena.num_vertices());
-    for m in arena.messages() {
-        g.add_chain(m.id, m.chain);
-    }
-    for m in arena.messages() {
-        if !m.requests.is_empty() {
-            g.add_requests(m.id, m.requests);
-        }
-    }
-}
-
 /// Which simulation-engine stepper drives the run.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Stepper {
@@ -114,11 +96,14 @@ enum Stepper {
 
 /// Executes one simulation point.
 ///
-/// The loop per cycle: Bernoulli traffic generation at every node, one
-/// engine step, and at every `detection_interval` boundary a CWG snapshot,
-/// knot analysis, statistics recording (measurement window only) and
-/// recovery of every detected knot. Detection and recovery also run during
-/// warm-up so the network reaches a meaningful steady state.
+/// The loop per cycle: Bernoulli traffic generation at every node and one
+/// engine step (which only *marks* the messages whose wait state it
+/// touched). At every `detection_interval` boundary the marks are drained
+/// into the persistent wait graph, which gives the knot verdict; a knot
+/// epoch then runs the full analysis on that graph's records, records
+/// statistics (measurement window only) and recovers every detected knot.
+/// Detection and recovery also run during warm-up so the network reaches a
+/// meaningful steady state.
 pub fn run(cfg: &RunConfig) -> RunResult {
     run_impl(cfg, &mut (), Stepper::Activity)
 }
@@ -182,9 +167,14 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     // Victim id -> cycle it entered the recovery lane.
     let mut victim_starts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
 
-    // Detection fast-path state, reused across epochs: the snapshot arena,
-    // the rebuild-in-place wait graph, and the detector scratch make the
-    // steady-state detection epoch allocation-free.
+    // Detector state, reused across epochs. `dwg` is the blocked wait
+    // state, patched at each epoch from the engine's dirty marks; `graph`
+    // and `scratch` serve the analysis of a knot epoch (and the census),
+    // rebuilt in place from `dwg`'s records; `arena` is refilled only for
+    // a forensic incident. A steady-state knot-free epoch allocates
+    // nothing beyond the records that actually changed.
+    net.enable_wait_tracking();
+    let mut dwg = DynamicWaitGraph::new(net.wait_vertex_count());
     let mut arena = SnapshotArena::new();
     let mut graph = WaitGraph::new(0);
     let mut scratch = DetectorScratch::new();
@@ -199,16 +189,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     let mut forensic = cfg.forensics.map(ForensicsState::new);
     if let Some(f) = cfg.forensics {
         net.enable_trace(f.trace_capacity);
-    }
-
-    // Incremental detection: the event-patched dynamic CWG, kept current
-    // every cycle from the engine's block/acquire/release stream, plus the
-    // live-knot episode tracker (the exact first-true detection cycle).
-    let incremental = cfg.detection == DetectionMode::Incremental;
-    let mut dwg = incremental.then(|| DynamicWaitGraph::new(net.wait_vertex_count()));
-    let mut knot_live_since: Option<u64> = None;
-    if incremental {
-        net.enable_wait_tracking();
     }
 
     // Progress watchdog state: the last cycle that showed any forward
@@ -240,22 +220,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
         if let Some(f) = forensic.as_mut() {
             let (events, dropped) = net.take_trace();
             f.absorb(events, dropped);
-        }
-        // Incremental CWG maintenance: fold this cycle's wait-state events
-        // into the dynamic graph and refresh the knot verdict. The verdict
-        // is fingerprint-cached and S0-certified, so an unchanged (or
-        // provably knot-free) blocked population costs O(changes).
-        if let Some(d) = dwg.as_mut() {
-            net.drain_wait_updates(|id, up| match up {
-                WaitUpdate::Blocked { chain, requests } => d.stage_blocked(id, chain, requests),
-                WaitUpdate::Clear => d.stage_clear(id),
-            });
-            d.commit();
-            if d.has_knot() {
-                knot_live_since.get_or_insert(net.cycle());
-            } else {
-                knot_live_since = None;
-            }
         }
         for d in &ev.delivered {
             if d.recovered {
@@ -299,76 +263,61 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 .count_cycles_every
                 .is_some_and(|every| measuring && detection_epoch.is_multiple_of(every));
 
-            // Incremental mode can prove this epoch identical to a
-            // previously verified clean one straight from the live
-            // fingerprint — skip the snapshot capture entirely (the real
-            // per-epoch saving; snapshot mode must capture to learn the
-            // same thing). Census epochs always capture: the cycle census
-            // reads the rebuilt graph.
-            let captured = match dwg.as_ref() {
-                Some(d) => census_due || clean_fingerprint != Some(d.fingerprint()),
-                None => true,
-            };
-            if captured {
-                net.wait_snapshot_into(&mut arena);
-                if let Some(d) = dwg.as_ref() {
-                    // The lockstep invariant behind every incremental skip:
-                    // the event-patched state hashes identically to a fresh
-                    // capture.
-                    debug_assert_eq!(
-                        d.fingerprint(),
-                        arena.fingerprint(),
-                        "incremental wait-state diverged from the snapshot"
-                    );
-                }
-            }
+            // Fold the net effect of every wait-state change since the
+            // last epoch into the wait graph: one re-extracted record per
+            // touched message, however many events touched it.
+            net.drain_wait_updates(|id, up| match up {
+                WaitUpdate::Blocked { chain, requests } => dwg.stage_blocked(id, chain, requests),
+                WaitUpdate::Clear => dwg.stage_clear(id),
+            });
+            dwg.commit();
 
             // Fast paths: with nothing blocked there are no dashed arcs, so
             // neither knots nor resource cycles can exist; and when the
             // blocked wait-state fingerprint matches a previous verified
-            // clean epoch, the verdict carries over unchanged. An
-            // uncaptured epoch already proved the latter.
-            let skip = !captured
-                || arena.num_blocked() == 0
-                || clean_fingerprint == Some(arena.fingerprint());
+            // clean epoch, the verdict carries over unchanged.
+            let fingerprint = dwg.fingerprint();
+            let skip = dwg.num_blocked() == 0 || clean_fingerprint == Some(fingerprint);
+            let knot = !skip && dwg.has_knot();
+            clean_fingerprint = (!knot).then_some(fingerprint);
 
-            // The graph is needed for a full analysis, and also when a
-            // census falls on a skipped epoch with blocked messages (the
-            // cycle count itself is not cached).
-            let need_graph = !skip || (census_due && arena.num_blocked() != 0);
-            if need_graph {
-                rebuild_wait_graph(&arena, &mut graph);
+            // A knot-free verdict ends detection. A knot epoch analyses the
+            // wait graph's own records: the blocked-only graph has exactly
+            // the full graph's knots, deadlock and resource sets, densities
+            // and dependents, because a moving chain is a sink path. The
+            // census counts cycles on the same graph (cycles, too, run
+            // through blocked messages only; the count is not cached, so a
+            // census on a skipped epoch still rebuilds).
+            if knot || (census_due && dwg.num_blocked() != 0) {
+                dwg.rebuild_graph(&mut graph);
             }
-
-            let analysis = if skip {
+            let analysis = if knot {
+                graph.analyze_with(cfg.density_cap, &mut scratch)
+            } else {
                 Analysis {
                     deadlocks: Vec::new(),
                     dependent: Vec::new(),
-                    num_blocked: match dwg.as_ref() {
-                        Some(d) if !captured => d.num_blocked(),
-                        _ => arena.num_blocked(),
-                    },
+                    num_blocked: dwg.num_waiting(),
                 }
-            } else {
-                graph.analyze_with(cfg.density_cap, &mut scratch)
             };
-            if captured {
-                clean_fingerprint = if analysis.has_deadlock() {
-                    None
-                } else {
-                    Some(arena.fingerprint())
-                };
-            }
-            // (On an uncaptured epoch the fingerprint matched
-            // `clean_fingerprint` by construction — nothing to update.)
+            debug_assert_eq!(knot, analysis.has_deadlock(), "verdict and analysis");
 
-            // Exact formation cycle per knot, identical in both detection
-            // modes: a knot exists only once every member is blocked, so
-            // its formation is the latest member block stamp. (The dynamic
-            // CWG's first-true cycle can be later still — a foreign message
-            // taking the last escape VC closes the knot without any member
-            // re-blocking — which is why `knot_live_since` is reported to
-            // observers but kept out of the digest.)
+            // The arena is read by one consumer only: a forensic incident
+            // stores the full pre-recovery CWG, moving messages included.
+            let captured = knot && forensic.is_some();
+            if captured {
+                net.wait_snapshot_into(&mut arena);
+                debug_assert_eq!(
+                    fingerprint,
+                    arena.fingerprint(),
+                    "event-patched wait state diverged from the snapshot"
+                );
+            }
+
+            // Formation cycle per knot: a knot exists only once every member
+            // is blocked, so it is the latest member block stamp. (The knot
+            // can close later still — a foreign message taking the last
+            // escape VC — which only `detection_interval = 1` resolves.)
             let formation: Vec<u64> = analysis
                 .deadlocks
                 .iter()
@@ -384,7 +333,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             // Cyclic non-deadlock census count, taken before recovery
             // mutates the graph.
             let census_count = census_due.then(|| {
-                if arena.num_blocked() == 0 {
+                if dwg.num_blocked() == 0 {
                     CycleCount::Exact(0)
                 } else {
                     graph.count_cycles_with(cfg.cycle_cap, &mut scratch)
@@ -399,7 +348,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                     analysis: &analysis,
                     skipped: skip,
                     captured,
-                    knot_live_since,
                     net: &net,
                 };
                 if obs.on_epoch(&view).is_break() {
@@ -407,7 +355,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 }
             }
 
-            // Recovery: resolve every knot in this snapshot. Removing one
+            // Recovery: resolve every knot of this epoch. Removing one
             // victim breaks *a* knot, but the residual wait-for graph may
             // still contain knots among the remaining messages (large
             // multi-cycle wedges), so iterate — pick a victim per knot,
@@ -461,8 +409,8 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             progressed |= !epoch_victims.is_empty();
 
             // Forensic incident capture — after recovery so the outcome is
-            // part of the record; the CWG comes from the immutable arena,
-            // so it is the pre-recovery graph.
+            // part of the record; the CWG comes from the arena captured
+            // above, so it is the pre-recovery graph.
             if let Some(f) = forensic.as_mut() {
                 f.record_epoch(
                     cfg,

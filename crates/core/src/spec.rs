@@ -121,34 +121,6 @@ impl RoutingSpec {
     }
 }
 
-/// How the runner detects deadlocks.
-///
-/// Both modes compute identical analyses, recoveries, and digests; they
-/// differ only in *when* knots become visible and what each check costs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DetectionMode {
-    /// Rebuild the CWG from a full wait-for snapshot every
-    /// `detection_interval` cycles (the reference path). Formation times
-    /// are quantized to the epoch grid.
-    #[default]
-    Snapshot,
-    /// Maintain the CWG incrementally from engine block/acquire/release
-    /// events and check for knots **every cycle**; full snapshots are
-    /// captured only at epochs that actually need an analysis. Exact
-    /// formation cycles, digest-identical to `Snapshot`.
-    Incremental,
-}
-
-impl DetectionMode {
-    /// Stable lower-case name (used in JSON surfaces and CLI flags).
-    pub fn name(&self) -> &'static str {
-        match self {
-            DetectionMode::Snapshot => "snapshot",
-            DetectionMode::Incremental => "incremental",
-        }
-    }
-}
-
 /// What to do when the detector finds a knot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryPolicy {

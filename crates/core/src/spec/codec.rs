@@ -10,7 +10,7 @@ use icn_sim::SimConfig;
 use icn_topology::NodeId;
 use icn_traffic::{MsgLenDist, Pattern};
 
-use super::{DetectionMode, RecoveryPolicy, RoutingSpec, TopologySpec};
+use super::{RecoveryPolicy, RoutingSpec, TopologySpec};
 use crate::jsonio::{bad, get, get_bool, get_f64, get_str, get_u64, narrow, obj, Json, ParseError};
 use crate::{ForensicsConfig, RunConfig};
 
@@ -153,7 +153,10 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
         ("warmup", Json::U64(cfg.warmup)),
         ("measure", Json::U64(cfg.measure)),
         ("detection_interval", Json::U64(cfg.detection_interval)),
-        ("detection", Json::Str(cfg.detection.name().to_string())),
+        // Format legacy, like `transfer_threads` below: there is one
+        // detector now, and the constant member keeps cache keys put.
+        // `config_from_json` does not read it, whatever it holds.
+        ("detection", Json::Str("snapshot".to_string())),
         (
             "count_cycles_every",
             match cfg.count_cycles_every {
@@ -241,16 +244,6 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         warmup: get_u64(v, "warmup")?,
         measure: get_u64(v, "measure")?,
         detection_interval: get_u64(v, "detection_interval")?,
-        // Absent in records written before the incremental detector;
-        // snapshot is the semantic default either way.
-        detection: match get(v, "detection") {
-            Ok(j) => match j.as_str() {
-                Some("snapshot") => DetectionMode::Snapshot,
-                Some("incremental") => DetectionMode::Incremental,
-                _ => return Err(bad("`detection` must be `snapshot` or `incremental`")),
-            },
-            Err(_) => DetectionMode::Snapshot,
-        },
         count_cycles_every,
         cycle_cap: get_u64(v, "cycle_cap")?,
         density_cap,
@@ -293,7 +286,6 @@ mod tests {
         cfg.forensics = Some(ForensicsConfig::default());
         cfg.faults.link_outage(2, 50, 90).node_stall(120, 9, 40);
         cfg.stall_threshold = Some(500);
-        cfg.detection = DetectionMode::Incremental;
         let text = config_to_json(&cfg).to_string();
         let back = config_from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(cfg, back);
@@ -322,6 +314,27 @@ mod tests {
         // canonical text behind every cache key is unchanged.
         let text = config_to_json(&RunConfig::small_default()).to_string();
         assert!(text.contains(r#""transfer_threads":1,"shards":1,"#));
+    }
+
+    /// `detection` named one of two detectors; there is one now. Whatever
+    /// a stored or POSTed config says there is read past, and what is
+    /// written stays the old default so cache keys do not move.
+    #[test]
+    fn every_spelling_of_the_retired_detection_member_parses() {
+        let cfg = RunConfig::small_default();
+        let written = config_to_json(&cfg).to_string();
+        let constant = r#""detection":"snapshot","#;
+        assert!(written.contains(constant), "{written}");
+        for spelling in [
+            constant,
+            r#""detection":"incremental","#,
+            r#""detection":"per-cycle","#,
+            "",
+        ] {
+            let stored = written.replace(constant, spelling);
+            let back = config_from_json(&parse(&stored).unwrap()).unwrap();
+            assert_eq!(back, cfg, "spelling {spelling:?}");
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   and every detection epoch of a live run: flit conservation, monotone
 //!   counters, no duplicate deliveries, routing minimality, recovery
 //!   liveness, no deadlock-set recurrence under recovery, and a full
-//!   differential check of the production analysis (including fingerprint
-//!   -skipped epochs) against the naive oracle and the brute-force
-//!   enumerator.
+//!   differential check of the production verdict and analysis
+//!   (fingerprint-skipped and knot-free epochs included) against the
+//!   naive oracle and the brute-force enumerator, from the observer's own
+//!   capture of the live network.
 //! * [`torture`] / [`torture_regimes`] — long-horizon randomized runs on
 //!   **both** steppers with the observer attached, plus a digest
 //!   cross-check between them.
@@ -198,13 +199,9 @@ pub struct ValidationObserver {
     /// set can never recur (victims hold sink chains and never re-block;
     /// message ids are unique per run).
     recurrence_check: bool,
-    /// The run detects incrementally: the per-cycle dynamic-CWG verdict
-    /// (`EpochView::knot_live_since`) must agree with every epoch's
-    /// analysis, and capture-skipped epochs must be re-snapshotted before
-    /// auditing (their arena is stale by design).
-    incremental: bool,
-    /// Scratch arena for re-capturing the wait state at epochs whose
-    /// `EpochView::captured` is false.
+    /// The observer's own capture of the wait state, taken at every epoch
+    /// whose `EpochView::captured` is false (nearly all: the detector
+    /// works from events and the runner's arena is stale by design).
     audit_arena: icn_sim::SnapshotArena,
     prev_totals: (u64, u64, u64, u64),
     delivered_ids: HashSet<u64>,
@@ -220,9 +217,6 @@ pub struct ValidationObserver {
     pub epochs: u64,
     /// Epochs at which the production detector reported a knot.
     pub deadlock_epochs: u64,
-    /// Epochs whose snapshot capture was skipped by the incremental
-    /// detector and re-taken here for the audit (0 in snapshot mode).
-    pub recaptured_epochs: u64,
 }
 
 impl ValidationObserver {
@@ -232,7 +226,6 @@ impl ValidationObserver {
             topo: cfg.topology.build(),
             minimal_routing: !matches!(cfg.routing, RoutingSpec::Misroute { .. }),
             recurrence_check: cfg.recovery != RecoveryPolicy::None,
-            incremental: cfg.detection == crate::DetectionMode::Incremental,
             audit_arena: icn_sim::SnapshotArena::new(),
             prev_totals: (0, 0, 0, 0),
             delivered_ids: HashSet::new(),
@@ -243,7 +236,6 @@ impl ValidationObserver {
             cycles: 0,
             epochs: 0,
             deadlock_epochs: 0,
-            recaptured_epochs: 0,
         }
     }
 
@@ -369,15 +361,13 @@ impl RunObserver for ValidationObserver {
         // Engine self-consistency (ownership, occupancy, phase coherence).
         view.net.check_invariants();
 
-        // Differential oracle check — including fingerprint-skipped
-        // epochs, where the production placeholder claims "no knots".
-        // Incremental capture-skipped epochs leave the arena stale (the
-        // live fingerprint proved it redundant), so the audit re-takes a
-        // fresh snapshot instead of trusting the detector's claim.
+        // Differential oracle check — including skipped and knot-free
+        // epochs, where the production placeholder claims "no knots". The
+        // detector never looks at a capture, so the audit takes a fresh
+        // one of the live network instead of trusting its claim.
         let (msgs, num_vertices) = if view.captured {
             (arena_msgs(view.arena), view.arena.num_vertices())
         } else {
-            self.recaptured_epochs += 1;
             view.net.wait_snapshot_into(&mut self.audit_arena);
             (
                 arena_msgs(&self.audit_arena),
@@ -392,37 +382,6 @@ impl RunObserver for ValidationObserver {
             for d in diffs {
                 self.violate(cycle, format!("oracle divergence: {d}"));
             }
-        }
-
-        // Incremental-mode cross-check: the per-cycle dynamic-CWG verdict
-        // must agree with this epoch's exact analysis — a live knot at a
-        // "clean" epoch (or vice versa) means the event stream diverged.
-        if self.incremental {
-            let live = view.knot_live_since.is_some();
-            if view.skipped && live {
-                self.violate(
-                    cycle,
-                    format!(
-                        "incremental detector reports a knot live since cycle {} \
-                         but the epoch was skipped as clean",
-                        view.knot_live_since.unwrap()
-                    ),
-                );
-            } else if !view.skipped && live != view.analysis.has_deadlock() {
-                self.violate(
-                    cycle,
-                    format!(
-                        "incremental live-knot verdict ({live}) disagrees with the \
-                         epoch analysis ({})",
-                        view.analysis.has_deadlock()
-                    ),
-                );
-            }
-        } else if view.knot_live_since.is_some() {
-            self.violate(
-                cycle,
-                "knot_live_since reported by a snapshot-mode run".to_string(),
-            );
         }
 
         if view.analysis.has_deadlock() {
@@ -740,30 +699,9 @@ impl CampaignOutcome {
 /// Runs `num_configs` seeded random configs (seeds `base_seed..`), each
 /// under a fresh [`ValidationObserver`] on the activity stepper.
 pub fn campaign(num_configs: usize, base_seed: u64) -> CampaignOutcome {
-    campaign_with(num_configs, base_seed, |_| {})
-}
-
-/// [`campaign`] with every drawn config forced to
-/// [`DetectionMode::Incremental`](crate::DetectionMode::Incremental):
-/// the observer audits the event-patched detector's every epoch — the
-/// per-cycle live-knot verdict against the exact analysis, and
-/// capture-skipped epochs against a fresh re-snapshot of the live
-/// network.
-pub fn campaign_incremental(num_configs: usize, base_seed: u64) -> CampaignOutcome {
-    campaign_with(num_configs, base_seed, |cfg| {
-        cfg.detection = crate::DetectionMode::Incremental;
-    })
-}
-
-fn campaign_with(
-    num_configs: usize,
-    base_seed: u64,
-    tweak: impl Fn(&mut RunConfig),
-) -> CampaignOutcome {
     let mut out = CampaignOutcome::default();
     for i in 0..num_configs {
-        let mut cfg = random_config(base_seed + i as u64);
-        tweak(&mut cfg);
+        let cfg = random_config(base_seed + i as u64);
         let mut obs = ValidationObserver::new(&cfg);
         run_with(&cfg, &mut obs);
         out.configs += 1;
@@ -853,26 +791,6 @@ mod tests {
         run_with(&cfg, &mut obs);
         assert!(obs.ok(), "violations: {:?}", obs.violations);
         assert!(obs.deadlock_epochs > 0, "regime must actually deadlock");
-    }
-
-    #[test]
-    fn observer_audits_an_incremental_deadlock_heavy_run() {
-        let mut cfg = RunConfig::small_default();
-        cfg.topology = TopologySpec::torus(4, 2, false);
-        cfg.routing = RoutingSpec::Dor;
-        cfg.sim.vcs_per_channel = 1;
-        cfg.load = 1.0;
-        cfg.warmup = 200;
-        cfg.measure = 1500;
-        cfg.detection_interval = 25;
-        cfg.detection = crate::DetectionMode::Incremental;
-        let mut obs = ValidationObserver::new(&cfg);
-        run_with(&cfg, &mut obs);
-        assert!(obs.ok(), "violations: {:?}", obs.violations);
-        assert!(obs.deadlock_epochs > 0, "regime must actually deadlock");
-        // The fingerprint fast path skips captures on clean epochs; the
-        // observer must have audited those from fresh re-snapshots.
-        assert!(obs.recaptured_epochs > 0, "capture-skip never exercised");
     }
 
     #[test]

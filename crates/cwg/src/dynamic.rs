@@ -1,11 +1,14 @@
 //! Incrementally maintained channel wait-for state.
 //!
-//! The snapshot detector rebuilds a [`WaitGraph`] from scratch at every
+//! The paper's detector builds a [`WaitGraph`] from scratch at every
 //! detection epoch. [`DynamicWaitGraph`] instead *persists* the blocked
-//! wait-state across cycles and is patched by the engine's own
-//! block/acquire/release event stream, so "is there a knot right now?" is
-//! answerable every cycle at near-zero marginal cost when nothing blocked
-//! has changed.
+//! wait-state across epochs and is patched with the net effect of the
+//! engine's own block/acquire/release events, so "is there a knot right
+//! now?" costs what changed — nothing at all when nothing blocked has —
+//! and only a `true` answer pays for a graph
+//! ([`DynamicWaitGraph::rebuild_graph`]) and its full analysis. The runner
+//! drains once per epoch; any cadence down to every cycle is the same
+//! protocol.
 //!
 //! # What is tracked — and why only blocked messages
 //!
@@ -158,7 +161,7 @@ const NO_OWNER: MessageId = MessageId::MAX;
 
 /// SplitMix64-based hasher for the id-keyed record table. Message ids
 /// are sequence numbers; SipHash resistance is wasted on them, and the
-/// record table sits on the per-cycle hot path.
+/// record table sits on the detection hot path.
 #[derive(Default, Clone)]
 struct IdHasher(u64);
 
@@ -188,12 +191,14 @@ impl std::hash::Hasher for IdHasher {
 
 type IdMap<V> = HashMap<MessageId, V, std::hash::BuildHasherDefault<IdHasher>>;
 
-/// Persistent, event-patched blocked wait-state with per-cycle knot
+/// Persistent, event-patched blocked wait-state with on-demand knot
 /// verdicts. See the module docs for the maintenance invariants.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicWaitGraph {
     num_vertices: usize,
     records: IdMap<Rec>,
+    /// Records with a non-empty request set (see [`Self::num_waiting`]).
+    waiting: usize,
     /// Vertex -> owning *blocked* message, dense ([`NO_OWNER`] = free).
     owner: Vec<MessageId>,
     /// Vertex -> blocked messages requesting it (reverse request index).
@@ -255,6 +260,14 @@ impl DynamicWaitGraph {
         self.records.len()
     }
 
+    /// Tracked messages that wait on at least one vertex — what a
+    /// [`WaitGraph`] built from the same state reports as
+    /// [`num_blocked`](WaitGraph::num_blocked). A fault-stranded message
+    /// (blocked, no surviving candidate) is tracked but waits on nothing.
+    pub fn num_waiting(&self) -> usize {
+        self.waiting
+    }
+
     /// Order-independent 64-bit hash of the blocked wait-state —
     /// bit-identical to `SnapshotArena::fingerprint()` for the same state.
     pub fn fingerprint(&self) -> u64 {
@@ -271,11 +284,23 @@ impl DynamicWaitGraph {
             .map(|r| (r.chain.as_slice(), r.requests.as_slice()))
     }
 
-    /// Tracked blocked message ids, ascending.
-    pub fn blocked_ids(&self) -> Vec<MessageId> {
-        let mut ids: Vec<MessageId> = self.records.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+    /// Rebuilds `g` in place as the blocked-only wait graph of the tracked
+    /// records, registered in ascending id order (`HashMap` iteration is
+    /// not deterministic). By the module-level argument it has exactly the
+    /// full snapshot graph's knots; allocation-free once `g` and the
+    /// internal sort buffer have warmed up.
+    pub fn rebuild_graph(&mut self, g: &mut WaitGraph) {
+        self.sort_buf.clear();
+        self.sort_buf.extend(self.records.keys().copied());
+        self.sort_buf.sort_unstable();
+        g.reset(self.num_vertices);
+        for id in &self.sort_buf {
+            let rec = &self.records[id];
+            g.add_chain(*id, &rec.chain);
+            if !rec.requests.is_empty() {
+                g.add_requests(*id, &rec.requests);
+            }
+        }
     }
 
     /// Stages the new state of a blocked message (chain must be
@@ -388,6 +413,7 @@ impl DynamicWaitGraph {
             return;
         };
         self.fp_partial = self.fp_partial.wrapping_sub(rec.hash);
+        self.waiting -= usize::from(!rec.requests.is_empty());
         let mut touched = false;
         let mut wit_hit = false;
         if rec.in_s0() {
@@ -476,6 +502,7 @@ impl DynamicWaitGraph {
             wit_gen: 0,
         };
         self.fp_partial = self.fp_partial.wrapping_add(rec.hash);
+        self.waiting += usize::from(!requests.is_empty());
         if rec.in_s0() {
             self.s0 += 1;
             touched = true;
@@ -686,22 +713,10 @@ impl DynamicWaitGraph {
         if self.s0 == 0 {
             return Vec::new();
         }
-        // Deterministic rebuild order (HashMap iteration is not).
-        self.sort_buf.clear();
-        self.sort_buf.extend(self.records.keys().copied());
-        self.sort_buf.sort_unstable();
-        self.graph.reset(self.num_vertices);
-        for &id in &self.sort_buf {
-            let rec = &self.records[&id];
-            self.graph.add_chain(id, &rec.chain);
-        }
-        for &id in &self.sort_buf {
-            let rec = &self.records[&id];
-            if !rec.requests.is_empty() {
-                self.graph.add_requests(id, &rec.requests);
-            }
-        }
-        let mut sets = self.graph.knot_deadlock_sets(&mut self.scratch);
+        let mut graph = std::mem::take(&mut self.graph);
+        self.rebuild_graph(&mut graph);
+        let mut sets = graph.knot_deadlock_sets(&mut self.scratch);
+        self.graph = graph;
         sets.sort_unstable_by_key(|s| s.first().copied());
         sets
     }
@@ -782,6 +797,12 @@ impl DynamicWaitGraph {
     pub fn check_invariants(&self) {
         let mut s0 = 0usize;
         let mut fp = 0u64;
+        let waiting = self
+            .records
+            .values()
+            .filter(|r| !r.requests.is_empty())
+            .count();
+        assert_eq!(self.waiting, waiting, "waiting counter drifted");
         for (&id, rec) in &self.records {
             assert!(!rec.chain.is_empty(), "record {id} with an empty chain");
             for &v in &rec.chain {
@@ -1013,6 +1034,7 @@ mod tests {
         d.commit();
         d.check_invariants();
         assert_eq!(d.num_blocked(), 1);
+        assert_eq!(d.num_waiting(), 0);
         assert!(!d.has_knot());
     }
 

@@ -2,9 +2,7 @@
 //!
 //! Every completed configuration is stored under a key derived from its
 //! *canonical digest*: the full [`config_to_json`] rendering (seed and
-//! fault plan included) with `detection` normalized to snapshot — the
-//! two detectors are digest-identical, so the knob may not fragment the
-//! cache — concatenated with [`flexsim::ENGINE_VERSION`].
+//! fault plan included) concatenated with [`flexsim::ENGINE_VERSION`].
 //! Resubmitting any previously run configuration is answered from disk
 //! without simulating; an engine-semantics bump invalidates everything
 //! at once by changing every key.
@@ -31,16 +29,11 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
     h
 }
 
-/// The canonical config text a cache key digests: config JSON with
-/// `detection` pinned to snapshot, plus the engine version. The knob is
-/// digest-neutral (the incremental detector produces byte-identical
-/// results), so leaving it in the key would fragment the cache with
-/// duplicate results. (`config_to_json` already writes the inert
-/// `shards` member as a constant.)
+/// The canonical config text a cache key digests: the config JSON plus
+/// the engine version. (`config_to_json` writes the retired `detection`
+/// and `shards` members as constants, so neither can fragment the cache.)
 pub fn canonical_config(cfg: &RunConfig) -> String {
-    let mut c = cfg.clone();
-    c.detection = flexsim::DetectionMode::Snapshot;
-    format!("{}\u{0}{ENGINE_VERSION}", config_to_json(&c))
+    format!("{}\u{0}{ENGINE_VERSION}", config_to_json(cfg))
 }
 
 /// 128-bit content key as 32 hex chars (two FNV-1a streams with distinct

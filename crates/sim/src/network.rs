@@ -9,6 +9,7 @@ use crate::config::SimConfig;
 use crate::events::{DeliveredMsg, StepEvents};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::message::{Message, MessageId, MessageInfo, MsgPhase};
+use crate::snapshot::WaitDirty;
 
 /// Sentinel for "no owning message" in per-resource tables.
 pub(crate) const NO_OWNER: u32 = u32::MAX;
@@ -313,18 +314,12 @@ pub struct Network {
     /// Count of active messages with `blocked` set (both steppers).
     blocked_ctr: usize,
 
-    /// When set, every event that can change a message's blocked
-    /// wait-state (block/unblock, chain growth or release while blocked,
-    /// recovery, drop, delivery) appends its id to
-    /// [`Self::wait_dirty`]. Drained by
-    /// [`Self::drain_wait_updates`](crate::snapshot) for the incremental
-    /// detector. Off by default: a single `Vec` push per event, no
-    /// other cost.
-    pub(crate) wait_tracking: bool,
     /// Message ids whose wait-state may have changed since the last
-    /// drain. Over-marking is fine (the drain re-extracts ground truth
-    /// per id); duplicates are deduped at drain time.
-    pub(crate) wait_dirty: Vec<MessageId>,
+    /// drain: every event that can change a blocked `(settled chain,
+    /// requests)` record (block/unblock, chain growth or release while
+    /// blocked, recovery, drop, delivery) marks its id here. Drained by
+    /// [`Self::drain_wait_updates`](crate::snapshot) for the detector.
+    pub(crate) wait_dirty: WaitDirty,
     /// Set when a fault transition changes the failed-channel map: the
     /// routing candidates of *every* blocked message may change, so the
     /// next drain re-extracts all of them.
@@ -445,8 +440,7 @@ impl Network {
             release_deferred: Vec::new(),
             release_flag: vec![],
             blocked_ctr: 0,
-            wait_tracking: false,
-            wait_dirty: Vec::new(),
+            wait_dirty: WaitDirty::default(),
             wait_dirty_all: false,
             wait_buf: Vec::new(),
             wait_cand: Vec::new(),
@@ -569,9 +563,7 @@ impl Network {
         self.failed[ch.idx()] = true;
         // Any blocked header may have held this channel's VCs in its
         // candidate set, so every wait record is suspect.
-        if self.wait_tracking {
-            self.wait_dirty_all = true;
-        }
+        self.wait_dirty_all = true;
     }
 
     /// Inert shim: the partitioned decide is gone and every run takes the
@@ -789,9 +781,7 @@ impl Network {
         if was_blocked {
             self.blocked_ctr -= 1;
         }
-        if self.wait_tracking {
-            self.wait_dirty.push(id);
-        }
+        self.wait_dirty.mark(id);
         if held_injection {
             let node = src.idx();
             self.injecting_count[node] -= 1;
@@ -863,9 +853,7 @@ impl Network {
                 });
             }
         }
-        if self.wait_tracking {
-            self.wait_dirty.push(id);
-        }
+        self.wait_dirty.mark(id);
         if self.mode != StepMode::Dense {
             // Pull the message out of the allocation machinery and onto the
             // drain list. A `Queued` entry stays in `alloc_queue` / `woken`
@@ -1201,9 +1189,7 @@ impl Network {
                     msg.phase = MsgPhase::Ejecting;
                     if msg.blocked {
                         self.blocked_ctr -= 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
+                        self.wait_dirty.mark(msg.id);
                     }
                     msg.blocked = false;
                     msg.blocked_since = None;
@@ -1217,9 +1203,7 @@ impl Network {
                     msg.blocked = true;
                     msg.blocked_since = Some(self.cycle);
                     self.blocked_ctr += 1;
-                    if self.wait_tracking {
-                        self.wait_dirty.push(msg.id);
-                    }
+                    self.wait_dirty.mark(msg.id);
                     if let Some(t) = self.tracer.as_mut() {
                         // Waiting on the destination's reception channels,
                         // not on any link.
@@ -1246,9 +1230,7 @@ impl Network {
                 Some(vc_idx) => {
                     if msg.blocked {
                         self.blocked_ctr -= 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
+                        self.wait_dirty.mark(msg.id);
                     }
                     acquire_vc(
                         VcState {
@@ -1278,9 +1260,7 @@ impl Network {
                         msg.blocked = true;
                         msg.blocked_since = Some(self.cycle);
                         self.blocked_ctr += 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
+                        self.wait_dirty.mark(msg.id);
                         if let Some(t) = self.tracer.as_mut() {
                             t.push(crate::TraceEvent::Blocked {
                                 cycle: self.cycle,
@@ -1397,11 +1377,9 @@ impl Network {
     fn finish_slot(&mut self, slot: u32) {
         let msg = self.messages[slot as usize].take().expect("finished slot");
         debug_assert!(!msg.blocked, "draining messages are never blocked");
-        if self.wait_tracking {
-            // Conservative: the id leaves the network entirely; the drain
-            // resolves it to a clear (id_map lookup misses).
-            self.wait_dirty.push(msg.id);
-        }
+        // Conservative: the id leaves the network entirely; the drain
+        // resolves it to a clear (id_map lookup misses).
+        self.wait_dirty.mark(msg.id);
         self.id_map.remove(msg.id);
         let i = self.active_idx[slot as usize] as usize;
         debug_assert_eq!(self.active[i], slot);
@@ -1445,9 +1423,9 @@ impl Network {
                     self.owned_per_channel[front as usize / self.cfg.vcs_per_channel] -= 1;
                     msg.chain.pop_front();
                     msg.front_seq += 1;
-                    if self.wait_tracking && msg.blocked {
+                    if msg.blocked {
                         // A blocked message's settled chain shrank.
-                        self.wait_dirty.push(msg.id);
+                        self.wait_dirty.mark(msg.id);
                     }
                     if let Some(&nf) = msg.chain.front() {
                         // The new front is now fed straight from the source
@@ -1813,9 +1791,7 @@ impl Network {
                 msg.phase = MsgPhase::Ejecting;
                 if msg.blocked {
                     self.blocked_ctr -= 1;
-                    if self.wait_tracking {
-                        self.wait_dirty.push(msg.id);
-                    }
+                    self.wait_dirty.mark(msg.id);
                 }
                 msg.blocked = false;
                 msg.blocked_since = None;
@@ -1835,9 +1811,7 @@ impl Network {
                         msg.blocked = true;
                         msg.blocked_since = Some(self.cycle);
                         self.blocked_ctr += 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
+                        self.wait_dirty.mark(msg.id);
                         let id = msg.id;
                         if let Some(t) = self.tracer.as_mut() {
                             // Waiting on the destination's reception
@@ -1888,9 +1862,7 @@ impl Network {
                     self.cand_cache_valid[s] = false;
                     if msg.blocked {
                         self.blocked_ctr -= 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
+                        self.wait_dirty.mark(msg.id);
                     }
                     acquire_vc(
                         VcState {
@@ -1922,9 +1894,7 @@ impl Network {
                         msg.blocked = true;
                         msg.blocked_since = Some(self.cycle);
                         self.blocked_ctr += 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
+                        self.wait_dirty.mark(msg.id);
                         let id = msg.id;
                         if let Some(t) = self.tracer.as_mut() {
                             t.push(crate::TraceEvent::Blocked {
@@ -2251,9 +2221,9 @@ impl Network {
                 let msg = self.messages[s].as_mut().expect("release slot");
                 msg.chain.pop_front();
                 msg.front_seq += 1;
-                if self.wait_tracking && msg.blocked {
+                if msg.blocked {
                     // A blocked message's settled chain shrank.
-                    self.wait_dirty.push(msg.id);
+                    self.wait_dirty.mark(msg.id);
                 }
                 if let Some(&nf) = msg.chain.front() {
                     // The new front is fed straight from the (drained)

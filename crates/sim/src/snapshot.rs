@@ -21,10 +21,14 @@
 //! Vertex numbering: VC `v` of channel `c` is vertex `c * V + v`; the
 //! reception channel of node `n` is vertex `num_channels * V + n`.
 //!
-//! Snapshots are taken every detection epoch for the whole run, so the hot
+//! The detector does not read snapshots: it is patched from
+//! [`Network::drain_wait_updates`], which re-extracts — by the very same
+//! rules — only the messages the engine marked since the last drain.
+//! Full captures serve forensic incidents, auditors and oracles; their
 //! entry point is [`Network::wait_snapshot_into`], which refills a
-//! caller-owned [`SnapshotArena`] without allocating; the Vec-per-message
-//! [`WaitSnapshot`] remains as a convenience wrapper for tests and tools.
+//! caller-owned [`SnapshotArena`] without allocating, and the
+//! Vec-per-message [`WaitSnapshot`] remains as a convenience wrapper for
+//! tests and tools.
 
 use crate::message::MsgPhase;
 use crate::network::{compute_candidates, ctx_of, Network, NO_OWNER};
@@ -47,6 +51,47 @@ pub enum WaitUpdate<'a> {
     },
     /// The message is not (or no longer) blocked.
     Clear,
+}
+
+/// The engine's dirty list: ids whose blocked wait record may have changed
+/// since the last [`Network::drain_wait_updates`]. Over-marking is fine —
+/// the drain re-extracts ground truth per id — so marks are a bare push.
+/// The detector drains once per detection epoch and a config may set that
+/// interval to anything, so the list compacts itself (sort + dedup in
+/// place) whenever it doubles past its last compacted length: its length
+/// is bounded by twice the *distinct* ids touched since the last drain,
+/// not by the event count.
+#[derive(Debug, Default)]
+pub(crate) struct WaitDirty {
+    /// Off until [`Network::enable_wait_tracking`]: a bare engine (tests,
+    /// step benchmarks) that never drains records nothing.
+    tracking: bool,
+    ids: Vec<MessageId>,
+    /// `ids.len()` right after the last compaction (0 after a drain).
+    compacted: usize,
+}
+
+impl WaitDirty {
+    /// Below this length compaction is never worth a sort.
+    const MIN_COMPACT: usize = 64;
+
+    #[inline]
+    pub(crate) fn mark(&mut self, id: MessageId) {
+        if !self.tracking {
+            return;
+        }
+        self.ids.push(id);
+        if self.ids.len() > 2 * self.compacted.max(Self::MIN_COMPACT) {
+            self.compact();
+        }
+    }
+
+    #[cold]
+    fn compact(&mut self) {
+        self.ids.sort_unstable();
+        self.ids.dedup();
+        self.compacted = self.ids.len();
+    }
 }
 
 /// One message's contribution to the wait-for snapshot.
@@ -94,17 +139,17 @@ pub struct ArenaMsg<'a> {
 
 /// Reusable, flat wait-for snapshot storage.
 ///
-/// One arena is allocated per run and refilled in place by
-/// [`Network::wait_snapshot_into`] each detection epoch: a single vertex
-/// pool plus per-message range records, so the steady-state snapshot path
-/// performs no heap allocation once capacities have warmed up.
+/// An arena is refilled in place by [`Network::wait_snapshot_into`]: a
+/// single vertex pool plus per-message range records, so a repeated
+/// capture performs no heap allocation once capacities have warmed up.
 ///
 /// During the fill the arena also computes a 64-bit **fingerprint** of the
 /// blocked wait-state (an order-independent hash over each blocked
 /// message's `(id, settled chain, requests)`). Knots are closed exclusively
 /// by blocked messages — moving chains are CWG sinks — so two epochs with
-/// equal blocked wait-states have identical knot analyses; the runner uses
-/// this to skip re-analysis entirely when nothing blocked has changed.
+/// equal blocked wait-states have identical knot analyses. The
+/// event-patched `icn_cwg::DynamicWaitGraph` maintains the same hash
+/// incrementally, which is what the lockstep tests compare.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotArena {
     num_vertices: usize,
@@ -306,7 +351,7 @@ impl Network {
     /// Appends the wait record of the (routing, blocked) message in `slot`
     /// to `out` — settled chain first, then request targets — and returns
     /// the chain length, or `None` when the message is not blocked (or
-    /// holds nothing). Shared by the snapshot fill and the incremental
+    /// holds nothing). Shared by the snapshot fill and the detector's
     /// drain, so both extract byte-identical records by construction.
     fn blocked_wait_record(
         &self,
@@ -352,11 +397,17 @@ impl Network {
     /// that can change a blocked message's `(settled chain, requests)`
     /// record marks the message dirty, and
     /// [`drain_wait_updates`](Self::drain_wait_updates) replays the
-    /// net effect. The currently blocked population (if any) is marked
-    /// wholesale so the first drain starts from ground truth.
+    /// net effect. Every active message is marked wholesale (also on a
+    /// repeated call), so the next drain starts from ground truth.
     pub fn enable_wait_tracking(&mut self) {
-        self.wait_tracking = true;
+        self.wait_dirty.tracking = true;
         self.wait_dirty_all = true;
+    }
+
+    /// Current length of the dirty list (marks since the last drain, after
+    /// in-place compaction) — what the compaction bound is tested on.
+    pub fn wait_dirty_len(&self) -> usize {
+        self.wait_dirty.ids.len()
     }
 
     /// The cycle at which `id` last became blocked, if it is currently
@@ -370,7 +421,8 @@ impl Network {
     }
 
     /// Replays the net effect of every wait-state change since the last
-    /// drain, in ascending id order: for each possibly-changed message the
+    /// drain — however long ago — in ascending id order, one resolved
+    /// record per id: for each possibly-changed message the
     /// sink receives either its current `(settled chain, requests)` record
     /// (same extraction as [`wait_snapshot_into`](Self::wait_snapshot_into))
     /// or [`WaitUpdate::Clear`]. Marking is conservative — a sink must
@@ -378,23 +430,26 @@ impl Network {
     /// as a no-op (both are, for [`icn_cwg::DynamicWaitGraph`]'s
     /// stage/commit API).
     pub fn drain_wait_updates(&mut self, mut sink: impl FnMut(MessageId, WaitUpdate<'_>)) {
-        debug_assert!(self.wait_tracking, "drain without enable_wait_tracking");
+        debug_assert!(
+            self.wait_dirty.tracking,
+            "drain without enable_wait_tracking"
+        );
         if self.wait_dirty_all {
             self.wait_dirty_all = false;
             // Re-extract every active message; ids that left the network
             // keep their individual dirty marks from `finish_slot`.
             let slot_id = &self.slot_id;
             self.wait_dirty
+                .ids
                 .extend(self.active.iter().map(|&s| slot_id[s as usize]));
         }
-        if self.wait_dirty.is_empty() {
+        if self.wait_dirty.ids.is_empty() {
             return;
         }
-        let mut dirty = std::mem::take(&mut self.wait_dirty);
+        self.wait_dirty.compact();
+        let mut dirty = std::mem::take(&mut self.wait_dirty.ids);
         let mut cand_buf = std::mem::take(&mut self.wait_cand);
         let mut out = std::mem::take(&mut self.wait_buf);
-        dirty.sort_unstable();
-        dirty.dedup();
         for &id in &dirty {
             match self.id_map.get(id) {
                 None => sink(id, WaitUpdate::Clear),
@@ -414,7 +469,8 @@ impl Network {
             }
         }
         dirty.clear();
-        self.wait_dirty = dirty;
+        self.wait_dirty.ids = dirty;
+        self.wait_dirty.compacted = 0;
         self.wait_cand = cand_buf;
         self.wait_buf = out;
     }

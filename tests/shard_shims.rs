@@ -1,7 +1,7 @@
 //! The contract of the three inert names `benchmark/src/run.rs` still
 //! compiles against ([`icn_sim::Network::set_shards`],
 //! [`flexsim::RunConfig::shards`], the empty `parallel` features) and of
-//! the two config members that outlived their knobs: they select nothing,
+//! the three config members that outlived their knobs: they select nothing,
 //! move no digest and no cache key, and stored configs that carry them
 //! still parse. All of this goes with the shims (ROADMAP item 1).
 
@@ -46,6 +46,7 @@ fn stored_configs_with_retired_knob_values_still_parse() {
     for (constant, then) in [
         (r#""shards":1"#, r#""shards":8"#),
         (r#""fingerprint_skip":true"#, r#""fingerprint_skip":false"#),
+        (r#""detection":"snapshot""#, r#""detection":"incremental""#),
     ] {
         assert!(stored.contains(constant), "{constant} is still written");
         stored = stored.replace(constant, then);
