@@ -99,6 +99,13 @@ impl ForensicsState {
         self.timeline.absorb(events);
     }
 
+    /// Whether the next knot epoch becomes a stored [`DeadlockIncident`]
+    /// (the run is still under [`ForensicsConfig::max_incidents`]) — the
+    /// only epochs whose wait-state capture anything reads.
+    pub fn wants_incident(&self, res: &RunResult) -> bool {
+        res.forensic_incidents.len() < self.cfg.max_incidents
+    }
+
     /// Records a detection epoch's knots: formation statistics always,
     /// plus a full [`DeadlockIncident`] while under the cap. Called after
     /// the recovery loop so the outcome (victims) is known.
@@ -124,7 +131,7 @@ impl ForensicsState {
                 res.formation_spread.record(stats.spread);
             }
         }
-        if res.forensic_incidents.len() < self.cfg.max_incidents {
+        if self.wants_incident(res) {
             let inc = DeadlockIncident::capture(
                 self.seq,
                 cycle,

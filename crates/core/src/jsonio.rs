@@ -1,37 +1,20 @@
 //! Shared hand-rolled JSON plumbing for the orchestration layer.
 //!
-//! The value tree, parser, and writer live in [`icn_cwg::jsonio`] (the
-//! lowest crate that needs them); this module re-exports that surface and
-//! centralizes the helpers that used to be copy-pasted across
-//! `checkpoint.rs`, `forensics/incident.rs`, and `faults.rs`: typed field
-//! accessors with uniform error messages, exact `f64` bit-pattern
-//! transport, and the CRC-framed record scanner that understands torn
-//! final lines (the signature of an interrupted appender). The campaign
-//! server reuses all of it instead of growing a fourth copy.
+//! The value tree, parser, writer and the basic typed field accessors
+//! live in [`icn_cwg::jsonio`] (the lowest crate that needs them); this
+//! module re-exports that surface and centralizes the helpers that used
+//! to be copy-pasted across `checkpoint.rs`, `forensics/incident.rs`, and
+//! `faults.rs`: typed field accessors with uniform error messages, exact
+//! `f64` bit-pattern transport, and the CRC-framed record scanner that
+//! understands torn final lines (the signature of an interrupted
+//! appender). The campaign server reuses all of it instead of growing a
+//! fourth copy.
 
-pub use icn_cwg::jsonio::{obj, parse, u64_arr, Json, ParseError};
+pub use icn_cwg::jsonio::{
+    bad, get, get_bool, get_u64, get_u64_vec, obj, parse, u64_arr, Json, ParseError,
+};
 
 pub mod durable;
-
-/// A parse error with no meaningful offset (field-level validation).
-pub fn bad(message: &str) -> ParseError {
-    ParseError {
-        offset: 0,
-        message: message.to_string(),
-    }
-}
-
-/// Required object field.
-pub fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
-    v.get(key).ok_or_else(|| bad(&format!("missing `{key}`")))
-}
-
-/// Required `u64` field.
-pub fn get_u64(v: &Json, key: &str) -> Result<u64, ParseError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| bad(&format!("`{key}` must be an unsigned integer")))
-}
 
 /// Narrows an untrusted `u64` to the width of the field it fills: a
 /// value that does not fit is an error, never a silent truncation.
@@ -46,31 +29,11 @@ pub fn get_f64(v: &Json, key: &str) -> Result<f64, ParseError> {
         .ok_or_else(|| bad(&format!("`{key}` must be a number")))
 }
 
-/// Required boolean field.
-pub fn get_bool(v: &Json, key: &str) -> Result<bool, ParseError> {
-    get(v, key)?
-        .as_bool()
-        .ok_or_else(|| bad(&format!("`{key}` must be a bool")))
-}
-
 /// Required string field.
 pub fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, ParseError> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| bad(&format!("`{key}` must be a string")))
-}
-
-/// Required array-of-`u64` field.
-pub fn get_u64_vec(v: &Json, key: &str) -> Result<Vec<u64>, ParseError> {
-    get(v, key)?
-        .as_arr()
-        .ok_or_else(|| bad(&format!("`{key}` must be an array")))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| bad(&format!("`{key}` holds a non-u64 element")))
-        })
-        .collect()
 }
 
 /// An `f64` as its `u64` bit pattern, so NaN payloads and signed zeros

@@ -36,7 +36,9 @@ pub struct EpochView<'a> {
     /// Whether `arena` was refilled at this epoch. The detector works from
     /// the engine's wait-state events, not from captures, so the arena is
     /// refilled only where something reads it (a knot epoch of a forensic
-    /// run); otherwise it holds a stale earlier capture, or nothing —
+    /// run that still stores incidents, i.e. below
+    /// [`ForensicsConfig::max_incidents`](crate::ForensicsConfig::max_incidents));
+    /// otherwise it holds a stale earlier capture, or nothing —
     /// auditors needing the wait state must take their own snapshot from
     /// `net` (the analysis and `skipped` are exact either way).
     pub captured: bool,
@@ -303,8 +305,9 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             debug_assert_eq!(knot, analysis.has_deadlock(), "verdict and analysis");
 
             // The arena is read by one consumer only: a forensic incident
-            // stores the full pre-recovery CWG, moving messages included.
-            let captured = knot && forensic.is_some();
+            // stores the full pre-recovery CWG, moving messages included —
+            // so it is refilled only while the run still stores incidents.
+            let captured = knot && forensic.as_ref().is_some_and(|f| f.wants_incident(&res));
             if captured {
                 net.wait_snapshot_into(&mut arena);
                 debug_assert_eq!(

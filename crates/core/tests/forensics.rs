@@ -4,10 +4,14 @@
 //! point — a unidirectional 8-ary 2-cube under DOR with one VC at full
 //! load — which reliably knots within a few hundred cycles.
 
+use std::ops::ControlFlow;
+
 use flexsim::forensics::{
     incidents_equal, minimize, replay, timeline_table, DeadlockIncident, IncidentStore,
 };
-use flexsim::{run, ForensicsConfig, RoutingSpec, RunConfig, TopologySpec};
+use flexsim::{
+    run, run_with, EpochView, ForensicsConfig, RoutingSpec, RunConfig, RunObserver, TopologySpec,
+};
 
 /// Shorthand: structural CWG comparison through the cwg crate.
 mod cmp {
@@ -84,6 +88,38 @@ fn forensic_capture_never_perturbs_the_run() {
     assert_eq!(with.deadlocks, without.deadlocks);
     assert_eq!(with.victims_started, without.victims_started);
     assert!(without.forensic_incidents.is_empty());
+}
+
+/// A forensic run refills the wait-state arena only at the knot epochs it
+/// stores as incidents; past `max_incidents`, `EpochView::captured` stays
+/// false and the arena is left alone.
+#[test]
+fn forensic_run_captures_only_the_epochs_it_stores() {
+    #[derive(Default)]
+    struct Census {
+        knot_epochs: u64,
+        captured: u64,
+    }
+    impl RunObserver for Census {
+        fn on_epoch(&mut self, view: &EpochView<'_>) -> ControlFlow<()> {
+            self.knot_epochs += view.analysis.has_deadlock() as u64;
+            self.captured += view.captured as u64;
+            ControlFlow::Continue(())
+        }
+    }
+    let mut cfg = fig6_micro();
+    cfg.forensics = Some(ForensicsConfig {
+        max_incidents: 1,
+        ..ForensicsConfig::default()
+    });
+    let mut census = Census::default();
+    let res = run_with(&cfg, &mut census);
+    assert!(
+        census.knot_epochs > 1,
+        "the micro-config must knot repeatedly"
+    );
+    assert_eq!(census.captured, 1);
+    assert_eq!(res.forensic_incidents.len(), 1);
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Minimal JSON reading and writing for incident artifacts.
 //!
 //! Hand-rolled on purpose (the build environment has no serializer
-//! dependency): a small value tree, a recursive-descent parser, and a
-//! writer. Integers are kept as `u64` so message ids, cycles, seeds, and
+//! dependency): a small value tree, a recursive-descent parser, a
+//! writer, and the typed field accessors every decoder above this crate
+//! shares (`flexsim::jsonio` re-exports them). Integers are kept as `u64` so message ids, cycles, seeds, and
 //! fingerprints survive a round trip bit-exactly; floats are printed with
 //! Rust's shortest-round-trip formatting, so they round-trip too.
 
@@ -388,6 +389,46 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 /// Convenience constructor for an array of `u64`s.
 pub fn u64_arr(values: impl IntoIterator<Item = u64>) -> Json {
     Json::Arr(values.into_iter().map(Json::U64).collect())
+}
+
+/// A parse error with no meaningful offset (field-level validation).
+pub fn bad(message: &str) -> ParseError {
+    ParseError {
+        offset: 0,
+        message: message.to_string(),
+    }
+}
+
+/// Required object field.
+pub fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
+    v.get(key).ok_or_else(|| bad(&format!("missing `{key}`")))
+}
+
+/// Required `u64` field.
+pub fn get_u64(v: &Json, key: &str) -> Result<u64, ParseError> {
+    get(v, key)?
+        .as_u64()
+        .ok_or_else(|| bad(&format!("`{key}` must be an unsigned integer")))
+}
+
+/// Required boolean field.
+pub fn get_bool(v: &Json, key: &str) -> Result<bool, ParseError> {
+    get(v, key)?
+        .as_bool()
+        .ok_or_else(|| bad(&format!("`{key}` must be a bool")))
+}
+
+/// Required array-of-`u64` field.
+pub fn get_u64_vec(v: &Json, key: &str) -> Result<Vec<u64>, ParseError> {
+    get(v, key)?
+        .as_arr()
+        .ok_or_else(|| bad(&format!("`{key}` must be an array")))?
+        .iter()
+        .map(|x| {
+            x.as_u64()
+                .ok_or_else(|| bad(&format!("`{key}` holds a non-u64 element")))
+        })
+        .collect()
 }
 
 #[cfg(test)]

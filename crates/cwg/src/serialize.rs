@@ -9,24 +9,9 @@
 use crate::analysis::{Analysis, Deadlock, DependentKind};
 use crate::cycles::CycleCount;
 use crate::graph::WaitGraph;
-use crate::jsonio::{obj, parse, u64_arr, Json, ParseError};
-
-fn bad(message: &str) -> ParseError {
-    ParseError {
-        offset: 0,
-        message: message.to_string(),
-    }
-}
-
-fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ParseError> {
-    v.get(key).ok_or_else(|| bad(&format!("missing `{key}`")))
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, ParseError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| bad(&format!("`{key}` must be an unsigned integer")))
-}
+use crate::jsonio::{
+    bad, get, get_bool, get_u64, get_u64_vec, obj, parse, u64_arr, Json, ParseError,
+};
 
 fn get_u32_arr(v: &Json, key: &str) -> Result<Vec<u32>, ParseError> {
     get(v, key)?
@@ -37,18 +22,6 @@ fn get_u32_arr(v: &Json, key: &str) -> Result<Vec<u32>, ParseError> {
             x.as_u64()
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| bad(&format!("`{key}` holds a non-u32 element")))
-        })
-        .collect()
-}
-
-fn get_u64_arr(v: &Json, key: &str) -> Result<Vec<u64>, ParseError> {
-    get(v, key)?
-        .as_arr()
-        .ok_or_else(|| bad(&format!("`{key}` must be an array")))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| bad(&format!("`{key}` holds a non-u64 element")))
         })
         .collect()
 }
@@ -130,9 +103,7 @@ fn cycle_count_to_json(c: CycleCount) -> Json {
 
 fn cycle_count_from_json(v: &Json) -> Result<CycleCount, ParseError> {
     let value = get_u64(v, "value")?;
-    let capped = get(v, "capped")?
-        .as_bool()
-        .ok_or_else(|| bad("`capped` must be a bool"))?;
+    let capped = get_bool(v, "capped")?;
     Ok(if capped {
         CycleCount::AtLeast(value)
     } else {
@@ -195,7 +166,7 @@ impl Analysis {
         {
             deadlocks.push(Deadlock {
                 knot: get_u32_arr(d, "knot")?,
-                deadlock_set: get_u64_arr(d, "deadlock_set")?,
+                deadlock_set: get_u64_vec(d, "deadlock_set")?,
                 resource_set: get_u32_arr(d, "resource_set")?,
                 cycle_density: cycle_count_from_json(get(d, "cycle_density")?)?,
             });

@@ -1,0 +1,380 @@
+//! Invariant checking (tests).
+
+use icn_routing::RoutingCtx;
+use icn_topology::{ChannelId, NodeId};
+
+use super::wake::{AllocState, InjState, INJECTOR};
+use super::{
+    compute_candidates, ctx_of, flatten_candidates, Network, Pending, StepMode, FROM_SOURCE,
+    NO_OWNER,
+};
+use crate::message::MsgPhase;
+
+impl Network {
+    /// Exhaustive consistency check; called from tests after stepping.
+    ///
+    /// Verifies flit conservation per message, owner/chain agreement,
+    /// occupancy bounds, per-channel owned counts, injection/reception
+    /// bookkeeping, and that every frozen candidate list equals a fresh
+    /// recompute. On an instance the dense stepper drives, it also checks
+    /// that the activity bookkeeping the shared bodies touch stays inert.
+    pub fn check_invariants(&self) {
+        let vcs_per = self.cfg.vcs_per_channel;
+        let mut owned_seen = vec![0u16; self.topo.num_channels()];
+        for (i, &slot) in self.active.iter().enumerate() {
+            assert_eq!(
+                self.active_idx[slot as usize], i as u32,
+                "active back-map out of sync for slot {slot}"
+            );
+        }
+        for (slot, &i) in self.active_idx.iter().enumerate() {
+            if i != NO_OWNER {
+                assert_eq!(self.active[i as usize] as usize, slot);
+            } else {
+                assert!(
+                    self.messages.get(slot).is_none_or(|m| m.is_none()),
+                    "live slot {slot} missing from the active list"
+                );
+            }
+        }
+        for &slot in &self.active {
+            let msg = self.messages[slot as usize].as_ref().expect("active slot");
+            assert_eq!(self.slot_id[slot as usize], msg.id, "slot_id out of sync");
+            let in_chain: u32 = msg
+                .chain
+                .iter()
+                .map(|&v| self.vc_occ[v as usize] as u32)
+                .sum();
+            assert_eq!(
+                in_chain,
+                msg.flits_in_network(self.msg_uninjected[slot as usize]),
+                "flit conservation violated for message {}",
+                msg.id
+            );
+            for (p, &v) in msg.chain.iter().enumerate() {
+                let v = v as usize;
+                assert_eq!(self.vc_owner[v], slot, "chain VC not owned by its message");
+                assert_eq!(self.vc_seq[v], msg.front_seq + p as u32, "seq mismatch");
+                assert!(self.vc_occ[v] as usize <= self.cfg.buffer_depth);
+                // The feed/next chain-link caches mirror the chain exactly.
+                let feed = if p == 0 {
+                    FROM_SOURCE
+                } else {
+                    msg.chain[p - 1]
+                };
+                assert_eq!(self.vc_feed[v], feed, "vc_feed diverged from chain");
+                let next = msg.chain.get(p + 1).copied().unwrap_or(NO_OWNER);
+                assert_eq!(self.vc_next[v], next, "vc_next diverged from chain");
+                owned_seen[v / vcs_per] += 1;
+            }
+            // Chain follows physically adjacent channels.
+            for (&a, &b) in msg.chain.iter().zip(msg.chain.iter().skip(1)) {
+                let a = self.topo.channel(ChannelId(a / vcs_per as u32));
+                let b = self.topo.channel(ChannelId(b / vcs_per as u32));
+                assert_eq!(a.dst, b.src, "chain must be a connected path");
+            }
+            if msg.phase == MsgPhase::Ejecting {
+                let r = msg.dst.idx() * self.reception_per_node + msg.reception_slot as usize;
+                assert_eq!(self.reception[r], slot);
+            }
+        }
+        for (ch, &count) in owned_seen.iter().enumerate() {
+            assert_eq!(
+                count, self.owned_per_channel[ch],
+                "owned count mismatch on channel {ch}"
+            );
+        }
+        for (v, &owner) in self.vc_owner.iter().enumerate() {
+            if owner == NO_OWNER {
+                assert_eq!(self.vc_occ[v], 0, "free VC {v} holds flits");
+                assert_eq!(self.vc_feed[v], NO_OWNER, "free VC {v} keeps a feed");
+                assert_eq!(self.vc_next[v], NO_OWNER, "free VC {v} keeps a next");
+            } else {
+                assert!(self.messages[owner as usize].is_some());
+            }
+        }
+        let blocked_scan = self
+            .active
+            .iter()
+            .filter(|&&s| self.messages[s as usize].as_ref().unwrap().blocked)
+            .count();
+        assert_eq!(self.blocked_ctr, blocked_scan, "blocked counter drifted");
+
+        // Frozen ⇒ equals recompute: a frozen candidate list (either
+        // stepper, with or without a fault plan) is exactly the flattened
+        // set the routing relation would produce now.
+        for &slot in &self.active {
+            let msg = self.messages[slot as usize].as_ref().unwrap();
+            if msg.phase != MsgPhase::Routing || !self.cand_cache_valid[slot as usize] {
+                continue;
+            }
+            assert!(msg.blocked, "frozen candidates outside a blocked episode");
+            let &head = msg.chain.back().unwrap();
+            let here = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
+            assert_eq!(
+                self.cand_cache[slot as usize],
+                self.recompute_frozen(&ctx_of(msg, here)),
+                "frozen candidate set diverged from recompute"
+            );
+        }
+        for node in (0..self.topo.num_nodes()).filter(|&n| self.inj_cand_valid[n]) {
+            let &Pending { dst, .. } = self.source_q[node]
+                .front()
+                .expect("frozen injector candidates without a queue front");
+            let src = NodeId(node as u32);
+            assert_eq!(
+                self.inj_cand_cache[node],
+                self.recompute_frozen(&RoutingCtx::fresh(src, dst, src)),
+                "frozen injector candidate set diverged from recompute"
+            );
+        }
+
+        if self.mode == StepMode::Activity {
+            self.check_activity_invariants();
+        } else {
+            // The dense stepper never parks or queues: the wakes and the
+            // scheduling state the shared bodies touch must stay empty,
+            // which is what lets those bodies run without a mode test.
+            assert!(
+                self.wake_lists.iter().all(Vec::is_empty)
+                    && self.msg_watches.iter().all(Vec::is_empty)
+                    && self.inj_watches.iter().all(Vec::is_empty),
+                "watch on a dense-stepped instance"
+            );
+            assert!(
+                self.alloc_queue.is_empty(),
+                "queued slot on a dense-stepped instance"
+            );
+            assert!(
+                self.woken.is_empty(),
+                "woken slot on a dense-stepped instance"
+            );
+        }
+    }
+
+    /// Activity-engine consistency, including the no-missed-wake
+    /// guarantees: a parked waiter's watched resources are all busy, a
+    /// movable VC's channel is on the active list, and an idle injector
+    /// has nothing it could inject.
+    fn check_activity_invariants(&self) {
+        let vcs_per = self.cfg.vcs_per_channel;
+        // Wake lists and watch tables are bidirectionally consistent.
+        let mut total_watches = 0usize;
+        for (w, watches) in self.msg_watches.iter().enumerate() {
+            for (k, &(r, i)) in watches.iter().enumerate() {
+                let e = self.wake_lists[r as usize][i as usize];
+                assert_eq!(e.waiter, w as u32, "watch back-pointer broken");
+                assert_eq!(e.watch_pos, k as u32, "watch back-pointer broken");
+                total_watches += 1;
+            }
+        }
+        for (node, watches) in self.inj_watches.iter().enumerate() {
+            for (k, &(r, i)) in watches.iter().enumerate() {
+                let e = self.wake_lists[r as usize][i as usize];
+                assert_eq!(
+                    e.waiter,
+                    INJECTOR | node as u32,
+                    "watch back-pointer broken"
+                );
+                assert_eq!(e.watch_pos, k as u32, "watch back-pointer broken");
+                total_watches += 1;
+            }
+        }
+        let total_entries: usize = self.wake_lists.iter().map(|l| l.len()).sum();
+        assert_eq!(total_entries, total_watches, "stale wake-list entries");
+
+        // Every queued routing message appears exactly once across the
+        // allocation queue and the woken buffer.
+        let mut queued_seen = vec![0u32; self.messages.len()];
+        for &s in self.alloc_queue.iter().chain(self.woken.iter()) {
+            assert!(self.messages[s as usize].is_some(), "dead slot queued");
+            if self.alloc_state[s as usize] == AllocState::Queued {
+                queued_seen[s as usize] += 1;
+            }
+        }
+        for &s in &self.inj_ready {
+            assert_eq!(self.inj_state[s as usize], InjState::Ready);
+        }
+
+        for &slot in &self.active {
+            let msg = self.messages[slot as usize].as_ref().unwrap();
+            let s = slot as usize;
+            if msg.phase != MsgPhase::Routing {
+                assert_eq!(self.alloc_state[s], AllocState::Inactive);
+                assert_ne!(
+                    self.drain_idx[s], NO_OWNER,
+                    "draining message not on drain list"
+                );
+                assert_eq!(self.drain_list[self.drain_idx[s] as usize], slot);
+                continue;
+            }
+            match self.alloc_state[s] {
+                AllocState::Queued => {
+                    assert_eq!(
+                        queued_seen[s], 1,
+                        "queued message {} lost or duplicated",
+                        msg.id
+                    );
+                    assert!(self.msg_watches[s].is_empty());
+                }
+                AllocState::Parked => {
+                    assert!(msg.blocked, "parked message must be blocked");
+                    let &head = msg.chain.back().unwrap();
+                    assert!(self.vc_occ[head as usize] >= 1);
+                    let here = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
+                    if here == msg.dst {
+                        // Waiting for a reception channel: all busy, and
+                        // exactly the reception group is watched.
+                        let base = here.idx() * self.reception_per_node;
+                        for r in 0..self.reception_per_node {
+                            assert_ne!(
+                                self.reception[base + r],
+                                NO_OWNER,
+                                "parked at destination with a free reception slot: missed wake"
+                            );
+                        }
+                        assert_eq!(self.msg_watches[s].len(), 1);
+                        assert_eq!(
+                            self.msg_watches[s][0].0,
+                            (self.num_vcs() + here.idx()) as u32,
+                            "destination wait must watch the reception group"
+                        );
+                    } else {
+                        let cand = self.recompute_frozen(&ctx_of(msg, here));
+                        assert!(
+                            cand.iter().all(|&v| self.vc_owner[v as usize] != NO_OWNER),
+                            "parked message {} has a free candidate VC: missed wake",
+                            msg.id
+                        );
+                        assert_eq!(
+                            self.msg_watches[s].len(),
+                            cand.len(),
+                            "watch set does not match candidate set"
+                        );
+                    }
+                }
+                AllocState::Inactive => panic!("routing message {} inactive", msg.id),
+            }
+        }
+
+        // Injector scheduling: an idle node must have nothing injectable.
+        for node in 0..self.topo.num_nodes() {
+            let has_free_slot = (self.injecting_count[node] as usize) < self.injection_per_node;
+            match self.inj_state[node] {
+                InjState::Idle => {
+                    assert!(
+                        self.source_q[node].is_empty() || !has_free_slot,
+                        "idle injector {node} with work and a free channel: missed wake"
+                    );
+                    assert!(self.inj_watches[node].is_empty());
+                }
+                InjState::Ready => {
+                    assert_eq!(
+                        self.inj_ready
+                            .iter()
+                            .filter(|&&n| n as usize == node)
+                            .count(),
+                        1
+                    );
+                }
+                InjState::Parked => {
+                    let &Pending { dst, .. } = self.source_q[node]
+                        .front()
+                        .expect("parked injector has work");
+                    assert!(has_free_slot, "parked injector without a free channel");
+                    let src = NodeId(node as u32);
+                    let cand = self.recompute_frozen(&RoutingCtx::fresh(src, dst, src));
+                    assert!(
+                        cand.iter().all(|&v| self.vc_owner[v as usize] != NO_OWNER),
+                        "parked injector {node} has a free candidate VC: missed wake"
+                    );
+                    assert_eq!(self.inj_watches[node].len(), cand.len());
+                }
+            }
+        }
+
+        // Channel activity: any VC a flit could move into next cycle sits
+        // on an active channel.
+        let depth = self.cfg.buffer_depth as u16;
+        for (v, &owner) in self.vc_owner.iter().enumerate() {
+            if owner == NO_OWNER || self.vc_occ[v] >= depth {
+                continue;
+            }
+            let feed = self.vc_feed[v];
+            let fed = if feed == FROM_SOURCE {
+                self.msg_uninjected[owner as usize] > 0
+            } else {
+                self.vc_occ[feed as usize] >= 1
+            };
+            if fed {
+                let ch = v / vcs_per;
+                assert!(
+                    self.chan_words[ch >> 6] >> (ch & 63) & 1 == 1,
+                    "movable VC {v} on a dormant channel: missed transfer"
+                );
+            }
+        }
+        // The scan side is idle between steps.
+        assert!(self.chan_scan.iter().all(|&w| w == 0));
+
+        // Dirty-mark discipline: every occupancy that diverged from the
+        // `occ_start` snapshot carries a mark (no missed patch).
+        for (v, &occ) in self.vc_occ.iter().enumerate() {
+            if self.occ_dirty_words[v >> 6] >> (v & 63) & 1 == 0 {
+                assert_eq!(
+                    self.occ_start[v], occ,
+                    "VC {v} occupancy diverged from occ_start without a dirty mark"
+                );
+            }
+        }
+
+        // Drain list back-map and cached heads.
+        assert_eq!(self.drain_list.len(), self.drain_head.len());
+        for (i, &slot) in self.drain_list.iter().enumerate() {
+            assert_eq!(self.drain_idx[slot as usize], i as u32);
+            let msg = self.messages[slot as usize].as_ref().unwrap();
+            assert_ne!(msg.phase, MsgPhase::Routing);
+            assert_eq!(
+                msg.chain.back(),
+                Some(&self.drain_head[i]),
+                "stale cached drain head for slot {slot}"
+            );
+        }
+
+        // Release work queue fully drained between steps; only deferred
+        // visits (injection completed in the injection cycle) carry
+        // over, and the flags mark exactly those slots.
+        assert!(self.release_check.is_empty());
+        for (s, &f) in self.release_flag.iter().enumerate() {
+            assert_eq!(
+                f,
+                self.release_deferred.contains(&(s as u32)),
+                "release_flag[{s}] inconsistent with release_deferred"
+            );
+        }
+        for &slot in &self.release_deferred {
+            let msg = self.messages[slot as usize]
+                .as_ref()
+                .expect("deferred slot live");
+            assert_eq!(self.msg_uninjected[slot as usize], 0);
+            assert!(msg.holds_injection);
+            assert_eq!(msg.injected_at + 1, self.cycle);
+        }
+    }
+    /// The flattened candidate set the routing relation offers at `ctx`
+    /// now — what a frozen list must equal.
+    fn recompute_frozen(&self, ctx: &RoutingCtx) -> Vec<u32> {
+        let (mut cand, mut flat) = (Vec::new(), Vec::new());
+        let vcs_per = self.cfg.vcs_per_channel;
+        compute_candidates(
+            &self.topo,
+            &*self.routing,
+            vcs_per,
+            &self.failed,
+            ctx,
+            &mut cand,
+        );
+        flatten_candidates(&cand, vcs_per, &mut flat);
+        flat
+    }
+}

@@ -1,7 +1,7 @@
 //! End-to-end tests of the flit-level engine through its public API.
 
 use icn_routing::{DatelineDor, Dor, Tfar};
-use icn_sim::{MsgPhase, Network, SimConfig, StepEvents};
+use icn_sim::{FaultPlan, MsgPhase, Network, SimConfig, StepEvents};
 use icn_topology::{Coords, KAryNCube, NodeId};
 
 fn net(
@@ -236,22 +236,23 @@ fn failed_channel_is_routed_around_by_tfar() {
             msg_len: 4,
         },
     );
-    // Fail the +x channel out of node 0; a message to (1,1) can still
+    // Kill the +x channel out of node 0; a message to (1,1) can still
     // leave via +y first.
     let bad = n
         .topology()
         .channel_from(NodeId(0), 0, icn_topology::Direction::Plus)
         .unwrap();
-    n.fail_channel(bad);
+    n.set_fault_plan(FaultPlan::new().link_kill(0, bad.0));
     let dst = n.topology().node_at(&Coords::new(&[1, 1]));
     n.enqueue(NodeId(0), dst);
     let done = run_until_delivered(&mut n, 1, 100);
     assert_eq!(done[0].hops, 2);
     assert!(!n.channel_busy(bad));
+    n.check_invariants();
 }
 
 #[test]
-fn failed_channel_strands_dor_message() {
+fn failed_channel_rejects_dor_message() {
     let topo = KAryNCube::torus(8, 2, true);
     let mut n = net(
         topo,
@@ -266,14 +267,16 @@ fn failed_channel_strands_dor_message() {
         .topology()
         .channel_from(NodeId(0), 0, icn_topology::Direction::Plus)
         .unwrap();
-    n.fail_channel(bad);
+    n.set_fault_plan(FaultPlan::new().link_kill(0, bad.0));
     n.enqueue(NodeId(0), NodeId(2)); // DOR must start +x: no route
     for _ in 0..50 {
         n.step();
     }
     assert_eq!(n.totals().2, 0);
     assert_eq!(n.in_network(), 0, "never injected — no usable candidate");
-    assert_eq!(n.source_queued(), 1);
+    assert_eq!(n.fault_totals().1, 1, "rejected at the source, counted");
+    assert_eq!(n.source_queued(), 0);
+    n.check_invariants();
 }
 
 #[test]
@@ -927,20 +930,6 @@ fn routing_min_vcs_enforced() {
             ..Default::default()
         },
     );
-}
-
-#[test]
-#[should_panic(expected = "cannot fail a channel in use")]
-fn failing_busy_channel_rejected() {
-    let topo = KAryNCube::torus(8, 2, true);
-    let mut n = net(topo, Dor, SimConfig::default());
-    n.enqueue(NodeId(0), NodeId(2));
-    n.step();
-    let ch = n
-        .topology()
-        .channel_from(NodeId(0), 0, icn_topology::Direction::Plus)
-        .unwrap();
-    n.fail_channel(ch);
 }
 
 /// A pipelined multi-hop flow makes middle VCs both receive a flit and

@@ -12,8 +12,10 @@
 //! machine), its bidirectional twin, adaptive TFAR with 2 VCs, and a
 //! deep-buffer virtual cut-through point; plus a faulted case under a
 //! `random_plan`-shaped schedule of link outages, a link kill, a router
-//! stall, and an injector outage, and a stall-heavy case that freezes
-//! every router in turn (the fused walk's stall hook). The proptest sweeps
+//! stall, and an injector outage, a stall-heavy case that freezes every
+//! router in turn (the fused walk's stall hook), and an outage-heavy case
+//! on the adaptive regimes that checks every frozen candidate list after
+//! every cycle (link transitions thaw them). The proptest sweeps
 //! randomized above-saturation points on top. One case compares the
 //! activity engine with itself: an armed but unfired fault plan must
 //! change nothing observable.
@@ -193,7 +195,7 @@ fn faulted_golden_agrees_above_saturation() {
     let horizon = 700u64;
     let mut r = Rng(0xfa17_fa17);
     let lo = horizon / 10;
-    let mut at = |r: &mut Rng| lo + r.below(horizon - lo);
+    let at = |r: &mut Rng| lo + r.below(horizon - lo);
     let mut plan = FaultPlan::new();
     for _ in 0..3 {
         let ch = r.below(channels) as u32;
@@ -230,10 +232,32 @@ fn rolling_router_stalls_agree_above_saturation() {
     }
 }
 
+/// Frozen candidate lists under link faults: on the adaptive goldens,
+/// rolling transient outages take links down and bring them back while
+/// headers block on the survivors, so a list frozen while a link was down
+/// must be thawed when it comes back up. Both steppers share the frozen
+/// lists, so lockstep alone cannot see a stale one; `check_invariants`,
+/// run every cycle, compares each with a fresh recompute.
+#[test]
+fn link_transitions_thaw_frozen_candidates_above_saturation() {
+    let gs = goldens();
+    for (i, g) in [&gs[2], &gs[3]].into_iter().enumerate() {
+        let channels = g.topo.num_channels() as u64;
+        let mut r = Rng(0x7a4e_0000 + i as u64);
+        let mut plan = FaultPlan::new();
+        for k in 0..24 {
+            let down = 40 + 12 * k + r.below(12);
+            plan.link_outage(r.below(channels) as u32, down, down + 1 + r.below(30));
+        }
+        plan.validate(channels as usize, g.topo.num_nodes());
+        saturated_case(g, &plan, 0x7a4eu64 << 8 | i as u64, 400, 1);
+    }
+}
+
 /// An armed plan whose only event lies beyond the horizon switches the
-/// engine to its fault instantiation (stall hook compiled in, candidate
-/// caching off) and must change nothing observable: the sim-level twin of
-/// the digest check behind the benchmark's `sim.armed_plan_ratio`.
+/// engine to its fault instantiation (stall hook compiled in) and must
+/// change nothing observable: the sim-level twin of the digest check
+/// behind the benchmark's `sim.armed_plan_ratio`.
 #[test]
 fn armed_but_unfired_plan_equals_no_plan() {
     let cycles = 500;
