@@ -79,7 +79,7 @@
 //! writes a minimized reproducer to `validate-divergence.json`.
 
 use flexsim::experiments::{self, Scale};
-use flexsim::forensics::{minimize, replay, timeline_table, IncidentStore};
+use flexsim::forensics::{minimize, replay, timeline_table, CwgSnapshot, IncidentStore};
 use flexsim::report::Table;
 use flexsim::sweep;
 use flexsim::{
@@ -392,16 +392,16 @@ fn validate_main(args: &Args) -> i32 {
     let mut cycles_refereed = 0u64;
     'cwgs: for (name, params) in &shapes {
         for i in 0..num_cwgs {
-            let (n, msgs) = v::random_snapshot(base_seed ^ i, params);
-            let mut diffs = v::check_messages(n, &msgs);
+            let snap = v::random_snapshot(base_seed ^ i, params);
+            let mut diffs = v::check_messages(&snap, None);
             // Cycle counts and knot densities against the naive counter
             // (skipped only when a snapshot is too cyclic to walk naively).
-            if let Some(cycle_diffs) = v::check_cycle_counts(n, &msgs) {
+            if let Some(cycle_diffs) = v::check_cycle_counts(&snap) {
                 cycles_refereed += 1;
                 diffs.extend(cycle_diffs);
             }
             checked += 1;
-            if v::oracle_analyze(n, &msgs).has_deadlock() {
+            if v::oracle_analyze(&snap).has_deadlock() {
                 with_knots += 1;
             }
             if !diffs.is_empty() {
@@ -409,7 +409,7 @@ fn validate_main(args: &Args) -> i32 {
                     "divergence on shape `{name}` seed {}: {diffs:?}",
                     base_seed ^ i
                 );
-                emit_divergence(&v::divergence_repro_json(n, &msgs));
+                emit_divergence(&v::divergence_repro_json(&snap));
                 ok = false;
                 break 'cwgs;
             }
@@ -838,6 +838,7 @@ fn probe_main(args: &Args) -> i32 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
     let injector = icn_traffic::BernoulliInjector::for_load(&topo, cfg.load, cfg.sim.msg_len);
     let mut delivered = 0u64;
+    let mut arena = icn_sim::SnapshotArena::new();
 
     for cycle in 0..cycles {
         for node in 0..topo.num_nodes() as u32 {
@@ -850,9 +851,13 @@ fn probe_main(args: &Args) -> i32 {
         let ev = net.step();
         delivered += ev.delivered.len() as u64;
         if net.cycle().is_multiple_of(cfg.detection_interval) {
-            let snap = net.wait_snapshot();
-            let graph = flexsim::build_wait_graph(&snap);
-            let analysis = graph.analyze(2000);
+            net.wait_snapshot_into(&mut arena);
+            let analysis = CwgSnapshot::from_messages(
+                arena.num_vertices(),
+                arena.messages().map(|m| (m.id, m.chain, m.requests)),
+            )
+            .build_graph()
+            .analyze(2000);
             let knots = analysis.deadlocks.len();
             let kmax = analysis
                 .deadlocks

@@ -1,7 +1,7 @@
 //! The self-contained incident record and its JSON form.
 
 use icn_cwg::jsonio::{obj, parse, u64_arr, Json, ParseError};
-use icn_cwg::{analyses_equal, Analysis, WaitGraph};
+use icn_cwg::{analyses_equal, Analysis, CwgSnapshot};
 use icn_sim::{SnapshotArena, TraceEvent};
 use icn_topology::{ChannelId, NodeId};
 
@@ -12,97 +12,6 @@ use crate::spec::{
 use crate::RunConfig;
 
 use super::timeline::{final_block_cycle, injected_cycle, TimelineIndex};
-
-/// One message of a [`CwgSnapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CwgMsg {
-    /// Message id.
-    pub id: u64,
-    /// Vertices the message holds (acquisition order).
-    pub chain: Vec<u32>,
-    /// Vertices the message is blocked waiting for.
-    pub requests: Vec<u32>,
-}
-
-/// An owned copy of one epoch's channel wait-for graph, as data. The
-/// incident keeps this rather than a [`WaitGraph`] because recovery
-/// mutates the live graph in place; the snapshot arena it was built from
-/// is immutable, so the record is pre-recovery by construction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CwgSnapshot {
-    /// Total vertex count (VCs plus reception channels).
-    pub num_vertices: usize,
-    /// Per-message ownership chains and request sets.
-    pub messages: Vec<CwgMsg>,
-}
-
-impl CwgSnapshot {
-    pub(crate) fn from_arena(arena: &SnapshotArena) -> Self {
-        CwgSnapshot {
-            num_vertices: arena.num_vertices(),
-            messages: arena
-                .messages()
-                .map(|m| CwgMsg {
-                    id: m.id,
-                    chain: m.chain.to_vec(),
-                    requests: m.requests.to_vec(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds the live graph this snapshot describes, ready for
-    /// re-analysis.
-    pub fn build_graph(&self) -> WaitGraph {
-        let mut g = WaitGraph::new(self.num_vertices);
-        for m in &self.messages {
-            g.add_chain(m.id, &m.chain);
-        }
-        for m in &self.messages {
-            if !m.requests.is_empty() {
-                g.add_requests(m.id, &m.requests);
-            }
-        }
-        g
-    }
-
-    /// Serializes in the same shape as [`WaitGraph::to_json`].
-    pub fn to_json(&self) -> Json {
-        let messages: Vec<Json> = self
-            .messages
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("id", Json::U64(m.id)),
-                    ("chain", u64_arr(m.chain.iter().map(|&v| v as u64))),
-                    ("requests", u64_arr(m.requests.iter().map(|&v| v as u64))),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("num_vertices", Json::U64(self.num_vertices as u64)),
-            ("messages", Json::Arr(messages)),
-        ])
-    }
-
-    /// Parses and re-validates a snapshot. Validation goes through
-    /// [`WaitGraph::from_json`], so a parsed snapshot can never describe a
-    /// graph the detector could not build.
-    pub fn from_json(v: &Json) -> Result<Self, ParseError> {
-        let g = WaitGraph::from_json(v)?;
-        Ok(CwgSnapshot {
-            num_vertices: g.num_vertices(),
-            messages: g
-                .messages()
-                .map(|id| CwgMsg {
-                    id,
-                    chain: g.chain(id).unwrap_or(&[]).to_vec(),
-                    requests: g.requests_of(id).unwrap_or(&[]).to_vec(),
-                })
-                .collect(),
-        })
-    }
-}
 
 /// The recorded event log of one deadlock-set member.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -172,7 +81,7 @@ pub struct DeadlockIncident {
     pub config: RunConfig,
     /// Blocked-wait-state fingerprint of the capture epoch.
     pub fingerprint: u64,
-    /// The full pre-recovery CWG.
+    /// The full pre-recovery CWG, moving messages included.
     pub cwg: CwgSnapshot,
     /// The epoch's knot analysis (deadlock/resource sets, densities,
     /// dependents).
@@ -218,7 +127,10 @@ impl DeadlockIncident {
             formation_cycle,
             config: cfg.clone(),
             fingerprint: arena.fingerprint(),
-            cwg: CwgSnapshot::from_arena(arena),
+            cwg: CwgSnapshot::from_messages(
+                arena.num_vertices(),
+                arena.messages().map(|m| (m.id, m.chain, m.requests)),
+            ),
             analysis: analysis.clone(),
             timelines,
             recovery: RecoveryOutcome {

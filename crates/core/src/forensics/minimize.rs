@@ -20,11 +20,11 @@
 
 use std::ops::ControlFlow;
 
-use icn_sim::Network;
+use icn_cwg::CwgSnapshot;
+use icn_sim::{Network, SnapshotArena};
 
-use crate::runner::{build_wait_graph, run_with, RunObserver};
+use crate::runner::{run_with, RunObserver};
 
-use super::incident::{CwgMsg, CwgSnapshot};
 use super::DeadlockIncident;
 
 /// Outcome of [`minimize`].
@@ -72,7 +72,7 @@ pub fn minimize_cwg(incident: &DeadlockIncident) -> (CwgSnapshot, bool) {
             .iter()
             .filter(|m| members.binary_search(&m.id).is_ok())
             .cloned()
-            .collect::<Vec<CwgMsg>>(),
+            .collect(),
     };
     let analysis = sub.build_graph().analyze(incident.config.density_cap);
     let observed = sorted(
@@ -98,8 +98,14 @@ impl RunObserver for ProbeAtCycle {
         if net.cycle() < self.target {
             return ControlFlow::Continue(());
         }
-        let graph = build_wait_graph(&net.wait_snapshot());
-        let analysis = graph.analyze(self.density_cap);
+        let mut arena = SnapshotArena::new();
+        net.wait_snapshot_into(&mut arena);
+        let analysis = CwgSnapshot::from_messages(
+            arena.num_vertices(),
+            arena.messages().map(|m| (m.id, m.chain, m.requests)),
+        )
+        .build_graph()
+        .analyze(self.density_cap);
         let observed = sorted(
             analysis
                 .deadlocks
@@ -187,6 +193,7 @@ mod tests {
     use super::*;
     use crate::forensics::{MemberTimeline, RecoveryOutcome};
     use crate::{RecoveryPolicy, RunConfig};
+    use icn_cwg::CwgMsg;
 
     /// An incident assembled by hand: Figure-1's three-message knot plus
     /// a dependent message (6) and a moving message (4) that the

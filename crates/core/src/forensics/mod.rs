@@ -34,9 +34,8 @@ mod replay;
 mod store;
 mod timeline;
 
-pub use incident::{
-    incidents_equal, CwgMsg, CwgSnapshot, DeadlockIncident, MemberTimeline, RecoveryOutcome,
-};
+pub use icn_cwg::{CwgMsg, CwgSnapshot};
+pub use incident::{incidents_equal, DeadlockIncident, MemberTimeline, RecoveryOutcome};
 pub use minimize::{minimize, minimize_cwg, shortest_prefix, MinimizedIncident, ShortestPrefix};
 pub use replay::{replay, ReplayReport};
 pub use store::{IncidentStore, IndexEntry};

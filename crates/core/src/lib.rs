@@ -57,9 +57,7 @@ pub use checkpoint::{decode_result, encode_result};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use forensics::ForensicsConfig;
 pub use result::{Incident, RunOutcome, RunResult, StallReport};
-pub use runner::{
-    build_wait_graph, run, run_reference, run_reference_with, run_with, EpochView, RunObserver,
-};
+pub use runner::{run, run_reference, run_reference_with, run_with, EpochView, RunObserver};
 pub use spec::{config_from_json, config_to_json, RecoveryPolicy, RoutingSpec, TopologySpec};
 pub use sweep::{
     backoff_for, checkpoint_line, checkpoint_status_line, replicate, replication_summary,

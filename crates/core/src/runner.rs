@@ -5,7 +5,7 @@ use std::ops::ControlFlow;
 use icn_cwg::{
     Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch, DynamicWaitGraph, WaitGraph,
 };
-use icn_sim::{Network, SnapshotArena, StepEvents, WaitSnapshot, WaitUpdate};
+use icn_sim::{Network, SnapshotArena, StepEvents, WaitUpdate};
 use icn_topology::NodeId;
 use icn_traffic::BernoulliInjector;
 use rand::rngs::StdRng;
@@ -68,24 +68,6 @@ pub trait RunObserver {
 
 /// The no-op observer behind plain [`run`].
 impl RunObserver for () {}
-
-/// Converts a simulator wait-for snapshot into a channel wait-for graph.
-///
-/// Messages stranded by link faults can have empty request sets; they hold
-/// resources but wait on nothing representable, so only their ownership
-/// chains are recorded.
-pub fn build_wait_graph(snap: &WaitSnapshot) -> WaitGraph {
-    let mut g = WaitGraph::new(snap.num_vertices);
-    for m in &snap.messages {
-        g.add_chain(m.id, &m.chain);
-    }
-    for m in &snap.messages {
-        if !m.requests.is_empty() {
-            g.add_requests(m.id, &m.requests);
-        }
-    }
-    g
-}
 
 /// Which simulation-engine stepper drives the run.
 #[derive(Clone, Copy, PartialEq, Eq)]

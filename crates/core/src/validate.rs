@@ -24,9 +24,12 @@
 //!   forensics incidents: the recorded production analysis must match
 //!   what the oracle derives from the recorded CWG.
 //!
+//! Every production-vs-oracle comparison goes through the one comparator,
+//! [`check_messages`]; the observer adds only its fingerprint-skip branch.
 //! Any oracle divergence yields a minimized reproducer
-//! ([`divergence_repro_json`]) in the same JSON shape as a forensics CWG
-//! snapshot, so it can be replayed through `WaitGraph::from_json`.
+//! ([`divergence_repro_json`]): a [`CwgSnapshot`] in its JSON form, the
+//! shape forensics incidents store, so it replays through
+//! [`CwgSnapshot::from_json`].
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -34,18 +37,17 @@ use std::ops::ControlFlow;
 use std::path::Path;
 
 pub use icn_validate::{
-    arena_msgs, check_cycle_counts, check_messages, explore, minimal_deadlock_sets,
-    minimize_divergence, oracle_analyze, random_snapshot, Divergence, ExploreConfig, ExploreReport,
-    ExploreRouting, GenParams, OracleAnalysis, OracleDependent, OracleKnot, OracleMsg, SplitMix64,
-    BRUTE_FORCE_CAP,
+    check_cycle_counts, check_messages, explore, minimal_deadlock_sets, minimize_divergence,
+    oracle_analyze, random_snapshot, Divergence, ExploreConfig, ExploreReport, ExploreRouting,
+    GenParams, OracleAnalysis, OracleDependent, OracleKnot, SplitMix64, BRUTE_FORCE_CAP,
 };
 
-use icn_cwg::{Analysis, DependentKind};
+use icn_cwg::CwgSnapshot;
 use icn_sim::{MsgPhase, Network, StepEvents};
 use icn_topology::KAryNCube;
 use icn_traffic::{MsgLenDist, Pattern};
 
-use crate::forensics::{CwgMsg, CwgSnapshot, DeadlockIncident, IncidentStore};
+use crate::forensics::{DeadlockIncident, IncidentStore};
 use crate::runner::{run_reference_with, run_with, EpochView, RunObserver};
 use crate::spec::{RecoveryPolicy, RoutingSpec, TopologySpec};
 use crate::RunConfig;
@@ -60,130 +62,10 @@ const MAX_VIOLATIONS: usize = 32;
 const RECOVERY_DRAIN_BOUND: u64 = 20_000;
 
 /// Renders the production-vs-oracle divergence reproducer: the snapshot is
-/// greedily minimized and serialized in the forensics CWG JSON shape
-/// (parseable back through `WaitGraph::from_json`).
-pub fn divergence_repro_json(num_vertices: usize, msgs: &[OracleMsg]) -> String {
-    let minimal = minimize_divergence(num_vertices, msgs);
-    CwgSnapshot {
-        num_vertices,
-        messages: minimal
-            .iter()
-            .map(|m| CwgMsg {
-                id: m.id,
-                chain: m.chain.clone(),
-                requests: m.requests.clone(),
-            })
-            .collect(),
-    }
-    .to_json()
-    .to_string()
-}
-
-fn sorted_sets<T: Ord + Clone>(sets: impl IntoIterator<Item = Vec<T>>) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = sets
-        .into_iter()
-        .map(|mut s| {
-            s.sort();
-            s
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// Compares one epoch's production [`Analysis`] (possibly the empty
-/// fingerprint-skip placeholder) against the naive oracle and, on small
-/// snapshots, the brute-force enumerator. Returns human-readable
-/// disagreements.
-pub fn diff_epoch_analysis(
-    skipped: bool,
-    analysis: &Analysis,
-    num_vertices: usize,
-    msgs: &[OracleMsg],
-) -> Vec<String> {
-    let oracle = oracle_analyze(num_vertices, msgs);
-    let mut out = Vec::new();
-
-    if skipped {
-        // The skip claims the epoch is knot-free by fingerprint match; the
-        // oracle re-derives that claim from scratch.
-        if oracle.has_deadlock() {
-            out.push(format!(
-                "fingerprint skip declared a clean epoch but the oracle finds knots: {:?}",
-                oracle.deadlock_sets()
-            ));
-        }
-        if analysis.num_blocked != oracle.num_blocked {
-            out.push(format!(
-                "num_blocked: production={} oracle={}",
-                analysis.num_blocked, oracle.num_blocked
-            ));
-        }
-        return out;
-    }
-
-    if analysis.has_deadlock() != oracle.has_deadlock() {
-        out.push(format!(
-            "has_deadlock: production={} oracle={}",
-            analysis.has_deadlock(),
-            oracle.has_deadlock()
-        ));
-    }
-    if analysis.num_blocked != oracle.num_blocked {
-        out.push(format!(
-            "num_blocked: production={} oracle={}",
-            analysis.num_blocked, oracle.num_blocked
-        ));
-    }
-    let prod_dsets = sorted_sets(analysis.deadlocks.iter().map(|d| d.deadlock_set.clone()));
-    if prod_dsets != oracle.deadlock_sets() {
-        out.push(format!(
-            "deadlock sets: production={prod_dsets:?} oracle={:?}",
-            oracle.deadlock_sets()
-        ));
-    }
-    let prod_knots = sorted_sets(analysis.deadlocks.iter().map(|d| d.knot.clone()));
-    let orc_knots = sorted_sets(oracle.knots.iter().map(|k| k.knot.clone()));
-    if prod_knots != orc_knots {
-        out.push(format!(
-            "knot vertex sets: production={prod_knots:?} oracle={orc_knots:?}"
-        ));
-    }
-    let prod_rsets = sorted_sets(analysis.deadlocks.iter().map(|d| d.resource_set.clone()));
-    let orc_rsets = sorted_sets(oracle.knots.iter().map(|k| k.resource_set.clone()));
-    if prod_rsets != orc_rsets {
-        out.push(format!(
-            "resource sets: production={prod_rsets:?} oracle={orc_rsets:?}"
-        ));
-    }
-    let prod_dep: Vec<(u64, OracleDependent)> = analysis
-        .dependent
-        .iter()
-        .map(|&(id, k)| {
-            (
-                id,
-                match k {
-                    DependentKind::Committed => OracleDependent::Committed,
-                    DependentKind::Transient => OracleDependent::Transient,
-                },
-            )
-        })
-        .collect();
-    if prod_dep != oracle.dependent {
-        out.push(format!(
-            "dependent census: production={prod_dep:?} oracle={:?}",
-            oracle.dependent
-        ));
-    }
-    if let Some(brute) = minimal_deadlock_sets(num_vertices, msgs, BRUTE_FORCE_CAP) {
-        if brute != oracle.deadlock_sets() {
-            out.push(format!(
-                "brute-force minimal closed sets: brute={brute:?} oracle={:?}",
-                oracle.deadlock_sets()
-            ));
-        }
-    }
-    out
+/// greedily minimized and serialized as CWG JSON (parseable back through
+/// [`CwgSnapshot::from_json`]).
+pub fn divergence_repro_json(snap: &CwgSnapshot) -> String {
+    minimize_divergence(snap).to_json().to_string()
 }
 
 /// A [`RunObserver`] auditing a live run against the §2 theory and the
@@ -365,19 +247,43 @@ impl RunObserver for ValidationObserver {
         // epochs, where the production placeholder claims "no knots". The
         // detector never looks at a capture, so the audit takes a fresh
         // one of the live network instead of trusting its claim.
-        let (msgs, num_vertices) = if view.captured {
-            (arena_msgs(view.arena), view.arena.num_vertices())
+        let arena = if view.captured {
+            view.arena
         } else {
             view.net.wait_snapshot_into(&mut self.audit_arena);
-            (
-                arena_msgs(&self.audit_arena),
-                self.audit_arena.num_vertices(),
-            )
+            &self.audit_arena
         };
-        let diffs = diff_epoch_analysis(view.skipped, view.analysis, num_vertices, &msgs);
+        let snap = CwgSnapshot::from_messages(
+            arena.num_vertices(),
+            arena.messages().map(|m| (m.id, m.chain, m.requests)),
+        );
+        let diffs: Vec<String> = if view.skipped {
+            // The skip claims the epoch is knot-free by fingerprint match;
+            // the oracle re-derives that claim from scratch.
+            let oracle = oracle_analyze(&snap);
+            let mut out = Vec::new();
+            if oracle.has_deadlock() {
+                out.push(format!(
+                    "fingerprint skip declared a clean epoch but the oracle finds knots: {:?}",
+                    oracle.deadlock_sets()
+                ));
+            }
+            if view.analysis.num_blocked != oracle.num_blocked {
+                out.push(format!(
+                    "num_blocked: production={} oracle={}",
+                    view.analysis.num_blocked, oracle.num_blocked
+                ));
+            }
+            out
+        } else {
+            check_messages(&snap, Some(view.analysis))
+                .iter()
+                .map(ToString::to_string)
+                .collect()
+        };
         if !diffs.is_empty() {
             if self.divergence_repro.is_none() {
-                self.divergence_repro = Some(divergence_repro_json(num_vertices, &msgs));
+                self.divergence_repro = Some(divergence_repro_json(&snap));
             }
             for d in diffs {
                 self.violate(cycle, format!("oracle divergence: {d}"));
@@ -716,25 +622,14 @@ pub fn campaign(num_configs: usize, base_seed: u64) -> CampaignOutcome {
 }
 
 /// Re-audits one stored forensics incident: the recorded production
-/// analysis must match what the oracle derives from the recorded CWG,
-/// and the three structure-level implementations must agree on it.
+/// analysis must match what the oracle derives from the recorded CWG, and
+/// so must a fresh rebuild of that CWG, the slim detector path and the
+/// brute-force enumerator — one [`check_messages`] pass.
 pub fn check_incident(inc: &DeadlockIncident) -> Vec<String> {
-    let msgs: Vec<OracleMsg> = inc
-        .cwg
-        .messages
+    let mut out: Vec<String> = check_messages(&inc.cwg, Some(&inc.analysis))
         .iter()
-        .map(|m| OracleMsg {
-            id: m.id,
-            chain: m.chain.clone(),
-            requests: m.requests.clone(),
-        })
+        .map(ToString::to_string)
         .collect();
-    let mut out = diff_epoch_analysis(false, &inc.analysis, inc.cwg.num_vertices, &msgs);
-    // Cross-check the structure-only harness too (fresh graph rebuild,
-    // slim detector path, brute force).
-    for d in check_messages(inc.cwg.num_vertices, &msgs) {
-        out.push(format!("rebuilt-graph divergence: {d}"));
-    }
     // An incident records a detection: it must actually contain a knot.
     if !inc.analysis.has_deadlock() {
         out.push("incident stores no deadlock".to_string());
@@ -827,21 +722,11 @@ mod tests {
 
     #[test]
     fn divergence_repro_is_parseable_cwg_json() {
-        let msgs = vec![
-            OracleMsg {
-                id: 1,
-                chain: vec![0, 1],
-                requests: vec![2],
-            },
-            OracleMsg {
-                id: 2,
-                chain: vec![2, 3],
-                requests: vec![0],
-            },
-        ];
-        let json = divergence_repro_json(4, &msgs);
+        let snap =
+            CwgSnapshot::from_messages(4, [(1, &[0, 1][..], &[2][..]), (2, &[2, 3][..], &[0][..])]);
+        let json = divergence_repro_json(&snap);
         let parsed = icn_cwg::jsonio::parse(&json).expect("valid json");
-        let snap = CwgSnapshot::from_json(&parsed).expect("valid cwg snapshot");
-        assert_eq!(snap.num_vertices, 4);
+        let back = CwgSnapshot::from_json(&parsed).expect("valid cwg snapshot");
+        assert_eq!(back, snap, "an agreeing snapshot is its own reproducer");
     }
 }

@@ -55,10 +55,9 @@
 //! terminal component), so `s0 == 0` proves the graph knot-free without
 //! touching any adjacency. Knots moreover live *entirely* among S0
 //! records — a vertex whose owner has an escape reaches that escape — so
-//! the lazy verdicts go stale only when a commit touches an S0 record or
+//! the lazy verdict goes stale only when a commit touches an S0 record or
 //! moves a record across the S0 boundary; all other churn (the busy
-//! frontier of a congestion tree) leaves both the boolean verdict and the
-//! exact deadlock sets untouched.
+//! frontier of a congestion tree) leaves it untouched.
 //!
 //! The boolean verdict is further kept *directionally*: commits can only
 //! grow the knot candidates (records entering S0, S0 insertions) or
@@ -73,9 +72,11 @@
 //! contain one of them (a core of previously-S0 records with unchanged
 //! arcs would have existed before), so probing each delta record's
 //! forward target-owner closure — escape found, or a closed all-S0 core —
-//! re-certifies the verdict in O(delta) instead of O(state). Only a
-//! demand for the exact sets rebuilds the (small) blocked-only graph and
-//! runs the Tarjan knot decomposition.
+//! re-certifies the verdict in O(delta) instead of O(state). The structure
+//! keeps no exact deadlock sets: a caller that needs them (the runner, on a
+//! knot epoch) rebuilds the small blocked-only graph with
+//! [`rebuild_graph`](DynamicWaitGraph::rebuild_graph) and runs
+//! [`WaitGraph::knot_deadlock_sets`] or the full analysis on it.
 //!
 //! # Update protocol
 //!
@@ -211,13 +212,10 @@ pub struct DynamicWaitGraph {
     // Staged edits awaiting commit.
     staged: Vec<(MessageId, Staged)>,
     staged_pool: Vec<VertexId>,
-    // Lazy verdict caches, invalidated only by commits that touch
-    // S0-relevant state (see `mark_grow` / `mark_shrink`): `live` is the
-    // boolean reduction verdict, `verdict_sets` the exact decomposition.
+    // The lazy boolean reduction verdict, invalidated only by commits
+    // that touch S0-relevant state (see `remove_record` / `insert_record`).
     live_stale: bool,
     live: bool,
-    sets_stale: bool,
-    verdict_sets: Vec<Vec<MessageId>>,
     // Scratch for the worklist reduction behind `has_knot`:
     // `red_epoch` stamps `Rec::red_gen` so no per-pass map is needed.
     red_epoch: u64,
@@ -233,9 +231,7 @@ pub struct DynamicWaitGraph {
     probe_members: Vec<MessageId>,
     // Ids staged more than once in the current commit (rare; API-only).
     dup_buf: Vec<MessageId>,
-    // Scratch for the lazy exact decomposition.
-    graph: WaitGraph,
-    scratch: DetectorScratch,
+    // Scratch for `rebuild_graph`'s ascending-id order.
     sort_buf: Vec<MessageId>,
 }
 
@@ -414,11 +410,9 @@ impl DynamicWaitGraph {
         };
         self.fp_partial = self.fp_partial.wrapping_sub(rec.hash);
         self.waiting -= usize::from(!rec.requests.is_empty());
-        let mut touched = false;
         let mut wit_hit = false;
         if rec.in_s0() {
             self.s0 -= 1;
-            touched = true;
             wit_hit |= rec.wit_gen == self.wit_epoch;
         }
         for &t in &rec.requests {
@@ -436,19 +430,15 @@ impl DynamicWaitGraph {
                 if let Some(r2) = self.records.get_mut(&w) {
                     if r2.in_s0() {
                         self.s0 -= 1;
-                        touched = true;
                         wit_hit |= r2.wit_gen == self.wit_epoch;
                     }
                     r2.unowned += 1;
                 }
             }
         }
-        if touched {
-            self.sets_stale = true;
-            if self.live && wit_hit {
-                self.live_stale = true;
-                self.delta.clear();
-            }
+        if self.live && wit_hit {
+            self.live_stale = true;
+            self.delta.clear();
         }
     }
 
@@ -463,7 +453,6 @@ impl DynamicWaitGraph {
     fn insert_record(&mut self, id: MessageId, chain: &[VertexId], requests: &[VertexId]) {
         // Defensive: a duplicate stage for one id keeps the last state.
         self.remove_record(id);
-        let mut touched = false;
         let track_delta = !self.live_stale && !self.live;
         for &v in chain {
             let prev = std::mem::replace(&mut self.owner[v as usize], id);
@@ -478,7 +467,6 @@ impl DynamicWaitGraph {
                     r2.unowned -= 1;
                     if r2.in_s0() {
                         self.s0 += 1;
-                        touched = true;
                         if track_delta {
                             self.delta.push(w);
                         }
@@ -505,20 +493,16 @@ impl DynamicWaitGraph {
         self.waiting += usize::from(!requests.is_empty());
         if rec.in_s0() {
             self.s0 += 1;
-            touched = true;
             if track_delta {
                 self.delta.push(id);
             }
         }
         self.records.insert(id, rec);
-        if touched {
-            self.sets_stale = true;
-            // Runaway delta (e.g. a long no-verdict edit session through
-            // the direct API): fall back to one full reduction.
-            if self.delta.len() > 128 {
-                self.live_stale = true;
-                self.delta.clear();
-            }
+        // Runaway delta (e.g. a long no-verdict edit session through the
+        // direct API): fall back to one full reduction.
+        if self.delta.len() > 128 {
+            self.live_stale = true;
+            self.delta.clear();
         }
     }
 
@@ -537,10 +521,6 @@ impl DynamicWaitGraph {
     /// non-empty core contains a non-trivial terminal SCC — and any knot's
     /// deadlock set is itself such a core. Core non-empty ⟺ knot.
     pub fn has_knot(&mut self) -> bool {
-        if !self.sets_stale {
-            debug_assert!(self.delta.is_empty());
-            return !self.verdict_sets.is_empty();
-        }
         if self.live_stale {
             self.live = self.compute_live();
             self.live_stale = false;
@@ -669,58 +649,6 @@ impl DynamicWaitGraph {
         false
     }
 
-    /// The deadlock set of every current knot. Sets match
-    /// [`WaitGraph::knot_deadlock_sets`] on a fresh full snapshot; with
-    /// several coexisting knots the sets are ordered by their smallest
-    /// member for determinism (the snapshot path orders by component
-    /// emission instead).
-    ///
-    /// Cost: O(1) when nothing S0-relevant changed since the last
-    /// decomposition or when `s0 == 0`; otherwise one Tarjan pass over
-    /// the blocked-only graph.
-    pub fn knot_deadlock_sets(&mut self) -> &[Vec<MessageId>] {
-        if self.sets_stale {
-            self.verdict_sets = self.compute_sets();
-            self.sets_stale = false;
-            debug_assert!(
-                self.live_stale
-                    || !self.delta.is_empty()
-                    || self.live != self.verdict_sets.is_empty(),
-                "reduction verdict disagrees with the exact decomposition"
-            );
-            self.live = !self.verdict_sets.is_empty();
-            self.live_stale = false;
-            self.delta.clear();
-            // Re-establish the witness from the exact decomposition:
-            // every deadlock set is a terminal SCC, hence itself a core.
-            self.wit_epoch = self.wit_epoch.wrapping_add(1);
-            if self.live {
-                let we = self.wit_epoch;
-                for s in &self.verdict_sets {
-                    for m in s {
-                        if let Some(rec) = self.records.get_mut(m) {
-                            rec.wit_gen = we;
-                        }
-                    }
-                }
-            }
-        }
-        &self.verdict_sets
-    }
-
-    /// Exact knot decomposition of the blocked-only graph.
-    fn compute_sets(&mut self) -> Vec<Vec<MessageId>> {
-        if self.s0 == 0 {
-            return Vec::new();
-        }
-        let mut graph = std::mem::take(&mut self.graph);
-        self.rebuild_graph(&mut graph);
-        let mut sets = graph.knot_deadlock_sets(&mut self.scratch);
-        self.graph = graph;
-        sets.sort_unstable_by_key(|s| s.first().copied());
-        sets
-    }
-
     /// Compares this incrementally maintained state against a freshly
     /// built full-snapshot [`WaitGraph`], returning human-readable
     /// mismatches (empty = lockstep). The full graph also carries moving
@@ -732,9 +660,7 @@ impl DynamicWaitGraph {
         // be tracked verbatim. Blocked messages with empty request sets
         // are indistinguishable from moving ones in the bare graph; the
         // fingerprint equality in the engine-level tests covers those.
-        let mut snapshot_blocked = 0usize;
         for m in full.blocked_messages() {
-            snapshot_blocked += 1;
             match self.records.get(&m) {
                 None => out.push(format!("blocked message {m} missing from dynamic state")),
                 Some(rec) => {
@@ -762,28 +688,24 @@ impl DynamicWaitGraph {
                 ));
             }
         }
-        let _ = snapshot_blocked;
-        // Verdicts must agree set-for-set (order-independently).
-        let mut fresh = DetectorScratch::new();
-        let mut want: Vec<Vec<MessageId>> = full
-            .knot_deadlock_sets(&mut fresh)
-            .into_iter()
-            .map(|mut s| {
-                s.sort_unstable();
-                s
-            })
-            .collect();
-        want.sort_unstable();
-        let mut got: Vec<Vec<MessageId>> = self
-            .knot_deadlock_sets()
-            .iter()
-            .map(|s| {
-                let mut s = s.clone();
-                s.sort_unstable();
-                s
-            })
-            .collect();
-        got.sort_unstable();
+        // Verdicts must agree set-for-set (order-independently), the
+        // dynamic side through its own blocked-only rebuild.
+        let mut scratch = DetectorScratch::new();
+        let sorted = |sets: Vec<Vec<MessageId>>| {
+            let mut sets: Vec<Vec<MessageId>> = sets
+                .into_iter()
+                .map(|mut s| {
+                    s.sort_unstable();
+                    s
+                })
+                .collect();
+            sets.sort_unstable();
+            sets
+        };
+        let want = sorted(full.knot_deadlock_sets(&mut scratch));
+        let mut blocked_only = WaitGraph::new(0);
+        self.rebuild_graph(&mut blocked_only);
+        let got = sorted(blocked_only.knot_deadlock_sets(&mut scratch));
         if want != got {
             out.push(format!(
                 "knot deadlock sets: snapshot={want:?} dynamic={got:?}"
@@ -883,13 +805,6 @@ impl DynamicWaitGraph {
                 assert!(!core_live, "cached false verdict drifted");
             }
         }
-        if !self.sets_stale {
-            assert_eq!(
-                !self.verdict_sets.is_empty(),
-                core_live,
-                "cached deadlock sets drifted from the live core"
-            );
-        }
     }
 }
 
@@ -925,7 +840,12 @@ mod tests {
         d.check_invariants();
         assert_eq!(d.num_blocked(), 3);
         assert!(d.has_knot());
-        assert_eq!(d.knot_deadlock_sets(), &[vec![1, 2, 3]]);
+        let mut g = WaitGraph::new(0);
+        d.rebuild_graph(&mut g);
+        assert_eq!(
+            g.knot_deadlock_sets(&mut DetectorScratch::new()),
+            [vec![1, 2, 3]]
+        );
         assert!(d.diff_against_snapshot(&figure1_full()).is_empty());
     }
 
@@ -1036,16 +956,5 @@ mod tests {
         assert_eq!(d.num_blocked(), 1);
         assert_eq!(d.num_waiting(), 0);
         assert!(!d.has_knot());
-    }
-
-    #[test]
-    fn two_independent_knots_ordered_by_smallest_member() {
-        let mut d = DynamicWaitGraph::new(12);
-        d.stage_blocked(5, &[4, 5], &[6]);
-        d.stage_blocked(6, &[6, 7], &[4]);
-        d.stage_blocked(1, &[0, 1], &[2]);
-        d.stage_blocked(2, &[2, 3], &[0]);
-        d.commit();
-        assert_eq!(d.knot_deadlock_sets(), &[vec![1, 2], vec![5, 6]]);
     }
 }

@@ -19,6 +19,10 @@
 //! * [`Analysis`] — per-knot deadlock descriptors: deadlock set, resource
 //!   set, knot cycle density, single- vs multi-cycle classification, plus
 //!   the *dependent message* census of §2.2.1.
+//! * [`CwgSnapshot`] — the wait-for state as data (per message: the chain
+//!   it holds, the vertices it waits for), the one owned record forensics,
+//!   validation and tools share; it builds the [`WaitGraph`] it describes
+//!   and carries the CWG JSON codec.
 //!
 //! The crate is deliberately independent of the simulator: vertices are
 //! plain `u32` ids and messages plain `u64`s, so the detector can be tested
@@ -54,6 +58,7 @@ mod graph;
 pub mod jsonio;
 mod scc;
 mod serialize;
+mod snapshot;
 
 pub use adjacency::{Adjacency, Csr};
 pub use analysis::{Analysis, Deadlock, DeadlockKind, DependentKind, DetectorScratch};
@@ -61,4 +66,5 @@ pub use cycles::{count_cycles, CycleCount};
 pub use dynamic::DynamicWaitGraph;
 pub use graph::{Edge, MessageId, VertexId, WaitGraph};
 pub use scc::{scc, SccResult, SccScratch};
-pub use serialize::{analyses_equal, graphs_equal};
+pub use serialize::analyses_equal;
+pub use snapshot::{CwgMsg, CwgSnapshot};

@@ -1,9 +1,9 @@
 //! Lockstep differential: a [`DynamicWaitGraph`] maintained through long
 //! random edit histories must agree with a fresh [`WaitGraph`] rebuilt
 //! from the ground-truth wait state after **every** commit — structurally
-//! (`diff_against_snapshot`), on the knot verdict (`knot_deadlock_sets`
-//! set-for-set), and on the internal S0/fingerprint invariants
-//! (`check_invariants`).
+//! (`diff_against_snapshot`), on the knot verdict (`has_knot`, and the
+//! deadlock sets of its `rebuild_graph` set-for-set), and on the internal
+//! S0/fingerprint invariants (`check_invariants`).
 //!
 //! The generator evolves a population of blocked messages the way the
 //! engine does: messages block on owner-disjoint VC chains, re-block with
@@ -52,6 +52,13 @@ fn sorted_sets(mut sets: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
     }
     sets.sort();
     sets
+}
+
+/// The exact knot sets of the dynamic state, from its blocked-only rebuild.
+fn dynamic_sets(dwg: &mut DynamicWaitGraph, scratch: &mut DetectorScratch) -> Vec<Vec<u64>> {
+    let mut g = WaitGraph::new(0);
+    dwg.rebuild_graph(&mut g);
+    sorted_sets(g.knot_deadlock_sets(scratch))
 }
 
 /// One evolution step: clear some messages, (re)block others — possibly
@@ -157,17 +164,13 @@ proptest! {
             evolve(&mut rng, n, &mut truth, &mut dwg);
 
             dwg.check_invariants();
-            // Exercise the cheap reduction verdict *before* anything
-            // touches the exact decomposition (diff_against_snapshot
-            // refreshes the sets cache), so both paths run independently
-            // and the internal cross-assertion fires.
             let live = dwg.has_knot();
             let full = fresh_graph(n, &truth);
             let diff = dwg.diff_against_snapshot(&full);
             prop_assert!(diff.is_empty(), "structural divergence: {diff:?}");
 
             let want = sorted_sets(full.knot_deadlock_sets(&mut scratch));
-            let got = sorted_sets(dwg.knot_deadlock_sets().to_vec());
+            let got = dynamic_sets(&mut dwg, &mut scratch);
             prop_assert_eq!(live, !want.is_empty(), "reduction verdict diverged");
             prop_assert_eq!(got, want);
         }
@@ -192,9 +195,11 @@ proptest! {
         }
         replay.commit();
         prop_assert_eq!(replay.fingerprint(), dwg.fingerprint());
+        prop_assert_eq!(replay.has_knot(), dwg.has_knot());
+        let mut scratch = DetectorScratch::new();
         prop_assert_eq!(
-            sorted_sets(replay.knot_deadlock_sets().to_vec()),
-            sorted_sets(dwg.knot_deadlock_sets().to_vec())
+            dynamic_sets(&mut replay, &mut scratch),
+            dynamic_sets(&mut dwg, &mut scratch)
         );
     }
 }

@@ -16,6 +16,11 @@ use std::time::Duration;
 /// this bound exists to shed hostile inputs, not to constrain use).
 pub const MAX_BODY: usize = 16 << 20;
 
+/// Largest accepted request head: the request line plus every header. The
+/// per-read socket timeout bounds how long a client may take, not how much
+/// it may send; this bounds the bytes.
+pub const MAX_HEAD: u64 = 64 << 10;
+
 /// One parsed request.
 #[derive(Debug)]
 pub struct Request {
@@ -29,12 +34,26 @@ fn bad_input(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Reads one request from the stream. Returns `Err` on malformed input;
-/// the caller answers 400 and closes.
+/// `read_line` inside the head budget: a line the budget cuts short is an
+/// oversized head, never a line.
+fn read_head_line(
+    head: &mut io::Take<BufReader<&TcpStream>>,
+    line: &mut String,
+) -> io::Result<usize> {
+    let n = head.read_line(line)?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(bad_input("request head too large"));
+    }
+    Ok(n)
+}
+
+/// Reads one request from the stream. Returns `Err` on malformed input —
+/// including a head over [`MAX_HEAD`] or a body over [`MAX_BODY`]; the
+/// caller answers 400 and closes.
 pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream);
+    let mut head = BufReader::new(stream).take(MAX_HEAD);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -49,7 +68,7 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
     let mut content_length = 0usize;
     loop {
         let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        if read_head_line(&mut head, &mut h)? == 0 {
             return Err(bad_input("connection closed inside headers"));
         }
         let t = h.trim();
@@ -69,7 +88,7 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
         return Err(bad_input("body too large"));
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    head.into_inner().read_exact(&mut body)?;
     Ok(Request { method, path, body })
 }
 

@@ -41,8 +41,10 @@
 //! never recomputed.
 
 use std::fs;
-use std::io::{self, ErrorKind};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, ErrorKind, Read};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
@@ -51,11 +53,13 @@ use std::time::Duration;
 
 use flexsim::forensics::IncidentStore;
 use flexsim::jsonio::{durable, frame_record, obj, u64_arr, Json};
-use flexsim::{checkpoint_line, read_results, SweepOptions, ENGINE_VERSION};
+use flexsim::{checkpoint_line, read_results, ENGINE_VERSION};
 
 use crate::cache::ResultCache;
 use crate::grid::SweepGrid;
-use crate::http::{read_request, respond_error, respond_json, respond_with_headers, Request};
+use crate::http::{
+    read_request, respond_error, respond_json, respond_with_headers, Request, MAX_HEAD,
+};
 use crate::lease::LeaseDir;
 use crate::signal;
 use crate::state::{Job, Shared, SlotState, Stats};
@@ -68,11 +72,6 @@ pub struct ServerOptions {
     pub data_dir: PathBuf,
     /// Simulation workers (the work-stealing pool size).
     pub workers: usize,
-    /// HTTP handler threads (requests are cheap; 2 is plenty).
-    pub http_threads: usize,
-    /// Supervision knobs for each simulation. The `checkpoint` field is
-    /// ignored — the server manages one checkpoint file per job.
-    pub sweep: SweepOptions,
     /// Install a SIGINT handler so Ctrl-C takes the graceful path.
     pub handle_sigint: bool,
     /// Lease expiry window: a fleet member whose leases go unrenewed this
@@ -91,14 +90,15 @@ impl ServerOptions {
             workers: thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(2),
-            http_threads: 2,
-            sweep: SweepOptions::default(),
             handle_sigint: false,
             lease_expiry: Duration::from_secs(5),
             scan_interval: Duration::from_millis(300),
         }
     }
 }
+
+/// HTTP handler threads (requests are cheap; 2 is plenty).
+const HTTP_THREADS: usize = 2;
 
 /// What the HTTP handlers need.
 struct Ctx {
@@ -117,7 +117,6 @@ pub struct CampaignServer {
     listener: TcpListener,
     ctx: Arc<Ctx>,
     workers: Vec<JoinHandle<()>>,
-    http_threads: usize,
     handle_sigint: bool,
 }
 
@@ -131,9 +130,7 @@ impl CampaignServer {
         let incidents = IncidentStore::open(opts.data_dir.join("incidents"))?;
         let leases = LeaseDir::open(opts.data_dir.join("leases"), opts.lease_expiry)?;
 
-        let mut sweep = opts.sweep.clone();
-        sweep.checkpoint = None;
-        let shared = Shared::new(opts.workers, sweep, cache, leases);
+        let shared = Shared::new(opts.workers, cache, leases);
         let resumed = load_new_jobs(&shared, &jobs_dir);
         shared
             .stats
@@ -199,7 +196,6 @@ impl CampaignServer {
                 workers: opts.workers.max(1),
             }),
             workers,
-            http_threads: opts.http_threads.max(1),
             handle_sigint: opts.handle_sigint,
         })
     }
@@ -222,7 +218,7 @@ impl CampaignServer {
         }
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
-        let handlers: Vec<JoinHandle<()>> = (0..self.http_threads)
+        let handlers: Vec<JoinHandle<()>> = (0..HTTP_THREADS)
             .map(|h| {
                 let rx = Arc::clone(&rx);
                 let ctx = Arc::clone(&self.ctx);
@@ -401,6 +397,12 @@ fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
         }
         Err(e) => {
             let _ = respond_error(&mut stream, 400, &e.to_string());
+            // Closing on unread input (the rest of an oversized head or
+            // body) resets the connection, which can destroy the reply
+            // in flight: end the reply, then discard a bounded amount of
+            // what the client already sent before closing.
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = io::copy(&mut (&stream).take(MAX_HEAD), &mut io::sink());
             return;
         }
     };

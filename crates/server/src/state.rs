@@ -353,7 +353,6 @@ pub struct Shared {
     shutdown_lock: Mutex<()>,
     shutdown_cv: Condvar,
     pub stats: Stats,
-    pub sweep: SweepOptions,
     pub cache: ResultCache,
     pub leases: LeaseDir,
     /// Leases currently held by this process, renewed by the heartbeat
@@ -362,12 +361,7 @@ pub struct Shared {
 }
 
 impl Shared {
-    pub fn new(
-        workers: usize,
-        sweep: SweepOptions,
-        cache: ResultCache,
-        leases: LeaseDir,
-    ) -> Arc<Shared> {
+    pub fn new(workers: usize, cache: ResultCache, leases: LeaseDir) -> Arc<Shared> {
         let inner = Inner {
             jobs: BTreeMap::new(),
             queues: (0..workers.max(1)).map(|_| VecDeque::new()).collect(),
@@ -380,7 +374,6 @@ impl Shared {
             shutdown_lock: Mutex::new(()),
             shutdown_cv: Condvar::new(),
             stats: Stats::default(),
-            sweep,
             cache,
             leases,
             held: Mutex::new(HashMap::new()),
@@ -559,7 +552,11 @@ impl Shared {
                 Some(hit) => (Ok(hit), true, true),
                 None => {
                     self.stats.sims_run.fetch_add(1, Ordering::Relaxed);
-                    match run_supervised_cancellable(&cfg, &self.sweep, &cancel, timeout) {
+                    // Default supervision, always: a served result is the
+                    // direct `sweep_supervised(.., &SweepOptions::default())`
+                    // result by construction.
+                    let sweep = &SweepOptions::default();
+                    match run_supervised_cancellable(&cfg, sweep, &cancel, timeout) {
                         Ok(r) => {
                             // Best-effort: a failed store only costs a
                             // future re-run.
@@ -853,7 +850,6 @@ mod tests {
         let dir = temp_dir("settle");
         let shared = Shared::new(
             1,
-            SweepOptions::default(),
             ResultCache::open(dir.join("cache")).unwrap(),
             LeaseDir::open(dir.join("leases"), Duration::from_secs(5)).unwrap(),
         );
@@ -896,7 +892,6 @@ mod tests {
         let dir = temp_dir("forged");
         let shared = Shared::new(
             1,
-            SweepOptions::default(),
             ResultCache::open(dir.join("cache")).unwrap(),
             LeaseDir::open(dir.join("leases"), Duration::from_secs(5)).unwrap(),
         );

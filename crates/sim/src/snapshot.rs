@@ -25,10 +25,11 @@
 //! [`Network::drain_wait_updates`], which re-extracts — by the very same
 //! rules — only the messages the engine marked since the last drain.
 //! Full captures serve forensic incidents, auditors and oracles; their
-//! entry point is [`Network::wait_snapshot_into`], which refills a
-//! caller-owned [`SnapshotArena`] without allocating, and the
-//! Vec-per-message [`WaitSnapshot`] remains as a convenience wrapper for
-//! tests and tools.
+//! one entry point is [`Network::wait_snapshot_into`], which refills a
+//! caller-owned [`SnapshotArena`] without allocating. A caller that wants
+//! an owned copy feeds [`SnapshotArena::messages`] to
+//! `icn_cwg::CwgSnapshot::from_messages` — the workspace's one owned
+//! wait-for record, which this crate does not depend on.
 
 use crate::message::MsgPhase;
 use crate::network::{compute_candidates, ctx_of, Network, NO_OWNER};
@@ -92,28 +93,6 @@ impl WaitDirty {
         self.ids.dedup();
         self.compacted = self.ids.len();
     }
-}
-
-/// One message's contribution to the wait-for snapshot.
-#[derive(Clone, Debug)]
-pub struct SnapshotMsg {
-    pub id: MessageId,
-    /// Vertices this message will keep holding (acquisition order,
-    /// tail-most first; includes the reception vertex while ejecting).
-    pub chain: Vec<u32>,
-    /// Vertices this message is blocked waiting for (empty if not blocked).
-    pub requests: Vec<u32>,
-}
-
-/// A complete wait-for snapshot of the network at one instant.
-#[derive(Clone, Debug)]
-pub struct WaitSnapshot {
-    /// Total vertex count (VCs plus reception channels).
-    pub num_vertices: usize,
-    /// Per-message ownership and requests.
-    pub messages: Vec<SnapshotMsg>,
-    /// Cycle at which the snapshot was taken.
-    pub cycle: u64,
 }
 
 /// Per-message record inside a [`SnapshotArena`]: ranges into the shared
@@ -234,22 +213,6 @@ impl SnapshotArena {
                 requests: &self.pool[c..c + r.req_len as usize],
             }
         })
-    }
-
-    /// Copies the arena out into the Vec-per-message snapshot form.
-    pub fn to_snapshot(&self) -> WaitSnapshot {
-        WaitSnapshot {
-            num_vertices: self.num_vertices,
-            messages: self
-                .messages()
-                .map(|m| SnapshotMsg {
-                    id: m.id,
-                    chain: m.chain.to_vec(),
-                    requests: m.requests.to_vec(),
-                })
-                .collect(),
-            cycle: self.cycle,
-        }
     }
 
     fn clear(&mut self, num_vertices: usize, cycle: u64) {
@@ -473,17 +436,6 @@ impl Network {
         self.wait_dirty.compacted = 0;
         self.wait_cand = cand_buf;
         self.wait_buf = out;
-    }
-
-    /// Takes a wait-for snapshot of the current state.
-    ///
-    /// Convenience wrapper over [`wait_snapshot_into`](Self::wait_snapshot_into)
-    /// that allocates a fresh Vec-per-message snapshot; the detection loop
-    /// uses the arena form directly.
-    pub fn wait_snapshot(&self) -> WaitSnapshot {
-        let mut arena = SnapshotArena::new();
-        self.wait_snapshot_into(&mut arena);
-        arena.to_snapshot()
     }
 
     /// Whether any VC of `ch` is currently owned (test helper).

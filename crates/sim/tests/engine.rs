@@ -1,8 +1,19 @@
 //! End-to-end tests of the flit-level engine through its public API.
 
+use icn_cwg::CwgSnapshot;
 use icn_routing::{DatelineDor, Dor, Tfar};
-use icn_sim::{FaultPlan, MsgPhase, Network, SimConfig, StepEvents};
+use icn_sim::{FaultPlan, MsgPhase, Network, SimConfig, SnapshotArena, StepEvents};
 use icn_topology::{Coords, KAryNCube, NodeId};
+
+/// An owned wait-for snapshot of the current state.
+fn snapshot(n: &Network) -> CwgSnapshot {
+    let mut arena = SnapshotArena::new();
+    n.wait_snapshot_into(&mut arena);
+    CwgSnapshot::from_messages(
+        arena.num_vertices(),
+        arena.messages().map(|m| (m.id, m.chain, m.requests)),
+    )
+}
 
 fn net(
     topo: KAryNCube,
@@ -184,15 +195,7 @@ fn uni_ring_deadlocks_and_snapshot_shows_knot() {
     assert_eq!(n.in_network(), 4);
     assert_eq!(n.blocked_count(), 4, "all four messages wedged");
 
-    let snap = n.wait_snapshot();
-    let mut g = icn_cwg::WaitGraph::new(snap.num_vertices);
-    for m in &snap.messages {
-        g.add_chain(m.id, &m.chain);
-        if !m.requests.is_empty() {
-            g.add_requests(m.id, &m.requests);
-        }
-    }
-    let analysis = g.analyze(1000);
+    let analysis = snapshot(&n).build_graph().analyze(1000);
     assert!(analysis.has_deadlock());
     assert_eq!(analysis.deadlocks.len(), 1);
     let d = &analysis.deadlocks[0];
@@ -295,7 +298,7 @@ fn snapshot_moving_message_has_no_requests() {
     for _ in 0..3 {
         n.step();
     }
-    let snap = n.wait_snapshot();
+    let snap = snapshot(&n);
     assert_eq!(snap.messages.len(), 1);
     assert!(snap.messages[0].requests.is_empty());
     assert!(!snap.messages[0].chain.is_empty());
@@ -325,7 +328,7 @@ fn settled_chain_shrinks_with_deep_buffers() {
     let mut blocked_seen = None;
     for _ in 0..20 {
         n.step();
-        let snap = n.wait_snapshot();
+        let snap = snapshot(&n);
         if let Some(m) = snap.messages.iter().find(|m| !m.requests.is_empty()) {
             blocked_seen = Some(m.chain.len());
             break;
@@ -365,7 +368,7 @@ fn blocked_message_compacts_and_releases_tail_channels() {
     for _ in 0..60 {
         n.step();
         n.check_invariants();
-        let snap = n.wait_snapshot();
+        let snap = snapshot(&n);
         if let Some(m) = snap.messages.iter().find(|m| !m.requests.is_empty()) {
             assert!(
                 m.chain.len() <= 2,
@@ -792,7 +795,7 @@ fn reception_slots_tracked_in_snapshot() {
     for _ in 0..6 {
         n.step();
     }
-    let snap = n.wait_snapshot();
+    let snap = snapshot(&n);
     // Both messages eject concurrently through distinct reception slots.
     let reception_vertices: Vec<u32> = snap
         .messages

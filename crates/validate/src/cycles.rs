@@ -5,13 +5,12 @@
 //! This module counts the same elementary cycles the slow, obvious way —
 //! walk every simple path out of each start vertex through larger-numbered
 //! vertices and count the arcs that close back on the start — over a
-//! successor table built straight from the messages, sharing nothing with
-//! `icn-cwg`. [`check_cycle_counts`] then holds the production counts,
-//! uncapped and at every small cap, to it.
+//! successor table built straight from the snapshot's messages, sharing
+//! no algorithm with `icn-cwg`. [`check_cycle_counts`] then holds the
+//! production counts, uncapped and at every small cap, to it.
 
-use crate::diff::{production_graph, push_if_ne, Divergence};
-use crate::oracle::OracleMsg;
-use icn_cwg::CycleCount;
+use crate::diff::{push_if_ne, Divergence};
+use icn_cwg::{CwgSnapshot, CycleCount};
 
 /// Arc traversals [`check_cycle_counts`] spends on one enumeration before
 /// giving the snapshot up as too cyclic to referee naively.
@@ -20,11 +19,11 @@ pub const CYCLE_STEP_BUDGET: u64 = 4_000_000;
 /// The largest cap the cap law is swept up to contiguously.
 const CAP_SWEEP: u64 = 24;
 
-/// Successor lists of the CWG `msgs` describe: solid arcs along each chain,
-/// dashed arcs from each blocked head to its requests.
-fn successor_lists(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Vec<u32>> {
-    let mut succ = vec![Vec::new(); num_vertices];
-    for m in msgs {
+/// Successor lists of the CWG `snap` describes: solid arcs along each
+/// chain, dashed arcs from each blocked head to its requests.
+fn successor_lists(snap: &CwgSnapshot) -> Vec<Vec<u32>> {
+    let mut succ = vec![Vec::new(); snap.num_vertices];
+    for m in &snap.messages {
         for pair in m.chain.windows(2) {
             succ[pair[0] as usize].push(pair[1]);
         }
@@ -104,9 +103,10 @@ fn caps_around(true_count: u64) -> Vec<u64> {
 /// cap law (`AtLeast(cap)` when `cap <= true_count`, else
 /// `Exact(true_count)`). Returns `None` when the snapshot is too cyclic for
 /// the naive walk's [`CYCLE_STEP_BUDGET`], otherwise every disagreement.
-pub fn check_cycle_counts(num_vertices: usize, msgs: &[OracleMsg]) -> Option<Vec<Divergence>> {
-    let succ = successor_lists(num_vertices, msgs);
-    let g = production_graph(num_vertices, msgs);
+pub fn check_cycle_counts(snap: &CwgSnapshot) -> Option<Vec<Divergence>> {
+    let num_vertices = snap.num_vertices;
+    let succ = successor_lists(snap);
+    let g = snap.build_graph();
     let mut out = Vec::new();
 
     let everywhere = vec![true; num_vertices];
@@ -166,13 +166,21 @@ pub fn check_cycle_counts(num_vertices: usize, msgs: &[OracleMsg]) -> Option<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icn_cwg::CwgMsg;
 
-    fn msg(id: u64, chain: &[u32], requests: &[u32]) -> OracleMsg {
-        OracleMsg {
+    fn msg(id: u64, chain: &[u32], requests: &[u32]) -> CwgMsg {
+        CwgMsg {
             id,
             chain: chain.to_vec(),
             requests: requests.to_vec(),
         }
+    }
+
+    fn check(num_vertices: usize, messages: Vec<CwgMsg>) -> Option<Vec<Divergence>> {
+        check_cycle_counts(&CwgSnapshot {
+            num_vertices,
+            messages,
+        })
     }
 
     #[test]
@@ -207,17 +215,17 @@ mod tests {
             msg(3, &[6, 7, 0], &[1]),
             msg(4, &[8], &[]),
         ];
-        assert_eq!(check_cycle_counts(10, &fig1), Some(vec![]));
+        assert_eq!(check(10, fig1), Some(vec![]));
         // Figure 3's multi-cycle knot: four messages, two VCs per channel.
-        let fig3: Vec<OracleMsg> = (0..4u32)
+        let fig3: Vec<CwgMsg> = (0..4u32)
             .map(|i| {
                 let next = 2 * ((i + 1) % 4);
                 msg(i as u64 + 1, &[2 * i, 2 * i + 1], &[next, next + 1])
             })
             .collect();
-        assert_eq!(check_cycle_counts(8, &fig3), Some(vec![]));
+        assert_eq!(check(8, fig3), Some(vec![]));
         // A message waiting on its own head: a one-vertex knot.
-        assert_eq!(check_cycle_counts(2, &[msg(1, &[0], &[0])]), Some(vec![]));
+        assert_eq!(check(2, vec![msg(1, &[0], &[0])]), Some(vec![]));
     }
 
     #[test]

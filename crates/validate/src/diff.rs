@@ -8,8 +8,8 @@
 //! locally minimal message set, so a failure lands as a handful of chains
 //! a human can re-derive on paper.
 
-use crate::oracle::{minimal_deadlock_sets, oracle_analyze, OracleDependent, OracleMsg};
-use icn_cwg::{Analysis, DependentKind, DetectorScratch, WaitGraph};
+use crate::oracle::{minimal_deadlock_sets, oracle_analyze, OracleAnalysis, OracleDependent};
+use icn_cwg::{Analysis, CwgSnapshot, DependentKind, DetectorScratch};
 
 /// Cap for the brute-force enumerator: snapshots with more blocked
 /// messages skip that third check (still differential on the other two).
@@ -30,23 +30,12 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Builds the production graph for a snapshot.
-pub(crate) fn production_graph(num_vertices: usize, msgs: &[OracleMsg]) -> WaitGraph {
-    let mut g = WaitGraph::new(num_vertices);
-    for m in msgs {
-        g.add_chain(m.id, &m.chain);
-        if !m.requests.is_empty() {
-            g.add_requests(m.id, &m.requests);
-        }
-    }
-    g
-}
-
-fn sorted_sets<T: Ord + Clone>(sets: &[Vec<T>]) -> Vec<Vec<T>> {
+/// Sorts each set and then the list of sets, so set collections compare
+/// independently of emission order.
+fn sorted_sets<T: Ord>(sets: impl IntoIterator<Item = Vec<T>>) -> Vec<Vec<T>> {
     let mut out: Vec<Vec<T>> = sets
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
+        .into_iter()
+        .map(|mut s| {
             s.sort();
             s
         })
@@ -69,69 +58,45 @@ pub(crate) fn push_if_ne<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Differentially checks one snapshot; returns every divergence found
-/// (empty means all implementations agree on everything compared).
-pub fn check_messages(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Divergence> {
-    let g = production_graph(num_vertices, msgs);
-    let production: Analysis = g.analyze(1_000);
-    let oracle = oracle_analyze(num_vertices, msgs);
-    let mut out = Vec::new();
-
+/// Compares one production analysis with the oracle's, field by field:
+/// verdict, `num_blocked`, knot vertex sets, deadlock sets, resource sets
+/// and the dependent census. `side` prefixes every context.
+fn compare_analysis(
+    out: &mut Vec<Divergence>,
+    side: &str,
+    production: &Analysis,
+    oracle: &OracleAnalysis,
+) {
     push_if_ne(
-        &mut out,
-        "has_deadlock",
+        out,
+        &format!("{side}has_deadlock"),
         &production.has_deadlock(),
         &oracle.has_deadlock(),
     );
     push_if_ne(
-        &mut out,
-        "num_blocked",
+        out,
+        &format!("{side}num_blocked"),
         &production.num_blocked,
         &oracle.num_blocked,
     );
-
-    let prod_knots: Vec<Vec<u32>> = production
-        .deadlocks
-        .iter()
-        .map(|d| d.knot.clone())
-        .collect();
-    let orc_knots: Vec<Vec<u32>> = oracle.knots.iter().map(|k| k.knot.clone()).collect();
     push_if_ne(
-        &mut out,
-        "knot vertex sets",
-        &sorted_sets(&prod_knots),
-        &sorted_sets(&orc_knots),
+        out,
+        &format!("{side}knot vertex sets"),
+        &sorted_sets(production.deadlocks.iter().map(|d| d.knot.clone())),
+        &sorted_sets(oracle.knots.iter().map(|k| k.knot.clone())),
     );
-
-    let prod_dsets: Vec<Vec<u64>> = production
-        .deadlocks
-        .iter()
-        .map(|d| d.deadlock_set.clone())
-        .collect();
     push_if_ne(
-        &mut out,
-        "deadlock sets",
-        &sorted_sets(&prod_dsets),
+        out,
+        &format!("{side}deadlock sets"),
+        &sorted_sets(production.deadlocks.iter().map(|d| d.deadlock_set.clone())),
         &oracle.deadlock_sets(),
     );
-
-    let prod_rsets: Vec<Vec<u32>> = production
-        .deadlocks
-        .iter()
-        .map(|d| d.resource_set.clone())
-        .collect();
-    let orc_rsets: Vec<Vec<u32>> = oracle
-        .knots
-        .iter()
-        .map(|k| k.resource_set.clone())
-        .collect();
     push_if_ne(
-        &mut out,
-        "resource sets",
-        &sorted_sets(&prod_rsets),
-        &sorted_sets(&orc_rsets),
+        out,
+        &format!("{side}resource sets"),
+        &sorted_sets(production.deadlocks.iter().map(|d| d.resource_set.clone())),
+        &sorted_sets(oracle.knots.iter().map(|k| k.resource_set.clone())),
     );
-
     let prod_dep: Vec<(u64, OracleDependent)> = production
         .dependent
         .iter()
@@ -145,20 +110,44 @@ pub fn check_messages(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Divergence
             )
         })
         .collect();
-    push_if_ne(&mut out, "dependent census", &prod_dep, &oracle.dependent);
+    push_if_ne(
+        out,
+        &format!("{side}dependent census"),
+        &prod_dep,
+        &oracle.dependent,
+    );
+}
+
+/// Differentially checks one snapshot; returns every divergence found
+/// (empty means all implementations agree on everything compared).
+///
+/// The snapshot's production graph is built and analysed, and that
+/// analysis is compared with the oracle's; the slim per-epoch knot path
+/// and (on small snapshots) the brute-force enumerator are held to the
+/// oracle's deadlock sets. `recorded` is an analysis production already
+/// made of this same snapshot — a live epoch's, a stored incident's — and
+/// is held to the same oracle verdict, so the oracle and the enumerator
+/// run once however many analyses are checked.
+pub fn check_messages(snap: &CwgSnapshot, recorded: Option<&Analysis>) -> Vec<Divergence> {
+    let g = snap.build_graph();
+    let oracle = oracle_analyze(snap);
+    let mut out = Vec::new();
+    compare_analysis(&mut out, "", &g.analyze(1_000), &oracle);
+    if let Some(recorded) = recorded {
+        compare_analysis(&mut out, "recorded ", recorded, &oracle);
+    }
 
     // The slim per-epoch path must agree with the full analysis.
-    let mut scratch = DetectorScratch::new();
-    let slim = g.knot_deadlock_sets(&mut scratch);
+    let slim = g.knot_deadlock_sets(&mut DetectorScratch::new());
     push_if_ne(
         &mut out,
         "knot_deadlock_sets (slim path)",
-        &sorted_sets(&slim),
+        &sorted_sets(slim),
         &oracle.deadlock_sets(),
     );
 
     // Third implementation: minimal closed sets, when small enough.
-    if let Some(brute) = minimal_deadlock_sets(num_vertices, msgs, BRUTE_FORCE_CAP) {
+    if let Some(brute) = minimal_deadlock_sets(snap, BRUTE_FORCE_CAP) {
         push_if_ne(
             &mut out,
             "brute-force minimal closed sets",
@@ -173,19 +162,19 @@ pub fn check_messages(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Divergence
 /// Greedily drops messages from a diverging snapshot while the divergence
 /// persists; returns a locally minimal reproducer (no single message can
 /// be removed without the implementations starting to agree). Returns
-/// `msgs` unchanged if they do not diverge.
-pub fn minimize_divergence(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<OracleMsg> {
-    let mut cur = msgs.to_vec();
-    if check_messages(num_vertices, &cur).is_empty() {
+/// `snap` unchanged if it does not diverge.
+pub fn minimize_divergence(snap: &CwgSnapshot) -> CwgSnapshot {
+    let mut cur = snap.clone();
+    if check_messages(&cur, None).is_empty() {
         return cur;
     }
     loop {
         let mut shrunk = false;
         let mut i = 0;
-        while i < cur.len() {
+        while i < cur.messages.len() {
             let mut trial = cur.clone();
-            trial.remove(i);
-            if !check_messages(num_vertices, &trial).is_empty() {
+            trial.messages.remove(i);
+            if !check_messages(&trial, None).is_empty() {
                 cur = trial;
                 shrunk = true;
             } else {
@@ -202,45 +191,65 @@ pub fn minimize_divergence(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Oracl
 mod tests {
     use super::*;
 
-    fn msg(id: u64, chain: &[u32], requests: &[u32]) -> OracleMsg {
-        OracleMsg {
-            id,
-            chain: chain.to_vec(),
-            requests: requests.to_vec(),
-        }
+    fn snap(num_vertices: usize, msgs: &[(u64, &[u32], &[u32])]) -> CwgSnapshot {
+        CwgSnapshot::from_messages(num_vertices, msgs.iter().copied())
     }
 
     #[test]
     fn figure1_agrees() {
-        let msgs = vec![
-            msg(1, &[1, 2], &[3]),
-            msg(2, &[3, 4, 5], &[6]),
-            msg(3, &[6, 7, 0], &[1]),
-            msg(4, &[8], &[]),
-        ];
-        assert_eq!(check_messages(10, &msgs), vec![]);
+        let s = snap(
+            10,
+            &[
+                (1, &[1, 2], &[3]),
+                (2, &[3, 4, 5], &[6]),
+                (3, &[6, 7, 0], &[1]),
+                (4, &[8], &[]),
+            ],
+        );
+        assert_eq!(check_messages(&s, None), vec![]);
     }
 
     #[test]
     fn escape_and_dependents_agree() {
-        let msgs = vec![
-            msg(1, &[0, 1], &[2]),
-            msg(2, &[2, 3], &[0]),
-            msg(3, &[4, 5], &[6, 2]),
-            msg(4, &[6, 7], &[4]),
-            msg(5, &[8], &[9]),
-        ];
-        assert_eq!(check_messages(10, &msgs), vec![]);
+        let s = snap(
+            10,
+            &[
+                (1, &[0, 1], &[2]),
+                (2, &[2, 3], &[0]),
+                (3, &[4, 5], &[6, 2]),
+                (4, &[6, 7], &[4]),
+                (5, &[8], &[9]),
+            ],
+        );
+        assert_eq!(check_messages(&s, None), vec![]);
     }
 
     #[test]
     fn empty_agrees() {
-        assert_eq!(check_messages(4, &[]), vec![]);
+        assert_eq!(check_messages(&snap(4, &[]), None), vec![]);
+    }
+
+    #[test]
+    fn a_recorded_analysis_is_held_to_the_oracle() {
+        let s = snap(4, &[(1, &[0, 1], &[2]), (2, &[2, 3], &[0])]);
+        let right = s.build_graph().analyze(1_000);
+        assert_eq!(check_messages(&s, Some(&right)), vec![]);
+        let wrong = Analysis {
+            deadlocks: Vec::new(),
+            dependent: Vec::new(),
+            num_blocked: 2,
+        };
+        let contexts: Vec<String> = check_messages(&s, Some(&wrong))
+            .into_iter()
+            .map(|d| d.context)
+            .collect();
+        assert!(contexts.contains(&"recorded has_deadlock".to_string()));
+        assert!(contexts.iter().all(|c| c.starts_with("recorded ")));
     }
 
     #[test]
     fn minimizer_is_identity_on_agreement() {
-        let msgs = vec![msg(1, &[0, 1], &[2]), msg(2, &[2, 3], &[0])];
-        assert_eq!(minimize_divergence(4, &msgs), msgs);
+        let s = snap(4, &[(1, &[0, 1], &[2]), (2, &[2, 3], &[0])]);
+        assert_eq!(minimize_divergence(&s), s);
     }
 }

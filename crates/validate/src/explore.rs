@@ -17,8 +17,8 @@
 //! horizon 2 is `3^6 = 729` schedules; a 2-ary 2-cube at horizon 1 is
 //! `4^4 = 256`.
 
-use crate::arena_msgs;
 use crate::diff::{check_messages, Divergence};
+use icn_cwg::CwgSnapshot;
 use icn_routing::{Dor, RoutingAlgorithm, Tfar};
 use icn_sim::{Network, SimConfig, SnapshotArena};
 use icn_topology::{KAryNCube, NodeId};
@@ -189,12 +189,14 @@ fn run_schedule(cfg: &ExploreConfig, schedule: u64, out: &mut ExploreReport) {
         out.cycles_checked += 1;
 
         net.wait_snapshot_into(&mut arena);
-        let msgs = arena_msgs(&arena);
-        for d in check_messages(arena.num_vertices(), &msgs) {
+        let snap = CwgSnapshot::from_messages(
+            arena.num_vertices(),
+            arena.messages().map(|m| (m.id, m.chain, m.requests)),
+        );
+        for d in check_messages(&snap, None) {
             diverge(out, format!("cycle {cycle}: {}", d.context), d.detail);
         }
-        let deadlocked_now =
-            crate::oracle::oracle_analyze(arena.num_vertices(), &msgs).has_deadlock();
+        let deadlocked_now = crate::oracle::oracle_analyze(&snap).has_deadlock();
         if seen_deadlock && !deadlocked_now {
             // No recovery runs here, so a knot can never dissolve.
             diverge(

@@ -7,7 +7,7 @@
 //! validation layer shares no randomness machinery with the crates under
 //! test.
 
-use crate::oracle::OracleMsg;
+use icn_cwg::{CwgMsg, CwgSnapshot};
 
 /// Minimal deterministic RNG (SplitMix64).
 #[derive(Clone, Debug)]
@@ -90,8 +90,8 @@ impl GenParams {
     }
 }
 
-/// Generates one seeded random snapshot: `(num_vertices, messages)`.
-pub fn random_snapshot(seed: u64, p: &GenParams) -> (usize, Vec<OracleMsg>) {
+/// Generates one seeded random snapshot.
+pub fn random_snapshot(seed: u64, p: &GenParams) -> CwgSnapshot {
     let mut rng = SplitMix64::new(seed);
     let n = p.num_vertices;
 
@@ -102,7 +102,7 @@ pub fn random_snapshot(seed: u64, p: &GenParams) -> (usize, Vec<OracleMsg>) {
         perm.swap(i, rng.gen_range(i + 1));
     }
 
-    let mut msgs: Vec<OracleMsg> = Vec::new();
+    let mut msgs: Vec<CwgMsg> = Vec::new();
     let mut cursor = 0usize;
     for id in 0..p.max_messages as u64 {
         let len = 1 + rng.gen_range(p.max_chain);
@@ -111,7 +111,7 @@ pub fn random_snapshot(seed: u64, p: &GenParams) -> (usize, Vec<OracleMsg>) {
         }
         let chain = perm[cursor..cursor + len].to_vec();
         cursor += len;
-        msgs.push(OracleMsg {
+        msgs.push(CwgMsg {
             id: id + 1,
             chain,
             requests: Vec::new(),
@@ -144,7 +144,10 @@ pub fn random_snapshot(seed: u64, p: &GenParams) -> (usize, Vec<OracleMsg>) {
         msg.requests = requests;
     }
 
-    (n, msgs)
+    CwgSnapshot {
+        num_vertices: n,
+        messages: msgs,
+    }
 }
 
 #[cfg(test)]
@@ -155,16 +158,17 @@ mod tests {
     fn deterministic_per_seed() {
         let p = GenParams::default();
         assert_eq!(random_snapshot(42, &p), random_snapshot(42, &p));
-        assert_ne!(random_snapshot(42, &p).1, random_snapshot(43, &p).1);
+        assert_ne!(random_snapshot(42, &p), random_snapshot(43, &p));
     }
 
     #[test]
     fn structurally_valid() {
         let p = GenParams::default();
         for seed in 0..200 {
-            let (n, msgs) = random_snapshot(seed, &p);
+            let snap = random_snapshot(seed, &p);
+            let n = snap.num_vertices;
             let mut seen = vec![false; n];
-            for m in &msgs {
+            for m in &snap.messages {
                 assert!(!m.chain.is_empty());
                 for &v in &m.chain {
                     assert!((v as usize) < n);
@@ -185,8 +189,7 @@ mod tests {
         let mut with = 0;
         let mut without = 0;
         for seed in 0..200 {
-            let (n, msgs) = random_snapshot(seed, &p);
-            if crate::oracle::oracle_analyze(n, &msgs).has_deadlock() {
+            if crate::oracle::oracle_analyze(&random_snapshot(seed, &p)).has_deadlock() {
                 with += 1;
             } else {
                 without += 1;

@@ -9,9 +9,11 @@
 //! * [`oracle`] — a deliberately naive knot finder (dense adjacency
 //!   matrix, fixed-point escape reduction, Warshall closure) plus a
 //!   brute-force minimal-closed-set enumerator: three implementations of
-//!   the paper's §2 definitions that must always agree.
-//! * [`diff`] — the differential harness comparing all of them on one
-//!   snapshot, with a greedy minimizer for any divergence.
+//!   the paper's §2 definitions that must always agree. It reads the same
+//!   `icn_cwg::CwgSnapshot` record as everything else and imports no
+//!   other `icn_cwg` code.
+//! * [`diff`] — the one production-vs-oracle comparator
+//!   ([`check_messages`]), with a greedy minimizer for any divergence.
 //! * [`cycles`] — a naive simple-path cycle counter refereeing the
 //!   production cycle counts (whole-graph census and knot density) and
 //!   their cap semantics.
@@ -30,22 +32,10 @@ pub mod explore;
 pub mod gen;
 pub mod oracle;
 
-/// Converts a live snapshot arena into oracle messages.
-pub fn arena_msgs(arena: &icn_sim::SnapshotArena) -> Vec<oracle::OracleMsg> {
-    arena
-        .messages()
-        .map(|m| oracle::OracleMsg {
-            id: m.id,
-            chain: m.chain.to_vec(),
-            requests: m.requests.to_vec(),
-        })
-        .collect()
-}
-
 pub use cycles::check_cycle_counts;
 pub use diff::{check_messages, minimize_divergence, Divergence, BRUTE_FORCE_CAP};
 pub use explore::{explore, ExploreConfig, ExploreReport, ExploreRouting};
 pub use gen::{random_snapshot, GenParams, SplitMix64};
 pub use oracle::{
-    minimal_deadlock_sets, oracle_analyze, OracleAnalysis, OracleDependent, OracleKnot, OracleMsg,
+    minimal_deadlock_sets, oracle_analyze, OracleAnalysis, OracleDependent, OracleKnot,
 };

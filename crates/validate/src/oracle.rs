@@ -8,6 +8,12 @@
 //! definitions by eye, which is what makes it a trustworthy referee for
 //! the optimized production detector.
 //!
+//! **Import rule.** The problem statement is the one thing shared: this
+//! module reads the same [`CwgSnapshot`] / [`CwgMsg`] record the detector
+//! is built from, and imports nothing else from `icn_cwg` — no graph, no
+//! analysis, no algorithm. Independence is a property of the algorithm,
+//! and sharing the record it runs on does not weaken it.
+//!
 //! Semantics under test (matching `icn_cwg::WaitGraph::analyze`):
 //!
 //! * Vertices are virtual channels (plus reception channels). Each message
@@ -37,20 +43,7 @@
 //!    reduction without being deadlocked (its members are committed
 //!    dependents), which only the closure detects.
 
-/// One message's contribution to a CWG snapshot, oracle-side.
-///
-/// Mirrors the data (not the code) of `icn_sim::SnapshotMsg` /
-/// `icn_cwg` chains so snapshots from any source can be checked.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OracleMsg {
-    /// Message id.
-    pub id: u64,
-    /// Vertices held, acquisition order (tail first, head last). Must be
-    /// non-empty and disjoint from every other message's chain.
-    pub chain: Vec<u32>,
-    /// Vertices waited for; empty when the message is moving.
-    pub requests: Vec<u32>,
-}
+use icn_cwg::{CwgMsg, CwgSnapshot};
 
 /// Dependent classification, oracle-side (mirrors
 /// `icn_cwg::DependentKind`).
@@ -100,7 +93,7 @@ impl OracleAnalysis {
 
 /// Builds the dense adjacency matrix of the snapshot's CWG and the
 /// per-vertex owner map (indices into `msgs`).
-fn build_matrix(num_vertices: usize, msgs: &[OracleMsg]) -> (Vec<Vec<bool>>, Vec<Option<usize>>) {
+fn build_matrix(num_vertices: usize, msgs: &[CwgMsg]) -> (Vec<Vec<bool>>, Vec<Option<usize>>) {
     let mut adj = vec![vec![false; num_vertices]; num_vertices];
     let mut owner: Vec<Option<usize>> = vec![None; num_vertices];
     for (mi, m) in msgs.iter().enumerate() {
@@ -129,8 +122,8 @@ fn build_matrix(num_vertices: usize, msgs: &[OracleMsg]) -> (Vec<Vec<bool>>, Vec
 }
 
 /// Analyzes one snapshot with the naive oracle.
-pub fn oracle_analyze(num_vertices: usize, msgs: &[OracleMsg]) -> OracleAnalysis {
-    let n = num_vertices;
+pub fn oracle_analyze(snap: &CwgSnapshot) -> OracleAnalysis {
+    let (n, msgs) = (snap.num_vertices, snap.messages.as_slice());
     let (adj, owner) = build_matrix(n, msgs);
 
     // Stage 1: escape reduction to a fixed point. Remove sinks and any
@@ -311,12 +304,9 @@ pub fn oracle_analyze(num_vertices: usize, msgs: &[OracleMsg]) -> OracleAnalysis
 /// Enumerates all `2^B` subsets of the `B` blocked messages; returns
 /// `None` when `B > max_blocked` (the caller skips the check rather than
 /// waiting on an exponential loop).
-pub fn minimal_deadlock_sets(
-    num_vertices: usize,
-    msgs: &[OracleMsg],
-    max_blocked: usize,
-) -> Option<Vec<Vec<u64>>> {
-    let (_, owner) = build_matrix(num_vertices, msgs);
+pub fn minimal_deadlock_sets(snap: &CwgSnapshot, max_blocked: usize) -> Option<Vec<Vec<u64>>> {
+    let msgs = snap.messages.as_slice();
+    let (_, owner) = build_matrix(snap.num_vertices, msgs);
     let blocked: Vec<usize> = (0..msgs.len())
         .filter(|&i| !msgs[i].requests.is_empty())
         .collect();
@@ -374,16 +364,23 @@ pub fn minimal_deadlock_sets(
 mod tests {
     use super::*;
 
-    fn msg(id: u64, chain: &[u32], requests: &[u32]) -> OracleMsg {
-        OracleMsg {
+    fn msg(id: u64, chain: &[u32], requests: &[u32]) -> CwgMsg {
+        CwgMsg {
             id,
             chain: chain.to_vec(),
             requests: requests.to_vec(),
         }
     }
 
+    fn snap(num_vertices: usize, messages: &[CwgMsg]) -> CwgSnapshot {
+        CwgSnapshot {
+            num_vertices,
+            messages: messages.to_vec(),
+        }
+    }
+
     /// Figure 1: three messages in a single-cycle knot, two moving.
-    fn figure1() -> Vec<OracleMsg> {
+    fn figure1() -> Vec<CwgMsg> {
         vec![
             msg(1, &[1, 2], &[3]),
             msg(2, &[3, 4, 5], &[6]),
@@ -395,7 +392,7 @@ mod tests {
 
     #[test]
     fn figure1_knot() {
-        let a = oracle_analyze(10, &figure1());
+        let a = oracle_analyze(&snap(10, &figure1()));
         assert!(a.has_deadlock());
         assert_eq!(a.knots.len(), 1);
         assert_eq!(a.knots[0].knot, vec![0, 1, 2, 3, 4, 5, 6, 7]);
@@ -404,7 +401,7 @@ mod tests {
         assert!(a.dependent.is_empty());
         assert_eq!(a.num_blocked, 3);
         assert_eq!(
-            minimal_deadlock_sets(10, &figure1(), 16),
+            minimal_deadlock_sets(&snap(10, &figure1()), 16),
             Some(vec![vec![1, 2, 3]])
         );
     }
@@ -416,18 +413,18 @@ mod tests {
             msg(2, &[3, 4, 5], &[6]),
             msg(3, &[6, 7, 0], &[1, 9]), // 9 is free: an escape
         ];
-        let a = oracle_analyze(10, &msgs);
+        let a = oracle_analyze(&snap(10, &msgs));
         assert!(!a.has_deadlock());
-        assert_eq!(minimal_deadlock_sets(10, &msgs, 16), Some(vec![]));
+        assert_eq!(minimal_deadlock_sets(&snap(10, &msgs), 16), Some(vec![]));
     }
 
     #[test]
     fn waiting_on_moving_message_is_not_deadlock() {
         let msgs = vec![msg(1, &[0, 1], &[]), msg(2, &[2, 3], &[0])];
-        let a = oracle_analyze(4, &msgs);
+        let a = oracle_analyze(&snap(4, &msgs));
         assert!(!a.has_deadlock());
         assert_eq!(a.num_blocked, 1);
-        assert_eq!(minimal_deadlock_sets(4, &msgs, 16), Some(vec![]));
+        assert_eq!(minimal_deadlock_sets(&snap(4, &msgs), 16), Some(vec![]));
     }
 
     #[test]
@@ -435,13 +432,13 @@ mod tests {
         let mut msgs = figure1();
         msgs.truncate(3);
         msgs.push(msg(6, &[10, 11], &[4]));
-        let a = oracle_analyze(12, &msgs);
+        let a = oracle_analyze(&snap(12, &msgs));
         assert_eq!(a.knots.len(), 1);
         assert_eq!(a.knots[0].deadlock_set, vec![1, 2, 3]);
         assert_eq!(a.dependent, vec![(6, OracleDependent::Committed)]);
         // The dependent is not in any minimal closed set.
         assert_eq!(
-            minimal_deadlock_sets(12, &msgs, 16),
+            minimal_deadlock_sets(&snap(12, &msgs), 16),
             Some(vec![vec![1, 2, 3]])
         );
     }
@@ -451,7 +448,7 @@ mod tests {
         let mut msgs = figure1();
         msgs.truncate(3);
         msgs.push(msg(6, &[10, 11], &[4, 13]));
-        let a = oracle_analyze(14, &msgs);
+        let a = oracle_analyze(&snap(14, &msgs));
         assert_eq!(a.dependent, vec![(6, OracleDependent::Transient)]);
     }
 
@@ -466,7 +463,7 @@ mod tests {
             msg(3, &[4, 5], &[6, 2]),
             msg(4, &[6, 7], &[4]),
         ];
-        let a = oracle_analyze(8, &msgs);
+        let a = oracle_analyze(&snap(8, &msgs));
         assert_eq!(a.knots.len(), 1);
         assert_eq!(a.knots[0].knot, vec![0, 1, 2, 3]);
         assert_eq!(a.knots[0].deadlock_set, vec![1, 2]);
@@ -477,7 +474,10 @@ mod tests {
                 (4, OracleDependent::Committed)
             ]
         );
-        assert_eq!(minimal_deadlock_sets(8, &msgs, 16), Some(vec![vec![1, 2]]));
+        assert_eq!(
+            minimal_deadlock_sets(&snap(8, &msgs), 16),
+            Some(vec![vec![1, 2]])
+        );
     }
 
     #[test]
@@ -490,12 +490,12 @@ mod tests {
             let na = (2 * ((i + 1) % 4)) as u32;
             msgs.push(msg(i + 1, &[a, a + 1], &[na, na + 1]));
         }
-        let a = oracle_analyze(8, &msgs);
+        let a = oracle_analyze(&snap(8, &msgs));
         assert_eq!(a.knots.len(), 1);
         assert_eq!(a.knots[0].deadlock_set, vec![1, 2, 3, 4]);
         assert_eq!(a.knots[0].resource_set.len(), 8);
         assert_eq!(
-            minimal_deadlock_sets(8, &msgs, 16),
+            minimal_deadlock_sets(&snap(8, &msgs), 16),
             Some(vec![vec![1, 2, 3, 4]])
         );
     }
@@ -508,18 +508,18 @@ mod tests {
             msg(3, &[4, 5], &[6]),
             msg(4, &[6, 7], &[4]),
         ];
-        let a = oracle_analyze(8, &msgs);
+        let a = oracle_analyze(&snap(8, &msgs));
         assert_eq!(a.knots.len(), 2);
         assert_eq!(a.deadlock_sets(), vec![vec![1, 2], vec![3, 4]]);
         assert_eq!(
-            minimal_deadlock_sets(8, &msgs, 16),
+            minimal_deadlock_sets(&snap(8, &msgs), 16),
             Some(vec![vec![1, 2], vec![3, 4]])
         );
     }
 
     #[test]
     fn empty_snapshot_is_clean() {
-        let a = oracle_analyze(16, &[]);
+        let a = oracle_analyze(&snap(16, &[]));
         assert!(!a.has_deadlock());
         assert_eq!(a.num_blocked, 0);
         assert!(a.dependent.is_empty());
@@ -528,7 +528,7 @@ mod tests {
     #[test]
     fn minimal_two_message_deadlock() {
         let msgs = vec![msg(1, &[0, 1], &[2]), msg(2, &[2, 3], &[0])];
-        let a = oracle_analyze(4, &msgs);
+        let a = oracle_analyze(&snap(4, &msgs));
         assert_eq!(a.knots.len(), 1);
         assert_eq!(a.knots[0].deadlock_set, vec![1, 2]);
     }
@@ -541,8 +541,8 @@ mod tests {
             let nv = (2 * ((i + 1) % 17)) as u32;
             msgs.push(msg(i + 1, &[v, v + 1], &[nv]));
         }
-        assert_eq!(minimal_deadlock_sets(34, &msgs, 16), None);
-        let sets = minimal_deadlock_sets(34, &msgs, 17).unwrap();
+        assert_eq!(minimal_deadlock_sets(&snap(34, &msgs), 16), None);
+        let sets = minimal_deadlock_sets(&snap(34, &msgs), 17).unwrap();
         assert_eq!(sets.len(), 1);
         assert_eq!(sets[0].len(), 17);
     }

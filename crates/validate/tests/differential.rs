@@ -44,10 +44,10 @@ proptest! {
     #[test]
     fn production_matches_oracle_on_random_cwgs(seed in any::<u64>()) {
         let p = GenParams::default();
-        let (n, msgs) = random_snapshot(seed, &p);
-        let divergences = check_messages(n, &msgs);
+        let snap = random_snapshot(seed, &p);
+        let divergences = check_messages(&snap, None);
         if !divergences.is_empty() {
-            let minimal = minimize_divergence(n, &msgs);
+            let minimal = minimize_divergence(&snap);
             prop_assert!(
                 false,
                 "seed {seed}: {divergences:?}\nminimal repro: {minimal:?}"
@@ -59,10 +59,10 @@ proptest! {
     #[test]
     fn production_matches_oracle_on_dense_cwgs(seed in any::<u64>()) {
         let p = GenParams::dense();
-        let (n, msgs) = random_snapshot(seed, &p);
-        let divergences = check_messages(n, &msgs);
+        let snap = random_snapshot(seed, &p);
+        let divergences = check_messages(&snap, None);
         if !divergences.is_empty() {
-            let minimal = minimize_divergence(n, &msgs);
+            let minimal = minimize_divergence(&snap);
             prop_assert!(
                 false,
                 "seed {seed}: {divergences:?}\nminimal repro: {minimal:?}"
@@ -77,22 +77,22 @@ proptest! {
     #[test]
     fn cycle_counts_match_naive_oracle(seed in any::<u64>()) {
         for (i, p) in cycle_shapes().iter().enumerate() {
-            let (n, mut msgs) = random_snapshot(seed.wrapping_add(i as u64), p);
+            let mut snap = random_snapshot(seed.wrapping_add(i as u64), p);
             for self_loops in [false, true] {
                 if self_loops {
                     let mut rng = SplitMix64::new(seed ^ 0x5e1f);
-                    for m in msgs.iter_mut().filter(|_| rng.gen_bool(0.3)) {
+                    for m in snap.messages.iter_mut().filter(|_| rng.gen_bool(0.3)) {
                         m.requests.push(*m.chain.last().unwrap());
                     }
                 }
-                let divergences = check_cycle_counts(n, &msgs);
+                let divergences = check_cycle_counts(&snap);
                 prop_assert!(
                     divergences.is_some(),
                     "seed {seed} shape {i}: over the naive walk's budget"
                 );
                 prop_assert!(
                     divergences == Some(vec![]),
-                    "seed {seed} shape {i} self_loops {self_loops}: {divergences:?}\n{msgs:?}"
+                    "seed {seed} shape {i} self_loops {self_loops}: {divergences:?}\n{snap:?}"
                 );
             }
         }

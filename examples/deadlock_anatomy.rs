@@ -7,9 +7,9 @@
 //! cargo run --release --example deadlock_anatomy
 //! ```
 
-use flexsim::build_wait_graph;
+use icn_cwg::CwgSnapshot;
 use icn_routing::Dor;
-use icn_sim::{Network, SimConfig};
+use icn_sim::{Network, SimConfig, SnapshotArena};
 use icn_topology::{KAryNCube, NodeId};
 
 fn main() {
@@ -41,14 +41,19 @@ fn main() {
         net.blocked_count()
     );
 
-    // Build and analyze the channel wait-for graph.
-    let snap = net.wait_snapshot();
+    // Capture the wait-for state, then build and analyze the channel
+    // wait-for graph it describes.
+    let mut arena = SnapshotArena::new();
+    net.wait_snapshot_into(&mut arena);
+    let snap = CwgSnapshot::from_messages(
+        arena.num_vertices(),
+        arena.messages().map(|m| (m.id, m.chain, m.requests)),
+    );
     println!("\nchannel wait-for graph:");
     for m in &snap.messages {
         println!("  m{} owns {:?}, waits for {:?}", m.id, m.chain, m.requests);
     }
-    let graph = build_wait_graph(&snap);
-    let analysis = graph.analyze(1_000);
+    let analysis = snap.build_graph().analyze(1_000);
 
     assert!(analysis.has_deadlock(), "the ring must be deadlocked");
     let d = &analysis.deadlocks[0];

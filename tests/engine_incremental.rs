@@ -19,8 +19,8 @@
 //! [`RunResult::digest`]: flexsim::RunResult::digest
 
 use flexsim::experiments::{fig5, fig6, fig7, fig8, Scale};
-use flexsim::{build_wait_graph, run_reference_with, run_with, RecoveryPolicy, RunConfig};
-use icn_cwg::{DetectorScratch, DynamicWaitGraph};
+use flexsim::{run_reference_with, run_with, RecoveryPolicy, RunConfig};
+use icn_cwg::{CwgSnapshot, DetectorScratch, DynamicWaitGraph, WaitGraph};
 use icn_sim::{Network, SimConfig, SnapshotArena, WaitUpdate};
 use icn_topology::{KAryNCube, NodeId};
 
@@ -31,8 +31,8 @@ mod frozen {
     use std::ops::ControlFlow;
 
     use flexsim::{EpochView, RecoveryPolicy, RunConfig, RunObserver};
-    use icn_cwg::{Analysis, CycleCount, DetectorScratch, WaitGraph};
-    use icn_sim::{MsgPhase, Network, SnapshotArena, StepEvents, WaitSnapshot};
+    use icn_cwg::{Analysis, CwgSnapshot, CycleCount, DetectorScratch, WaitGraph};
+    use icn_sim::{MsgPhase, Network, SnapshotArena, StepEvents};
 
     fn rebuild_wait_graph(arena: &SnapshotArena, g: &mut WaitGraph) {
         g.reset(arena.num_vertices());
@@ -64,9 +64,9 @@ mod frozen {
         /// `(cycle, count)` of every census epoch.
         pub census: Vec<(u64, f64)>,
         pub census_capped: bool,
-        /// The full pre-recovery capture of every knot epoch (forensic
-        /// runs only — what an incident's CWG must equal).
-        pub knot_captures: Vec<WaitSnapshot>,
+        /// The cycle and full pre-recovery capture of every knot epoch
+        /// (forensic runs only — what an incident's CWG must equal).
+        pub knot_captures: Vec<(u64, CwgSnapshot)>,
     }
 
     impl EpochRebuild {
@@ -249,7 +249,11 @@ mod frozen {
             if analysis.has_deadlock() {
                 self.knot_epochs += 1;
                 if cfg.forensics.is_some() {
-                    self.knot_captures.push(self.arena.to_snapshot());
+                    let capture = CwgSnapshot::from_messages(
+                        arena.num_vertices(),
+                        arena.messages().map(|m| (m.id, m.chain, m.requests)),
+                    );
+                    self.knot_captures.push((cycle, capture));
                 }
             }
             let victims = self.pick_victims(&analysis);
@@ -284,20 +288,9 @@ fn agree(cfg: &RunConfig, dense: bool) -> u64 {
     if old.census_capped {
         assert!(res.cycles_capped, "{label}: census cap");
     }
-    for (inc, want) in res.forensic_incidents.iter().zip(&old.knot_captures) {
-        assert_eq!(inc.cycle, want.cycle, "{label}: incident epoch");
-        let got: Vec<_> = inc
-            .cwg
-            .messages
-            .iter()
-            .map(|m| (m.id, &m.chain, &m.requests))
-            .collect();
-        let want: Vec<_> = want
-            .messages
-            .iter()
-            .map(|m| (m.id, &m.chain, &m.requests))
-            .collect();
-        assert_eq!(got, want, "{label}: incident CWG at cycle {}", inc.cycle);
+    for (inc, (cycle, want)) in res.forensic_incidents.iter().zip(&old.knot_captures) {
+        assert_eq!(inc.cycle, *cycle, "{label}: incident epoch");
+        assert_eq!(inc.cwg, *want, "{label}: incident CWG at cycle {cycle}");
     }
     old.knot_epochs
 }
@@ -454,6 +447,7 @@ fn lockstep(net: &mut Network, cycles: u64, interval: u64, dense: bool) -> u64 {
     net.enable_wait_tracking();
     let mut dwg = DynamicWaitGraph::new(net.wait_vertex_count());
     let mut arena = SnapshotArena::new();
+    let mut blocked_only = WaitGraph::new(0);
     let mut scratch = DetectorScratch::new();
     let mut knot_epochs = 0;
     for _ in 0..cycles {
@@ -472,8 +466,6 @@ fn lockstep(net: &mut Network, cycles: u64, interval: u64, dense: bool) -> u64 {
         assert_eq!(net.wait_dirty_len(), 0, "a drain empties the dirty list");
         dwg.commit();
         dwg.check_invariants();
-        // Reduction verdict first, before anything refreshes the exact
-        // sets cache — the two detection paths must agree independently.
         let live = dwg.has_knot();
 
         net.wait_snapshot_into(&mut arena);
@@ -484,7 +476,11 @@ fn lockstep(net: &mut Network, cycles: u64, interval: u64, dense: bool) -> u64 {
             net.cycle()
         );
         assert_eq!(dwg.num_blocked(), arena.num_blocked());
-        let full = build_wait_graph(&arena.to_snapshot());
+        let full = CwgSnapshot::from_messages(
+            arena.num_vertices(),
+            arena.messages().map(|m| (m.id, m.chain, m.requests)),
+        )
+        .build_graph();
         assert_eq!(dwg.num_waiting(), full.num_blocked());
         let diff = dwg.diff_against_snapshot(&full);
         assert!(
@@ -495,7 +491,8 @@ fn lockstep(net: &mut Network, cycles: u64, interval: u64, dense: bool) -> u64 {
 
         let mut want: Vec<Vec<u64>> = full.knot_deadlock_sets(&mut scratch);
         want.sort();
-        let mut got: Vec<Vec<u64>> = dwg.knot_deadlock_sets().to_vec();
+        dwg.rebuild_graph(&mut blocked_only);
+        let mut got: Vec<Vec<u64>> = blocked_only.knot_deadlock_sets(&mut scratch);
         got.sort();
         assert_eq!(got, want, "knot sets diverged at cycle {}", net.cycle());
         assert_eq!(

@@ -2,11 +2,23 @@
 
 use std::collections::HashSet;
 
-use icn_cwg::WaitGraph;
+use icn_cwg::{Analysis, CwgSnapshot, WaitGraph};
 use icn_routing::{DatelineDor, Dor, DuatoFar, RoutingAlgorithm, Tfar, WestFirst};
-use icn_sim::{Network, SimConfig};
+use icn_sim::{Network, SimConfig, SnapshotArena};
 use icn_topology::{KAryNCube, NodeId};
 use proptest::prelude::*;
+
+/// The knot analysis of `net`'s current wait-for state.
+fn analyze_now(net: &Network, density_cap: u64) -> Analysis {
+    let mut arena = SnapshotArena::new();
+    net.wait_snapshot_into(&mut arena);
+    CwgSnapshot::from_messages(
+        arena.num_vertices(),
+        arena.messages().map(|m| (m.id, m.chain, m.requests)),
+    )
+    .build_graph()
+    .analyze(density_cap)
+}
 
 /// A randomly generated wait-for snapshot: vertex count, ownership chains,
 /// and per-message requests.
@@ -243,9 +255,7 @@ proptest! {
             net.enqueue(NodeId(s), NodeId(d));
             net.step();
             if cycle.is_multiple_of(50) {
-                let snap = net.wait_snapshot();
-                let g = flexsim::build_wait_graph(&snap);
-                let analysis = g.analyze(10_000);
+                let analysis = analyze_now(&net, 10_000);
                 prop_assert!(!analysis.has_deadlock(), "avoidance produced a knot");
             }
         }
@@ -281,8 +291,7 @@ proptest! {
             net.step();
             cycles += 1;
             if net.cycle().is_multiple_of(50) {
-                let snap = net.wait_snapshot();
-                let analysis = flexsim::build_wait_graph(&snap).analyze(2_000);
+                let analysis = analyze_now(&net, 2_000);
                 for d in &analysis.deadlocks {
                     let victim = *d.deadlock_set.iter().min().unwrap();
                     net.start_recovery(victim);

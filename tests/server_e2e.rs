@@ -352,6 +352,24 @@ fn bad_requests_get_clean_errors() {
     assert!(body.contains("`k` is out of range"), "{body}");
     let (status, _) = http_request(client.addr, "GET", "/jobs/1", None).unwrap();
     assert_eq!(status, 404, "the rejected grids created no job");
+    // A request head that never ends is cut off at 64 KiB (request line
+    // plus headers) and answered 400, and the server serves the next one.
+    {
+        use std::io::{Read, Write};
+        let mut endless = std::net::TcpStream::connect(client.addr).expect("connect");
+        endless
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        endless.write_all(&vec![b'a'; (64 << 10) + 1]).unwrap();
+        let mut reply = String::new();
+        endless
+            .read_to_string(&mut reply)
+            .expect("the server answers and closes");
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+        assert!(reply.contains("request head too large"), "{reply}");
+    }
+    let (status, _) = http_request(client.addr, "GET", "/jobs/999", None).unwrap();
+    assert_eq!(status, 404, "the server answers the next request");
 
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);

@@ -17,14 +17,14 @@ use flexsim::validate as v;
 use flexsim::{ForensicsConfig, RoutingSpec, RunConfig, TopologySpec};
 
 /// Every stage asserts with the minimized reproducer in the message, so a
-/// failure in CI is directly replayable through `WaitGraph::from_json`.
-fn assert_no_divergence(n: usize, msgs: &[v::OracleMsg]) {
-    let diffs = v::check_messages(n, msgs);
+/// failure in CI is directly replayable through `CwgSnapshot::from_json`.
+fn assert_no_divergence(snap: &icn_cwg::CwgSnapshot) {
+    let diffs = v::check_messages(snap, None);
     assert!(
         diffs.is_empty(),
         "oracle divergence: {:?}\nrepro: {}",
         diffs,
-        v::divergence_repro_json(n, msgs)
+        v::divergence_repro_json(snap)
     );
 }
 
@@ -33,8 +33,7 @@ fn oracle_matches_production_on_random_cwgs() {
     let shapes = [v::GenParams::default(), v::GenParams::dense()];
     for params in &shapes {
         for seed in 0..200u64 {
-            let (n, msgs) = v::random_snapshot(0x5eed ^ seed, params);
-            assert_no_divergence(n, &msgs);
+            assert_no_divergence(&v::random_snapshot(0x5eed ^ seed, params));
         }
     }
 }
