@@ -160,7 +160,7 @@ pub fn short_grid(seeds: Vec<u64>, loads: Vec<f64>) -> SweepGrid {
 /// Per-slot digests of a clean in-process `sweep_supervised` of `grid` —
 /// what every served, resumed or crash-recovered job must equal.
 pub fn direct_digests(grid: &SweepGrid) -> Result<Vec<String>, String> {
-    flexsim::sweep_supervised(&grid.expand(), &flexsim::SweepOptions::default())
+    flexsim::sweep_supervised(&grid.expand(), &flexsim::SweepOptions)
         .iter()
         .map(|r| match r {
             Ok(r) => Ok(r.digest()),

@@ -1,7 +1,7 @@
-//! Lossless [`RunResult`] serialization for sweep checkpoints.
+//! Lossless [`RunResult`] serialization and the checkpoint record format.
 //!
 //! Interrupted campaigns must resume with *byte-identical* results — a
-//! resumed sweep's digests are compared against fresh runs in tests — so
+//! resumed job's digests are compared against fresh runs in tests — so
 //! this codec round-trips every counter, distribution, and float exactly:
 //! `f64`s travel as `u64` bit patterns, histograms and Welford
 //! accumulators serialize their full internal state, and forensic
@@ -9,7 +9,10 @@
 //!
 //! It is the one result encoder: checkpoints, the result cache, the
 //! campaign server's results stream and `repro --json` all write
-//! [`encode_result`] objects. Derived, human-oriented columns come from
+//! [`encode_result`] objects. A checkpoint line wraps one in
+//! [`checkpoint_line`] (or records a terminal cancellation with
+//! [`checkpoint_status_line`]); [`crate::CheckpointTail`] reads them back.
+//! Derived, human-oriented columns come from
 //! [`crate::experiments::results_table`] (`repro --csv`).
 
 use icn_metrics::{Histogram, Mean, TimeSeries};
@@ -155,6 +158,34 @@ pub fn encode_result(r: &RunResult) -> Json {
             },
         ),
     ])
+}
+
+/// Renders one checkpoint line: `{"index":i,"label":...,"result":{...}}`.
+/// The campaign server writes its per-job checkpoint/result files in
+/// exactly this format, and [`crate::CheckpointTail`] restores them.
+pub fn checkpoint_line(index: usize, label: &str, result: &RunResult) -> String {
+    obj(vec![
+        ("index", Json::U64(index as u64)),
+        ("label", Json::Str(label.to_string())),
+        ("result", encode_result(result)),
+    ])
+    .to_string()
+}
+
+/// Renders one checkpoint *status* line persisting a terminal
+/// cancellation decision: `{"index":i,"label":...,"status":"cancelled"}`
+/// (or `"timed_out"`). [`crate::CheckpointTail`] reads such a slot as
+/// [`crate::Verdict::Cancelled`], so it is not re-run after a restart.
+pub fn checkpoint_status_line(index: usize, label: &str, timed_out: bool) -> String {
+    obj(vec![
+        ("index", Json::U64(index as u64)),
+        ("label", Json::Str(label.to_string())),
+        (
+            "status",
+            Json::Str(if timed_out { "timed_out" } else { "cancelled" }.to_string()),
+        ),
+    ])
+    .to_string()
 }
 
 /// Rebuilds a [`RunResult`] from [`encode_result`] output. The round trip

@@ -1,7 +1,7 @@
 //! The self-contained incident record and its JSON form.
 
 use icn_cwg::jsonio::{obj, parse, u64_arr, Json, ParseError};
-use icn_cwg::{analyses_equal, Analysis, CwgSnapshot};
+use icn_cwg::{Analysis, CwgSnapshot};
 use icn_sim::{SnapshotArena, TraceEvent};
 use icn_topology::{ChannelId, NodeId};
 
@@ -66,7 +66,7 @@ pub struct RecoveryOutcome {
 /// re-render, deterministically replay ([`replay`](super::replay)) and
 /// minimize ([`minimize`](super::minimize)) the deadlock with no other
 /// state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeadlockIncident {
     /// Capture ordinal within the run (0-based, counts epochs with knots).
     pub seq: u32,
@@ -280,21 +280,6 @@ impl DeadlockIncident {
     pub fn from_json_str(text: &str) -> Result<Self, ParseError> {
         Self::from_json(&parse(text)?)
     }
-}
-
-/// Structural equality of two incidents (the nested [`Analysis`] carries
-/// no `PartialEq`; round-trip tests compare through this).
-pub fn incidents_equal(a: &DeadlockIncident, b: &DeadlockIncident) -> bool {
-    a.seq == b.seq
-        && a.cycle == b.cycle
-        && a.formation_cycle == b.formation_cycle
-        && a.config == b.config
-        && a.fingerprint == b.fingerprint
-        && a.cwg == b.cwg
-        && analyses_equal(&a.analysis, &b.analysis)
-        && a.timelines == b.timelines
-        && a.recovery == b.recovery
-        && a.trace_dropped == b.trace_dropped
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //! * the **cycle, config and seed** that produced it — a forensic run is
 //!   cycle-identical to a plain run, so the incident alone pins down the
 //!   exact deadlock;
-//! * the full **CWG snapshot** and its knot [`Analysis`](icn_cwg::Analysis)
+//! * the full **CWG snapshot** and its knot [`Analysis`]
 //!   (deadlock sets, resource sets, cycle densities, dependents);
 //! * a per-member **formation timeline** reconstructed from `icn-sim`
 //!   trace events — injection, every VC acquisition, the final blocking
@@ -35,7 +35,7 @@ mod store;
 mod timeline;
 
 pub use icn_cwg::{CwgMsg, CwgSnapshot};
-pub use incident::{incidents_equal, DeadlockIncident, MemberTimeline, RecoveryOutcome};
+pub use incident::{DeadlockIncident, MemberTimeline, RecoveryOutcome};
 pub use minimize::{minimize, minimize_cwg, shortest_prefix, MinimizedIncident, ShortestPrefix};
 pub use replay::{replay, ReplayReport};
 pub use store::{IncidentStore, IndexEntry};

@@ -13,7 +13,8 @@
 //!   paper's metrics: normalized deadlocks, deadlock/resource set sizes,
 //!   knot cycle densities, cyclic non-deadlock counts, congestion and
 //!   throughput.
-//! * [`sweep`] — runs many points across OS threads, deterministically.
+//! * [`sweep`] — runs many points across OS threads, deterministically,
+//!   each through the one supervised run ([`run_supervised`]).
 //! * [`experiments`] — the per-figure sweep definitions (Figures 5–8,
 //!   §3.5 node degree, §3.6 traffic patterns) used by the `repro` binary
 //!   and the integration tests.
@@ -53,19 +54,17 @@ mod sweep;
 mod tail;
 pub mod validate;
 
-pub use checkpoint::{decode_result, encode_result};
+pub use checkpoint::{checkpoint_line, checkpoint_status_line, decode_result, encode_result};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use forensics::ForensicsConfig;
 pub use result::{Incident, RunOutcome, RunResult, StallReport};
 pub use runner::{run, run_reference, run_reference_with, run_with, EpochView, RunObserver};
 pub use spec::{config_from_json, config_to_json, RecoveryPolicy, RoutingSpec, TopologySpec};
 pub use sweep::{
-    backoff_for, checkpoint_line, checkpoint_status_line, replicate, replication_summary,
-    restore_checkpoint, run_supervised, run_supervised_cancellable, sweep, sweep_supervised,
-    sweep_supervised_report, CancelToken, CheckpointRestore, ReplicationSummary, SweepError,
-    SweepOptions, SweepReport,
+    replicate, replication_summary, run_supervised, sweep, sweep_supervised, CancelToken,
+    ReplicationSummary, SweepError, SweepOptions,
 };
-pub use tail::{read_results, CheckpointTail, LineSpan, Verdict};
+pub use tail::{read_results, CheckpointRestore, CheckpointTail, LineSpan, Verdict};
 
 /// Version tag of the simulation semantics, baked into the campaign
 /// server's content-addressed cache keys. Bump it whenever a change can

@@ -1,24 +1,27 @@
 //! Parallel execution of simulation sweeps, with supervision.
 //!
-//! [`sweep_supervised`] is the hardened engine: worker panics are caught
+//! [`run_supervised`] is the one supervised run: worker panics are caught
 //! and retried with perturbed seeds (bounded backoff between attempts),
-//! a failing configuration degrades to a per-slot [`SweepError`] instead
-//! of aborting its siblings, and long campaigns can checkpoint finished
-//! results to disk so an interrupted sweep resumes where it stopped.
-//! [`sweep`] is the historical strict wrapper: same execution, but any
-//! failed slot panics *after* every sibling has completed.
+//! and a cancellation token or a wall-clock budget stops a run at its next
+//! cycle boundary. The campaign server drains its job queue through it,
+//! and so do [`sweep_supervised`]'s workers, so a served result is the
+//! direct sweep's result by construction.
+//!
+//! [`sweep_supervised`] fans configurations out across OS threads; a
+//! failing configuration degrades to a per-slot [`SweepError`] instead of
+//! aborting its siblings. [`sweep`] is the historical strict wrapper: same
+//! execution, but any failed slot panics *after* every sibling has
+//! completed. A sweep writes nothing to disk: a campaign that must
+//! survive a crash is submitted to the campaign server (`icn-server`),
+//! whose per-job checkpoint is the one resumable path.
 
-use crate::checkpoint::encode_result;
-use crate::jsonio::{durable, frame_record, obj, Json};
 use crate::runner::{run_with, RunObserver};
-use crate::tail::CheckpointTail;
-use crate::{run, RunConfig, RunResult};
+use crate::{RunConfig, RunResult};
 use icn_sim::{Network, StepEvents};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Why a sweep slot has no result.
@@ -33,15 +36,9 @@ pub enum SweepError {
         /// Panic payload of the final attempt.
         message: String,
     },
-    /// The worker delivering this slot disappeared without reporting —
-    /// only possible if a thread died outside the panic guard.
-    Missing {
-        /// Label of the configuration that went unreported.
-        label: String,
-    },
     /// The run was stopped by a cancellation token or a wall-clock
     /// deadline before completing. Terminal: a cancelled slot is never
-    /// retried, and the decision persists through checkpoints.
+    /// retried, and the campaign server persists the decision.
     Cancelled {
         /// Label of the cancelled configuration.
         label: String,
@@ -62,7 +59,6 @@ impl std::fmt::Display for SweepError {
                 f,
                 "`{label}` panicked on all {attempts} attempts: {message}"
             ),
-            SweepError::Missing { label } => write!(f, "`{label}` was never reported"),
             SweepError::Cancelled { label, timed_out } => {
                 if *timed_out {
                     write!(f, "`{label}` exceeded its wall-clock deadline")
@@ -102,41 +98,26 @@ impl CancelToken {
 
 impl std::error::Error for SweepError {}
 
-/// Supervision knobs for [`sweep_supervised`].
-#[derive(Clone, Debug)]
-pub struct SweepOptions {
-    /// Extra attempts after a panicking first run (each with a perturbed
-    /// seed, in case the panic was load-order dependent).
-    pub retries: u32,
-    /// Sleep before the first retry; doubles per attempt.
-    pub backoff: Duration,
-    /// Upper bound on the per-attempt backoff.
-    pub max_backoff: Duration,
-    /// When `Some`, finished results are appended to this file as JSON
-    /// lines, and a rerun of the same sweep resumes from it: slots whose
-    /// recorded label matches the configuration are restored instead of
-    /// re-run. Checkpointed results are byte-exact (digest-identical to a
-    /// fresh run).
-    pub checkpoint: Option<PathBuf>,
-}
+/// Inert shim: a sweep has no knobs (supervision is fixed, see
+/// [`run_supervised`]). Kept only because `benchmark/src/campaign.rs`
+/// passes `&SweepOptions::default()`; dropped with ROADMAP item 1.
+#[derive(Clone, Debug, Default)]
+pub struct SweepOptions;
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            retries: 2,
-            backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(1),
-            checkpoint: None,
-        }
-    }
-}
+/// Extra attempts after a panicking first run (each with a perturbed
+/// seed, in case the panic was load-order dependent).
+const RETRIES: u32 = 2;
+/// Sleep before the first retry; doubles per attempt.
+const BACKOFF: Duration = Duration::from_millis(50);
+/// Upper bound on the per-attempt backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
 
-/// The backoff slept before retry `attempt` (1-based): `opts.backoff`
-/// doubled per attempt, clamped to `opts.max_backoff`.
-pub fn backoff_for(attempt: u32, opts: &SweepOptions) -> Duration {
+/// The backoff slept before retry `attempt` (1-based): [`BACKOFF`]
+/// doubled per attempt, clamped to [`MAX_BACKOFF`].
+fn backoff_for(attempt: u32) -> Duration {
     debug_assert!(attempt >= 1, "attempt 0 is the first try — no backoff");
     let exp = (attempt - 1).min(20);
-    opts.backoff.saturating_mul(1 << exp).min(opts.max_backoff)
+    BACKOFF.saturating_mul(1 << exp).min(MAX_BACKOFF)
 }
 
 /// One worker attempt cycle over an arbitrary runner: execute under a
@@ -144,15 +125,11 @@ pub fn backoff_for(attempt: u32, opts: &SweepOptions) -> Duration {
 /// Returns the result or the final panic message. Generic so the
 /// supervision machinery (reseed scheme, attempt accounting, backoff
 /// ordering) is testable without a real simulation.
-fn run_guarded_with<F>(
-    cfg: &RunConfig,
-    opts: &SweepOptions,
-    runner: F,
-) -> Result<RunResult, SweepError>
+fn run_guarded_with<F>(cfg: &RunConfig, runner: F) -> Result<RunResult, SweepError>
 where
     F: Fn(&RunConfig) -> RunResult,
 {
-    let attempts = opts.retries + 1;
+    let attempts = RETRIES + 1;
     let mut last_message = String::new();
     for attempt in 0..attempts {
         let mut c = cfg.clone();
@@ -163,7 +140,7 @@ where
             c.seed = cfg
                 .seed
                 .wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-            std::thread::sleep(backoff_for(attempt, opts));
+            std::thread::sleep(backoff_for(attempt));
         }
         match catch_unwind(AssertUnwindSafe(|| runner(&c))) {
             Ok(r) => return Ok(r),
@@ -183,16 +160,6 @@ where
         attempts,
         message: last_message,
     })
-}
-
-/// Runs one configuration under the full supervision discipline of
-/// [`sweep_supervised`] — panic isolation, retry-and-reseed, bounded
-/// backoff — without the sweep scaffolding. This is the execution unit
-/// the campaign server's worker pool drains its job queue through, so a
-/// served result is byte-identical to the same slot of a direct
-/// supervised sweep.
-pub fn run_supervised(cfg: &RunConfig, opts: &SweepOptions) -> Result<RunResult, SweepError> {
-    run_guarded_with(cfg, opts, run)
 }
 
 /// How a cancellable run was interrupted, if it was.
@@ -231,15 +198,15 @@ impl RunObserver for CancelObserver<'_> {
     }
 }
 
-/// [`run_supervised`] with cooperative cancellation: the run stops at the
-/// next cycle boundary after `token` is cancelled or after `budget`
-/// wall-clock time elapses, returning [`SweepError::Cancelled`] instead
-/// of a (truncated, digest-meaningless) result. An uninterrupted run is
-/// byte-identical to [`run_supervised`] — the observer only loads an
-/// atomic, it never perturbs simulation state.
-pub fn run_supervised_cancellable(
+/// Runs one configuration under the full supervision discipline — panic
+/// isolation, retry-and-reseed, bounded backoff — with cooperative
+/// cancellation: the run stops at the next cycle boundary after `token`
+/// is cancelled or after `budget` wall-clock time elapses, returning
+/// [`SweepError::Cancelled`] instead of a (truncated, digest-meaningless)
+/// result. An uninterrupted run is byte-identical to [`crate::run`] — the
+/// observer only loads an atomic, it never perturbs simulation state.
+pub fn run_supervised(
     cfg: &RunConfig,
-    opts: &SweepOptions,
     token: &CancelToken,
     budget: Option<Duration>,
 ) -> Result<RunResult, SweepError> {
@@ -255,7 +222,7 @@ pub fn run_supervised_cancellable(
     // matters: an interrupt ends the attempt without a panic, so no
     // further attempts follow it.
     let interrupted = AtomicU8::new(INTERRUPT_NONE);
-    let result = run_guarded_with(cfg, opts, |c| {
+    let result = run_guarded_with(cfg, |c| {
         let mut obs = CancelObserver {
             token,
             deadline,
@@ -279,196 +246,41 @@ pub fn run_supervised_cancellable(
     }
 }
 
-/// What a checkpoint restore found on disk.
-///
-/// The zero value (`restored == 0`, `skipped_lines == 0`,
-/// `torn_tail == false`) is indistinguishable from a missing file, which
-/// is exactly right: an absent checkpoint is an empty one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckpointRestore {
-    /// Slots restored from disk instead of re-run.
-    pub restored: usize,
-    /// Lines that parsed as JSON but could not be restored (undecodable
-    /// result, out-of-range index, or a label that no longer matches the
-    /// configuration at that index), plus interior lines that failed to
-    /// parse outright. Every such line is silent data loss the caller
-    /// should surface; a nonzero count on a file this sweep wrote itself
-    /// means corruption.
-    pub skipped_lines: usize,
-    /// Interior CRC-framed lines whose frame failed verification —
-    /// *detected* corruption, counted separately from `skipped_lines`
-    /// because the frame proves a record was intended there. These slots
-    /// simply re-run; the count is surfaced so operators see the loss.
-    pub corrupt_frames: usize,
-    /// Slots restored as terminally cancelled/timed-out from persisted
-    /// status lines. These are not re-run: the cancellation decision
-    /// survives restarts.
-    pub cancelled: usize,
-    /// The file ends in a partially written line — the signature of a
-    /// writer killed mid-append. Tolerated explicitly (the interrupted
-    /// slot simply re-runs) and reported so callers can distinguish
-    /// "clean resume" from "resume after a hard kill".
-    pub torn_tail: bool,
-}
-
-/// Restores completed slots from a checkpoint file, reporting exactly
-/// what was kept and what was lost. See [`CheckpointRestore`] for the
-/// accounting semantics. Accepts both CRC-framed records (the current
-/// append format) and legacy bare JSON lines; damaged lines are
-/// quarantined to `<path>.quarantine` so the evidence survives the next
-/// clean rewrite of the checkpoint. This is one whole-file
-/// [`CheckpointTail`] refresh; later records for a slot win.
-pub fn restore_checkpoint(
-    path: &std::path::Path,
-    configs: &[RunConfig],
-    slots: &mut [Option<Result<RunResult, SweepError>>],
-) -> CheckpointRestore {
-    let mut tail = CheckpointTail::new(path, configs.iter().map(RunConfig::label).collect());
-    // An unreadable checkpoint restores nothing, like an absent one.
-    let _ = tail.refresh_with(|i, r| {
-        slots[i] = Some(r.map_err(|timed_out| SweepError::Cancelled {
-            label: configs[i].label(),
-            timed_out,
-        }));
-    });
-    tail.report()
-}
-
-/// Renders one checkpoint line: `{"index":i,"label":...,"result":{...}}`.
-/// The campaign server writes its per-job checkpoint/result files in
-/// exactly this format so [`restore_checkpoint`] can resume them.
-pub fn checkpoint_line(index: usize, label: &str, result: &RunResult) -> String {
-    obj(vec![
-        ("index", Json::U64(index as u64)),
-        ("label", Json::Str(label.to_string())),
-        ("result", encode_result(result)),
-    ])
-    .to_string()
-}
-
-/// Renders one checkpoint *status* line persisting a terminal
-/// cancellation decision: `{"index":i,"label":...,"status":"cancelled"}`
-/// (or `"timed_out"`). [`restore_checkpoint`] restores such slots as
-/// [`SweepError::Cancelled`] so they are not re-run after a restart.
-pub fn checkpoint_status_line(index: usize, label: &str, timed_out: bool) -> String {
-    obj(vec![
-        ("index", Json::U64(index as u64)),
-        ("label", Json::Str(label.to_string())),
-        (
-            "status",
-            Json::Str(if timed_out { "timed_out" } else { "cancelled" }.to_string()),
-        ),
-    ])
-    .to_string()
-}
-
-/// [`sweep_supervised`] output plus the checkpoint-restore accounting.
-#[derive(Debug)]
-pub struct SweepReport {
-    /// Per-slot results in input order.
-    pub results: Vec<Result<RunResult, SweepError>>,
-    /// What the checkpoint restore found. `None` when
-    /// [`SweepOptions::checkpoint`] was `None`.
-    pub checkpoint: Option<CheckpointRestore>,
-}
-
 /// Runs every configuration across OS threads under supervision and
 /// returns per-slot results in input order. A panicking configuration
 /// never takes its siblings down: its slot becomes `Err` after the
 /// retries are exhausted while every other run completes normally.
+/// `_opts` is the inert [`SweepOptions`] shim.
 pub fn sweep_supervised(
     configs: &[RunConfig],
-    opts: &SweepOptions,
+    _opts: &SweepOptions,
 ) -> Vec<Result<RunResult, SweepError>> {
-    sweep_supervised_report(configs, opts).results
-}
-
-/// [`sweep_supervised`] with the checkpoint-restore accounting attached:
-/// how many slots came from disk, how many checkpoint lines were lost to
-/// corruption, and whether the file ended in a torn line.
-pub fn sweep_supervised_report(configs: &[RunConfig], opts: &SweepOptions) -> SweepReport {
-    let mut slots: Vec<Option<Result<RunResult, SweepError>>> = Vec::new();
-    slots.resize_with(configs.len(), || None);
-    if configs.is_empty() {
-        return SweepReport {
-            results: Vec::new(),
-            checkpoint: opts
-                .checkpoint
-                .as_ref()
-                .map(|_| CheckpointRestore::default()),
-        };
-    }
-
-    let checkpoint = opts
-        .checkpoint
-        .as_ref()
-        .map(|path| restore_checkpoint(path, configs, &mut slots));
-    // A torn tail means the previous writer died mid-append; one guard
-    // newline seals the partial line off so fresh appends start clean.
-    if let (Some(path), Some(ck)) = (opts.checkpoint.as_ref(), checkpoint.as_ref()) {
-        if ck.torn_tail {
-            let _ = durable::append_line(path, "");
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .min(configs.len());
+    // Each index is claimed exactly once through the cursor and its
+    // worker fills that index's slot. A worker that panics outside the
+    // guard propagates through the scope before the slots are read.
+    let next = AtomicUsize::new(0);
+    let never = CancelToken::new();
+    let slots: Vec<OnceLock<Result<RunResult, SweepError>>> =
+        configs.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cfg) = configs.get(i) else {
+                    break;
+                };
+                let _ = slots[i].set(run_supervised(cfg, &never, None));
+            });
         }
-    }
-    let pending: Vec<usize> = (0..configs.len()).filter(|&i| slots[i].is_none()).collect();
-
-    if !pending.is_empty() {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(pending.len());
-
-        // Finished results append through `durable::append_line` — one
-        // CRC-framed line per record, a single O_APPEND write each, so a
-        // record from any process lands contiguously or tears detectably.
-        let ckpt = opts.checkpoint.as_deref();
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<RunResult, SweepError>)>();
-        std::thread::scope(|scope| {
-            let next = &next;
-            let pending = &pending;
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let n = next.fetch_add(1, Ordering::Relaxed);
-                    if n >= pending.len() {
-                        break;
-                    }
-                    let i = pending[n];
-                    // A dropped receiver just means nobody wants the
-                    // result any more; finish the remaining work quietly.
-                    if tx.send((i, run_supervised(&configs[i], opts))).is_err() {
-                        break;
-                    }
-                });
-            }
-            // The workers hold the remaining senders; once they all
-            // finish, the channel closes and this drain ends.
-            drop(tx);
-            for (i, r) in rx {
-                if let (Some(path), Ok(result)) = (ckpt, &r) {
-                    let line = frame_record(&checkpoint_line(i, &configs[i].label(), result));
-                    let _ = durable::append_line(path, &line);
-                }
-                slots[i] = Some(r);
-            }
-        });
-    }
-
-    let results = slots
+    });
+    slots
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or(Err(SweepError::Missing {
-                label: configs[i].label(),
-            }))
-        })
-        .collect();
-    SweepReport {
-        results,
-        checkpoint,
-    }
+        .map(|slot| slot.into_inner().expect("every index is claimed"))
+        .collect()
 }
 
 /// Runs every configuration, fanning out across OS threads (one run is
@@ -476,12 +288,12 @@ pub fn sweep_supervised_report(configs: &[RunConfig], opts: &SweepOptions) -> Sw
 /// safe), and returns results in input order.
 ///
 /// This is the strict interface: a configuration that still fails after
-/// the default retries panics here — but only after every sibling has
-/// completed, so no finished work is discarded mid-flight. Callers that
-/// want per-slot errors instead use [`sweep_supervised`].
+/// the retries panics here — but only after every sibling has completed,
+/// so no finished work is discarded mid-flight. Callers that want
+/// per-slot errors instead use [`sweep_supervised`].
 pub fn sweep(configs: &[RunConfig]) -> Vec<RunResult> {
     let mut failures: Vec<String> = Vec::new();
-    let results: Vec<RunResult> = sweep_supervised(configs, &SweepOptions::default())
+    let results: Vec<RunResult> = sweep_supervised(configs, &SweepOptions)
         .into_iter()
         .filter_map(|r| match r {
             Ok(r) => Some(r),
@@ -553,6 +365,7 @@ pub fn replication_summary(results: &[RunResult]) -> ReplicationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
     use crate::spec::RoutingSpec;
 
     fn quick_cfg(load: f64) -> RunConfig {
@@ -591,12 +404,7 @@ mod tests {
         let mut poison = quick_cfg(0.2);
         poison.sim.vcs_per_channel = 0;
         let configs = vec![quick_cfg(0.2), poison, quick_cfg(0.3)];
-        let opts = SweepOptions {
-            retries: 1,
-            backoff: Duration::from_millis(1),
-            ..SweepOptions::default()
-        };
-        let results = sweep_supervised(&configs, &opts);
+        let results = sweep_supervised(&configs, &SweepOptions);
         assert_eq!(results.len(), 3);
         assert!(results[0].is_ok(), "sibling before the poison must finish");
         assert!(results[2].is_ok(), "sibling after the poison must finish");
@@ -604,7 +412,7 @@ mod tests {
             Err(SweepError::Panicked {
                 attempts, message, ..
             }) => {
-                assert_eq!(*attempts, 2);
+                assert_eq!(*attempts, RETRIES + 1);
                 assert!(
                     message.contains("vcs_per_channel"),
                     "panic message should surface: {message}"
@@ -627,46 +435,6 @@ mod tests {
         let _ = sweep(&[poison]);
     }
 
-    /// Interrupt-and-resume: a checkpoint written by one invocation is
-    /// picked up by the next, which re-runs only the missing slots and
-    /// reproduces the uninterrupted sweep byte-for-byte.
-    #[test]
-    fn checkpoint_resume_is_digest_exact() {
-        let configs = vec![quick_cfg(0.2), quick_cfg(0.4)];
-        let dir = std::env::temp_dir().join(format!(
-            "icn-sweep-ckpt-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        // First pass: only the first config, checkpointed.
-        let opts = SweepOptions {
-            checkpoint: Some(path.clone()),
-            ..SweepOptions::default()
-        };
-        let first = sweep_supervised(&configs[..1], &opts);
-        assert!(first[0].is_ok());
-
-        // Resumed pass over the full sweep: slot 0 must come from disk.
-        let resumed = sweep_supervised(&configs, &opts);
-        let fresh = sweep(&configs);
-        for (r, f) in resumed.iter().zip(fresh.iter()) {
-            assert_eq!(r.as_ref().unwrap().digest(), f.digest());
-        }
-
-        // The checkpoint now covers both slots; a third pass restores
-        // everything without running anything (workers see no pending
-        // slots).
-        let restored = sweep_supervised(&configs, &opts);
-        for (r, f) in restored.iter().zip(fresh.iter()) {
-            assert_eq!(r.as_ref().unwrap().digest(), f.digest());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Retry-and-reseed: a runner that panics on the original seed but
     /// succeeds on any perturbed one must be rescued by the retry loop,
     /// and the rescue must use the documented perturbation scheme.
@@ -675,12 +443,7 @@ mod tests {
         let cfg = quick_cfg(0.2);
         let original_seed = cfg.seed;
         let attempts = std::sync::atomic::AtomicU32::new(0);
-        let opts = SweepOptions {
-            retries: 2,
-            backoff: Duration::from_millis(1),
-            ..SweepOptions::default()
-        };
-        let r = run_guarded_with(&cfg, &opts, |c| {
+        let r = run_guarded_with(&cfg, |c| {
             attempts.fetch_add(1, Ordering::SeqCst);
             assert!(
                 c.seed == original_seed
@@ -708,21 +471,16 @@ mod tests {
     fn deterministic_panic_exhausts_all_attempts() {
         let cfg = quick_cfg(0.2);
         let attempts = std::sync::atomic::AtomicU32::new(0);
-        let opts = SweepOptions {
-            retries: 3,
-            backoff: Duration::from_millis(1),
-            ..SweepOptions::default()
-        };
-        let r = run_guarded_with(&cfg, &opts, |_| -> RunResult {
+        let r = run_guarded_with(&cfg, |_| -> RunResult {
             attempts.fetch_add(1, Ordering::SeqCst);
             panic!("always broken")
         });
-        assert_eq!(attempts.load(Ordering::SeqCst), 4);
+        assert_eq!(attempts.load(Ordering::SeqCst), RETRIES + 1);
         match r {
             Err(SweepError::Panicked {
                 attempts, message, ..
             }) => {
-                assert_eq!(attempts, 4);
+                assert_eq!(attempts, RETRIES + 1);
                 assert!(message.contains("always broken"));
             }
             other => panic!("expected Panicked, got {other:?}"),
@@ -733,171 +491,17 @@ mod tests {
     /// decreases.
     #[test]
     fn backoff_doubles_then_clamps() {
-        let opts = SweepOptions {
-            backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_millis(350),
-            ..SweepOptions::default()
-        };
-        let seq: Vec<Duration> = (1..=5).map(|a| backoff_for(a, &opts)).collect();
+        let seq: Vec<Duration> = (1..=7).map(backoff_for).collect();
         assert_eq!(
             seq,
-            vec![
-                Duration::from_millis(50),
-                Duration::from_millis(100),
-                Duration::from_millis(200),
-                Duration::from_millis(350),
-                Duration::from_millis(350),
-            ]
+            [50, 100, 200, 400, 800, 1000, 1000].map(Duration::from_millis)
         );
         for w in seq.windows(2) {
             assert!(w[0] <= w[1], "backoff must be monotone");
         }
         // The shift exponent saturates instead of overflowing on absurd
         // attempt counts.
-        assert_eq!(backoff_for(64, &opts), Duration::from_millis(350));
-    }
-
-    /// Checkpoint-resume from a file whose final line was torn by a hard
-    /// kill: the torn slot re-runs, the intact slot restores, accounting
-    /// reports the tear, and the resumed sweep is digest-exact against an
-    /// uninterrupted run.
-    #[test]
-    fn truncated_checkpoint_resumes_digest_exact() {
-        let configs = vec![quick_cfg(0.2), quick_cfg(0.4)];
-        let dir = std::env::temp_dir().join(format!(
-            "icn-sweep-torn-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        let opts = SweepOptions {
-            checkpoint: Some(path.clone()),
-            ..SweepOptions::default()
-        };
-        let full = sweep_supervised_report(&configs, &opts);
-        assert!(full.results.iter().all(Result::is_ok));
-        let ck = full.checkpoint.expect("checkpoint accounting present");
-        assert_eq!(
-            ck,
-            CheckpointRestore::default(),
-            "fresh run restores nothing"
-        );
-
-        // Simulate the writer dying mid-append: cut the file mid-way
-        // through its final line (no trailing newline).
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let torn = format!("{}\n{}", lines[0], &lines[1][..lines[1].len() / 2]);
-        std::fs::write(&path, &torn).unwrap();
-
-        let resumed = sweep_supervised_report(&configs, &opts);
-        let ck = resumed.checkpoint.unwrap();
-        assert_eq!(ck.restored, 1, "the intact line restores");
-        assert!(ck.torn_tail, "the tear must be reported");
-        assert_eq!(ck.skipped_lines, 0, "a torn tail is not counted as loss");
-
-        let fresh = sweep(&configs);
-        for (r, f) in resumed.results.iter().zip(fresh.iter()) {
-            assert_eq!(r.as_ref().unwrap().digest(), f.digest());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Interior garbage (a corrupted line in the middle of the file) is
-    /// counted as skipped, not silently dropped.
-    #[test]
-    fn corrupted_interior_line_is_counted() {
-        let configs = vec![quick_cfg(0.2), quick_cfg(0.4)];
-        let dir = std::env::temp_dir().join(format!(
-            "icn-sweep-corrupt-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let opts = SweepOptions {
-            checkpoint: Some(path.clone()),
-            ..SweepOptions::default()
-        };
-        let _ = sweep_supervised(&configs, &opts);
-
-        // Corrupt the first line in place, keep the second intact.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let corrupted = format!("{}XX\n{}\n", &lines[0][..lines[0].len() - 2], lines[1]);
-        std::fs::write(&path, &corrupted).unwrap();
-
-        let resumed = sweep_supervised_report(&configs, &opts);
-        let ck = resumed.checkpoint.unwrap();
-        assert_eq!(ck.restored, 1);
-        assert_eq!(
-            ck.corrupt_frames, 1,
-            "the garbled frame is detected corruption, not silent skip"
-        );
-        assert_eq!(ck.skipped_lines, 0);
-        assert!(!ck.torn_tail);
-        // The damaged line was quarantined for inspection.
-        let quarantine = path.with_extension("quarantine");
-        assert!(
-            std::fs::read_to_string(&quarantine)
-                .unwrap()
-                .trim()
-                .starts_with(crate::jsonio::FRAME_MARK),
-            "damaged frame preserved in quarantine"
-        );
-        // The damaged slot re-ran; results still match a fresh sweep.
-        let fresh = sweep(&configs);
-        for (r, f) in resumed.results.iter().zip(fresh.iter()) {
-            assert_eq!(r.as_ref().unwrap().digest(), f.digest());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Satellite regression: a checkpoint whose final record is cleanly
-    /// newline-terminated must restore with zero skipped lines and no
-    /// torn tail — the trailing newline must not manufacture a phantom
-    /// empty "line" in the loss accounting.
-    #[test]
-    fn trailing_newline_is_not_counted_as_skipped() {
-        let configs = vec![quick_cfg(0.2), quick_cfg(0.4)];
-        let dir = std::env::temp_dir().join(format!(
-            "icn-sweep-newline-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let opts = SweepOptions {
-            checkpoint: Some(path.clone()),
-            ..SweepOptions::default()
-        };
-        let _ = sweep_supervised(&configs, &opts);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.ends_with('\n'), "appends are newline-terminated");
-
-        let mut slots: Vec<Option<Result<RunResult, SweepError>>> = vec![None, None];
-        let ck = restore_checkpoint(&path, &configs, &mut slots);
-        assert_eq!(ck.restored, 2);
-        assert_eq!(
-            ck.skipped_lines, 0,
-            "no phantom line after the final newline"
-        );
-        assert_eq!(ck.corrupt_frames, 0);
-        assert!(!ck.torn_tail);
-
-        // Same with extra blank lines appended (kill-guard newlines).
-        std::fs::write(&path, format!("{text}\n\n")).unwrap();
-        let mut slots: Vec<Option<Result<RunResult, SweepError>>> = vec![None, None];
-        let ck = restore_checkpoint(&path, &configs, &mut slots);
-        assert_eq!(ck.restored, 2);
-        assert_eq!(ck.skipped_lines, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(backoff_for(64), MAX_BACKOFF);
     }
 
     /// A pre-cancelled token short-circuits without running anything; a
@@ -906,11 +510,10 @@ mod tests {
     #[test]
     fn cancellation_stops_runs() {
         let cfg = quick_cfg(0.2);
-        let opts = SweepOptions::default();
 
         let token = CancelToken::new();
         token.cancel();
-        match run_supervised_cancellable(&cfg, &opts, &token, None) {
+        match run_supervised(&cfg, &token, None) {
             Err(SweepError::Cancelled { label, timed_out }) => {
                 assert_eq!(label, cfg.label());
                 assert!(!timed_out);
@@ -918,10 +521,10 @@ mod tests {
             other => panic!("expected Cancelled, got {other:?}"),
         }
 
-        // An uncancelled token leaves the run byte-identical to the
-        // plain supervised path.
+        // An uncancelled token leaves the run byte-identical to a plain
+        // run.
         let token = CancelToken::new();
-        let r = run_supervised_cancellable(&cfg, &opts, &token, None).unwrap();
+        let r = run_supervised(&cfg, &token, None).unwrap();
         assert_eq!(r.digest(), run(&cfg).digest());
     }
 
@@ -934,43 +537,10 @@ mod tests {
         cfg.warmup = 200;
         cfg.measure = 2000;
         let token = CancelToken::new();
-        match run_supervised_cancellable(
-            &cfg,
-            &SweepOptions::default(),
-            &token,
-            Some(Duration::ZERO),
-        ) {
+        match run_supervised(&cfg, &token, Some(Duration::ZERO)) {
             Err(SweepError::Cancelled { timed_out, .. }) => assert!(timed_out),
             other => panic!("expected timeout, got {other:?}"),
         }
-    }
-
-    /// Persisted status lines restore as terminal `Cancelled` slots: the
-    /// decision survives a restart and the slot is not re-run.
-    #[test]
-    fn status_lines_restore_as_cancelled() {
-        let configs = vec![quick_cfg(0.2), quick_cfg(0.4)];
-        let dir = std::env::temp_dir().join(format!(
-            "icn-sweep-status-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let line =
-            crate::jsonio::frame_record(&checkpoint_status_line(1, &configs[1].label(), true));
-        std::fs::write(&path, format!("{line}\n")).unwrap();
-
-        let mut slots: Vec<Option<Result<RunResult, SweepError>>> = vec![None, None];
-        let ck = restore_checkpoint(&path, &configs, &mut slots);
-        assert_eq!(ck.cancelled, 1);
-        assert_eq!(ck.restored, 0);
-        assert!(slots[0].is_none(), "unrelated slot untouched");
-        match &slots[1] {
-            Some(Err(SweepError::Cancelled { timed_out, .. })) => assert!(timed_out),
-            other => panic!("expected restored Cancelled, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,7 +22,37 @@ use std::path::{Path, PathBuf};
 use crate::checkpoint::decode_result;
 use crate::jsonio::{durable, record_line, record_payload, Json, RecordLine, FRAME_MARK};
 use crate::result::RunResult;
-use crate::sweep::CheckpointRestore;
+
+/// What a [`CheckpointTail`] found in its file.
+///
+/// The zero value (`restored == 0`, `skipped_lines == 0`,
+/// `torn_tail == false`) is indistinguishable from a missing file, which
+/// is exactly right: an absent checkpoint is an empty one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CheckpointRestore {
+    /// Result records that settle a slot instead of a re-run.
+    pub restored: usize,
+    /// Lines that parsed as JSON but could not be restored (undecodable
+    /// result, out-of-range index, or a label that no longer matches the
+    /// configuration at that index), plus interior lines that failed to
+    /// parse outright. Every such line is silent data loss the caller
+    /// should surface; a nonzero count on a file a server wrote itself
+    /// means corruption.
+    pub skipped_lines: usize,
+    /// Interior CRC-framed lines whose frame failed verification —
+    /// *detected* corruption, counted separately from `skipped_lines`
+    /// because the frame proves a record was intended there. These slots
+    /// simply re-run; the count is surfaced so operators see the loss.
+    pub corrupt_frames: usize,
+    /// Status records of terminally cancelled/timed-out slots. These are
+    /// not re-run: the cancellation decision survives restarts.
+    pub cancelled: usize,
+    /// The file ends in a partially written line — the signature of a
+    /// writer killed mid-append. Tolerated explicitly (the interrupted
+    /// slot simply re-runs) and reported so callers can distinguish
+    /// "clean resume" from "resume after a hard kill".
+    pub torn_tail: bool,
+}
 
 /// Where one line sits in the checkpoint file (newline excluded).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,20 +158,10 @@ impl CheckpointTail {
         &self.result_lines
     }
 
-    /// Reads what was appended since the last refresh. Returns the number
-    /// of bytes read.
+    /// Reads what was appended since the last refresh; a later record for
+    /// an index supersedes an earlier one. Returns the number of bytes
+    /// read.
     pub fn refresh(&mut self) -> io::Result<u64> {
-        self.refresh_with(|_, _| {})
-    }
-
-    /// [`refresh`](Self::refresh), handing every restorable record to
-    /// `on_record` in file order as `(index, Ok(result))` or
-    /// `(index, Err(timed_out))`; a later record for an index supersedes
-    /// an earlier one.
-    pub fn refresh_with(
-        &mut self,
-        mut on_record: impl FnMut(usize, Result<RunResult, bool>),
-    ) -> io::Result<u64> {
         if self.sealed {
             return Ok(0);
         }
@@ -201,7 +221,6 @@ impl CheckpointTail {
                                 }
                             };
                             self.latest[i] = Some((verdict, span));
-                            on_record(i, r);
                         }
                         None => self.report.skipped_lines += 1,
                     }

@@ -70,9 +70,9 @@ pub fn divergence_repro_json(snap: &CwgSnapshot) -> String {
 
 /// A [`RunObserver`] auditing a live run against the §2 theory and the
 /// engine's own conservation laws. Attach with [`run_with`] (or
-/// [`run_reference_with`]); afterwards inspect [`violations`]
-/// (`ValidationObserver::violations`) — empty means every audited cycle
-/// and epoch passed.
+/// [`run_reference_with`]); afterwards inspect
+/// [`violations`](Self::violations) — empty means every audited cycle and
+/// epoch passed.
 pub struct ValidationObserver {
     topo: KAryNCube,
     /// Routing is minimal: delivered hop counts must equal distance.
@@ -89,7 +89,7 @@ pub struct ValidationObserver {
     delivered_ids: HashSet<u64>,
     seen_sets: HashSet<Vec<u64>>,
     recovering_since: HashMap<u64, u64>,
-    /// Every audit failure, capped at [`MAX_VIOLATIONS`].
+    /// Every audit failure, capped at `MAX_VIOLATIONS`.
     pub violations: Vec<String>,
     /// First oracle divergence, minimized, as forensics-shaped JSON.
     pub divergence_repro: Option<String>,

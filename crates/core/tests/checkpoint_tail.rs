@@ -315,6 +315,64 @@ fn torn_tail_is_unread_until_sealed() {
     assert!(parse(quarantined.trim()).is_err());
 }
 
+/// A cleanly newline-terminated checkpoint has no phantom empty line after
+/// its final newline, and guard blank lines are not loss either. Absolute
+/// counts: the proptest's `scan_records` reference shares the line
+/// splitter, so it could not catch a phantom line.
+#[test]
+fn trailing_newline_is_not_counted_as_skipped() {
+    let path = temp_file("newline");
+    let labels = labels();
+    let base = template();
+    for index in [0, 1] {
+        let line = frame_record(&checkpoint_line(index, &labels[index], &base));
+        append(&path, format!("{line}\n").as_bytes());
+    }
+    let clean = CheckpointRestore {
+        restored: 2,
+        ..CheckpointRestore::default()
+    };
+    let mut tail = CheckpointTail::new(&path, labels.clone());
+    tail.refresh().unwrap();
+    assert_eq!(
+        tail.report(),
+        clean,
+        "no phantom line after the final newline"
+    );
+
+    // The same file plus guard newlines, read fresh.
+    append(&path, b"\n\n");
+    let mut tail = CheckpointTail::new(&path, labels);
+    tail.refresh().unwrap();
+    assert_eq!(tail.report(), clean, "blank lines are not loss");
+}
+
+/// A framed status line restores as a terminal cancellation, touching no
+/// other slot.
+#[test]
+fn status_lines_restore_as_cancelled() {
+    let path = temp_file("status");
+    let labels = labels();
+    let line = frame_record(&checkpoint_status_line(1, &labels[1], true));
+    append(&path, format!("{line}\n").as_bytes());
+    let mut tail = CheckpointTail::new(&path, labels);
+    tail.refresh().unwrap();
+    assert_eq!(
+        tail.report(),
+        CheckpointRestore {
+            cancelled: 1,
+            ..CheckpointRestore::default()
+        }
+    );
+    assert_eq!(tail.verdict(0), None, "unrelated slot untouched");
+    assert_eq!(
+        tail.verdict(1),
+        Some(Verdict::Cancelled { timed_out: true })
+    );
+    assert_eq!(tail.record(1).map(|r| r.err()), Some(Some(true)));
+    assert!(tail.result_lines().is_empty(), "a status is not a result");
+}
+
 /// A sealed tail reads its last bytes, then never follows the file again:
 /// the results stream stays servable, the per-index records are gone.
 #[test]

@@ -6,9 +6,7 @@
 
 use std::ops::ControlFlow;
 
-use flexsim::forensics::{
-    incidents_equal, minimize, replay, timeline_table, DeadlockIncident, IncidentStore,
-};
+use flexsim::forensics::{minimize, replay, timeline_table, DeadlockIncident, IncidentStore};
 use flexsim::{
     run, run_with, EpochView, ForensicsConfig, RoutingSpec, RunConfig, RunObserver, TopologySpec,
 };
@@ -129,12 +127,10 @@ fn capture_is_deterministic_golden() {
     let (_, a) = captured();
     let (_, b) = captured();
     assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert!(
-            incidents_equal(x, y),
-            "forensic capture must be a pure function of the config"
-        );
-    }
+    assert_eq!(
+        a, b,
+        "forensic capture must be a pure function of the config"
+    );
 }
 
 #[test]
@@ -160,10 +156,10 @@ fn incident_json_round_trips_identically() {
     for inc in &incidents {
         let text = inc.to_json_string();
         let back = DeadlockIncident::from_json_str(&text).expect("parse own output");
-        assert!(incidents_equal(inc, &back));
+        assert_eq!(&back, inc);
         // The CWG and analysis survive as structures, not just as bytes.
-        assert_eq!(inc.cwg, back.cwg);
-        assert!(icn_cwg::analyses_equal(&inc.analysis, &back.analysis));
+        assert_eq!(back.cwg, inc.cwg);
+        assert_eq!(back.analysis, inc.analysis);
         // And serialization is stable (parse → serialize is a fixpoint).
         assert_eq!(text, back.to_json_string());
     }
@@ -249,7 +245,7 @@ fn store_persists_and_reloads_incidents() {
     assert_eq!(index[0].fingerprint, incidents[0].fingerprint);
 
     let back = store.load(&index[0].file).unwrap();
-    assert!(incidents_equal(&incidents[0], &back));
+    assert_eq!(back, incidents[0]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

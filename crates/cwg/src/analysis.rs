@@ -26,7 +26,7 @@ pub enum DependentKind {
 }
 
 /// One true deadlock: a knot of the CWG with its derived descriptors.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Deadlock {
     /// The knot vertices (every vertex reaches exactly this set).
     pub knot: Vec<VertexId>,
@@ -56,7 +56,7 @@ impl Deadlock {
 }
 
 /// Full analysis of one CWG snapshot.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Analysis {
     /// Every knot in the snapshot (usually zero or one; independent knots
     /// can coexist in disconnected regions).

@@ -66,5 +66,4 @@ pub use cycles::{count_cycles, CycleCount};
 pub use dynamic::DynamicWaitGraph;
 pub use graph::{Edge, MessageId, VertexId, WaitGraph};
 pub use scc::{scc, SccResult, SccScratch};
-pub use serialize::analyses_equal;
 pub use snapshot::{CwgMsg, CwgSnapshot};

@@ -116,20 +116,6 @@ impl Analysis {
     }
 }
 
-/// Structural equality of two analyses (the derived [`Deadlock`] carries no
-/// `PartialEq`; incident round-trip tests compare through this).
-pub fn analyses_equal(a: &Analysis, b: &Analysis) -> bool {
-    a.num_blocked == b.num_blocked
-        && a.dependent == b.dependent
-        && a.deadlocks.len() == b.deadlocks.len()
-        && a.deadlocks.iter().zip(&b.deadlocks).all(|(x, y)| {
-            x.knot == y.knot
-                && x.deadlock_set == y.deadlock_set
-                && x.resource_set == y.resource_set
-                && x.cycle_density == y.cycle_density
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +140,7 @@ mod tests {
         assert!(a.has_deadlock());
         let text = a.to_json().to_string();
         let back = Analysis::from_json(&parse(&text).unwrap()).unwrap();
-        assert!(analyses_equal(&a, &back));
+        assert_eq!(back, a);
     }
 
     #[test]

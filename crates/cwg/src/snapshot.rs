@@ -173,10 +173,10 @@ mod tests {
         let s = figure1_like();
         let back = CwgSnapshot::from_json(&parse(&s.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(back, s);
-        assert!(crate::analyses_equal(
-            &s.build_graph().analyze(1000),
-            &back.build_graph().analyze(1000)
-        ));
+        assert_eq!(
+            back.build_graph().analyze(1000),
+            s.build_graph().analyze(1000)
+        );
     }
 
     #[test]

@@ -15,17 +15,17 @@
 //!   config digests and [`flexsim::ENGINE_VERSION`].
 //! * [`lease`] — per-config lease files arbitrating ownership across
 //!   fleet members sharing one data dir.
-//! * [`state`] — job table, work-stealing worker pool, per-job
-//!   checkpoint appends in the core sweep format.
+//! * [`state`] — job table, one work queue and its worker pool, per-job
+//!   checkpoint appends in the core record format.
 //! * [`server`] — [`CampaignServer`]: endpoints, crash recovery,
 //!   fleet reconciliation, graceful shutdown.
 //!
-//! Results served over the API are digest-identical to direct
-//! [`flexsim::sweep_supervised`] calls on the same grid: the workers run
-//! each configuration through the very same supervised single-config
-//! path ([`flexsim::run_supervised`]) and persist it with the same
-//! checkpoint codec. The integration suite and `repro serve --smoke`
-//! assert this end to end.
+//! The server is the repo's one resumable-campaign path; a direct
+//! [`flexsim::sweep_supervised`] is one-shot. Results served over the API
+//! are digest-identical to a direct sweep of the same grid because both
+//! run each configuration through one function,
+//! [`flexsim::run_supervised`]. The integration suite and `repro serve
+//! --smoke` assert this end to end.
 
 pub mod cache;
 pub mod client;

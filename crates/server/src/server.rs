@@ -26,10 +26,9 @@
 //! (per-config ownership), and `cache/` (content-addressed results). A
 //! killed server recovers on the next [`CampaignServer::bind`]: grids are
 //! re-expanded, checkpoints restored through the core
-//! [`flexsim::CheckpointTail`] (the reader behind
-//! [`flexsim::restore_checkpoint`]: digest-exact, torn final lines
-//! tolerated and surfaced, corrupt frames quarantined), and unfinished
-//! configurations re-enter the queues.
+//! [`flexsim::CheckpointTail`] (digest-exact, torn final lines tolerated
+//! and surfaced, corrupt frames quarantined), and unfinished
+//! configurations re-enter the queue.
 //!
 //! # Fleet
 //!
@@ -70,7 +69,7 @@ pub struct ServerOptions {
     /// Root of all durable state (`jobs/`, `cache/`, `incidents/`,
     /// `leases/`).
     pub data_dir: PathBuf,
-    /// Simulation workers (the work-stealing pool size).
+    /// Simulation workers, all popping the one work queue.
     pub workers: usize,
     /// Install a SIGINT handler so Ctrl-C takes the graceful path.
     pub handle_sigint: bool,
@@ -130,7 +129,7 @@ impl CampaignServer {
         let incidents = IncidentStore::open(opts.data_dir.join("incidents"))?;
         let leases = LeaseDir::open(opts.data_dir.join("leases"), opts.lease_expiry)?;
 
-        let shared = Shared::new(opts.workers, cache, leases);
+        let shared = Shared::new(cache, leases);
         let resumed = load_new_jobs(&shared, &jobs_dir);
         shared
             .stats
@@ -142,7 +141,7 @@ impl CampaignServer {
                 let s = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("campaign-worker-{w}"))
-                    .spawn(move || s.worker_loop(w))
+                    .spawn(move || s.worker_loop())
                     .expect("spawn worker")
             })
             .collect();
@@ -211,7 +210,7 @@ impl CampaignServer {
     ///
     /// The accept loop blocks in `accept` — a request is handed to a
     /// handler the moment it connects — and whoever raises the shutdown
-    /// latch wakes it with a connection of its own ([`shut_down`]).
+    /// latch wakes it with a connection of its own.
     pub fn serve(self) -> io::Result<()> {
         if self.handle_sigint {
             signal::install();

@@ -1,18 +1,20 @@
-//! Shared server state: the job table, the work-stealing queues, and the
-//! worker loop that drains them through the supervised runner.
+//! Shared server state: the job table, the work queue, and the worker
+//! loop that drains it through the supervised runner.
 //!
-//! Each worker owns a deque; units are dealt round-robin at submission,
-//! a worker pops its own deque LIFO and steals FIFO from the longest
-//! sibling when empty. All deques sit behind one mutex — the unit of
-//! work is a whole simulation (milliseconds to minutes), so queue
-//! contention is irrelevant and the single lock keeps the stealing logic
-//! trivially correct.
+//! Every worker pops the one queue, behind the job-table mutex — the unit
+//! of work is a whole simulation (milliseconds to minutes), so queue
+//! contention is irrelevant. Units are pushed in index order and popped
+//! from the back: a job's configurations run highest index first. Grids
+//! expand loads outer and seeds inner, so with ascending loads the
+//! slowest, highest-load configurations start first instead of
+//! lengthening the tail of the run.
 //!
 //! Results are never kept in memory: a completed unit is appended to its
 //! job's checkpoint file as a CRC-framed [`checkpoint_line`] via the
 //! durable append path, so `GET /jobs/:id/results` is a file read and a
-//! restarted server resumes with the core [`flexsim::restore_checkpoint`]
-//! — the same machinery, digest-exact.
+//! restarted server resumes through the job's [`CheckpointTail`] —
+//! digest-exact. A slot flips to `Done` only once its record is durable:
+//! a failed append leaves it `Failed`, which a restart retries.
 //!
 //! # Multi-process fleet
 //!
@@ -32,7 +34,7 @@
 //! before publication or by a lease holder — never by anyone else.
 //!
 //! A job whose last slot settles is accounted once, in
-//! [`Shared::settle`], and gives back what only an unsettled job needs:
+//! `Shared::settle`, and gives back what only an unsettled job needs:
 //! its configurations, and — when every verdict is durable — the tail's
 //! per-index state ([`CheckpointTail::seal`]).
 //!
@@ -51,8 +53,8 @@ use std::time::Duration;
 
 use flexsim::jsonio::{durable, frame_record};
 use flexsim::{
-    checkpoint_line, checkpoint_status_line, run_supervised_cancellable, CancelToken,
-    CheckpointRestore, CheckpointTail, RunConfig, RunResult, SweepError, SweepOptions, Verdict,
+    checkpoint_line, checkpoint_status_line, run_supervised, CancelToken, CheckpointRestore,
+    CheckpointTail, RunConfig, RunResult, SweepError, Verdict,
 };
 
 use crate::cache::ResultCache;
@@ -70,7 +72,7 @@ pub struct Unit {
 pub enum SlotState {
     /// Not scheduled in this process (a sibling may own the lease).
     Pending,
-    /// Dealt into this process's worker queues.
+    /// In this process's work queue.
     Queued,
     Running,
     Done {
@@ -80,8 +82,9 @@ pub enum SlotState {
         /// sibling's record).
         restored: bool,
     },
-    /// Supervision exhausted its retries; the message is the
-    /// [`flexsim::SweepError`] rendering.
+    /// Supervision exhausted its retries (the message is the
+    /// [`flexsim::SweepError`] rendering), or the verdict's checkpoint
+    /// append failed. Memory-only: a restart retries the slot.
     Failed(String),
     /// Terminally cancelled; `timed_out` distinguishes a deadline expiry
     /// from an explicit cancel request.
@@ -289,7 +292,7 @@ impl Job {
 #[derive(Default)]
 pub struct Inner {
     pub jobs: BTreeMap<u64, Job>,
-    pub queues: Vec<VecDeque<Unit>>,
+    pub queue: VecDeque<Unit>,
     pub next_job_id: u64,
 }
 
@@ -361,11 +364,10 @@ pub struct Shared {
 }
 
 impl Shared {
-    pub fn new(workers: usize, cache: ResultCache, leases: LeaseDir) -> Arc<Shared> {
+    pub fn new(cache: ResultCache, leases: LeaseDir) -> Arc<Shared> {
         let inner = Inner {
-            jobs: BTreeMap::new(),
-            queues: (0..workers.max(1)).map(|_| VecDeque::new()).collect(),
             next_job_id: 1,
+            ..Inner::default()
         };
         Arc::new(Shared {
             inner: Mutex::new(inner),
@@ -391,42 +393,25 @@ impl Shared {
         job.release_settled().then(|| Arc::clone(&job.tail))
     }
 
-    /// Deals every `Pending` slot of `job_id` round-robin across the
-    /// worker queues (marking them `Queued`) and wakes the pool. Caller
-    /// holds the lock.
+    /// Pushes every `Pending` slot of `job_id` onto the work queue in
+    /// index order, marking it `Queued`. The caller holds the lock and
+    /// wakes the pool.
     pub fn enqueue_pending(inner: &mut Inner, job_id: u64) {
         let Some(job) = inner.jobs.get_mut(&job_id) else {
             return;
         };
-        let mut units = Vec::new();
         for (index, slot) in job.slots.iter_mut().enumerate() {
             if *slot == SlotState::Pending {
                 *slot = SlotState::Queued;
-                units.push(Unit { job: job_id, index });
+                inner.queue.push_back(Unit { job: job_id, index });
             }
         }
-        let n = inner.queues.len();
-        for (k, unit) in units.into_iter().enumerate() {
-            inner.queues[k % n].push_back(unit);
-        }
     }
 
-    /// Pops work for `worker`: own deque from the back (LIFO keeps a
-    /// worker on the job it was dealt), else steal from the front of the
-    /// longest sibling queue (FIFO takes the oldest backlog).
-    fn next_unit(inner: &mut Inner, worker: usize) -> Option<Unit> {
-        if let Some(u) = inner.queues[worker].pop_back() {
-            return Some(u);
-        }
-        let victim = (0..inner.queues.len())
-            .filter(|&q| q != worker)
-            .max_by_key(|&q| inner.queues[q].len())?;
-        inner.queues[victim].pop_front()
-    }
-
-    /// The worker loop. Exits when the shutdown latch rises; the unit in
-    /// flight at that moment is finished and checkpointed first.
-    pub fn worker_loop(self: &Arc<Shared>, worker: usize) {
+    /// The worker loop: pops the queue from the back (see the module
+    /// docs). Exits when the shutdown latch rises; the unit in flight at
+    /// that moment is finished and checkpointed first.
+    pub fn worker_loop(self: &Arc<Shared>) {
         loop {
             let unit = {
                 let mut inner = self.inner.lock().unwrap();
@@ -434,7 +419,7 @@ impl Shared {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    if let Some(u) = Self::next_unit(&mut inner, worker) {
+                    if let Some(u) = inner.queue.pop_back() {
                         break u;
                     }
                     let (guard, _) = self
@@ -445,16 +430,6 @@ impl Shared {
                 }
             };
             self.execute_unit(unit);
-        }
-    }
-
-    /// Appends one framed record line to `ckpt`. No lock is held: the
-    /// durable single-buffer `O_APPEND` write is what keeps appenders —
-    /// this process's workers and sibling processes alike — from tearing
-    /// each other, and their fsyncs overlap.
-    fn append_record(job: u64, ckpt: &Path, payload: &str) {
-        if let Err(e) = durable::append_line(ckpt, &frame_record(payload)) {
-            eprintln!("campaign: checkpoint append failed for job {job}: {e}");
         }
     }
 
@@ -552,11 +527,10 @@ impl Shared {
                 Some(hit) => (Ok(hit), true, true),
                 None => {
                     self.stats.sims_run.fetch_add(1, Ordering::Relaxed);
-                    // Default supervision, always: a served result is the
-                    // direct `sweep_supervised(.., &SweepOptions::default())`
-                    // result by construction.
-                    let sweep = &SweepOptions::default();
-                    match run_supervised_cancellable(&cfg, sweep, &cancel, timeout) {
+                    // The direct sweep's workers call the same function,
+                    // so a served result is the direct result by
+                    // construction.
+                    match run_supervised(&cfg, &cancel, timeout) {
                         Ok(r) => {
                             // Best-effort: a failed store only costs a
                             // future re-run.
@@ -602,7 +576,12 @@ impl Shared {
     /// unit: `Ok(result)` appends a result record, `Err(timed_out)` a
     /// status record. Adopted-from-disk verdicts pass `persist: false` —
     /// their record already exists. The fsync'd append comes first, off
-    /// the job-table lock; the slot flips only once the record is durable.
+    /// the job-table lock; the slot flips to its verdict only once the
+    /// record is durable, and to `Failed` when the append fails. No lock is
+    /// held across the append: the durable single-buffer `O_APPEND` write
+    /// is what keeps appenders — this process's workers and sibling
+    /// processes alike — from tearing each other, and their fsyncs
+    /// overlap.
     fn finish_unit(
         self: &Arc<Shared>,
         unit: Unit,
@@ -612,25 +591,28 @@ impl Shared {
         cached: bool,
         persist: bool,
     ) {
-        if persist {
+        let appended = if persist {
             let payload = match &verdict {
                 Ok(result) => checkpoint_line(unit.index, &cfg.label(), result),
                 Err(timed_out) => checkpoint_status_line(unit.index, &cfg.label(), *timed_out),
             };
-            Self::append_record(unit.job, ckpt, &payload);
-        }
+            durable::append_line(ckpt, &frame_record(&payload))
+        } else {
+            Ok(())
+        };
         let mut inner = self.inner.lock().unwrap();
         let Some(job) = inner.jobs.get_mut(&unit.job) else {
             return;
         };
         job.set_slot(
             unit.index,
-            match verdict {
-                Ok(_) => SlotState::Done {
+            match (appended, verdict) {
+                (Err(e), _) => SlotState::Failed(format!("checkpoint append failed: {e}")),
+                (Ok(()), Ok(_)) => SlotState::Done {
                     cached,
                     restored: !persist,
                 },
-                Err(timed_out) => SlotState::Cancelled { timed_out },
+                (Ok(()), Err(timed_out)) => SlotState::Cancelled { timed_out },
             },
         );
         let seal = job.is_settled().then(|| self.settle(job)).flatten();
@@ -741,32 +723,22 @@ mod tests {
         job
     }
 
+    /// Only `Pending` slots are queued, in index order, so popping the
+    /// back runs a job's highest index first.
     #[test]
-    fn units_deal_round_robin_and_steal_from_longest() {
-        let mut inner = Inner {
-            queues: vec![VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            next_job_id: 2,
-            ..Inner::default()
-        };
-        inner
-            .jobs
-            .insert(1, dummy_job(1, vec![SlotState::Pending; 7]));
+    fn pending_slots_queue_in_index_order() {
+        let mut inner = Inner::default();
+        let mut slots = vec![SlotState::Pending; 4];
+        slots[2] = SlotState::Cancelled { timed_out: false };
+        inner.jobs.insert(1, dummy_job(1, slots));
         Shared::enqueue_pending(&mut inner, 1);
-        assert!(inner.jobs[&1].slots.iter().all(|s| *s == SlotState::Queued));
-        assert_eq!(inner.queues[0].len(), 3);
-        assert_eq!(inner.queues[1].len(), 2);
-        assert_eq!(inner.queues[2].len(), 2);
-
-        // Own deque first, LIFO.
-        let u = Shared::next_unit(&mut inner, 0).unwrap();
-        assert_eq!(u.index, 6); // queue 0 held indices 0, 3, 6
-                                // Drain own, then steal FIFO from the longest sibling.
-        Shared::next_unit(&mut inner, 0).unwrap();
-        Shared::next_unit(&mut inner, 0).unwrap();
-        let stolen = Shared::next_unit(&mut inner, 0).unwrap();
-        // Queues 1 and 2 tie on length; `max_by_key` keeps the last, so
-        // the steal takes the oldest unit of queue 2 (indices 2, 5).
-        assert_eq!(stolen.index, 2);
+        let indices: Vec<usize> = inner.queue.iter().map(|u| u.index).collect();
+        assert_eq!(indices, [0, 1, 3]);
+        assert_eq!(inner.jobs[&1].counts().pending, 3);
+        assert_eq!(inner.queue.pop_back(), Some(Unit { job: 1, index: 3 }));
+        // Queued slots are not queued twice.
+        Shared::enqueue_pending(&mut inner, 1);
+        assert_eq!(inner.queue.len(), 2);
     }
 
     #[test]
@@ -849,7 +821,6 @@ mod tests {
     fn settled_job_has_empty_configs_and_seals_only_durable_verdicts() {
         let dir = temp_dir("settle");
         let shared = Shared::new(
-            1,
             ResultCache::open(dir.join("cache")).unwrap(),
             LeaseDir::open(dir.join("leases"), Duration::from_secs(5)).unwrap(),
         );
@@ -891,7 +862,6 @@ mod tests {
     fn forged_records_are_not_adopted() {
         let dir = temp_dir("forged");
         let shared = Shared::new(
-            1,
             ResultCache::open(dir.join("cache")).unwrap(),
             LeaseDir::open(dir.join("leases"), Duration::from_secs(5)).unwrap(),
         );

@@ -390,7 +390,7 @@ impl Network {
     /// (same extraction as [`wait_snapshot_into`](Self::wait_snapshot_into))
     /// or [`WaitUpdate::Clear`]. Marking is conservative — a sink must
     /// treat a re-sent unchanged record or a `Clear` for an untracked id
-    /// as a no-op (both are, for [`icn_cwg::DynamicWaitGraph`]'s
+    /// as a no-op (both are, for `icn_cwg::DynamicWaitGraph`'s
     /// stage/commit API).
     pub fn drain_wait_updates(&mut self, mut sink: impl FnMut(MessageId, WaitUpdate<'_>)) {
         debug_assert!(

@@ -19,7 +19,7 @@
 //!   their cap semantics.
 //! * [`gen`] — a seeded random CWG generator (own SplitMix64, no shared
 //!   randomness) biased to actually produce knots.
-//! * [`explore`] — exhaustive enumeration of every injection schedule on
+//! * [`explore`](mod@explore) — exhaustive enumeration of every injection schedule on
 //!   tiny networks, auditing every cycle of every execution.
 //!
 //! The run-coupled pieces (torture harness over live simulations,

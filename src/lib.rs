@@ -13,7 +13,8 @@
 //! * [`flexsim`] — the orchestrating simulator (detection cadence, recovery,
 //!   experiment sweeps)
 //! * [`server`] (crate `icn-server`) — the campaign server: HTTP
-//!   job API, work-stealing workers, content-addressed result cache
+//!   job API, one work queue, content-addressed result cache, and the
+//!   one resumable-campaign path
 
 pub use flexsim;
 pub use icn_cwg;

@@ -17,6 +17,8 @@
 //! 6. Cache hits settle at submit: a cached config takes no lease and
 //!    no worker, its record is in the checkpoint the job is born with,
 //!    and a checkpoint no grid names is never read.
+//! 7. A slot is `done` only once its record is durable: a failed
+//!    checkpoint append fails the slot, and a restart settles it.
 //!
 //! Everything runs on an ephemeral 127.0.0.1 port; no network egress.
 
@@ -55,6 +57,19 @@ fn start_server(data_dir: &Path, workers: usize) -> (Client, Served) {
 fn shutdown(client: Client, handle: Served) {
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("serve");
+}
+
+/// Writes `grid` as job `id`'s grid file, so the next server start finds
+/// the job on disk instead of having it submitted: no submit-time cache
+/// pass, every config goes through a worker.
+fn plant_job(data_dir: &Path, id: u64, grid: &SweepGrid) {
+    let jobs = data_dir.join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    std::fs::write(
+        jobs.join(format!("job-{id}.json")),
+        grid.to_json().to_string(),
+    )
+    .unwrap();
 }
 
 /// Criteria 1 and 3 are [`resubmission_storyline`], shared with `repro
@@ -267,6 +282,56 @@ fn per_config_timeout_is_terminal_across_restarts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A verdict whose checkpoint append fails is not `done`: the slot fails
+/// (memory-only, so the tail stays live) instead of settling a job whose
+/// records never reached disk. Once the checkpoint is writable again a
+/// restart retries every slot, and the results stored in the cache before
+/// the failed appends make each retry a lookup.
+#[test]
+fn failed_checkpoint_append_fails_the_slot_and_a_restart_settles_it() {
+    let dir = scratch_dir("e2e-append-fails");
+    let grid = test_grid();
+    let want = direct_digests(&grid).expect("direct sweep");
+    let n = want.len() as u64;
+    let id = 1;
+    plant_job(&dir, id, &grid);
+    // A directory where the checkpoint belongs: every append fails with
+    // EISDIR.
+    let ckpt = checkpoint_path(&dir, id);
+    std::fs::create_dir(&ckpt).unwrap();
+
+    let (client, handle) = start_server(&dir, 2);
+    let status = client.wait_done(id, SETTLE).expect("settles");
+    assert_eq!(
+        status.get("failed").and_then(Json::as_u64),
+        Some(n),
+        "{status:?}"
+    );
+    assert_eq!(
+        status.get("completed").and_then(Json::as_u64),
+        Some(0),
+        "{status:?}"
+    );
+    let slots = status.get("slots").and_then(Json::as_arr).unwrap();
+    assert!(
+        slots[0]
+            .as_str()
+            .is_some_and(|s| s.starts_with("failed: checkpoint append failed")),
+        "{status:?}"
+    );
+    assert_eq!(client.stat(&["sims_run"]).unwrap(), n);
+    shutdown(client, handle);
+
+    std::fs::remove_dir(&ckpt).unwrap();
+    let (client2, handle2) = start_server(&dir, 2);
+    let status = settles_to(client2, id, &want).expect("a restart settles every slot");
+    assert_eq!(status.get("completed").and_then(Json::as_u64), Some(n));
+    assert_eq!(status.get("cached").and_then(Json::as_u64), Some(n));
+    assert_eq!(client2.stat(&["sims_run"]).unwrap(), 0, "nothing re-ran");
+    shutdown(client2, handle2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn incident_endpoints_serve_stored_incidents() {
     use deadlock_characterization::flexsim::forensics::IncidentStore;
@@ -395,7 +460,7 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
     // A warm cache without 1 500 simulations: one real result stored
     // under every config's key (the cache checks the config, not what
     // the result says).
-    let result = sweep_supervised(&configs[..1], &SweepOptions::default())
+    let result = sweep_supervised(&configs[..1], &SweepOptions)
         .remove(0)
         .expect("direct run succeeds");
     let cache = ResultCache::open(dir.join("cache")).unwrap();
@@ -404,12 +469,7 @@ fn checkpoint_bytes_read_are_linear_in_job_size() {
     }
 
     let id = 1;
-    std::fs::create_dir_all(dir.join("jobs")).unwrap();
-    std::fs::write(
-        dir.join("jobs").join(format!("job-{id}.json")),
-        grid.to_json().to_string(),
-    )
-    .unwrap();
+    plant_job(&dir, id, &grid);
 
     let (client, handle) = start_server(&dir, 2);
     let status = client.wait_done(id, SETTLE).expect("settles");
@@ -587,12 +647,9 @@ fn orphan_checkpoint_is_no_job_and_its_id_is_skipped() {
 
     // Records that *would* restore every slot of this very grid, carrying
     // another config's result: read by anyone, they would show.
-    let foreign = sweep_supervised(
-        &short_grid(vec![99], vec![0.3]).expand(),
-        &SweepOptions::default(),
-    )
-    .remove(0)
-    .expect("direct run");
+    let foreign = sweep_supervised(&short_grid(vec![99], vec![0.3]).expand(), &SweepOptions)
+        .remove(0)
+        .expect("direct run");
     assert!(!want.contains(&foreign.digest()));
     let orphan = checkpoint_path(&dir, 1);
     std::fs::create_dir_all(orphan.parent().unwrap()).unwrap();
