@@ -833,17 +833,18 @@ fn probe_main(args: &Args) -> i32 {
     let recover = pos(2) == Some("1");
     let cycles: u64 = pos(3).map_or(5000, |v| parse_or_exit("[cycles]", "an integer", v));
 
-    let topo = cfg.topology.build();
-    let mut net = icn_sim::Network::new(topo.clone(), cfg.routing.build(), cfg.sim);
+    let mut net = icn_sim::Network::new(cfg.topology.build(), cfg.routing.build(), cfg.sim);
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let injector = icn_traffic::BernoulliInjector::for_load(&topo, cfg.load, cfg.sim.msg_len);
+    let injector =
+        icn_traffic::BernoulliInjector::for_load(net.topology(), cfg.load, cfg.sim.msg_len);
+    let num_nodes = net.topology().num_nodes() as u32;
     let mut delivered = 0u64;
     let mut arena = icn_sim::SnapshotArena::new();
 
     for cycle in 0..cycles {
-        for node in 0..topo.num_nodes() as u32 {
+        for node in 0..num_nodes {
             if injector.fires(&mut rng) {
-                if let Some(dst) = cfg.pattern.dest(&topo, NodeId(node), &mut rng) {
+                if let Some(dst) = cfg.pattern.dest(net.topology(), NodeId(node), &mut rng) {
                     net.enqueue(NodeId(node), dst);
                 }
             }

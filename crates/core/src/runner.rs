@@ -126,24 +126,18 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
         );
     }
     cfg.len_dist.validate();
-    let mut net = Network::new(topo.clone(), cfg.routing.build(), cfg.sim);
+    let mut net = Network::new(topo, cfg.routing.build(), cfg.sim);
     if !cfg.faults.is_empty() {
         net.set_fault_plan(&cfg.faults);
     }
+    let num_nodes = net.topology().num_nodes();
+    let capacity = net.topology().capacity_flits_per_node_cycle();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Offered load normalizes by the *mean* message length so hybrid
     // workloads compare at equal flit pressure.
-    let injector = BernoulliInjector::new(
-        cfg.load * topo.capacity_flits_per_node_cycle() / cfg.len_dist.mean(),
-    );
+    let injector = BernoulliInjector::new(cfg.load * capacity / cfg.len_dist.mean());
 
-    let mut res = RunResult::new(
-        cfg.label(),
-        cfg.load,
-        topo.num_nodes(),
-        topo.capacity_flits_per_node_cycle(),
-        cfg.sim.msg_len,
-    );
+    let mut res = RunResult::new(cfg.label(), cfg.load, num_nodes, capacity, cfg.sim.msg_len);
     res.cycles = cfg.measure;
 
     let total = cfg.warmup + cfg.measure;
@@ -184,9 +178,9 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
         let measuring = cycle >= cfg.warmup;
 
         // Traffic generation.
-        for node in 0..topo.num_nodes() as u32 {
+        for node in 0..num_nodes as u32 {
             if injector.fires(&mut rng) {
-                if let Some(dst) = cfg.pattern.dest(&topo, NodeId(node), &mut rng) {
+                if let Some(dst) = cfg.pattern.dest(net.topology(), NodeId(node), &mut rng) {
                     let len = cfg.len_dist.sample(&mut rng);
                     net.enqueue_with_len(NodeId(node), dst, len);
                     if measuring {

@@ -1,4 +1,8 @@
 //! Per-message routing context and VC masks.
+//!
+//! Both types are `Copy` and fixed-size, so a routing relation reads its
+//! inputs and writes its VC sets without touching the heap; the only
+//! storage a `candidates` call grows is the caller's reused output buffer.
 
 use icn_topology::{ChannelId, NodeId};
 
@@ -54,9 +58,19 @@ impl VcMask {
         self.0.count_ones() as usize
     }
 
-    /// Iterates over the allowed VC indices in increasing order.
+    /// Iterates over the allowed VC indices in increasing order, one step
+    /// per set bit (`trailing_zeros`, then clear the lowest bit) rather
+    /// than one test per possible VC.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..MAX_VCS).filter(move |&v| self.contains(v))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let v = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(v)
+        })
     }
 }
 
@@ -148,6 +162,11 @@ mod tests {
     fn mask_iter_order() {
         let m = VcMask(0b1010);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![1, 3]);
+        for bits in (0..=u16::MAX).step_by(251).chain([0, 1, 0x8000, u16::MAX]) {
+            let m = VcMask(bits);
+            let want: Vec<usize> = (0..MAX_VCS).filter(|&v| m.contains(v)).collect();
+            assert_eq!(m.iter().collect::<Vec<_>>(), want, "mask {bits:#06x}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Duato's protocol: fully adaptive routing with an escape layer.
 
-use crate::tfar::profitable_channels;
+use crate::tfar::{profitable_channels, PROFITABLE_BUF};
 use crate::{Candidate, Dor, RoutingAlgorithm, RoutingCtx, VcMask};
 use icn_topology::KAryNCube;
 
@@ -36,8 +36,8 @@ impl RoutingAlgorithm for DuatoFar {
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         debug_assert!(vcs >= self.min_vcs());
         // Adaptive layer: every profitable channel, VCs 2..V.
-        let mut chans = Vec::with_capacity(2 * topo.n());
-        profitable_channels(topo, ctx, &mut chans);
+        let mut buf = PROFITABLE_BUF;
+        let chans = profitable_channels(topo, ctx, &mut buf);
         out.extend(chans.iter().map(|&(channel, _)| Candidate {
             channel,
             vcs: VcMask::from(2, vcs),

@@ -1,7 +1,7 @@
 //! Non-minimal (misrouting) fully adaptive routing — the paper's §5
 //! future-work item on the effect of misrouting on deadlock formation.
 
-use crate::tfar::profitable_channels;
+use crate::tfar::{profitable_channels, PROFITABLE_BUF};
 use crate::{Candidate, RoutingAlgorithm, RoutingCtx, VcMask};
 use icn_topology::KAryNCube;
 
@@ -38,8 +38,8 @@ impl RoutingAlgorithm for MisroutingTfar {
 
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         let mask = VcMask::all(vcs);
-        let mut profitable = Vec::with_capacity(2 * topo.n());
-        profitable_channels(topo, ctx, &mut profitable);
+        let mut buf = PROFITABLE_BUF;
+        let profitable = profitable_channels(topo, ctx, &mut buf);
         out.extend(
             profitable
                 .iter()

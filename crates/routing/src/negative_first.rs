@@ -1,7 +1,7 @@
 //! Negative-first turn-model routing for meshes and hypercubes.
 
 use crate::{Candidate, RoutingAlgorithm, RoutingCtx, VcMask};
-use icn_topology::{Direction, KAryNCube, RoutingOffset};
+use icn_topology::{Direction, KAryNCube, RoutingOffset, MAX_DIMS};
 
 /// Negative-first routing (Glass & Ni's turn model \[2\]): all hops in the
 /// `Minus` direction (any dimension) are taken first, fully adaptively
@@ -29,14 +29,19 @@ impl RoutingAlgorithm for NegativeFirst {
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         debug_assert!(!topo.is_torus(), "turn model applies to meshes");
         let mask = VcMask::all(vcs);
-        let mut dirs: Vec<(usize, Direction)> = Vec::with_capacity(topo.n());
+        // Stack storage: one profitable direction per dimension at most.
+        let mut buf = [(0usize, Direction::Plus); MAX_DIMS];
+        let mut len = 0;
         for dim in 0..topo.n() {
             if let RoutingOffset::Dir(dir, _) = topo.routing_offset(ctx.current, ctx.dst, dim) {
-                dirs.push((dim, dir));
+                buf[len] = (dim, dir);
+                len += 1;
             }
         }
+        let dirs = &buf[..len];
         let any_negative = dirs.iter().any(|&(_, d)| d == Direction::Minus);
-        for (dim, dir) in dirs {
+        let start = out.len();
+        for &(dim, dir) in dirs {
             if any_negative && dir != Direction::Minus {
                 continue;
             }
@@ -48,8 +53,9 @@ impl RoutingAlgorithm for NegativeFirst {
                 vcs: mask,
             });
         }
+        // Only what this call appended: the caller's prefix keeps its order.
         if let Some(last) = ctx.last_dim {
-            out.sort_by_key(|c| topo.channel(c.channel).dim != last);
+            out[start..].sort_by_key(|c| topo.channel(c.channel).dim != last);
         }
     }
 }
@@ -105,5 +111,28 @@ mod tests {
     fn minimal_and_connected_on_meshes() {
         crate::check_minimal_connected(&NegativeFirst, &KAryNCube::mesh(5, 2), 1).unwrap();
         crate::check_minimal_connected(&NegativeFirst, &KAryNCube::mesh(3, 3), 1).unwrap();
+    }
+
+    #[test]
+    fn appends_without_reordering_the_callers_prefix() {
+        let m = KAryNCube::mesh(8, 2);
+        let cur = m.node_at(&Coords::new(&[1, 1]));
+        let dst = m.node_at(&Coords::new(&[4, 5]));
+        let mut ctx = RoutingCtx::fresh(cur, dst, cur);
+        ctx.last_dim = Some(1);
+        // A prefix in dimension order: the last-dimension preference would
+        // invert it if the sort reached it.
+        let prefix: Vec<Candidate> = (0..2)
+            .map(|dim| Candidate {
+                channel: m.channel_from(cur, dim, Direction::Plus).unwrap(),
+                vcs: VcMask::all(1),
+            })
+            .collect();
+        let mut out = prefix.clone();
+        NegativeFirst.candidates(&m, 1, &ctx, &mut out);
+        let mut fresh = Vec::new();
+        NegativeFirst.candidates(&m, 1, &ctx, &mut fresh);
+        assert_eq!(out[..2], prefix[..], "prefix reordered");
+        assert_eq!(out[2..], fresh[..]);
     }
 }

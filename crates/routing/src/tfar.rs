@@ -1,7 +1,7 @@
 //! Minimal true fully adaptive routing (TFAR).
 
 use crate::{Candidate, RoutingAlgorithm, RoutingCtx, VcMask};
-use icn_topology::{ChannelId, Direction, KAryNCube, RoutingOffset};
+use icn_topology::{ChannelId, Direction, KAryNCube, RoutingOffset, MAX_DIMS};
 
 /// Minimal true fully adaptive routing: any profitable physical channel in
 /// any unresolved dimension, with unrestricted use of every virtual channel.
@@ -13,16 +13,22 @@ use icn_topology::{ChannelId, Direction, KAryNCube, RoutingOffset};
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tfar;
 
-/// Collects every profitable (strictly distance-reducing) output channel,
-/// ordered by the paper's selection policy: the dimension of the previous
-/// hop first, then increasing dimension index; `Plus` before `Minus` on a
-/// tie. Shared by [`Tfar`] and the Duato baseline.
-pub(crate) fn profitable_channels(
+/// Empty stack storage for [`profitable_channels`]: at most two profitable
+/// channels (an `Either` tie) per dimension.
+pub(crate) const PROFITABLE_BUF: [(ChannelId, u8); 2 * MAX_DIMS] =
+    [(ChannelId(0), 0); 2 * MAX_DIMS];
+
+/// Collects every profitable (strictly distance-reducing) output channel
+/// into `buf` and returns them, ordered by the paper's selection policy:
+/// the dimension of the previous hop first, then increasing dimension
+/// index; `Plus` before `Minus` on a tie. Shared by [`Tfar`], the Duato
+/// baseline and misrouting TFAR; the stack buffer keeps it allocation-free.
+pub(crate) fn profitable_channels<'a>(
     topo: &KAryNCube,
     ctx: &RoutingCtx,
-    out: &mut Vec<(ChannelId, u8)>,
-) {
-    let start = out.len();
+    buf: &'a mut [(ChannelId, u8); 2 * MAX_DIMS],
+) -> &'a [(ChannelId, u8)] {
+    let mut len = 0;
     for dim in 0..topo.n() {
         let dirs: &[Direction] = match topo.routing_offset(ctx.current, ctx.dst, dim) {
             RoutingOffset::Zero => continue,
@@ -34,15 +40,19 @@ pub(crate) fn profitable_channels(
             let ch = topo
                 .channel_from(ctx.current, dim, dir)
                 .expect("minimal direction must have a channel");
-            out.push((ch, dim as u8));
+            buf[len] = (ch, dim as u8);
+            len += 1;
         }
     }
+    let chans = &mut buf[..len];
     // Selection policy: favour continuing in the current dimension over
     // turning. Stable sort keeps the Plus-before-Minus and low-dimension
-    // ordering within each preference class.
+    // ordering within each preference class (and, this short, is an
+    // in-place insertion sort).
     if let Some(last) = ctx.last_dim {
-        out[start..].sort_by_key(|&(_, dim)| dim != last);
+        chans.sort_by_key(|&(_, dim)| dim != last);
     }
+    chans
 }
 
 impl RoutingAlgorithm for Tfar {
@@ -55,9 +65,9 @@ impl RoutingAlgorithm for Tfar {
     }
 
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
-        let mut chans = Vec::with_capacity(2 * topo.n());
-        profitable_channels(topo, ctx, &mut chans);
-        out.extend(chans.into_iter().map(|(channel, _)| Candidate {
+        let mut buf = PROFITABLE_BUF;
+        let chans = profitable_channels(topo, ctx, &mut buf);
+        out.extend(chans.iter().map(|&(channel, _)| Candidate {
             channel,
             vcs: VcMask::all(vcs),
         }));

@@ -43,6 +43,7 @@ impl RoutingAlgorithm for WestFirst {
             return;
         }
         // Otherwise fully adaptive among the profitable non-west directions.
+        let start = out.len();
         for dim in 0..2 {
             if let RoutingOffset::Dir(dir, _) = topo.routing_offset(ctx.current, ctx.dst, dim) {
                 let ch = topo
@@ -54,8 +55,9 @@ impl RoutingAlgorithm for WestFirst {
                 });
             }
         }
+        // Only what this call appended: the caller's prefix keeps its order.
         if let Some(last) = ctx.last_dim {
-            out.sort_by_key(|c| topo.channel(c.channel).dim != last);
+            out[start..].sort_by_key(|c| topo.channel(c.channel).dim != last);
         }
     }
 }
@@ -100,5 +102,28 @@ mod tests {
     #[test]
     fn minimal_and_connected() {
         crate::check_minimal_connected(&WestFirst, &KAryNCube::mesh(6, 2), 1).unwrap();
+    }
+
+    #[test]
+    fn appends_without_reordering_the_callers_prefix() {
+        let m = KAryNCube::mesh(8, 2);
+        let cur = m.node_at(&Coords::new(&[1, 1]));
+        let dst = m.node_at(&Coords::new(&[4, 5]));
+        let mut ctx = RoutingCtx::fresh(cur, dst, cur);
+        ctx.last_dim = Some(1);
+        // A prefix in dimension order: the last-dimension preference would
+        // invert it if the sort reached it.
+        let prefix: Vec<Candidate> = (0..2)
+            .map(|dim| Candidate {
+                channel: m.channel_from(cur, dim, Direction::Plus).unwrap(),
+                vcs: VcMask::all(1),
+            })
+            .collect();
+        let mut out = prefix.clone();
+        WestFirst.candidates(&m, 1, &ctx, &mut out);
+        let mut fresh = Vec::new();
+        WestFirst.candidates(&m, 1, &ctx, &mut fresh);
+        assert_eq!(out[..2], prefix[..], "prefix reordered");
+        assert_eq!(out[2..], fresh[..]);
     }
 }

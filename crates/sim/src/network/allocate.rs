@@ -234,7 +234,9 @@ impl Network {
 
     /// Grants `vc_idx` to the message in `slot` (both steppers, injection
     /// included): ownership, the feed/next chain-link caches,
-    /// selection-policy / dateline state, and the `Acquired` trace.
+    /// selection-policy / dateline / misroute state, and the `Acquired`
+    /// trace. The geometry it consults (wraparound flag, one-dimension
+    /// misroute test) is read from the topology's tables.
     pub(super) fn acquire_vc(&mut self, slot: u32, vc_idx: u32) {
         let msg = self.messages[slot as usize]
             .as_mut()
@@ -265,8 +267,8 @@ impl Network {
         }
         // A hop that does not reduce the distance to the destination spends
         // misroute budget (non-minimal relations only ever offer such hops
-        // while budget remains).
-        if topo.distance(info.dst, msg.dst) >= topo.distance(info.src, msg.dst) {
+        // while budget remains). Table reads on the hop's own dimension.
+        if topo.is_misroute(ch, msg.dst) {
             msg.misroutes = msg.misroutes.saturating_add(1);
         }
         msg.blocked = false;

@@ -360,6 +360,31 @@ impl Network {
             assert!(msg.holds_injection);
             assert_eq!(msg.injected_at + 1, self.cycle);
         }
+
+        // Release completeness (both steppers): no release action is left
+        // pending after a release phase, except the deferred visit of a
+        // message injected last cycle.
+        for &slot in &self.active {
+            let s = slot as usize;
+            let msg = self.messages[s].as_ref().unwrap();
+            if self.msg_uninjected[s] != 0 || msg.injected_at + 1 == self.cycle {
+                continue;
+            }
+            assert!(
+                !msg.holds_injection,
+                "slot {slot}: injection channel not freed"
+            );
+            if let Some(&front) = msg.chain.front() {
+                assert_ne!(
+                    self.vc_occ[front as usize], 0,
+                    "slot {slot}: drained front not released"
+                );
+            }
+            assert_ne!(
+                msg.delivered, msg.len,
+                "slot {slot}: delivered but not retired"
+            );
+        }
     }
     /// The flattened candidate set the routing relation offers at `ctx`
     /// now — what a frozen list must equal.

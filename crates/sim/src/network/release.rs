@@ -94,7 +94,10 @@ impl Network {
     }
 
     /// Activity release: visit only the messages a transfer-phase trigger
-    /// marked, oldest first.
+    /// marked, oldest first. The triggers are exact — injection completed
+    /// (`uninjected` hit zero), the chain front drained with the source
+    /// empty, or the last flit delivered — so every visit acts, which a
+    /// debug assertion checks.
     pub(super) fn activity_release(&mut self, events: &mut StepEvents) {
         if self.release_check.is_empty() {
             return;
@@ -104,10 +107,28 @@ impl Network {
         check.sort_unstable_by_key(|&s| slot_id[s as usize]);
         for &slot in &check {
             self.release_flag[slot as usize] = false;
+            #[cfg(debug_assertions)]
+            let before = self.release_footprint(slot);
             self.release_one(slot, events);
+            #[cfg(debug_assertions)]
+            assert_ne!(
+                self.release_footprint(slot),
+                before,
+                "release visit of slot {slot} freed nothing and did not retire: \
+                 a trigger fired that cannot enable a release"
+            );
         }
         check.clear();
         self.release_check = check;
+    }
+
+    /// What a release action changes: `None` once the slot retired, else
+    /// (holds its injection channel, owned VC count).
+    #[cfg(debug_assertions)]
+    fn release_footprint(&self, slot: u32) -> Option<(bool, usize)> {
+        self.messages[slot as usize]
+            .as_ref()
+            .map(|m| (m.holds_injection, m.chain.len()))
     }
 
     /// One message's release (shared by both steppers): the injection

@@ -160,10 +160,13 @@ impl Network {
             msg.delivered += 1;
             events.drained_flits += 1;
             let done = msg.delivered == msg.len;
-            let emptied = self.vc_occ[head as usize] == 0;
             self.mark_occ_dirty(head);
             self.activate_channel(self.vc_chan[head as usize] as usize);
-            if emptied || done {
+            // A drained flit enables only retirement: a head emptying
+            // behind other owned VCs releases nothing, and a head that is
+            // the chain front, emptied with the source empty, has just
+            // delivered the last flit.
+            if done {
                 self.mark_release(slot);
             }
         }
@@ -301,8 +304,14 @@ impl Network {
                         occ_dirty_words[p >> 6] |= 1 << (p & 63);
                         let pc = vc_chan[p] as usize;
                         chan_words[pc >> 6] |= 1 << (pc & 63);
-                        // Tail release may now be possible.
-                        if vc_occ[p] == 0 && !release_flag[owner as usize] {
+                        // Tail release is possible only once the chain
+                        // front drains with the source empty: a mid-chain
+                        // VC emptying can release nothing.
+                        if vc_occ[p] == 0
+                            && vc_feed[p] == FROM_SOURCE
+                            && msg_uninjected[owner as usize] == 0
+                            && !release_flag[owner as usize]
+                        {
                             release_flag[owner as usize] = true;
                             release_check.push(owner);
                         }

@@ -15,9 +15,10 @@
 //!   transition is caused by an acquisition or an occupancy change —
 //!   each of which re-activates the affected channel.
 //! * The release actions (injection-channel free, tail release,
-//!   completion) are all triggered by transfer-phase changes
-//!   (`uninjected` hitting zero, an occupancy hitting zero, the last
-//!   flit draining), so only those messages need visiting, in id order.
+//!   completion) are all enabled by transfer-phase changes
+//!   (`uninjected` hitting zero, the chain front's occupancy hitting zero
+//!   while `uninjected` is zero, the last flit draining), so only those
+//!   messages need visiting, in id order — and each such visit acts.
 //!
 //! A dense instance never parks or queues, so the wakes and activations
 //! the shared per-message bodies raise find empty lists there.

@@ -8,7 +8,7 @@
 //! nothing.
 
 use icn_routing::{DatelineDor, Dor, DuatoFar, RoutingAlgorithm, Tfar};
-use icn_sim::{Network, SimConfig};
+use icn_sim::{MsgPhase, Network, SimConfig};
 use icn_topology::{KAryNCube, NodeId};
 use proptest::prelude::*;
 
@@ -189,4 +189,81 @@ fn differential_through_deadlock_and_recovery() {
     let (trace_a, _) = a.take_trace();
     let (trace_b, _) = b.take_trace();
     assert_eq!(trace_a, trace_b);
+}
+
+/// The activity release visits a message only when a release can act: its
+/// injection completed, its chain front drained with the source empty, or
+/// its last flit was delivered. This drives that rule's edges against the
+/// dense release scan — one-flit buffers (every move empties its feeder),
+/// one- and two-flit messages (the deferred visit of a message that
+/// finishes injecting in its injection cycle), 1 and 3 VCs, and recovery
+/// pulls of messages whose tail is still at the source, whose front is
+/// released by the injection-complete trigger or from the drain loop.
+#[test]
+fn release_triggers_at_their_edges() {
+    let mut injecting_pulls = 0u32;
+    for vcs in [1usize, 3] {
+        for msg_len in [1usize, 2, 4] {
+            let build = || {
+                Network::new(
+                    KAryNCube::torus(4, 2, true),
+                    Box::new(Tfar),
+                    SimConfig {
+                        vcs_per_channel: vcs,
+                        buffer_depth: 1,
+                        msg_len,
+                    },
+                )
+            };
+            let mut a = build();
+            let mut b = build();
+            a.enable_trace(1 << 16);
+            b.enable_trace(1 << 16);
+            let nodes = a.topology().num_nodes() as u64;
+            let mut arrivals = Rng(0x7e1e_a5e0 ^ (vcs * 16 + msg_len) as u64);
+            for cycle in 0..600u64 {
+                for n in 0..nodes {
+                    if arrivals.chance(300) {
+                        let dst = (n + 1 + arrivals.below(nodes - 1)) % nodes;
+                        a.enqueue(NodeId(n as u32), NodeId(dst as u32));
+                        b.enqueue(NodeId(n as u32), NodeId(dst as u32));
+                    }
+                }
+                // Pull the youngest routing message still injecting.
+                if cycle % 5 == 4 {
+                    let victim = a.active_ids().into_iter().rev().find(|&id| {
+                        a.message_info(id)
+                            .is_some_and(|m| m.phase == MsgPhase::Routing && m.uninjected > 0)
+                    });
+                    if let Some(id) = victim {
+                        assert_eq!(a.message_info(id), b.message_info(id));
+                        assert!(a.start_recovery(id) && b.start_recovery(id));
+                        injecting_pulls += 1;
+                    }
+                }
+                let ea = a.step();
+                let eb = b.step_reference();
+                assert_eq!(
+                    ea, eb,
+                    "step events diverged at cycle {cycle} ({vcs} VCs, len {msg_len})"
+                );
+                if cycle % 25 == 0 {
+                    a.check_invariants();
+                    b.check_invariants();
+                }
+            }
+            assert_eq!(a.totals(), b.totals(), "{vcs} VCs, len {msg_len}");
+            let (trace_a, dropped_a) = a.take_trace();
+            let (trace_b, dropped_b) = b.take_trace();
+            assert_eq!((dropped_a, dropped_b), (0, 0));
+            assert_eq!(
+                trace_a, trace_b,
+                "traces diverged ({vcs} VCs, len {msg_len})"
+            );
+        }
+    }
+    assert!(
+        injecting_pulls > 0,
+        "no recovery pull caught a message still injecting"
+    );
 }

@@ -1,4 +1,12 @@
 //! k-ary n-cube networks: tori (uni- or bidirectional) and meshes.
+//!
+//! Geometry is tabulated, not computed: every node's coordinates and every
+//! channel's wraparound flag are stored when the network is built, so the
+//! routing hot path (`routing_offset`, `distance`, `neighbor`,
+//! `is_wraparound`) reads memory instead of dividing by `k`. The tables
+//! are filled in the same single pass that numbers the channels, with an
+//! odometer for the coordinates and `node ± stride` for the neighbours, so
+//! building them costs no division either.
 
 use crate::{ChannelId, Coords, Direction, NodeId, MAX_DIMS};
 
@@ -34,6 +42,10 @@ pub enum RoutingOffset {
 /// * `bidirectional = false` gives channels only in the `Plus` direction
 ///   (the classic unidirectional torus); meshes must be bidirectional to
 ///   stay connected.
+///
+/// Besides the channel tables it keeps `n` `u16` coordinates per node
+/// (24 KB at 4,096 nodes) and a wraparound flag per channel, so no query
+/// on the routing path divides.
 #[derive(Clone, Debug)]
 pub struct KAryNCube {
     k: u16,
@@ -41,7 +53,14 @@ pub struct KAryNCube {
     wrap: bool,
     bidirectional: bool,
     num_nodes: u32,
+    /// Node-id distance between neighbours along each dimension (`k^d`).
+    stride: [u32; MAX_DIMS],
+    /// Per-node coordinates, flattened: dimension `d` of `node` at
+    /// `node * n + d`.
+    coords: Vec<u16>,
     channels: Vec<ChannelInfo>,
+    /// Per-channel torus-wraparound flag, indexed like `channels`.
+    wraparound: Vec<bool>,
     /// `node * ports_per_node + port -> channel id` (`u32::MAX` = no channel,
     /// which happens at mesh edges).
     port_table: Vec<u32>,
@@ -94,43 +113,54 @@ impl KAryNCube {
             &[Direction::Plus]
         };
         let ports_per_node = n * dirs.len();
+        let nodes = num_nodes as usize;
+        let max_channels = nodes * ports_per_node;
 
-        let mut channels = Vec::new();
-        let mut port_table = vec![NO_CHANNEL; num_nodes as usize * ports_per_node];
-        let mut out_flat = Vec::new();
-        let mut out_offsets = Vec::with_capacity(num_nodes as usize + 1);
+        let mut stride = [0u32; MAX_DIMS];
+        let mut s = 1u32;
+        for slot in stride.iter_mut().take(n) {
+            *slot = s;
+            s *= k as u32;
+        }
 
-        let proto = Self {
-            k,
-            n,
-            wrap,
-            bidirectional,
-            num_nodes,
-            channels: Vec::new(),
-            port_table: Vec::new(),
-            out_flat: Vec::new(),
-            out_offsets: Vec::new(),
-            avg_distance: 0.0,
-        };
-
+        // One pass numbers the channels (node-major, then dimension, `Plus`
+        // before `Minus`) and fills every table, sized up front.
+        let mut coords = Vec::with_capacity(nodes * n);
+        let mut channels = Vec::with_capacity(max_channels);
+        let mut wraparound = Vec::with_capacity(max_channels);
+        let mut port_table = vec![NO_CHANNEL; max_channels];
+        let mut out_flat = Vec::with_capacity(max_channels);
+        let mut out_offsets = Vec::with_capacity(nodes + 1);
+        // Odometer over the coordinates in node-id order (dimension 0
+        // fastest), so no coordinate is ever divided out of an id.
+        let mut c = [0u16; MAX_DIMS];
         for node in 0..num_nodes {
+            coords.extend_from_slice(&c[..n]);
             out_offsets.push(out_flat.len() as u32);
-            for dim in 0..n {
+            for (dim, &cur) in c[..n].iter().enumerate() {
                 for &dir in dirs {
-                    let Some(dst) = proto.neighbor(NodeId(node), dim, dir) else {
+                    let Some((dst, wraps)) = hop(node, cur, k, stride[dim], wrap, dir) else {
                         continue;
                     };
                     let id = ChannelId(channels.len() as u32);
                     channels.push(ChannelInfo {
                         src: NodeId(node),
-                        dst,
+                        dst: NodeId(dst),
                         dim: dim as u8,
                         dir,
                     });
+                    wraparound.push(wraps);
                     let port = dim * dirs.len() + dir.port_offset();
                     port_table[node as usize * ports_per_node + port] = id.0;
                     out_flat.push(id);
                 }
+            }
+            for digit in c[..n].iter_mut() {
+                *digit += 1;
+                if *digit < k {
+                    break;
+                }
+                *digit = 0;
             }
         }
         out_offsets.push(out_flat.len() as u32);
@@ -141,7 +171,10 @@ impl KAryNCube {
             wrap,
             bidirectional,
             num_nodes,
+            stride,
+            coords,
             channels,
+            wraparound,
             port_table,
             out_flat,
             out_offsets,
@@ -205,17 +238,16 @@ impl KAryNCube {
         &self.channels
     }
 
-    /// Converts a node id to per-dimension coordinates.
+    /// Converts a node id to per-dimension coordinates (a table read).
     pub fn coords(&self, node: NodeId) -> Coords {
         debug_assert!(node.0 < self.num_nodes);
-        let mut c = [0u16; MAX_DIMS];
-        let mut rest = node.0;
-        let k = self.k as u32;
-        for slot in c.iter_mut().take(self.n) {
-            *slot = (rest % k) as u16;
-            rest /= k;
-        }
-        Coords::new(&c[..self.n])
+        Coords::new(&self.coords[node.idx() * self.n..][..self.n])
+    }
+
+    /// Coordinate of `node` along `dim` (a table read).
+    #[inline]
+    fn coord(&self, node: NodeId, dim: usize) -> u16 {
+        self.coords[node.idx() * self.n + dim]
     }
 
     /// Converts coordinates back to a node id.
@@ -230,41 +262,14 @@ impl KAryNCube {
         NodeId(id as u32)
     }
 
-    /// The node one hop away along `dim` in direction `dir`, if the channel
-    /// exists (mesh edges return `None`).
+    /// The node one hop away along `dim` in direction `dir`, if the hop
+    /// stays on the network (mesh edges return `None`). Pure geometry: a
+    /// unidirectional torus answers for `Minus` too, though it has no such
+    /// channel.
     pub fn neighbor(&self, node: NodeId, dim: usize, dir: Direction) -> Option<NodeId> {
         debug_assert!(dim < self.n);
-        let mut c = self.coords_raw(node);
-        let cur = c[dim];
-        let next = match (dir, self.wrap) {
-            (Direction::Plus, true) => (cur + 1) % self.k,
-            (Direction::Minus, true) => (cur + self.k - 1) % self.k,
-            (Direction::Plus, false) => {
-                if cur + 1 >= self.k {
-                    return None;
-                }
-                cur + 1
-            }
-            (Direction::Minus, false) => {
-                if cur == 0 {
-                    return None;
-                }
-                cur - 1
-            }
-        };
-        c[dim] = next;
-        Some(self.node_at(&Coords::new(&c[..self.n])))
-    }
-
-    fn coords_raw(&self, node: NodeId) -> [u16; MAX_DIMS] {
-        let mut c = [0u16; MAX_DIMS];
-        let mut rest = node.0;
-        let k = self.k as u32;
-        for slot in c.iter_mut().take(self.n) {
-            *slot = (rest % k) as u16;
-            rest /= k;
-        }
-        c
+        let cur = self.coord(node, dim);
+        hop(node.0, cur, self.k, self.stride[dim], self.wrap, dir).map(|(dst, _)| NodeId(dst))
     }
 
     /// The outgoing channel at (`node`, `dim`, `dir`), if present.
@@ -294,26 +299,28 @@ impl KAryNCube {
             .find(|&c| self.channel(c).dst == b)
     }
 
-    /// Per-dimension routing offset from `cur` to `dst` under minimal routing.
+    /// Per-dimension routing offset from `cur` to `dst` under minimal
+    /// routing: two coordinate-table reads and no division (the ring
+    /// offset is one conditional `+ k`, the way back `k − fwd`).
     pub fn routing_offset(&self, cur: NodeId, dst: NodeId, dim: usize) -> RoutingOffset {
-        let a = self.coords_raw(cur)[dim] as i32;
-        let b = self.coords_raw(dst)[dim] as i32;
-        let k = self.k as i32;
+        let a = self.coord(cur, dim) as u32;
+        let b = self.coord(dst, dim) as u32;
         if a == b {
             return RoutingOffset::Zero;
         }
         if !self.wrap {
             return if b > a {
-                RoutingOffset::Dir(Direction::Plus, (b - a) as u32)
+                RoutingOffset::Dir(Direction::Plus, b - a)
             } else {
-                RoutingOffset::Dir(Direction::Minus, (a - b) as u32)
+                RoutingOffset::Dir(Direction::Minus, a - b)
             };
         }
+        let k = self.k as u32;
+        let fwd = if b > a { b - a } else { b + k - a };
         if !self.bidirectional {
-            return RoutingOffset::Dir(Direction::Plus, b.wrapping_sub(a).rem_euclid(k) as u32);
+            return RoutingOffset::Dir(Direction::Plus, fwd);
         }
-        let fwd = (b - a).rem_euclid(k) as u32;
-        let bwd = (a - b).rem_euclid(k) as u32;
+        let bwd = k - fwd;
         match fwd.cmp(&bwd) {
             core::cmp::Ordering::Less => RoutingOffset::Dir(Direction::Plus, fwd),
             core::cmp::Ordering::Greater => RoutingOffset::Dir(Direction::Minus, bwd),
@@ -321,14 +328,36 @@ impl KAryNCube {
         }
     }
 
-    /// Minimal hop distance from `a` to `b`.
+    /// Minimal hops from `a` to `b` along dimension `dim` alone.
+    #[inline]
+    pub fn dim_distance(&self, a: NodeId, b: NodeId, dim: usize) -> u32 {
+        match self.routing_offset(a, b, dim) {
+            RoutingOffset::Zero => 0,
+            RoutingOffset::Dir(_, h) | RoutingOffset::Either(h) => h,
+        }
+    }
+
+    /// Minimal hop distance from `a` to `b`: distance is separable, so this
+    /// is the sum of [`Self::dim_distance`] over every dimension.
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        (0..self.n)
-            .map(|d| match self.routing_offset(a, b, d) {
-                RoutingOffset::Zero => 0,
-                RoutingOffset::Dir(_, h) | RoutingOffset::Either(h) => h,
-            })
-            .sum()
+        (0..self.n).map(|d| self.dim_distance(a, b, d)).sum()
+    }
+
+    /// Whether a hop over channel `c` fails to bring its header closer to
+    /// `dst` (a non-minimal hop, which spends misroute budget). A channel
+    /// changes exactly one coordinate and distance is separable, so only
+    /// the channel's own dimension is compared; that equals
+    /// `distance(c.dst, dst) >= distance(c.src, dst)` at `1/n` of the cost.
+    #[inline]
+    pub fn is_misroute(&self, c: ChannelId, dst: NodeId) -> bool {
+        let info = self.channel(c);
+        let d = info.dim as usize;
+        let misroute = self.dim_distance(info.dst, dst, d) >= self.dim_distance(info.src, dst, d);
+        debug_assert_eq!(
+            misroute,
+            self.distance(info.dst, dst) >= self.distance(info.src, dst)
+        );
+        misroute
     }
 
     /// Average inter-node distance over all ordered pairs with `src != dst`.
@@ -375,17 +404,11 @@ impl KAryNCube {
 
     /// True when the channel is a torus wraparound link (crosses the
     /// "dateline" of its dimension). Dateline-based deadlock-avoidance
-    /// schemes switch virtual-channel classes on these links.
+    /// schemes switch virtual-channel classes on these links. A table read:
+    /// the flag is recorded when the channel is built.
+    #[inline]
     pub fn is_wraparound(&self, c: ChannelId) -> bool {
-        if !self.wrap {
-            return false;
-        }
-        let info = self.channel(c);
-        let coord = self.coords(info.src).get(info.dim as usize);
-        match info.dir {
-            Direction::Plus => coord == self.k - 1,
-            Direction::Minus => coord == 0,
-        }
+        self.wraparound[c.idx()]
     }
 
     /// Network capacity in flits per node per cycle: every physical channel
@@ -393,6 +416,30 @@ impl KAryNCube {
     /// consume `avg_distance` channel-cycles per flit.
     pub fn capacity_flits_per_node_cycle(&self) -> f64 {
         self.num_channels() as f64 / (self.num_nodes() as f64 * self.avg_distance())
+    }
+}
+
+/// One hop from `node`, whose coordinate along the hop's dimension is
+/// `cur`: the destination id and whether the hop crosses that ring's
+/// wraparound link, or `None` off a mesh edge. `stride` is the
+/// dimension's id step (`k^dim`), so the far end of the ring is
+/// `(k − 1) · stride` away.
+#[inline]
+fn hop(
+    node: u32,
+    cur: u16,
+    k: u16,
+    stride: u32,
+    wrap: bool,
+    dir: Direction,
+) -> Option<(u32, bool)> {
+    let span = (k as u32 - 1) * stride;
+    match dir {
+        Direction::Plus if cur + 1 < k => Some((node + stride, false)),
+        Direction::Minus if cur > 0 => Some((node - stride, false)),
+        Direction::Plus if wrap => Some((node - span, true)),
+        Direction::Minus if wrap => Some((node + span, true)),
+        _ => None,
     }
 }
 

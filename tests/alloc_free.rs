@@ -3,7 +3,8 @@
 //! fill, wait-graph rebuild and knot analysis behind a knot epoch, all run
 //! in caller-owned storage once capacities have warmed up. A knot-bearing
 //! epoch allocates only the vectors of the `Analysis` it returns, however
-//! large the vertex space around the knot.
+//! large the vertex space around the knot. The per-hop routing call
+//! (`RoutingAlgorithm::candidates`) allocates nothing either.
 //!
 //! A counting global allocator tallies every alloc/realloc made by the
 //! test's own thread. The counter is thread-local so that allocations the
@@ -14,7 +15,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use icn_cwg::{DetectorScratch, DynamicWaitGraph, WaitGraph};
-use icn_routing::Dor;
+use icn_routing::{
+    Candidate, DatelineDor, Dor, DuatoFar, MisroutingTfar, NegativeFirst, RoutingAlgorithm,
+    RoutingCtx, Tfar, WestFirst,
+};
 use icn_sim::{Network, SimConfig, SnapshotArena, WaitUpdate};
 use icn_topology::{KAryNCube, NodeId};
 
@@ -274,4 +278,45 @@ fn steady_state_detection_epoch_allocates_nothing() {
         knot_allocs <= 4,
         "a knot epoch allocates only what `Analysis` owns, got {knot_allocs}"
     );
+
+    routing_candidates_allocate_nothing();
+}
+
+/// Scenario 4: the per-hop routing call. Once a warm-up pass has sized the
+/// caller's buffer, `candidates` into it allocates nothing, for every
+/// relation on every (current, destination) pair of its topology.
+fn routing_candidates_allocate_nothing() {
+    let torus = KAryNCube::torus(4, 3, true);
+    let mesh = KAryNCube::mesh(4, 2);
+    let relations: [(&str, &dyn RoutingAlgorithm, &KAryNCube); 7] = [
+        ("DOR", &Dor, &torus),
+        ("TFAR", &Tfar, &torus),
+        ("DOR-dateline", &DatelineDor, &torus),
+        ("Duato", &DuatoFar, &torus),
+        ("TFAR-misroute", &MisroutingTfar::default(), &torus),
+        ("west-first", &WestFirst, &mesh),
+        ("negative-first", &NegativeFirst, &mesh),
+    ];
+    let vcs = 3;
+    for (name, algo, topo) in relations {
+        let nodes = topo.num_nodes() as u32;
+        let mut out: Vec<Candidate> = Vec::new();
+        let mut sweep = || {
+            for cur in 0..nodes {
+                for dst in (0..nodes).filter(|&d| d != cur) {
+                    let mut ctx = RoutingCtx::fresh(NodeId(cur), NodeId(dst), NodeId(cur));
+                    ctx.last_dim = Some((dst % topo.n() as u32) as u8);
+                    out.clear();
+                    algo.candidates(topo, vcs, &ctx, &mut out);
+                    assert!(!out.is_empty());
+                }
+            }
+        };
+        sweep();
+        let allocs = allocations(sweep);
+        assert_eq!(
+            allocs, 0,
+            "{name}: candidates into a reused buffer allocated"
+        );
+    }
 }

@@ -60,6 +60,45 @@ proptest! {
     }
 }
 
+/// The exact release triggers through the `FAULTS` transfer walk: one-flit
+/// buffers, one-, two- and four-flit messages, 1 and 3 VCs, and link kills
+/// that drop messages whose chains run through the dead channel. A dropped
+/// message's pending release visit must vanish with it, and every
+/// survivor's triggers must still match the dense release scan.
+#[test]
+fn release_triggers_survive_mid_chain_drops() {
+    for vcs in [1usize, 3] {
+        for msg_len in [1usize, 2, 4] {
+            let mut cfg = RunConfig::small_default();
+            cfg.topology = TopologySpec::torus(4, 2, true);
+            cfg.routing = RoutingSpec::Tfar;
+            cfg.sim.vcs_per_channel = vcs;
+            cfg.sim.buffer_depth = 1;
+            cfg.sim.msg_len = msg_len;
+            cfg.len_dist = icn_traffic::MsgLenDist::Fixed(msg_len);
+            cfg.load = 0.8;
+            cfg.warmup = 100;
+            cfg.measure = 500;
+            cfg.detection_interval = 25;
+            cfg.faults
+                .link_kill(150, 3)
+                .link_kill(300, 17)
+                .link_kill(450, 40);
+            let act = run(&cfg);
+            let dense = run_reference(&cfg);
+            assert_eq!(
+                act.digest(),
+                dense.digest(),
+                "steppers diverged for {}",
+                cfg.label()
+            );
+            if msg_len > 1 {
+                assert!(act.fault_losses > 0, "{}: no message dropped", cfg.label());
+            }
+        }
+    }
+}
+
 /// A plan whose every event lands beyond the run horizon arms the whole
 /// fault machinery (the engine runs in fault mode throughout) but never
 /// fires; each golden-figure configuration must then reproduce its
