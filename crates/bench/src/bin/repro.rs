@@ -23,17 +23,6 @@
 //! artifacts to the incident store. Exits non-zero if any incident fails
 //! to replay or minimize, which makes it a self-checking smoke command.
 //!
-//! `repro faults` is the fault-injection smoke command: it builds a
-//! seeded random fault plan (transient link outages, a permanent kill, a
-//! router stall, an injector outage), runs it on the activity-driven
-//! stepper, the dense reference stepper, and a replay, and exits
-//! non-zero unless all three digests agree byte-for-byte and the run was
-//! classified [`flexsim::RunOutcome::Faulted`]. With `--expect-stall` it
-//! instead runs a deliberately wedged configuration (recovery disabled,
-//! saturated single-VC torus) under the progress watchdog and exits 2 —
-//! and only 2 — when the run ends as `Stalled` with a coherent stall
-//! report, so CI can assert the watchdog actually fires.
-//!
 //! `repro serve` starts the campaign server (see `icn-server`): an HTTP
 //! job API over the supervised sweep engine with per-job checkpoints, a
 //! content-addressed result cache, and a read-only incident browser.
@@ -44,15 +33,7 @@
 //! and `--scan-ms` tune the fleet's failure-detection latency. Ctrl-C
 //! and `POST /shutdown` both take the graceful path — in-flight
 //! configurations finish and checkpoint, queued ones resume on the next
-//! start. With `--smoke` it instead runs a one-shot self-check against
-//! an ephemeral port: submit a small grid, poll it to completion, verify
-//! every streamed result digest-matches a direct `sweep_supervised` of
-//! the same grid, resubmit and verify the whole job is answered from the
-//! cache without a single new simulation, then spawn a *second server
-//! process* on the same data dir and verify a third submission is served
-//! entirely from the shared cache across the process boundary. Exits
-//! non-zero on any divergence, which makes it CI-able without network
-//! egress.
+//! start.
 //!
 //! `repro chaos` is the crash-tolerance harness: each iteration runs a
 //! small grid on a two-process fleet sharing one data dir, SIGKILLs one
@@ -63,9 +44,11 @@
 //! digest-identical to a clean in-process `sweep_supervised` of the same
 //! grid. Exits non-zero on the first divergence.
 //!
-//! `repro probe` drives one TFAR single-VC configuration and prints the
-//! per-epoch network state (blocked, in-network, knots, delivered) — the
-//! check that detected knots correspond to genuinely wedged networks.
+//! `repro probe` runs one TFAR single-VC configuration through the
+//! runner — the detector and recovery loop the experiments measure — and
+//! prints the per-epoch network state (blocked, in-network, knots,
+//! delivered): the check that detected knots correspond to genuinely
+//! wedged networks.
 //!
 //! `repro validate` runs the validation layer: the production detector
 //! is differentially checked against the independent naive oracle, the
@@ -79,19 +62,18 @@
 //! writes a minimized reproducer to `validate-divergence.json`.
 
 use flexsim::experiments::{self, Scale};
-use flexsim::forensics::{minimize, replay, timeline_table, CwgSnapshot, IncidentStore};
+use flexsim::forensics::{minimize, replay, timeline_table, IncidentStore};
 use flexsim::report::Table;
 use flexsim::sweep;
 use flexsim::{
-    run, run_reference, ForensicsConfig, RecoveryPolicy, RoutingSpec, RunConfig, RunOutcome,
-    TopologySpec,
+    run, run_with, EpochView, ForensicsConfig, RecoveryPolicy, RoutingSpec, RunConfig, RunObserver,
 };
 use icn_bench::{
-    crash_storyline, direct_digests, knotting_config, resubmission_storyline, same, scratch_dir,
-    settles_to, short_grid, Member,
+    crash_storyline, direct_digests, knotting_config, scratch_dir, short_grid, Member,
 };
 use icn_metrics::Histogram;
-use icn_server::{CampaignServer, Client, ServerOptions};
+use icn_server::{CampaignServer, ServerOptions};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -119,9 +101,8 @@ const COMMANDS: &[Command] = &[
         "repro validate [--configs N] [--cwgs N] [--seed N] [--store DIR] [--no-explore]",
         validate_main,
     ),
-    ("repro faults [--seed N] [--expect-stall]", faults_main),
     (
-        "repro serve [--addr HOST:PORT] [--data DIR] [--workers N] [--smoke] [--port-file PATH] \
+        "repro serve [--addr HOST:PORT] [--data DIR] [--workers N] [--port-file PATH] \
          [--lease-ms N] [--scan-ms N]",
         serve_main,
     ),
@@ -510,122 +491,6 @@ fn validate_main(args: &Args) -> i32 {
     i32::from(!ok)
 }
 
-/// The `repro faults` subcommand. Returns the process exit code:
-/// 0 on success, 1 on any determinism or classification failure, and —
-/// under `--expect-stall` — exactly 2 when the watchdog fired as
-/// expected.
-fn faults_main(args: &Args) -> i32 {
-    let seed: u64 = args.flag("--seed", 0xfa17_5eed);
-
-    if args.switch("--expect-stall") {
-        // A saturated single-VC unidirectional torus under TFAR with
-        // recovery disabled wedges permanently once the first knot forms;
-        // the watchdog must cut it instead of burning the full horizon.
-        let mut cfg = RunConfig::small_default();
-        cfg.topology = TopologySpec::torus(4, 2, false);
-        cfg.routing = RoutingSpec::Tfar;
-        cfg.sim.vcs_per_channel = 1;
-        cfg.load = 1.1;
-        cfg.recovery = RecoveryPolicy::None;
-        cfg.warmup = 500;
-        cfg.measure = 100_000;
-        cfg.stall_threshold = Some(300);
-        cfg.seed = seed;
-
-        println!("== fault smoke: forced stall ==");
-        println!("   config: {} (recovery disabled)", cfg.label());
-        let started = Instant::now();
-        let res = run(&cfg);
-        println!(
-            "   outcome: {} ({:.1?} elapsed)",
-            res.outcome.name(),
-            started.elapsed()
-        );
-        if res.outcome != RunOutcome::Stalled {
-            eprintln!(
-                "expected the watchdog to fire, run ended {}",
-                res.outcome.name()
-            );
-            return 1;
-        }
-        let Some(st) = res.stall else {
-            eprintln!("Stalled outcome without a stall report");
-            return 1;
-        };
-        println!(
-            "   stall report: cut at cycle {} (last progress {}), \
-             {} messages in network, {} blocked, {} source-queued",
-            st.cycle, st.last_progress_cycle, st.in_network, st.blocked, st.source_queued
-        );
-        if st.cycle >= cfg.warmup + cfg.measure {
-            eprintln!("watchdog fired only at the horizon — it saved nothing");
-            return 1;
-        }
-        return 2;
-    }
-
-    // A seeded random fault plan on a small torus: transient outages, a
-    // permanent kill, a router stall, an injector outage. The run must be
-    // byte-identical on the activity stepper, the dense reference
-    // stepper, and a replay, and classify as `Faulted`.
-    let mut cfg = RunConfig::small_default();
-    cfg.topology = TopologySpec::torus(4, 2, true);
-    cfg.routing = RoutingSpec::Tfar;
-    cfg.sim.vcs_per_channel = 2;
-    cfg.load = 0.8;
-    cfg.warmup = 200;
-    cfg.measure = 1_800;
-    cfg.stall_threshold = Some(1_000);
-    cfg.seed = seed;
-    cfg.faults = flexsim::faults::random_plan(&cfg.topology, cfg.warmup + cfg.measure, seed);
-
-    println!("== fault smoke: injected run ==");
-    println!("   config: {}", cfg.label());
-    println!(
-        "   routing {} fault-aware (routes_around_faults={})",
-        cfg.routing.name(),
-        cfg.routing.build().routes_around_faults()
-    );
-    for e in &cfg.faults.events {
-        println!("   fault @ cycle {:>5}: {:?}", e.cycle, e.kind);
-    }
-
-    let started = Instant::now();
-    let act = run(&cfg);
-    let dense = run_reference(&cfg);
-    let replayed = run(&cfg);
-    println!(
-        "   outcome: {}  fault losses: {}  source rejections: {}  ({:.1?} elapsed)",
-        act.outcome.name(),
-        act.fault_losses,
-        act.fault_rejected,
-        started.elapsed()
-    );
-
-    let mut ok = true;
-    if act.digest() != dense.digest() {
-        eprintln!("DIGEST MISMATCH between activity and dense steppers");
-        eprintln!("   activity: {}", act.digest());
-        eprintln!("   dense:    {}", dense.digest());
-        ok = false;
-    }
-    if act.digest() != replayed.digest() {
-        eprintln!("DIGEST MISMATCH between run and replay");
-        ok = false;
-    }
-    if ok {
-        println!("   digests agree across activity stepper, dense stepper, replay");
-    }
-    if act.outcome != RunOutcome::Faulted {
-        eprintln!(
-            "expected a Faulted classification, got {} — the plan never bit",
-            act.outcome.name()
-        );
-        ok = false;
-    }
-    i32::from(!ok)
-}
-
 /// Spawns a sibling `repro serve` process on `dir` with an ephemeral
 /// port and fleet knobs tightened for fast failure detection.
 fn spawn_serve(
@@ -642,59 +507,6 @@ fn spawn_serve(
         .args(["--lease-ms", "1500", "--scan-ms", "120", "--port-file"])
         .arg(Member::port_file(dir, tag));
     Member::launch(&mut cmd, dir, tag, crash_plan)
-}
-
-/// The `--smoke` self-check: 2 loads × 2 seeds through an in-process
-/// server on an ephemeral port, then through a second process. Returns an
-/// error description on the first divergence.
-fn serve_smoke(data_dir: &Path, workers: usize) -> Result<(), String> {
-    let grid = short_grid(vec![11, 12], vec![0.15, 0.25]);
-    let n = grid.expand().len();
-    println!("== campaign smoke: direct sweep of {n} configs ==");
-    let want = direct_digests(&grid)?;
-
-    let mut opts = ServerOptions::new(data_dir);
-    opts.workers = workers;
-    let (client, handle) = Client::serve_local(&opts).map_err(|e| format!("bind: {e}"))?;
-    println!("== campaign smoke: server on {} ==", client.addr);
-
-    let check = (|| {
-        // Rounds 1 and 2: a fresh submission simulates everything and
-        // matches the direct sweep; an identical one is all cache hits.
-        resubmission_storyline(client, &grid, &want)?;
-        println!("   {n} results digest-identical to the direct sweep");
-        println!("   resubmission: {n} cache hits, 0 new simulations");
-
-        // Round 3: a second server *process* joins the same data dir and
-        // takes a third identical submission — the content-addressed
-        // cache written by this process must answer across the process
-        // boundary, still without a single new simulation anywhere in
-        // the fleet. (An early return drops, and so kills, the sibling.)
-        let mut sibling = spawn_serve(data_dir, "smoke-sibling", 2, None)?;
-        let peer = Client::new(sibling.wait_addr(Duration::from_secs(30))?);
-        settles_to(peer, peer.submit(&grid)?, &want)?;
-        // /stats is per-process; either member may have answered any
-        // slot (both scan the shared job), so the invariants are on the
-        // fleet-wide sums: the third submission must be pure cache hits.
-        let sims = client.stat(&["sims_run"])? + peer.stat(&["sims_run"])?;
-        same("simulations run by the whole fleet", sims, n as u64)?;
-        let hits = client.stat(&["cache", "hits"])? + peer.stat(&["cache", "hits"])?;
-        same(
-            &format!("{hits} fleet-wide cache hits cover two submissions of {n}"),
-            hits >= 2 * n as u64,
-            true,
-        )?;
-        sibling.shutdown(peer.addr)?;
-        println!("   second process: cross-process cache hits, 0 new simulations");
-        Ok(())
-    })();
-    // Always take the graceful path so the worker threads exit.
-    let _ = client.shutdown();
-    let served = handle
-        .join()
-        .map_err(|_| "server thread panicked".to_string())
-        .and_then(|io| io.map_err(|e| format!("serve: {e}")));
-    check.and(served)
 }
 
 /// The `repro chaos` subcommand: [`crash_storyline`] through the shipped
@@ -750,22 +562,6 @@ fn serve_main(args: &Args) -> i32 {
         std::thread::available_parallelism().map_or(2, |n| n.get()),
     );
 
-    if args.switch("--smoke") {
-        let dir = scratch_dir("smoke");
-        let verdict = serve_smoke(&dir, workers.min(4));
-        let _ = std::fs::remove_dir_all(&dir);
-        return match verdict {
-            Ok(()) => {
-                println!("campaign smoke: PASS");
-                0
-            }
-            Err(e) => {
-                eprintln!("campaign smoke: FAIL — {e}");
-                1
-            }
-        };
-    }
-
     let addr = args.value("--addr").unwrap_or("127.0.0.1:8991");
     let data = args.value("--data").unwrap_or("campaign-data");
     let mut opts = ServerOptions::new(data);
@@ -818,73 +614,56 @@ fn serve_main(args: &Args) -> i32 {
     }
 }
 
-/// The `repro probe` subcommand: one TFAR single-VC configuration on the
-/// raw engine, network state printed per detection epoch.
-fn probe_main(args: &Args) -> i32 {
-    use icn_topology::NodeId;
-    use rand::SeedableRng;
+/// Prints the network state at the first epoch of every 500 cycles and
+/// at every knot epoch, before the runner recovers.
+struct EpochPrinter;
 
+impl RunObserver for EpochPrinter {
+    fn on_epoch(&mut self, view: &EpochView<'_>) -> ControlFlow<()> {
+        let deadlocks = &view.analysis.deadlocks;
+        let knots = deadlocks.len();
+        if (view.cycle - 1) % 500 < 50 || knots > 0 {
+            let kmax = deadlocks
+                .iter()
+                .map(|d| d.deadlock_set.len())
+                .max()
+                .unwrap_or(0);
+            let net = view.net;
+            println!(
+                "cyc {:>6}  in-net {:>4}  blocked {:>4}  queued {:>6}  delivered {:>6}  knots {knots} (max set {kmax})",
+                view.cycle,
+                net.in_network(),
+                net.blocked_count(),
+                net.source_queued(),
+                net.totals().2,
+            );
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The `repro probe` subcommand: one TFAR single-VC configuration through
+/// the runner, network state printed per detection epoch.
+fn probe_main(args: &Args) -> i32 {
     let pos = |i: usize| args.positional.get(i).map(String::as_str);
     let mut cfg = RunConfig::small_default();
     cfg.routing = RoutingSpec::Tfar;
     cfg.sim.vcs_per_channel = 1;
     cfg.sim.buffer_depth = pos(0).map_or(32, |v| parse_or_exit("<depth>", "an integer", v));
     cfg.load = pos(1).map_or(0.6, |v| parse_or_exit("<load>", "a number", v));
-    let recover = pos(2) == Some("1");
-    let cycles: u64 = pos(3).map_or(5000, |v| parse_or_exit("[cycles]", "an integer", v));
-
-    let mut net = icn_sim::Network::new(cfg.topology.build(), cfg.routing.build(), cfg.sim);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-    let injector =
-        icn_traffic::BernoulliInjector::for_load(net.topology(), cfg.load, cfg.sim.msg_len);
-    let num_nodes = net.topology().num_nodes() as u32;
-    let mut delivered = 0u64;
-    let mut arena = icn_sim::SnapshotArena::new();
-
-    for cycle in 0..cycles {
-        for node in 0..num_nodes {
-            if injector.fires(&mut rng) {
-                if let Some(dst) = cfg.pattern.dest(net.topology(), NodeId(node), &mut rng) {
-                    net.enqueue(NodeId(node), dst);
-                }
-            }
+    cfg.recovery = match pos(2) {
+        None | Some("0") => RecoveryPolicy::None,
+        Some("1") => RecoveryPolicy::RemoveOldest,
+        Some(v) => {
+            eprintln!("<recover:0|1> wants 0 or 1, got `{v}`");
+            return 2;
         }
-        let ev = net.step();
-        delivered += ev.delivered.len() as u64;
-        if net.cycle().is_multiple_of(cfg.detection_interval) {
-            net.wait_snapshot_into(&mut arena);
-            let analysis = CwgSnapshot::from_messages(
-                arena.num_vertices(),
-                arena.messages().map(|m| (m.id, m.chain, m.requests)),
-            )
-            .build_graph()
-            .analyze(2000);
-            let knots = analysis.deadlocks.len();
-            let kmax = analysis
-                .deadlocks
-                .iter()
-                .map(|d| d.deadlock_set.len())
-                .max()
-                .unwrap_or(0);
-            if cycle % 500 < 50 || knots > 0 {
-                println!(
-                    "cyc {:>6}  in-net {:>4}  blocked {:>4}  queued {:>6}  delivered {:>6}  knots {knots} (max set {kmax})",
-                    net.cycle(),
-                    net.in_network(),
-                    net.blocked_count(),
-                    net.source_queued(),
-                    delivered,
-                );
-            }
-            if recover {
-                for d in &analysis.deadlocks {
-                    let v = *d.deadlock_set.iter().min().unwrap();
-                    net.start_recovery(v);
-                }
-            }
-        }
-    }
-    println!("final delivered={delivered}");
+    };
+    cfg.warmup = 0;
+    cfg.measure = pos(3).map_or(5000, |v| parse_or_exit("[cycles]", "an integer", v));
+
+    let res = run_with(&cfg, &mut EpochPrinter);
+    println!("final delivered={}", res.delivered);
     0
 }
 

@@ -1,7 +1,7 @@
 //! Fleet harness: real campaign-server processes, crashed on purpose.
 //!
-//! `repro serve --smoke`, `repro chaos` and the root `tests/server_*.rs`
-//! suites all exercise the campaign fleet through this module, so the
+//! `repro chaos` and the root `tests/server_*.rs` suites exercise the
+//! campaign fleet through this module, so the
 //! fleet's crash properties — no result lost, damage detected and
 //! quarantined, the survivor digest-identical to a clean sweep — are
 //! stated once, in [`crash_storyline`] (and the cache's, in

@@ -76,4 +76,14 @@ fn probe_is_dispatched() {
     assert!(stdout.contains("cyc     50"), "{stdout}");
     assert!(stdout.contains("final delivered="), "{stdout}");
     assert_eq!(repro(&["probe", "two"]).status.code(), Some(2));
+    // Anything but 0 or 1 is refused, not silently read as "no recovery".
+    for bad in ["yes", "2", "true"] {
+        let out = repro(&["probe", "2", "0.3", bad, "120"]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        assert!(
+            stderr(&out).contains(&format!("<recover:0|1> wants 0 or 1, got `{bad}`")),
+            "{}",
+            stderr(&out)
+        );
+    }
 }

@@ -7,7 +7,7 @@ use icn_cwg::{
 };
 use icn_sim::{Network, SnapshotArena, StepEvents, WaitUpdate};
 use icn_topology::NodeId;
-use icn_traffic::BernoulliInjector;
+use icn_traffic::{message_rate, BernoulliInjector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -133,9 +133,8 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     let num_nodes = net.topology().num_nodes();
     let capacity = net.topology().capacity_flits_per_node_cycle();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    // Offered load normalizes by the *mean* message length so hybrid
-    // workloads compare at equal flit pressure.
-    let injector = BernoulliInjector::new(cfg.load * capacity / cfg.len_dist.mean());
+    let injector =
+        BernoulliInjector::new(message_rate(net.topology(), cfg.load, cfg.len_dist.mean()));
 
     let mut res = RunResult::new(cfg.label(), cfg.load, num_nodes, capacity, cfg.sim.msg_len);
     res.cycles = cfg.measure;
@@ -623,7 +622,8 @@ mod tests {
     }
 
     /// A fault plan classifies the run as Faulted, counts its losses, and
-    /// stays byte-identical across both steppers.
+    /// stays byte-identical across both steppers — for a hand-written
+    /// plan and for a seeded `random_plan` on a small torus.
     #[test]
     fn fault_plan_run_is_deterministic_and_classified() {
         let mut cfg = RunConfig::small_default();
@@ -641,6 +641,24 @@ mod tests {
             a.fault_losses + a.fault_rejected > 0,
             "a killed channel at 60% load must catch some traffic"
         );
+
+        // A seeded random plan (transient outages, a kill, a router
+        // stall, an injector outage) must actually bite.
+        let mut cfg = RunConfig::small_default();
+        cfg.topology = TopologySpec::torus(4, 2, true);
+        cfg.routing = RoutingSpec::Tfar;
+        cfg.sim.vcs_per_channel = 2;
+        cfg.load = 0.8;
+        cfg.warmup = 200;
+        cfg.measure = 1_800;
+        cfg.faults = crate::faults::random_plan(&cfg.topology, cfg.warmup + cfg.measure, 0xfa17);
+        let a = quick(&cfg);
+        assert_eq!(
+            a.outcome,
+            crate::RunOutcome::Faulted,
+            "the random plan never bit"
+        );
+        assert_eq!(a.digest(), run_reference(&cfg).digest());
     }
 
     /// A drained run (finite traffic via zero load after warmup is not

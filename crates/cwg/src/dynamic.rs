@@ -63,9 +63,9 @@
 //! grow the knot candidates (records entering S0, S0 insertions) or
 //! shrink them (S0 removals and exits), and each direction is one-sided.
 //! Growth never removes ownership or arcs from surviving records, so a
-//! `true` verdict carries over untouched; it is guarded by a stamped
-//! **witness core** and only a shrink hitting that core forces a full
-//! worklist reduction (greatest fixpoint of "requests fully owned by
+//! `true` verdict carries over every growth-only commit; a commit that
+//! shrinks S0 marks a cached `true` stale, and the next query runs one
+//! full worklist reduction (greatest fixpoint of "requests fully owned by
 //! surviving records" — non-empty ⟺ knot, no graph build). Shrinks can
 //! never create a core, so a `false` verdict carries over too; records
 //! entering S0 are queued as a **delta**, and a newly formed core must
@@ -103,9 +103,6 @@ struct Rec {
     hash: u64,
     /// Scratch: last reduction/probe pass that visited this record.
     red_gen: u64,
-    /// Witness stamp: equals `wit_epoch` iff this record belongs to the
-    /// core certifying the cached `true` verdict.
-    wit_gen: u64,
 }
 
 impl Rec {
@@ -221,14 +218,9 @@ pub struct DynamicWaitGraph {
     red_epoch: u64,
     red_stack: Vec<MessageId>,
     red_chain: Vec<VertexId>,
-    // Witness generation: records stamped `wit_gen == wit_epoch` form
-    // the core certifying a cached `true` verdict. Bumped whenever a
-    // verdict is re-established, so stale stamps can never match.
-    wit_epoch: u64,
     // Records that entered S0 since the last verified `false` verdict —
     // any newly formed core must contain one of them (see `has_knot`).
     delta: Vec<MessageId>,
-    probe_members: Vec<MessageId>,
     // Ids staged more than once in the current commit (rare; API-only).
     dup_buf: Vec<MessageId>,
     // Scratch for `rebuild_graph`'s ascending-id order.
@@ -401,19 +393,18 @@ impl DynamicWaitGraph {
     /// by a record with an escape can reach that escape, so it is never
     /// in a terminal component), so only S0-boundary events matter.
     /// Removals and S0-exits delete records or arcs, which cannot create
-    /// a core from nothing — a `false` verdict survives every shrink,
-    /// and a `true` verdict survives shrinks that miss the stamped
-    /// witness core (its members and their mutual ownership are intact).
+    /// a core from nothing — a `false` verdict survives every shrink. A
+    /// shrink can break a core, so any S0 exit marks a cached `true`
+    /// stale.
     fn remove_record(&mut self, id: MessageId) {
         let Some(rec) = self.records.remove(&id) else {
             return;
         };
         self.fp_partial = self.fp_partial.wrapping_sub(rec.hash);
         self.waiting -= usize::from(!rec.requests.is_empty());
-        let mut wit_hit = false;
+        let s0_before = self.s0;
         if rec.in_s0() {
             self.s0 -= 1;
-            wit_hit |= rec.wit_gen == self.wit_epoch;
         }
         for &t in &rec.requests {
             self.waiters[t as usize].retain(|&w| w != id);
@@ -430,13 +421,12 @@ impl DynamicWaitGraph {
                 if let Some(r2) = self.records.get_mut(&w) {
                     if r2.in_s0() {
                         self.s0 -= 1;
-                        wit_hit |= r2.wit_gen == self.wit_epoch;
                     }
                     r2.unowned += 1;
                 }
             }
         }
-        if self.live && wit_hit {
+        if self.live && self.s0 < s0_before {
             self.live_stale = true;
             self.delta.clear();
         }
@@ -487,7 +477,6 @@ impl DynamicWaitGraph {
             unowned,
             hash: record_hash(id, chain, requests),
             red_gen: 0,
-            wit_gen: 0,
         };
         self.fp_partial = self.fp_partial.wrapping_add(rec.hash);
         self.waiting += usize::from(!requests.is_empty());
@@ -514,21 +503,18 @@ impl DynamicWaitGraph {
     /// one-sided in the verdict's favor (see the module docs); O(delta)
     /// when a `false` verdict only needs the new S0 entrants probed; and
     /// one full worklist reduction over the record table — no graph
-    /// build — only when a shrink damaged the witness core. The
-    /// reduction computes the greatest fixpoint of "records whose
-    /// request targets are all owned by surviving records": that core is
-    /// closed (no arcs leave it), every core vertex has an out-arc, so a
-    /// non-empty core contains a non-trivial terminal SCC — and any knot's
-    /// deadlock set is itself such a core. Core non-empty ⟺ knot.
+    /// build — only after S0 shrank under a cached `true` (or the delta
+    /// overflowed). The reduction computes the greatest fixpoint of
+    /// "records whose request targets are all owned by surviving
+    /// records": that core is closed (no arcs leave it), every core vertex
+    /// has an out-arc, so a non-empty core contains a non-trivial terminal
+    /// SCC — and any knot's deadlock set is itself such a core. Core
+    /// non-empty ⟺ knot.
     pub fn has_knot(&mut self) -> bool {
         if self.live_stale {
             self.live = self.compute_live();
             self.live_stale = false;
             self.delta.clear();
-            if !self.live {
-                // Kill lingering witness stamps from an older `true`.
-                self.wit_epoch = self.wit_epoch.wrapping_add(1);
-            }
         } else if !self.live && !self.delta.is_empty() {
             self.live = self.probe_delta();
         }
@@ -576,16 +562,7 @@ impl DynamicWaitGraph {
                 }
             }
         }
-        // Fixpoint with survivors: stamp the unreduced S0 records as the
-        // witness core so shrink-time invalidation can test membership.
-        self.wit_epoch = self.wit_epoch.wrapping_add(1);
-        let we = self.wit_epoch;
-        for rec in self.records.values_mut() {
-            if rec.red_gen != gen && rec.in_s0() {
-                rec.wit_gen = we;
-            }
-        }
-        true
+        true // fixpoint with survivors: a core
     }
 
     /// Probes whether any record that entered S0 since the last verified
@@ -609,8 +586,6 @@ impl DynamicWaitGraph {
             self.records.get_mut(&d).unwrap().red_gen = gen;
             self.red_stack.clear();
             self.red_stack.push(d);
-            self.probe_members.clear();
-            self.probe_members.push(d);
             while let Some(r) = self.red_stack.pop() {
                 self.red_chain.clear();
                 self.red_chain.extend_from_slice(&self.records[&r].requests);
@@ -628,20 +603,10 @@ impl DynamicWaitGraph {
                     if orec.red_gen != gen {
                         orec.red_gen = gen;
                         self.red_stack.push(o);
-                        self.probe_members.push(o);
                     }
                 }
             }
-            // Closed all-S0 forward closure: a core. Stamp it as the
-            // witness and report the knot.
-            self.wit_epoch = self.wit_epoch.wrapping_add(1);
-            let we = self.wit_epoch;
-            for j in 0..self.probe_members.len() {
-                let m = self.probe_members[j];
-                if let Some(rec) = self.records.get_mut(&m) {
-                    rec.wit_gen = we;
-                }
-            }
+            // Closed all-S0 forward closure: a core, so a knot.
             self.delta.clear();
             return true;
         }
@@ -797,7 +762,7 @@ impl DynamicWaitGraph {
         let core_live = removed.len() < self.records.len();
         if !self.live_stale {
             if self.live {
-                // A cached `true` survives commits untouched by probes.
+                // A cached `true` survives only growth-only commits.
                 assert!(core_live, "cached true verdict drifted");
             } else if self.delta.is_empty() {
                 // A cached `false` is only authoritative once the
@@ -943,6 +908,17 @@ mod tests {
         assert!(!d.has_knot());
         d.stage_blocked(1, &[0, 1], &[2]);
         d.commit();
+        assert!(d.has_knot());
+        // A dependent joins S0 (growth keeps `true`), then leaves it: the
+        // shrink stales the verdict and the recomputation still finds
+        // the knot.
+        d.stage_blocked(3, &[4], &[0]);
+        d.commit();
+        d.check_invariants();
+        assert!(d.has_knot());
+        d.stage_clear(3);
+        d.commit();
+        assert!(d.live_stale, "an S0 shrink stales a cached true");
         assert!(d.has_knot());
     }
 

@@ -5,8 +5,8 @@
 //! line, headers, `Content-Length` body) and always answers with
 //! `Connection: close`, so a connection carries one request. The client
 //! side ([`http_request`]) is the same subset from the other end; the
-//! integration tests, the `repro serve --smoke` self-check, and any
-//! script with a TCP stack can drive the API with it.
+//! integration tests and any script with a TCP stack can drive the API
+//! with it.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

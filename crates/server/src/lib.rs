@@ -24,8 +24,8 @@
 //! [`flexsim::sweep_supervised`] is one-shot. Results served over the API
 //! are digest-identical to a direct sweep of the same grid because both
 //! run each configuration through one function,
-//! [`flexsim::run_supervised`]. The integration suite and `repro serve
-//! --smoke` assert this end to end.
+//! [`flexsim::run_supervised`]. The integration suite asserts this end
+//! to end.
 
 pub mod cache;
 pub mod client;

@@ -54,7 +54,7 @@ pub fn trigger() {
 }
 
 /// Clears the latch — lets one process host several serve lifetimes
-/// (tests, `--smoke`).
+/// (tests).
 pub fn reset() {
     SIGINT_SEEN.store(false, Ordering::SeqCst);
 }

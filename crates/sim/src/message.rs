@@ -50,11 +50,8 @@ pub(crate) struct Message {
     pub crossed: u8,
     /// Non-minimal hops taken (misrouting-relation state).
     pub misroutes: u8,
-    /// Still holds one of its source's injection channels.
+    /// Still holds its source's injection channel.
     pub holds_injection: bool,
-    /// Reception-channel slot held at the destination (valid while
-    /// `phase == Ejecting`).
-    pub reception_slot: u8,
 }
 
 impl Message {

@@ -128,17 +128,14 @@ impl Network {
         }
 
         if here == dst {
-            let base = here.idx() * self.reception_per_node;
-            let free = (0..self.reception_per_node).find(|&r| self.reception[base + r] == NO_OWNER);
-            let Some(r) = free else {
-                // Waiting on the destination's reception channels, not on
+            if self.reception[here.idx()] != NO_OWNER {
+                // Waiting on the destination's reception channel, not on
                 // any link.
                 self.mark_blocked(s, here, false);
                 return HopOutcome::ReceptionBusy(here);
-            };
-            self.reception[base + r] = slot;
+            }
+            self.reception[here.idx()] = slot;
             let msg = self.messages[s].as_mut().expect("routing slot");
-            msg.reception_slot = r as u8;
             msg.phase = MsgPhase::Ejecting;
             if msg.blocked {
                 self.blocked_ctr -= 1;

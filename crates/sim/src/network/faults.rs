@@ -207,7 +207,7 @@ impl Network {
         self.wait_dirty.mark(id);
         if std::mem::take(&mut msg.holds_injection) {
             let node = msg.src.idx();
-            self.injecting_count[node] -= 1;
+            self.injecting[node] = false;
             self.ready_injector(node);
         }
         for &v in &chain {

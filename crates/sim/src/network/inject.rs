@@ -29,16 +29,17 @@ pub(super) enum InjectOutcome {
 
 impl Network {
     /// Dense injection: every node, in ascending order. Source-queue heads
-    /// try to acquire their first VC (which implicitly claims one of the
-    /// node's injection channels).
+    /// try to acquire their first VC (which implicitly claims the node's
+    /// injection channel).
     pub(super) fn reference_injections(&mut self, events: &mut StepEvents) {
         for node in 0..self.topo.num_nodes() {
             if self.frozen(node, true) {
                 // Router stall or injector outage: nothing enters here.
                 continue;
             }
-            // One acquisition attempt per free injection channel per cycle.
-            while (self.injecting_count[node] as usize) < self.injection_per_node {
+            // Attempt until the injection channel is taken or the queue
+            // front cannot move.
+            while !self.injecting[node] {
                 match self.try_inject_one(node, events) {
                     // A rejected front frees no resource and pops the
                     // queue, so the next front gets its attempt.
@@ -125,7 +126,6 @@ impl Network {
             crossed: 0,
             misroutes: 0,
             holds_injection: true,
-            reception_slot: 0,
         });
         if let Some(t) = self.tracer.as_mut() {
             t.push(crate::TraceEvent::Injected {
@@ -138,7 +138,7 @@ impl Network {
         }
         self.acquire_vc(slot, vc_idx);
         self.id_map.push(id, slot);
-        self.injecting_count[node] += 1;
+        self.injecting[node] = true;
         if self.active_idx.len() <= slot as usize {
             let n = slot as usize + 1;
             self.active_idx.resize(n, NO_OWNER);
@@ -195,7 +195,7 @@ impl Network {
     fn attempt_injector(&mut self, node: u32, events: &mut StepEvents) {
         let n = node as usize;
         loop {
-            if (self.injecting_count[n] as usize) >= self.injection_per_node {
+            if self.injecting[n] {
                 self.inj_state[n] = InjState::Idle;
                 return;
             }

@@ -74,8 +74,7 @@ impl Network {
                 assert_eq!(a.dst, b.src, "chain must be a connected path");
             }
             if msg.phase == MsgPhase::Ejecting {
-                let r = msg.dst.idx() * self.reception_per_node + msg.reception_slot as usize;
-                assert_eq!(self.reception[r], slot);
+                assert_eq!(self.reception[msg.dst.idx()], slot);
             }
         }
         for (ch, &count) in owned_seen.iter().enumerate() {
@@ -223,21 +222,18 @@ impl Network {
                     assert!(self.vc_occ[head as usize] >= 1);
                     let here = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
                     if here == msg.dst {
-                        // Waiting for a reception channel: all busy, and
-                        // exactly the reception group is watched.
-                        let base = here.idx() * self.reception_per_node;
-                        for r in 0..self.reception_per_node {
-                            assert_ne!(
-                                self.reception[base + r],
-                                NO_OWNER,
-                                "parked at destination with a free reception slot: missed wake"
-                            );
-                        }
+                        // Waiting for the reception channel: busy, and it
+                        // is exactly what is watched.
+                        assert_ne!(
+                            self.reception[here.idx()],
+                            NO_OWNER,
+                            "parked at destination with a free reception channel: missed wake"
+                        );
                         assert_eq!(self.msg_watches[s].len(), 1);
                         assert_eq!(
                             self.msg_watches[s][0].0,
                             (self.num_vcs() + here.idx()) as u32,
-                            "destination wait must watch the reception group"
+                            "destination wait must watch the reception channel"
                         );
                     } else {
                         let cand = self.recompute_frozen(&ctx_of(msg, here));
@@ -259,11 +255,10 @@ impl Network {
 
         // Injector scheduling: an idle node must have nothing injectable.
         for node in 0..self.topo.num_nodes() {
-            let has_free_slot = (self.injecting_count[node] as usize) < self.injection_per_node;
             match self.inj_state[node] {
                 InjState::Idle => {
                     assert!(
-                        self.source_q[node].is_empty() || !has_free_slot,
+                        self.source_q[node].is_empty() || self.injecting[node],
                         "idle injector {node} with work and a free channel: missed wake"
                     );
                     assert!(self.inj_watches[node].is_empty());
@@ -281,7 +276,10 @@ impl Network {
                     let &Pending { dst, .. } = self.source_q[node]
                         .front()
                         .expect("parked injector has work");
-                    assert!(has_free_slot, "parked injector without a free channel");
+                    assert!(
+                        !self.injecting[node],
+                        "parked injector without a free channel"
+                    );
                     let src = NodeId(node as u32);
                     let cand = self.recompute_frozen(&RoutingCtx::fresh(src, dst, src));
                     assert!(

@@ -141,14 +141,11 @@ pub struct Network {
     owned_per_channel: Vec<u16>,
     /// Round-robin pointer per physical channel.
     link_rr: Vec<u8>,
-    /// Reception channels per node (paper default: 1).
-    pub(crate) reception_per_node: usize,
-    /// Injection channels per node (paper default: 1).
-    injection_per_node: usize,
-    /// Reception-channel owner slots: `node * reception_per_node + slot`.
+    /// Reception-channel owner slot per node (one reception channel per
+    /// node, §3).
     pub(crate) reception: Vec<u32>,
-    /// Active injectors per node (each holds one injection channel).
-    injecting_count: Vec<u8>,
+    /// Whether the node's one injection channel is held.
+    injecting: Vec<bool>,
     /// Per-node source queues.
     source_q: Vec<VecDeque<Pending>>,
     /// Failed physical channels (never offered to headers). Written only
@@ -207,7 +204,7 @@ pub struct Network {
     inj_state: Vec<InjState>,
     /// Nodes to attempt next allocation phase (unordered; sorted on use).
     inj_ready: Vec<u32>,
-    /// Per-resource wake lists: VC `v` at index `v`, the reception group
+    /// Per-resource wake lists: VC `v` at index `v`, the reception channel
     /// of node `n` at `num_vcs + n`.
     wake_lists: Vec<Vec<WakeEntry>>,
     /// Per-slot watch table: `(resource, index in wake_lists[resource])`.
@@ -374,10 +371,8 @@ impl Network {
             slot_id: Vec::new(),
             owned_per_channel: vec![0; topo.num_channels()],
             link_rr: vec![0; topo.num_channels()],
-            reception_per_node: 1,
-            injection_per_node: 1,
             reception: vec![NO_OWNER; n_nodes],
-            injecting_count: vec![0; n_nodes],
+            injecting: vec![false; n_nodes],
             source_q: vec![VecDeque::new(); n_nodes],
             failed: vec![false; topo.num_channels()],
             fault_events: Vec::new(),
@@ -497,26 +492,10 @@ impl Network {
         // channel belongs on the ready list. (A parked node stays parked:
         // its queue front — the only injectable message — is unchanged.)
         let n = src.idx();
-        if self.inj_state[n] == InjState::Idle
-            && (self.injecting_count[n] as usize) < self.injection_per_node
-        {
+        if self.inj_state[n] == InjState::Idle && !self.injecting[n] {
             self.inj_state[n] = InjState::Ready;
             self.inj_ready.push(n as u32);
         }
-    }
-
-    /// Gives every node `injection` injection channels and `reception`
-    /// reception channels (the paper's §3 default is one of each).
-    /// Must be called before any traffic enters the network.
-    pub fn with_endpoint_channels(mut self, injection: usize, reception: usize) -> Self {
-        assert!(injection >= 1 && injection <= u8::MAX as usize);
-        assert!(reception >= 1);
-        assert_eq!(self.cycle, 0, "configure endpoints before stepping");
-        assert!(self.active.is_empty() && self.source_queued() == 0);
-        self.injection_per_node = injection;
-        self.reception_per_node = reception;
-        self.reception = vec![NO_OWNER; self.topo.num_nodes() * reception];
-        self
     }
 
     /// Turns on event tracing with a bounded buffer; see

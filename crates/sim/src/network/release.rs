@@ -50,7 +50,7 @@ impl Network {
     /// Retires `slot`: unlinks it from the active list in O(1)
     /// (swap-remove through the slot → index back-map), recycles its
     /// storage, and frees its reception channel if it was ejecting, waking
-    /// that reception group's waiters.
+    /// that channel's waiters.
     pub(super) fn finish_slot(&mut self, slot: u32) {
         let msg = self.messages[slot as usize].take().expect("finished slot");
         debug_assert!(!msg.blocked, "draining messages are never blocked");
@@ -78,9 +78,8 @@ impl Network {
         }
         self.free_slots.push(slot);
         if msg.phase == MsgPhase::Ejecting {
-            let r = msg.dst.idx() * self.reception_per_node + msg.reception_slot as usize;
-            debug_assert_eq!(self.reception[r], slot);
-            self.reception[r] = NO_OWNER;
+            debug_assert_eq!(self.reception[msg.dst.idx()], slot);
+            self.reception[msg.dst.idx()] = NO_OWNER;
             self.wake_resource((self.num_vcs() + msg.dst.idx()) as u32);
         }
     }
@@ -145,7 +144,7 @@ impl Network {
         if self.msg_uninjected[s] == 0 && msg.holds_injection {
             msg.holds_injection = false;
             let node = msg.src.idx();
-            self.injecting_count[node] -= 1;
+            self.injecting[node] = false;
             self.ready_injector(node);
         }
         // Tail release: owned VCs drain from the front of the chain; each

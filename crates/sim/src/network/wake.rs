@@ -7,8 +7,8 @@
 //!   changes on acquisition, and a link transition invalidates every
 //!   frozen list and wakes what it may have unblocked; all of a parked
 //!   waiter's candidate VCs are owned — that is why it parked). It can
-//!   therefore only become acquirable when a watched VC or reception slot
-//!   is freed, which happens exclusively in the release phase (or a fault
+//!   therefore only become acquirable when a watched VC or reception
+//!   channel is freed, which happens exclusively in the release phase (or a fault
 //!   drop), where the wake fires.
 //! * Transfer decisions read only start-of-cycle occupancies, so
 //!   per-channel decisions are order-independent and every movability

@@ -226,16 +226,14 @@ impl SnapshotArena {
 }
 
 impl Network {
-    /// Vertex id of reception-channel slot `slot` at `node`.
-    pub fn reception_vertex(&self, node: icn_topology::NodeId, slot: usize) -> u32 {
-        debug_assert!(slot < self.reception_per_node);
-        (self.topo.num_channels() * self.vcs_per() + node.idx() * self.reception_per_node + slot)
-            as u32
+    /// Vertex id of the reception channel at `node`.
+    pub fn reception_vertex(&self, node: icn_topology::NodeId) -> u32 {
+        (self.topo.num_channels() * self.vcs_per() + node.idx()) as u32
     }
 
     /// Total CWG vertex count (VCs plus reception channels).
     pub fn wait_vertex_count(&self) -> usize {
-        self.topo.num_channels() * self.vcs_per() + self.topo.num_nodes() * self.reception_per_node
+        self.topo.num_channels() * self.vcs_per() + self.topo.num_nodes()
     }
 
     /// Refills `arena` with a wait-for snapshot of the current state,
@@ -277,7 +275,7 @@ impl Network {
             } else {
                 pool.extend(msg.chain.iter().copied());
                 if msg.phase == MsgPhase::Ejecting {
-                    pool.push(self.reception_vertex(msg.dst, msg.reception_slot as usize));
+                    pool.push(self.reception_vertex(msg.dst));
                 }
                 pool.len() as u32 - start
             };
@@ -337,8 +335,8 @@ impl Network {
         let &head_vc = msg.chain.back().unwrap();
         let here = self.topo.channel(ChannelId(head_vc / vcs_per as u32)).dst;
         if here == msg.dst {
-            // Waiting on the destination's (all busy) reception channels.
-            out.extend((0..self.reception_per_node).map(|r| self.reception_vertex(here, r)));
+            // Waiting on the destination's (busy) reception channel.
+            out.push(self.reception_vertex(here));
         } else {
             compute_candidates(
                 &self.topo,

@@ -745,69 +745,6 @@ fn dateline_crossing_recorded_per_dimension() {
 }
 
 #[test]
-fn extra_endpoint_channels_parallelize_injection_and_reception() {
-    let mk = |inj: usize, rec: usize| {
-        let topo = KAryNCube::torus(8, 2, true);
-        let mut n = Network::new(
-            topo,
-            Box::new(Tfar),
-            SimConfig {
-                vcs_per_channel: 2,
-                buffer_depth: 2,
-                msg_len: 16,
-            },
-        )
-        .with_endpoint_channels(inj, rec);
-        // Two messages from node 0 in different directions, two into
-        // node 2 from opposite sides: with one channel each they
-        // serialize; with two they overlap.
-        n.enqueue(NodeId(0), NodeId(4));
-        n.enqueue(NodeId(0), n.topology().node_at(&Coords::new(&[0, 4])));
-        n.enqueue(NodeId(1), NodeId(2));
-        n.enqueue(NodeId(3), NodeId(2));
-        let done = run_until_delivered(&mut n, 4, 400);
-        n.check_invariants();
-        done.iter().map(|d| d.latency).max().unwrap()
-    };
-    let serial = mk(1, 1);
-    let parallel = mk(2, 2);
-    assert!(
-        parallel + 8 < serial,
-        "extra endpoint channels must overlap transfers (serial={serial}, parallel={parallel})"
-    );
-}
-
-#[test]
-fn reception_slots_tracked_in_snapshot() {
-    let topo = KAryNCube::torus(8, 2, true);
-    let mut n = Network::new(
-        topo,
-        Box::new(Dor),
-        SimConfig {
-            vcs_per_channel: 1,
-            buffer_depth: 2,
-            msg_len: 32,
-        },
-    )
-    .with_endpoint_channels(1, 2);
-    n.enqueue(NodeId(1), NodeId(2));
-    n.enqueue(NodeId(3), NodeId(2));
-    for _ in 0..6 {
-        n.step();
-    }
-    let snap = snapshot(&n);
-    // Both messages eject concurrently through distinct reception slots.
-    let reception_vertices: Vec<u32> = snap
-        .messages
-        .iter()
-        .filter_map(|m| m.chain.last().copied())
-        .filter(|&v| v as usize >= n.topology().num_channels())
-        .collect();
-    assert_eq!(reception_vertices.len(), 2);
-    assert_ne!(reception_vertices[0], reception_vertices[1]);
-}
-
-#[test]
 fn reception_frees_for_next_message() {
     let topo = KAryNCube::torus(8, 2, true);
     let mut n = net(topo, Dor, SimConfig::default());

@@ -5,16 +5,19 @@ use rand::Rng;
 
 /// Converts a normalized load (fraction of network capacity, 1.0 = links
 /// saturated given the average travel distance) into a per-node, per-cycle
-/// *message* generation probability.
+/// *message* generation probability for messages of `mean_len` flits on
+/// average.
 ///
 /// The paper normalizes load "based on total link bandwidth and average
 /// internode distance", which differs between the uni- and bidirectional
 /// networks of Figure 5 — this function reproduces that normalization.
-pub fn message_rate(topo: &KAryNCube, load: f64, msg_len: usize) -> f64 {
+/// Dividing by the *mean* length lets hybrid-length workloads compare at
+/// equal flit pressure.
+pub fn message_rate(topo: &KAryNCube, load: f64, mean_len: f64) -> f64 {
     assert!(load >= 0.0, "load must be non-negative");
-    assert!(msg_len > 0, "messages need at least one flit");
+    assert!(mean_len > 0.0, "messages need at least one flit");
     let flits_per_node_cycle = load * topo.capacity_flits_per_node_cycle();
-    flits_per_node_cycle / msg_len as f64
+    flits_per_node_cycle / mean_len
 }
 
 /// Bernoulli (geometric inter-arrival) injection: each cycle each node
@@ -34,11 +37,6 @@ impl BernoulliInjector {
         BernoulliInjector {
             prob: rate.min(1.0),
         }
-    }
-
-    /// Convenience constructor from a normalized load.
-    pub fn for_load(topo: &KAryNCube, load: f64, msg_len: usize) -> Self {
-        Self::new(message_rate(topo, load, msg_len))
     }
 
     /// The per-cycle generation probability.
@@ -63,7 +61,7 @@ mod tests {
     fn full_load_rate_bidirectional() {
         let t = KAryNCube::torus(16, 2, true);
         // capacity ~0.498 flits/node/cycle; 32-flit messages.
-        let r = message_rate(&t, 1.0, 32);
+        let r = message_rate(&t, 1.0, 32.0);
         assert!((r - 0.498 / 32.0).abs() < 1e-3, "rate {r}");
     }
 
@@ -71,14 +69,14 @@ mod tests {
     fn uni_capacity_lower_than_bi() {
         let uni = KAryNCube::torus(16, 2, false);
         let bi = KAryNCube::torus(16, 2, true);
-        assert!(message_rate(&uni, 1.0, 32) < message_rate(&bi, 1.0, 32));
+        assert!(message_rate(&uni, 1.0, 32.0) < message_rate(&bi, 1.0, 32.0));
     }
 
     #[test]
     fn rate_scales_linearly_with_load() {
         let t = KAryNCube::torus(8, 2, true);
-        let half = message_rate(&t, 0.5, 16);
-        let full = message_rate(&t, 1.0, 16);
+        let half = message_rate(&t, 0.5, 16.0);
+        let full = message_rate(&t, 1.0, 16.0);
         assert!((full - 2.0 * half).abs() < 1e-12);
     }
 

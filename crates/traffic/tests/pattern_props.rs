@@ -215,13 +215,13 @@ proptest! {
     ) {
         let topo = KAryNCube::torus(8, 2, true);
         let load = load_pct as f64 / 100.0;
-        let r = message_rate(&topo, load, len);
+        let r = message_rate(&topo, load, len as f64);
         prop_assert!(r > 0.0);
         // Linear in load.
-        let r2 = message_rate(&topo, 2.0 * load, len);
+        let r2 = message_rate(&topo, 2.0 * load, len as f64);
         prop_assert!((r2 - 2.0 * r).abs() < 1e-12 * r2.max(1.0));
         // Inverse in message length.
-        let rlen = message_rate(&topo, load, 2 * len);
+        let rlen = message_rate(&topo, load, (2 * len) as f64);
         prop_assert!((2.0 * rlen - r).abs() < 1e-12 * r.max(1.0));
         // The injector clamps to a valid probability.
         let inj = BernoulliInjector::new(r);

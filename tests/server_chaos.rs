@@ -16,7 +16,9 @@
 //!    to results digest-identical to a clean in-process
 //!    `sweep_supervised`, with the corruption detected and surfaced.
 //! 3. A cached grid submitted to one member reaches its sibling already
-//!    settled: one record per slot, and the sibling takes no lease.
+//!    settled: one record per slot, and the sibling takes no lease; the
+//!    same grid submitted through the sibling is answered from the first
+//!    member's cache.
 //!
 //! Everything runs on ephemeral 127.0.0.1 ports; no network egress.
 
@@ -148,6 +150,13 @@ fn cached_grid_reaches_the_sibling_settled_and_nobody_appends() {
         (0..n).collect::<Vec<_>>(),
         "exactly one record per slot, all the submitter's"
     );
+
+    // A submission *through* B is answered from the cache A filled: the
+    // content-addressed cache crosses the process boundary.
+    let via_b_job = via_b.submit(&grid).expect("submit through B");
+    settles_to(via_b, via_b_job, &want).expect("B settles from A's cache");
+    assert_eq!(via_b.stat(&["sims_run"]).unwrap(), 0);
+    assert_eq!(via_b.stat(&["cache", "hits"]).unwrap(), n);
 
     a.shutdown(via_a.addr).expect("a exits cleanly");
     b.shutdown(via_b.addr).expect("b exits cleanly");

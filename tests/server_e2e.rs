@@ -72,8 +72,7 @@ fn plant_job(data_dir: &Path, id: u64, grid: &SweepGrid) {
     .unwrap();
 }
 
-/// Criteria 1 and 3 are [`resubmission_storyline`], shared with `repro
-/// serve --smoke`.
+/// Criteria 1 and 3 are [`resubmission_storyline`].
 #[test]
 fn http_grid_matches_direct_sweep_and_resubmission_hits_cache() {
     let dir = scratch_dir("e2e-grid");
