@@ -678,9 +678,7 @@ fn figures_main(args: &Args) -> i32 {
         Scale::Paper
     };
 
-    let mut available = experiments::all(scale);
-    available.extend(flexsim::ablations::all(scale));
-    available.extend(flexsim::extensions::all(scale));
+    let available = experiments::all(scale);
     let ids: Vec<&str> = available.iter().map(|e| e.id).collect();
     let wanted: Vec<&str> =
         if args.positional.is_empty() || args.positional.iter().any(|w| w == "all") {
@@ -727,12 +725,7 @@ fn figures_main(args: &Args) -> i32 {
             experiments::saturation_summary(exp, &results).render()
         );
         println!("shape checks (paper claims vs measured):");
-        let checks = if exp.id.starts_with("ext-") {
-            flexsim::extensions::shape_checks(exp, &results)
-        } else {
-            experiments::shape_checks(exp, &results)
-        };
-        for c in checks {
+        for c in exp.shape_checks(&results) {
             println!(
                 "  [{}] {} ({})",
                 if c.pass { "PASS" } else { "FAIL" },

@@ -15,9 +15,10 @@
 //!   throughput.
 //! * [`sweep`] — runs many points across OS threads, deterministically,
 //!   each through the one supervised run ([`run_supervised`]).
-//! * [`experiments`] — the per-figure sweep definitions (Figures 5–8,
-//!   §3.5 node degree, §3.6 traffic patterns) used by the `repro` binary
-//!   and the integration tests.
+//! * [`experiments`] — the experiment index used by the `repro` binary
+//!   and the integration tests: the per-figure sweeps (Figures 5–8, §3.5
+//!   node degree, §3.6 traffic patterns), the ablations and the §5
+//!   extensions, each with the claims that judge it.
 //! * [`report`] — plain-text table rendering of sweep results.
 //!
 //! # Example
@@ -38,11 +39,9 @@
 //! assert_eq!(result.deadlocks, 0); // TFAR with 2 VCs at low load
 //! ```
 
-pub mod ablations;
 pub mod chart;
 mod checkpoint;
 pub mod experiments;
-pub mod extensions;
 pub mod faults;
 pub mod forensics;
 pub mod jsonio;
@@ -60,10 +59,7 @@ pub use forensics::ForensicsConfig;
 pub use result::{Incident, RunOutcome, RunResult, StallReport};
 pub use runner::{run, run_reference, run_reference_with, run_with, EpochView, RunObserver};
 pub use spec::{config_from_json, config_to_json, RecoveryPolicy, RoutingSpec, TopologySpec};
-pub use sweep::{
-    replicate, replication_summary, run_supervised, sweep, sweep_supervised, CancelToken,
-    ReplicationSummary, SweepError, SweepOptions,
-};
+pub use sweep::{run_supervised, sweep, sweep_supervised, CancelToken, SweepError, SweepOptions};
 pub use tail::{read_results, CheckpointRestore, CheckpointTail, LineSpan, Verdict};
 
 /// Version tag of the simulation semantics, baked into the campaign

@@ -134,9 +134,10 @@ where
     for attempt in 0..attempts {
         let mut c = cfg.clone();
         if attempt > 0 {
-            // Same perturbation scheme as `replicate`: a reseed can clear
-            // panics tied to a particular traffic realization, while a
-            // deterministic bug fails every attempt and surfaces as Err.
+            // Attempt `a` runs seed + (a·golden-ratio constant | 1): a
+            // reseed can clear panics tied to a particular traffic
+            // realization, while a deterministic bug fails every attempt
+            // and surfaces as Err.
             c.seed = cfg
                 .seed
                 .wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
@@ -311,55 +312,6 @@ pub fn sweep(configs: &[RunConfig]) -> Vec<RunResult> {
         failures.join("\n  ")
     );
     results
-}
-
-/// Runs one configuration under `n` distinct seeds (in parallel) and
-/// returns the per-seed results — the raw material for replication
-/// statistics on any stochastic metric.
-pub fn replicate(cfg: &RunConfig, n: usize) -> Vec<RunResult> {
-    let configs: Vec<RunConfig> = (0..n as u64)
-        .map(|i| {
-            let mut c = cfg.clone();
-            c.seed = cfg
-                .seed
-                .wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-            c
-        })
-        .collect();
-    sweep(&configs)
-}
-
-/// Mean ± population standard deviation of the headline metrics across
-/// replications of one configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplicationSummary {
-    pub runs: usize,
-    pub normalized_deadlocks: (f64, f64),
-    pub accepted_load: (f64, f64),
-    pub avg_latency: (f64, f64),
-    pub deadlock_set_mean: (f64, f64),
-}
-
-/// Aggregates [`replicate`] output.
-pub fn replication_summary(results: &[RunResult]) -> ReplicationSummary {
-    assert!(!results.is_empty(), "need at least one replication");
-    let stat = |f: &dyn Fn(&RunResult) -> f64| {
-        let mut m = icn_metrics::Mean::new();
-        for r in results {
-            let v = f(r);
-            if v.is_finite() {
-                m.record(v);
-            }
-        }
-        (m.mean(), m.std_dev())
-    };
-    ReplicationSummary {
-        runs: results.len(),
-        normalized_deadlocks: stat(&|r| r.normalized_deadlocks()),
-        accepted_load: stat(&|r| r.accepted_load()),
-        avg_latency: stat(&|r| r.avg_latency()),
-        deadlock_set_mean: stat(&|r| r.deadlock_set.mean()),
-    }
 }
 
 #[cfg(test)]
@@ -541,30 +493,5 @@ mod tests {
             Err(SweepError::Cancelled { timed_out, .. }) => assert!(timed_out),
             other => panic!("expected timeout, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn replication_uses_distinct_seeds_and_summarizes() {
-        let mut cfg = RunConfig::small_default();
-        cfg.warmup = 200;
-        cfg.measure = 800;
-        cfg.load = 0.9;
-        cfg.routing = RoutingSpec::Dor;
-        let reps = replicate(&cfg, 3);
-        assert_eq!(reps.len(), 3);
-        // Different seeds should produce (at least slightly) different
-        // traffic volumes.
-        let gens: std::collections::HashSet<u64> = reps.iter().map(|r| r.generated).collect();
-        assert!(gens.len() > 1, "replications look identical");
-        let s = replication_summary(&reps);
-        assert_eq!(s.runs, 3);
-        assert!(s.accepted_load.0 > 0.0);
-        assert!(s.avg_latency.0 > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one replication")]
-    fn empty_summary_rejected() {
-        let _ = replication_summary(&[]);
     }
 }

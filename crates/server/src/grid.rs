@@ -10,6 +10,12 @@
 use flexsim::jsonio::{bad, get, obj, parse, u64_arr, Json, ParseError};
 use flexsim::{config_from_json, config_to_json, RunConfig};
 
+/// Most configurations one grid may expand to. A submission's axes are
+/// untrusted and [`SweepGrid::expand`] allocates their product up front,
+/// so a body of a few hundred kilobytes could otherwise ask for a
+/// hundred-gigabyte allocation and abort the server.
+const MAX_CONFIGS: usize = 1 << 16;
+
 /// A parsed job submission.
 #[derive(Clone, Debug)]
 pub struct SweepGrid {
@@ -51,6 +57,15 @@ impl SweepGrid {
         };
         if seeds.is_empty() || loads.is_empty() {
             return Err(bad("grid axes must be non-empty"));
+        }
+        if seeds
+            .len()
+            .checked_mul(loads.len())
+            .is_none_or(|n| n > MAX_CONFIGS)
+        {
+            return Err(bad(&format!(
+                "grid expands to more than {MAX_CONFIGS} configs"
+            )));
         }
         if !loads.iter().all(|l| l.is_finite() && *l > 0.0) {
             return Err(bad("`loads` must be finite and positive"));
@@ -207,5 +222,26 @@ mod tests {
             SweepGrid::from_json(&body).is_err(),
             "zero timeout rejected"
         );
+    }
+
+    /// The axes' product is bounded before anything is expanded: 256 ×
+    /// 256 is exactly `MAX_CONFIGS`, 300 × 300 is over it.
+    #[test]
+    fn rejects_grids_over_the_config_bound() {
+        let square = |side: u64| {
+            obj(vec![
+                ("base", config_to_json(&RunConfig::small_default())),
+                ("seeds", u64_arr(1..=side)),
+                (
+                    "loads",
+                    Json::Arr((1..=side).map(|i| Json::F64(i as f64 / 1e3)).collect()),
+                ),
+            ])
+            .to_string()
+        };
+        let grid = SweepGrid::from_json(&square(256)).expect("at the bound");
+        assert_eq!(grid.seeds.len() * grid.loads.len(), MAX_CONFIGS);
+        let err = SweepGrid::from_json(&square(300)).unwrap_err();
+        assert!(err.to_string().contains("more than 65536 configs"), "{err}");
     }
 }

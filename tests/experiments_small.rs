@@ -19,7 +19,7 @@
 //! and the resulting diff reviewed alongside the change that caused it.
 
 use flexsim::experiments::{self, Experiment, Scale, ShapeCheck};
-use flexsim::{sweep, RunConfig, RunResult};
+use flexsim::{config_to_json, sweep, RunConfig, RunResult};
 
 mod golden {
     use flexsim::RunResult;
@@ -204,7 +204,7 @@ fn run_exp(exp: &Experiment) -> Vec<RunResult> {
 }
 
 fn assert_checks(exp: &Experiment, results: &[RunResult], claims: &[&str]) {
-    let checks: Vec<ShapeCheck> = experiments::shape_checks(exp, results);
+    let checks: Vec<ShapeCheck> = exp.shape_checks(results);
     for claim in claims {
         let c = checks
             .iter()
@@ -362,14 +362,59 @@ fn traffic_patterns_run_and_dor_exception_holds() {
 
 #[test]
 fn repro_binary_configs_are_valid() {
-    // Every configuration in every experiment validates and labels.
-    for exp in experiments::all(Scale::Paper) {
-        for c in &exp.configs {
-            c.sim.validate();
-            assert!(!c.label().is_empty());
-            assert!(c.load > 0.0);
+    // Every configuration in every experiment passes the checks a run
+    // makes at cycle 0, so a bad point fails here rather than minutes
+    // into `repro all`.
+    for scale in [Scale::Paper, Scale::Small] {
+        for exp in experiments::all(scale) {
+            for c in &exp.configs {
+                c.sim.validate();
+                c.len_dist.validate();
+                if c.pattern.needs_pow2() {
+                    let nodes = c.topology.build().num_nodes();
+                    assert!(nodes.is_power_of_two(), "{}: {}", exp.id, c.label());
+                }
+                assert!(!c.label().is_empty());
+                assert!(c.load > 0.0);
+            }
         }
     }
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The index at both scales — every id, in order, and every config's
+/// canonical JSON (axes, seeds, windows) — hashes to a pinned value, so
+/// no refactor of the builders can move a point unnoticed. An intended
+/// change to the index updates the pin in the same commit.
+#[test]
+fn experiment_index_is_pinned() {
+    const PIN: u64 = 0x748a_468e_d4b7_3641;
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for scale in [Scale::Paper, Scale::Small] {
+        let index = experiments::all(scale);
+        assert_eq!(index.len(), 11);
+        let mut ids: Vec<&str> = index.iter().map(|e| e.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), index.len(), "experiment ids are unique");
+        for exp in &index {
+            h = fnv1a(h, exp.id.as_bytes());
+            for c in &exp.configs {
+                h = fnv1a(h, b"\n");
+                h = fnv1a(h, config_to_json(c).to_string().as_bytes());
+            }
+            h = fnv1a(h, b"\n\n");
+        }
+    }
+    assert_eq!(h, PIN, "the experiment index moved: {h:#018x}");
 }
 
 #[test]

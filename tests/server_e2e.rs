@@ -439,6 +439,36 @@ fn bad_requests_get_clean_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A grid whose axes multiply past the server's bound is refused at the
+/// door, before it is expanded: the same shape at 20 000 × 20 000 is a
+/// body of a few hundred kilobytes whose expansion would ask for 96 GB.
+/// Nothing is written, and the server keeps serving.
+#[test]
+fn oversized_grid_is_refused_and_the_server_keeps_serving() {
+    let dir = scratch_dir("e2e-oversized");
+    let (client, handle) = start_server(&dir, 1);
+    let jobs_files = || std::fs::read_dir(dir.join("jobs")).map_or(0, |d| d.count());
+    let before = jobs_files();
+    let submitted = client.stat(&["jobs", "submitted"]).unwrap();
+
+    let mut grid = test_grid();
+    grid.seeds = (1..=300).collect();
+    grid.loads = (1..=300).map(|i| f64::from(i) / 1e3).collect();
+    let body = grid.to_json().to_string();
+    let (status, reply) = http_request(client.addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("bad grid"), "{reply}");
+
+    assert_eq!(jobs_files(), before, "a refused grid writes nothing");
+    assert_eq!(
+        client.stat(&["jobs", "submitted"]).unwrap(),
+        submitted,
+        "the server answers /stats and counts no job"
+    );
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Settling a job reads its checkpoint once, not once per config: every
 /// post-acquire check, reconcile tick and results fetch goes through the
 /// job's incremental tail, so the bytes all refreshes read together stay
