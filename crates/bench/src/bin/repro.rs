@@ -24,8 +24,9 @@
 //! to replay or minimize, which makes it a self-checking smoke command.
 //!
 //! `repro serve` starts the campaign server (see `icn-server`): an HTTP
-//! job API over the supervised sweep engine with per-job checkpoints, a
-//! content-addressed result cache, and a read-only incident browser.
+//! job API over the supervised sweep engine with per-job checkpoints and a
+//! content-addressed result cache (`repro forensics --store` keeps the
+//! incident store; a job's incidents travel inside its results).
 //! Any number of `repro serve` processes may share one `--data` dir —
 //! they form a fleet arbitrated by per-config lease files, so a killed
 //! member's work is reclaimed by the survivors. `--port-file` writes the
@@ -464,6 +465,7 @@ fn validate_main(args: &Args) -> i32 {
         println!("== validate: exhaustive small-world explorer ==");
         for cfg in [
             v::ExploreConfig::uni_ring_3(),
+            v::ExploreConfig::uni_ring_4(),
             v::ExploreConfig::cube_2x2_tfar(),
         ] {
             let report = v::explore(&cfg);
@@ -601,7 +603,7 @@ fn serve_main(args: &Args) -> i32 {
         server.addr(),
         workers
     );
-    println!("endpoints: POST /jobs  GET /jobs/:id[/results]  POST /jobs/:id/cancel  GET /stats  GET /incidents  POST /shutdown");
+    println!("endpoints: POST /jobs  GET /jobs/:id[/results]  POST /jobs/:id/cancel  GET /stats  POST /shutdown");
     match server.serve() {
         Ok(()) => {
             println!("campaign server: clean shutdown");

@@ -7,7 +7,7 @@
 //! not move without an [`ENGINE_VERSION`](crate::ENGINE_VERSION) bump.
 
 use icn_sim::SimConfig;
-use icn_topology::NodeId;
+use icn_topology::{NodeId, MAX_DIMS};
 use icn_traffic::{MsgLenDist, Pattern};
 
 use super::{RecoveryPolicy, RoutingSpec, TopologySpec};
@@ -200,7 +200,44 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
     ])
 }
 
-/// Rebuilds a [`RunConfig`] from [`config_to_json`] output.
+/// Most virtual channels a configuration's network may hold: nodes ×
+/// dimensions × directions × `vcs_per_channel`. Every network a caller
+/// here builds is far below it — the largest, the 16-ary 3-cube with 2 VCs
+/// that `perfbench`'s `flow_large` runs, holds 49 152 — while a config read
+/// off the network or the disk could otherwise ask for a network whose
+/// allocation fails, which aborts the process instead of unwinding.
+const MAX_VCS: u64 = 1 << 20;
+
+/// Refuses a network shape that `KAryNCube::build` would assert on, or
+/// whose virtual channels exceed [`MAX_VCS`].
+fn check_network(t: &TopologySpec, vcs_per_channel: usize) -> Result<(), ParseError> {
+    if t.k < 2 {
+        return Err(bad("`k` must be at least 2"));
+    }
+    if !(1..=MAX_DIMS).contains(&t.n) {
+        return Err(bad(&format!("`n` must be in 1..={MAX_DIMS}")));
+    }
+    if !t.torus && !t.bidirectional {
+        return Err(bad("a unidirectional mesh is disconnected"));
+    }
+    let directions = if t.bidirectional { 2 } else { 1 };
+    let vcs = u64::from(t.k)
+        .checked_pow(t.n as u32)
+        .and_then(|nodes| nodes.checked_mul(t.n as u64 * directions))
+        .and_then(|channels| channels.checked_mul(vcs_per_channel as u64))
+        .filter(|&vcs| vcs <= MAX_VCS);
+    if vcs.is_none() {
+        return Err(bad(&format!(
+            "the network holds more than {MAX_VCS} virtual channels"
+        )));
+    }
+    Ok(())
+}
+
+/// Rebuilds a [`RunConfig`] from [`config_to_json`] output. Every member
+/// is range-checked, and the network must be one `KAryNCube` can build
+/// within `MAX_VCS` (2^20) virtual channels: the text may come from an
+/// untrusted submission.
 pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
     let topo = get(v, "topology")?;
     let sim = get(v, "sim")?;
@@ -225,19 +262,22 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
             trace_capacity: get_u64(j, "trace_capacity")? as usize,
         }),
     };
+    let topology = TopologySpec {
+        k: narrow(get_u64(topo, "k")?, "k")?,
+        n: get_u64(topo, "n")? as usize,
+        torus: get_bool(topo, "torus")?,
+        bidirectional: get_bool(topo, "bidirectional")?,
+    };
+    let sim = SimConfig {
+        vcs_per_channel: get_u64(sim, "vcs_per_channel")? as usize,
+        buffer_depth: get_u64(sim, "buffer_depth")? as usize,
+        msg_len: get_u64(sim, "msg_len")? as usize,
+    };
+    check_network(&topology, sim.vcs_per_channel)?;
     Ok(RunConfig {
-        topology: TopologySpec {
-            k: narrow(get_u64(topo, "k")?, "k")?,
-            n: get_u64(topo, "n")? as usize,
-            torus: get_bool(topo, "torus")?,
-            bidirectional: get_bool(topo, "bidirectional")?,
-        },
+        topology,
         routing: routing_from_json(get(v, "routing")?)?,
-        sim: SimConfig {
-            vcs_per_channel: get_u64(sim, "vcs_per_channel")? as usize,
-            buffer_depth: get_u64(sim, "buffer_depth")? as usize,
-            msg_len: get_u64(sim, "msg_len")? as usize,
-        },
+        sim,
         pattern: pattern_from_json(get(v, "pattern")?)?,
         len_dist: len_dist_from_json(get(v, "len_dist")?)?,
         load: get_f64(v, "load")?,
@@ -378,6 +418,45 @@ mod tests {
             assert!(msg.contains(&format!("`{key}` is out of range")), "{msg}");
         }
         assert_eq!(config_from_json(&parse(&text).unwrap()).unwrap(), cfg);
+    }
+
+    /// A network `KAryNCube::build` would assert on, or one too large to
+    /// allocate, is refused when the config is read: a 600-byte submission
+    /// of a 65535-ary 2-cube used to abort the server on allocation, and
+    /// every restart on the same data dir after it.
+    #[test]
+    fn networks_that_cannot_be_built_are_refused() {
+        let refused = |edit: &dyn Fn(&mut RunConfig)| {
+            let mut cfg = RunConfig::small_default();
+            edit(&mut cfg);
+            config_from_json(&config_to_json(&cfg))
+                .unwrap_err()
+                .to_string()
+        };
+        let msg = refused(&|c| c.topology.k = 65535);
+        assert!(msg.contains("more than 1048576 virtual channels"), "{msg}");
+        let msg = refused(&|c| c.sim.vcs_per_channel = 1 << 20);
+        assert!(msg.contains("virtual channels"), "{msg}");
+        assert!(refused(&|c| c.topology.k = 1).contains("`k` must be at least 2"));
+        for n in [0, MAX_DIMS + 1] {
+            assert!(refused(&|c| c.topology.n = n).contains("`n` must be in 1..=8"));
+        }
+        let msg = refused(&|c| {
+            c.topology = TopologySpec {
+                bidirectional: false,
+                ..TopologySpec::mesh(8, 2)
+            }
+        });
+        assert!(msg.contains("unidirectional mesh"), "{msg}");
+        // k^n overflows u64: refused, not wrapped.
+        let msg = refused(&|c| c.topology = TopologySpec::torus(65535, MAX_DIMS, true));
+        assert!(msg.contains("virtual channels"), "{msg}");
+
+        // The largest network any caller builds is well inside the bound.
+        let mut large = RunConfig::small_default();
+        large.topology = TopologySpec::torus(16, 3, true);
+        large.sim.vcs_per_channel = 2;
+        assert_eq!(config_from_json(&config_to_json(&large)).unwrap(), large);
     }
 
     #[test]

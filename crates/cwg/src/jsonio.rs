@@ -162,11 +162,21 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, and every reader shares it — grids and lease
+/// bodies off the network, checkpoint lines, cache entries and incidents
+/// off disk — so an unbounded depth would let one crafted document
+/// overflow the stack and abort the process. The deepest document any
+/// writer here emits (a forensic run's checkpoint line) is 9 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// A document nested deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -180,6 +190,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +236,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -490,6 +513,21 @@ mod tests {
         assert_eq!(e.offset, 6);
         assert!(parse("[1, 2").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    /// Nesting is bounded, so a hostile document is an error with its
+    /// offset instead of a stack overflow that aborts the process.
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_crash() {
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let e = parse(&deep).unwrap_err();
+            assert!(e.message.contains("nested deeper than 64"), "{e}");
+            assert!(e.offset <= 5 * MAX_DEPTH, "{e}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(parse(&deepest).unwrap().to_string(), deepest);
+        let over = format!("[{deepest}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

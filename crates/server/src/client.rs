@@ -4,9 +4,9 @@
 //! Every call returns `Result<_, String>` with the request, the HTTP
 //! status and the body in the message, so a test can `.expect()` it and
 //! a CLI can print it. The integration tests and `repro chaos` drive the
-//! server through this module; requests it has no method for (cancel, the
-//! incident browser, malformed input) go through
-//! [`http_request`](crate::http_request) directly.
+//! server through this module; requests it has no method for (cancel,
+//! malformed input) go through [`http_request`](crate::http_request)
+//! directly.
 
 use std::net::SocketAddr;
 use std::thread::JoinHandle;

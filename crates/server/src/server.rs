@@ -10,9 +10,6 @@
 //! | POST   | `/jobs/:id/cancel`   | Cancel a job (durable, fleet-wide)             |
 //! | GET    | `/stats`             | Engine version, worker/job/cache counters      |
 //! | POST   | `/shutdown`          | Graceful shutdown (in-flight configs finish)   |
-//! | GET    | `/incidents`         | Deadlock-incident index                        |
-//! | GET    | `/incidents/:n`      | Full incident record (JSON)                    |
-//! | GET    | `/incidents/:n/dot`  | Knot-highlighted Graphviz rendering            |
 //!
 //! # Durability
 //!
@@ -33,11 +30,14 @@
 //! # Fleet
 //!
 //! Any number of servers may share one `data_dir`. A scanner thread
-//! discovers jobs submitted through siblings and reconciles checkpoint
-//! progress; per-config leases (renewed by a heartbeat thread) arbitrate
-//! ownership, so a `kill -9`'d member's configs are reclaimed by the
-//! survivors once its leases expire — with its completed records adopted,
-//! never recomputed.
+//! discovers jobs submitted through siblings and runs each job's reconcile
+//! step, which applies the checkpoint records and the cancel marker that
+//! siblings wrote; per-config leases (renewed by a heartbeat thread)
+//! arbitrate ownership, so a `kill -9`'d member's configs are reclaimed by
+//! the survivors once its leases expire — with its completed records
+//! adopted, never recomputed. `POST /jobs/:id/cancel` writes the marker
+//! and runs the same step: it appends nothing, since only the submitter
+//! and lease holders append checkpoint records.
 
 use std::fs;
 use std::io::{self, ErrorKind, Read};
@@ -50,8 +50,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use flexsim::forensics::IncidentStore;
-use flexsim::jsonio::{durable, frame_record, obj, u64_arr, Json};
+use flexsim::jsonio::{durable, frame_record, obj, Json};
 use flexsim::{checkpoint_line, read_results, ENGINE_VERSION};
 
 use crate::cache::ResultCache;
@@ -66,8 +65,7 @@ use crate::state::{Job, Shared, SlotState, Stats};
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
-    /// Root of all durable state (`jobs/`, `cache/`, `incidents/`,
-    /// `leases/`).
+    /// Root of all durable state (`jobs/`, `cache/`, `leases/`).
     pub data_dir: PathBuf,
     /// Simulation workers, all popping the one work queue.
     pub workers: usize,
@@ -105,7 +103,6 @@ struct Ctx {
     /// The bound address; also where shutdown wakes the accept loop.
     addr: SocketAddr,
     jobs_dir: PathBuf,
-    incidents: IncidentStore,
     workers: usize,
 }
 
@@ -126,7 +123,6 @@ impl CampaignServer {
         let jobs_dir = opts.data_dir.join("jobs");
         fs::create_dir_all(&jobs_dir)?;
         let cache = ResultCache::open(opts.data_dir.join("cache"))?;
-        let incidents = IncidentStore::open(opts.data_dir.join("incidents"))?;
         let leases = LeaseDir::open(opts.data_dir.join("leases"), opts.lease_expiry)?;
 
         let shared = Shared::new(cache, leases);
@@ -191,7 +187,6 @@ impl CampaignServer {
                 shared,
                 addr,
                 jobs_dir,
-                incidents,
                 workers: opts.workers.max(1),
             }),
             workers,
@@ -324,7 +319,13 @@ fn job_ids_on_disk(jobs_dir: &std::path::Path) -> Vec<u64> {
 }
 
 /// Builds the in-memory [`Job`] for `id` from its on-disk grid and
-/// checkpoint (see [`Job::recover`]).
+/// checkpoint. Recovery is the tail's first, whole-file pass: what it
+/// found is kept for the job status, a torn tail is sealed with a guard
+/// newline so fresh appends start clean, and the slots take the records
+/// and the cancel marker through the one step from disk to slots,
+/// [`Job::apply`]. A job that comes back settled is released and sealed
+/// like one that settles here, but was completed in an earlier life and
+/// is not counted again.
 fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64, stats: &Stats) -> Option<Job> {
     let grid_path = jobs_dir.join(format!("job-{id}.json"));
     let text = fs::read_to_string(&grid_path).ok()?;
@@ -344,7 +345,18 @@ fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64, stats: &Stats) -> Opt
         jobs_dir.join(format!("job-{id}.ckpt.jsonl")),
         grid.timeout_ms.map(Duration::from_millis),
     );
-    job.recover(stats);
+    let cancelled = job.ckpt.with_extension("cancel").exists();
+    let tail = Arc::clone(&job.tail);
+    let mut tail = tail.lock().expect("tail lock");
+    stats.refresh(&mut tail);
+    job.recovered = tail.report();
+    if job.recovered.torn_tail {
+        let _ = durable::append_line(&job.ckpt, "");
+    }
+    if job.apply(|index| tail.verdict(index), cancelled) == Some(true) {
+        stats.seal(&mut tail);
+    }
+    drop(tail);
     Some(job)
 }
 
@@ -366,17 +378,11 @@ fn load_new_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) -> u64 {
         let Some(job) = load_job_from_disk(jobs_dir, id, &shared.stats) else {
             continue;
         };
-        let mut inner = shared.inner.lock().unwrap();
-        // Double-checked: the HTTP thread may have inserted it meanwhile.
-        if inner.jobs.contains_key(&id) {
-            continue;
+        // The HTTP thread may have published it meanwhile.
+        if shared.inner.lock().unwrap().publish(job) {
+            shared.work_cv.notify_all();
+            loaded += 1;
         }
-        inner.jobs.insert(id, job);
-        Shared::enqueue_pending(&mut inner, id);
-        inner.next_job_id = inner.next_job_id.max(id + 1);
-        drop(inner);
-        shared.work_cv.notify_all();
-        loaded += 1;
     }
     loaded
 }
@@ -463,9 +469,6 @@ fn dispatch(ctx: &Arc<Ctx>, req: &Request) -> Reply {
         ("GET", ["jobs", id, "results"]) => job_results(ctx, parse_id(id)?),
         ("POST", ["jobs", id, "cancel"]) => cancel_job(ctx, parse_id(id)?),
         ("GET", ["stats"]) => stats(ctx),
-        ("GET", ["incidents"]) => incident_index(ctx),
-        ("GET", ["incidents", n]) => incident_file(ctx, parse_id(n)?, "json"),
-        ("GET", ["incidents", n, "dot"]) => incident_file(ctx, parse_id(n)?, "dot"),
         ("GET" | "POST", _) => Err((404, format!("no route for {} {}", req.method, req.path))),
         _ => Err((405, format!("method {} not supported", req.method))),
     }
@@ -531,29 +534,26 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
         ckpt,
         grid.timeout_ms.map(Duration::from_millis),
     );
-    for index in hits {
-        job.set_slot(
-            index,
-            SlotState::Done {
-                cached: true,
-                restored: false,
-            },
-        );
-    }
     // Every config a hit: the job settles here and nowhere else.
-    let seal = job
-        .is_settled()
-        .then(|| ctx.shared.settle(&mut job))
-        .flatten();
-    inner.jobs.insert(id, job);
-    Shared::enqueue_pending(&mut inner, id);
+    let mut settled = None;
+    for index in hits {
+        let hit = SlotState::Done {
+            cached: true,
+            restored: false,
+        };
+        settled = settled.or(job.set_slot(index, hit));
+    }
+    let seal = ctx.shared.stats.count_settled(settled);
+    let tail = Arc::clone(&job.tail);
+    // Holding the lock since the id claim, nobody can have published it.
+    inner.publish(job);
     drop(inner);
     ctx.shared
         .stats
         .jobs_submitted
         .fetch_add(1, Ordering::Relaxed);
     ctx.shared.work_cv.notify_all();
-    if let Some(tail) = seal {
+    if seal {
         ctx.shared.stats.seal(&mut tail.lock().expect("tail lock"));
     }
 
@@ -564,49 +564,31 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
     Ok(Response::json(body.to_string()))
 }
 
-/// `POST /jobs/:id/cancel`: raises the job's cancellation token, writes
-/// the durable fleet-wide marker, settles every not-yet-running slot, and
-/// persists status records for the slots this process owns. Running
-/// configs (here or on siblings) stop at their next observer check.
+/// `POST /jobs/:id/cancel`: writes the durable fleet-wide marker, then
+/// runs the job's reconcile step, which applies it here as every fleet
+/// member's scanner applies it there: waiting slots settle `cancelled`
+/// unless their record is already in the checkpoint, and running configs
+/// (here or on siblings) stop at their next observer check and are
+/// recorded by their lease holders. Nothing is appended here.
 fn cancel_job(ctx: &Arc<Ctx>, id: u64) -> Reply {
-    let mut inner = ctx.shared.inner.lock().unwrap();
-    let job = inner
-        .jobs
-        .get_mut(&id)
-        .ok_or_else(|| (404, format!("no job {id}")))?;
+    let (marker, before) = {
+        let inner = ctx.shared.inner.lock().unwrap();
+        let job = inner
+            .jobs
+            .get(&id)
+            .ok_or_else(|| (404, format!("no job {id}")))?;
+        (job.ckpt.with_extension("cancel"), job.counts().cancelled)
+    };
     // The marker first: once this returns, the decision survives any
     // crash and reaches every fleet member via its scanner.
-    let marker = job.ckpt.with_extension("cancel");
     durable::write_atomic(&marker, b"cancelled\n")
         .map_err(|e| (500, format!("persisting cancel marker: {e}")))?;
-    let was_settled = job.is_settled();
-    job.cancel.cancel();
-    let mut newly_cancelled = 0usize;
-    for index in 0..job.slots().len() {
-        // Status records are appended only for slots queued *here*: a
-        // `Pending` slot may be lease-owned by a sibling whose cancelled
-        // run will persist its own record — the marker already makes the
-        // decision durable for everyone else.
-        let queued_here = job.slots()[index] == SlotState::Queued;
-        if queued_here || job.slots()[index] == SlotState::Pending {
-            job.set_slot(index, SlotState::Cancelled { timed_out: false });
-            newly_cancelled += 1;
-            if queued_here {
-                let line =
-                    flexsim::checkpoint_status_line(index, &job.configs[index].label(), false);
-                let _ = durable::append_line(&job.ckpt, &flexsim::jsonio::frame_record(&line));
-            }
-        }
-    }
-    if !was_settled && job.is_settled() {
-        // A cancelled job keeps its live tail (see `Job::release_settled`).
-        let _ = ctx.shared.settle(job);
-    }
-    let t = job.counts();
+    ctx.shared.reconcile_job(id);
+    let t = ctx.shared.inner.lock().unwrap().jobs[&id].counts();
     let body = obj(vec![
         ("id", Json::U64(id)),
         ("cancelled", Json::Bool(true)),
-        ("newly_cancelled", Json::U64(newly_cancelled as u64)),
+        ("newly_cancelled", Json::U64((t.cancelled - before) as u64)),
         ("still_running", Json::U64(t.running as u64)),
     ]);
     Ok(Response::json(body.to_string()))
@@ -769,44 +751,4 @@ fn stats(ctx: &Arc<Ctx>) -> Reply {
         ),
     ]);
     Ok(Response::json(body.to_string()))
-}
-
-fn incident_index(ctx: &Arc<Ctx>) -> Reply {
-    let entries = ctx
-        .incidents
-        .list()
-        .map_err(|e| (500, format!("reading incident index: {e}")))?;
-    let arr: Vec<Json> = entries
-        .iter()
-        .map(|e| {
-            obj(vec![
-                ("file", Json::Str(e.file.clone())),
-                ("seq", Json::U64(e.seq as u64)),
-                ("cycle", Json::U64(e.cycle)),
-                ("label", Json::Str(e.label.clone())),
-                ("fingerprint", Json::U64(e.fingerprint)),
-                ("set_sizes", u64_arr(e.set_sizes.iter().copied())),
-            ])
-        })
-        .collect();
-    let body = obj(vec![("incidents", Json::Arr(arr))]);
-    Ok(Response::json(body.to_string()))
-}
-
-fn incident_file(ctx: &Arc<Ctx>, n: u64, ext: &str) -> Reply {
-    let path = ctx.incidents.dir().join(format!("incident-{n:05}.{ext}"));
-    match fs::read_to_string(&path) {
-        Ok(text) => Ok(Response {
-            status: 200,
-            content_type: if ext == "dot" {
-                "text/vnd.graphviz"
-            } else {
-                "application/json"
-            },
-            headers: Vec::new(),
-            body: text,
-        }),
-        Err(e) if e.kind() == ErrorKind::NotFound => Err((404, format!("no incident {n}"))),
-        Err(e) => Err((500, format!("reading incident: {e}"))),
-    }
 }

@@ -31,12 +31,22 @@
 //! when its job is submitted never reaches a worker. `submit_job` writes
 //! its record into the checkpoint the job is born with, before the job is
 //! published, so a checkpoint record is appended either by the submitter
-//! before publication or by a lease holder — never by anyone else.
+//! before publication or by a lease holder, in `Shared::finish_unit` —
+//! never by anyone else. A cancel appends nothing: its durable marker is
+//! the decision.
 //!
-//! A job whose last slot settles is accounted once, in
-//! `Shared::settle`, and gives back what only an unsettled job needs:
-//! its configurations, and — when every verdict is durable — the tail's
-//! per-index state ([`CheckpointTail::seal`]).
+//! # Slot transitions
+//!
+//! A [`Job`] is the only writer of its slots, and its methods do no I/O.
+//! Disk state reaches them by one path, [`Job::apply`] (each waiting slot
+//! takes its checkpoint record; a cancelled job's other waiting slots
+//! settle `cancelled`), called by the one reconcile step
+//! `Shared::reconcile_job` — which the scanner, the cancel endpoint and a
+//! worker popping a cancelled unit share — and by recovery. A running
+//! slot ends in `finish_unit` only. A job settles in [`Job::set_slot`]
+//! only: the write that settles it says so, once, releases the
+//! configurations and says whether the tail's per-index state may be
+//! sealed too ([`CheckpointTail::seal`]).
 //!
 //! Every look at a checkpoint goes through the job's one
 //! [`CheckpointTail`]: a refresh reads and verifies only the bytes
@@ -136,14 +146,19 @@ impl Tally {
 }
 
 /// One submitted job.
+///
+/// Its slots change only through its own methods, and none of them does
+/// I/O: the callers read the disk and append records, and a test can drive
+/// every transition by enumeration.
 #[derive(Debug)]
 pub struct Job {
     pub id: u64,
-    /// Read only for slots that can still run (by `execute_unit` and the
-    /// cancel endpoint); empty once the job has settled.
+    /// Read only for slots that can still run (by `execute_unit`); empty
+    /// once the job has settled.
     pub configs: Vec<RunConfig>,
     /// Written only through [`Job::set_slot`], which keeps `counts` in
-    /// step.
+    /// step, and by [`Job::queue_pending`]'s `Pending` → `Queued`, which
+    /// the counts do not tell apart.
     slots: Vec<SlotState>,
     counts: Tally,
     /// JSON-lines results/checkpoint file (framed core `checkpoint_line`
@@ -156,7 +171,8 @@ pub struct Job {
     /// file ended in a torn line (killed mid-append). Surfaced in the job
     /// status; all zero for a job submitted to this process.
     pub recovered: CheckpointRestore,
-    /// Cooperative cancellation shared by every run of this job.
+    /// Cooperative cancellation shared by every run of this job, raised
+    /// only by [`Job::apply`] once the durable marker is seen.
     pub cancel: CancelToken,
     /// Per-config wall-clock budget (from the grid's `timeout_ms`).
     pub timeout: Option<Duration>,
@@ -191,10 +207,23 @@ impl Job {
         &self.slots
     }
 
-    pub fn set_slot(&mut self, index: usize, state: SlotState) {
+    /// The one settle point. Returns `Some(seal)` from the write that
+    /// settles the job — once per job, since a settled job has no slot
+    /// left that can change — and that write releases the configurations.
+    /// `seal` says whether every verdict is durable, so the tail may be
+    /// sealed: a `Failed` slot is memory-only (a restart retries it), and a
+    /// cancelled job may still receive the record of a sibling that was
+    /// mid-run when the marker landed.
+    pub fn set_slot(&mut self, index: usize, state: SlotState) -> Option<bool> {
+        let was_settled = self.is_settled();
         self.counts.count(&self.slots[index], false);
         self.counts.count(&state, true);
         self.slots[index] = state;
+        if was_settled || !self.is_settled() {
+            return None;
+        }
+        self.configs = Vec::new();
+        Some(self.counts.failed == 0 && !self.cancel.is_cancelled())
     }
 
     /// Slot counts for status reporting, kept current by
@@ -218,73 +247,72 @@ impl Job {
         self.counts.pending == 0 && self.counts.running == 0
     }
 
-    /// Settles from the checkpoint every slot that is not yet running
-    /// here and has a restorable record in `tail`.
-    fn adopt(&mut self, tail: &CheckpointTail) {
+    /// Pushes every `Pending` slot onto `queue` in index order, marking it
+    /// `Queued`. Returns how many were pushed.
+    pub fn queue_pending(&mut self, queue: &mut VecDeque<Unit>) -> usize {
+        let before = queue.len();
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            if *slot == SlotState::Pending {
+                *slot = SlotState::Queued;
+                queue.push_back(Unit {
+                    job: self.id,
+                    index,
+                });
+            }
+        }
+        queue.len() - before
+    }
+
+    /// A worker takes a `Queued` slot; `false` if it is no longer queued
+    /// (settled from disk while the unit sat in the queue).
+    pub fn claim(&mut self, index: usize) -> bool {
+        if self.slots[index] != SlotState::Queued {
+            return false;
+        }
+        self.set_slot(index, SlotState::Running);
+        true
+    }
+
+    /// Returns a claimed slot to `Pending`, for the next reconcile step to
+    /// settle or re-queue.
+    pub fn unclaim(&mut self, index: usize) {
+        if self.slots[index] == SlotState::Running {
+            self.set_slot(index, SlotState::Pending);
+        }
+    }
+
+    /// The one path from disk to slots. `record` is the restorable
+    /// checkpoint verdict of an index, `cancelled` whether the durable
+    /// cancel marker exists. Each `Pending` or `Queued` slot takes its
+    /// record; once the job is cancelled, every slot still waiting settles
+    /// as `cancelled`. A running slot belongs to its claimant and is left
+    /// alone. Returns what [`set_slot`](Job::set_slot) returned for the
+    /// write that settled the job, if one did.
+    pub fn apply(
+        &mut self,
+        record: impl Fn(usize) -> Option<Verdict>,
+        cancelled: bool,
+    ) -> Option<bool> {
+        if cancelled {
+            self.cancel.cancel();
+        }
+        let mut settled = None;
         for index in 0..self.slots.len() {
             if !matches!(self.slots[index], SlotState::Pending | SlotState::Queued) {
                 continue;
             }
-            match tail.verdict(index) {
-                Some(Verdict::Result) => self.set_slot(
-                    index,
-                    SlotState::Done {
-                        cached: false,
-                        restored: true,
-                    },
-                ),
-                Some(Verdict::Cancelled { timed_out }) => {
-                    self.set_slot(index, SlotState::Cancelled { timed_out })
-                }
-                None => {}
-            }
+            let state = match record(index) {
+                Some(Verdict::Result) => SlotState::Done {
+                    cached: false,
+                    restored: true,
+                },
+                Some(Verdict::Cancelled { timed_out }) => SlotState::Cancelled { timed_out },
+                None if self.cancel.is_cancelled() => SlotState::Cancelled { timed_out: false },
+                None => continue,
+            };
+            settled = settled.or(self.set_slot(index, state));
         }
-    }
-
-    /// Settles every not-yet-running slot of a cancelled job. No status
-    /// append here: the endpoint that raised the marker persisted lines
-    /// for its own slots, and duplicated lines from every fleet member
-    /// would only inflate accounting.
-    fn cancel_waiting(&mut self) {
-        for index in 0..self.slots.len() {
-            if matches!(self.slots[index], SlotState::Pending | SlotState::Queued) {
-                self.set_slot(index, SlotState::Cancelled { timed_out: false });
-            }
-        }
-    }
-
-    /// Releases what only an unsettled job needs and says whether the
-    /// tail may be sealed too: only when every slot holds a durable
-    /// verdict. A `Failed` slot is memory-only (a restart retries it), and
-    /// a cancelled job may still receive the record of a sibling that was
-    /// mid-run when the marker landed, so both keep a live tail.
-    fn release_settled(&mut self) -> bool {
-        debug_assert!(self.is_settled());
-        self.configs = Vec::new();
-        self.counts.failed == 0 && !self.cancel.is_cancelled()
-    }
-
-    /// Recovery: the tail's first, whole-file pass. Restores completed
-    /// and cancelled slots, records what the pass found, seals a torn
-    /// tail with a guard newline so fresh appends start clean, and
-    /// applies the durable cancel marker. A job that comes back settled
-    /// is released like one that settles here.
-    pub fn recover(&mut self, stats: &Stats) {
-        let tail = Arc::clone(&self.tail);
-        let mut tail = tail.lock().expect("tail lock");
-        stats.refresh(&mut tail);
-        self.recovered = tail.report();
-        if self.recovered.torn_tail {
-            let _ = durable::append_line(&self.ckpt, "");
-        }
-        self.adopt(&tail);
-        if self.ckpt.with_extension("cancel").exists() {
-            self.cancel.cancel();
-            self.cancel_waiting();
-        }
-        if self.is_settled() && self.release_settled() {
-            stats.seal(&mut tail);
-        }
+        settled
     }
 }
 
@@ -294,6 +322,22 @@ pub struct Inner {
     pub jobs: BTreeMap<u64, Job>,
     pub queue: VecDeque<Unit>,
     pub next_job_id: u64,
+}
+
+impl Inner {
+    /// Puts `job` in the table and queues its `Pending` slots — the one
+    /// way a job, submitted here or found on disk, becomes known to this
+    /// process. `false` (and `job` dropped) when the table already holds
+    /// its id: a racing loader got there first. The caller wakes the pool.
+    pub fn publish(&mut self, mut job: Job) -> bool {
+        if self.jobs.contains_key(&job.id) {
+            return false;
+        }
+        self.next_job_id = self.next_job_id.max(job.id + 1);
+        job.queue_pending(&mut self.queue);
+        self.jobs.insert(job.id, job);
+        true
+    }
 }
 
 /// Counters reported by `GET /stats` (per process — each fleet member
@@ -323,6 +367,17 @@ impl Stats {
     pub fn refresh(&self, tail: &mut CheckpointTail) {
         let read = tail.refresh();
         self.count_pass(tail.path(), read);
+    }
+
+    /// Counts the job whose settling write [`Job::set_slot`] reported —
+    /// call it under the job-table lock, so a poll that sees the job
+    /// `done` sees it counted — and says whether to [`seal`](Stats::seal)
+    /// its tail once the lock is released.
+    pub(crate) fn count_settled(&self, settled: Option<bool>) -> bool {
+        if settled.is_some() {
+            self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        }
+        settled == Some(true)
     }
 
     /// [`refresh`](Stats::refresh) for the last time: see
@@ -382,32 +437,6 @@ impl Shared {
         })
     }
 
-    /// Accounts for a job whose last slot has just settled — called
-    /// exactly once per job, under the job-table lock, by whoever flipped
-    /// that slot. Returns the tail when it is to be sealed, which the
-    /// caller does through [`Stats::seal`] once the lock is released (the
-    /// seal reads the file).
-    #[must_use]
-    pub(crate) fn settle(&self, job: &mut Job) -> Option<Arc<Mutex<CheckpointTail>>> {
-        self.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        job.release_settled().then(|| Arc::clone(&job.tail))
-    }
-
-    /// Pushes every `Pending` slot of `job_id` onto the work queue in
-    /// index order, marking it `Queued`. The caller holds the lock and
-    /// wakes the pool.
-    pub fn enqueue_pending(inner: &mut Inner, job_id: u64) {
-        let Some(job) = inner.jobs.get_mut(&job_id) else {
-            return;
-        };
-        for (index, slot) in job.slots.iter_mut().enumerate() {
-            if *slot == SlotState::Pending {
-                *slot = SlotState::Queued;
-                inner.queue.push_back(Unit { job: job_id, index });
-            }
-        }
-    }
-
     /// The worker loop: pops the queue from the back (see the module
     /// docs). Exits when the shutdown latch rises; the unit in flight at
     /// that moment is finished and checkpointed first.
@@ -447,33 +476,27 @@ impl Shared {
         tail.record(index)
     }
 
-    /// Returns a `Running` slot to `Pending` (the lease went to a sibling
-    /// or could not be taken); the reconciler re-queues it.
+    /// Returns a claimed slot to `Pending` (the lease went to a sibling,
+    /// could not be taken, or the job was cancelled while the unit was
+    /// queued); the next reconcile step settles or re-queues it.
     fn unclaim(&self, unit: Unit) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(job) = inner.jobs.get_mut(&unit.job) {
-            if job.slots[unit.index] == SlotState::Running {
-                job.set_slot(unit.index, SlotState::Pending);
-            }
+        if let Some(job) = self.inner.lock().unwrap().jobs.get_mut(&unit.job) {
+            job.unclaim(unit.index);
         }
     }
 
     /// Runs one unit to completion: lease claim, checkpoint adoption,
-    /// cache lookup, supervised run on a miss, durable checkpoint append,
-    /// cache store, slot update.
-    fn execute_unit(self: &Arc<Shared>, unit: Unit) {
+    /// cache lookup, supervised run on a miss, then `finish_unit` before
+    /// the lease is released.
+    fn execute_unit(&self, unit: Unit) {
         let (cfg, ckpt, tail, cancel, timeout) = {
             let mut inner = self.inner.lock().unwrap();
             let Some(job) = inner.jobs.get_mut(&unit.job) else {
                 return;
             };
-            // Only Queued units are runnable; the reconciler may have
-            // settled this slot (sibling result, cancellation) while the
-            // unit sat in the queue.
-            if job.slots[unit.index] != SlotState::Queued {
+            if !job.claim(unit.index) {
                 return;
             }
-            job.set_slot(unit.index, SlotState::Running);
             (
                 job.configs[unit.index].clone(),
                 job.ckpt.clone(),
@@ -483,12 +506,11 @@ impl Shared {
             )
         };
 
-        // Cancelled while queued: persist the terminal decision now
-        // (unless some fleet member already did).
+        // Cancelled while queued: the marker is the decision, and the
+        // reconcile step applies it to this slot like any other.
         if cancel.is_cancelled() {
-            let persist = self.checkpoint_record_for(&tail, unit.index).is_none();
-            self.finish_unit(unit, &cfg, &ckpt, Err(false), false, persist);
-            return;
+            self.unclaim(unit);
+            return self.reconcile_job(unit.job);
         }
 
         // Claim the per-config lease; a live sibling owning it means the
@@ -521,10 +543,24 @@ impl Shared {
         // former owner may have finished this config before dying. Its
         // record is adopted, never recomputed — this check is what makes
         // lease reclamation duplicate-free.
-        let (verdict, cached, persist) = match self.checkpoint_record_for(&tail, unit.index) {
-            Some(verdict) => (verdict, false, false),
+        let label = cfg.label();
+        let (state, record) = match self.checkpoint_record_for(&tail, unit.index) {
+            Some(Ok(_)) => (
+                SlotState::Done {
+                    cached: false,
+                    restored: true,
+                },
+                None,
+            ),
+            Some(Err(timed_out)) => (SlotState::Cancelled { timed_out }, None),
             None => match self.cache.lookup(&cfg) {
-                Some(hit) => (Ok(hit), true, true),
+                Some(hit) => (
+                    SlotState::Done {
+                        cached: true,
+                        restored: false,
+                    },
+                    Some(checkpoint_line(unit.index, &label, &hit)),
+                ),
                 None => {
                     self.stats.sims_run.fetch_add(1, Ordering::Relaxed);
                     // The direct sweep's workers call the same function,
@@ -535,25 +571,21 @@ impl Shared {
                             // Best-effort: a failed store only costs a
                             // future re-run.
                             let _ = self.cache.store(&cfg, &r);
-                            (Ok(r), false, true)
+                            (
+                                SlotState::Done {
+                                    cached: false,
+                                    restored: false,
+                                },
+                                Some(checkpoint_line(unit.index, &label, &r)),
+                            )
                         }
-                        Err(SweepError::Cancelled { timed_out, .. }) => {
-                            (Err(timed_out), false, true)
-                        }
-                        Err(e) => {
-                            // Retries exhausted: terminal failure (kept
-                            // in memory only — a restart retries it).
-                            self.release_lease(unit);
-                            let mut inner = self.inner.lock().unwrap();
-                            if let Some(job) = inner.jobs.get_mut(&unit.job) {
-                                job.set_slot(unit.index, SlotState::Failed(e.to_string()));
-                                if job.is_settled() {
-                                    // A failed slot keeps the tail live.
-                                    let _ = self.settle(job);
-                                }
-                            }
-                            return;
-                        }
+                        Err(SweepError::Cancelled { timed_out, .. }) => (
+                            SlotState::Cancelled { timed_out },
+                            Some(checkpoint_status_line(unit.index, &label, timed_out)),
+                        ),
+                        // Retries exhausted: terminal failure, kept in
+                        // memory only — a restart retries it.
+                        Err(e) => (SlotState::Failed(e.to_string()), None),
                     }
                 }
             },
@@ -562,116 +594,95 @@ impl Shared {
         // The append happens before the lease release: the lease holder
         // is the sole writer for this index, so release-after-append
         // means no sibling can interleave a duplicate record.
-        self.finish_unit(unit, &cfg, &ckpt, verdict, cached, persist);
-        self.release_lease(unit);
-    }
-
-    fn release_lease(self: &Arc<Shared>, unit: Unit) {
+        self.finish_unit(unit, &ckpt, state, record);
         if let Some(held) = self.held.lock().unwrap().remove(&(unit.job, unit.index)) {
             self.leases.release(held);
         }
     }
 
-    /// Persists (when `persist`) and records a terminal verdict for one
-    /// unit: `Ok(result)` appends a result record, `Err(timed_out)` a
-    /// status record. Adopted-from-disk verdicts pass `persist: false` —
-    /// their record already exists. The fsync'd append comes first, off
-    /// the job-table lock; the slot flips to its verdict only once the
-    /// record is durable, and to `Failed` when the append fails. No lock is
-    /// held across the append: the durable single-buffer `O_APPEND` write
-    /// is what keeps appenders — this process's workers and sibling
+    /// The one place a `Running` slot ends, by the holder of its lease.
+    /// `record`, when the verdict has one, is appended first — fsync'd,
+    /// off the job-table lock — and the slot takes `state` only once the
+    /// record is durable; a failed append makes it `Failed` instead. An
+    /// adopted record or a failed run appends nothing. No lock is held
+    /// across the append: the durable single-buffer `O_APPEND` write is
+    /// what keeps appenders — this process's workers and sibling
     /// processes alike — from tearing each other, and their fsyncs
     /// overlap.
-    fn finish_unit(
-        self: &Arc<Shared>,
-        unit: Unit,
-        cfg: &RunConfig,
-        ckpt: &Path,
-        verdict: Result<RunResult, bool>,
-        cached: bool,
-        persist: bool,
-    ) {
-        let appended = if persist {
-            let payload = match &verdict {
-                Ok(result) => checkpoint_line(unit.index, &cfg.label(), result),
-                Err(timed_out) => checkpoint_status_line(unit.index, &cfg.label(), *timed_out),
-            };
-            durable::append_line(ckpt, &frame_record(&payload))
-        } else {
-            Ok(())
+    fn finish_unit(&self, unit: Unit, ckpt: &Path, state: SlotState, record: Option<String>) {
+        let state = match record.map(|line| durable::append_line(ckpt, &frame_record(&line))) {
+            Some(Err(e)) => SlotState::Failed(format!("checkpoint append failed: {e}")),
+            _ => state,
         };
         let mut inner = self.inner.lock().unwrap();
         let Some(job) = inner.jobs.get_mut(&unit.job) else {
             return;
         };
-        job.set_slot(
-            unit.index,
-            match (appended, verdict) {
-                (Err(e), _) => SlotState::Failed(format!("checkpoint append failed: {e}")),
-                (Ok(()), Ok(_)) => SlotState::Done {
-                    cached,
-                    restored: !persist,
-                },
-                (Ok(()), Err(timed_out)) => SlotState::Cancelled { timed_out },
-            },
-        );
-        let seal = job.is_settled().then(|| self.settle(job)).flatten();
+        debug_assert_eq!(job.slots()[unit.index], SlotState::Running);
+        let seal = self.stats.count_settled(job.set_slot(unit.index, state));
+        let tail = Arc::clone(&job.tail);
         drop(inner);
-        if let Some(tail) = seal {
+        if seal {
             self.stats.seal(&mut tail.lock().expect("tail lock"));
         }
     }
 
-    /// Reconciles in-memory jobs against the shared checkpoint files:
-    /// adopts records appended by sibling processes, applies durable
-    /// cancellation markers, and re-queues `Pending` slots whose lease is
-    /// free (expired or never taken). Called periodically by the fleet
-    /// scanner thread.
-    pub fn reconcile(self: &Arc<Shared>) {
-        let jobs: Vec<(u64, PathBuf, Arc<Mutex<CheckpointTail>>)> = {
+    /// Runs the reconcile step of every unsettled job. Called
+    /// periodically by the fleet scanner thread.
+    pub fn reconcile(&self) {
+        let ids: Vec<u64> = {
             let inner = self.inner.lock().unwrap();
             inner
                 .jobs
                 .iter()
                 .filter(|(_, j)| !j.is_settled())
-                .map(|(id, j)| (*id, j.ckpt.clone(), Arc::clone(&j.tail)))
+                .map(|(id, _)| *id)
                 .collect()
         };
-        let mut woke_work = false;
-        for (id, ckpt, tail) in jobs {
-            // Read what the fleet appended outside the job-table lock;
-            // adoption below re-checks slot states under it.
-            let mut tail = tail.lock().expect("tail lock");
-            self.stats.refresh(&mut tail);
-            let cancel_marker = ckpt.with_extension("cancel").exists();
-            let mut inner = self.inner.lock().unwrap();
-            let Some(job) = inner.jobs.get_mut(&id) else {
-                continue;
-            };
-            let was_settled = job.is_settled();
-            if cancel_marker && !job.cancel.is_cancelled() {
-                job.cancel.cancel();
-            }
-            job.adopt(&tail);
-            if job.cancel.is_cancelled() {
-                job.cancel_waiting();
-            }
-            // Re-queue Pending slots (lease lost to a live sibling, or
-            // never scheduled here): execute_unit re-arbitrates with the
-            // lease, so the worst case is a cheap failed acquire.
-            Self::enqueue_pending(&mut inner, id);
-            let job = inner.jobs.get_mut(&id).expect("looked up above");
-            woke_work |= job.slots.contains(&SlotState::Queued);
-            let seal = (!was_settled && job.is_settled())
-                .then(|| self.settle(job))
-                .flatten();
-            drop(inner);
-            if seal.is_some() {
-                self.stats.seal(&mut tail);
-            }
+        for id in ids {
+            self.reconcile_job(id);
         }
-        if woke_work {
+    }
+
+    /// The one reconcile step from disk to a job's slots, shared by the
+    /// scanner, the cancel endpoint and a worker that pops a cancelled
+    /// unit: reads the cancel marker, refreshes the tail off the
+    /// job-table lock, [`applies`](Job::apply) both, re-queues `Pending`
+    /// slots (lease lost to a live sibling, or never scheduled here —
+    /// `execute_unit` re-arbitrates with the lease, so the worst case is
+    /// a cheap failed acquire) and accounts for the job if this step
+    /// settled it. It appends nothing.
+    pub(crate) fn reconcile_job(&self, id: u64) {
+        let (marker, tail) = {
+            let inner = self.inner.lock().unwrap();
+            match inner.jobs.get(&id) {
+                Some(job) if !job.is_settled() => {
+                    (job.ckpt.with_extension("cancel"), Arc::clone(&job.tail))
+                }
+                _ => return,
+            }
+        };
+        // The marker before the records: every record appended before
+        // the marker was seen is then read, and adopted rather than
+        // cancelled.
+        let cancelled = marker.exists();
+        let mut tail = tail.lock().expect("tail lock");
+        self.stats.refresh(&mut tail);
+        let mut inner = self.inner.lock().unwrap();
+        let Inner { jobs, queue, .. } = &mut *inner;
+        let Some(job) = jobs.get_mut(&id) else {
+            return;
+        };
+        let seal = self
+            .stats
+            .count_settled(job.apply(|index| tail.verdict(index), cancelled));
+        let queued = job.queue_pending(queue);
+        drop(inner);
+        if queued > 0 {
             self.work_cv.notify_all();
+        }
+        if seal {
+            self.stats.seal(&mut tail);
         }
     }
 
@@ -730,14 +741,17 @@ mod tests {
         let mut inner = Inner::default();
         let mut slots = vec![SlotState::Pending; 4];
         slots[2] = SlotState::Cancelled { timed_out: false };
-        inner.jobs.insert(1, dummy_job(1, slots));
-        Shared::enqueue_pending(&mut inner, 1);
+        assert!(inner.publish(dummy_job(1, slots)));
         let indices: Vec<usize> = inner.queue.iter().map(|u| u.index).collect();
         assert_eq!(indices, [0, 1, 3]);
         assert_eq!(inner.jobs[&1].counts().pending, 3);
+        assert_eq!(inner.next_job_id, 2);
         assert_eq!(inner.queue.pop_back(), Some(Unit { job: 1, index: 3 }));
-        // Queued slots are not queued twice.
-        Shared::enqueue_pending(&mut inner, 1);
+        // Queued slots are not queued twice, and a job is published once.
+        let Inner { jobs, queue, .. } = &mut inner;
+        assert_eq!(jobs.get_mut(&1).unwrap().queue_pending(queue), 0);
+        assert_eq!(inner.queue.len(), 2);
+        assert!(!inner.publish(dummy_job(1, vec![SlotState::Pending])));
         assert_eq!(inner.queue.len(), 2);
     }
 
@@ -814,37 +828,293 @@ mod tests {
         assert_eq!(job.counts().cached, 1);
     }
 
-    /// Settlement is counted per job and gives the configurations back;
-    /// the tail is handed out for sealing only when every verdict is
-    /// durable — never with a `Failed` slot, never for a cancelled job.
+    /// Settlement is signalled once per job, by the write that settles it,
+    /// and gives the configurations back; the tail is to be sealed only
+    /// when every verdict is durable — never with a `Failed` slot, never
+    /// for a cancelled job.
     #[test]
     fn settled_job_has_empty_configs_and_seals_only_durable_verdicts() {
-        let dir = temp_dir("settle");
-        let shared = Shared::new(
-            ResultCache::open(dir.join("cache")).unwrap(),
-            LeaseDir::open(dir.join("leases"), Duration::from_secs(5)).unwrap(),
-        );
+        let stats = Stats::default();
         let done = SlotState::Done {
             cached: true,
             restored: false,
         };
         let timed_out = SlotState::Cancelled { timed_out: true };
+        let settle = |job: &mut Job, slots: [SlotState; 2]| {
+            let [first, last] = slots;
+            assert_eq!(job.set_slot(0, first), None);
+            assert_eq!(job.configs.len(), 2);
+            let settled = job.set_slot(1, last);
+            assert!(settled.is_some());
+            stats.count_settled(settled)
+        };
 
-        let mut durable = dummy_job(1, vec![done.clone(), timed_out]);
+        let mut durable = dummy_job(1, vec![SlotState::Running; 2]);
         assert_eq!(durable.configs.len(), 2);
-        assert!(shared.settle(&mut durable).is_some());
+        assert!(settle(&mut durable, [done.clone(), timed_out]));
         assert!(durable.configs.is_empty());
 
-        let mut failed = dummy_job(2, vec![done.clone(), SlotState::Failed("boom".into())]);
-        assert!(shared.settle(&mut failed).is_none());
+        let mut failed = dummy_job(2, vec![SlotState::Running; 2]);
+        assert!(!settle(
+            &mut failed,
+            [done.clone(), SlotState::Failed("boom".into())]
+        ));
         assert!(failed.configs.is_empty());
 
-        let mut cancelled = dummy_job(3, vec![done, SlotState::Cancelled { timed_out: false }]);
+        let mut cancelled = dummy_job(3, vec![SlotState::Running; 2]);
         cancelled.cancel.cancel();
-        assert!(shared.settle(&mut cancelled).is_none());
+        let cancel = SlotState::Cancelled { timed_out: false };
+        assert!(!settle(&mut cancelled, [done, cancel.clone()]));
+        // A settled job has no slot left to change: no second signal.
+        assert_eq!(cancelled.set_slot(1, cancel), None);
 
-        assert_eq!(shared.stats.jobs_completed.load(Ordering::Relaxed), 3);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(stats.jobs_completed.load(Ordering::Relaxed), 3);
+    }
+
+    /// How a claimant's run of a slot ends.
+    #[derive(Clone, Copy, Debug)]
+    enum Run {
+        Result,
+        TimedOut,
+        /// Stopped by the job's cancel token.
+        Cancelled,
+        /// Supervision exhausted its retries.
+        Panicked,
+    }
+
+    /// One event of the job protocol, as this process's threads and its
+    /// siblings produce it.
+    #[derive(Clone, Copy, Debug)]
+    enum Event {
+        /// Pending slots enter the work queue (the job is published).
+        Queue,
+        /// A worker claims queued slot `i`.
+        Claim(usize),
+        /// The claimant loses the lease race for `i` and unclaims it.
+        LeaseLost(usize),
+        /// The claimant's run of `i` ends; the bool is whether its append
+        /// succeeds. The post-acquire check comes first: a visible record
+        /// is adopted instead.
+        RunEnds(usize, Run, bool),
+        /// A sibling's record for `i` becomes visible in the checkpoint.
+        Sibling(usize, Verdict),
+        /// The cancel endpoint: the marker, then the reconcile step.
+        Cancel,
+        /// The scanner's reconcile step.
+        Reconcile,
+    }
+
+    /// A 2-config job, what its checkpoint shows, and what the protocol
+    /// has done to it so far.
+    struct World {
+        job: Job,
+        queue: VecDeque<Unit>,
+        /// The latest visible record per index, as [`CheckpointTail::verdict`]
+        /// would report it.
+        records: [Option<Verdict>; 2],
+        marker: bool,
+        /// Settle signals seen, and records this process appended, by index.
+        settled: usize,
+        appended: Vec<usize>,
+        /// A result record became visible for a slot already `cancelled`:
+        /// the late-sibling window.
+        late_results: bool,
+    }
+
+    impl World {
+        fn new() -> World {
+            let configs = vec![RunConfig::small_default(); 2];
+            World {
+                job: Job::new(1, configs, PathBuf::from("/nonexistent"), None),
+                queue: VecDeque::new(),
+                records: [None; 2],
+                marker: false,
+                settled: 0,
+                appended: Vec::new(),
+                late_results: false,
+            }
+        }
+
+        fn applicable(&self) -> Vec<Event> {
+            let mut events = Vec::new();
+            if self.job.slots().contains(&SlotState::Pending) {
+                events.push(Event::Queue);
+            }
+            for (i, slot) in self.job.slots().iter().enumerate() {
+                match slot {
+                    SlotState::Queued => events.push(Event::Claim(i)),
+                    SlotState::Running => {
+                        events.push(Event::LeaseLost(i));
+                        if self.records[i].is_some() {
+                            events.push(Event::RunEnds(i, Run::Result, true));
+                        } else {
+                            let mut runs = vec![Run::Result, Run::TimedOut];
+                            if self.job.cancel.is_cancelled() {
+                                runs.push(Run::Cancelled);
+                            }
+                            for run in runs {
+                                events.push(Event::RunEnds(i, run, true));
+                                events.push(Event::RunEnds(i, run, false));
+                            }
+                            events.push(Event::RunEnds(i, Run::Panicked, true));
+                        }
+                    }
+                    _ => {}
+                }
+                // A sibling records `i` only while it holds the lease,
+                // which it cannot while this process runs `i`, and only if
+                // its post-acquire check found no record.
+                if *slot != SlotState::Running && self.records[i].is_none() {
+                    events.push(Event::Sibling(i, Verdict::Result));
+                    events.push(Event::Sibling(i, Verdict::Cancelled { timed_out: true }));
+                    if self.marker {
+                        events.push(Event::Sibling(i, Verdict::Cancelled { timed_out: false }));
+                    }
+                }
+            }
+            if !self.marker {
+                events.push(Event::Cancel);
+            }
+            if !self.job.is_settled() {
+                events.push(Event::Reconcile);
+            }
+            events
+        }
+
+        /// Applies `event` as the server does and checks every invariant
+        /// of the protocol across it.
+        fn step(&mut self, event: Event) {
+            let before = self.job.slots().to_vec();
+            let mut settled = None;
+            let mut reconciled = false;
+            match event {
+                Event::Queue => {
+                    self.job.queue_pending(&mut self.queue);
+                }
+                Event::Claim(i) => assert!(self.job.claim(i)),
+                Event::LeaseLost(i) => self.job.unclaim(i),
+                Event::RunEnds(i, run, append_ok) => {
+                    let adopted = self.records[i].map(|v| match v {
+                        Verdict::Result => SlotState::Done {
+                            cached: false,
+                            restored: true,
+                        },
+                        Verdict::Cancelled { timed_out } => SlotState::Cancelled { timed_out },
+                    });
+                    let (state, record) = adopted.map(|s| (s, None)).unwrap_or(match run {
+                        Run::Result => (
+                            SlotState::Done {
+                                cached: false,
+                                restored: false,
+                            },
+                            Some(Verdict::Result),
+                        ),
+                        Run::TimedOut => (
+                            SlotState::Cancelled { timed_out: true },
+                            Some(Verdict::Cancelled { timed_out: true }),
+                        ),
+                        Run::Cancelled => (
+                            SlotState::Cancelled { timed_out: false },
+                            Some(Verdict::Cancelled { timed_out: false }),
+                        ),
+                        Run::Panicked => (SlotState::Failed("panicked".into()), None),
+                    });
+                    let state = match record {
+                        Some(v) if append_ok => {
+                            assert_eq!(before[i], SlotState::Running, "only a claimant appends");
+                            assert!(!self.appended.contains(&i), "one record per index");
+                            self.records[i] = Some(v);
+                            self.appended.push(i);
+                            state
+                        }
+                        Some(_) => SlotState::Failed("append failed".into()),
+                        None => state,
+                    };
+                    settled = self.job.set_slot(i, state);
+                }
+                Event::Sibling(i, v) => {
+                    if v == Verdict::Result
+                        && before[i] == (SlotState::Cancelled { timed_out: false })
+                    {
+                        self.late_results = true;
+                    }
+                    self.records[i] = Some(v);
+                }
+                Event::Cancel | Event::Reconcile => {
+                    self.marker |= matches!(event, Event::Cancel);
+                    // `Shared::reconcile_job`: a settled job is left alone.
+                    if !self.job.is_settled() {
+                        let records = self.records;
+                        settled = self.job.apply(|i| records[i], self.marker);
+                        self.job.queue_pending(&mut self.queue);
+                    }
+                    reconciled = true;
+                }
+            }
+
+            let job = &self.job;
+            assert_eq!(job.counts(), job.tally(), "counts follow the slots");
+            if let Some(seal) = settled {
+                self.settled += 1;
+                let durable = job.counts().failed == 0 && !job.cancel.is_cancelled();
+                assert_eq!(seal, durable, "seal only when every verdict is durable");
+                if seal {
+                    assert!(self.records.iter().all(Option::is_some), "sealed = on disk");
+                }
+                assert!(job.configs.is_empty(), "settling releases the configs");
+            }
+            assert!(self.settled <= 1, "settling is signalled at most once");
+            assert_eq!(self.settled == 1, job.is_settled(), "signalled iff settled");
+            for (i, (was, now)) in before.iter().zip(job.slots()).enumerate() {
+                if matches!(was, SlotState::Done { .. } | SlotState::Cancelled { .. }) {
+                    assert_eq!(was, now, "a settled slot never changes");
+                }
+                if reconciled
+                    && matches!(was, SlotState::Pending | SlotState::Queued)
+                    && self.records[i] == Some(Verdict::Result)
+                {
+                    assert!(
+                        matches!(now, SlotState::Done { .. }),
+                        "a visible result settles its waiting slot `done`, not {now:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every event sequence of at most `JOB_PROTOCOL_DEPTH` events on a
+    /// fresh 2-config job, replayed from scratch like
+    /// `validate::explore`'s schedules, with the invariants of
+    /// [`World::step`] checked after every event.
+    const JOB_PROTOCOL_DEPTH: usize = 7;
+
+    /// Counts the sequences below `prefix` (itself already checked), and
+    /// those that hit the late-sibling window.
+    fn explore_job_protocol(prefix: &mut Vec<Event>) -> (u64, u64) {
+        let mut world = World::new();
+        for &event in prefix.iter() {
+            world.step(event);
+        }
+        let events = world.applicable();
+        if prefix.len() == JOB_PROTOCOL_DEPTH || events.is_empty() {
+            return (1, u64::from(world.late_results));
+        }
+        let mut counts = (0, 0);
+        for event in events {
+            prefix.push(event);
+            let (n, late) = explore_job_protocol(prefix);
+            prefix.pop();
+            counts = (counts.0 + n, counts.1 + late);
+        }
+        counts
+    }
+
+    #[test]
+    fn job_protocol_holds_on_every_event_sequence() {
+        let (sequences, late) = explore_job_protocol(&mut Vec::new());
+        eprintln!("job protocol: {sequences} sequences, {late} through the late-sibling window");
+        assert!(sequences > 100_000, "{sequences}");
+        assert!(late > 0, "the late-sibling window is reachable");
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -19,7 +19,7 @@
 //! and the resulting diff reviewed alongside the change that caused it.
 
 use flexsim::experiments::{self, Experiment, Scale, ShapeCheck};
-use flexsim::{config_to_json, sweep, RunConfig, RunResult};
+use flexsim::{config_from_json, config_to_json, sweep, RunConfig, RunResult};
 
 mod golden {
     use flexsim::RunResult;
@@ -415,6 +415,22 @@ fn experiment_index_is_pinned() {
         }
     }
     assert_eq!(h, PIN, "the experiment index moved: {h:#018x}");
+}
+
+/// Every configuration the index runs is one the server would accept:
+/// `config_from_json` bounds what a submission may ask for, and no bound
+/// may refuse a config of the paper's own experiments.
+#[test]
+fn every_indexed_config_round_trips_through_the_bounded_codec() {
+    for scale in [Scale::Paper, Scale::Small] {
+        for exp in experiments::all(scale) {
+            for c in &exp.configs {
+                let back = config_from_json(&config_to_json(c))
+                    .unwrap_or_else(|e| panic!("{} {}: {e}", exp.id, c.label()));
+                assert_eq!(&back, c, "{} {}", exp.id, c.label());
+            }
+        }
+    }
 }
 
 #[test]

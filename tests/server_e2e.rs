@@ -19,13 +19,20 @@
 //!    and a checkpoint no grid names is never read.
 //! 7. A slot is `done` only once its record is durable: a failed
 //!    checkpoint append fails the slot, and a restart settles it.
+//! 8. A cancel applies its marker through the one reconcile step: a
+//!    record already in the checkpoint is kept, and only a lease holder
+//!    appends.
+//! 9. A body nested past the parser's bound, or asking for a network too
+//!    large to allocate, is a 400 and the server keeps serving.
 //!
 //! Everything runs on an ephemeral 127.0.0.1 port; no network egress.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use deadlock_characterization::flexsim::jsonio::{durable, frame_record, parse, Json};
+use deadlock_characterization::flexsim::jsonio::{
+    durable, frame_record, parse, scan_records, Json,
+};
 use deadlock_characterization::flexsim::{
     checkpoint_line, sweep_supervised, RunConfig, SweepOptions,
 };
@@ -33,8 +40,8 @@ use deadlock_characterization::server::{
     http_request, Client, ResultCache, ServerOptions, SweepGrid,
 };
 use icn_bench::{
-    checkpoint_path, direct_digests, full_line_count, garble_last_record, knotting_config,
-    resubmission_storyline, result_indices, scratch_dir, settles_to, short_grid, wait_lines,
+    checkpoint_path, direct_digests, full_line_count, garble_last_record, resubmission_storyline,
+    result_indices, scratch_dir, settles_to, short_grid, wait_lines,
 };
 
 /// How long any job in this file may take to settle.
@@ -331,47 +338,122 @@ fn failed_checkpoint_append_fails_the_slot_and_a_restart_settles_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A cancel that lands after a sibling's record keeps that record: the
+/// slot it settles is `done:restored`, in this life and the next, and the
+/// cancel appends nothing itself. The one status line in the checkpoint is
+/// written by the holder of the only lease this process took, for the run
+/// the cancel stopped. The job is found on disk (no submit-time pass), one
+/// worker takes the last index first, and the scanner sleeps throughout,
+/// so only the cancel endpoint's own reconcile step sees the record.
 #[test]
-fn incident_endpoints_serve_stored_incidents() {
-    use deadlock_characterization::flexsim::forensics::IncidentStore;
-    use deadlock_characterization::flexsim::{run, ForensicsConfig};
+fn cancel_keeps_a_sibling_record_and_appends_only_under_a_lease() {
+    let dir = scratch_dir("e2e-cancel-sibling");
+    let mut grid = short_grid(vec![1, 2, 3], vec![0.3]);
+    // Far longer than the test: the run ends only by being cancelled.
+    grid.base.measure = 100_000_000;
+    let configs = grid.expand();
+    let id = 1;
+    plant_job(&dir, id, &grid);
+    let mut opts = ServerOptions::new(&dir);
+    opts.workers = 1;
+    opts.scan_interval = Duration::from_secs(600);
 
-    let dir = scratch_dir("e2e-incidents");
+    let (client, handle) = Client::serve_local(&opts).expect("bind");
+    let slots = |client: Client| {
+        let (code, body) = http_request(client.addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        assert_eq!(code, 200, "{body}");
+        let v = parse(&body).unwrap();
+        v.get("slots").and_then(Json::as_arr).unwrap().to_vec()
+    };
+    let deadline = Instant::now() + SETTLE;
+    while slots(client)[2].as_str() != Some("running") {
+        assert!(Instant::now() < deadline, "index 2 never started");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
-    // Produce a real incident and persist it where the server looks.
-    let mut cfg = knotting_config(800);
-    cfg.forensics = Some(ForensicsConfig::default());
-    let res = run(&cfg);
-    assert!(
-        !res.forensic_incidents.is_empty(),
-        "the known-deadlocking config captures an incident"
-    );
-    let store = IncidentStore::open(dir.join("incidents")).unwrap();
-    store.save(&res.forensic_incidents[0]).unwrap();
+    // Index 0's record, as a sibling holding its lease would append it.
+    let sibling = sweep_supervised(&short_grid(vec![99], vec![0.3]).expand(), &SweepOptions)
+        .remove(0)
+        .expect("direct run");
+    let ckpt = checkpoint_path(&dir, id);
+    let line = checkpoint_line(0, &configs[0].label(), &sibling);
+    durable::append_line(&ckpt, &frame_record(&line)).unwrap();
 
+    let (code, body) =
+        http_request(client.addr, "POST", &format!("/jobs/{id}/cancel"), None).unwrap();
+    assert_eq!(code, 200, "{body}");
+
+    let check_life = |client: Client| {
+        let status = client.wait_done(id, SETTLE).expect("settles");
+        let slots = status.get("slots").and_then(Json::as_arr).unwrap();
+        assert_eq!(slots[0].as_str(), Some("done:restored"), "{status:?}");
+        assert_eq!(slots[1].as_str(), Some("cancelled"), "{status:?}");
+        let completed = status.get("completed").and_then(Json::as_u64).unwrap();
+        let cancelled = status.get("cancelled").and_then(Json::as_u64).unwrap();
+        assert_eq!(completed + cancelled, 3, "{status:?}");
+        let (complete, digests) = client.result_digests(id, 3).expect("results");
+        assert!(complete);
+        let streamed: Vec<&String> = digests.iter().filter(|d| !d.is_empty()).collect();
+        assert_eq!(streamed.len() as u64, completed, "{digests:?}");
+        assert_eq!(digests[0], sibling.digest());
+        // The sibling's record, then the status line of the one index
+        // this process leased: nothing for an index it never leased.
+        assert_eq!(record_indices(&ckpt), [0, 2]);
+    };
+    check_life(client);
+    assert_eq!(client.stat(&["leases_acquired"]).unwrap(), 1);
+    shutdown(client, handle);
+
+    let (client2, handle2) = Client::serve_local(&opts).expect("bind");
+    check_life(client2);
+    assert_eq!(work_counters(client2), [0, 0, 0], "nothing re-ran");
+    shutdown(client2, handle2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The slot index of every verified record in the checkpoint — result or
+/// status — in file order.
+fn record_indices(ckpt: &Path) -> Vec<u64> {
+    let text = std::fs::read_to_string(ckpt).unwrap_or_default();
+    scan_records(&text)
+        .values
+        .iter()
+        .filter_map(|(_, v)| v.get("index").and_then(Json::as_u64))
+        .collect()
+}
+
+/// Bodies that once aborted the server are refused at the door: a JSON
+/// document nested past the parser's bound (100 000 `[`, far under the
+/// body cap), and a configuration whose network would not fit in memory
+/// (a 65535-ary 2-cube, 600 bytes of JSON). No job file is written, and
+/// the server keeps serving.
+#[test]
+fn nested_or_oversized_submissions_are_refused_and_the_server_keeps_serving() {
+    let dir = scratch_dir("e2e-hostile");
     let (client, handle) = start_server(&dir, 1);
+    let jobs_files = || std::fs::read_dir(dir.join("jobs")).map_or(0, |d| d.count());
+    let before = jobs_files();
 
-    let (status, body) = http_request(client.addr, "GET", "/incidents", None).unwrap();
-    assert_eq!(status, 200);
-    let index = parse(&body).unwrap();
-    let entries = index.get("incidents").and_then(Json::as_arr).unwrap();
-    assert_eq!(entries.len(), 1);
-    assert_eq!(
-        entries[0].get("file").and_then(Json::as_str),
-        Some("incident-00000.json")
-    );
+    let nested = "[".repeat(100_000);
+    let (status, reply) = http_request(client.addr, "POST", "/jobs", Some(&nested)).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("bad grid: "), "{reply}");
+    assert!(reply.contains("nest"), "{reply}");
 
-    let (status, body) = http_request(client.addr, "GET", "/incidents/0", None).unwrap();
-    assert_eq!(status, 200);
-    assert!(parse(&body).is_ok(), "incident record is valid JSON");
+    let mut grid = test_grid();
+    grid.base.topology.k = 65535;
+    let (status, reply) = http_request(
+        client.addr,
+        "POST",
+        "/jobs",
+        Some(&grid.to_json().to_string()),
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("virtual channels"), "{reply}");
 
-    let (status, dot) = http_request(client.addr, "GET", "/incidents/0/dot", None).unwrap();
-    assert_eq!(status, 200);
-    assert!(dot.starts_with("digraph"), "DOT rendering served as-is");
-
-    let (status, _) = http_request(client.addr, "GET", "/incidents/7", None).unwrap();
-    assert_eq!(status, 404);
-
+    assert_eq!(jobs_files(), before, "a refused body writes nothing");
+    assert_eq!(client.stat(&["jobs", "submitted"]).unwrap(), 0);
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -385,6 +467,11 @@ fn bad_requests_get_clean_errors() {
     assert_eq!(status, 404);
     let (status, _) = http_request(client.addr, "GET", "/nope", None).unwrap();
     assert_eq!(status, 404);
+    // The server keeps no incident browser: those paths are unknown routes.
+    for path in ["/incidents", "/incidents/0", "/incidents/0/dot"] {
+        let (status, _) = http_request(client.addr, "GET", path, None).unwrap();
+        assert_eq!(status, 404, "{path}");
+    }
     let (status, body) = http_request(client.addr, "POST", "/jobs", Some("{\"no\":1}")).unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("error"), "errors are JSON: {body}");

@@ -64,6 +64,23 @@ fn explorer_exhausts_the_tiny_ring() {
     );
 }
 
+/// The 4-node unidirectional ring at horizon 1: every schedule, audited
+/// against the oracle, as `repro validate`'s explorer stage runs it.
+#[test]
+fn explorer_exhausts_the_four_node_ring() {
+    let report = v::explore(&v::ExploreConfig::uni_ring_4());
+    assert_eq!(report.schedules, 256, "4 nodes, 4 choices, 4 slots");
+    assert!(
+        report.deadlocked > 0,
+        "the 4-node ring must deadlock somewhere"
+    );
+    assert!(
+        report.ok(),
+        "explorer divergences: {:?}",
+        report.divergences
+    );
+}
+
 #[test]
 fn captured_incidents_survive_reaudit() {
     // The paper's canonical deadlock machine, small enough for debug CI:
