@@ -4,9 +4,7 @@
 use icn_topology::{ChannelId, NodeId};
 
 use super::wake::AllocState;
-use super::{
-    compute_candidates, ctx_of, first_free_vc, flatten_candidates, Network, FROM_SOURCE, NO_OWNER,
-};
+use super::{compute_candidates, ctx_of, first_free_vc, flatten_candidates, Network, NO_OWNER};
 use crate::message::MsgPhase;
 
 /// Outcome of one header's [`Network::next_hop`] attempt.
@@ -113,7 +111,7 @@ impl Network {
             msg.chain.back().expect("routing message owns its head VC"),
             msg.dst,
         );
-        if self.vc_occ[head_vc as usize] == 0 {
+        if self.occ[head_vc as usize].now == 0 {
             // Header flit still in flight towards this buffer.
             debug_assert!(!msg.blocked, "blocked header always has a buffered flit");
             return HopOutcome::Wait;
@@ -235,6 +233,7 @@ impl Network {
     /// trace. The geometry it consults (wraparound flag, one-dimension
     /// misroute test) is read from the topology's tables.
     pub(super) fn acquire_vc(&mut self, slot: u32, vc_idx: u32) {
+        let src = self.source_entry(slot) as u32;
         let msg = self.messages[slot as usize]
             .as_mut()
             .expect("acquiring slot");
@@ -243,19 +242,18 @@ impl Network {
         self.vc_owner[i] = slot;
         self.vc_seq[i] = msg.next_seq;
         // Link the new head into the feed chain: it is fed by the old head,
-        // or straight from the source when it starts the chain.
-        match msg.chain.back() {
+        // or by its source entry when it starts the chain.
+        self.occ[i].feed = match msg.chain.back() {
             Some(&h) => {
-                self.vc_feed[i] = h;
                 self.vc_next[h as usize] = vc_idx;
+                h
             }
-            None => self.vc_feed[i] = FROM_SOURCE,
-        }
+            None => src,
+        };
         self.vc_next[i] = NO_OWNER;
         msg.chain.push_back(vc_idx);
         msg.next_seq += 1;
         let ch = ChannelId(self.vc_chan[i]);
-        self.owned_per_channel[ch.idx()] += 1;
         let topo = &self.topo;
         let info = topo.channel(ch);
         msg.last_dim = Some(info.dim);

@@ -213,10 +213,9 @@ impl Network {
         for &v in &chain {
             debug_assert_eq!(self.vc_owner[v as usize], slot);
             self.vc_owner[v as usize] = NO_OWNER;
-            self.vc_occ[v as usize] = 0;
-            self.vc_feed[v as usize] = NO_OWNER;
+            self.occ[v as usize].now = 0;
+            self.occ[v as usize].feed = self.num_vcs() as u32;
             self.vc_next[v as usize] = NO_OWNER;
-            self.owned_per_channel[self.vc_chan[v as usize] as usize] -= 1;
             self.mark_occ_dirty(v);
             self.wake_resource(v);
         }

@@ -6,7 +6,9 @@ use icn_routing::RoutingCtx;
 use icn_topology::NodeId;
 
 use super::wake::{AllocState, InjState};
-use super::{compute_candidates, first_free_vc, flatten_candidates, Network, Pending, NO_OWNER};
+use super::{
+    compute_candidates, first_free_vc, flatten_candidates, Network, Pending, VcOcc, NO_OWNER,
+};
 use crate::events::StepEvents;
 use crate::message::{Message, MsgPhase};
 
@@ -147,6 +149,8 @@ impl Network {
             self.release_flag.resize(n, false);
             self.msg_watches.resize_with(n, Vec::new);
             self.msg_uninjected.resize(n, 0);
+            let nv = self.num_vcs();
+            self.occ.resize(nv + 1 + n, VcOcc::free(nv));
             self.slot_id.resize(n, 0);
             self.cand_cache.resize_with(n, Vec::new);
             self.cand_cache_valid.resize(n, false);
@@ -156,6 +160,8 @@ impl Network {
         // blocked); the new message must start uncached.
         self.cand_cache_valid[slot as usize] = false;
         self.msg_uninjected[slot as usize] = len;
+        let src = self.source_entry(slot);
+        self.occ[src].start = 1;
         self.slot_id[slot as usize] = id;
         self.active_idx[slot as usize] = self.active.len() as u32;
         self.active.push(slot);

@@ -5,8 +5,7 @@ use icn_topology::{ChannelId, NodeId};
 
 use super::wake::{AllocState, InjState, INJECTOR};
 use super::{
-    compute_candidates, ctx_of, flatten_candidates, Network, Pending, StepMode, FROM_SOURCE,
-    NO_OWNER,
+    compute_candidates, ctx_of, flatten_candidates, Network, Pending, StepMode, VcOcc, NO_OWNER,
 };
 use crate::message::MsgPhase;
 
@@ -14,13 +13,22 @@ impl Network {
     /// Exhaustive consistency check; called from tests after stepping.
     ///
     /// Verifies flit conservation per message, owner/chain agreement,
-    /// occupancy bounds, per-channel owned counts, injection/reception
-    /// bookkeeping, and that every frozen candidate list equals a fresh
-    /// recompute. On an instance the dense stepper drives, it also checks
-    /// that the activity bookkeeping the shared bodies touch stays inert.
+    /// occupancy bounds, the occupancy table's feed encoding,
+    /// injection/reception bookkeeping, and that every frozen candidate
+    /// list equals a fresh recompute. On an instance the dense stepper
+    /// drives, it also checks that the activity bookkeeping the shared
+    /// bodies touch stays inert.
     pub fn check_invariants(&self) {
         let vcs_per = self.cfg.vcs_per_channel;
-        let mut owned_seen = vec![0u16; self.topo.num_channels()];
+        let nv = self.num_vcs();
+        // The occupancy table: `nv` VCs, the free entry, one source entry
+        // per slot. The free entry stays zero (and so unable to feed).
+        assert_eq!(
+            self.occ.len(),
+            nv + 1 + self.active_idx.len(),
+            "occupancy table out of step with the slots"
+        );
+        assert_eq!(self.occ[nv], VcOcc::free(nv), "free entry not zero");
         for (i, &slot) in self.active.iter().enumerate() {
             assert_eq!(
                 self.active_idx[slot as usize], i as u32,
@@ -43,7 +51,7 @@ impl Network {
             let in_chain: u32 = msg
                 .chain
                 .iter()
-                .map(|&v| self.vc_occ[v as usize] as u32)
+                .map(|&v| self.occ[v as usize].now as u32)
                 .sum();
             assert_eq!(
                 in_chain,
@@ -55,18 +63,23 @@ impl Network {
                 let v = v as usize;
                 assert_eq!(self.vc_owner[v], slot, "chain VC not owned by its message");
                 assert_eq!(self.vc_seq[v], msg.front_seq + p as u32, "seq mismatch");
-                assert!(self.vc_occ[v] as usize <= self.cfg.buffer_depth);
-                // The feed/next chain-link caches mirror the chain exactly.
-                let feed = if p == 0 {
-                    FROM_SOURCE
-                } else {
-                    msg.chain[p - 1]
+                assert!(self.occ[v].now as usize <= self.cfg.buffer_depth);
+                // The feed/next chain links mirror the chain exactly: the
+                // front is fed by its slot's source entry.
+                let feed = match p {
+                    0 => self.source_entry(slot) as u32,
+                    _ => msg.chain[p - 1],
                 };
-                assert_eq!(self.vc_feed[v], feed, "vc_feed diverged from chain");
+                assert_eq!(self.occ[v].feed, feed, "feed diverged from chain");
                 let next = msg.chain.get(p + 1).copied().unwrap_or(NO_OWNER);
                 assert_eq!(self.vc_next[v], next, "vc_next diverged from chain");
-                owned_seen[v / vcs_per] += 1;
             }
+            // A live slot's source entry says whether flits are left.
+            assert_eq!(
+                self.occ[self.source_entry(slot)].start,
+                u16::from(self.msg_uninjected[slot as usize] > 0),
+                "source entry of slot {slot} diverged from msg_uninjected"
+            );
             // Chain follows physically adjacent channels.
             for (&a, &b) in msg.chain.iter().zip(msg.chain.iter().skip(1)) {
                 let a = self.topo.channel(ChannelId(a / vcs_per as u32));
@@ -77,16 +90,13 @@ impl Network {
                 assert_eq!(self.reception[msg.dst.idx()], slot);
             }
         }
-        for (ch, &count) in owned_seen.iter().enumerate() {
-            assert_eq!(
-                count, self.owned_per_channel[ch],
-                "owned count mismatch on channel {ch}"
-            );
-        }
         for (v, &owner) in self.vc_owner.iter().enumerate() {
             if owner == NO_OWNER {
-                assert_eq!(self.vc_occ[v], 0, "free VC {v} holds flits");
-                assert_eq!(self.vc_feed[v], NO_OWNER, "free VC {v} keeps a feed");
+                assert_eq!(self.occ[v].now, 0, "free VC {v} holds flits");
+                assert_eq!(
+                    self.occ[v].feed, nv as u32,
+                    "free VC {v} not fed by the free entry"
+                );
                 assert_eq!(self.vc_next[v], NO_OWNER, "free VC {v} keeps a next");
             } else {
                 assert!(self.messages[owner as usize].is_some());
@@ -219,7 +229,7 @@ impl Network {
                 AllocState::Parked => {
                     assert!(msg.blocked, "parked message must be blocked");
                     let &head = msg.chain.back().unwrap();
-                    assert!(self.vc_occ[head as usize] >= 1);
+                    assert!(self.occ[head as usize].now >= 1);
                     let here = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
                     if here == msg.dst {
                         // Waiting for the reception channel: busy, and it
@@ -294,15 +304,16 @@ impl Network {
         // Channel activity: any VC a flit could move into next cycle sits
         // on an active channel.
         let depth = self.cfg.buffer_depth as u16;
+        let nv = self.num_vcs();
         for (v, &owner) in self.vc_owner.iter().enumerate() {
-            if owner == NO_OWNER || self.vc_occ[v] >= depth {
+            if owner == NO_OWNER || self.occ[v].now >= depth {
                 continue;
             }
-            let feed = self.vc_feed[v];
-            let fed = if feed == FROM_SOURCE {
-                self.msg_uninjected[owner as usize] > 0
+            let feed = self.occ[v].feed as usize;
+            let fed = if feed < nv {
+                self.occ[feed].now >= 1
             } else {
-                self.vc_occ[feed as usize] >= 1
+                self.msg_uninjected[owner as usize] > 0
             };
             if fed {
                 let ch = v / vcs_per;
@@ -315,13 +326,13 @@ impl Network {
         // The scan side is idle between steps.
         assert!(self.chan_scan.iter().all(|&w| w == 0));
 
-        // Dirty-mark discipline: every occupancy that diverged from the
-        // `occ_start` snapshot carries a mark (no missed patch).
-        for (v, &occ) in self.vc_occ.iter().enumerate() {
+        // Dirty-mark discipline: every occupancy that diverged from its
+        // `start` snapshot carries a mark (no missed patch).
+        for (v, o) in self.occ[..nv].iter().enumerate() {
             if self.occ_dirty_words[v >> 6] >> (v & 63) & 1 == 0 {
                 assert_eq!(
-                    self.occ_start[v], occ,
-                    "VC {v} occupancy diverged from occ_start without a dirty mark"
+                    o.start, o.now,
+                    "VC {v} occupancy diverged from its snapshot without a dirty mark"
                 );
             }
         }
@@ -374,7 +385,7 @@ impl Network {
             );
             if let Some(&front) = msg.chain.front() {
                 assert_ne!(
-                    self.vc_occ[front as usize], 0,
+                    self.occ[front as usize].now, 0,
                     "slot {slot}: drained front not released"
                 );
             }

@@ -1,4 +1,4 @@
-//! The cycle-driven network engine: one struct-of-arrays [`Network`] and
+//! The cycle-driven network engine: one [`Network`] of dense tables and
 //! one `impl Network` block per phase — `inject`, `allocate`, `transfer`,
 //! `release`, `faults`, the activity engine's scheduling (`wake`) and the
 //! test-time `invariants`.
@@ -27,9 +27,33 @@ use wake::{AllocState, InjState, WakeEntry};
 /// Sentinel for "no owning message" in per-resource tables.
 pub(crate) const NO_OWNER: u32 = u32::MAX;
 
-/// [`Network::vc_feed`] sentinel: this VC is its owner's chain front, so
-/// its flits arrive straight from the source queue (`msg_uninjected`).
-const FROM_SOURCE: u32 = u32::MAX - 1;
+/// One entry of [`Network::occ`]: the transfer walk decides and applies a
+/// move from this 8-byte record alone, so a VC's occupancy, its snapshot
+/// and its feed share one cache line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct VcOcc {
+    /// Flits currently buffered.
+    now: u16,
+    /// Start-of-cycle snapshot of `now`, which every transfer decision
+    /// reads (a source entry keeps it live instead; see [`Network::occ`]).
+    start: u16,
+    /// Index of the entry that supplies this VC's flits: the chain
+    /// predecessor, the owner's source entry for the chain front, or the
+    /// always-zero free entry when the VC is free.
+    feed: u32,
+}
+
+impl VcOcc {
+    /// A free VC, the free entry itself, or a source with nothing left:
+    /// empty and fed by the free entry at index `nv`.
+    fn free(nv: usize) -> Self {
+        VcOcc {
+            now: 0,
+            start: 0,
+            feed: nv as u32,
+        }
+    }
+}
 
 /// A message waiting in a source queue (not yet holding any resource).
 #[derive(Clone, Copy, Debug)]
@@ -111,34 +135,39 @@ pub struct Network {
     pub(crate) cfg: SimConfig,
     pub(crate) cycle: u64,
 
-    /// Per-VC dynamic state, struct-of-arrays at `channel *
-    /// vcs_per_channel + vc`: the transfer phase walks these vectors
-    /// sequentially every cycle, so each field lives in its own dense
-    /// array instead of an array-of-structs record.
+    /// The occupancy table the transfer walk reads, one [`VcOcc`] per
+    /// entry. With `nv` VCs:
+    ///
+    /// - entry `v < nv` is VC `v` (`channel * vcs_per_channel + vc`);
+    /// - entry `nv` is the free entry, always zero: the feed of every free
+    ///   VC, so a free VC is never movable;
+    /// - entry `nv + 1 + slot` is that message's source entry, whose
+    ///   `start` is 1 while `msg_uninjected[slot] > 0`. Injection sets it
+    ///   and the move that empties the source clears it; it is the feed of
+    ///   the message's chain front.
+    ///
+    /// So a VC `v` is movable exactly when `occ[v].start < depth` and
+    /// `occ[occ[v].feed].start >= 1`, and the walk never loads an owner:
+    /// a move from the source belongs to slot `feed - nv - 1`. Feeds
+    /// mirror the owner's chain, so the walk reads the message slab only
+    /// for `injected_at` when a source empties.
+    occ: Vec<VcOcc>,
+    /// The per-VC state the walk does not read, at `channel *
+    /// vcs_per_channel + vc`.
     ///
     /// Owner slot, or [`NO_OWNER`].
     pub(crate) vc_owner: Vec<u32>,
-    /// Flits currently buffered.
-    pub(crate) vc_occ: Vec<u16>,
     /// Acquisition sequence number within the owner's chain.
     vc_seq: Vec<u32>,
-    /// Upstream feeder: the chain predecessor supplying this VC's flits,
-    /// [`FROM_SOURCE`] for the chain front, or [`NO_OWNER`] when free.
-    /// Mirrors the owner's chain so the transfer phase never indexes the
-    /// message slab.
-    vc_feed: Vec<u32>,
     /// Downstream successor (the VC this one feeds), or [`NO_OWNER`].
     vc_next: Vec<u32>,
-    /// Flits still waiting at the source, per message slot (hot: read by
-    /// every chain-front transfer decision).
+    /// Flits still waiting at the source, per message slot (its source
+    /// entry in [`Self::occ`] says whether any are left).
     msg_uninjected: Vec<u32>,
     /// Message id per slot (valid while the slot is live): sorts and
     /// id-ordered tie-breaks read this dense vector instead of chasing
     /// `messages[slot]`.
     pub(crate) slot_id: Vec<u64>,
-    /// Owned-VC count per physical channel (lets the transfer phase skip
-    /// idle links).
-    owned_per_channel: Vec<u16>,
     /// Round-robin pointer per physical channel.
     link_rr: Vec<u8>,
     /// Reception-channel owner slot per node (one reception channel per
@@ -229,13 +258,13 @@ pub struct Network {
     /// starved-head case is decided without touching the message slab.
     drain_head: Vec<u32>,
     /// Dirty-occupancy bitset: bit `v % 64` of word `v / 64` marks a VC
-    /// whose occupancy diverged from `occ_start` since the last sync.
+    /// whose `now` diverged from its `start` since the last sync.
     /// Bit-idempotent, so a VC that changes occupancy several times in one
     /// cycle carries exactly one mark.
     occ_dirty_words: Vec<u64>,
     /// VC index → physical channel index. `vcs_per_channel` is a runtime
-    /// value, so `v / vcs_per` in the per-move hot loops would compile to
-    /// a hardware divide; this table is small enough to stay L1-resident.
+    /// value, so `v / vcs_per` outside the `V = 2` transfer walk would
+    /// compile to a hardware divide.
     vc_chan: Vec<u32>,
     /// Frozen flattened candidate-VC list per message slot, filled when a
     /// header blocks. Until the message acquires, nothing its routing
@@ -284,8 +313,6 @@ pub struct Network {
     /// Scratch for the drain's candidate recomputation.
     pub(crate) wait_cand: Vec<Candidate>,
 
-    /// Scratch: start-of-cycle occupancies.
-    occ_start: Vec<u16>,
     /// Scratch: routing candidates.
     cand_buf: Vec<Candidate>,
     /// Optional event recorder.
@@ -361,15 +388,20 @@ impl Network {
         );
         let n_vcs = topo.num_channels() * cfg.vcs_per_channel;
         let n_nodes = topo.num_nodes();
+        // Live slots never outnumber VCs (a live message owns one), so the
+        // occupancy table, grown as slots appear, tops out at
+        // `2 * n_vcs + 1` entries.
+        assert!(
+            u32::try_from(2 * n_vcs + 1).is_ok(),
+            "occupancy table indices must fit u32"
+        );
         Network {
+            occ: vec![VcOcc::free(n_vcs); n_vcs + 1],
             vc_owner: vec![NO_OWNER; n_vcs],
-            vc_occ: vec![0; n_vcs],
             vc_seq: vec![0; n_vcs],
-            vc_feed: vec![NO_OWNER; n_vcs],
             vc_next: vec![NO_OWNER; n_vcs],
             msg_uninjected: Vec::new(),
             slot_id: Vec::new(),
-            owned_per_channel: vec![0; topo.num_channels()],
             link_rr: vec![0; topo.num_channels()],
             reception: vec![NO_OWNER; n_nodes],
             injecting: vec![false; n_nodes],
@@ -421,7 +453,6 @@ impl Network {
             wait_dirty_all: false,
             wait_buf: Vec::new(),
             wait_cand: Vec::new(),
-            occ_start: vec![0; n_vcs],
             cand_buf: Vec::new(),
             tracer: None,
             total_generated: 0,
@@ -461,10 +492,17 @@ impl Network {
         self.cfg.vcs_per_channel
     }
 
-    /// Total VC count (also the base of the reception wake resources).
+    /// Total VC count (also the base of the reception wake resources and
+    /// the index of the free entry in [`Self::occ`]).
     #[inline]
     fn num_vcs(&self) -> usize {
         self.vc_owner.len()
+    }
+
+    /// Index of `slot`'s source entry in [`Self::occ`].
+    #[inline]
+    fn source_entry(&self, slot: u32) -> usize {
+        self.num_vcs() + 1 + slot as usize
     }
 
     /// Queues a message for injection at `src` with the configured default
@@ -595,8 +633,8 @@ impl Network {
     /// active message, and channel is visited in age / index order and
     /// handed to the same per-message bodies the activity engine
     /// schedules (`try_inject_one`, `next_hop`, `release_one`); only the
-    /// link loop is its own, the chain-reading reference for the SoA
-    /// transfer walk. Kept as the baseline the activity engine's
+    /// link loop is its own, the chain-reading reference for the
+    /// feed-indexed transfer walk. Kept as the baseline the activity engine's
     /// scheduling is differentially tested against. An instance must use
     /// one stepper exclusively.
     pub fn step_reference(&mut self) -> StepEvents {

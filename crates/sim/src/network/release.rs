@@ -2,7 +2,7 @@
 //! delivered messages retire; plus the recovery lane's entry point.
 
 use super::wake::AllocState;
-use super::{Network, FROM_SOURCE, NO_OWNER};
+use super::{Network, NO_OWNER};
 use crate::events::{DeliveredMsg, StepEvents};
 use crate::message::{MessageId, MsgPhase};
 
@@ -149,12 +149,13 @@ impl Network {
         }
         // Tail release: owned VCs drain from the front of the chain; each
         // freed VC wakes its parked waiters.
+        let (nv, src) = (self.num_vcs(), self.source_entry(slot));
         loop {
             let msg = self.messages[s].as_mut().expect("release slot");
             let Some(&front) = msg.chain.front() else {
                 break;
             };
-            if self.msg_uninjected[s] != 0 || self.vc_occ[front as usize] != 0 {
+            if self.msg_uninjected[s] != 0 || self.occ[front as usize].now != 0 {
                 break;
             }
             msg.chain.pop_front();
@@ -164,13 +165,12 @@ impl Network {
                 self.wait_dirty.mark(msg.id);
             }
             if let Some(&nf) = msg.chain.front() {
-                // The new front is fed straight from the (drained) source.
-                self.vc_feed[nf as usize] = FROM_SOURCE;
+                // The new front is fed by the (drained) source.
+                self.occ[nf as usize].feed = src as u32;
             }
             self.vc_owner[front as usize] = NO_OWNER;
-            self.vc_feed[front as usize] = NO_OWNER;
+            self.occ[front as usize].feed = nv as u32;
             self.vc_next[front as usize] = NO_OWNER;
-            self.owned_per_channel[self.vc_chan[front as usize] as usize] -= 1;
             self.wake_resource(front);
         }
         let msg = self.messages[s].as_ref().expect("release slot");

@@ -3,28 +3,41 @@
 
 use icn_topology::ChannelId;
 
-use super::{Network, FROM_SOURCE, NO_OWNER};
+use super::{Network, VcOcc, NO_OWNER};
 use crate::events::StepEvents;
 use crate::message::MsgPhase;
 
+/// The `V` of [`Network::fused_transfer`] that reads the VC count from the
+/// configuration instead of fixing it at compile time.
+const ANY_VCS: usize = 0;
+
+/// Whether VC `v` can take a flit this cycle: room in its start-of-cycle
+/// buffer, and a flit in its feed's — the chain predecessor's snapshot,
+/// the owner's live source entry, or the always-zero free entry.
+#[inline(always)]
+fn movable(occ: &[VcOcc], v: usize, depth: u16) -> bool {
+    let o = occ[v];
+    o.start < depth && occ[o.feed as usize].start >= 1
+}
+
 impl Network {
     /// Dense transfer. Its link loop reads each owner's chain from the
-    /// message slab — the independent reference for the SoA
-    /// [`fused_transfer`](Self::fused_transfer) walk, which reads only the
-    /// `vc_feed` / `vc_next` mirrors.
+    /// message slab — the independent reference for the feed-indexed
+    /// [`fused_transfer`](Self::fused_transfer) walk.
     pub(super) fn reference_transfer(&mut self, events: &mut StepEvents) {
         // Snapshot start-of-cycle occupancies: every decision below reads
         // these, so a flit advances at most one hop per cycle and buffer
-        // space freed this cycle is only visible next cycle.
-        self.occ_start.copy_from_slice(&self.vc_occ);
+        // space freed this cycle is only visible next cycle. The free and
+        // source entries past the VC range are not snapshots.
+        let nv = self.num_vcs();
+        for o in &mut self.occ[..nv] {
+            o.start = o.now;
+        }
         let vcs_per = self.cfg.vcs_per_channel;
         let depth = self.cfg.buffer_depth as u16;
 
         // Link transfers: at most one flit per physical channel per cycle.
         for ch in 0..self.topo.num_channels() {
-            if self.owned_per_channel[ch] == 0 {
-                continue;
-            }
             if self.frozen(self.topo.channel(ChannelId(ch as u32)).src.idx(), false) {
                 // The sending router is frozen: no flit moves on its links.
                 continue;
@@ -35,15 +48,20 @@ impl Network {
                 let off = (start + i) % vcs_per;
                 let v = base + off;
                 let owner = self.vc_owner[v];
-                if owner == NO_OWNER || self.occ_start[v] >= depth {
+                if owner == NO_OWNER || self.occ[v].start >= depth {
                     continue;
                 }
                 let seq = self.vc_seq[v];
                 let msg = self.messages[owner as usize].as_ref().expect("owner live");
                 let moved = if seq == msg.front_seq {
                     // Tail-most owned VC: flits arrive from the source.
-                    if self.msg_uninjected[owner as usize] > 0 {
-                        self.msg_uninjected[owner as usize] -= 1;
+                    let u = &mut self.msg_uninjected[owner as usize];
+                    if *u > 0 {
+                        *u -= 1;
+                        if *u == 0 {
+                            let src = self.source_entry(owner);
+                            self.occ[src].start = 0;
+                        }
                         true
                     } else {
                         false
@@ -51,15 +69,15 @@ impl Network {
                 } else {
                     let pos = (seq - msg.front_seq) as usize;
                     let prev = msg.chain[pos - 1] as usize;
-                    if self.occ_start[prev] >= 1 {
-                        self.vc_occ[prev] -= 1;
+                    if self.occ[prev].start >= 1 {
+                        self.occ[prev].now -= 1;
                         true
                     } else {
                         false
                     }
                 };
                 if moved {
-                    self.vc_occ[v] += 1;
+                    self.occ[v].now += 1;
                     events.link_flits += 1;
                     self.link_rr[ch] = ((off + 1) % vcs_per) as u8;
                     break;
@@ -79,28 +97,28 @@ impl Network {
                 .back()
                 .expect("draining message still owns its head VC");
             let drain_node = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
-            if self.occ_start[head as usize] < 1 || self.frozen(drain_node.idx(), false) {
+            if self.occ[head as usize].start < 1 || self.frozen(drain_node.idx(), false) {
                 // Starved head, or the draining router is frozen.
                 continue;
             }
-            self.vc_occ[head as usize] -= 1;
+            self.occ[head as usize].now -= 1;
             self.messages[slot as usize].as_mut().unwrap().delivered += 1;
             events.drained_flits += 1;
         }
     }
 
     /// Activity transfer: only channels in the active bitset are examined,
-    /// and `occ_start` is patched from the dirty bitset instead of copied.
+    /// and the occupancy snapshots are patched from the dirty bitset
+    /// instead of copied.
     pub(super) fn activity_transfer(&mut self, events: &mut StepEvents) {
-        // Lazy occ_start sync: occupancies change only during a transfer
+        // Lazy snapshot sync: occupancies change only during a transfer
         // and every change is logged, so patching the dirty words is
         // exactly the dense stepper's full copy. The word array is tiny
         // (one u64 per 64 VCs), so every word is visited unconditionally.
         {
             let Self {
                 occ_dirty_words,
-                occ_start,
-                vc_occ,
+                occ,
                 ..
             } = self;
             for (w, slot) in occ_dirty_words.iter_mut().enumerate() {
@@ -111,13 +129,12 @@ impl Network {
                 *slot = 0;
                 let base = w << 6;
                 while word != 0 {
-                    let v = base + word.trailing_zeros() as usize;
-                    occ_start[v] = vc_occ[v];
+                    let o = &mut occ[base + word.trailing_zeros() as usize];
+                    o.start = o.now;
                     word &= word - 1;
                 }
             }
         }
-        let vcs_per = self.cfg.vcs_per_channel;
         let depth = self.cfg.buffer_depth as u16;
 
         // Swap the accumulated active set into the scan side: activations
@@ -128,11 +145,13 @@ impl Network {
         // swap.
         std::mem::swap(&mut self.chan_words, &mut self.chan_scan);
 
-        // One walk, picked once: a plan is installed before the first step.
-        if self.fault_mode {
-            self.fused_transfer::<true>(events, vcs_per, depth);
-        } else {
-            self.fused_transfer::<false>(events, vcs_per, depth);
+        // One walk, picked once: a plan is installed before the first
+        // step, and the VC count is fixed at construction.
+        match (self.fault_mode, self.cfg.vcs_per_channel) {
+            (false, 2) => self.fused_transfer::<false, 2>(events, depth),
+            (false, _) => self.fused_transfer::<false, ANY_VCS>(events, depth),
+            (true, 2) => self.fused_transfer::<true, 2>(events, depth),
+            (true, _) => self.fused_transfer::<true, ANY_VCS>(events, depth),
         }
 
         // Ejection and recovery drains: one flit per cycle per message.
@@ -141,7 +160,7 @@ impl Network {
         // the starved-head case skips the message slab entirely.
         for k in 0..self.drain_list.len() {
             let head = self.drain_head[k];
-            if self.occ_start[head as usize] < 1 {
+            if self.occ[head as usize].start < 1 {
                 continue;
             }
             // The draining router is frozen. (Tested under a plan only: the
@@ -156,7 +175,7 @@ impl Network {
             let msg = self.messages[slot as usize].as_mut().expect("drain slot");
             debug_assert_ne!(msg.phase, MsgPhase::Routing);
             debug_assert_eq!(msg.chain.back(), Some(&head));
-            self.vc_occ[head as usize] -= 1;
+            self.occ[head as usize].now -= 1;
             msg.delivered += 1;
             events.drained_flits += 1;
             let done = msg.delivered == msg.len;
@@ -175,21 +194,36 @@ impl Network {
     /// Serial fused decide+apply transfer walk: one ascending pass over the
     /// active-channel words, applying each move as it is decided.
     /// Byte-identical to decide-then-apply because apply mutations never
-    /// reach a later decision's inputs: decisions read `occ_start`
-    /// (patched next cycle), `link_rr[ch]` (written only by channel `ch`'s
-    /// own move, after its decision), `msg_uninjected[owner]` (read only
-    /// at the owner's unique chain front) and, with `FAULTS`, `stall_until`
-    /// (written only at the start of a cycle), while activations land in
-    /// the accumulating bitset, not the scan side.
+    /// reach a later decision's inputs: decisions read the `start`
+    /// snapshots (patched next cycle), `link_rr[ch]` (written only by
+    /// channel `ch`'s own move, after its decision), the owner's source
+    /// entry (read and cleared only at the owner's unique chain front,
+    /// once per cycle, and set by injection before this phase) and, with
+    /// `FAULTS`, `stall_until` (written only at the start of a cycle),
+    /// while activations land in the accumulating bitset, not the scan
+    /// side.
+    ///
+    /// Deciding and applying a move touch only [`Self::occ`] records (the
+    /// VC's, its feed's, and the feed's feed for the release trigger): no
+    /// owner, no message slab except `injected_at` when a source empties.
     ///
     /// `FAULTS` is [`Self::fault_mode`] lifted to a const so the
-    /// fault-free instantiation carries no stall test.
-    fn fused_transfer<const FAULTS: bool>(
+    /// fault-free instantiation carries no stall test; `V` is the VC count
+    /// lifted the same way (2, which every `flow_*` workload runs, or
+    /// [`ANY_VCS`] to read it from the configuration), so the `V = 2` walk
+    /// picks a channel's VC without a loop and finds a VC's channel as
+    /// `v / 2`.
+    fn fused_transfer<const FAULTS: bool, const V: usize>(
         &mut self,
         events: &mut StepEvents,
-        vcs_per: usize,
         depth: u16,
     ) {
+        let vcs_per = if V == ANY_VCS {
+            self.cfg.vcs_per_channel
+        } else {
+            V
+        };
+        let nv = self.num_vcs();
         // Destructured field borrows: indexed stores through one slice
         // provably cannot clobber another slice's header, so the pointers
         // stay in registers across the walk (through `&mut self` every
@@ -197,12 +231,8 @@ impl Network {
         let Self {
             chan_scan,
             chan_words,
-            owned_per_channel,
             link_rr,
-            vc_owner,
-            vc_occ,
-            occ_start,
-            vc_feed,
+            occ,
             vc_next,
             vc_chan,
             occ_dirty_words,
@@ -217,6 +247,13 @@ impl Network {
             ..
         } = self;
         let cycle = *cycle;
+        let chan_of = |v: usize| -> usize {
+            if V == ANY_VCS {
+                vc_chan[v] as usize
+            } else {
+                v / V
+            }
+        };
         for (w, slot) in chan_scan.iter_mut().enumerate() {
             let mut word = *slot;
             if word == 0 {
@@ -227,9 +264,6 @@ impl Network {
             while word != 0 {
                 let ch = wbase + word.trailing_zeros() as usize;
                 word &= word - 1;
-                if owned_per_channel[ch] == 0 {
-                    continue;
-                }
                 if FAULTS && cycle < stall_until[topo.channel(ChannelId(ch as u32)).src.idx()] {
                     // Frozen sender: nothing moves, but pending movement
                     // must survive the stall — keep the channel active.
@@ -238,85 +272,93 @@ impl Network {
                 }
                 let base = ch * vcs_per;
                 let start = link_rr[ch] as usize;
-                for i in 0..vcs_per {
-                    // `start + i < 2 * vcs_per`, so one conditional
-                    // subtract replaces a hardware divide (`vcs_per` is
-                    // not a compile-time constant).
-                    let mut off = start + i;
-                    if off >= vcs_per {
-                        off -= vcs_per;
-                    }
-                    let v = base + off;
-                    let owner = vc_owner[v];
-                    if owner == NO_OWNER || occ_start[v] >= depth {
-                        continue;
-                    }
-                    // The feed cache mirrors the owner's chain, so the
-                    // movement decision touches only the dense per-VC
-                    // vectors — never the message slab.
-                    let feed = vc_feed[v];
-                    let moved = if feed == FROM_SOURCE {
-                        msg_uninjected[owner as usize] > 0
+                // Round-robin from `start`: the first movable VC wins.
+                let off = if V == 2 {
+                    let (first, second) = (
+                        movable(occ, base + start, depth),
+                        movable(occ, base + (start ^ 1), depth),
+                    );
+                    if first {
+                        start
+                    } else if second {
+                        start ^ 1
                     } else {
-                        occ_start[feed as usize] >= 1
-                    };
-                    if !moved {
                         continue;
                     }
-                    // Apply: the served link stays active (round-robin
-                    // fairness), the fed VC may now feed its chain
-                    // successor, and the drained upstream VC regained
-                    // buffer space.
-                    vc_occ[v] += 1;
-                    occ_dirty_words[v >> 6] |= 1 << (v & 63);
-                    events.link_flits += 1;
-                    let next_rr = off + 1;
-                    link_rr[ch] = if next_rr == vcs_per { 0 } else { next_rr } as u8;
-                    chan_words[ch >> 6] |= 1 << (ch & 63);
-                    let succ = vc_next[v];
-                    if succ != NO_OWNER {
-                        let sc = vc_chan[succ as usize] as usize;
-                        chan_words[sc >> 6] |= 1 << (sc & 63);
-                    }
-                    if feed == FROM_SOURCE {
-                        let u = &mut msg_uninjected[owner as usize];
-                        *u -= 1;
-                        if *u == 0 && !release_flag[owner as usize] {
-                            release_flag[owner as usize] = true;
-                            // The injection channel frees — but the dense
-                            // release phase scans the start-of-cycle
-                            // active set, so a message injected *this*
-                            // cycle (len 1) is only visited next cycle.
-                            let injected_now = messages[owner as usize]
-                                .as_ref()
-                                .expect("owner live")
-                                .injected_at
-                                == cycle;
-                            if !injected_now {
-                                release_check.push(owner);
+                } else {
+                    // `start + i < 2 * vcs_per`, so one conditional
+                    // subtract replaces a hardware divide.
+                    let pick = (0..vcs_per)
+                        .map(|i| {
+                            let off = start + i;
+                            if off >= vcs_per {
+                                off - vcs_per
                             } else {
-                                release_deferred.push(owner);
+                                off
+                            }
+                        })
+                        .find(|&off| movable(occ, base + off, depth));
+                    let Some(off) = pick else {
+                        continue;
+                    };
+                    off
+                };
+                // Apply: the served link stays active (round-robin
+                // fairness), the fed VC may now feed its chain successor,
+                // and the drained upstream VC regained buffer space.
+                let v = base + off;
+                let feed = occ[v].feed as usize;
+                occ[v].now += 1;
+                occ_dirty_words[v >> 6] |= 1 << (v & 63);
+                events.link_flits += 1;
+                let next_rr = off + 1;
+                link_rr[ch] = if next_rr == vcs_per { 0 } else { next_rr } as u8;
+                chan_words[ch >> 6] |= 1 << (ch & 63);
+                let succ = vc_next[v];
+                if succ != NO_OWNER {
+                    let sc = chan_of(succ as usize);
+                    chan_words[sc >> 6] |= 1 << (sc & 63);
+                }
+                if feed > nv {
+                    // From the source: `feed` is the owner's source entry.
+                    let owner = feed - nv - 1;
+                    let u = &mut msg_uninjected[owner];
+                    *u -= 1;
+                    if *u == 0 {
+                        occ[feed].start = 0;
+                        if !release_flag[owner] {
+                            release_flag[owner] = true;
+                            // The injection channel frees — but the dense
+                            // release phase scans the start-of-cycle active
+                            // set, so a message injected *this* cycle (len
+                            // 1) is only visited next cycle.
+                            let injected_now =
+                                messages[owner].as_ref().expect("owner live").injected_at == cycle;
+                            if !injected_now {
+                                release_check.push(owner as u32);
+                            } else {
+                                release_deferred.push(owner as u32);
                             }
                         }
-                    } else {
-                        let p = feed as usize;
-                        vc_occ[p] -= 1;
-                        occ_dirty_words[p >> 6] |= 1 << (p & 63);
-                        let pc = vc_chan[p] as usize;
-                        chan_words[pc >> 6] |= 1 << (pc & 63);
-                        // Tail release is possible only once the chain
-                        // front drains with the source empty: a mid-chain
-                        // VC emptying can release nothing.
-                        if vc_occ[p] == 0
-                            && vc_feed[p] == FROM_SOURCE
-                            && msg_uninjected[owner as usize] == 0
-                            && !release_flag[owner as usize]
-                        {
-                            release_flag[owner as usize] = true;
-                            release_check.push(owner);
+                    }
+                } else {
+                    let p = feed;
+                    occ[p].now -= 1;
+                    occ_dirty_words[p >> 6] |= 1 << (p & 63);
+                    let pc = chan_of(p);
+                    chan_words[pc >> 6] |= 1 << (pc & 63);
+                    // Tail release is possible only once the chain front
+                    // drains with the source empty: a mid-chain VC
+                    // emptying can release nothing. `p` is the front
+                    // exactly when its feed is a source entry.
+                    let pf = occ[p].feed as usize;
+                    if occ[p].now == 0 && pf > nv && occ[pf].start == 0 {
+                        let owner = pf - nv - 1;
+                        if !release_flag[owner] {
+                            release_flag[owner] = true;
+                            release_check.push(owner as u32);
                         }
                     }
-                    break;
                 }
             }
         }

@@ -71,7 +71,7 @@ pub(super) struct WakeEntry {
 }
 
 impl Network {
-    /// Records that VC `v`'s occupancy diverged from `occ_start`
+    /// Records that VC `v`'s occupancy diverged from its `start` snapshot
     /// (idempotent: setting an already-set bit is a no-op, so a VC whose
     /// occupancy changes several times per cycle is patched once).
     ///

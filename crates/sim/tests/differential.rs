@@ -196,13 +196,14 @@ fn differential_through_deadlock_and_recovery() {
 /// its last flit was delivered. This drives that rule's edges against the
 /// dense release scan — one-flit buffers (every move empties its feeder),
 /// one- and two-flit messages (the deferred visit of a message that
-/// finishes injecting in its injection cycle), 1 and 3 VCs, and recovery
-/// pulls of messages whose tail is still at the source, whose front is
-/// released by the injection-complete trigger or from the drain loop.
+/// finishes injecting in its injection cycle), 1, 2 and 3 VCs (the
+/// transfer walk's general and `V = 2` instantiations), and recovery pulls
+/// of messages whose tail is still at the source, whose front is released
+/// by the injection-complete trigger or from the drain loop.
 #[test]
 fn release_triggers_at_their_edges() {
     let mut injecting_pulls = 0u32;
-    for vcs in [1usize, 3] {
+    for vcs in [1usize, 2, 3] {
         for msg_len in [1usize, 2, 4] {
             let build = || {
                 Network::new(

@@ -61,13 +61,14 @@ proptest! {
 }
 
 /// The exact release triggers through the `FAULTS` transfer walk: one-flit
-/// buffers, one-, two- and four-flit messages, 1 and 3 VCs, and link kills
-/// that drop messages whose chains run through the dead channel. A dropped
-/// message's pending release visit must vanish with it, and every
-/// survivor's triggers must still match the dense release scan.
+/// buffers, one-, two- and four-flit messages, 1, 2 and 3 VCs (the walk's
+/// general and `V = 2` instantiations), and link kills that drop messages
+/// whose chains run through the dead channel. A dropped message's pending
+/// release visit must vanish with it, and every survivor's triggers must
+/// still match the dense release scan.
 #[test]
 fn release_triggers_survive_mid_chain_drops() {
-    for vcs in [1usize, 3] {
+    for vcs in [1usize, 2, 3] {
         for msg_len in [1usize, 2, 4] {
             let mut cfg = RunConfig::small_default();
             cfg.topology = TopologySpec::torus(4, 2, true);
