@@ -230,11 +230,7 @@ pub fn decode_result(v: &Json) -> Result<RunResult, ParseError> {
     r.counting_epochs = get_u64(v, "counting_epochs")?;
     r.victims_started = get_u64(v, "victims_started")?;
     r.resolution_latency = hist_from_json(v, "resolution_latency")?;
-    // Absent in checkpoints written before formation-time tracking; an
-    // empty histogram digests identically to a fresh one.
-    if get(v, "detection_lag").is_ok() {
-        r.detection_lag = hist_from_json(v, "detection_lag")?;
-    }
+    r.detection_lag = hist_from_json(v, "detection_lag")?;
     for i in get(v, "incidents")?
         .as_arr()
         .ok_or_else(|| bad("`incidents` must be an array"))?
@@ -245,11 +241,8 @@ pub fn decode_result(v: &Json) -> Result<RunResult, ParseError> {
             .iter()
             .map(|x| x.as_u64().ok_or_else(|| bad("incident holds non-u64")))
             .collect::<Result<Vec<u64>, _>>()?;
-        // 5 words = pre-formation-time records (engine v1); the formation
-        // cycle then defaults to the detection cycle, matching the
-        // incident-JSON back-compat rule.
-        if words.len() != 5 && words.len() != 6 {
-            return Err(bad("incident must have 5 or 6 fields"));
+        if words.len() != 6 {
+            return Err(bad("incident must have 6 fields"));
         }
         r.incidents.push(Incident {
             cycle: words[0],
@@ -257,7 +250,7 @@ pub fn decode_result(v: &Json) -> Result<RunResult, ParseError> {
             resource_set_size: words[2] as usize,
             knot_cycle_density: words[3],
             dependents: words[4] as usize,
-            formation_cycle: words.get(5).copied().unwrap_or(words[0]),
+            formation_cycle: words[5],
         });
     }
     r.formation_latency = hist_from_json(v, "formation_latency")?;
@@ -347,5 +340,41 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(decode_result(&parse("{}").unwrap()).is_err());
+    }
+
+    /// `decode_result` reads exactly what `encode_result` writes: a record
+    /// without `detection_lag`, or with a 5-field incident, is refused.
+    #[test]
+    fn decode_refuses_records_missing_a_member() {
+        let mut r = RunResult::new("t".into(), 0.5, 16, 0.5, 32);
+        r.incidents.push(Incident {
+            cycle: 100,
+            deadlock_set_size: 4,
+            resource_set_size: 4,
+            knot_cycle_density: 1,
+            dependents: 0,
+            formation_cycle: 90,
+        });
+        let Json::Obj(fields) = encode_result(&r) else {
+            panic!("a result encodes as an object");
+        };
+        assert!(decode_result(&Json::Obj(fields.clone())).is_ok());
+
+        let no_lag = fields
+            .iter()
+            .filter(|(k, _)| k != "detection_lag")
+            .cloned()
+            .collect();
+        let err = decode_result(&Json::Obj(no_lag)).unwrap_err();
+        assert!(err.to_string().contains("detection_lag"), "{err}");
+
+        let mut five = fields;
+        for (k, v) in &mut five {
+            if k == "incidents" {
+                *v = Json::Arr(vec![u64_arr([100, 4, 4, 1, 0])]);
+            }
+        }
+        let err = decode_result(&Json::Obj(five)).unwrap_err();
+        assert!(err.to_string().contains("6 fields"), "{err}");
     }
 }

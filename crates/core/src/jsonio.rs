@@ -84,44 +84,17 @@ pub fn frame_record(payload: &str) -> String {
     )
 }
 
-/// What one line of a record stream turned out to be.
-enum Frame<'a> {
-    /// A framed record whose length and CRC both verify.
-    Verified(&'a str),
-    /// A line that opens like a frame but fails verification — length
-    /// mismatch, CRC mismatch, or a mangled header.
-    Corrupt,
-    /// Not a frame at all: legacy bare-JSON checkpoint lines.
-    Bare(&'a str),
-}
-
-fn unframe(line: &str) -> Frame<'_> {
-    let Some(rest) = line.strip_prefix(FRAME_MARK) else {
-        return Frame::Bare(line);
-    };
-    let parsed = (|| {
-        let (len_hex, rest) = rest.split_once(':')?;
-        let (crc_hex, payload) = rest.split_once(':')?;
-        let len = usize::from_str_radix(len_hex, 16).ok()?;
-        let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-        (payload.len() == len && crc32(payload.as_bytes()) == crc).then_some(payload)
-    })();
-    match parsed {
-        Some(payload) => Frame::Verified(payload),
-        None => Frame::Corrupt,
-    }
-}
-
-/// Extracts the streamable payload of one record line: the CRC-verified
-/// payload of a framed line, or a bare line that parses as JSON (legacy
-/// format). `None` for corrupt frames and garbage — a damaged line never
-/// reaches a results-stream client.
+/// Extracts the payload of one record line: the payload of a frame whose
+/// length and CRC both verify. `None` for anything else — a corrupt
+/// frame, a bare JSON line, garbage — so a line that is not a verified
+/// frame never reaches a results-stream client.
 pub fn record_payload(line: &str) -> Option<&str> {
-    match unframe(line) {
-        Frame::Verified(p) => Some(p),
-        Frame::Bare(p) => parse(p).ok().map(|_| p),
-        Frame::Corrupt => None,
-    }
+    let rest = line.strip_prefix(FRAME_MARK)?;
+    let (len_hex, rest) = rest.split_once(':')?;
+    let (crc_hex, payload) = rest.split_once(':')?;
+    let len = usize::from_str_radix(len_hex, 16).ok()?;
+    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
+    (payload.len() == len && crc32(payload.as_bytes()) == crc).then_some(payload)
 }
 
 /// What one whole line of a checkpoint record stream turned out to be.
@@ -129,13 +102,13 @@ pub fn record_payload(line: &str) -> Option<&str> {
 pub enum RecordLine {
     /// Empty or whitespace only (guard newlines); never counted.
     Blank,
-    /// A record: the payload of a frame whose length and CRC verify, or
-    /// a legacy bare line, parsed.
+    /// A record: the payload of a frame whose length and CRC verify,
+    /// parsed.
     Record(Json),
     /// Opens like a frame but fails verification (or verifies and does
     /// not parse) — detected corruption.
     CorruptFrame,
-    /// A bare line that is not JSON.
+    /// A line that is not a frame, bare JSON included.
     Garbage,
 }
 
@@ -147,47 +120,42 @@ pub fn record_line(line: &str) -> RecordLine {
     if line.trim().is_empty() {
         return RecordLine::Blank;
     }
-    let (payload, framed) = match unframe(line) {
-        Frame::Verified(p) => (Some(p), true),
-        Frame::Bare(p) => (Some(p), false),
-        Frame::Corrupt => (None, true),
-    };
-    match payload.and_then(|p| parse(p).ok()) {
+    match record_payload(line).and_then(|p| parse(p).ok()) {
         Some(v) => RecordLine::Record(v),
-        None if framed => RecordLine::CorruptFrame,
+        None if line.starts_with(FRAME_MARK) => RecordLine::CorruptFrame,
         None => RecordLine::Garbage,
     }
 }
 
 /// Outcome of scanning a checkpoint record stream: framed lines verified
-/// against their CRC, legacy bare JSON lines parsed as before, and every
-/// damaged line accounted for instead of silently dropped.
+/// against their CRC, and every other line accounted for as damage
+/// instead of silently dropped.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecordScan {
-    /// Payload values that parsed (and, when framed, verified), in file
-    /// order, with their 0-based line number.
+    /// Payload values of verified frames that parsed, in file order, with
+    /// their 0-based line number.
     pub values: Vec<(usize, Json)>,
-    /// Interior lines that were neither verifiable frames nor parseable
-    /// bare JSON — data loss worth surfacing.
+    /// Interior lines that are not frames at all (bare JSON included) —
+    /// data loss worth surfacing.
     pub skipped: usize,
     /// Interior framed lines whose length or CRC failed verification —
     /// *detected* corruption, distinct from `skipped` because the frame
     /// proves the writer intended a record there.
     pub corrupt_frames: usize,
-    /// Raw text of each damaged interior line (corrupt frame or unparsable
-    /// bare line), for quarantining by the caller.
+    /// Raw text of each damaged interior line (corrupt frame or non-frame
+    /// line), for quarantining by the caller.
     pub damaged_lines: Vec<String>,
     /// The document ends in a torn (partially written) line — the
     /// signature of a writer killed mid-append. Never counted as loss.
     pub torn_tail: bool,
 }
 
-/// Scans a JSON-lines record stream that may mix CRC-framed records (the
-/// current append format) with bare JSON lines (legacy checkpoints).
+/// Scans a record stream of CRC-framed JSON lines (see [`frame_record`]).
 /// Empty lines are ignored. A final non-empty line with no trailing
 /// newline that fails to verify/parse is a torn tail; any interior
 /// failure is counted (`corrupt_frames` for broken frames, `skipped` for
-/// bare garbage) and captured in `damaged_lines`.
+/// lines that are not frames, bare JSON included) and captured in
+/// `damaged_lines`.
 pub fn scan_records(text: &str) -> RecordScan {
     let mut scan = RecordScan::default();
     let ends_with_newline = text.is_empty() || text.ends_with('\n');
@@ -244,18 +212,21 @@ mod tests {
         let payload = "{\"index\":3,\"label\":\"s7\"}";
         let framed = frame_record(payload);
         assert!(framed.starts_with(FRAME_MARK));
-        match unframe(&framed) {
-            Frame::Verified(p) => assert_eq!(p, payload),
-            _ => panic!("fresh frame must verify"),
-        }
+        assert_eq!(
+            record_payload(&framed),
+            Some(payload),
+            "a fresh frame verifies"
+        );
         // Any single-byte flip in the payload breaks the CRC.
         let garbled = framed.replace("s7", "s8");
-        assert!(matches!(unframe(&garbled), Frame::Corrupt));
+        assert_eq!(record_payload(&garbled), None);
+        assert_eq!(record_line(&garbled), RecordLine::CorruptFrame);
         // A truncated frame (torn append) fails the length check.
         let torn = &framed[..framed.len() - 4];
-        assert!(matches!(unframe(torn), Frame::Corrupt));
-        // Lines not starting with the mark are legacy bare records.
-        assert!(matches!(unframe(payload), Frame::Bare(_)));
+        assert_eq!(record_line(torn), RecordLine::CorruptFrame);
+        // A bare JSON line is not a record.
+        assert_eq!(record_payload(payload), None);
+        assert_eq!(record_line(payload), RecordLine::Garbage);
     }
 
     #[test]
@@ -265,12 +236,14 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// A bare JSON line, however well-formed, counts as loss next to a
+    /// garbled frame and plain garbage; only verified frames are records.
     #[test]
-    fn scan_records_mixes_framed_and_bare() {
+    fn scan_records_counts_bare_lines_as_loss() {
         let mut doc = String::new();
         doc.push_str(&frame_record("{\"a\":1}"));
         doc.push('\n');
-        doc.push_str("{\"a\":2}\n"); // legacy bare line
+        doc.push_str("{\"a\":2}\n"); // bare line: not a frame
         let mut bad = frame_record("{\"a\":3}");
         bad.truncate(bad.len() - 2); // garbled interior frame
         doc.push_str(&bad);
@@ -284,10 +257,11 @@ mod tests {
             .iter()
             .map(|(_, v)| get_u64(v, "a").unwrap())
             .collect();
-        assert_eq!(vals, [1, 2, 4]);
+        assert_eq!(vals, [1, 4]);
         assert_eq!(s.corrupt_frames, 1);
-        assert_eq!(s.skipped, 1);
-        assert_eq!(s.damaged_lines.len(), 2);
+        assert_eq!(s.skipped, 2);
+        assert_eq!(s.damaged_lines.len(), 3);
+        assert_eq!(s.damaged_lines[0], "{\"a\":2}");
         assert!(!s.torn_tail);
     }
 
@@ -312,40 +286,47 @@ mod tests {
         assert_eq!(s, RecordScan::default());
     }
 
-    /// Bare-line documents: `(line numbers of the values, skipped,
-    /// torn_tail)`.
+    /// Framed-line documents: `(line numbers of the values, skipped,
+    /// corrupt frames, torn_tail)`. A fragment of a frame is a torn tail
+    /// at the end of the file and a corrupt frame anywhere else.
     #[test]
     fn scan_records_tail_and_line_number_edge_cases() {
+        let [a1, a2, a3] = ["{\"a\":1}", "{\"a\":2}", "{\"a\":3}"].map(frame_record);
+        let cut = |f: &str| f[..f.len() - 3].to_string();
         let cases = [
             // Line numbers skip blank and damaged lines.
             (
-                "\n{\"a\":1}\nnot json\n\n{\"a\":2}\n",
-                (vec![1, 4], 1, false),
+                format!("\n{a1}\nnot json\n\n{a2}\n"),
+                (vec![1, 4], 1, 0, false),
             ),
             // A newline-terminated bad line is interior loss even in final
             // position; the same bytes without the newline are a torn tail.
-            ("{\"a\":1}\ngarbage\n", (vec![0], 1, false)),
-            ("{\"a\":1}\ngarbage", (vec![0], 0, true)),
+            (format!("{a1}\ngarbage\n"), (vec![0], 1, 0, false)),
+            (format!("{a1}\ngarbage"), (vec![0], 0, 0, true)),
             // A file holding nothing but a partial first append.
-            ("{\"a\":1,\"tr", (vec![], 0, true)),
+            (cut(&a1), (vec![], 0, 0, true)),
             // `lines()` strips the \r that precedes a \n...
-            ("{\"a\":1}\r\n{\"a\":2}\r\n", (vec![0, 1], 0, false)),
+            (format!("{a1}\r\n{a2}\r\n"), (vec![0, 1], 0, 0, false)),
             // ...and a record cut after its \r but before its \n is torn.
-            ("{\"a\":1}\r\n{\"a\":2,\"tr\r", (vec![0], 0, true)),
+            (format!("{a1}\r\n{}\r", cut(&a2)), (vec![0], 0, 0, true)),
             // Kill-and-resume cycles: each resumed writer guards the dead
             // writer's fragment with a newline and appends after it, so only
             // the final partial line is a torn tail; earlier fragments are
             // interior loss.
             (
-                "{\"a\":1}\n{\"a\":2,\"tr\n{\"a\":2}\n{\"a\":3,\"xy",
-                (vec![0, 2], 1, true),
+                format!("{a1}\n{}\n{a2}\n{}", cut(&a2), cut(&a3)),
+                (vec![0, 2], 0, 1, true),
             ),
         ];
         for (doc, want) in cases {
-            let s = scan_records(doc);
+            let s = scan_records(&doc);
             let lines: Vec<usize> = s.values.iter().map(|(lineno, _)| *lineno).collect();
-            assert_eq!((lines, s.skipped, s.torn_tail), want, "{doc:?}");
-            assert_eq!((s.corrupt_frames, s.damaged_lines.len()), (0, s.skipped));
+            assert_eq!(
+                (lines, s.skipped, s.corrupt_frames, s.torn_tail),
+                want,
+                "{doc:?}"
+            );
+            assert_eq!(s.damaged_lines.len(), s.skipped + s.corrupt_frames);
         }
     }
 }

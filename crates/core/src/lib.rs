@@ -170,6 +170,23 @@ impl RunConfig {
         }
     }
 
+    /// Refuses a configuration [`run`] would panic on, with the message it
+    /// would panic with: the runner asserts exactly this before it builds
+    /// anything, and [`config_from_json`] calls it so that a submission
+    /// the runner cannot run is refused when it is read. The sim rules
+    /// come first, so the network is sized with at least one VC per
+    /// channel, and it is sized arithmetically ([`TopologySpec::sizes`]),
+    /// so a network too large to allocate is refused, not built.
+    pub fn check(&self) -> Result<(), String> {
+        self.sim.check_for(&*self.routing.build())?;
+        let (nodes, channels) = self.topology.sizes(self.sim.vcs_per_channel)?;
+        self.pattern.check(nodes)?;
+        self.len_dist.check()?;
+        self.faults.check(channels, nodes)?;
+        icn_traffic::check_load(self.load)?;
+        Ok(())
+    }
+
     /// Human-readable label for reports. Fault-free configs keep the
     /// historical format; a fault plan appends its event count so faulted
     /// regimes are distinguishable in tables and sweeps.

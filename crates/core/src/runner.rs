@@ -116,16 +116,8 @@ pub fn run_reference_with(cfg: &RunConfig, obs: &mut dyn RunObserver) -> RunResu
 }
 
 fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> RunResult {
-    cfg.sim.validate();
+    cfg.check().unwrap_or_else(|e| panic!("{e}"));
     let topo = cfg.topology.build();
-    if cfg.pattern.needs_pow2() {
-        assert!(
-            topo.num_nodes().is_power_of_two(),
-            "{} requires a power-of-two node count",
-            cfg.pattern.name()
-        );
-    }
-    cfg.len_dist.validate();
     let mut net = Network::new(topo, cfg.routing.build(), cfg.sim);
     if !cfg.faults.is_empty() {
         net.set_fault_plan(&cfg.faults);

@@ -3,11 +3,19 @@
 use icn_routing::{
     DatelineDor, Dor, DuatoFar, MisroutingTfar, NegativeFirst, RoutingAlgorithm, Tfar, WestFirst,
 };
-use icn_topology::KAryNCube;
+use icn_topology::{KAryNCube, MAX_DIMS};
 
 mod codec;
 pub use codec::{config_from_json, config_to_json};
 pub(crate) use codec::{recovery_from_name, recovery_name};
+
+/// Most virtual channels a configuration's network may hold: nodes ×
+/// dimensions × directions × `vcs_per_channel`. Every network a caller
+/// here builds is far below it — the largest, the 16-ary 3-cube with 2 VCs
+/// that `perfbench`'s `flow_large` runs, holds 49 152 — while a config read
+/// off the network or the disk could otherwise ask for a network whose
+/// allocation fails, which aborts the process instead of unwinding.
+const MAX_VCS: u64 = 1 << 20;
 
 /// Network-shape specification (buildable, cloneable, comparable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +45,43 @@ impl TopologySpec {
             torus: false,
             bidirectional: true,
         }
+    }
+
+    /// The network's node and channel counts, computed without building
+    /// it, for a network with `vcs_per_channel` VCs per channel. Refuses a
+    /// shape [`TopologySpec::build`] would assert on, and a network whose
+    /// ports (nodes × dimensions × directions) × `vcs_per_channel` exceed
+    /// 2^20 virtual channels.
+    pub fn sizes(&self, vcs_per_channel: usize) -> Result<(usize, usize), String> {
+        if self.k < 2 {
+            return Err("`k` must be at least 2".into());
+        }
+        if !(1..=MAX_DIMS).contains(&self.n) {
+            return Err(format!("`n` must be in 1..={MAX_DIMS}"));
+        }
+        if !self.torus && !self.bidirectional {
+            return Err("a unidirectional mesh is disconnected".into());
+        }
+        let k = u64::from(self.k);
+        let n = self.n as u64;
+        let directions = if self.bidirectional { 2 } else { 1 };
+        let nodes = k
+            .checked_pow(self.n as u32)
+            .filter(|nodes| {
+                nodes
+                    .checked_mul(n * directions)
+                    .and_then(|ports| ports.checked_mul(vcs_per_channel as u64))
+                    .is_some_and(|vcs| vcs <= MAX_VCS)
+            })
+            .ok_or_else(|| format!("the network holds more than {MAX_VCS} virtual channels"))?;
+        // A torus has every port; a mesh lacks the edge nodes' outward
+        // ones, leaving k - 1 channels each way per line of k nodes.
+        let channels = if self.torus {
+            nodes * n * directions
+        } else {
+            nodes / k * (k - 1) * n * 2
+        };
+        Ok((nodes as usize, channels as usize))
     }
 
     /// Builds the topology.
@@ -151,6 +196,26 @@ mod tests {
         assert!(!t.is_bidirectional());
         let m = TopologySpec::mesh(5, 2).build();
         assert!(!m.is_torus());
+    }
+
+    #[test]
+    fn sizes_match_the_built_network() {
+        for spec in [
+            TopologySpec::torus(16, 2, true),
+            TopologySpec::torus(4, 3, false),
+            TopologySpec::torus(2, 3, true),
+            TopologySpec::torus(6, 1, false),
+            TopologySpec::mesh(8, 2),
+            TopologySpec::mesh(5, 3),
+            TopologySpec::mesh(2, 4),
+        ] {
+            let t = spec.build();
+            assert_eq!(
+                spec.sizes(1),
+                Ok((t.num_nodes(), t.num_channels())),
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! not move without an [`ENGINE_VERSION`](crate::ENGINE_VERSION) bump.
 
 use icn_sim::SimConfig;
-use icn_topology::{NodeId, MAX_DIMS};
+use icn_topology::NodeId;
 use icn_traffic::{MsgLenDist, Pattern};
 
 use super::{RecoveryPolicy, RoutingSpec, TopologySpec};
@@ -200,44 +200,11 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
     ])
 }
 
-/// Most virtual channels a configuration's network may hold: nodes ×
-/// dimensions × directions × `vcs_per_channel`. Every network a caller
-/// here builds is far below it — the largest, the 16-ary 3-cube with 2 VCs
-/// that `perfbench`'s `flow_large` runs, holds 49 152 — while a config read
-/// off the network or the disk could otherwise ask for a network whose
-/// allocation fails, which aborts the process instead of unwinding.
-const MAX_VCS: u64 = 1 << 20;
-
-/// Refuses a network shape that `KAryNCube::build` would assert on, or
-/// whose virtual channels exceed [`MAX_VCS`].
-fn check_network(t: &TopologySpec, vcs_per_channel: usize) -> Result<(), ParseError> {
-    if t.k < 2 {
-        return Err(bad("`k` must be at least 2"));
-    }
-    if !(1..=MAX_DIMS).contains(&t.n) {
-        return Err(bad(&format!("`n` must be in 1..={MAX_DIMS}")));
-    }
-    if !t.torus && !t.bidirectional {
-        return Err(bad("a unidirectional mesh is disconnected"));
-    }
-    let directions = if t.bidirectional { 2 } else { 1 };
-    let vcs = u64::from(t.k)
-        .checked_pow(t.n as u32)
-        .and_then(|nodes| nodes.checked_mul(t.n as u64 * directions))
-        .and_then(|channels| channels.checked_mul(vcs_per_channel as u64))
-        .filter(|&vcs| vcs <= MAX_VCS);
-    if vcs.is_none() {
-        return Err(bad(&format!(
-            "the network holds more than {MAX_VCS} virtual channels"
-        )));
-    }
-    Ok(())
-}
-
 /// Rebuilds a [`RunConfig`] from [`config_to_json`] output. Every member
-/// is range-checked, and the network must be one `KAryNCube` can build
-/// within `MAX_VCS` (2^20) virtual channels: the text may come from an
-/// untrusted submission.
+/// is range-checked and the whole configuration must pass
+/// [`RunConfig::check`]: the text may come from an untrusted submission,
+/// and a config the runner would panic on, or whose network could not be
+/// allocated, is refused here.
 pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
     let topo = get(v, "topology")?;
     let sim = get(v, "sim")?;
@@ -273,8 +240,7 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         buffer_depth: get_u64(sim, "buffer_depth")? as usize,
         msg_len: get_u64(sim, "msg_len")? as usize,
     };
-    check_network(&topology, sim.vcs_per_channel)?;
-    Ok(RunConfig {
+    let cfg = RunConfig {
         topology,
         routing: routing_from_json(get(v, "routing")?)?,
         sim,
@@ -299,13 +265,16 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
                     .ok_or_else(|| bad("`stall_threshold` must be null or u64"))?,
             ),
         },
-    })
+    };
+    cfg.check().map_err(|e| bad(&e))?;
+    Ok(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::jsonio::parse;
+    use icn_topology::MAX_DIMS;
 
     #[test]
     fn config_round_trips_exactly() {
@@ -423,7 +392,8 @@ mod tests {
     /// A network `KAryNCube::build` would assert on, or one too large to
     /// allocate, is refused when the config is read: a 600-byte submission
     /// of a 65535-ary 2-cube used to abort the server on allocation, and
-    /// every restart on the same data dir after it.
+    /// every restart on the same data dir after it. So is every config
+    /// the runner would assert on (`RunConfig::check`).
     #[test]
     fn networks_that_cannot_be_built_are_refused() {
         let refused = |edit: &dyn Fn(&mut RunConfig)| {
@@ -435,8 +405,19 @@ mod tests {
         };
         let msg = refused(&|c| c.topology.k = 65535);
         assert!(msg.contains("more than 1048576 virtual channels"), "{msg}");
-        let msg = refused(&|c| c.sim.vcs_per_channel = 1 << 20);
+        // VCs per channel multiply into the bound: this torus fits at one
+        // VC per channel and not at 16.
+        let mut wide = RunConfig::small_default();
+        wide.topology = TopologySpec::torus(256, 2, true);
+        wide.sim.vcs_per_channel = 1;
+        assert_eq!(config_from_json(&config_to_json(&wide)).unwrap(), wide);
+        let msg = refused(&|c| {
+            c.topology = TopologySpec::torus(256, 2, true);
+            c.sim.vcs_per_channel = 16;
+        });
         assert!(msg.contains("virtual channels"), "{msg}");
+        let msg = refused(&|c| c.sim.vcs_per_channel = 1 << 20);
+        assert!(msg.contains("vcs_per_channel must be"), "{msg}");
         assert!(refused(&|c| c.topology.k = 1).contains("`k` must be at least 2"));
         for n in [0, MAX_DIMS + 1] {
             assert!(refused(&|c| c.topology.n = n).contains("`n` must be in 1..=8"));
@@ -451,6 +432,47 @@ mod tests {
         // k^n overflows u64: refused, not wrapped.
         let msg = refused(&|c| c.topology = TopologySpec::torus(65535, MAX_DIMS, true));
         assert!(msg.contains("virtual channels"), "{msg}");
+        // Zero VCs would size any network at zero virtual channels: the
+        // VC rule is checked first, so this 4.29e9-node torus is refused
+        // before anything is sized or built.
+        let msg = refused(&|c| {
+            c.sim.vcs_per_channel = 0;
+            c.topology = TopologySpec::torus(65535, 2, true);
+        });
+        assert!(msg.contains("vcs_per_channel must be"), "{msg}");
+
+        // Configs the runner would assert on are refused with its message.
+        let refuses = |edit: &dyn Fn(&mut RunConfig), want: &str| {
+            let msg = refused(edit);
+            assert!(msg.contains(want), "{want:?} in {msg}");
+        };
+        refuses(
+            &|c| {
+                c.routing = RoutingSpec::DatelineDor;
+                c.sim.vcs_per_channel = 1;
+            },
+            "requires at least 2 VCs",
+        );
+        refuses(&|c| c.sim.vcs_per_channel = 0, "vcs_per_channel must be");
+        refuses(&|c| c.sim.vcs_per_channel = 17, "vcs_per_channel must be");
+        refuses(
+            &|c| {
+                c.topology = TopologySpec::torus(6, 2, true);
+                c.pattern = Pattern::BitReversal;
+            },
+            "requires a power-of-two node count",
+        );
+        refuses(
+            &|c| {
+                c.faults.link_kill(10, 1_000_000);
+            },
+            "fault plan names channel 1000000",
+        );
+        refuses(&|c| c.load = -0.5, "load must be non-negative");
+        refuses(
+            &|c| c.sim.buffer_depth = 0,
+            "buffers hold at least one flit",
+        );
 
         // The largest network any caller builds is well inside the bound.
         let mut large = RunConfig::small_default();

@@ -5,7 +5,7 @@
 //! at those bytes again. [`CheckpointTail`] keeps that offset: each
 //! [`refresh`](CheckpointTail::refresh) reads only `[offset, len)`, pushes
 //! every newline-terminated line through [`record_line`] — the same
-//! frame/CRC/legacy path [`crate::jsonio::scan_records`] uses — and
+//! frame/CRC path [`crate::jsonio::scan_records`] uses — and
 //! leaves an unterminated remainder unread until its newline (or a guard
 //! newline) arrives. What it keeps per configuration index is where the
 //! latest restorable record sits, not the record: fetching one is a

@@ -196,7 +196,8 @@ proptest! {
                     append(&path, &bytes);
                 }
                 7 => {
-                    // Legacy bare line, sometimes CRLF-terminated.
+                    // A bare (unframed) record line, sometimes
+                    // CRLF-terminated: counted loss, never a record.
                     let eol = if rng.next(2) == 0 { "\n" } else { "\r\n" };
                     let line = checkpoint_line(index, &labels[index], &result);
                     append(&path, format!("{line}{eol}").as_bytes());

@@ -92,7 +92,7 @@ pub enum SlotState {
         /// sibling's record).
         restored: bool,
     },
-    /// Supervision exhausted its retries (the message is the
+    /// The supervised run panicked (the message is the
     /// [`flexsim::SweepError`] rendering), or the verdict's checkpoint
     /// append failed. Memory-only: a restart retries the slot.
     Failed(String),
@@ -583,8 +583,8 @@ impl Shared {
                             SlotState::Cancelled { timed_out },
                             Some(checkpoint_status_line(unit.index, &label, timed_out)),
                         ),
-                        // Retries exhausted: terminal failure, kept in
-                        // memory only — a restart retries it.
+                        // The run panicked: a failure kept in memory
+                        // only — a restart retries it.
                         Err(e) => (SlotState::Failed(e.to_string()), None),
                     }
                 }
@@ -878,7 +878,7 @@ mod tests {
         TimedOut,
         /// Stopped by the job's cancel token.
         Cancelled,
-        /// Supervision exhausted its retries.
+        /// The supervised run panicked.
         Panicked,
     }
 

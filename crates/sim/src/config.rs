@@ -1,6 +1,6 @@
 //! Simulator configuration.
 
-use icn_routing::MAX_VCS;
+use icn_routing::{RoutingAlgorithm, MAX_VCS};
 
 /// Per-run simulator parameters.
 ///
@@ -28,19 +28,41 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Validates the configuration, panicking with a description on error.
+    /// Checks the configuration, describing the first rule it breaks.
+    pub fn check(&self) -> Result<(), String> {
+        let rule = if !(1..=MAX_VCS).contains(&self.vcs_per_channel) {
+            format!("vcs_per_channel must be 1..={MAX_VCS}")
+        } else if self.buffer_depth < 1 {
+            "buffers hold at least one flit".into()
+        } else if self.buffer_depth > u16::MAX as usize {
+            "buffer depth exceeds occupancy counter range".into()
+        } else if self.msg_len < 1 {
+            "messages have at least one flit".into()
+        } else if self.msg_len > u32::MAX as usize {
+            "message too long".into()
+        } else {
+            return Ok(());
+        };
+        Err(rule)
+    }
+
+    /// [`SimConfig::check`], then the VC minimum `routing` needs.
+    pub fn check_for(&self, routing: &dyn RoutingAlgorithm) -> Result<(), String> {
+        self.check()?;
+        if self.vcs_per_channel < routing.min_vcs() {
+            return Err(format!(
+                "{} requires at least {} VCs",
+                routing.name(),
+                routing.min_vcs()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validates the configuration, panicking with
+    /// [`SimConfig::check`]'s description on error.
     pub fn validate(&self) {
-        assert!(
-            (1..=MAX_VCS).contains(&self.vcs_per_channel),
-            "vcs_per_channel must be 1..={MAX_VCS}"
-        );
-        assert!(self.buffer_depth >= 1, "buffers hold at least one flit");
-        assert!(
-            self.buffer_depth <= u16::MAX as usize,
-            "buffer depth exceeds occupancy counter range"
-        );
-        assert!(self.msg_len >= 1, "messages have at least one flit");
-        assert!(self.msg_len <= u32::MAX as usize, "message too long");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// True when a whole message fits in a single VC buffer (virtual

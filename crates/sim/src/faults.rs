@@ -138,27 +138,39 @@ impl FaultPlan {
         events
     }
 
-    /// Panics if any event names a channel/node outside the network, or
+    /// Refuses an event that names a channel/node outside the network, or
     /// a zero-length stall/outage duration.
-    pub fn validate(&self, num_channels: usize, num_nodes: usize) {
+    pub fn check(&self, num_channels: usize, num_nodes: usize) -> Result<(), String> {
         for e in &self.events {
             match e.kind {
                 FaultKind::LinkDown { channel } | FaultKind::LinkUp { channel } => {
-                    assert!(
-                        (channel as usize) < num_channels,
-                        "fault plan names channel {channel}, network has {num_channels}"
-                    );
+                    if channel as usize >= num_channels {
+                        return Err(format!(
+                            "fault plan names channel {channel}, network has {num_channels}"
+                        ));
+                    }
                 }
                 FaultKind::NodeStall { node, cycles }
                 | FaultKind::InjectorDown { node, cycles } => {
-                    assert!(
-                        (node as usize) < num_nodes,
-                        "fault plan names node {node}, network has {num_nodes}"
-                    );
-                    assert!(cycles > 0, "zero-length fault at node {node}");
+                    if node as usize >= num_nodes {
+                        return Err(format!(
+                            "fault plan names node {node}, network has {num_nodes}"
+                        ));
+                    }
+                    if cycles == 0 {
+                        return Err(format!("zero-length fault at node {node}"));
+                    }
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Panics with [`FaultPlan::check`]'s description if the plan does
+    /// not fit the network.
+    pub fn validate(&self, num_channels: usize, num_nodes: usize) {
+        self.check(num_channels, num_nodes)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

@@ -379,13 +379,7 @@ fn first_free_vc(vc_owner: &[u32], vcs_per: usize, cands: &[Candidate]) -> Optio
 impl Network {
     /// A new, empty network.
     pub fn new(topo: KAryNCube, routing: Box<dyn RoutingAlgorithm>, cfg: SimConfig) -> Self {
-        cfg.validate();
-        assert!(
-            cfg.vcs_per_channel >= routing.min_vcs(),
-            "{} requires at least {} VCs",
-            routing.name(),
-            routing.min_vcs()
-        );
+        cfg.check_for(&*routing).unwrap_or_else(|e| panic!("{e}"));
         let n_vcs = topo.num_channels() * cfg.vcs_per_channel;
         let n_nodes = topo.num_nodes();
         // Live slots never outnumber VCs (a live message owns one), so the

@@ -14,10 +14,19 @@ use rand::Rng;
 /// Dividing by the *mean* length lets hybrid-length workloads compare at
 /// equal flit pressure.
 pub fn message_rate(topo: &KAryNCube, load: f64, mean_len: f64) -> f64 {
-    assert!(load >= 0.0, "load must be non-negative");
+    check_load(load).unwrap_or_else(|e| panic!("{e}"));
     assert!(mean_len > 0.0, "messages need at least one flit");
     let flits_per_node_cycle = load * topo.capacity_flits_per_node_cycle();
     flits_per_node_cycle / mean_len
+}
+
+/// Refuses a load [`message_rate`] cannot normalize: a negative one (or NaN).
+pub fn check_load(load: f64) -> Result<(), &'static str> {
+    if load >= 0.0 {
+        Ok(())
+    } else {
+        Err("load must be non-negative")
+    }
 }
 
 /// Bernoulli (geometric inter-arrival) injection: each cycle each node

@@ -47,19 +47,31 @@ impl MsgLenDist {
         }
     }
 
-    /// Validates the distribution's parameters.
-    pub fn validate(&self) {
+    /// Checks the distribution's parameters.
+    pub fn check(&self) -> Result<(), &'static str> {
         match *self {
-            MsgLenDist::Fixed(l) => assert!(l >= 1, "messages need a flit"),
+            MsgLenDist::Fixed(0) => Err("messages need a flit"),
+            MsgLenDist::Fixed(_) => Ok(()),
             MsgLenDist::Bimodal {
                 short,
                 long,
                 long_frac,
             } => {
-                assert!(short >= 1 && long >= short, "need 1 <= short <= long");
-                assert!((0.0..=1.0).contains(&long_frac), "fraction in [0,1]");
+                if short < 1 || long < short {
+                    Err("need 1 <= short <= long")
+                } else if !(0.0..=1.0).contains(&long_frac) {
+                    Err("fraction in [0,1]")
+                } else {
+                    Ok(())
+                }
             }
         }
+    }
+
+    /// Validates the distribution's parameters, panicking with
+    /// [`MsgLenDist::check`]'s description on error.
+    pub fn validate(&self) {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

@@ -12,6 +12,6 @@ mod injection;
 mod length;
 mod pattern;
 
-pub use injection::{message_rate, BernoulliInjector};
+pub use injection::{check_load, message_rate, BernoulliInjector};
 pub use length::MsgLenDist;
 pub use pattern::Pattern;

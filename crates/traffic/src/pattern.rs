@@ -43,12 +43,20 @@ impl Pattern {
         }
     }
 
-    /// Whether the pattern needs the node count to be a power of two.
-    pub fn needs_pow2(&self) -> bool {
-        matches!(
+    /// Refuses a network of `num_nodes` nodes this pattern cannot map:
+    /// the bit permutations need a power-of-two node count.
+    pub fn check(&self, num_nodes: usize) -> Result<(), String> {
+        let bitwise = matches!(
             self,
             Pattern::BitReversal | Pattern::PerfectShuffle | Pattern::BitComplement
-        )
+        );
+        if bitwise && !num_nodes.is_power_of_two() {
+            return Err(format!(
+                "{} requires a power-of-two node count",
+                self.name()
+            ));
+        }
+        Ok(())
     }
 
     /// Picks the destination for a message injected at `src`, or `None` when

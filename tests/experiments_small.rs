@@ -362,17 +362,14 @@ fn traffic_patterns_run_and_dor_exception_holds() {
 
 #[test]
 fn repro_binary_configs_are_valid() {
-    // Every configuration in every experiment passes the checks a run
-    // makes at cycle 0, so a bad point fails here rather than minutes
-    // into `repro all`.
+    // Every configuration in every experiment passes the check a run
+    // makes at cycle 0 (`RunConfig::check`), so a bad point fails here
+    // rather than minutes into `repro all`.
     for scale in [Scale::Paper, Scale::Small] {
         for exp in experiments::all(scale) {
             for c in &exp.configs {
-                c.sim.validate();
-                c.len_dist.validate();
-                if c.pattern.needs_pow2() {
-                    let nodes = c.topology.build().num_nodes();
-                    assert!(nodes.is_power_of_two(), "{}: {}", exp.id, c.label());
+                if let Err(e) = c.check() {
+                    panic!("{}: {}: {e}", exp.id, c.label());
                 }
                 assert!(!c.label().is_empty());
                 assert!(c.load > 0.0);

@@ -34,7 +34,7 @@ use deadlock_characterization::flexsim::jsonio::{
     durable, frame_record, parse, scan_records, Json,
 };
 use deadlock_characterization::flexsim::{
-    checkpoint_line, sweep_supervised, RunConfig, SweepOptions,
+    checkpoint_line, sweep_supervised, RoutingSpec, RunConfig, SweepOptions,
 };
 use deadlock_characterization::server::{
     http_request, Client, ResultCache, ServerOptions, SweepGrid,
@@ -453,6 +453,50 @@ fn nested_or_oversized_submissions_are_refused_and_the_server_keeps_serving() {
     assert!(reply.contains("virtual channels"), "{reply}");
 
     assert_eq!(jobs_files(), before, "a refused body writes nothing");
+    assert_eq!(client.stat(&["jobs", "submitted"]).unwrap(), 0);
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir`, recursively, with its length.
+fn tree(dir: &Path) -> Vec<(std::path::PathBuf, u64)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(tree(&path));
+        } else {
+            out.push((path, entry.metadata().unwrap().len()));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A grid the runner would panic on in every slot — dateline DOR needs 2
+/// VCs, this one has 1 — is refused with the runner's own message, and
+/// nothing is written under the data dir.
+#[test]
+fn unrunnable_configs_are_refused_and_nothing_is_written() {
+    let dir = scratch_dir("e2e-unrunnable");
+    let (client, handle) = start_server(&dir, 1);
+    client.stat(&["requests"]).expect("stats");
+    let before = tree(&dir);
+
+    let mut grid = test_grid();
+    grid.base.routing = RoutingSpec::DatelineDor;
+    grid.base.sim.vcs_per_channel = 1;
+    let (status, reply) = http_request(
+        client.addr,
+        "POST",
+        "/jobs",
+        Some(&grid.to_json().to_string()),
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("requires at least 2 VCs"), "{reply}");
+
+    assert_eq!(tree(&dir), before, "a refused body writes nothing");
     assert_eq!(client.stat(&["jobs", "submitted"]).unwrap(), 0);
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
