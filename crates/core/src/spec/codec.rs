@@ -389,6 +389,31 @@ mod tests {
         assert_eq!(config_from_json(&parse(&text).unwrap()).unwrap(), cfg);
     }
 
+    /// A hot spot off the network, or with a fraction outside [0, 1],
+    /// panicked at its first message (an engine index assert, or the
+    /// `gen_bool` assert); it is refused when the config is read.
+    #[test]
+    fn hot_spots_that_would_panic_are_refused() {
+        let mut cfg = RunConfig::small_default();
+        for (hot, fraction, rule) in [
+            (64, 0.1, "outside the 64-node network"),
+            (5, 1.5, "fraction must be in [0, 1]"),
+            (5, -0.5, "fraction must be in [0, 1]"),
+        ] {
+            cfg.pattern = Pattern::HotSpot {
+                hot: NodeId(hot),
+                fraction,
+            };
+            let err = config_from_json(&config_to_json(&cfg)).unwrap_err();
+            assert!(err.to_string().contains(rule), "{err}");
+        }
+        cfg.pattern = Pattern::HotSpot {
+            hot: NodeId(63),
+            fraction: 1.0,
+        };
+        assert_eq!(config_from_json(&config_to_json(&cfg)).unwrap(), cfg);
+    }
+
     /// A network `KAryNCube::build` would assert on, or one too large to
     /// allocate, is refused when the config is read: a 600-byte submission
     /// of a 65535-ary 2-cube used to abort the server on allocation, and

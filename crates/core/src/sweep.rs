@@ -276,7 +276,7 @@ mod tests {
     }
 
     /// A deliberately panicking configuration (zero VCs fails
-    /// `SimConfig::validate`) must degrade to a
+    /// `RunConfig::check`, which `run` asserts) must degrade to a
     /// per-slot error while its siblings complete normally.
     #[test]
     fn panicking_worker_degrades_to_error() {

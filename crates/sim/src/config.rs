@@ -59,12 +59,6 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Validates the configuration, panicking with
-    /// [`SimConfig::check`]'s description on error.
-    pub fn validate(&self) {
-        self.check().unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// True when a whole message fits in a single VC buffer (virtual
     /// cut-through switching).
     pub fn is_cut_through(&self) -> bool {
@@ -79,7 +73,7 @@ mod tests {
     #[test]
     fn default_is_paper_default() {
         let c = SimConfig::default();
-        c.validate();
+        c.check().unwrap();
         assert_eq!(c.msg_len, 32);
         assert_eq!(c.buffer_depth, 2);
         assert!(!c.is_cut_through());
@@ -95,22 +89,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "vcs_per_channel")]
     fn zero_vcs_rejected() {
-        SimConfig {
+        let c = SimConfig {
             vcs_per_channel: 0,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert!(c.check().unwrap_err().contains("vcs_per_channel"));
     }
 
     #[test]
-    #[should_panic(expected = "at least one flit")]
     fn zero_depth_rejected() {
-        SimConfig {
+        let c = SimConfig {
             buffer_depth: 0,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert!(c.check().unwrap_err().contains("at least one flit"));
     }
 }

@@ -1,7 +1,5 @@
 //! Message state.
 
-use std::collections::VecDeque;
-
 use icn_topology::NodeId;
 
 /// Globally unique message identifier (monotonic per network).
@@ -20,8 +18,10 @@ pub enum MsgPhase {
     Recovering,
 }
 
-/// Internal per-message record.
-#[derive(Clone, Debug)]
+/// Internal per-message record: plain data. The owned VC chain itself is
+/// the network's link tables — `vc_next` forward, each VC's occupancy
+/// feed back — and the record keeps only its two ends.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Message {
     pub id: MessageId,
     pub src: NodeId,
@@ -31,10 +31,11 @@ pub(crate) struct Message {
     pub born: u64,
     /// Cycle the header acquired its first VC.
     pub injected_at: u64,
-    /// Owned VC chain in acquisition order: front = tail-most.
-    pub chain: VecDeque<u32>,
-    /// Acquisition sequence number of `chain.front()`.
-    pub front_seq: u32,
+    /// Tail-most and header-most owned VCs, `NO_OWNER` when none.
+    pub front: u32,
+    pub head: u32,
+    /// Owned VC count.
+    pub chain_len: u32,
     /// Next acquisition sequence number (total acquisitions so far).
     pub next_seq: u32,
     /// Flits ejected (reception or recovery lane).
@@ -91,7 +92,7 @@ impl MessageInfo {
             born: m.born,
             phase: m.phase,
             blocked: m.blocked,
-            chain_len: m.chain.len(),
+            chain_len: m.chain_len as usize,
             hops: m.next_seq,
             uninjected,
             delivered: m.delivered,

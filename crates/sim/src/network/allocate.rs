@@ -107,10 +107,8 @@ impl Network {
         let vcs_per = self.cfg.vcs_per_channel;
         let msg = self.messages[s].as_ref().expect("routing slot");
         debug_assert_eq!(msg.phase, MsgPhase::Routing);
-        let (&head_vc, dst) = (
-            msg.chain.back().expect("routing message owns its head VC"),
-            msg.dst,
-        );
+        let (head_vc, dst) = (msg.head, msg.dst);
+        debug_assert_ne!(head_vc, NO_OWNER, "routing message owns its head VC");
         if self.occ[head_vc as usize].now == 0 {
             // Header flit still in flight towards this buffer.
             debug_assert!(!msg.blocked, "blocked header always has a buffered flit");
@@ -228,7 +226,7 @@ impl Network {
     }
 
     /// Grants `vc_idx` to the message in `slot` (both steppers, injection
-    /// included): ownership, the feed/next chain-link caches,
+    /// included): ownership, the chain's feed/next links,
     /// selection-policy / dateline / misroute state, and the `Acquired`
     /// trace. The geometry it consults (wraparound flag, one-dimension
     /// misroute test) is read from the topology's tables.
@@ -240,18 +238,18 @@ impl Network {
         let i = vc_idx as usize;
         debug_assert_eq!(self.vc_owner[i], NO_OWNER);
         self.vc_owner[i] = slot;
-        self.vc_seq[i] = msg.next_seq;
-        // Link the new head into the feed chain: it is fed by the old head,
-        // or by its source entry when it starts the chain.
-        self.occ[i].feed = match msg.chain.back() {
-            Some(&h) => {
-                self.vc_next[h as usize] = vc_idx;
-                h
-            }
-            None => src,
+        // Link the new head into the chain: it is fed by the old head, or
+        // by its source entry when it starts the chain.
+        self.occ[i].feed = if msg.head == NO_OWNER {
+            msg.front = vc_idx;
+            src
+        } else {
+            self.vc_next[msg.head as usize] = vc_idx;
+            msg.head
         };
         self.vc_next[i] = NO_OWNER;
-        msg.chain.push_back(vc_idx);
+        msg.head = vc_idx;
+        msg.chain_len += 1;
         msg.next_seq += 1;
         let ch = ChannelId(self.vc_chan[i]);
         let topo = &self.topo;

@@ -124,10 +124,9 @@ impl Network {
                 continue;
             }
             let msg = self.messages[slot as usize].as_ref().expect("active slot");
-            let &head = msg.chain.back().expect("routing message owns its head VC");
             if self
                 .topo
-                .channel(ChannelId(self.vc_chan[head as usize]))
+                .channel(ChannelId(self.vc_chan[msg.head as usize]))
                 .dst
                 == src
             {
@@ -154,15 +153,12 @@ impl Network {
             // The slot may be gone (dropped with its channel) or pulled
             // into recovery; both supersede the stranding.
             let ctx = match self.messages.get(slot as usize).and_then(|m| m.as_ref()) {
-                Some(msg) if msg.id == id && msg.phase == MsgPhase::Routing => {
-                    let &head = msg.chain.back().expect("routing message owns its head VC");
-                    ctx_of(
-                        msg,
-                        self.topo
-                            .channel(ChannelId(self.vc_chan[head as usize]))
-                            .dst,
-                    )
-                }
+                Some(msg) if msg.id == id && msg.phase == MsgPhase::Routing => ctx_of(
+                    msg,
+                    self.topo
+                        .channel(ChannelId(self.vc_chan[msg.head as usize]))
+                        .dst,
+                ),
                 _ => continue,
             };
             compute_candidates(
@@ -199,7 +195,8 @@ impl Network {
             self.release_deferred.retain(|&x| x != slot);
         }
         let msg = self.messages[s].as_mut().expect("dropped slot live");
-        let (id, chain) = (msg.id, std::mem::take(&mut msg.chain));
+        let (id, mut v) = (msg.id, msg.front);
+        (msg.front, msg.head, msg.chain_len) = (NO_OWNER, NO_OWNER, 0);
         if std::mem::take(&mut msg.blocked) {
             self.blocked_ctr -= 1;
         }
@@ -210,14 +207,18 @@ impl Network {
             self.injecting[node] = false;
             self.ready_injector(node);
         }
-        for &v in &chain {
-            debug_assert_eq!(self.vc_owner[v as usize], slot);
-            self.vc_owner[v as usize] = NO_OWNER;
-            self.occ[v as usize].now = 0;
-            self.occ[v as usize].feed = self.num_vcs() as u32;
-            self.vc_next[v as usize] = NO_OWNER;
+        // Free the chain front to head, reading each link before clearing it.
+        while v != NO_OWNER {
+            let i = v as usize;
+            debug_assert_eq!(self.vc_owner[i], slot);
+            let next = self.vc_next[i];
+            self.vc_owner[i] = NO_OWNER;
+            self.occ[i].now = 0;
+            self.occ[i].feed = self.num_vcs() as u32;
+            self.vc_next[i] = NO_OWNER;
             self.mark_occ_dirty(v);
             self.wake_resource(v);
+            v = next;
         }
         if let Some(t) = self.tracer.as_mut() {
             t.push(crate::TraceEvent::FaultLoss {

@@ -1,7 +1,5 @@
 //! Injection: source-queue fronts acquire their first VC.
 
-use std::collections::VecDeque;
-
 use icn_routing::RoutingCtx;
 use icn_topology::NodeId;
 
@@ -117,8 +115,9 @@ impl Network {
             len,
             born,
             injected_at: self.cycle,
-            chain: VecDeque::new(),
-            front_seq: 0,
+            front: NO_OWNER,
+            head: NO_OWNER,
+            chain_len: 0,
             next_seq: 0,
             delivered: 0,
             phase: MsgPhase::Routing,

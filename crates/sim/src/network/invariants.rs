@@ -12,8 +12,9 @@ use crate::message::MsgPhase;
 impl Network {
     /// Exhaustive consistency check; called from tests after stepping.
     ///
-    /// Verifies flit conservation per message, owner/chain agreement,
-    /// occupancy bounds, the occupancy table's feed encoding,
+    /// Verifies flit conservation per message, the chain's two link arrays
+    /// against each other and against ownership, occupancy bounds, the
+    /// occupancy table's feed encoding,
     /// injection/reception bookkeeping, and that every frozen candidate
     /// list equals a fresh recompute. On an instance the dense stepper
     /// drives, it also checks that the activity bookkeeping the shared
@@ -45,47 +46,46 @@ impl Network {
                 );
             }
         }
+        let mut chained = 0usize;
         for &slot in &self.active {
             let msg = self.messages[slot as usize].as_ref().expect("active slot");
             assert_eq!(self.slot_id[slot as usize], msg.id, "slot_id out of sync");
-            let in_chain: u32 = msg
-                .chain
-                .iter()
-                .map(|&v| self.occ[v as usize].now as u32)
-                .sum();
+            // A live message owns a VC: its chain empties only as it retires.
+            assert_ne!(msg.chain_len, 0, "live message {} owns no VC", msg.id);
+            // One forward walk from `front` through `vc_next` reaches `head`
+            // in exactly `chain_len` owned VCs of physically adjacent
+            // channels, each fed by its predecessor (the front by the
+            // slot's source entry): the two link arrays audit each other.
+            let (mut v, mut prev, mut in_chain) = (msg.front, self.source_entry(slot) as u32, 0);
+            for _ in 0..msg.chain_len {
+                assert_ne!(v, NO_OWNER, "chain ends before its length");
+                let i = v as usize;
+                assert_eq!(self.vc_owner[i], slot, "chain VC not owned by its message");
+                assert_eq!(self.occ[i].feed, prev, "feed is not the chain predecessor");
+                assert!(self.occ[i].now as usize <= self.cfg.buffer_depth);
+                in_chain += self.occ[i].now as u32;
+                if (prev as usize) < nv {
+                    let a = self.topo.channel(ChannelId(prev / vcs_per as u32));
+                    let b = self.topo.channel(ChannelId(v / vcs_per as u32));
+                    assert_eq!(a.dst, b.src, "chain must be a connected path");
+                }
+                (prev, v) = (v, self.vc_next[i]);
+            }
+            assert_eq!(v, NO_OWNER, "chain runs past its length");
+            assert_eq!(msg.head, prev, "chain does not end at its head");
+            chained += msg.chain_len as usize;
             assert_eq!(
                 in_chain,
                 msg.flits_in_network(self.msg_uninjected[slot as usize]),
                 "flit conservation violated for message {}",
                 msg.id
             );
-            for (p, &v) in msg.chain.iter().enumerate() {
-                let v = v as usize;
-                assert_eq!(self.vc_owner[v], slot, "chain VC not owned by its message");
-                assert_eq!(self.vc_seq[v], msg.front_seq + p as u32, "seq mismatch");
-                assert!(self.occ[v].now as usize <= self.cfg.buffer_depth);
-                // The feed/next chain links mirror the chain exactly: the
-                // front is fed by its slot's source entry.
-                let feed = match p {
-                    0 => self.source_entry(slot) as u32,
-                    _ => msg.chain[p - 1],
-                };
-                assert_eq!(self.occ[v].feed, feed, "feed diverged from chain");
-                let next = msg.chain.get(p + 1).copied().unwrap_or(NO_OWNER);
-                assert_eq!(self.vc_next[v], next, "vc_next diverged from chain");
-            }
             // A live slot's source entry says whether flits are left.
             assert_eq!(
                 self.occ[self.source_entry(slot)].start,
                 u16::from(self.msg_uninjected[slot as usize] > 0),
                 "source entry of slot {slot} diverged from msg_uninjected"
             );
-            // Chain follows physically adjacent channels.
-            for (&a, &b) in msg.chain.iter().zip(msg.chain.iter().skip(1)) {
-                let a = self.topo.channel(ChannelId(a / vcs_per as u32));
-                let b = self.topo.channel(ChannelId(b / vcs_per as u32));
-                assert_eq!(a.dst, b.src, "chain must be a connected path");
-            }
             if msg.phase == MsgPhase::Ejecting {
                 assert_eq!(self.reception[msg.dst.idx()], slot);
             }
@@ -102,6 +102,11 @@ impl Network {
                 assert!(self.messages[owner as usize].is_some());
             }
         }
+        assert_eq!(
+            self.vc_owner.iter().filter(|&&o| o != NO_OWNER).count(),
+            chained,
+            "owned VC outside its owner's chain"
+        );
         let blocked_scan = self
             .active
             .iter()
@@ -118,8 +123,7 @@ impl Network {
                 continue;
             }
             assert!(msg.blocked, "frozen candidates outside a blocked episode");
-            let &head = msg.chain.back().unwrap();
-            let here = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
+            let here = self.topo.channel(ChannelId(msg.head / vcs_per as u32)).dst;
             assert_eq!(
                 self.cand_cache[slot as usize],
                 self.recompute_frozen(&ctx_of(msg, here)),
@@ -228,9 +232,8 @@ impl Network {
                 }
                 AllocState::Parked => {
                     assert!(msg.blocked, "parked message must be blocked");
-                    let &head = msg.chain.back().unwrap();
-                    assert!(self.occ[head as usize].now >= 1);
-                    let here = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
+                    assert!(self.occ[msg.head as usize].now >= 1);
+                    let here = self.topo.channel(ChannelId(msg.head / vcs_per as u32)).dst;
                     if here == msg.dst {
                         // Waiting for the reception channel: busy, and it
                         // is exactly what is watched.
@@ -344,8 +347,7 @@ impl Network {
             let msg = self.messages[slot as usize].as_ref().unwrap();
             assert_ne!(msg.phase, MsgPhase::Routing);
             assert_eq!(
-                msg.chain.back(),
-                Some(&self.drain_head[i]),
+                msg.head, self.drain_head[i],
                 "stale cached drain head for slot {slot}"
             );
         }
@@ -383,9 +385,9 @@ impl Network {
                 !msg.holds_injection,
                 "slot {slot}: injection channel not freed"
             );
-            if let Some(&front) = msg.chain.front() {
+            if msg.front != NO_OWNER {
                 assert_ne!(
-                    self.occ[front as usize].now, 0,
+                    self.occ[msg.front as usize].now, 0,
                     "slot {slot}: drained front not released"
                 );
             }

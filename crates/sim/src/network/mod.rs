@@ -148,18 +148,18 @@ pub struct Network {
     ///
     /// So a VC `v` is movable exactly when `occ[v].start < depth` and
     /// `occ[occ[v].feed].start >= 1`, and the walk never loads an owner:
-    /// a move from the source belongs to slot `feed - nv - 1`. Feeds
-    /// mirror the owner's chain, so the walk reads the message slab only
-    /// for `injected_at` when a source empties.
+    /// a move from the source belongs to slot `feed - nv - 1`. Feeds are
+    /// the chain's back links ([`Self::vc_next`] its forward ones), so the
+    /// walk reads the message slab only for `injected_at` when a source
+    /// empties.
     occ: Vec<VcOcc>,
     /// The per-VC state the walk does not read, at `channel *
     /// vcs_per_channel + vc`.
     ///
     /// Owner slot, or [`NO_OWNER`].
     pub(crate) vc_owner: Vec<u32>,
-    /// Acquisition sequence number within the owner's chain.
-    vc_seq: Vec<u32>,
-    /// Downstream successor (the VC this one feeds), or [`NO_OWNER`].
+    /// Downstream successor (the VC this one feeds), or [`NO_OWNER`]: the
+    /// chain's forward link, walked from a message's `front`.
     vc_next: Vec<u32>,
     /// Flits still waiting at the source, per message slot (its source
     /// entry in [`Self::occ`] says whether any are left).
@@ -392,7 +392,6 @@ impl Network {
         Network {
             occ: vec![VcOcc::free(n_vcs); n_vcs + 1],
             vc_owner: vec![NO_OWNER; n_vcs],
-            vc_seq: vec![0; n_vcs],
             vc_next: vec![NO_OWNER; n_vcs],
             msg_uninjected: Vec::new(),
             slot_id: Vec::new(),
@@ -497,6 +496,16 @@ impl Network {
     #[inline]
     fn source_entry(&self, slot: u32) -> usize {
         self.num_vcs() + 1 + slot as usize
+    }
+
+    /// Appends the `n` head-most VCs `msg` owns to `out` in acquisition
+    /// order: a walk back from its head through the feeds, reversed in
+    /// place.
+    pub(crate) fn extend_chain_suffix(&self, msg: &Message, n: usize, out: &mut Vec<u32>) {
+        let start = out.len();
+        let back = std::iter::successors(Some(msg.head), |&v| Some(self.occ[v as usize].feed));
+        out.extend(back.take(n));
+        out[start..].reverse();
     }
 
     /// Queues a message for injection at `src` with the configured default

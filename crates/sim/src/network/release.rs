@@ -124,10 +124,10 @@ impl Network {
     /// What a release action changes: `None` once the slot retired, else
     /// (holds its injection channel, owned VC count).
     #[cfg(debug_assertions)]
-    fn release_footprint(&self, slot: u32) -> Option<(bool, usize)> {
+    fn release_footprint(&self, slot: u32) -> Option<(bool, u32)> {
         self.messages[slot as usize]
             .as_ref()
-            .map(|m| (m.holds_injection, m.chain.len()))
+            .map(|m| (m.holds_injection, m.chain_len))
     }
 
     /// One message's release (shared by both steppers): the injection
@@ -152,32 +152,33 @@ impl Network {
         let (nv, src) = (self.num_vcs(), self.source_entry(slot));
         loop {
             let msg = self.messages[s].as_mut().expect("release slot");
-            let Some(&front) = msg.chain.front() else {
-                break;
-            };
-            if self.msg_uninjected[s] != 0 || self.occ[front as usize].now != 0 {
+            let (front, f) = (msg.front, msg.front as usize);
+            if front == NO_OWNER || self.msg_uninjected[s] != 0 || self.occ[f].now != 0 {
                 break;
             }
-            msg.chain.pop_front();
-            msg.front_seq += 1;
+            let nf = self.vc_next[f];
+            msg.front = nf;
+            msg.chain_len -= 1;
+            if nf == NO_OWNER {
+                msg.head = NO_OWNER;
+            } else {
+                // The new front is fed by the (drained) source.
+                self.occ[nf as usize].feed = src as u32;
+            }
             if msg.blocked {
                 // A blocked message's settled chain shrank.
                 self.wait_dirty.mark(msg.id);
             }
-            if let Some(&nf) = msg.chain.front() {
-                // The new front is fed by the (drained) source.
-                self.occ[nf as usize].feed = src as u32;
-            }
-            self.vc_owner[front as usize] = NO_OWNER;
-            self.occ[front as usize].feed = nv as u32;
-            self.vc_next[front as usize] = NO_OWNER;
+            self.vc_owner[f] = NO_OWNER;
+            self.occ[f].feed = nv as u32;
+            self.vc_next[f] = NO_OWNER;
             self.wake_resource(front);
         }
         let msg = self.messages[s].as_ref().expect("release slot");
         if msg.delivered != msg.len {
             return;
         }
-        debug_assert!(msg.chain.is_empty());
+        debug_assert_eq!(msg.chain_len, 0);
         debug_assert_eq!(self.msg_uninjected[s], 0);
         let recovered = msg.phase == MsgPhase::Recovering;
         events.delivered.push(DeliveredMsg {

@@ -21,9 +21,12 @@ fn movable(occ: &[VcOcc], v: usize, depth: u16) -> bool {
 }
 
 impl Network {
-    /// Dense transfer. Its link loop reads each owner's chain from the
-    /// message slab — the independent reference for the feed-indexed
-    /// [`fused_transfer`](Self::fused_transfer) walk.
+    /// Dense transfer. Its link loop visits every channel in index order
+    /// and takes a source move's message from `vc_owner` — the reference
+    /// for the [`fused_transfer`](Self::fused_transfer) walk's active set
+    /// and source-entry arithmetic. Both read the chain through the feeds,
+    /// which [`check_invariants`](Self::check_invariants) audits against
+    /// `vc_next`.
     pub(super) fn reference_transfer(&mut self, events: &mut StepEvents) {
         // Snapshot start-of-cycle occupancies: every decision below reads
         // these, so a flit advances at most one hop per cycle and buffer
@@ -51,9 +54,8 @@ impl Network {
                 if owner == NO_OWNER || self.occ[v].start >= depth {
                     continue;
                 }
-                let seq = self.vc_seq[v];
-                let msg = self.messages[owner as usize].as_ref().expect("owner live");
-                let moved = if seq == msg.front_seq {
+                let prev = self.occ[v].feed as usize;
+                let moved = if prev > nv {
                     // Tail-most owned VC: flits arrive from the source.
                     let u = &mut self.msg_uninjected[owner as usize];
                     if *u > 0 {
@@ -66,15 +68,11 @@ impl Network {
                     } else {
                         false
                     }
+                } else if self.occ[prev].start >= 1 {
+                    self.occ[prev].now -= 1;
+                    true
                 } else {
-                    let pos = (seq - msg.front_seq) as usize;
-                    let prev = msg.chain[pos - 1] as usize;
-                    if self.occ[prev].start >= 1 {
-                        self.occ[prev].now -= 1;
-                        true
-                    } else {
-                        false
-                    }
+                    false
                 };
                 if moved {
                     self.occ[v].now += 1;
@@ -92,10 +90,8 @@ impl Network {
             if msg.phase == MsgPhase::Routing {
                 continue;
             }
-            let &head = msg
-                .chain
-                .back()
-                .expect("draining message still owns its head VC");
+            let head = msg.head;
+            debug_assert_ne!(head, NO_OWNER, "draining message still owns its head VC");
             let drain_node = self.topo.channel(ChannelId(head / vcs_per as u32)).dst;
             if self.occ[head as usize].start < 1 || self.frozen(drain_node.idx(), false) {
                 // Starved head, or the draining router is frozen.
@@ -174,7 +170,7 @@ impl Network {
             let slot = self.drain_list[k];
             let msg = self.messages[slot as usize].as_mut().expect("drain slot");
             debug_assert_ne!(msg.phase, MsgPhase::Routing);
-            debug_assert_eq!(msg.chain.back(), Some(&head));
+            debug_assert_eq!(msg.head, head);
             self.occ[head as usize].now -= 1;
             msg.delivered += 1;
             events.drained_flits += 1;

@@ -102,12 +102,11 @@ impl Network {
     /// Appends `slot` to the drain list (one flit per cycle until done).
     pub(super) fn drain_push(&mut self, slot: u32) {
         debug_assert_eq!(self.drain_idx[slot as usize], NO_OWNER);
-        let &head = self.messages[slot as usize]
+        let head = self.messages[slot as usize]
             .as_ref()
             .expect("drain slot")
-            .chain
-            .back()
-            .expect("draining message still owns its head VC");
+            .head;
+        debug_assert_ne!(head, NO_OWNER, "draining message still owns its head VC");
         self.drain_idx[slot as usize] = self.drain_list.len() as u32;
         self.drain_list.push(slot);
         self.drain_head.push(head);

@@ -257,12 +257,6 @@ impl Network {
         let mut partial = 0u64;
         for &slot in order_buf.iter() {
             let msg = self.messages[slot as usize].as_ref().expect("active slot");
-            if msg.chain.is_empty() {
-                // A recovering message can momentarily hold nothing while
-                // its last flits drain; it owns no CWG vertex.
-                continue;
-            }
-
             let blocked = msg.phase == MsgPhase::Routing && msg.blocked;
             let start = pool.len() as u32;
 
@@ -273,7 +267,7 @@ impl Network {
                 self.blocked_wait_record(slot, cand_buf, pool)
                     .expect("routing+blocked message has a wait record") as u32
             } else {
-                pool.extend(msg.chain.iter().copied());
+                self.extend_chain_suffix(msg, msg.chain_len as usize, pool);
                 if msg.phase == MsgPhase::Ejecting {
                     pool.push(self.reception_vertex(msg.dst));
                 }
@@ -311,9 +305,9 @@ impl Network {
 
     /// Appends the wait record of the (routing, blocked) message in `slot`
     /// to `out` — settled chain first, then request targets — and returns
-    /// the chain length, or `None` when the message is not blocked (or
-    /// holds nothing). Shared by the snapshot fill and the detector's
-    /// drain, so both extract byte-identical records by construction.
+    /// the chain length, or `None` when the message is not blocked.
+    /// Shared by the snapshot fill and the detector's drain, so both
+    /// extract byte-identical records by construction.
     fn blocked_wait_record(
         &self,
         slot: u32,
@@ -321,19 +315,16 @@ impl Network {
         out: &mut Vec<u32>,
     ) -> Option<usize> {
         let msg = self.messages[slot as usize].as_ref().expect("live slot");
-        if msg.chain.is_empty() || msg.phase != MsgPhase::Routing || !msg.blocked {
+        if msg.phase != MsgPhase::Routing || !msg.blocked {
             return None;
         }
         let vcs_per = self.vcs_per();
-        let start = out.len();
         let remaining = (msg.len - msg.delivered) as usize;
         let keep = remaining
             .div_ceil(self.cfg.buffer_depth)
-            .min(msg.chain.len());
-        out.extend(msg.chain.iter().skip(msg.chain.len() - keep).copied());
-        let chain_len = out.len() - start;
-        let &head_vc = msg.chain.back().unwrap();
-        let here = self.topo.channel(ChannelId(head_vc / vcs_per as u32)).dst;
+            .min(msg.chain_len as usize);
+        self.extend_chain_suffix(msg, keep, out);
+        let here = self.topo.channel(ChannelId(msg.head / vcs_per as u32)).dst;
         if here == msg.dst {
             // Waiting on the destination's (busy) reception channel.
             out.push(self.reception_vertex(here));
@@ -351,7 +342,7 @@ impl Network {
                 out.extend(cand.vcs.iter().map(|v| (base + v) as u32));
             }
         }
-        Some(chain_len)
+        Some(keep)
     }
 
     /// Turns on wait-state event tracking: from now on every transition

@@ -67,12 +67,6 @@ impl MsgLenDist {
             }
         }
     }
-
-    /// Validates the distribution's parameters, panicking with
-    /// [`MsgLenDist::check`]'s description on error.
-    pub fn validate(&self) {
-        self.check().unwrap_or_else(|e| panic!("{e}"));
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +78,7 @@ mod tests {
     #[test]
     fn fixed_is_constant() {
         let d = MsgLenDist::Fixed(32);
-        d.validate();
+        d.check().unwrap();
         assert_eq!(d.mean(), 32.0);
         let mut rng = StdRng::seed_from_u64(1);
         assert!((0..100).all(|_| d.sample(&mut rng) == 32));
@@ -97,7 +91,7 @@ mod tests {
             long: 64,
             long_frac: 0.25,
         };
-        d.validate();
+        d.check().unwrap();
         assert_eq!(d.mean(), 8.0 * 0.75 + 64.0 * 0.25);
         let mut rng = StdRng::seed_from_u64(2);
         let longs = (0..10_000).filter(|_| d.sample(&mut rng) == 64).count();
@@ -106,13 +100,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "short <= long")]
     fn bimodal_rejects_inverted() {
-        MsgLenDist::Bimodal {
+        let d = MsgLenDist::Bimodal {
             short: 64,
             long: 8,
             long_frac: 0.5,
-        }
-        .validate();
+        };
+        assert!(d.check().unwrap_err().contains("short <= long"));
     }
 }

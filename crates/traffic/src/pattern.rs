@@ -44,19 +44,27 @@ impl Pattern {
     }
 
     /// Refuses a network of `num_nodes` nodes this pattern cannot map:
-    /// the bit permutations need a power-of-two node count.
+    /// the bit permutations need a power-of-two node count, and a hot spot
+    /// needs its node inside the network and its fraction in [0, 1].
     pub fn check(&self, num_nodes: usize) -> Result<(), String> {
-        let bitwise = matches!(
-            self,
+        match *self {
             Pattern::BitReversal | Pattern::PerfectShuffle | Pattern::BitComplement
-        );
-        if bitwise && !num_nodes.is_power_of_two() {
-            return Err(format!(
-                "{} requires a power-of-two node count",
-                self.name()
-            ));
+                if !num_nodes.is_power_of_two() =>
+            {
+                Err(format!(
+                    "{} requires a power-of-two node count",
+                    self.name()
+                ))
+            }
+            Pattern::HotSpot { hot, .. } if hot.idx() >= num_nodes => Err(format!(
+                "hot-spot node {} is outside the {num_nodes}-node network",
+                hot.0
+            )),
+            Pattern::HotSpot { fraction, .. } if !(0.0..=1.0).contains(&fraction) => {
+                Err("hot-spot fraction must be in [0, 1]".into())
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Picks the destination for a message injected at `src`, or `None` when
@@ -231,6 +239,32 @@ mod tests {
         // 50% directed + uniform residue also occasionally picks node 5.
         let frac = hot_hits as f64 / trials as f64;
         assert!(frac > 0.45 && frac < 0.62, "hot fraction was {frac}");
+    }
+
+    #[test]
+    fn hotspot_check_refuses_a_node_outside_the_network() {
+        let at = |hot| Pattern::HotSpot {
+            hot: NodeId(hot),
+            fraction: 0.1,
+        };
+        assert_eq!(at(15).check(16), Ok(()));
+        let err = at(16).check(16).unwrap_err();
+        assert!(err.contains("outside the 16-node network"), "{err}");
+    }
+
+    #[test]
+    fn hotspot_check_refuses_a_fraction_outside_the_unit_interval() {
+        let with = |fraction| Pattern::HotSpot {
+            hot: NodeId(0),
+            fraction,
+        };
+        for ok in [0.0, 0.5, 1.0] {
+            assert_eq!(with(ok).check(16), Ok(()), "fraction {ok}");
+        }
+        for bad in [-0.1, 1.5, f64::NAN] {
+            let err = with(bad).check(16).unwrap_err();
+            assert!(err.contains("fraction must be in [0, 1]"), "{err}");
+        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ proptest! {
     ) {
         let long = short + extra;
         let d = MsgLenDist::Bimodal { short, long, long_frac: frac_pct as f64 / 100.0 };
-        d.validate();
+        d.check().unwrap();
         prop_assert!(d.mean() >= short as f64 && d.mean() <= long as f64);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..256 {

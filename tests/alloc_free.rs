@@ -4,7 +4,9 @@
 //! in caller-owned storage once capacities have warmed up. A knot-bearing
 //! epoch allocates only the vectors of the `Analysis` it returns, however
 //! large the vertex space around the knot. The per-hop routing call
-//! (`RoutingAlgorithm::candidates`) allocates nothing either.
+//! (`RoutingAlgorithm::candidates`) allocates nothing either, and neither
+//! does a message's life in the engine, except the delivery record the
+//! step that retires it reports.
 //!
 //! A counting global allocator tallies every alloc/realloc made by the
 //! test's own thread. The counter is thread-local so that allocations the
@@ -280,6 +282,7 @@ fn steady_state_detection_epoch_allocates_nothing() {
     );
 
     routing_candidates_allocate_nothing();
+    message_life_allocates_only_its_delivery();
 }
 
 /// Scenario 4: the per-hop routing call. Once a warm-up pass has sized the
@@ -317,6 +320,53 @@ fn routing_candidates_allocate_nothing() {
         assert_eq!(
             allocs, 0,
             "{name}: candidates into a reused buffer allocated"
+        );
+    }
+}
+
+/// Scenario 5: a message's whole life in the engine. Once one slot is
+/// warm, a long message re-injected into it allocates nothing on any step
+/// from injection through its last acquisition and tail release; the step
+/// that delivers it allocates once, for its `StepEvents::delivered` entry.
+fn message_life_allocates_only_its_delivery() {
+    let mut net = Network::new(
+        KAryNCube::torus(16, 1, false),
+        Box::new(Dor),
+        SimConfig {
+            vcs_per_channel: 1,
+            buffer_depth: 2,
+            msg_len: 64,
+        },
+    );
+    // One message 0 → 12, stepped until delivered: each step's allocation
+    // count and delivery count.
+    let life = |net: &mut Network| {
+        net.enqueue(NodeId(0), NodeId(12));
+        let mut steps: Vec<(u64, usize)> = Vec::new();
+        loop {
+            let mut events = None;
+            let allocs = allocations(|| events = Some(net.step()));
+            let delivered = events.unwrap().delivered;
+            steps.push((allocs, delivered.len()));
+            if let Some(d) = delivered.first() {
+                assert_eq!(d.hops, 12, "the message must cross 12 channels");
+                return steps;
+            }
+        }
+    };
+    // Warm-up: the first message sizes slot 0's tables.
+    life(&mut net);
+    for _ in 0..3 {
+        let steps = life(&mut net);
+        let (&last, rest) = steps.split_last().unwrap();
+        assert_eq!(
+            last,
+            (1, 1),
+            "the delivering step allocates only its record"
+        );
+        assert!(
+            rest.iter().all(|&(allocs, _)| allocs == 0),
+            "a message's life allocated before its delivery: {steps:?}"
         );
     }
 }

@@ -36,6 +36,8 @@ use deadlock_characterization::flexsim::jsonio::{
 use deadlock_characterization::flexsim::{
     checkpoint_line, sweep_supervised, RoutingSpec, RunConfig, SweepOptions,
 };
+use deadlock_characterization::icn_topology::NodeId;
+use deadlock_characterization::icn_traffic::Pattern;
 use deadlock_characterization::server::{
     http_request, Client, ResultCache, ServerOptions, SweepGrid,
 };
@@ -486,15 +488,26 @@ fn unrunnable_configs_are_refused_and_nothing_is_written() {
     let mut grid = test_grid();
     grid.base.routing = RoutingSpec::DatelineDor;
     grid.base.sim.vcs_per_channel = 1;
-    let (status, reply) = http_request(
-        client.addr,
-        "POST",
-        "/jobs",
-        Some(&grid.to_json().to_string()),
-    )
-    .unwrap();
-    assert_eq!(status, 400, "{reply}");
-    assert!(reply.contains("requires at least 2 VCs"), "{reply}");
+    // A hot spot whose first message would panic the runner.
+    let mut hot = test_grid();
+    hot.base.pattern = Pattern::HotSpot {
+        hot: NodeId(5),
+        fraction: 1.5,
+    };
+    for (grid, names) in [
+        (grid, "requires at least 2 VCs"),
+        (hot, "fraction must be in [0, 1]"),
+    ] {
+        let (status, reply) = http_request(
+            client.addr,
+            "POST",
+            "/jobs",
+            Some(&grid.to_json().to_string()),
+        )
+        .unwrap();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains(names), "{reply}");
+    }
 
     assert_eq!(tree(&dir), before, "a refused body writes nothing");
     assert_eq!(client.stat(&["jobs", "submitted"]).unwrap(), 0);
