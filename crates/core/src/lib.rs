@@ -94,18 +94,20 @@ pub struct RunConfig {
     pub measure: u64,
     /// Deadlock-detection cadence in cycles (paper: 50): how often the
     /// event-patched wait graph is brought up to date and asked for a knot
-    /// verdict. `1` gives every knot's exact first-true cycle.
+    /// verdict. `1` gives every knot's exact first-true cycle; `0` is
+    /// refused by [`RunConfig::check`].
     pub detection_interval: u64,
     /// When `Some(n)`, count CWG resource-dependency cycles every `n`-th
     /// detection epoch (the cyclic non-deadlock metric; costs time).
+    /// `Some(0)` is refused by [`RunConfig::check`].
     pub count_cycles_every: Option<u64>,
     /// Cap on whole-graph elementary-cycle enumeration.
     pub cycle_cap: u64,
     /// Cap on per-knot cycle-density enumeration. Must be at least 2:
     /// enumeration stops at the cap, so below 2 a single-cycle knot is
     /// indistinguishable from a multi-cycle one and every deadlock would
-    /// be classified multi-cycle. [`config_from_json`] rejects
-    /// smaller values.
+    /// be classified multi-cycle. [`RunConfig::check`] refuses smaller
+    /// values, so neither [`run`] nor [`config_from_json`] accepts them.
     pub density_cap: u64,
     /// How deadlocks are broken.
     pub recovery: RecoveryPolicy,
@@ -184,6 +186,27 @@ impl RunConfig {
         self.len_dist.check()?;
         self.faults.check(channels, nodes)?;
         icn_traffic::check_load(self.load)?;
+        if self.detection_interval == 0 {
+            return Err(
+                "`detection_interval` must be at least 1: a zero cadence never \
+                 reaches an epoch, so detection and recovery would silently stop"
+                    .into(),
+            );
+        }
+        if self.count_cycles_every == Some(0) {
+            return Err(
+                "`count_cycles_every` must be null or at least 1: a zero cadence \
+                 never takes the census"
+                    .into(),
+            );
+        }
+        if self.density_cap < 2 {
+            return Err(
+                "`density_cap` must be at least 2: a smaller cap stops at the first \
+                 cycle, so every knot would be classified multi-cycle"
+                    .into(),
+            );
+        }
         Ok(())
     }
 

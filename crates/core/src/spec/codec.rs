@@ -208,13 +208,6 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
 pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
     let topo = get(v, "topology")?;
     let sim = get(v, "sim")?;
-    let density_cap = get_u64(v, "density_cap")?;
-    if density_cap < 2 {
-        return Err(bad(
-            "`density_cap` must be at least 2: a smaller cap stops at the first \
-             cycle, so every knot would be classified multi-cycle",
-        ));
-    }
     let count_cycles_every = match get(v, "count_cycles_every")? {
         Json::Null => None,
         j => Some(
@@ -252,7 +245,7 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         detection_interval: get_u64(v, "detection_interval")?,
         count_cycles_every,
         cycle_cap: get_u64(v, "cycle_cap")?,
-        density_cap,
+        density_cap: get_u64(v, "density_cap")?,
         recovery: recovery_from_name(get_str(v, "recovery")?)?,
         seed: get_u64(v, "seed")?,
         forensics,
@@ -349,15 +342,50 @@ mod tests {
     #[test]
     fn density_cap_below_two_is_rejected() {
         // The field arrives over HTTP; a cap of 0 or 1 cannot distinguish
-        // single- from multi-cycle knots, so no such config is ever built.
+        // single- from multi-cycle knots, so no such config is ever built,
+        // read or run: the refusal is `RunConfig::check`'s.
         let mut cfg = RunConfig::small_default();
         for cap in [0, 1] {
             cfg.density_cap = cap;
             let err = config_from_json(&config_to_json(&cfg)).unwrap_err();
             assert!(err.to_string().contains("density_cap"), "{err}");
+            assert!(cfg.check().unwrap_err().contains("density_cap"));
         }
         cfg.density_cap = 2;
         assert_eq!(config_from_json(&config_to_json(&cfg)).unwrap(), cfg);
+    }
+
+    /// A zero cadence is `n.is_multiple_of(0)`, false for every cycle
+    /// `n >= 1`: detection (and with it recovery), or the census, would
+    /// silently never run. Both are refused by name.
+    #[test]
+    fn zero_cadences_are_rejected() {
+        let mut cfg = RunConfig::small_default();
+        cfg.detection_interval = 0;
+        let err = config_from_json(&config_to_json(&cfg)).unwrap_err();
+        assert!(err.to_string().contains("detection_interval"), "{err}");
+        cfg.detection_interval = 1;
+        cfg.count_cycles_every = Some(0);
+        let err = config_from_json(&config_to_json(&cfg)).unwrap_err();
+        assert!(err.to_string().contains("count_cycles_every"), "{err}");
+        cfg.count_cycles_every = Some(1);
+        assert_eq!(config_from_json(&config_to_json(&cfg)).unwrap(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "`detection_interval` must be at least 1")]
+    fn run_refuses_a_zero_detection_interval() {
+        let mut cfg = RunConfig::small_default();
+        cfg.detection_interval = 0;
+        crate::run(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "`density_cap` must be at least 2")]
+    fn run_refuses_a_density_cap_below_two() {
+        let mut cfg = RunConfig::small_default();
+        cfg.density_cap = 1;
+        crate::run(&cfg);
     }
 
     /// Every member narrower than the `u64` it travels as: a value that

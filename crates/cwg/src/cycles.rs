@@ -78,12 +78,35 @@ const OUTSIDE: u32 = u32::MAX;
 /// Reusable working storage for Johnson's algorithm on one component at a
 /// time. Every buffer is cleared and refilled, never reallocated, so
 /// counting allocates nothing once capacities have warmed up.
+///
+/// Johnson runs on the component's **branch-vertex contraction**, not on
+/// the component itself. Inside a strongly connected component, a vertex
+/// with one out-arc (a chain interior, a head with one request) forces
+/// where every cycle through it goes next. The contraction keeps only the
+/// branch vertices (out-degree ≥ 2 within the component) and gives each of
+/// their out-arcs one contracted arc, to the branch vertex that the arc's
+/// forced path ends at. Elementary cycles of the component and of the
+/// contracted multigraph correspond one to one: a cycle is its sequence
+/// of branch out-arcs, parallel contracted arcs are distinct cycles, and
+/// two forced paths that share a vertex end at the same branch vertex, so
+/// an elementary contracted cycle never reuses a vertex when expanded.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CycleScratch {
     /// Graph vertex -> local id inside the component being counted;
     /// [`OUTSIDE`] everywhere between calls.
     local_of: Vec<u32>,
-    /// The component's induced adjacency over local ids `0..m`.
+    /// The component's induced adjacency over local ids `0..m` (position
+    /// in the component).
+    induced: Csr,
+    /// Local ids of the branch vertices; branch id = position.
+    branches: Vec<u32>,
+    /// Local id -> branch id its forced path ends at (a branch vertex's
+    /// own id); [`OUTSIDE`] while unknown.
+    end_of: Vec<u32>,
+    /// The forced path being walked, awaiting its end.
+    walk: Vec<u32>,
+    /// The contracted multigraph over branch ids `0..k`: what Johnson
+    /// counts on.
     local: Csr,
     /// Predecessor lists of `local`: `(source, index of the arc in
     /// local.targets)` for every arc into a vertex.
@@ -93,7 +116,7 @@ pub(crate) struct CycleScratch {
     /// while `v` is in `B(w)`.
     in_b: Vec<bool>,
     blocked: Vec<bool>,
-    /// Tarjan over the induced subgraph `{s..m}` of `local`.
+    /// Tarjan over the induced subgraph `{s..k}` of `local`.
     scc: SccScratch,
     /// Explicit-stack CIRCUIT(v): (vertex, next-arc cursor, found a cycle
     /// below).
@@ -125,8 +148,8 @@ impl CycleScratch {
         total
     }
 
-    /// Johnson's algorithm restricted to `comp`, one cyclic strongly
-    /// connected component of `adj`.
+    /// Johnson's algorithm on the branch-vertex contraction of `comp`, one
+    /// cyclic strongly connected component of `adj`.
     /// Reports `AtLeast(cap)` as soon as `cap` cycles have been found.
     pub(crate) fn count_in_component<A: Adjacency + ?Sized>(
         &mut self,
@@ -137,8 +160,15 @@ impl CycleScratch {
         if cap == 0 {
             return CycleCount::AtLeast(0);
         }
-        self.load_component(adj, comp);
-        let m = comp.len() as u32;
+        if !self.load_component(adj, comp) {
+            // No branch vertex: the component is one cycle.
+            return if cap <= 1 {
+                CycleCount::AtLeast(1)
+            } else {
+                CycleCount::Exact(1)
+            };
+        }
+        let m = self.local.num_vertices() as u32;
         let mut count = 0u64;
 
         // For ascending start vertex s, count the cycles whose least vertex
@@ -217,18 +247,22 @@ impl CycleScratch {
         CycleCount::Exact(count)
     }
 
-    /// Fills `local` with the adjacency `adj` induces on `comp` (local id =
-    /// position in `comp`) and `rev` with its predecessor lists.
-    fn load_component<A: Adjacency + ?Sized>(&mut self, adj: &A, comp: &[VertexId]) {
+    /// Fills `induced` with the adjacency `adj` induces on `comp` (local id
+    /// = position in `comp`), `local` with its branch-vertex contraction
+    /// and `rev` with the contraction's predecessor lists. Returns `false`,
+    /// with `local` left unfilled, when `comp` has no branch vertex: a
+    /// strongly connected component with one out-arc per vertex is exactly
+    /// one cycle.
+    fn load_component<A: Adjacency + ?Sized>(&mut self, adj: &A, comp: &[VertexId]) -> bool {
         let m = comp.len();
         self.local_of.resize(adj.num_vertices(), OUTSIDE);
         for (i, &v) in comp.iter().enumerate() {
             self.local_of[v as usize] = i as u32;
         }
-        self.local.reset(m);
+        self.induced.reset(m);
         for &v in comp {
             let local_of = &self.local_of;
-            self.local.push_vertex(
+            self.induced.push_vertex(
                 adj.neighbors(v)
                     .iter()
                     .map(|&t| local_of[t as usize])
@@ -238,6 +272,49 @@ impl CycleScratch {
         for &v in comp {
             self.local_of[v as usize] = OUTSIDE;
         }
+        if self.induced.num_edges() == m {
+            return false;
+        }
+
+        // Branch vertices end their own forced paths.
+        let offsets = &self.induced.offsets;
+        self.branches.clear();
+        self.end_of.clear();
+        self.end_of.resize(m, OUTSIDE);
+        for i in 0..m {
+            if offsets[i + 1] - offsets[i] >= 2 {
+                self.end_of[i] = self.branches.len() as u32;
+                self.branches.push(i as u32);
+            }
+        }
+        // Every other vertex has exactly one out-arc: follow it until a
+        // vertex whose end is known. The walk cannot close on itself — a
+        // cycle of single-arc vertices would be a whole component without a
+        // branch vertex — so each vertex is walked once.
+        for i in 0..m {
+            let mut x = i as u32;
+            self.walk.clear();
+            while self.end_of[x as usize] == OUTSIDE {
+                assert!(self.walk.len() < m, "a forced path closed on itself");
+                self.walk.push(x);
+                x = self.induced.targets[offsets[x as usize] as usize];
+            }
+            let end = self.end_of[x as usize];
+            for &y in &self.walk {
+                self.end_of[y as usize] = end;
+            }
+        }
+        self.local.reset(self.branches.len());
+        for &b in &self.branches {
+            let arcs = offsets[b as usize] as usize..offsets[b as usize + 1] as usize;
+            let end_of = &self.end_of;
+            self.local.push_vertex(
+                self.induced.targets[arcs]
+                    .iter()
+                    .map(|&w| end_of[w as usize]),
+            );
+        }
+        let m = self.branches.len();
 
         // Counting sort of the arcs by target.
         let arcs = self.local.targets.len();
@@ -266,6 +343,7 @@ impl CycleScratch {
         self.in_b.resize(arcs, false);
         self.blocked.clear();
         self.blocked.resize(m, false);
+        true
     }
 
     /// Johnson's UNBLOCK cascade from `v`, iteratively.
@@ -449,6 +527,56 @@ mod tests {
             dfs(adj, s, s, &mut visited, &mut count);
         }
         count
+    }
+
+    #[test]
+    fn contraction_keeps_parallel_arcs_and_self_loops() {
+        // 0 -> {1, 2}, both forced back to 0 through 3: two parallel
+        // contracted arcs 0 => 0, i.e. two self-loops, two cycles.
+        let merge = vec![vec![1, 2], vec![3], vec![3], vec![0]];
+        assert_eq!(count_cycles(&merge, 100), CycleCount::Exact(2));
+        // A branch vertex whose forced path returns to itself, plus a
+        // parallel pair of original arcs.
+        let adj = vec![vec![1, 2, 2], vec![0], vec![3], vec![0]];
+        assert_eq!(count_cycles(&adj, 100), CycleCount::Exact(3));
+        assert_eq!(count_cycles(&adj, 3), CycleCount::AtLeast(3));
+        // A ring without a branch vertex is one cycle, capped at 1 below 2.
+        let ring: Vec<Vec<u32>> = (0..6u32).map(|v| vec![(v + 1) % 6]).collect();
+        assert_eq!(count_cycles(&ring, 2), CycleCount::Exact(1));
+        assert_eq!(count_cycles(&ring, 1), CycleCount::AtLeast(1));
+        assert_eq!(count_cycles(&ring, 0), CycleCount::AtLeast(0));
+    }
+
+    #[test]
+    fn matches_brute_force_on_random_multigraphs() {
+        // Parallel arcs and self-loops are distinct cycles, and sparse
+        // out-degrees give long forced paths for the contraction.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..200 {
+            let n = rng.gen_range(1..12);
+            let adj: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let degree = [1, 1, 1, 2, 2, 3][rng.gen_range(0..6)];
+                    (0..degree).map(|_| rng.gen_range(0..n) as u32).collect()
+                })
+                .collect();
+            let expect = brute_force(&adj);
+            assert_eq!(
+                count_cycles(&adj, u64::MAX),
+                CycleCount::Exact(expect),
+                "adj={adj:?}"
+            );
+            for cap in 0..=expect + 1 {
+                let want = if cap <= expect && expect > 0 {
+                    CycleCount::AtLeast(cap)
+                } else {
+                    CycleCount::Exact(expect)
+                };
+                assert_eq!(count_cycles(&adj, cap), want, "cap {cap} adj={adj:?}");
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ mod cycles;
 mod dot;
 mod dynamic;
 mod graph;
+mod idmap;
 pub mod jsonio;
 mod scc;
 mod serialize;

@@ -494,9 +494,13 @@ fn unrunnable_configs_are_refused_and_nothing_is_written() {
         hot: NodeId(5),
         fraction: 1.5,
     };
+    // A zero cadence would run every slot without ever detecting a knot.
+    let mut blind = test_grid();
+    blind.base.detection_interval = 0;
     for (grid, names) in [
         (grid, "requires at least 2 VCs"),
         (hot, "fraction must be in [0, 1]"),
+        (blind, "`detection_interval` must be at least 1"),
     ] {
         let (status, reply) = http_request(
             client.addr,
