@@ -541,4 +541,19 @@ mod tests {
         let back = config_from_json(&config_to_json(&cfg)).unwrap();
         assert_eq!(back.seed, u64::MAX);
     }
+
+    /// A seed past `u64::MAX` is refused, not saturated: it would decode as
+    /// seed `u64::MAX` and share that config's cache key.
+    #[test]
+    fn seeds_past_the_u64_range_are_refused() {
+        let mut cfg = RunConfig::small_default();
+        cfg.seed = 7;
+        let text = config_to_json(&cfg).to_string();
+        assert!(text.contains(r#""seed":7"#), "{text}");
+        for seed in ["18446744073709551616", "18446744073709553000"] {
+            let forged = text.replacen(r#""seed":7"#, &format!(r#""seed":{seed}"#), 1);
+            let err = config_from_json(&parse(&forged).unwrap()).unwrap_err();
+            assert!(err.to_string().contains("`seed`"), "{seed}: {err}");
+        }
+    }
 }

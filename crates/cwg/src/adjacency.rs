@@ -1,10 +1,11 @@
 //! Read-only adjacency abstraction shared by the SCC, knot, and cycle
 //! algorithms, plus a reusable CSR (compressed sparse row) materialization.
 //!
-//! The detection hot path builds the CSR **once** per epoch from the
-//! [`WaitGraph`](crate::WaitGraph) and shares it between knot analysis and
-//! cycle counting, instead of each algorithm materializing its own
-//! `Vec<Vec<VertexId>>` copy.
+//! The detection hot path walks the [`WaitGraph`](crate::WaitGraph)
+//! itself: its record table answers [`Adjacency::neighbors`] with one range
+//! load, so no per-epoch copy of the graph is made. The crate-private
+//! [`Csr`] holds only the graphs the cycle counter derives (a component's
+//! induced adjacency and its branch-vertex contraction).
 
 use crate::VertexId;
 
@@ -41,20 +42,15 @@ impl Adjacency for Vec<Vec<VertexId>> {
 }
 
 /// Reusable flat adjacency: `targets[offsets[v]..offsets[v+1]]` are the
-/// successors of `v`. Refilled in place each epoch, so the steady state
-/// performs no allocation.
+/// successors of `v`. Refilled in place, so the steady state performs no
+/// allocation.
 #[derive(Clone, Debug, Default)]
-pub struct Csr {
+pub(crate) struct Csr {
     pub(crate) offsets: Vec<u32>,
     pub(crate) targets: Vec<VertexId>,
 }
 
 impl Csr {
-    /// An empty CSR; capacities grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Resets to an edgeless graph over `n` vertices, keeping capacity.
     pub(crate) fn reset(&mut self, n: usize) {
         self.offsets.clear();
@@ -70,8 +66,8 @@ impl Csr {
         self.offsets.push(self.targets.len() as u32);
     }
 
-    /// Total number of edges.
-    pub fn num_edges(&self) -> usize {
+    /// Total number of arcs.
+    pub(crate) fn num_edges(&self) -> usize {
         self.targets.len()
     }
 }
@@ -96,7 +92,7 @@ mod tests {
     #[test]
     fn csr_round_trip() {
         let lists: Vec<Vec<VertexId>> = vec![vec![1, 2], vec![], vec![0]];
-        let mut csr = Csr::new();
+        let mut csr = Csr::default();
         csr.reset(lists.len());
         for l in &lists {
             csr.push_vertex(l.iter().copied());
@@ -110,7 +106,7 @@ mod tests {
 
     #[test]
     fn reset_reuses_storage() {
-        let mut csr = Csr::new();
+        let mut csr = Csr::default();
         csr.reset(2);
         csr.push_vertex([1]);
         csr.push_vertex([0, 1]);

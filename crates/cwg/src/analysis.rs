@@ -1,6 +1,6 @@
 //! Knot detection and deadlock classification.
 
-use crate::adjacency::{Adjacency, Csr};
+use crate::adjacency::Adjacency;
 use crate::cycles::{is_cyclic, CycleCount, CycleScratch};
 use crate::graph::{MessageId, VertexId, WaitGraph};
 use crate::scc::SccScratch;
@@ -77,16 +77,14 @@ impl Analysis {
 
 /// Reusable working storage for the per-epoch detection pass.
 ///
-/// Holds the epoch's CSR adjacency (built once from the [`WaitGraph`] and
-/// shared by knot analysis and cycle counting), Tarjan scratch, the
-/// per-component terminal and reaches-a-knot marks, and the cycle counter's
-/// buffers (its branch-vertex contraction included). Once capacities have
-/// warmed up, [`WaitGraph::analyze_with`] allocates nothing on a knot-free
-/// epoch and only the vectors of the returned [`Analysis`] on a
-/// knot-bearing one.
+/// Holds Tarjan scratch, the per-component terminal and reaches-a-knot
+/// marks, and the cycle counter's buffers (its branch-vertex contraction
+/// included). No copy of the graph lives here: every pass walks the
+/// [`WaitGraph`] itself. Once capacities have warmed up,
+/// [`WaitGraph::analyze_with`] allocates nothing on a knot-free epoch and
+/// only the vectors of the returned [`Analysis`] on a knot-bearing one.
 #[derive(Clone, Debug, Default)]
 pub struct DetectorScratch {
-    csr: Csr,
     scc: SccScratch,
     terminal: Vec<bool>,
     /// Per component: is a knot, or has an arc path into one.
@@ -104,17 +102,16 @@ impl DetectorScratch {
         Self::default()
     }
 
-    /// Rebuilds the CSR from `g`, decomposes it, and marks which components
-    /// are terminal (no leaving arc). Returns the component count.
+    /// Decomposes `g` and marks which components are terminal (no leaving
+    /// arc). Returns the component count.
     fn decompose(&mut self, g: &WaitGraph) -> usize {
-        g.build_csr(&mut self.csr);
-        self.scc.run(&self.csr);
+        self.scc.run(g);
         let nc = self.scc.num_components();
         self.terminal.clear();
         self.terminal.resize(nc, true);
-        for v in 0..self.csr.num_vertices() as u32 {
+        for v in 0..g.num_vertices() as u32 {
             let cv = self.scc.comp_of(v);
-            for &w in self.csr.neighbors(v) {
+            for &w in g.neighbors(v) {
                 if self.scc.comp_of(w) != cv {
                     self.terminal[cv as usize] = false;
                 }
@@ -125,8 +122,8 @@ impl DetectorScratch {
 
     /// Whether component `ci` is a knot: terminal and non-trivial (more
     /// than one vertex, or a single vertex with a self-loop).
-    fn is_knot(&self, ci: usize) -> bool {
-        self.terminal[ci] && is_cyclic(&self.csr, self.scc.component(ci as u32))
+    fn is_knot(&self, g: &WaitGraph, ci: usize) -> bool {
+        self.terminal[ci] && is_cyclic(g, self.scc.component(ci as u32))
     }
 
     /// The sorted, deduplicated owners of component `ci`'s vertices, also
@@ -144,12 +141,12 @@ impl DetectorScratch {
     /// components in reverse topological order — an arc only ever leads to
     /// a smaller component id — so one ascending sweep settles each
     /// component after all of its successors.
-    fn mark_reaches_knot(&mut self, nc: usize) {
+    fn mark_reaches_knot(&mut self, g: &WaitGraph, nc: usize) {
         self.reaches_knot.clear();
         for ci in 0..nc {
-            let reaches = self.is_knot(ci)
+            let reaches = self.is_knot(g, ci)
                 || self.scc.component(ci as u32).iter().any(|&v| {
-                    self.csr.neighbors(v).iter().any(|&w| {
+                    g.neighbors(v).iter().any(|&w| {
                         let cw = self.scc.comp_of(w) as usize;
                         cw != ci && self.reaches_knot[cw]
                     })
@@ -189,7 +186,7 @@ impl WaitGraph {
 
         let mut deadlocks = Vec::new();
         for ci in 0..nc {
-            if !scratch.is_knot(ci) {
+            if !scratch.is_knot(self, ci) {
                 continue;
             }
             let deadlock_set = scratch.deadlock_set(self, ci);
@@ -202,12 +199,10 @@ impl WaitGraph {
             scratch.vertices.dedup();
             let resource_set = scratch.vertices.clone();
 
-            // The knot is already one SCC of the epoch CSR: count inside it
+            // The knot is already one SCC of the graph: count inside it
             // directly.
             let comp = scratch.scc.component(ci as u32);
-            let cycle_density = scratch
-                .cycles
-                .count_in_component(&scratch.csr, comp, density_cap);
+            let cycle_density = scratch.cycles.count_in_component(self, comp, density_cap);
             let mut knot = comp.to_vec();
             knot.sort_unstable();
 
@@ -224,14 +219,14 @@ impl WaitGraph {
         // wait into a deadlock.
         let mut dependent = Vec::new();
         if !deadlocks.is_empty() {
-            scratch.mark_reaches_knot(nc);
+            scratch.mark_reaches_knot(self, nc);
             let reaches = |v: VertexId| scratch.reaches_knot[scratch.scc.comp_of(v) as usize];
             for (msg, chain, reqs) in self.blocked_entries() {
                 // A knot has no leaving arc, so a message owning any knot
                 // vertex owns its chain from there to the head: deadlock
                 // set membership is decided by the head alone.
                 let head = *chain.last().expect("chains are non-empty");
-                if scratch.is_knot(scratch.scc.comp_of(head) as usize) {
+                if scratch.is_knot(self, scratch.scc.comp_of(head) as usize) {
                     continue;
                 }
                 let hits = reqs.iter().filter(|&&t| reaches(t)).count();
@@ -261,7 +256,7 @@ impl WaitGraph {
         let nc = scratch.decompose(self);
         let mut sets = Vec::new();
         for ci in 0..nc {
-            if scratch.is_knot(ci) {
+            if scratch.is_knot(self, ci) {
                 sets.push(scratch.deadlock_set(self, ci));
             }
         }
@@ -273,11 +268,8 @@ impl WaitGraph {
     /// congestion precursor metric when no deadlock exists — cyclic
     /// non-deadlocks (§2.2.3).
     pub fn count_cycles_with(&self, cap: u64, scratch: &mut DetectorScratch) -> CycleCount {
-        self.build_csr(&mut scratch.csr);
-        scratch.scc.run(&scratch.csr);
-        scratch
-            .cycles
-            .count_components(&scratch.csr, &scratch.scc, cap)
+        scratch.scc.run(self);
+        scratch.cycles.count_components(self, &scratch.scc, cap)
     }
 
     /// [`count_cycles_with`](Self::count_cycles_with) on fresh scratch.

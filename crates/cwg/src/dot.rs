@@ -1,5 +1,6 @@
 //! Graphviz (DOT) rendering of channel wait-for graphs.
 
+use crate::adjacency::Adjacency;
 use crate::analysis::Analysis;
 use crate::graph::WaitGraph;
 use std::collections::HashSet;
@@ -51,13 +52,11 @@ impl WaitGraph {
             .unwrap_or_default();
 
         let mut used: HashSet<u32> = HashSet::new();
+        // Arcs only leave owned vertices.
         for v in 0..self.num_vertices() as u32 {
             if self.owner(v).is_some() {
                 used.insert(v);
-            }
-            for e in self.edges(v) {
-                used.insert(v);
-                used.insert(e.to);
+                used.extend(self.neighbors(v));
             }
         }
         let mut vertices: Vec<u32> = used.into_iter().collect();
@@ -79,14 +78,19 @@ impl WaitGraph {
             let _ = writeln!(out, "  v{v} [label=\"{}\"{attrs}];", dot_escape(&label));
         }
         for &v in &vertices {
-            for e in self.edges(v) {
-                let style = if e.dashed { "dashed" } else { "solid" };
-                let _ = writeln!(
-                    out,
-                    "  v{v} -> v{} [style={style} label=\"{}\"];",
-                    e.to,
-                    dot_escape(&format!("m{}", e.msg))
-                );
+            let Some(slot) = self.slot_of(v) else {
+                continue;
+            };
+            // A head's arcs are its owner's requests; an interior's one arc
+            // is the owner's next chain vertex.
+            let style = if self.slot_chain(slot).last() == Some(&v) {
+                "dashed"
+            } else {
+                "solid"
+            };
+            let m = self.slot_id(slot);
+            for &w in self.neighbors(v) {
+                let _ = writeln!(out, "  v{v} -> v{w} [style={style} label=\"m{m}\"];");
             }
         }
         out.push_str("}\n");

@@ -1,6 +1,6 @@
 //! The channel wait-for graph structure.
 
-use crate::adjacency::Csr;
+use crate::adjacency::Adjacency;
 use crate::idmap::IdMap;
 
 /// A virtual-channel vertex in the CWG. The embedding (which VC of which
@@ -10,23 +10,10 @@ pub type VertexId = u32;
 /// Opaque message identifier.
 pub type MessageId = u64;
 
-/// One arc of the CWG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Edge {
-    /// Target vertex.
-    pub to: VertexId,
-    /// The message this arc belongs to: for solid arcs, the owner of both
-    /// endpoints; for dashed arcs, the blocked message doing the waiting.
-    pub msg: MessageId,
-    /// Dashed arcs are resource *requests*; solid arcs record acquisition
-    /// order among owned VCs.
-    pub dashed: bool,
-}
-
 /// Sentinel slot for "no owning message".
 const NO_MSG: u32 = u32::MAX;
 
-/// Per-message flat record: ranges into the chain / request pools.
+/// Per-message flat record: ranges into the vertex pool.
 #[derive(Clone, Copy, Debug)]
 struct MsgEntry {
     id: MessageId,
@@ -42,23 +29,29 @@ struct MsgEntry {
 /// detection every 50 cycles). Unlike the dependency graphs of avoidance
 /// theory, this depicts the *dynamic* state — it is generally disconnected.
 ///
+/// The record table is the graph: one `pool` holds every chain and request
+/// list in registration order, and each vertex's out-arcs are a range of
+/// it. A chain interior's one solid arc is the next pool position (its
+/// successor in the chain), a head's dashed arcs are its owner's request
+/// range, and a free vertex has none; so
+/// [`neighbors`](Adjacency::neighbors) is one range load and no vertex
+/// carries both kinds of arc.
+///
 /// The graph is **rebuildable in place**: [`reset`](WaitGraph::reset)
 /// clears it while keeping every buffer's capacity, so the per-epoch
 /// rebuild performs no heap allocation once capacities have warmed up.
-/// Message state lives in slot-indexed flat storage (a record table plus
-/// shared chain/request vertex pools) rather than per-message `Vec`s.
 #[derive(Clone, Debug, Default)]
 pub struct WaitGraph {
-    adj: Vec<Vec<Edge>>,
+    /// Vertex -> its out-arcs as a `(start, len)` range of `pool`.
+    out: Vec<(u32, u32)>,
     /// Vertex -> owning message slot (index into `msgs`), or [`NO_MSG`].
     owner_slot: Vec<u32>,
     msgs: Vec<MsgEntry>,
     /// Message id -> slot; reused across rebuilds (capacity survives
     /// [`reset`](WaitGraph::reset)).
     index: IdMap<u32>,
-    chain_pool: Vec<VertexId>,
-    req_pool: Vec<VertexId>,
-    num_dashed: usize,
+    /// Every chain and request list, in registration order.
+    pool: Vec<VertexId>,
 }
 
 impl WaitGraph {
@@ -69,30 +62,27 @@ impl WaitGraph {
         g
     }
 
-    /// Clears the graph back to `n` unowned, edgeless vertices, retaining
-    /// every buffer's capacity. Only vertices touched by the previous
-    /// build are visited, so a reset after a sparse epoch is cheap.
+    /// Clears the graph back to `n` unowned, arcless vertices, retaining
+    /// every buffer's capacity. Only vertices owned in the previous build
+    /// are visited (arcs only ever originate at owned vertices), so a
+    /// reset after a sparse epoch is cheap.
     pub fn reset(&mut self, n: usize) {
-        // Clear per-vertex state at previously owned vertices (edges only
-        // ever originate at owned vertices).
-        for &v in &self.chain_pool {
-            self.adj[v as usize].clear();
-            self.owner_slot[v as usize] = NO_MSG;
+        for e in &self.msgs {
+            for &v in &self.pool[e.chain_start as usize..(e.chain_start + e.chain_len) as usize] {
+                self.out[v as usize] = (0, 0);
+                self.owner_slot[v as usize] = NO_MSG;
+            }
         }
-        if self.adj.len() != n {
-            self.adj.resize_with(n, Vec::new);
-            self.owner_slot.resize(n, NO_MSG);
-        }
+        self.out.resize(n, (0, 0));
+        self.owner_slot.resize(n, NO_MSG);
         self.msgs.clear();
         self.index.clear();
-        self.chain_pool.clear();
-        self.req_pool.clear();
-        self.num_dashed = 0;
+        self.pool.clear();
     }
 
     /// Number of vertices (owned or not).
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.out.len()
     }
 
     /// Records that `msg` owns `chain` (in acquisition order: tail-most
@@ -104,23 +94,19 @@ impl WaitGraph {
     pub fn add_chain(&mut self, msg: MessageId, chain: &[VertexId]) {
         assert!(!chain.is_empty(), "ownership chain may not be empty");
         let slot = self.msgs.len() as u32;
-        for &v in chain {
-            assert!((v as usize) < self.adj.len(), "vertex {v} out of range");
+        let chain_start = self.pool.len() as u32;
+        for (i, &v) in chain.iter().enumerate() {
+            assert!((v as usize) < self.out.len(), "vertex {v} out of range");
             assert!(
                 self.owner_slot[v as usize] == NO_MSG,
                 "vertex {v} already owned"
             );
             self.owner_slot[v as usize] = slot;
+            self.out[v as usize] = (chain_start + i as u32 + 1, 1);
         }
-        for w in chain.windows(2) {
-            self.adj[w[0] as usize].push(Edge {
-                to: w[1],
-                msg,
-                dashed: false,
-            });
-        }
-        let chain_start = self.chain_pool.len() as u32;
-        self.chain_pool.extend_from_slice(chain);
+        // The head has no solid arc; its requests, if any, come later.
+        self.out[chain[chain.len() - 1] as usize] = (0, 0);
+        self.pool.extend_from_slice(chain);
         let prev = self.index.insert(msg, slot);
         assert!(prev.is_none(), "message {msg} registered twice");
         self.msgs.push(MsgEntry {
@@ -160,52 +146,40 @@ impl WaitGraph {
 
     fn add_requests_at(&mut self, slot: u32, targets: &[VertexId]) {
         assert!(!targets.is_empty(), "a blocked message waits for something");
-        let entry = self.msgs[slot as usize];
-        let msg = entry.id;
-        assert!(entry.req_len == 0, "message {msg} requested twice");
-        let head = self.chain_pool[(entry.chain_start + entry.chain_len - 1) as usize];
-        for &t in targets {
-            assert!((t as usize) < self.adj.len(), "vertex {t} out of range");
-            self.adj[head as usize].push(Edge {
-                to: t,
-                msg,
-                dashed: true,
-            });
-        }
-        self.num_dashed += targets.len();
+        let n = self.out.len();
         let e = &mut self.msgs[slot as usize];
-        e.req_start = self.req_pool.len() as u32;
+        assert!(e.req_len == 0, "message {} requested twice", e.id);
+        for &t in targets {
+            assert!((t as usize) < n, "vertex {t} out of range");
+        }
+        e.req_start = self.pool.len() as u32;
         e.req_len = targets.len() as u32;
-        self.req_pool.extend_from_slice(targets);
+        let head = self.pool[(e.chain_start + e.chain_len - 1) as usize];
+        self.out[head as usize] = (e.req_start, e.req_len);
+        self.pool.extend_from_slice(targets);
     }
 
     /// Removes the dashed request arcs of `msg` in place, turning its chain
-    /// into a CWG sink — exactly how an in-progress recovery victim stops
-    /// waiting while still owning its chain. Returns `false` when `msg` is
-    /// unknown or had no requests.
+    /// into a CWG sink — exactly how a recovery victim stops waiting while
+    /// still owning its chain. Returns `false` when `msg` is unknown or had
+    /// no requests. O(1): the head's range and the record's request count
+    /// are zeroed, and the request list stays unreferenced in the pool
+    /// until the next [`reset`](Self::reset).
     ///
-    /// The resulting graph is edge-for-edge identical to one freshly built
-    /// from the same snapshot with `msg`'s requests omitted, which is what
-    /// makes the recovery loop's incremental re-analysis exact.
+    /// The resulting graph is arc-for-arc identical to one freshly built
+    /// from the same snapshot with `msg`'s requests omitted.
     pub fn remove_requests(&mut self, msg: MessageId) -> bool {
         let Some(&slot) = self.index.get(&msg) else {
             return false;
         };
-        let entry = self.msgs[slot as usize];
-        if entry.req_len == 0 {
+        let e = &mut self.msgs[slot as usize];
+        if e.req_len == 0 {
             return false;
         }
-        let head = self.chain_pool[(entry.chain_start + entry.chain_len - 1) as usize];
-        self.adj[head as usize].retain(|e| !(e.dashed && e.msg == msg));
-        self.num_dashed -= entry.req_len as usize;
-        self.msgs[slot as usize].req_len = 0;
+        e.req_len = 0;
+        let head = self.pool[(e.chain_start + e.chain_len - 1) as usize];
+        self.out[head as usize] = (0, 0);
         true
-    }
-
-    /// Outgoing arcs of a vertex.
-    #[inline]
-    pub fn edges(&self, v: VertexId) -> &[Edge] {
-        &self.adj[v as usize]
     }
 
     /// The message owning `v`, if any.
@@ -264,11 +238,11 @@ impl WaitGraph {
     }
 
     fn entry_chain(&self, e: &MsgEntry) -> &[VertexId] {
-        &self.chain_pool[e.chain_start as usize..(e.chain_start + e.chain_len) as usize]
+        &self.pool[e.chain_start as usize..(e.chain_start + e.chain_len) as usize]
     }
 
     fn entry_requests(&self, e: &MsgEntry) -> &[VertexId] {
-        &self.req_pool[e.req_start as usize..(e.req_start + e.req_len) as usize]
+        &self.pool[e.req_start as usize..(e.req_start + e.req_len) as usize]
     }
 
     /// Number of blocked messages in the snapshot.
@@ -280,19 +254,19 @@ impl WaitGraph {
     pub fn messages(&self) -> impl Iterator<Item = MessageId> + '_ {
         self.msgs.iter().map(|e| e.id)
     }
+}
 
-    /// Total dashed (request) arcs — the CWG "fan-out" mass.
-    pub fn num_requests(&self) -> usize {
-        self.num_dashed
+/// The SCC, knot and cycle algorithms walk the graph itself: a vertex's
+/// successors are one range of the pool.
+impl Adjacency for WaitGraph {
+    fn num_vertices(&self) -> usize {
+        self.out.len()
     }
 
-    /// Refills `csr` with the targets-only adjacency, shared by the SCC,
-    /// knot, and cycle algorithms (no allocation once warmed up).
-    pub fn build_csr(&self, csr: &mut Csr) {
-        csr.reset(self.adj.len());
-        for es in &self.adj {
-            csr.push_vertex(es.iter().map(|e| e.to));
-        }
+    #[inline]
+    fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        let (start, len) = self.out[v as usize];
+        &self.pool[start as usize..(start + len) as usize]
     }
 }
 
@@ -304,23 +278,10 @@ mod tests {
     fn chain_adds_solid_edges() {
         let mut g = WaitGraph::new(4);
         g.add_chain(1, &[0, 1, 2]);
-        assert_eq!(
-            g.edges(0),
-            &[Edge {
-                to: 1,
-                msg: 1,
-                dashed: false
-            }]
-        );
-        assert_eq!(
-            g.edges(1),
-            &[Edge {
-                to: 2,
-                msg: 1,
-                dashed: false
-            }]
-        );
-        assert!(g.edges(2).is_empty());
+        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(1), &[2]);
+        assert!(g.neighbors(2).is_empty());
+        assert!(g.neighbors(3).is_empty());
         assert_eq!(g.owner(0), Some(1));
         assert_eq!(g.owner(3), None);
         assert_eq!(g.chain(1), Some(&[0, 1, 2][..]));
@@ -331,9 +292,9 @@ mod tests {
         let mut g = WaitGraph::new(5);
         g.add_chain(7, &[0, 1]);
         g.add_requests(7, &[3, 4]);
-        let dashed: Vec<_> = g.edges(1).iter().filter(|e| e.dashed).collect();
-        assert_eq!(dashed.len(), 2);
-        assert_eq!(g.num_requests(), 2);
+        assert_eq!(g.neighbors(0), &[1], "the interior keeps its solid arc");
+        assert_eq!(g.neighbors(1), &[3, 4]);
+        assert_eq!(g.owner(1), Some(7));
         assert_eq!(g.num_blocked(), 1);
         assert_eq!(g.requests_of(7), Some(&[3, 4][..]));
     }
@@ -343,14 +304,9 @@ mod tests {
         let mut g = WaitGraph::new(2);
         g.add_chain(9, &[1]);
         g.add_requests(9, &[0]);
-        assert_eq!(
-            g.edges(1),
-            &[Edge {
-                to: 0,
-                msg: 9,
-                dashed: true
-            }]
-        );
+        assert_eq!(g.neighbors(1), &[0]);
+        assert_eq!(g.owner(1), Some(9));
+        assert_eq!(g.owner(0), None);
     }
 
     #[test]
@@ -394,10 +350,9 @@ mod tests {
         g.reset(6);
         assert_eq!(g.num_vertices(), 6);
         assert_eq!(g.num_blocked(), 0);
-        assert_eq!(g.num_requests(), 0);
         for v in 0..6 {
             assert_eq!(g.owner(v), None, "vertex {v} still owned after reset");
-            assert!(g.edges(v).is_empty());
+            assert!(g.neighbors(v).is_empty(), "vertex {v} kept its arcs");
         }
         assert_eq!(g.chain(1), None);
         // The same ids and vertices can be registered again.
@@ -436,27 +391,15 @@ mod tests {
         fresh.add_chain(2, &[2, 3]);
         fresh.add_requests(2, &[0]);
         for v in 0..6u32 {
-            assert_eq!(g.edges(v), fresh.edges(v), "vertex {v} edges diverge");
+            assert_eq!(
+                g.neighbors(v),
+                fresh.neighbors(v),
+                "vertex {v} arcs diverge"
+            );
+            assert_eq!(g.owner(v), fresh.owner(v), "vertex {v} owner diverges");
         }
-        assert_eq!(g.num_requests(), fresh.num_requests());
         assert_eq!(g.num_blocked(), fresh.num_blocked());
         assert_eq!(g.requests_of(1), None);
         assert_eq!(g.requests_of(2), Some(&[0][..]));
-    }
-
-    #[test]
-    fn csr_matches_edge_lists() {
-        use crate::adjacency::{Adjacency, Csr};
-        let mut g = WaitGraph::new(5);
-        g.add_chain(1, &[0, 1, 2]);
-        g.add_requests(1, &[4]);
-        g.add_chain(2, &[4]);
-        let mut csr = Csr::new();
-        g.build_csr(&mut csr);
-        assert_eq!(csr.num_vertices(), 5);
-        for v in 0..5u32 {
-            let expect: Vec<u32> = g.edges(v).iter().map(|e| e.to).collect();
-            assert_eq!(csr.neighbors(v), expect.as_slice(), "vertex {v}");
-        }
     }
 }

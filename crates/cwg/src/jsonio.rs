@@ -37,7 +37,8 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Json::U64(v) => Some(v),
-            Json::F64(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => Some(v as u64),
+            // `u64::MAX as f64` rounds up to 2^64, which does not fit.
+            Json::F64(v) if v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64 => Some(v as u64),
             _ => None,
         }
     }
@@ -473,6 +474,26 @@ mod tests {
         let big = u64::MAX - 1;
         let v = parse(&format!("{big}")).unwrap();
         assert_eq!(v.as_u64(), Some(big));
+        assert_eq!(
+            parse(&u64::MAX.to_string()).unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+    }
+
+    #[test]
+    fn integers_past_u64_are_not_u64() {
+        // Each reads as the float 2^64, which a saturating cast would map
+        // to `u64::MAX`, aliasing two distinct inputs with a third.
+        for text in [
+            "18446744073709551616",
+            "18446744073709553000",
+            "1.8446744073709552e19",
+        ] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        // The largest float below 2^64 still converts exactly.
+        let below = parse("18446744073709549568").unwrap();
+        assert_eq!(below.as_u64(), Some(18_446_744_073_709_549_568));
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //!   arc `u → v` labelled with message `m` records that `m` acquired `v`
 //!   after `u` and still owns both; dashed arcs fan out from a blocked
 //!   message's head VC to every VC its routing relation currently supplies.
+//!   The graph's record table is its only adjacency: one pool holds every
+//!   chain and request list, and each vertex's arcs are a range of it, so
+//!   the algorithms below walk the graph through [`Adjacency`] without a
+//!   per-epoch copy.
 //! * [`scc`] — iterative Tarjan strongly-connected components.
 //! * Knot detection: a knot is precisely a **non-trivial terminal SCC**
 //!   (no arcs leave the component), because then the reachable set of every
@@ -61,10 +65,10 @@ mod scc;
 mod serialize;
 mod snapshot;
 
-pub use adjacency::{Adjacency, Csr};
+pub use adjacency::Adjacency;
 pub use analysis::{Analysis, Deadlock, DeadlockKind, DependentKind, DetectorScratch};
 pub use cycles::{count_cycles, CycleCount};
 pub use dynamic::DynamicWaitGraph;
-pub use graph::{Edge, MessageId, VertexId, WaitGraph};
+pub use graph::{MessageId, VertexId, WaitGraph};
 pub use scc::{scc, SccResult, SccScratch};
 pub use snapshot::{CwgMsg, CwgSnapshot};

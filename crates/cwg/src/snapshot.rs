@@ -64,7 +64,7 @@ impl CwgSnapshot {
 
     /// The graph this snapshot describes, ready for analysis. Messages are
     /// registered once each, chain then requests: a vertex's out-arcs come
-    /// from its one owner only, so this is edge-for-edge the graph of a
+    /// from its one owner only, so this is arc-for-arc the graph of a
     /// build that registers every chain before any request.
     ///
     /// # Panics
@@ -150,6 +150,7 @@ impl CwgSnapshot {
 mod tests {
     use super::*;
     use crate::jsonio::parse;
+    use crate::Adjacency;
 
     fn figure1_like() -> CwgSnapshot {
         let msg = |id, chain: &[u32], requests: &[u32]| CwgMsg {
@@ -200,7 +201,8 @@ mod tests {
             two_pass.add_requests(m.id, &m.requests);
         }
         for v in 0..s.num_vertices as u32 {
-            assert_eq!(one_pass.edges(v), two_pass.edges(v), "vertex {v}");
+            assert_eq!(one_pass.neighbors(v), two_pass.neighbors(v), "vertex {v}");
+            assert_eq!(one_pass.owner(v), two_pass.owner(v), "vertex {v}");
         }
     }
 

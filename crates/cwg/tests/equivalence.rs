@@ -1,5 +1,5 @@
-//! Property test: the rebuild-in-place + CSR detection path produces an
-//! analysis identical to a fresh `WaitGraph` built from the same snapshot.
+//! Property test: the rebuild-in-place detection path produces an analysis
+//! identical to a fresh `WaitGraph` built from the same snapshot.
 //!
 //! One `WaitGraph` and one `DetectorScratch` are reused across several
 //! consecutive random "epochs" per case — exactly the detection loop's
@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use icn_cwg::{Analysis, DetectorScratch, WaitGraph};
+use icn_cwg::{Adjacency, Analysis, DetectorScratch, WaitGraph};
 use proptest::prelude::*;
 
 /// The analysis as it stood before the knot-local kernel (nested-`Vec`
@@ -22,10 +22,21 @@ mod frozen {
         scc, Analysis, CycleCount, Deadlock, DependentKind, MessageId, VertexId, WaitGraph,
     };
 
+    /// The CWG read off the records alone (chains and requests), never
+    /// through the graph's own adjacency: a chain's solid arcs in chain
+    /// order, then each blocked head's dashed arcs in request order.
     pub fn adjacency(g: &WaitGraph) -> Vec<Vec<VertexId>> {
-        (0..g.num_vertices() as u32)
-            .map(|v| g.edges(v).iter().map(|e| e.to).collect())
-            .collect()
+        let mut adj = vec![Vec::new(); g.num_vertices()];
+        for m in g.messages() {
+            let chain = g.chain(m).expect("a registered message has a chain");
+            for w in chain.windows(2) {
+                adj[w[0] as usize].push(w[1]);
+            }
+            if let Some(reqs) = g.requests_of(m) {
+                adj[*chain.last().expect("chains are non-empty") as usize].extend_from_slice(reqs);
+            }
+        }
+        adj
     }
 
     pub fn count_cycles(adj: &[Vec<VertexId>], cap: u64) -> CycleCount {
@@ -442,6 +453,18 @@ proptest! {
             let got = reused.analyze_with(10_000, &mut scratch);
 
             assert_same_analysis(&got, &expected);
+            // Arc for arc against the records, so a range left stale by
+            // `reset` (or by a previous epoch's victim removal) fails here.
+            let adj = frozen::adjacency(&fresh);
+            prop_assert_eq!(reused.num_vertices(), adj.len());
+            for v in 0..cwg.n as u32 {
+                prop_assert_eq!(reused.neighbors(v), adj[v as usize].as_slice(), "vertex {}", v);
+            }
+            // Leave a removed victim behind for the next epoch's reset.
+            let first_blocked = reused.blocked_messages().next();
+            if let Some(m) = first_blocked {
+                reused.remove_requests(m);
+            }
         }
     }
 
@@ -545,9 +568,13 @@ proptest! {
             .collect();
         assert_eq!(residual_sets, reference_sets);
 
-        // Edge-for-edge equality, the stronger invariant behind it.
+        // Arc-for-arc equality, the stronger invariant behind it, against
+        // both the rebuilt graph and its records.
+        let adj = frozen::adjacency(&rebuilt);
         for v in 0..cwg.n as u32 {
-            assert_eq!(g.edges(v), rebuilt.edges(v), "vertex {v} edges diverge");
+            assert_eq!(g.neighbors(v), rebuilt.neighbors(v), "vertex {v} arcs diverge");
+            assert_eq!(g.neighbors(v), adj[v as usize].as_slice(), "vertex {v} arcs diverge");
+            assert_eq!(g.owner(v), rebuilt.owner(v), "vertex {v} owner diverges");
         }
     }
 }

@@ -10,15 +10,15 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body (a million-config grid is ~kilobytes;
 /// this bound exists to shed hostile inputs, not to constrain use).
 pub const MAX_BODY: usize = 16 << 20;
 
 /// Largest accepted request head: the request line plus every header. The
-/// per-read socket timeout bounds how long a client may take, not how much
-/// it may send; this bounds the bytes.
+/// read deadline bounds how long a client may take, not how much it may
+/// send; this bounds the bytes.
 pub const MAX_HEAD: u64 = 64 << 10;
 
 /// One parsed request.
@@ -34,10 +34,30 @@ fn bad_input(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// The stream as a reader that gives up at a deadline: before each read
+/// the socket timeout is set to the time left, so a client that trickles
+/// bytes cannot stretch one request past it.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 /// `read_line` inside the head budget: a line the budget cuts short is an
 /// oversized head, never a line.
 fn read_head_line(
-    head: &mut io::Take<BufReader<&TcpStream>>,
+    head: &mut io::Take<BufReader<Deadlined<'_>>>,
     line: &mut String,
 ) -> io::Result<usize> {
     let n = head.read_line(line)?;
@@ -47,11 +67,13 @@ fn read_head_line(
     Ok(n)
 }
 
-/// Reads one request from the stream. Returns `Err` on malformed input —
-/// including a head over [`MAX_HEAD`] or a body over [`MAX_BODY`]; the
-/// caller answers 400 and closes.
-pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
-    let mut head = BufReader::new(stream).take(MAX_HEAD);
+/// Reads one request from the stream, all of it by `deadline`. Returns an
+/// error of kind `TimedOut` or `WouldBlock` once the deadline passes (the
+/// caller answers 408), and `Err` on malformed input — including a head
+/// over [`MAX_HEAD`] or a body over [`MAX_BODY`]; the caller answers 400
+/// and closes.
+pub fn read_request(stream: &TcpStream, deadline: Instant) -> io::Result<Request> {
+    let mut head = BufReader::new(Deadlined { stream, deadline }).take(MAX_HEAD);
     let mut line = String::new();
     read_head_line(&mut head, &mut line)?;
     let mut parts = line.split_whitespace();
@@ -221,13 +243,17 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    fn soon() -> Instant {
+        Instant::now() + Duration::from_secs(5)
+    }
+
     #[test]
     fn request_and_response_round_trip() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let req = read_request(&stream).unwrap();
+            let req = read_request(&stream, soon()).unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/jobs");
             assert_eq!(req.body, b"{\"x\":1}");
@@ -247,7 +273,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let req = read_request(&stream).unwrap();
+            let req = read_request(&stream, soon()).unwrap();
             assert_eq!(req.method, "GET");
             assert!(req.body.is_empty());
             let mut stream = stream;
@@ -265,7 +291,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let _ = read_request(&stream).unwrap();
+            let _ = read_request(&stream, soon()).unwrap();
             let mut stream = stream;
             respond_with_headers(
                 &mut stream,
@@ -297,7 +323,21 @@ mod tests {
             s.write_all(b"garbage\r\n\r\n").unwrap();
         });
         let (stream, _) = listener.accept().unwrap();
-        assert!(read_request(&stream).is_err());
+        assert!(read_request(&stream, soon()).is_err());
         client.join().unwrap();
+    }
+
+    #[test]
+    fn a_passed_deadline_times_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /stats HTTP/1.1\r\n\r\n").unwrap();
+        });
+        let (stream, _) = listener.accept().unwrap();
+        client.join().unwrap();
+        let err = read_request(&stream, Instant::now()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 }

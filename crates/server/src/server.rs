@@ -48,7 +48,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flexsim::jsonio::{durable, frame_record, obj, Json};
 use flexsim::{checkpoint_line, read_results, ENGINE_VERSION};
@@ -210,7 +210,7 @@ impl CampaignServer {
         if self.handle_sigint {
             signal::install();
         }
-        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let (tx, rx) = mpsc::channel::<(TcpStream, Instant)>();
         let rx = Arc::new(Mutex::new(rx));
         let handlers: Vec<JoinHandle<()>> = (0..HTTP_THREADS)
             .map(|h| {
@@ -223,7 +223,7 @@ impl CampaignServer {
                         // other handlers queue on it and take turns.
                         let next = rx.lock().unwrap().recv();
                         match next {
-                            Ok(stream) => handle_connection(&ctx, stream),
+                            Ok((stream, accepted)) => handle_connection(&ctx, stream, accepted),
                             Err(mpsc::RecvError) => break,
                         }
                     })
@@ -254,7 +254,7 @@ impl CampaignServer {
             }
             match accepted {
                 Ok((stream, _)) => {
-                    let _ = tx.send(stream);
+                    let _ = tx.send((stream, Instant::now()));
                 }
                 // Out of descriptors, or a connection reset before it was
                 // accepted: give the condition a moment to clear.
@@ -281,8 +281,9 @@ impl CampaignServer {
 const SIGINT_POLL: Duration = Duration::from_millis(20);
 /// Pause after a failed `accept`, so a persistent error cannot spin.
 const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(50);
-/// Read and write budget of an accepted connection: a client that stalls
-/// longer than this mid-request (or mid-response) loses its handler.
+/// Budget of an accepted connection: a client that has not sent its whole
+/// request this long after accept is answered 408 and loses its handler,
+/// however it paces its bytes; each response write may stall this long.
 const SOCKET_BUDGET: Duration = Duration::from_secs(5);
 
 /// Raises the shutdown latch and wakes the accept loop by connecting to
@@ -389,12 +390,11 @@ fn load_new_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) -> u64 {
 
 /// Reads one request, dispatches it, writes the response. All errors end
 /// the connection; the protocol is one request per connection anyway.
-fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
+fn handle_connection(ctx: &Arc<Ctx>, stream: TcpStream, accepted: Instant) {
     let mut stream = stream;
-    // A stalled client must not pin this handler.
-    let _ = stream.set_read_timeout(Some(SOCKET_BUDGET));
+    // A stalled or trickling client must not pin this handler.
     let _ = stream.set_write_timeout(Some(SOCKET_BUDGET));
-    let req = match read_request(&stream) {
+    let req = match read_request(&stream, accepted + SOCKET_BUDGET) {
         Ok(r) => r,
         Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
             let _ = respond_error(&mut stream, 408, "request not received in time");

@@ -10,7 +10,7 @@ use icn_routing::{RoutingAlgorithm, MAX_VCS};
 pub struct SimConfig {
     /// Virtual channels per physical channel (1–16).
     pub vcs_per_channel: usize,
-    /// Edge-buffer depth per VC, in flits. Depth ≥ `msg_len` yields virtual
+    /// Per-VC edge-buffer depth, in flits. Depth ≥ `msg_len` yields virtual
     /// cut-through behaviour.
     pub buffer_depth: usize,
     /// Message length in flits.

@@ -1,4 +1,4 @@
-//! Edge-case and property coverage for k-ary n-cube geometry.
+//! Boundary-case and property coverage for k-ary n-cube geometry.
 //!
 //! The constructions exercised here sit at the boundaries of the parameter
 //! space the experiments sweep: radix-2 tori (where the plus and minus

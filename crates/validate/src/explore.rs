@@ -56,7 +56,7 @@ pub struct ExploreConfig {
     pub routing: ExploreRouting,
     /// Virtual channels per physical channel.
     pub vcs: usize,
-    /// Edge-buffer depth in flits.
+    /// The edge-buffer depth in flits.
     pub buffer_depth: usize,
     /// Message length in flits.
     pub msg_len: usize,

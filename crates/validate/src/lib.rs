@@ -1,10 +1,10 @@
 //! Independent validation layer for the deadlock reproduction.
 //!
 //! The production detector (`icn-cwg`) is heavily optimized — arena
-//! snapshots, in-place rebuilds, CSR + Tarjan knot finding, fingerprint
-//! skips — which is exactly why it needs an adversarial correctness net
-//! that shares none of that machinery. This crate provides these
-//! independent lines of defense:
+//! snapshots, in-place rebuilds, Tarjan knot finding over the graph's own
+//! arc ranges, fingerprint skips — which is exactly why it needs an
+//! adversarial correctness net that shares none of that machinery. This
+//! crate provides these independent lines of defense:
 //!
 //! * [`oracle`] — a deliberately naive knot finder (dense adjacency
 //!   matrix, fixed-point escape reduction, Warshall closure) plus a

@@ -717,6 +717,64 @@ fn stalled_client_gets_408_and_delays_nobody() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A client that sends its request one byte a second never stalls a single
+/// read for the 5 s socket budget, yet loses its handler once 5 s have
+/// passed since accept; requests sent alongside it are served meanwhile.
+#[test]
+fn trickling_client_gets_408_within_the_budget() {
+    use std::io::{Read, Write};
+    use std::net::Shutdown;
+
+    let dir = scratch_dir("e2e-trickle");
+    let (client, handle) = start_server(&dir, 1);
+    let mut trickler = std::net::TcpStream::connect(client.addr).expect("connect");
+    let start = Instant::now();
+    let mut writer = trickler.try_clone().expect("clone");
+    let trickle = std::thread::spawn(move || {
+        for &b in b"GET /stats HTTP/1.1\r\nHost: localhost\r\n\r\n" {
+            if writer.write_all(&[b]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    });
+
+    for _ in 0..6 {
+        let served = Instant::now();
+        client
+            .stat(&["requests"])
+            .expect("served alongside the trickle");
+        assert!(
+            served.elapsed() < Duration::from_secs(1),
+            "a request beside the trickle took {:?}",
+            served.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(500));
+    }
+
+    trickler
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // Bytes read before a reset stay in `reply`.
+    let mut reply = Vec::new();
+    let _ = trickler.read_to_end(&mut reply);
+    let waited = start.elapsed();
+    let _ = trickler.shutdown(Shutdown::Both);
+    trickle.join().unwrap();
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.starts_with("HTTP/1.1 408"),
+        "a trickled request is answered 408: {reply:?}"
+    );
+    assert!(
+        waited < Duration::from_secs(6),
+        "the 408 came {waited:?} after connect, past the 5 s budget + 1 s"
+    );
+
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The three `/stats` counters the settle-at-submit rule is stated in.
 fn work_counters(client: Client) -> [u64; 3] {
     [&["sims_run"][..], &["cache", "hits"], &["leases_acquired"]]
