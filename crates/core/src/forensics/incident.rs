@@ -254,6 +254,17 @@ impl DeadlockIncident {
             None => return Err(bad("`policy` must be a string")),
         };
         let cycle = get_u64(v, "cycle")?;
+        let config = config_from_json(get(v, "config")?)?;
+        let cwg = CwgSnapshot::from_json(get(v, "cwg")?)?;
+        // The snapshot sizes per-vertex tables when it is rebuilt, so its
+        // vertex count must be the one its own network has.
+        let expected = wait_vertex_count(&config);
+        if cwg.num_vertices != expected {
+            return Err(bad(&format!(
+                "`cwg.num_vertices` is {}, but the incident's network has {expected} wait vertices",
+                cwg.num_vertices
+            )));
+        }
         Ok(DeadlockIncident {
             seq: get_u64(v, "seq")? as u32,
             cycle,
@@ -263,9 +274,9 @@ impl DeadlockIncident {
                 Ok(f) => f,
                 Err(_) => cycle,
             },
-            config: config_from_json(get(v, "config")?)?,
+            config,
             fingerprint: get_u64(v, "fingerprint")?,
-            cwg: CwgSnapshot::from_json(get(v, "cwg")?)?,
+            cwg,
             analysis: Analysis::from_json(get(v, "analysis")?)?,
             timelines,
             recovery: RecoveryOutcome {
@@ -280,6 +291,15 @@ impl DeadlockIncident {
     pub fn from_json_str(text: &str) -> Result<Self, ParseError> {
         Self::from_json(&parse(text)?)
     }
+}
+
+/// The CWG vertex count of `cfg`'s network (every VC plus one reception
+/// channel per node), computed without building it. `cfg` has passed
+/// [`RunConfig::check`], so the sizes are known to be in range.
+fn wait_vertex_count(cfg: &RunConfig) -> usize {
+    let vcs = cfg.sim.vcs_per_channel;
+    let (nodes, channels) = cfg.topology.sizes(vcs).expect("a checked config has sizes");
+    channels * vcs + nodes
 }
 
 // ---------------------------------------------------------------------
@@ -429,6 +449,23 @@ mod tests {
             let text = event_to_json(ev).to_string();
             let back = event_from_json(&parse(&text).unwrap()).unwrap();
             assert_eq!(*ev, back);
+        }
+    }
+
+    #[test]
+    fn wait_vertex_count_matches_the_built_network() {
+        use crate::spec::{RoutingSpec, TopologySpec};
+        for (topology, vcs) in [
+            (TopologySpec::torus(8, 2, false), 1),
+            (TopologySpec::torus(4, 3, true), 3),
+            (TopologySpec::mesh(5, 2), 2),
+        ] {
+            let mut cfg = RunConfig::small_default();
+            cfg.topology = topology;
+            cfg.routing = RoutingSpec::Tfar;
+            cfg.sim.vcs_per_channel = vcs;
+            let net = icn_sim::Network::new(cfg.topology.build(), cfg.routing.build(), cfg.sim);
+            assert_eq!(wait_vertex_count(&cfg), net.wait_vertex_count(), "{cfg:?}");
         }
     }
 

@@ -200,6 +200,11 @@ impl RunConfig {
                     .into(),
             );
         }
+        if self.warmup.checked_add(self.measure).is_none() {
+            return Err(
+                "`warmup` + `measure` must fit in 64 bits: the run is that many cycles long".into(),
+            );
+        }
         if self.density_cap < 2 {
             return Err(
                 "`density_cap` must be at least 2: a smaller cap stops at the first \

@@ -30,8 +30,8 @@ pub struct EpochView<'a> {
     /// event-patched wait graph certifies the epoch knot-free.
     pub analysis: &'a Analysis,
     /// Whether the epoch was settled without asking for a verdict at all:
-    /// nothing is blocked, or the blocked wait-state fingerprint equals
-    /// the last verified knot-free epoch's.
+    /// nothing is blocked, or the previous epoch was knot-free and this
+    /// epoch's drain changed no blocked record.
     pub skipped: bool,
     /// Whether `arena` was refilled at this epoch. The detector works from
     /// the engine's wait-state events, not from captures, so the arena is
@@ -147,11 +147,10 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     let mut arena = SnapshotArena::new();
     let mut graph = WaitGraph::new(0);
     let mut scratch = DetectorScratch::new();
-    // Blocked-wait-state fingerprint of the previous epoch, kept only when
-    // that epoch was verified knot-free. Knots (and resource cycles) are
-    // closed exclusively by blocked messages — moving chains are CWG sinks
-    // — so an identical blocked wait-state implies an identical verdict.
-    let mut clean_fingerprint: Option<u64> = None;
+    // Whether the previous epoch was knot-free. Knots are closed
+    // exclusively by blocked messages — moving chains are CWG sinks — so
+    // an unchanged blocked wait-state keeps that verdict.
+    let mut knot_free = false;
 
     // Forensic capture: enable engine tracing and index events per live
     // message, so a detected knot's formation can be reconstructed.
@@ -239,16 +238,14 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 WaitUpdate::Blocked { chain, requests } => dwg.stage_blocked(id, chain, requests),
                 WaitUpdate::Clear => dwg.stage_clear(id),
             });
-            dwg.commit();
+            let changed = dwg.commit();
 
-            // Fast paths: with nothing blocked there are no dashed arcs, so
-            // neither knots nor resource cycles can exist; and when the
-            // blocked wait-state fingerprint matches a previous verified
-            // clean epoch, the verdict carries over unchanged.
-            let fingerprint = dwg.fingerprint();
-            let skip = dwg.num_blocked() == 0 || clean_fingerprint == Some(fingerprint);
+            // Skipped epochs: with nothing blocked there are no dashed
+            // arcs, so neither knots nor resource cycles can exist; and an
+            // unchanged wait-state keeps the previous knot-free verdict.
+            let skip = dwg.num_blocked() == 0 || (knot_free && !changed);
             let knot = !skip && dwg.has_knot();
-            clean_fingerprint = (!knot).then_some(fingerprint);
+            knot_free = !knot;
 
             // A knot-free verdict ends detection. A knot epoch analyses the
             // wait graph's own records: the blocked-only graph has exactly
@@ -278,7 +275,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             if captured {
                 net.wait_snapshot_into(&mut arena);
                 debug_assert_eq!(
-                    fingerprint,
+                    dwg.fingerprint(),
                     arena.fingerprint(),
                     "event-patched wait state diverged from the snapshot"
                 );

@@ -380,6 +380,28 @@ mod tests {
         crate::run(&cfg);
     }
 
+    /// A run is `warmup + measure` cycles long: a sum past `u64::MAX`
+    /// would wrap (or panic in a debug build) instead of being run.
+    #[test]
+    fn overflowing_run_length_is_rejected() {
+        let mut cfg = RunConfig::small_default();
+        cfg.warmup = u64::MAX - 5;
+        cfg.measure = 10;
+        let err = config_from_json(&config_to_json(&cfg)).unwrap_err();
+        assert!(err.to_string().contains("`warmup` + `measure`"), "{err}");
+        cfg.measure = 5;
+        assert_eq!(config_from_json(&config_to_json(&cfg)).unwrap(), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "`warmup` + `measure` must fit in 64 bits")]
+    fn run_refuses_an_overflowing_run_length() {
+        let mut cfg = RunConfig::small_default();
+        cfg.warmup = u64::MAX - 5;
+        cfg.measure = 10;
+        crate::run(&cfg);
+    }
+
     #[test]
     #[should_panic(expected = "`density_cap` must be at least 2")]
     fn run_refuses_a_density_cap_below_two() {

@@ -11,7 +11,7 @@
 //!   counters, no duplicate deliveries, routing minimality, recovery
 //!   liveness, no deadlock-set recurrence under recovery, and a full
 //!   differential check of the production verdict and analysis
-//!   (fingerprint-skipped and knot-free epochs included) against the
+//!   (skipped and knot-free epochs included) against the
 //!   naive oracle and the brute-force enumerator, from the observer's own
 //!   capture of the live network.
 //! * [`torture`] / [`torture_regimes`] — long-horizon randomized runs on
@@ -25,7 +25,7 @@
 //!   what the oracle derives from the recorded CWG.
 //!
 //! Every production-vs-oracle comparison goes through the one comparator,
-//! [`check_messages`]; the observer adds only its fingerprint-skip branch.
+//! [`check_messages`]; the observer adds only its skipped-epoch branch.
 //! Any oracle divergence yields a minimized reproducer
 //! ([`divergence_repro_json`]): a [`CwgSnapshot`] in its JSON form, the
 //! shape forensics incidents store, so it replays through
@@ -258,13 +258,14 @@ impl RunObserver for ValidationObserver {
             arena.messages().map(|m| (m.id, m.chain, m.requests)),
         );
         let diffs: Vec<String> = if view.skipped {
-            // The skip claims the epoch is knot-free by fingerprint match;
+            // The skip claims the epoch is knot-free because nothing is
+            // blocked or nothing blocked changed since a knot-free epoch;
             // the oracle re-derives that claim from scratch.
             let oracle = oracle_analyze(&snap);
             let mut out = Vec::new();
             if oracle.has_deadlock() {
                 out.push(format!(
-                    "fingerprint skip declared a clean epoch but the oracle finds knots: {:?}",
+                    "skipped epoch declared clean but the oracle finds knots: {:?}",
                     oracle.deadlock_sets()
                 ));
             }
@@ -522,8 +523,8 @@ pub fn torture_regimes(measure: u64) -> Vec<RunConfig> {
 
 /// Deterministically draws one randomized [`RunConfig`] from `seed`:
 /// topology, routing relation (with a VC count satisfying its minimum),
-/// buffers, lengths, load, pattern, detection cadence, fingerprint skip,
-/// and recovery policy all vary. Windows are short — the campaign's power
+/// buffers, lengths, load, pattern, detection cadence and recovery policy
+/// all vary. Windows are short — the campaign's power
 /// is breadth.
 pub fn random_config(seed: u64) -> RunConfig {
     let mut rng = SplitMix64::new(seed ^ 0x76a1_1da7_e000_0000);

@@ -247,5 +247,20 @@ fn store_persists_and_reloads_incidents() {
     let back = store.load(&index[0].file).unwrap();
     assert_eq!(back, incidents[0]);
 
+    // A stored snapshot that claims a vertex count its own network does
+    // not have is refused on load, before anything is sized from it.
+    let path = dir.join(&index[0].file);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let claim = format!("\"num_vertices\":{}", incidents[0].cwg.num_vertices);
+    assert!(text.contains(&claim), "the stored form spells {claim}");
+    std::fs::write(
+        &path,
+        text.replace(&claim, "\"num_vertices\":1099511627776"),
+    )
+    .unwrap();
+    let err = store.load(&index[0].file).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("num_vertices"), "{err}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }

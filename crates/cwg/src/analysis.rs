@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn escape_resource_prevents_deadlock() {
         // Same ring, but m3 additionally waits for free vertex 8's twin 9?
-        // No: give m3 an alternative request to an *unowned* vertex — the
+        // No: give m3 an alternative request to an *free* vertex — the
         // knot condition fails (Figure 4's escape channel).
         let mut g = WaitGraph::new(10);
         g.add_chain(1, &[1, 2]);

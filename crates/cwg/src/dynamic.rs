@@ -4,8 +4,9 @@
 //! detection epoch. [`DynamicWaitGraph`] instead *persists* the blocked
 //! wait-state across epochs and is patched with the net effect of the
 //! engine's own block/acquire/release events, so "is there a knot right
-//! now?" costs what changed — nothing at all when nothing blocked has —
-//! and only a `true` answer pays for a graph
+//! now?" costs one reduction over the blocked records when a commit
+//! changed one — nothing at all when none changed — and only a `true`
+//! answer pays for a graph
 //! ([`DynamicWaitGraph::rebuild_graph`]) and its full analysis. The runner
 //! drains once per epoch; any cadence down to every cycle is the same
 //! protocol.
@@ -20,7 +21,7 @@
 //! * A moving message's chain is a path of solid arcs ending at its head,
 //!   which has no dashed out-arcs — a sink path. No vertex of it can lie on
 //!   a cycle, so none can belong to a (non-trivial) knot SCC.
-//! * An unowned vertex has no out-arcs at all in either graph.
+//! * A free vertex has no out-arcs at all in either graph.
 //! * Blocked-owned vertices have *identical* out-arcs in the full and the
 //!   blocked-only graph (solid arcs along the blocked chain, dashed arcs
 //!   from its head), so the non-trivial SCCs among them — and their
@@ -39,45 +40,28 @@
 //!    `m`, verbatim from the engine's snapshot extraction rules.
 //! 2. `owner[v] = m` iff `v` is on `records[m].chain` (blocked owners
 //!    only; each vertex has at most one).
-//! 3. `records[m].unowned` = the number of `m`'s request targets *not*
-//!    owned by any blocked message.
-//! 4. `s0` = the number of records with a non-empty request set and
-//!    `unowned == 0`.
-//! 5. `fp_partial` = the commutative sum of per-record hashes, identical
+//! 3. `waiters[v]` = the blocked messages whose requests include `v`.
+//! 4. `fp_partial` = the commutative sum of per-record hashes, identical
 //!    to the simulator snapshot fingerprint's partial sum (same FNV-1a +
 //!    SplitMix64 construction), so
 //!    [`fingerprint`](DynamicWaitGraph::fingerprint) equals
 //!    `SnapshotArena::fingerprint()` for the same wait-state.
 //!
-//! Invariant 3/4 give an O(1) **no-knot certificate**: every deadlock-set
-//! member of a knot has all of its request targets owned by blocked
-//! messages (a free or moving-owned target would be an arc leaving the
-//! terminal component), so `s0 == 0` proves the graph knot-free without
-//! touching any adjacency. Knots moreover live *entirely* among S0
-//! records — a vertex whose owner has an escape reaches that escape — so
-//! the lazy verdict goes stale only when a commit touches an S0 record or
-//! moves a record across the S0 boundary; all other churn (the busy
-//! frontier of a congestion tree) leaves it untouched.
+//! # The verdict
 //!
-//! The boolean verdict is further kept *directionally*: commits can only
-//! grow the knot candidates (records entering S0, S0 insertions) or
-//! shrink them (S0 removals and exits), and each direction is one-sided.
-//! Growth never removes ownership or arcs from surviving records, so a
-//! `true` verdict carries over every growth-only commit; a commit that
-//! shrinks S0 marks a cached `true` stale, and the next query runs one
-//! full worklist reduction (greatest fixpoint of "requests fully owned by
-//! surviving records" — non-empty ⟺ knot, no graph build). Shrinks can
-//! never create a core, so a `false` verdict carries over too; records
-//! entering S0 are queued as a **delta**, and a newly formed core must
-//! contain one of them (a core of previously-S0 records with unchanged
-//! arcs would have existed before), so probing each delta record's
-//! forward target-owner closure — escape found, or a closed all-S0 core —
-//! re-certifies the verdict in O(delta) instead of O(state). The structure
-//! keeps no exact deadlock sets: a caller that needs them rebuilds the
-//! small blocked-only graph with
-//! [`rebuild_graph`](DynamicWaitGraph::rebuild_graph) and analyses that.
-//! The runner, on a knot epoch, runs [`WaitGraph::analyze_with`] on it and
-//! breaks each knot it finds with one victim, which leaves no knot;
+//! [`has_knot`](DynamicWaitGraph::has_knot) is one greatest-fixpoint
+//! reduction over the record table — no graph build — cached until a
+//! commit changes a record. A record has an *escape* when it requests
+//! nothing or requests a vertex no blocked message owns; reducing a record
+//! virtually frees its chain, which gives every waiter on it an escape.
+//! What survives is closed under "owner of a request target" and every
+//! survivor has an out-arc, so a non-empty survivor set holds a
+//! non-trivial terminal SCC, and a knot's deadlock set is itself such a
+//! set: core non-empty ⟺ knot. The structure keeps no exact deadlock
+//! sets: a caller that needs them rebuilds the small blocked-only graph
+//! with [`rebuild_graph`](DynamicWaitGraph::rebuild_graph) and analyses
+//! that. The runner, on a knot epoch, runs [`WaitGraph::analyze_with`] on
+//! it and breaks each knot it finds with one victim, which leaves no knot;
 //! [`diff_against_snapshot`](DynamicWaitGraph::diff_against_snapshot) and
 //! the lockstep tests compare [`WaitGraph::knot_deadlock_sets`].
 //!
@@ -100,19 +84,8 @@ use crate::idmap::{mix, IdMap};
 struct Rec {
     chain: Vec<VertexId>,
     requests: Vec<VertexId>,
-    /// Request targets currently not owned by any blocked message.
-    unowned: u32,
     /// Finalized per-record hash (see [`record_hash`]).
     hash: u64,
-    /// Scratch: last reduction/probe pass that visited this record.
-    red_gen: u64,
-}
-
-impl Rec {
-    #[inline]
-    fn in_s0(&self) -> bool {
-        !self.requests.is_empty() && self.unowned == 0
-    }
 }
 
 /// One staged edit: the message's new state, or its removal.
@@ -152,8 +125,8 @@ fn record_hash(id: MessageId, chain: &[VertexId], requests: &[VertexId]) -> u64 
 /// Owner-index sentinel: the vertex is not held by any blocked message.
 const NO_OWNER: MessageId = MessageId::MAX;
 
-/// Persistent, event-patched blocked wait-state with on-demand knot
-/// verdicts. See the module docs for the maintenance invariants.
+/// Persistent, event-patched blocked wait-state with a cached knot
+/// verdict. See the module docs for the maintenance invariants.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicWaitGraph {
     num_vertices: usize,
@@ -164,26 +137,18 @@ pub struct DynamicWaitGraph {
     owner: Vec<MessageId>,
     /// Vertex -> blocked messages requesting it (reverse request index).
     waiters: Vec<Vec<MessageId>>,
-    /// Records with a non-empty request set fully owned by blocked
-    /// messages — the knot candidates. 0 certifies "no knot".
-    s0: usize,
     /// Commutative per-record hash sum (population fold applied at query).
     fp_partial: u64,
     // Staged edits awaiting commit.
     staged: Vec<(MessageId, Staged)>,
     staged_pool: Vec<VertexId>,
-    // The lazy boolean reduction verdict, invalidated only by commits
-    // that touch S0-relevant state (see `remove_record` / `insert_record`).
-    live_stale: bool,
-    live: bool,
-    // Scratch for the worklist reduction behind `has_knot`:
-    // `red_epoch` stamps `Rec::red_gen` so no per-pass map is needed.
+    // The reduction verdict, `None` once a commit changed a record.
+    verdict: Option<bool>,
+    // Scratch for the reduction behind `has_knot`: `freed[v] == red_epoch`
+    // once `v`'s owner is reduced, so no per-pass map is needed.
     red_epoch: u64,
-    red_stack: Vec<MessageId>,
-    red_chain: Vec<VertexId>,
-    // Records that entered S0 since the last verified `false` verdict —
-    // any newly formed core must contain one of them (see `has_knot`).
-    delta: Vec<MessageId>,
+    freed: Vec<u64>,
+    red_stack: Vec<VertexId>,
     // Ids staged more than once in the current commit (rare; API-only).
     dup_buf: Vec<MessageId>,
 }
@@ -195,6 +160,7 @@ impl DynamicWaitGraph {
             num_vertices,
             owner: vec![NO_OWNER; num_vertices],
             waiters: vec![Vec::new(); num_vertices],
+            freed: vec![0; num_vertices],
             ..Default::default()
         }
     }
@@ -275,16 +241,17 @@ impl DynamicWaitGraph {
     /// Applies every staged edit: phase 1 removes the old records of all
     /// staged messages, phase 2 inserts the new blocked states. At most
     /// one staged entry per id per commit (the engine's drain dedups).
-    pub fn commit(&mut self) {
+    /// Returns whether any record changed; a change stales the verdict.
+    pub fn commit(&mut self) -> bool {
         if self.staged.is_empty() {
-            return;
+            return false;
         }
         let mut staged = std::mem::take(&mut self.staged);
         let pool = std::mem::take(&mut self.staged_pool);
         // Drop reconciliation no-ops before touching any index: the
         // engine re-resolves conservatively-marked messages (fault
         // transitions mark *everything*), and an identical re-staging
-        // must neither churn the indices nor invalidate the verdicts.
+        // must neither churn the indices nor stale the verdict.
         //
         // The per-entry no-op test compares against pre-commit state
         // only, so an id staged more than once (a Clear + re-Block pair
@@ -321,6 +288,10 @@ impl DynamicWaitGraph {
             }
             Staged::Clear => self.records.contains_key(id),
         });
+        let changed = !staged.is_empty();
+        if changed {
+            self.verdict = None;
+        }
         for (id, _) in &staged {
             self.remove_record(*id);
         }
@@ -340,234 +311,123 @@ impl DynamicWaitGraph {
         self.staged_pool.clear();
         self.staged = staged;
         self.staged.clear();
+        changed
     }
 
-    /// Removes `id`'s record and repairs the ownership / waiter indices
-    /// and the S0 counters. No-op for untracked ids.
-    ///
-    /// Staleness: knots live entirely among S0 records (a vertex owned
-    /// by a record with an escape can reach that escape, so it is never
-    /// in a terminal component), so only S0-boundary events matter.
-    /// Removals and S0-exits delete records or arcs, which cannot create
-    /// a core from nothing — a `false` verdict survives every shrink. A
-    /// shrink can break a core, so any S0 exit marks a cached `true`
-    /// stale.
+    /// Removes `id`'s record and repairs the ownership and waiter
+    /// indices. No-op for untracked ids.
     fn remove_record(&mut self, id: MessageId) {
         let Some(rec) = self.records.remove(&id) else {
             return;
         };
         self.fp_partial = self.fp_partial.wrapping_sub(rec.hash);
         self.waiting -= usize::from(!rec.requests.is_empty());
-        let s0_before = self.s0;
-        if rec.in_s0() {
-            self.s0 -= 1;
-        }
         for &t in &rec.requests {
             self.waiters[t as usize].retain(|&w| w != id);
         }
         for &v in &rec.chain {
             // Only release vertices this record still owns: a same-commit
             // overwrite (or a mid-commit migration) may have reassigned one.
-            if self.owner[v as usize] != id {
-                continue;
+            if self.owner[v as usize] == id {
+                self.owner[v as usize] = NO_OWNER;
             }
-            self.owner[v as usize] = NO_OWNER;
-            for i in 0..self.waiters[v as usize].len() {
-                let w = self.waiters[v as usize][i];
-                if let Some(r2) = self.records.get_mut(&w) {
-                    if r2.in_s0() {
-                        self.s0 -= 1;
-                    }
-                    r2.unowned += 1;
-                }
-            }
-        }
-        if self.live && self.s0 < s0_before {
-            self.live_stale = true;
-            self.delta.clear();
         }
     }
 
     /// Inserts a fresh record for `id` and repairs all indices.
-    ///
-    /// Staleness: insertions never remove ownership or arcs from
-    /// surviving records (chains are owner-disjoint), so an existing
-    /// core stays a core and a `true` verdict survives every grow. A
-    /// `false` verdict is re-established by probing only the records
-    /// that entered S0 (collected in `delta`) — any newly formed core
-    /// must contain one of them (see [`has_knot`](Self::has_knot)).
     fn insert_record(&mut self, id: MessageId, chain: &[VertexId], requests: &[VertexId]) {
         // Defensive: a duplicate stage for one id keeps the last state.
         self.remove_record(id);
-        let track_delta = !self.live_stale && !self.live;
         for &v in chain {
             let prev = std::mem::replace(&mut self.owner[v as usize], id);
             debug_assert!(
                 prev == NO_OWNER,
                 "vertex {v} owned by two blocked messages ({prev} and {id})"
             );
-            for i in 0..self.waiters[v as usize].len() {
-                let w = self.waiters[v as usize][i];
-                if let Some(r2) = self.records.get_mut(&w) {
-                    debug_assert!(r2.unowned > 0, "unowned counter underflow");
-                    r2.unowned -= 1;
-                    if r2.in_s0() {
-                        self.s0 += 1;
-                        if track_delta {
-                            self.delta.push(w);
-                        }
-                    }
-                }
-            }
         }
-        let mut unowned = 0u32;
         for &t in requests {
-            if self.owner[t as usize] == NO_OWNER {
-                unowned += 1;
-            }
             self.waiters[t as usize].push(id);
         }
         let rec = Rec {
             chain: chain.to_vec(),
             requests: requests.to_vec(),
-            unowned,
             hash: record_hash(id, chain, requests),
-            red_gen: 0,
         };
         self.fp_partial = self.fp_partial.wrapping_add(rec.hash);
         self.waiting += usize::from(!requests.is_empty());
-        if rec.in_s0() {
-            self.s0 += 1;
-            if track_delta {
-                self.delta.push(id);
-            }
-        }
         self.records.insert(id, rec);
-        // Runaway delta (e.g. a long no-verdict edit session through the
-        // direct API): fall back to one full reduction.
-        if self.delta.len() > 128 {
-            self.live_stale = true;
-            self.delta.clear();
-        }
     }
 
     /// Whether a knot (true deadlock) exists right now.
     ///
-    /// Cost: O(1) when nothing S0-relevant changed since the last
-    /// verdict (including every cycle of a frozen wedge — deadlocked
-    /// messages emit no events), when `s0 == 0`, or when the change was
-    /// one-sided in the verdict's favor (see the module docs); O(delta)
-    /// when a `false` verdict only needs the new S0 entrants probed; and
-    /// one full worklist reduction over the record table — no graph
-    /// build — only after S0 shrank under a cached `true` (or the delta
-    /// overflowed). The reduction computes the greatest fixpoint of
-    /// "records whose request targets are all owned by surviving
-    /// records": that core is closed (no arcs leave it), every core vertex
-    /// has an out-arc, so a non-empty core contains a non-trivial terminal
-    /// SCC — and any knot's deadlock set is itself such a core. Core
-    /// non-empty ⟺ knot.
+    /// O(1) while no commit has changed a record since the last verdict
+    /// (every epoch of a frozen wedge, say: deadlocked messages emit no
+    /// events); otherwise one greatest-fixpoint reduction over the record
+    /// table, no graph build. Core non-empty ⟺ knot (see the module docs).
     pub fn has_knot(&mut self) -> bool {
-        if self.live_stale {
-            self.live = self.compute_live();
-            self.live_stale = false;
-            self.delta.clear();
-        } else if !self.live && !self.delta.is_empty() {
-            self.live = self.probe_delta();
-        }
-        self.live
+        let knot = match self.verdict {
+            Some(knot) => knot,
+            None => self.reduce(),
+        };
+        self.verdict = Some(knot);
+        knot
     }
 
-    /// The greatest-fixpoint reduction behind [`has_knot`](Self::has_knot).
-    fn compute_live(&mut self) -> bool {
-        if self.s0 == 0 {
-            return false;
-        }
-        let gen = self.red_epoch.wrapping_add(1);
+    /// The greatest-fixpoint reduction behind [`has_knot`](Self::has_knot):
+    /// whether any record survives "reduce every record with an escape".
+    /// Reducing a record frees its chain.
+    fn reduce(&mut self) -> bool {
+        let gen = self.red_epoch + 1;
         self.red_epoch = gen;
-        self.red_stack.clear();
-        let mut alive = self.s0;
-        // Seed: every record with an escape (an unowned request target,
-        // or no requests at all) is reducible.
-        for (&id, rec) in &self.records {
-            if !rec.in_s0() {
-                self.red_stack.push(id);
+        let freed = &mut self.freed;
+        // Records with an escape reduce at once, without a walk; the rest
+        // are the candidates.
+        let mut alive = 0usize;
+        for rec in self.records.values() {
+            let escape = rec.requests.is_empty()
+                || rec
+                    .requests
+                    .iter()
+                    .any(|&t| self.owner[t as usize] == NO_OWNER);
+            if escape {
+                for &v in &rec.chain {
+                    freed[v as usize] = gen;
+                }
+            } else {
+                alive += 1;
             }
         }
-        // Reducing a record virtually frees its chain; a waiter on those
-        // vertices gains a virtual escape and reduces in turn (one freed
-        // target is enough — only the first touch matters).
-        while let Some(id) = self.red_stack.pop() {
-            self.red_chain.clear();
-            self.red_chain.extend_from_slice(&self.records[&id].chain);
-            for i in 0..self.red_chain.len() {
-                let v = self.red_chain[i];
-                for j in 0..self.waiters[v as usize].len() {
-                    let w = self.waiters[v as usize][j];
-                    let Some(rec) = self.records.get_mut(&w) else {
+        // A candidate that lost an owner reduces in turn, which frees its
+        // chain for the candidates waiting on it; a candidate that loses
+        // an owner later is reached by that walk.
+        for rec in self.records.values() {
+            if alive == 0 {
+                return false;
+            }
+            let lost_owner = rec.requests.iter().any(|&t| freed[t as usize] == gen);
+            if !lost_owner || freed[rec.chain[0] as usize] == gen {
+                continue; // still a candidate, or already reduced
+            }
+            alive -= 1;
+            for &v in &rec.chain {
+                freed[v as usize] = gen;
+                self.red_stack.push(v);
+            }
+            while let Some(v) = self.red_stack.pop() {
+                for w in &self.waiters[v as usize] {
+                    let wrec = &self.records[w];
+                    if freed[wrec.chain[0] as usize] == gen {
                         continue;
-                    };
-                    if !rec.in_s0() || rec.red_gen == gen {
-                        continue; // seeded or already reduced
                     }
-                    rec.red_gen = gen;
                     alive -= 1;
-                    if alive == 0 {
-                        return false; // whole S0 set reduced
-                    }
-                    self.red_stack.push(w);
-                }
-            }
-        }
-        true // fixpoint with survivors: a core
-    }
-
-    /// Probes whether any record that entered S0 since the last verified
-    /// `false` verdict now sits in a core. Sound and complete for that
-    /// transition: a core's members' records and their mutual ownership
-    /// are immutable while the core exists, so a core made only of
-    /// records that were already in S0 (with unchanged arcs) at the last
-    /// `false` verdict would have been a core back then. The probe walks
-    /// the forward target-owner closure of each delta record: hitting a
-    /// non-S0 owner proves an escape is reachable (not in any core);
-    /// closing entirely inside S0 exhibits a core — a knot.
-    fn probe_delta(&mut self) -> bool {
-        'outer: for i in 0..self.delta.len() {
-            let d = self.delta[i];
-            match self.records.get_mut(&d) {
-                Some(rec) if rec.in_s0() => {}
-                _ => continue, // removed or left S0 again since
-            }
-            let gen = self.red_epoch.wrapping_add(1);
-            self.red_epoch = gen;
-            self.records.get_mut(&d).unwrap().red_gen = gen;
-            self.red_stack.clear();
-            self.red_stack.push(d);
-            while let Some(r) = self.red_stack.pop() {
-                self.red_chain.clear();
-                self.red_chain.extend_from_slice(&self.records[&r].requests);
-                for j in 0..self.red_chain.len() {
-                    let t = self.red_chain[j];
-                    let o = self.owner[t as usize];
-                    debug_assert!(o != NO_OWNER, "S0 closure with an unowned target");
-                    let Some(orec) = self.records.get_mut(&o) else {
-                        debug_assert!(false, "owned vertex without a live record");
-                        continue 'outer;
-                    };
-                    if !orec.in_s0() {
-                        continue 'outer; // escape reachable: d is in no core
-                    }
-                    if orec.red_gen != gen {
-                        orec.red_gen = gen;
-                        self.red_stack.push(o);
+                    for &u in &wrec.chain {
+                        freed[u as usize] = gen;
+                        self.red_stack.push(u);
                     }
                 }
             }
-            // Closed all-S0 forward closure: a core, so a knot.
-            self.delta.clear();
-            return true;
         }
-        self.delta.clear();
-        false
+        alive > 0 // survivors form a core
     }
 
     /// Compares this incrementally maintained state against a freshly
@@ -635,10 +495,9 @@ impl DynamicWaitGraph {
         out
     }
 
-    /// Verifies invariants 2–5 against the record table from scratch
-    /// (tests; O(state)).
+    /// Verifies invariants 2–4 against the record table from scratch, and
+    /// a cached verdict against a naive reduction (tests; O(state)).
     pub fn check_invariants(&self) {
-        let mut s0 = 0usize;
         let mut fp = 0u64;
         let waiting = self
             .records
@@ -651,12 +510,6 @@ impl DynamicWaitGraph {
             for &v in &rec.chain {
                 assert_eq!(self.owner[v as usize], id, "owner index out of sync");
             }
-            let unowned = rec
-                .requests
-                .iter()
-                .filter(|&&t| self.owner[t as usize] == NO_OWNER)
-                .count() as u32;
-            assert_eq!(rec.unowned, unowned, "unowned counter drifted for {id}");
             for &t in &rec.requests {
                 assert!(
                     self.waiters[t as usize].contains(&id),
@@ -665,9 +518,6 @@ impl DynamicWaitGraph {
             }
             assert_eq!(rec.hash, record_hash(id, &rec.chain, &rec.requests));
             fp = fp.wrapping_add(rec.hash);
-            if rec.in_s0() {
-                s0 += 1;
-            }
         }
         for (v, &m) in self.owner.iter().enumerate() {
             assert!(
@@ -689,11 +539,10 @@ impl DynamicWaitGraph {
                 );
             }
         }
-        assert_eq!(self.s0, s0, "s0 counter drifted");
         assert_eq!(self.fp_partial, fp, "fingerprint partial sum drifted");
 
         // Independent greatest-fixpoint core (naive iteration): non-empty
-        // iff a knot exists. Any fresh cached verdict must agree.
+        // iff a knot exists. A cached verdict must agree.
         let mut removed: std::collections::HashSet<MessageId> = std::collections::HashSet::new();
         loop {
             let mut changed = false;
@@ -716,15 +565,8 @@ impl DynamicWaitGraph {
             }
         }
         let core_live = removed.len() < self.records.len();
-        if !self.live_stale {
-            if self.live {
-                // A cached `true` survives only growth-only commits.
-                assert!(core_live, "cached true verdict drifted");
-            } else if self.delta.is_empty() {
-                // A cached `false` is only authoritative once the
-                // pending S0-entry probes have been consumed.
-                assert!(!core_live, "cached false verdict drifted");
-            }
+        if let Some(knot) = self.verdict {
+            assert_eq!(knot, core_live, "cached verdict drifted");
         }
     }
 }
@@ -771,17 +613,16 @@ mod tests {
     }
 
     #[test]
-    fn s0_certificate_blocks_free_targets() {
+    fn a_free_target_is_an_escape() {
         let mut d = DynamicWaitGraph::new(10);
-        // m3 has an escape to free vertex 9: no knot, and s0 == 0 proves
-        // it without any graph work.
+        // m3 may also take the free vertex 9, so it reduces, and with it
+        // m2 (waiting on m3's chain) and m1 (waiting on m2's).
         d.stage_blocked(1, &[1, 2], &[3]);
         d.stage_blocked(2, &[3, 4, 5], &[6]);
         d.stage_blocked(3, &[6, 7, 0], &[1, 9]);
         d.commit();
-        d.check_invariants();
-        assert_eq!(d.s0, 2, "m1 and m2 wait only on blocked-owned targets");
         assert!(!d.has_knot());
+        d.check_invariants();
     }
 
     #[test]
@@ -857,25 +698,31 @@ mod tests {
         let mut d = DynamicWaitGraph::new(6);
         d.stage_blocked(1, &[0, 1], &[2]);
         d.stage_blocked(2, &[2, 3], &[0]);
-        d.commit();
+        assert!(d.commit());
         assert!(d.has_knot());
         d.stage_clear(1);
-        d.commit();
+        assert!(d.commit());
         assert!(!d.has_knot());
         d.stage_blocked(1, &[0, 1], &[2]);
-        d.commit();
+        assert!(d.commit());
         assert!(d.has_knot());
-        // A dependent joins S0 (growth keeps `true`), then leaves it: the
-        // shrink stales the verdict and the recomputation still finds
-        // the knot.
+        // A dependent joins and leaves: each commit stales the verdict,
+        // and each reduction still finds the knot.
         d.stage_blocked(3, &[4], &[0]);
-        d.commit();
+        assert!(d.commit());
+        assert_eq!(d.verdict, None, "a changed record stales the verdict");
         d.check_invariants();
         assert!(d.has_knot());
         d.stage_clear(3);
-        d.commit();
-        assert!(d.live_stale, "an S0 shrink stales a cached true");
+        assert!(d.commit());
         assert!(d.has_knot());
+        // Re-staging identical states and clearing unknown ids change no
+        // record: the verdict stays cached.
+        d.stage_blocked(1, &[0, 1], &[2]);
+        d.stage_clear(9);
+        assert!(!d.commit());
+        assert_eq!(d.verdict, Some(true));
+        d.check_invariants();
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl WaitGraph {
         g
     }
 
-    /// Clears the graph back to `n` unowned, arcless vertices, retaining
+    /// Clears the graph back to `n` free, arcless vertices, retaining
     /// every buffer's capacity. Only vertices owned in the previous build
     /// are visited (arcs only ever originate at owned vertices), so a
     /// reset after a sparse epoch is cheap.

@@ -3,7 +3,7 @@
 //! from the ground-truth wait state after **every** commit — structurally
 //! (`diff_against_snapshot`), on the knot verdict (`has_knot`, and the
 //! deadlock sets of its `rebuild_graph` set-for-set), and on the internal
-//! S0/fingerprint invariants (`check_invariants`).
+//! index/fingerprint invariants and cached verdict (`check_invariants`).
 //!
 //! The generator evolves a population of blocked messages the way the
 //! engine does: messages block on owner-disjoint VC chains, re-block with

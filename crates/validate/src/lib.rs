@@ -2,7 +2,7 @@
 //!
 //! The production detector (`icn-cwg`) is heavily optimized — arena
 //! snapshots, in-place rebuilds, Tarjan knot finding over the graph's own
-//! arc ranges, fingerprint skips — which is exactly why it needs an
+//! arc ranges, a cached knot verdict — which is exactly why it needs an
 //! adversarial correctness net that shares none of that machinery. This
 //! crate provides these independent lines of defense:
 //!

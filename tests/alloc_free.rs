@@ -4,10 +4,12 @@
 //! in caller-owned storage once capacities have warmed up. A knot-bearing
 //! epoch allocates only the vectors of the `Analysis` it returns, however
 //! large the vertex space around the knot, multi-cycle knots and the
-//! recovery round included. The per-hop routing call
-//! (`RoutingAlgorithm::candidates`) allocates nothing either, and neither
-//! does a message's life in the engine, except the delivery record the
-//! step that retires it reports.
+//! recovery round included. A commit that changes records allocates only
+//! each inserted record's chain and request vectors, and the reduction
+//! behind the verdict that follows allocates nothing. The per-hop routing
+//! call (`RoutingAlgorithm::candidates`) allocates nothing either, and
+//! neither does a message's life in the engine, except the delivery record
+//! the step that retires it reports.
 //!
 //! A counting global allocator tallies every alloc/realloc made by the
 //! test's own thread. The counter is thread-local so that allocations the
@@ -210,6 +212,40 @@ fn steady_state_detection_epoch_allocates_nothing() {
         drain_allocs, 0,
         "a drain that changes no record must not allocate"
     );
+    // Knot-free commits that do change a record: one blocked message
+    // flips between its real requests and a free vertex, so every commit
+    // stales the verdict and every `has_knot()` runs the reduction. The
+    // reduction allocates nothing; the commit only the inserted record's
+    // chain and requests.
+    net.wait_snapshot_into(&mut arena);
+    let (id, chain, requests) = arena
+        .messages()
+        .find(|m| !m.requests.is_empty())
+        .map(|m| (m.id, m.chain.to_vec(), m.requests.to_vec()))
+        .unwrap();
+    let owned: Vec<u32> = arena.messages().flat_map(|m| m.chain.to_vec()).collect();
+    let free = [(0..arena.num_vertices() as u32)
+        .find(|v| !owned.contains(v))
+        .unwrap()];
+    let flip = |dwg: &mut DynamicWaitGraph, to_free: bool| {
+        let target: &[u32] = if to_free { &free } else { &requests };
+        dwg.stage_blocked(id, &chain, target);
+        let commit = allocations(|| assert!(dwg.commit(), "the record changed"));
+        let verdict = allocations(|| assert!(!dwg.has_knot()));
+        (commit, verdict)
+    };
+    for _ in 0..3 {
+        flip(&mut dwg, true);
+        flip(&mut dwg, false);
+    }
+    for i in 0..100 {
+        let (commit, verdict) = flip(&mut dwg, i % 2 == 0);
+        assert_eq!(
+            commit, 2,
+            "a commit allocates the inserted record's two vectors"
+        );
+        assert_eq!(verdict, 0, "a knot-free reduction must not allocate");
+    }
 
     // --- Scenario 3: a wedged unidirectional ring, a knot every epoch. The
     // only allocations are the vectors the returned values own (a constant

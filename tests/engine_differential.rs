@@ -4,7 +4,7 @@
 //! which drives the identical point with the dense reference stepper.
 //! The sim-level differential test compares steppers cycle-by-cycle; this
 //! one proves the equivalence survives everything the runner layers on
-//! top: detection epochs, fingerprint skipping, Disha-style recovery
+//! top: detection epochs, skipped epochs, Disha-style recovery
 //! victim selection, and forensic capture.
 
 use flexsim::{run, run_reference, ForensicsConfig, RoutingSpec, RunConfig, TopologySpec};

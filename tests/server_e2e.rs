@@ -497,10 +497,15 @@ fn unrunnable_configs_are_refused_and_nothing_is_written() {
     // A zero cadence would run every slot without ever detecting a knot.
     let mut blind = test_grid();
     blind.base.detection_interval = 0;
+    // A run length past `u64::MAX` would wrap to a few cycles.
+    let mut endless = test_grid();
+    endless.base.warmup = u64::MAX - 5;
+    endless.base.measure = 10;
     for (grid, names) in [
         (grid, "requires at least 2 VCs"),
         (hot, "fraction must be in [0, 1]"),
         (blind, "`detection_interval` must be at least 1"),
+        (endless, "`warmup` + `measure` must fit in 64 bits"),
     ] {
         let (status, reply) = http_request(
             client.addr,
