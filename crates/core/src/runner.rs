@@ -3,7 +3,7 @@
 use std::ops::ControlFlow;
 
 use icn_cwg::{
-    Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch, DynamicWaitGraph, WaitGraph,
+    Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch, DynamicWaitGraph,
 };
 use icn_sim::{Network, SnapshotArena, StepEvents, WaitUpdate};
 use icn_topology::NodeId;
@@ -137,15 +137,14 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     let mut victim_starts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
 
     // Detector state, reused across epochs. `dwg` is the blocked wait
-    // state, patched at each epoch from the engine's dirty marks; `graph`
-    // and `scratch` serve the analysis of a knot epoch (and the census),
-    // rebuilt in place from `dwg`'s records; `arena` is refilled only for
-    // a forensic incident. A steady-state knot-free epoch allocates
-    // nothing beyond the records that actually changed.
+    // graph, patched in place at each epoch from the engine's dirty marks;
+    // a knot epoch (and the census) analyses that same graph with
+    // `scratch`, and recovery edits it; `arena` is refilled only for a
+    // forensic incident. A steady-state epoch allocates nothing but the
+    // vectors of a knot epoch's `Analysis`.
     net.enable_wait_tracking();
     let mut dwg = DynamicWaitGraph::new(net.wait_vertex_count());
     let mut arena = SnapshotArena::new();
-    let mut graph = WaitGraph::new(0);
     let mut scratch = DetectorScratch::new();
     // Whether the previous epoch was knot-free. Knots are closed
     // exclusively by blocked messages — moving chains are CWG sinks — so
@@ -248,22 +247,19 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             knot_free = !knot;
 
             // A knot-free verdict ends detection. A knot epoch analyses the
-            // wait graph's own records: the blocked-only graph has exactly
-            // the full graph's knots, deadlock and resource sets, densities
-            // and dependents, because a moving chain is a sink path. The
-            // census counts cycles on the same graph (cycles, too, run
-            // through blocked messages only; the count is not cached, so a
-            // census on a skipped epoch still rebuilds).
-            if knot || (census_due && dwg.num_blocked() != 0) {
-                dwg.rebuild_graph(&mut graph);
-            }
+            // wait graph itself: the blocked-only graph has exactly the full
+            // graph's knots, deadlock and resource sets, densities and
+            // dependents, because a moving chain is a sink path. The census
+            // counts cycles on the same graph (cycles, too, run through
+            // blocked messages only; the count is not cached, so a census
+            // on a skipped epoch still counts).
             let analysis = if knot {
-                graph.analyze_with(cfg.density_cap, &mut scratch)
+                dwg.graph().analyze_with(cfg.density_cap, &mut scratch)
             } else {
                 Analysis {
                     deadlocks: Vec::new(),
                     dependent: Vec::new(),
-                    num_blocked: dwg.num_waiting(),
+                    num_blocked: dwg.graph().num_blocked(),
                 }
             };
             debug_assert_eq!(knot, analysis.has_deadlock(), "verdict and analysis");
@@ -303,7 +299,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 if dwg.num_blocked() == 0 {
                     CycleCount::Exact(0)
                 } else {
-                    graph.count_cycles_with(cfg.cycle_cap, &mut scratch)
+                    dwg.graph().count_cycles_with(cfg.cycle_cap, &mut scratch)
                 }
             });
 
@@ -330,7 +326,9 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             // other vertex keeps its out-arcs (DESIGN "What a knot epoch
             // costs"). This synthesizes Disha-Concurrent recovery, where
             // deadlocked packets keep claiming the recovery lane until the
-            // deadlock is fully resolved.
+            // deadlock is fully resolved. The edit lands in the live wait
+            // graph; `start_recovery` marks the victim, so the next drain
+            // stages its `Clear` and the graph matches the engine again.
             let mut epoch_victims: Vec<u64> = Vec::new();
             if cfg.recovery != RecoveryPolicy::None {
                 for d in &analysis.deadlocks {
@@ -341,7 +339,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                         RecoveryPolicy::None => unreachable!(),
                     };
                     epoch_victims.push(v);
-                    let dropped = graph.remove_requests(v);
+                    let dropped = dwg.remove_requests(v);
                     debug_assert!(dropped, "a knot member is blocked");
                     let ok = net.start_recovery(v);
                     debug_assert!(ok, "victim must be an active routing message");
@@ -351,7 +349,7 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                     }
                 }
                 debug_assert!(
-                    graph.knot_deadlock_sets(&mut scratch).is_empty(),
+                    dwg.graph().knot_deadlock_sets(&mut scratch).is_empty(),
                     "one victim per knot leaves no knot"
                 );
             }

@@ -221,7 +221,7 @@ impl WaitGraph {
         if !deadlocks.is_empty() {
             scratch.mark_reaches_knot(self, nc);
             let reaches = |v: VertexId| scratch.reaches_knot[scratch.scc.comp_of(v) as usize];
-            for (msg, chain, reqs) in self.blocked_entries() {
+            for (msg, chain, reqs) in self.records() {
                 // A knot has no leaving arc, so a message owning any knot
                 // vertex owns its chain from there to the head: deadlock
                 // set membership is decided by the head alone.
@@ -539,8 +539,10 @@ mod tests {
 
     #[test]
     fn registration_order_reaches_no_output() {
-        // `DynamicWaitGraph::rebuild_graph` registers records in hash-table
-        // order: every output must be keyed by vertex or sorted by id.
+        // `DynamicWaitGraph`'s store reorders records as it patches them
+        // (a removal moves the last record into the hole, compaction
+        // rewrites the pool): every output must be keyed by vertex or
+        // sorted by id, never by slot or pool position.
         // The Figure 1 knot, a transient dependent (6) and a moving
         // message (7): `(id, chain, requests)`.
         let records: [(u64, &[u32], &[u32]); 5] = [

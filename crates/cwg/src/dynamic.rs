@@ -2,14 +2,13 @@
 //!
 //! The paper's detector builds a [`WaitGraph`] from scratch at every
 //! detection epoch. [`DynamicWaitGraph`] instead *persists* the blocked
-//! wait-state across epochs and is patched with the net effect of the
-//! engine's own block/acquire/release events, so "is there a knot right
-//! now?" costs one reduction over the blocked records when a commit
-//! changed one — nothing at all when none changed — and only a `true`
-//! answer pays for a graph
-//! ([`DynamicWaitGraph::rebuild_graph`]) and its full analysis. The runner
-//! drains once per epoch; any cadence down to every cycle is the same
-//! protocol.
+//! wait-state across epochs in one [`WaitGraph`], patched in place with the
+//! net effect of the engine's own block/acquire/release events, so "is
+//! there a knot right now?" costs one reduction over the blocked records
+//! when a commit changed one — nothing at all when none changed — and only
+//! a `true` answer pays for a full analysis, run on that same graph
+//! ([`DynamicWaitGraph::graph`]). The runner drains once per epoch; any
+//! cadence down to every cycle is the same protocol.
 //!
 //! # What is tracked — and why only blocked messages
 //!
@@ -36,32 +35,41 @@
 //!
 //! Between [`commit`](DynamicWaitGraph::commit)s the structure maintains:
 //!
-//! 1. `records[m]` = the settled chain + requests of every blocked message
-//!    `m`, verbatim from the engine's snapshot extraction rules.
-//! 2. `owner[v] = m` iff `v` is on `records[m].chain` (blocked owners
-//!    only; each vertex has at most one).
-//! 3. `waiters[v]` = the blocked messages whose requests include `v`.
-//! 4. `fp_partial` = the commutative sum of per-record hashes, identical
-//!    to the simulator snapshot fingerprint's partial sum (same FNV-1a +
-//!    SplitMix64 construction), so
-//!    [`fingerprint`](DynamicWaitGraph::fingerprint) equals
+//! 1. The graph holds one record per blocked message `m`: its settled
+//!    chain and requests, verbatim from the engine's snapshot extraction
+//!    rules. The one exception is a recovery victim whose requests
+//!    [`remove_requests`](DynamicWaitGraph::remove_requests) dropped: it
+//!    stays a sink until the next commit, which restages it (the engine
+//!    marks every victim it starts recovering).
+//! 2. The graph's owner index is the ownership index: `owner(v) = m` iff
+//!    `v` is on `m`'s chain (blocked owners only; each vertex has at most
+//!    one).
+//! 3. No reverse request index is kept: each reduction builds one for
+//!    itself, keyed by owner slot.
+//! 4. No fingerprint is kept: [`fingerprint`](DynamicWaitGraph::fingerprint)
+//!    sums the per-record hashes on demand, with the simulator snapshot
+//!    fingerprint's construction (FNV-1a + SplitMix64), so it equals
 //!    `SnapshotArena::fingerprint()` for the same wait-state.
+//!
+//! [`WaitGraph`]'s own store invariants (dense record table, arcs as pool
+//! ranges, dead pool words at most the live ones) are checked with these
+//! by [`check_invariants`](DynamicWaitGraph::check_invariants).
 //!
 //! # The verdict
 //!
 //! [`has_knot`](DynamicWaitGraph::has_knot) is one greatest-fixpoint
 //! reduction over the record table — no graph build — cached until a
-//! commit changes a record. A record has an *escape* when it requests
-//! nothing or requests a vertex no blocked message owns; reducing a record
-//! virtually frees its chain, which gives every waiter on it an escape.
-//! What survives is closed under "owner of a request target" and every
-//! survivor has an out-arc, so a non-empty survivor set holds a
-//! non-trivial terminal SCC, and a knot's deadlock set is itself such a
-//! set: core non-empty ⟺ knot. The structure keeps no exact deadlock
-//! sets: a caller that needs them rebuilds the small blocked-only graph
-//! with [`rebuild_graph`](DynamicWaitGraph::rebuild_graph) and analyses
-//! that. The runner, on a knot epoch, runs [`WaitGraph::analyze_with`] on
-//! it and breaks each knot it finds with one victim, which leaves no knot;
+//! commit changes a record or a victim's requests are removed. A record
+//! has an *escape* when it requests nothing or requests a vertex no
+//! blocked message owns; reducing a record virtually frees its chain,
+//! which gives every record requesting a vertex of it an escape. What
+//! survives is closed under "owner of a request target" and every survivor
+//! has an out-arc, so a non-empty survivor set holds a non-trivial
+//! terminal SCC, and a knot's deadlock set is itself such a set: core
+//! non-empty ⟺ knot. The exact deadlock sets come from analysing
+//! [`graph`](DynamicWaitGraph::graph): the runner, on a knot epoch, runs
+//! [`WaitGraph::analyze_with`] on it and breaks each knot it finds with one
+//! victim, which leaves no knot;
 //! [`diff_against_snapshot`](DynamicWaitGraph::diff_against_snapshot) and
 //! the lockstep tests compare [`WaitGraph::knot_deadlock_sets`].
 //!
@@ -77,16 +85,7 @@
 
 use crate::analysis::DetectorScratch;
 use crate::graph::{MessageId, VertexId, WaitGraph};
-use crate::idmap::{mix, IdMap};
-
-/// Per-blocked-message record.
-#[derive(Clone, Debug)]
-struct Rec {
-    chain: Vec<VertexId>,
-    requests: Vec<VertexId>,
-    /// Finalized per-record hash (see [`record_hash`]).
-    hash: u64,
-}
+use crate::idmap::mix;
 
 /// One staged edit: the message's new state, or its removal.
 #[derive(Clone, Debug)]
@@ -122,34 +121,26 @@ fn record_hash(id: MessageId, chain: &[VertexId], requests: &[VertexId]) -> u64 
     mix(h)
 }
 
-/// Owner-index sentinel: the vertex is not held by any blocked message.
-const NO_OWNER: MessageId = MessageId::MAX;
-
 /// Persistent, event-patched blocked wait-state with a cached knot
 /// verdict. See the module docs for the maintenance invariants.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicWaitGraph {
-    num_vertices: usize,
-    records: IdMap<Rec>,
-    /// Records with a non-empty request set (see [`Self::num_waiting`]).
-    waiting: usize,
-    /// Vertex -> owning *blocked* message, dense ([`NO_OWNER`] = free).
-    owner: Vec<MessageId>,
-    /// Vertex -> blocked messages requesting it (reverse request index).
-    waiters: Vec<Vec<MessageId>>,
-    /// Commutative per-record hash sum (population fold applied at query).
-    fp_partial: u64,
+    /// The blocked wait-state: one record per blocked message.
+    graph: WaitGraph,
     // Staged edits awaiting commit.
     staged: Vec<(MessageId, Staged)>,
     staged_pool: Vec<VertexId>,
     // The reduction verdict, `None` once a commit changed a record.
     verdict: Option<bool>,
-    // Scratch for the reduction behind `has_knot`: `freed[v] == red_epoch`
-    // once `v`'s owner is reduced, so no per-pass map is needed.
-    red_epoch: u64,
-    freed: Vec<u64>,
-    red_stack: Vec<VertexId>,
-    // Ids staged more than once in the current commit (rare; API-only).
+    // Scratch for the reduction behind `has_knot`, per record slot:
+    // whether it is reduced, and the slots requesting a vertex of its
+    // chain (`rev[rev_start[s]..rev_start[s + 1]]`).
+    reduced: Vec<bool>,
+    rev_start: Vec<u32>,
+    rev: Vec<u32>,
+    red_stack: Vec<u32>,
+    // The current commit's staged ids, sorted: an id staged more than
+    // once (rare; API-only) appears twice in a row.
     dup_buf: Vec<MessageId>,
 }
 
@@ -157,60 +148,36 @@ impl DynamicWaitGraph {
     /// An empty wait-state over `num_vertices` CWG vertices.
     pub fn new(num_vertices: usize) -> Self {
         DynamicWaitGraph {
-            num_vertices,
-            owner: vec![NO_OWNER; num_vertices],
-            waiters: vec![Vec::new(); num_vertices],
-            freed: vec![0; num_vertices],
+            graph: WaitGraph::new(num_vertices),
             ..Default::default()
         }
     }
 
-    /// Total vertex count (folds into the fingerprint).
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+    /// The blocked-only wait graph. By the module-level argument it has
+    /// exactly the full snapshot graph's knots, deadlock and resource sets,
+    /// densities and dependents; its
+    /// [`num_blocked`](WaitGraph::num_blocked) counts the tracked messages
+    /// that wait on at least one vertex.
+    pub fn graph(&self) -> &WaitGraph {
+        &self.graph
     }
 
-    /// Number of blocked messages currently tracked.
+    /// Number of blocked messages currently tracked, fault-stranded ones
+    /// (blocked, no surviving candidate, so waiting on nothing) included.
     pub fn num_blocked(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Tracked messages that wait on at least one vertex — what a
-    /// [`WaitGraph`] built from the same state reports as
-    /// [`num_blocked`](WaitGraph::num_blocked). A fault-stranded message
-    /// (blocked, no surviving candidate) is tracked but waits on nothing.
-    pub fn num_waiting(&self) -> usize {
-        self.waiting
+        self.graph.records().len()
     }
 
     /// Order-independent 64-bit hash of the blocked wait-state —
     /// bit-identical to `SnapshotArena::fingerprint()` for the same state.
+    /// Computed from the records on demand: O(records).
     pub fn fingerprint(&self) -> u64 {
-        self.fp_partial
-            ^ mix((self.records.len() as u64) << 32
-                ^ self.num_vertices as u64
-                ^ 0x9e37_79b9_7f4a_7c15)
-    }
-
-    /// The tracked `(settled chain, requests)` of `id`, if blocked.
-    pub fn record(&self, id: MessageId) -> Option<(&[VertexId], &[VertexId])> {
-        self.records
-            .get(&id)
-            .map(|r| (r.chain.as_slice(), r.requests.as_slice()))
-    }
-
-    /// Rebuilds `g` in place as the blocked-only wait graph of the tracked
-    /// records. By the module-level argument it has exactly the full
-    /// snapshot graph's knots. Records are registered in record-table
-    /// order, with one id lookup each: no analysis output depends on
-    /// registration order (knots, sets and dependents are keyed by vertex
-    /// or sorted by id; `registration_order_reaches_no_output` pins it).
-    /// Allocation-free once `g` has warmed up.
-    pub fn rebuild_graph(&self, g: &mut WaitGraph) {
-        g.reset(self.num_vertices);
-        for (&id, rec) in &self.records {
-            g.add_record(id, &rec.chain, &rec.requests);
-        }
+        let records = self.graph.records();
+        let population = records.len() as u64;
+        let partial = records.fold(0u64, |fp, (id, chain, requests)| {
+            fp.wrapping_add(record_hash(id, chain, requests))
+        });
+        partial ^ mix(population << 32 ^ self.graph.num_vertices() as u64 ^ 0x9e37_79b9_7f4a_7c15)
     }
 
     /// Stages the new state of a blocked message (chain must be
@@ -248,10 +215,10 @@ impl DynamicWaitGraph {
         }
         let mut staged = std::mem::take(&mut self.staged);
         let pool = std::mem::take(&mut self.staged_pool);
-        // Drop reconciliation no-ops before touching any index: the
+        // Drop reconciliation no-ops before touching the store: the
         // engine re-resolves conservatively-marked messages (fault
         // transitions mark *everything*), and an identical re-staging
-        // must neither churn the indices nor stale the verdict.
+        // must neither churn the store nor stale the verdict.
         //
         // The per-entry no-op test compares against pre-commit state
         // only, so an id staged more than once (a Clear + re-Block pair
@@ -262,38 +229,29 @@ impl DynamicWaitGraph {
         self.dup_buf.clear();
         self.dup_buf.extend(staged.iter().map(|(id, _)| *id));
         self.dup_buf.sort_unstable();
-        let mut dups = 0;
-        for i in 1..self.dup_buf.len() {
-            if self.dup_buf[i] == self.dup_buf[i - 1]
-                && (dups == 0 || self.dup_buf[dups - 1] != self.dup_buf[i])
-            {
-                self.dup_buf[dups] = self.dup_buf[i];
-                dups += 1;
-            }
-        }
-        self.dup_buf.truncate(dups);
+        let ids = &self.dup_buf;
+        let any_dup = ids.windows(2).any(|w| w[0] == w[1]);
+        let dup =
+            |id: &MessageId| any_dup && ids.get(ids.partition_point(|x| x < id) + 1) == Some(id);
+        let split = |start: u32, chain_len: u32, len: u32| {
+            let (s, c) = (start as usize, (start + chain_len) as usize);
+            (&pool[s..c], &pool[c..s + len as usize])
+        };
         staged.retain(|(id, st)| match *st {
-            _ if self.dup_buf.binary_search(id).is_ok() => true,
+            _ if dup(id) => true,
             Staged::Blocked {
                 start,
                 chain_len,
                 len,
-            } => {
-                let s = start as usize;
-                let c = s + chain_len as usize;
-                self.records.get(id).is_none_or(|rec| {
-                    rec.chain.as_slice() != &pool[s..c]
-                        || rec.requests.as_slice() != &pool[c..s + len as usize]
-                })
-            }
-            Staged::Clear => self.records.contains_key(id),
+            } => self.graph.record(*id) != Some(split(start, chain_len, len)),
+            Staged::Clear => self.graph.record(*id).is_some(),
         });
         let changed = !staged.is_empty();
         if changed {
             self.verdict = None;
         }
         for (id, _) in &staged {
-            self.remove_record(*id);
+            self.graph.remove_record(*id);
         }
         for (id, st) in &staged {
             if let Staged::Blocked {
@@ -302,9 +260,12 @@ impl DynamicWaitGraph {
                 len,
             } = *st
             {
-                let s = start as usize;
-                let c = s + chain_len as usize;
-                self.insert_record(*id, &pool[s..c], &pool[c..s + len as usize]);
+                if dup(id) {
+                    // A duplicate stage for one id keeps the last state.
+                    self.graph.remove_record(*id);
+                }
+                let (chain, requests) = split(start, chain_len, len);
+                self.graph.add_record(*id, chain, requests);
             }
         }
         self.staged_pool = pool;
@@ -314,48 +275,17 @@ impl DynamicWaitGraph {
         changed
     }
 
-    /// Removes `id`'s record and repairs the ownership and waiter
-    /// indices. No-op for untracked ids.
-    fn remove_record(&mut self, id: MessageId) {
-        let Some(rec) = self.records.remove(&id) else {
-            return;
-        };
-        self.fp_partial = self.fp_partial.wrapping_sub(rec.hash);
-        self.waiting -= usize::from(!rec.requests.is_empty());
-        for &t in &rec.requests {
-            self.waiters[t as usize].retain(|&w| w != id);
+    /// Drops `id`'s requests in place, turning its chain into a sink — how
+    /// the runner breaks a knot with a recovery victim — and stales the
+    /// verdict. The victim's record differs from its engine state from
+    /// then on, until a later commit restages or clears it. Returns `false`
+    /// when `id` is unknown or waits for nothing.
+    pub fn remove_requests(&mut self, id: MessageId) -> bool {
+        let removed = self.graph.remove_requests(id);
+        if removed {
+            self.verdict = None;
         }
-        for &v in &rec.chain {
-            // Only release vertices this record still owns: a same-commit
-            // overwrite (or a mid-commit migration) may have reassigned one.
-            if self.owner[v as usize] == id {
-                self.owner[v as usize] = NO_OWNER;
-            }
-        }
-    }
-
-    /// Inserts a fresh record for `id` and repairs all indices.
-    fn insert_record(&mut self, id: MessageId, chain: &[VertexId], requests: &[VertexId]) {
-        // Defensive: a duplicate stage for one id keeps the last state.
-        self.remove_record(id);
-        for &v in chain {
-            let prev = std::mem::replace(&mut self.owner[v as usize], id);
-            debug_assert!(
-                prev == NO_OWNER,
-                "vertex {v} owned by two blocked messages ({prev} and {id})"
-            );
-        }
-        for &t in requests {
-            self.waiters[t as usize].push(id);
-        }
-        let rec = Rec {
-            chain: chain.to_vec(),
-            requests: requests.to_vec(),
-            hash: record_hash(id, chain, requests),
-        };
-        self.fp_partial = self.fp_partial.wrapping_add(rec.hash);
-        self.waiting += usize::from(!requests.is_empty());
-        self.records.insert(id, rec);
+        removed
     }
 
     /// Whether a knot (true deadlock) exists right now.
@@ -375,59 +305,65 @@ impl DynamicWaitGraph {
 
     /// The greatest-fixpoint reduction behind [`has_knot`](Self::has_knot):
     /// whether any record survives "reduce every record with an escape".
-    /// Reducing a record frees its chain.
+    /// Reducing a record frees its chain, which gives an escape to every
+    /// record requesting a vertex of it. O(records + requests): the reverse
+    /// index is a counting sort of the requests by owner slot.
     fn reduce(&mut self) -> bool {
-        let gen = self.red_epoch + 1;
-        self.red_epoch = gen;
-        let freed = &mut self.freed;
-        // Records with an escape reduce at once, without a walk; the rest
-        // are the candidates.
-        let mut alive = 0usize;
-        for rec in self.records.values() {
-            let escape = rec.requests.is_empty()
-                || rec
-                    .requests
-                    .iter()
-                    .any(|&t| self.owner[t as usize] == NO_OWNER);
+        let g = &self.graph;
+        let n = g.records().len();
+        self.reduced.clear();
+        self.reduced.resize(n, false);
+        self.rev_start.clear();
+        self.rev_start.resize(n + 1, 0);
+        self.red_stack.clear();
+        // Records with an escape reduce at once; every owned target counts
+        // toward its owner's share of the reverse index.
+        for (slot, (_, _, requests)) in g.records().enumerate() {
+            let mut escape = requests.is_empty();
+            for &t in requests {
+                match g.slot_of(t) {
+                    Some(owner) => self.rev_start[owner as usize] += 1,
+                    None => escape = true,
+                }
+            }
             if escape {
-                for &v in &rec.chain {
-                    freed[v as usize] = gen;
-                }
-            } else {
-                alive += 1;
+                self.reduced[slot] = true;
+                self.red_stack.push(slot as u32);
             }
         }
-        // A candidate that lost an owner reduces in turn, which frees its
-        // chain for the candidates waiting on it; a candidate that loses
-        // an owner later is reached by that walk.
-        for rec in self.records.values() {
-            if alive == 0 {
-                return false;
+        let mut alive = n - self.red_stack.len();
+        if alive == 0 || self.red_stack.is_empty() {
+            return alive > 0;
+        }
+        for s in 1..=n {
+            self.rev_start[s] += self.rev_start[s - 1];
+        }
+        self.rev.clear();
+        self.rev.resize(self.rev_start[n] as usize, 0);
+        for (slot, (_, _, requests)) in g.records().enumerate() {
+            for &t in requests {
+                if let Some(owner) = g.slot_of(t) {
+                    let at = &mut self.rev_start[owner as usize];
+                    *at -= 1;
+                    self.rev[*at as usize] = slot as u32;
+                }
             }
-            let lost_owner = rec.requests.iter().any(|&t| freed[t as usize] == gen);
-            if !lost_owner || freed[rec.chain[0] as usize] == gen {
-                continue; // still a candidate, or already reduced
-            }
-            alive -= 1;
-            for &v in &rec.chain {
-                freed[v as usize] = gen;
-                self.red_stack.push(v);
-            }
-            while let Some(v) = self.red_stack.pop() {
-                for w in &self.waiters[v as usize] {
-                    let wrec = &self.records[w];
-                    if freed[wrec.chain[0] as usize] == gen {
-                        continue;
-                    }
+        }
+        // A reduced record frees its chain: every record requesting a
+        // vertex of it reduces in turn.
+        while let Some(s) = self.red_stack.pop() {
+            let (from, to) = (self.rev_start[s as usize], self.rev_start[s as usize + 1]);
+            for &w in &self.rev[from as usize..to as usize] {
+                if !std::mem::replace(&mut self.reduced[w as usize], true) {
                     alive -= 1;
-                    for &u in &wrec.chain {
-                        freed[u as usize] = gen;
-                        self.red_stack.push(u);
+                    if alive == 0 {
+                        return false;
                     }
+                    self.red_stack.push(w);
                 }
             }
         }
-        alive > 0 // survivors form a core
+        true // survivors form a core
     }
 
     /// Compares this incrementally maintained state against a freshly
@@ -435,42 +371,39 @@ impl DynamicWaitGraph {
     /// mismatches (empty = lockstep). The full graph also carries moving
     /// messages; agreement is defined on the blocked subset plus the knot
     /// verdict.
-    pub fn diff_against_snapshot(&mut self, full: &WaitGraph) -> Vec<String> {
+    pub fn diff_against_snapshot(&self, full: &WaitGraph) -> Vec<String> {
         let mut out = Vec::new();
         // Every blocked message of the snapshot (non-empty requests) must
         // be tracked verbatim. Blocked messages with empty request sets
         // are indistinguishable from moving ones in the bare graph; the
         // fingerprint equality in the engine-level tests covers those.
         for m in full.blocked_messages() {
-            match self.records.get(&m) {
+            match self.graph.record(m) {
                 None => out.push(format!("blocked message {m} missing from dynamic state")),
-                Some(rec) => {
-                    if full.chain(m) != Some(rec.chain.as_slice()) {
+                Some((chain, requests)) => {
+                    if full.chain(m) != Some(chain) {
                         out.push(format!(
-                            "message {m} chain: snapshot={:?} dynamic={:?}",
+                            "message {m} chain: snapshot={:?} dynamic={chain:?}",
                             full.chain(m),
-                            rec.chain
                         ));
                     }
-                    if full.requests_of(m) != Some(rec.requests.as_slice()) {
+                    if full.requests_of(m) != Some(requests) {
                         out.push(format!(
-                            "message {m} requests: snapshot={:?} dynamic={:?}",
+                            "message {m} requests: snapshot={:?} dynamic={requests:?}",
                             full.requests_of(m),
-                            rec.requests
                         ));
                     }
                 }
             }
         }
-        for (&m, rec) in &self.records {
-            if !rec.requests.is_empty() && full.requests_of(m).is_none() {
+        for m in self.graph.blocked_messages() {
+            if full.requests_of(m).is_none() {
                 out.push(format!(
                     "dynamic tracks {m} but the snapshot does not block it"
                 ));
             }
         }
-        // Verdicts must agree set-for-set (order-independently), the
-        // dynamic side through its own blocked-only rebuild.
+        // Verdicts must agree set-for-set (order-independently).
         let mut scratch = DetectorScratch::new();
         let sorted = |sets: Vec<Vec<MessageId>>| {
             let mut sets: Vec<Vec<MessageId>> = sets
@@ -484,9 +417,7 @@ impl DynamicWaitGraph {
             sets
         };
         let want = sorted(full.knot_deadlock_sets(&mut scratch));
-        let mut blocked_only = WaitGraph::new(0);
-        self.rebuild_graph(&mut blocked_only);
-        let got = sorted(blocked_only.knot_deadlock_sets(&mut scratch));
+        let got = sorted(self.graph.knot_deadlock_sets(&mut scratch));
         if want != got {
             out.push(format!(
                 "knot deadlock sets: snapshot={want:?} dynamic={got:?}"
@@ -495,66 +426,23 @@ impl DynamicWaitGraph {
         out
     }
 
-    /// Verifies invariants 2–4 against the record table from scratch, and
-    /// a cached verdict against a naive reduction (tests; O(state)).
+    /// Verifies the store's invariants from scratch, and a cached verdict
+    /// against a naive reduction (tests; O(state)).
     pub fn check_invariants(&self) {
-        let mut fp = 0u64;
-        let waiting = self
-            .records
-            .values()
-            .filter(|r| !r.requests.is_empty())
-            .count();
-        assert_eq!(self.waiting, waiting, "waiting counter drifted");
-        for (&id, rec) in &self.records {
-            assert!(!rec.chain.is_empty(), "record {id} with an empty chain");
-            for &v in &rec.chain {
-                assert_eq!(self.owner[v as usize], id, "owner index out of sync");
-            }
-            for &t in &rec.requests {
-                assert!(
-                    self.waiters[t as usize].contains(&id),
-                    "waiter index missing {id} -> {t}"
-                );
-            }
-            assert_eq!(rec.hash, record_hash(id, &rec.chain, &rec.requests));
-            fp = fp.wrapping_add(rec.hash);
-        }
-        for (v, &m) in self.owner.iter().enumerate() {
-            assert!(
-                m == NO_OWNER
-                    || self
-                        .records
-                        .get(&m)
-                        .is_some_and(|r| r.chain.contains(&(v as VertexId))),
-                "owner index holds a stale vertex {v}"
-            );
-        }
-        for (t, ws) in self.waiters.iter().enumerate() {
-            for w in ws {
-                assert!(
-                    self.records
-                        .get(w)
-                        .is_some_and(|r| r.requests.contains(&(t as VertexId))),
-                    "waiter index holds a stale edge {w} -> {t}"
-                );
-            }
-        }
-        assert_eq!(self.fp_partial, fp, "fingerprint partial sum drifted");
-
+        self.graph.check_store();
         // Independent greatest-fixpoint core (naive iteration): non-empty
         // iff a knot exists. A cached verdict must agree.
         let mut removed: std::collections::HashSet<MessageId> = std::collections::HashSet::new();
         loop {
             let mut changed = false;
-            for (&id, rec) in &self.records {
+            for (id, _, requests) in self.graph.records() {
                 if removed.contains(&id) {
                     continue;
                 }
-                let escape = rec.requests.is_empty()
-                    || rec.requests.iter().any(|&t| {
-                        let m = self.owner[t as usize];
-                        m == NO_OWNER || removed.contains(&m)
-                    });
+                let escape = requests.is_empty()
+                    || requests
+                        .iter()
+                        .any(|&t| self.graph.owner(t).is_none_or(|m| removed.contains(&m)));
                 if escape {
                     removed.insert(id);
                     changed = true;
@@ -564,7 +452,7 @@ impl DynamicWaitGraph {
                 break;
             }
         }
-        let core_live = removed.len() < self.records.len();
+        let core_live = removed.len() < self.num_blocked();
         if let Some(knot) = self.verdict {
             assert_eq!(knot, core_live, "cached verdict drifted");
         }
@@ -603,10 +491,8 @@ mod tests {
         d.check_invariants();
         assert_eq!(d.num_blocked(), 3);
         assert!(d.has_knot());
-        let mut g = WaitGraph::new(0);
-        d.rebuild_graph(&mut g);
         assert_eq!(
-            g.knot_deadlock_sets(&mut DetectorScratch::new()),
+            d.graph().knot_deadlock_sets(&mut DetectorScratch::new()),
             [vec![1, 2, 3]]
         );
         assert!(d.diff_against_snapshot(&figure1_full()).is_empty());
@@ -667,7 +553,7 @@ mod tests {
             d.commit();
             d.check_invariants();
             assert!(!d.has_knot());
-            assert_eq!(d.record(2).unwrap().0, &[5, 6, 4]);
+            assert_eq!(d.graph().chain(2), Some(&[5, 6, 4][..]));
         }
     }
 
@@ -726,6 +612,29 @@ mod tests {
     }
 
     #[test]
+    fn a_removed_victim_stales_the_verdict_until_restaged() {
+        let mut d = DynamicWaitGraph::new(10);
+        stage_figure1(&mut d);
+        assert!(d.has_knot());
+        assert!(d.remove_requests(2), "a knot member waits");
+        assert!(!d.remove_requests(2), "its requests are gone");
+        assert_eq!(d.verdict, None, "a removal stales the verdict");
+        d.check_invariants();
+        assert!(!d.has_knot());
+        assert!(d
+            .graph()
+            .knot_deadlock_sets(&mut DetectorScratch::new())
+            .is_empty());
+        // The engine's next drain restages the victim's old state: the
+        // record differs from the live one, so the commit applies it.
+        d.stage_blocked(2, &[3, 4, 5], &[6]);
+        assert!(d.commit());
+        d.check_invariants();
+        assert!(d.has_knot());
+        assert!(d.diff_against_snapshot(&figure1_full()).is_empty());
+    }
+
+    #[test]
     fn empty_requests_count_toward_population_not_knots() {
         let mut d = DynamicWaitGraph::new(8);
         // A fault-stranded blocked message: chain only, a CWG sink.
@@ -733,7 +642,7 @@ mod tests {
         d.commit();
         d.check_invariants();
         assert_eq!(d.num_blocked(), 1);
-        assert_eq!(d.num_waiting(), 0);
+        assert_eq!(d.graph().num_blocked(), 0);
         assert!(!d.has_knot());
     }
 }

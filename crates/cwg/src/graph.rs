@@ -1,5 +1,7 @@
 //! The channel wait-for graph structure.
 
+use std::ops::Range;
+
 use crate::adjacency::Adjacency;
 use crate::idmap::IdMap;
 
@@ -23,6 +25,16 @@ struct MsgEntry {
     req_len: u32,
 }
 
+impl MsgEntry {
+    fn chain(&self) -> Range<usize> {
+        self.chain_start as usize..(self.chain_start + self.chain_len) as usize
+    }
+
+    fn requests(&self) -> Range<usize> {
+        self.req_start as usize..(self.req_start + self.req_len) as usize
+    }
+}
+
 /// A snapshot of resource allocations and requests at one instant.
 ///
 /// Built from simulator state at each detection epoch (the paper invokes
@@ -30,16 +42,20 @@ struct MsgEntry {
 /// theory, this depicts the *dynamic* state — it is generally disconnected.
 ///
 /// The record table is the graph: one `pool` holds every chain and request
-/// list in registration order, and each vertex's out-arcs are a range of
-/// it. A chain interior's one solid arc is the next pool position (its
-/// successor in the chain), a head's dashed arcs are its owner's request
-/// range, and a free vertex has none; so
-/// [`neighbors`](Adjacency::neighbors) is one range load and no vertex
-/// carries both kinds of arc.
+/// list, and each vertex's out-arcs are a range of it. A chain interior's
+/// one solid arc is the next pool position (its successor in the chain), a
+/// head's dashed arcs are its owner's request range, and a free vertex has
+/// none; so [`neighbors`](Adjacency::neighbors) is one range load and no
+/// vertex carries both kinds of arc.
 ///
-/// The graph is **rebuildable in place**: [`reset`](WaitGraph::reset)
-/// clears it while keeping every buffer's capacity, so the per-epoch
-/// rebuild performs no heap allocation once capacities have warmed up.
+/// The graph is **patched in place**: removing a record (the event-patched
+/// [`DynamicWaitGraph`](crate::DynamicWaitGraph) does, for every changed
+/// message) moves the last record into its slot, so the table stays dense,
+/// and leaves its words in the pool dead. Once dead words outnumber live
+/// ones the live records are copied into a spare pool and their ranges
+/// rewritten. [`reset`](WaitGraph::reset) clears it while keeping every
+/// buffer's capacity, so neither patching nor rebuilding allocates once
+/// capacities have warmed up.
 #[derive(Clone, Debug, Default)]
 pub struct WaitGraph {
     /// Vertex -> its out-arcs as a `(start, len)` range of `pool`.
@@ -50,8 +66,14 @@ pub struct WaitGraph {
     /// Message id -> slot; reused across rebuilds (capacity survives
     /// [`reset`](WaitGraph::reset)).
     index: IdMap<u32>,
-    /// Every chain and request list, in registration order.
+    /// Every chain and request list; removed ones stay as dead words.
     pool: Vec<VertexId>,
+    /// Pool words no record references; at most the live ones.
+    dead: usize,
+    /// The other pool buffer, which compaction copies the live words into.
+    spare: Vec<VertexId>,
+    /// Records with requests: [`num_blocked`](Self::num_blocked).
+    blocked: usize,
 }
 
 impl WaitGraph {
@@ -68,7 +90,7 @@ impl WaitGraph {
     /// reset after a sparse epoch is cheap.
     pub fn reset(&mut self, n: usize) {
         for e in &self.msgs {
-            for &v in &self.pool[e.chain_start as usize..(e.chain_start + e.chain_len) as usize] {
+            for &v in &self.pool[e.chain()] {
                 self.out[v as usize] = (0, 0);
                 self.owner_slot[v as usize] = NO_MSG;
             }
@@ -78,6 +100,8 @@ impl WaitGraph {
         self.msgs.clear();
         self.index.clear();
         self.pool.clear();
+        self.dead = 0;
+        self.blocked = 0;
     }
 
     /// Number of vertices (owned or not).
@@ -94,28 +118,36 @@ impl WaitGraph {
     pub fn add_chain(&mut self, msg: MessageId, chain: &[VertexId]) {
         assert!(!chain.is_empty(), "ownership chain may not be empty");
         let slot = self.msgs.len() as u32;
-        let chain_start = self.pool.len() as u32;
-        for (i, &v) in chain.iter().enumerate() {
+        for &v in chain {
             assert!((v as usize) < self.out.len(), "vertex {v} out of range");
             assert!(
                 self.owner_slot[v as usize] == NO_MSG,
                 "vertex {v} already owned"
             );
             self.owner_slot[v as usize] = slot;
-            self.out[v as usize] = (chain_start + i as u32 + 1, 1);
         }
-        // The head has no solid arc; its requests, if any, come later.
-        self.out[chain[chain.len() - 1] as usize] = (0, 0);
-        self.pool.extend_from_slice(chain);
         let prev = self.index.insert(msg, slot);
         assert!(prev.is_none(), "message {msg} registered twice");
-        self.msgs.push(MsgEntry {
+        let e = MsgEntry {
             id: msg,
-            chain_start,
+            chain_start: self.pool.len() as u32,
             chain_len: chain.len() as u32,
             req_start: 0,
             req_len: 0,
-        });
+        };
+        self.pool.extend_from_slice(chain);
+        self.link(&e);
+        self.msgs.push(e);
+    }
+
+    /// Points the out-ranges of `e`'s chain at the pool: each interior
+    /// vertex at its successor's position, the head at the request range.
+    fn link(&mut self, e: &MsgEntry) {
+        for (p, &v) in e.chain().zip(&self.pool[e.chain()]) {
+            self.out[v as usize] = (p as u32 + 1, 1);
+        }
+        let head = self.pool[e.chain().end - 1];
+        self.out[head as usize] = (e.req_start, e.req_len);
     }
 
     /// Records that blocked message `msg` (whose chain must already be
@@ -154,17 +186,17 @@ impl WaitGraph {
         }
         e.req_start = self.pool.len() as u32;
         e.req_len = targets.len() as u32;
-        let head = self.pool[(e.chain_start + e.chain_len - 1) as usize];
+        let head = self.pool[e.chain().end - 1];
         self.out[head as usize] = (e.req_start, e.req_len);
         self.pool.extend_from_slice(targets);
+        self.blocked += 1;
     }
 
     /// Removes the dashed request arcs of `msg` in place, turning its chain
     /// into a CWG sink — exactly how a recovery victim stops waiting while
     /// still owning its chain. Returns `false` when `msg` is unknown or had
-    /// no requests. O(1): the head's range and the record's request count
-    /// are zeroed, and the request list stays unreferenced in the pool
-    /// until the next [`reset`](Self::reset).
+    /// no requests. The head's range and the record's request count are
+    /// zeroed, and the request list becomes dead pool words.
     ///
     /// The resulting graph is arc-for-arc identical to one freshly built
     /// from the same snapshot with `msg`'s requests omitted.
@@ -173,13 +205,66 @@ impl WaitGraph {
             return false;
         };
         let e = &mut self.msgs[slot as usize];
-        if e.req_len == 0 {
+        let words = e.req_len;
+        if words == 0 {
             return false;
         }
         e.req_len = 0;
-        let head = self.pool[(e.chain_start + e.chain_len - 1) as usize];
+        let head = self.pool[e.chain().end - 1];
         self.out[head as usize] = (0, 0);
+        self.blocked -= 1;
+        self.retire(words);
         true
+    }
+
+    /// Removes the record of `msg` in place: its chain's vertices become
+    /// free and arcless, the last record moves into its slot, and its words
+    /// become dead. Returns `false` when `msg` is unknown.
+    pub(crate) fn remove_record(&mut self, msg: MessageId) -> bool {
+        let Some(slot) = self.index.remove(&msg) else {
+            return false;
+        };
+        let e = self.msgs.swap_remove(slot as usize);
+        for &v in &self.pool[e.chain()] {
+            self.out[v as usize] = (0, 0);
+            self.owner_slot[v as usize] = NO_MSG;
+        }
+        if let Some(moved) = self.msgs.get(slot as usize) {
+            for &v in &self.pool[moved.chain()] {
+                self.owner_slot[v as usize] = slot;
+            }
+            self.index.insert(moved.id, slot);
+        }
+        self.blocked -= usize::from(e.req_len > 0);
+        self.retire(e.chain_len + e.req_len);
+        true
+    }
+
+    /// Counts `words` as dead and compacts the pool once dead words
+    /// outnumber live ones: every live record is copied, in slot order,
+    /// into the spare buffer, which becomes the pool, and its out-ranges
+    /// are rewritten. Amortized O(1) per retired word; per-vertex arc
+    /// order is unchanged.
+    fn retire(&mut self, words: u32) {
+        self.dead += words as usize;
+        if 2 * self.dead <= self.pool.len() {
+            return;
+        }
+        let mut pool = std::mem::take(&mut self.spare);
+        pool.clear();
+        for e in &mut self.msgs {
+            let (chain, requests) = (e.chain(), e.requests());
+            e.chain_start = pool.len() as u32;
+            pool.extend_from_slice(&self.pool[chain]);
+            e.req_start = pool.len() as u32;
+            pool.extend_from_slice(&self.pool[requests]);
+        }
+        self.spare = std::mem::replace(&mut self.pool, pool);
+        self.dead = 0;
+        for i in 0..self.msgs.len() {
+            let e = self.msgs[i];
+            self.link(&e);
+        }
     }
 
     /// The message owning `v`, if any.
@@ -205,20 +290,25 @@ impl WaitGraph {
 
     /// The chain of record `slot`.
     pub(crate) fn slot_chain(&self, slot: u32) -> &[VertexId] {
-        self.entry_chain(&self.msgs[slot as usize])
+        &self.pool[self.msgs[slot as usize].chain()]
+    }
+
+    /// The `(chain, requests)` of `msg`, if registered; the requests are
+    /// empty when it waits for nothing.
+    pub(crate) fn record(&self, msg: MessageId) -> Option<(&[VertexId], &[VertexId])> {
+        let e = &self.msgs[*self.index.get(&msg)? as usize];
+        Some((&self.pool[e.chain()], &self.pool[e.requests()]))
     }
 
     /// The chain owned by `msg` (acquisition order), if registered.
     pub fn chain(&self, msg: MessageId) -> Option<&[VertexId]> {
-        let &slot = self.index.get(&msg)?;
-        Some(self.entry_chain(&self.msgs[slot as usize]))
+        self.record(msg).map(|(chain, _)| chain)
     }
 
     /// Request targets of `msg`, if it is blocked.
     pub fn requests_of(&self, msg: MessageId) -> Option<&[VertexId]> {
-        let &slot = self.index.get(&msg)?;
-        let e = &self.msgs[slot as usize];
-        (e.req_len > 0).then(|| self.entry_requests(e))
+        self.record(msg)
+            .and_then(|(_, requests)| (!requests.is_empty()).then_some(requests))
     }
 
     /// Messages with registered requests (the blocked messages).
@@ -226,33 +316,47 @@ impl WaitGraph {
         self.msgs.iter().filter(|e| e.req_len > 0).map(|e| e.id)
     }
 
-    /// `(id, chain, requests)` of every blocked message, in registration
-    /// order, straight from the record table (no id lookups).
-    pub(crate) fn blocked_entries(
+    /// `(id, chain, requests)` of every record, in slot order (a record's
+    /// slot is its position), straight from the record table.
+    pub(crate) fn records(
         &self,
-    ) -> impl Iterator<Item = (MessageId, &[VertexId], &[VertexId])> + '_ {
+    ) -> impl ExactSizeIterator<Item = (MessageId, &[VertexId], &[VertexId])> + '_ {
         self.msgs
             .iter()
-            .filter(|e| e.req_len > 0)
-            .map(|e| (e.id, self.entry_chain(e), self.entry_requests(e)))
+            .map(|e| (e.id, &self.pool[e.chain()], &self.pool[e.requests()]))
     }
 
-    fn entry_chain(&self, e: &MsgEntry) -> &[VertexId] {
-        &self.pool[e.chain_start as usize..(e.chain_start + e.chain_len) as usize]
-    }
-
-    fn entry_requests(&self, e: &MsgEntry) -> &[VertexId] {
-        &self.pool[e.req_start as usize..(e.req_start + e.req_len) as usize]
-    }
-
-    /// Number of blocked messages in the snapshot.
+    /// Number of blocked messages in the snapshot. O(1).
     pub fn num_blocked(&self) -> usize {
-        self.msgs.iter().filter(|e| e.req_len > 0).count()
+        self.blocked
     }
 
     /// All registered messages (owners of at least one vertex).
     pub fn messages(&self) -> impl Iterator<Item = MessageId> + '_ {
         self.msgs.iter().map(|e| e.id)
+    }
+
+    /// Verifies the store against a fresh build of its own records (tests;
+    /// O(vertices + words)): the same arcs and owner at every vertex, an
+    /// id index that finds every slot, the blocked count, and no more dead
+    /// pool words than live ones.
+    pub(crate) fn check_store(&self) {
+        let mut fresh = WaitGraph::new(self.num_vertices());
+        for (slot, (id, chain, requests)) in self.records().enumerate() {
+            assert_eq!(self.index.get(&id), Some(&(slot as u32)), "id index");
+            fresh.add_record(id, chain, requests);
+        }
+        for v in 0..self.num_vertices() as u32 {
+            assert_eq!(self.neighbors(v), fresh.neighbors(v), "arcs of {v}");
+            assert_eq!(self.owner(v), fresh.owner(v), "owner of {v}");
+        }
+        assert_eq!(self.index.len(), self.msgs.len(), "id index size");
+        assert_eq!(self.blocked, fresh.blocked, "blocked count drifted");
+        assert_eq!(self.dead, self.pool.len() - fresh.pool.len(), "dead words");
+        assert!(
+            2 * self.dead <= self.pool.len(),
+            "dead words outnumber live"
+        );
     }
 }
 
@@ -401,5 +505,50 @@ mod tests {
         assert_eq!(g.num_blocked(), fresh.num_blocked());
         assert_eq!(g.requests_of(1), None);
         assert_eq!(g.requests_of(2), Some(&[0][..]));
+    }
+
+    #[test]
+    fn removal_and_compaction_match_fresh_build() {
+        // Records 1..=4 on disjoint chains; record `i` requests the head of
+        // record `i % 4 + 1`. Removing and re-adding them in turn moves
+        // slots and kills pool words until the pool compacts.
+        let chain = |i: u32| [3 * i, 3 * i + 1];
+        let requests = |i: u32| [3 * (i % 4 + 1) + 1, 2];
+        let mut g = WaitGraph::new(16);
+        for i in 1..=4 {
+            g.add_record(u64::from(i), &chain(i), &requests(i));
+        }
+        let words = g.pool.len();
+        let mut compactions = 0;
+        for round in 0..12u32 {
+            let i = round % 4 + 1;
+            assert!(g.remove_record(u64::from(i)));
+            assert!(!g.remove_record(u64::from(i)), "second removal is a no-op");
+            g.check_store();
+            assert_eq!(g.owner(3 * i), None);
+            assert!(g.neighbors(3 * i).is_empty());
+            g.add_record(u64::from(i), &chain(i), &requests(i));
+            if round == 5 {
+                assert!(g.remove_requests(2));
+            }
+            g.check_store();
+            compactions += usize::from(g.dead == 0);
+        }
+        assert!(compactions > 0 && g.pool.len() < 2 * words + 4);
+        assert!(g.remove_requests(2));
+        g.check_store();
+        let mut fresh = WaitGraph::new(16);
+        for i in [1, 3, 4, 2] {
+            let reqs: &[u32] = if i == 2 { &[] } else { &requests(i) };
+            fresh.add_record(u64::from(i), &chain(i), reqs);
+        }
+        for v in 0..16 {
+            assert_eq!(g.neighbors(v), fresh.neighbors(v), "arcs of {v}");
+            assert_eq!(g.owner(v), fresh.owner(v), "owner of {v}");
+        }
+        assert_eq!(g.num_blocked(), 3);
+        g.reset(16);
+        g.check_store();
+        assert_eq!((g.pool.len(), g.num_blocked()), (0, 0));
     }
 }

@@ -13,9 +13,8 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 }
 
 /// SplitMix64-based hasher for id-keyed tables. Message ids are sequence
-/// numbers; SipHash resistance is wasted on them, and both the dynamic
-/// graph's record table and the wait graph's id index sit on the
-/// detection hot path.
+/// numbers; SipHash resistance is wasted on them, and the wait graph's id
+/// index sits on the detection hot path.
 #[derive(Default, Clone)]
 pub(crate) struct IdHasher(u64);
 

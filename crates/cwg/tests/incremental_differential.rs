@@ -1,20 +1,24 @@
 //! Lockstep differential: a [`DynamicWaitGraph`] maintained through long
 //! random edit histories must agree with a fresh [`WaitGraph`] rebuilt
-//! from the ground-truth wait state after **every** commit — structurally
+//! from the ground-truth wait state after **every** commit — as a store
+//! (`graph()`'s out-arcs and owner at every vertex), structurally
 //! (`diff_against_snapshot`), on the knot verdict (`has_knot`, and the
-//! deadlock sets of its `rebuild_graph` set-for-set), and on the internal
-//! index/fingerprint invariants and cached verdict (`check_invariants`).
+//! deadlock sets of `graph()` set-for-set), and on the store invariants
+//! and cached verdict (`check_invariants`).
 //!
 //! The generator evolves a population of blocked messages the way the
 //! engine does: messages block on owner-disjoint VC chains, re-block with
 //! grown or shrunk chains, migrate onto vertices freed by messages cleared
 //! in the *same* commit (the two-phase hazard), and clear entirely.
 //! Edit order within a cycle is shuffled, so order-insensitivity is part
-//! of what the lockstep locks.
+//! of what the lockstep locks. Knots are broken as the runner breaks them:
+//! one member's requests are removed in the live store, and the next
+//! commit restages or clears it, as the engine's drain does after
+//! `start_recovery`.
 
 use std::collections::{BTreeMap, HashSet};
 
-use icn_cwg::{DetectorScratch, DynamicWaitGraph, WaitGraph};
+use icn_cwg::{Adjacency, DetectorScratch, DynamicWaitGraph, WaitGraph};
 use proptest::prelude::*;
 
 /// Ground truth: id → (chain, requests). Chains are owner-disjoint across
@@ -54,16 +58,36 @@ fn sorted_sets(mut sets: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
     sets
 }
 
-/// The exact knot sets of the dynamic state, from its blocked-only rebuild.
-fn dynamic_sets(dwg: &mut DynamicWaitGraph, scratch: &mut DetectorScratch) -> Vec<Vec<u64>> {
-    let mut g = WaitGraph::new(0);
-    dwg.rebuild_graph(&mut g);
-    sorted_sets(g.knot_deadlock_sets(scratch))
+/// The exact knot sets of the dynamic state, from its own graph.
+fn dynamic_sets(dwg: &DynamicWaitGraph, scratch: &mut DetectorScratch) -> Vec<Vec<u64>> {
+    sorted_sets(dwg.graph().knot_deadlock_sets(scratch))
+}
+
+/// Pool words a record occupies: its chain and its requests.
+fn words(record: &(Vec<u32>, Vec<u32>)) -> usize {
+    record.0.len() + record.1.len()
+}
+
+/// The store equals a fresh build of `truth`: the same out-arcs, in the
+/// same order, and the same owner at every vertex.
+fn same_store(dwg: &DynamicWaitGraph, n: usize, truth: &Truth) {
+    let fresh = fresh_graph(n, truth);
+    for v in 0..n as u32 {
+        prop_assert_eq!(
+            dwg.graph().neighbors(v),
+            fresh.neighbors(v),
+            "arcs of {}",
+            v
+        );
+        prop_assert_eq!(dwg.graph().owner(v), fresh.owner(v), "owner of {}", v);
+    }
 }
 
 /// One evolution step: clear some messages, (re)block others — possibly
 /// onto just-freed vertices — stage the edits in shuffled order, commit.
-fn evolve(rng: &mut Lcg, n: usize, truth: &mut Truth, dwg: &mut DynamicWaitGraph) {
+/// Returns the pool words the commit retires: every record it removes.
+fn evolve(rng: &mut Lcg, n: usize, truth: &mut Truth, dwg: &mut DynamicWaitGraph) -> usize {
+    let mut retired = 0;
     #[derive(Clone)]
     enum Edit {
         Clear(u64),
@@ -85,6 +109,7 @@ fn evolve(rng: &mut Lcg, n: usize, truth: &mut Truth, dwg: &mut DynamicWaitGraph
             for v in &truth[&id].0 {
                 held.remove(v);
             }
+            retired += words(&truth[&id]);
             truth.remove(&id);
             edits.push(Edit::Clear(id));
         }
@@ -100,10 +125,11 @@ fn evolve(rng: &mut Lcg, n: usize, truth: &mut Truth, dwg: &mut DynamicWaitGraph
         if !blocked_now.insert(id) {
             continue;
         }
-        if let Some((chain, _)) = truth.remove(&id) {
-            for v in &chain {
+        if let Some(record) = truth.remove(&id) {
+            for v in &record.0 {
                 held.remove(v);
             }
+            retired += words(&record);
             edits.push(Edit::Clear(id)); // defensive re-block path
         }
         let free: Vec<u32> = (0..n as u32).filter(|v| !held.contains(v)).collect();
@@ -146,13 +172,58 @@ fn evolve(rng: &mut Lcg, n: usize, truth: &mut Truth, dwg: &mut DynamicWaitGraph
         }
     }
     dwg.commit();
+    retired
+}
+
+/// Breaks the first knot as the runner does, by removing one member's
+/// requests in the live store, then commits what the engine's next drain
+/// would send for the victim: its `Clear`, or (when `restage`) its blocked
+/// state again. Checks the store after each step; returns the retired
+/// words.
+fn recover(
+    dwg: &mut DynamicWaitGraph,
+    n: usize,
+    truth: &mut Truth,
+    set: &[u64],
+    restage: bool,
+) -> usize {
+    let victim = set[0];
+    prop_assert!(dwg.remove_requests(victim), "a knot member waits");
+    let (chain, requests) = truth[&victim].clone();
+    let mut sink = truth.clone();
+    sink.insert(victim, (chain.clone(), Vec::new()));
+    dwg.check_invariants();
+    same_store(dwg, n, &sink);
+    prop_assert_eq!(
+        dwg.has_knot(),
+        !fresh_graph(n, &sink).analyze(2).deadlocks.is_empty()
+    );
+    if restage {
+        dwg.stage_blocked(victim, &chain, &requests);
+    } else {
+        dwg.stage_clear(victim);
+        truth.remove(&victim);
+    }
+    prop_assert!(dwg.commit(), "the victim's record changes back");
+    dwg.check_invariants();
+    same_store(dwg, n, truth);
+    requests.len() + chain.len()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole lock: after every commit of a long random history,
-    /// the incremental graph is indistinguishable from a fresh rebuild.
+    /// The lock on the store: after every commit of a long random history,
+    /// and after every recovery edit, the incremental graph is
+    /// indistinguishable from a fresh rebuild.
+    ///
+    /// Compaction runs in every case, and this is how it is known:
+    /// `check_invariants` asserts after every commit and recovery edit that
+    /// the store's dead pool words are at most its live ones, and only a
+    /// compaction lowers the dead count. Live words never exceed the
+    /// largest ground-truth total after a commit (phase 1 only removes,
+    /// phase 2 only inserts), so a history that retires more words than
+    /// that peak, which the last assertion checks, compacted at least once.
     #[test]
     fn incremental_matches_fresh_rebuild_every_commit(seed in any::<u64>()) {
         let mut rng = Lcg(seed | 1);
@@ -160,20 +231,27 @@ proptest! {
         let mut truth = Truth::new();
         let mut dwg = DynamicWaitGraph::new(n);
         let mut scratch = DetectorScratch::new();
-        for _cycle in 0..24 {
-            evolve(&mut rng, n, &mut truth, &mut dwg);
+        let (mut retired, mut peak) = (0, 0);
+        for _cycle in 0..32 {
+            retired += evolve(&mut rng, n, &mut truth, &mut dwg);
+            peak = peak.max(truth.values().map(words).sum::<usize>());
 
             dwg.check_invariants();
+            same_store(&dwg, n, &truth);
             let live = dwg.has_knot();
             let full = fresh_graph(n, &truth);
             let diff = dwg.diff_against_snapshot(&full);
             prop_assert!(diff.is_empty(), "structural divergence: {diff:?}");
 
             let want = sorted_sets(full.knot_deadlock_sets(&mut scratch));
-            let got = dynamic_sets(&mut dwg, &mut scratch);
+            let got = dynamic_sets(&dwg, &mut scratch);
             prop_assert_eq!(live, !want.is_empty(), "reduction verdict diverged");
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(&got, &want);
+            if let Some(set) = want.first() {
+                retired += recover(&mut dwg, n, &mut truth, set, rng.next(2) == 0);
+            }
         }
+        prop_assert!(retired > peak, "retired {retired} words, peak {peak}: no compaction");
     }
 
     /// Fingerprints are a pure function of the final state: replaying the
@@ -198,8 +276,8 @@ proptest! {
         prop_assert_eq!(replay.has_knot(), dwg.has_knot());
         let mut scratch = DetectorScratch::new();
         prop_assert_eq!(
-            dynamic_sets(&mut replay, &mut scratch),
-            dynamic_sets(&mut dwg, &mut scratch)
+            dynamic_sets(&replay, &mut scratch),
+            dynamic_sets(&dwg, &mut scratch)
         );
     }
 }

@@ -87,7 +87,7 @@ pub fn read_request(stream: &TcpStream, deadline: Instant) -> io::Result<Request
         return Err(bad_input("target must be absolute"));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     loop {
         let mut h = String::new();
         if read_head_line(&mut head, &mut h)? == 0 {
@@ -99,13 +99,19 @@ pub fn read_request(stream: &TcpStream, deadline: Instant) -> io::Result<Request
         }
         if let Some((k, v)) = t.split_once(':') {
             if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad_input("bad content-length"))?;
+                // RFC 9110 §8.6: the value is `1*DIGIT` (no sign, no list),
+                // and a repeated header must not change it.
+                let n = Some(v.trim())
+                    .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| bad_input("bad content-length"))?;
+                if content_length.replace(n).is_some_and(|prev| prev != n) {
+                    return Err(bad_input("conflicting content-length"));
+                }
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(bad_input("body too large"));
     }
@@ -325,6 +331,51 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         assert!(read_request(&stream, soon()).is_err());
         client.join().unwrap();
+    }
+
+    /// `read_request` on a connection whose client sent `raw` and closed.
+    fn read_raw(raw: &'static [u8]) -> io::Result<Request> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            TcpStream::connect(addr).unwrap().write_all(raw).unwrap();
+        });
+        let (stream, _) = listener.accept().unwrap();
+        client.join().unwrap();
+        read_request(&stream, soon())
+    }
+
+    #[test]
+    fn content_length_must_be_digits() {
+        let req = read_raw(b"POST /jobs HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").unwrap();
+        assert_eq!(req.body, b"hello");
+        for bad in [
+            &b"POST /jobs HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"[..],
+            b"POST /jobs HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 0x5\r\n\r\nhello",
+            b"POST /jobs HTTP/1.1\r\nContent-Length:\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+        ] {
+            let err = read_raw(bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
+            assert_eq!(err.to_string(), "bad content-length");
+        }
+    }
+
+    #[test]
+    fn repeated_content_length_must_agree() {
+        let err = read_raw(
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 6\r\n\r\nhello!",
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "conflicting content-length");
+        let req = read_raw(
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 005\r\n\r\nhello",
+        )
+        .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use flexsim::experiments::{fig5, fig6, fig7, fig8, Scale};
 use flexsim::{run_reference_with, run_with, RecoveryPolicy, RunConfig};
-use icn_cwg::{CwgSnapshot, DetectorScratch, DynamicWaitGraph, WaitGraph};
+use icn_cwg::{CwgSnapshot, DetectorScratch, DynamicWaitGraph};
 use icn_sim::{Network, SimConfig, SnapshotArena, WaitUpdate};
 use icn_topology::{KAryNCube, NodeId};
 
@@ -447,7 +447,6 @@ fn lockstep(net: &mut Network, cycles: u64, interval: u64, dense: bool) -> u64 {
     net.enable_wait_tracking();
     let mut dwg = DynamicWaitGraph::new(net.wait_vertex_count());
     let mut arena = SnapshotArena::new();
-    let mut blocked_only = WaitGraph::new(0);
     let mut scratch = DetectorScratch::new();
     let mut knot_epochs = 0;
     for _ in 0..cycles {
@@ -481,7 +480,7 @@ fn lockstep(net: &mut Network, cycles: u64, interval: u64, dense: bool) -> u64 {
             arena.messages().map(|m| (m.id, m.chain, m.requests)),
         )
         .build_graph();
-        assert_eq!(dwg.num_waiting(), full.num_blocked());
+        assert_eq!(dwg.graph().num_blocked(), full.num_blocked());
         let diff = dwg.diff_against_snapshot(&full);
         assert!(
             diff.is_empty(),
@@ -491,8 +490,7 @@ fn lockstep(net: &mut Network, cycles: u64, interval: u64, dense: bool) -> u64 {
 
         let mut want: Vec<Vec<u64>> = full.knot_deadlock_sets(&mut scratch);
         want.sort();
-        dwg.rebuild_graph(&mut blocked_only);
-        let mut got: Vec<Vec<u64>> = blocked_only.knot_deadlock_sets(&mut scratch);
+        let mut got: Vec<Vec<u64>> = dwg.graph().knot_deadlock_sets(&mut scratch);
         got.sort();
         assert_eq!(got, want, "knot sets diverged at cycle {}", net.cycle());
         assert_eq!(
