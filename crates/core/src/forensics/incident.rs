@@ -265,15 +265,31 @@ impl DeadlockIncident {
                 cwg.num_vertices
             )));
         }
+        // No capture produces the records refused below: timelines are
+        // sorted by id (`members()` promises it and `minimize_cwg` binary
+        // searches it), a detection epoch falls on the detection interval,
+        // and a knot forms no later than the epoch that finds it.
+        if timelines.windows(2).any(|w| w[0].id >= w[1].id) {
+            return Err(bad("`timelines` must be strictly ascending by id"));
+        }
+        if !cycle.is_multiple_of(config.detection_interval) {
+            return Err(bad(&format!(
+                "`cycle` {cycle} is not a multiple of the detection interval {}",
+                config.detection_interval
+            )));
+        }
+        // Records from before formation tracking default to the detection
+        // cycle (zero measured lag).
+        let formation_cycle = get_u64(v, "formation_cycle").unwrap_or(cycle);
+        if formation_cycle > cycle {
+            return Err(bad(&format!(
+                "`formation_cycle` {formation_cycle} is later than `cycle` {cycle}"
+            )));
+        }
         Ok(DeadlockIncident {
             seq: get_u64(v, "seq")? as u32,
             cycle,
-            // Records from before formation tracking default to the
-            // detection cycle (zero measured lag).
-            formation_cycle: match get_u64(v, "formation_cycle") {
-                Ok(f) => f,
-                Err(_) => cycle,
-            },
+            formation_cycle,
             config,
             fingerprint: get_u64(v, "fingerprint")?,
             cwg,

@@ -9,22 +9,22 @@
 //!   so all arcs closing the knot belong to deadlock-set messages, and
 //!   dropping everything else (moving traffic, dependents) preserves each
 //!   knot with its exact deadlock set. The reduction is verified by
-//!   re-analysis rather than trusted.
+//!   re-reading the sub-CWG's knots rather than trusted.
 //! * **Shortest cycle prefix** ([`shortest_prefix`]): the least number of
 //!   cycles the config must run for the knot to exist. Once a knot
 //!   closes, its members cannot move and recovery only targets them at
 //!   the (first) detection epoch, so "knot present at cycle `t`" is
 //!   monotone in `t` over the window between epochs — binary search
 //!   applies, and only `O(log detection_interval)` deterministic probe
-//!   runs are needed.
-
-use std::ops::ControlFlow;
+//!   runs are needed. Each probe is the re-run [`replay`](super::replay)
+//!   uses, halted at `t` instead of at the incident cycle.
+//!
+//! Both read knots the same way: the sorted deadlock sets of a fresh
+//! [`CwgSnapshot::build_graph`].
 
 use icn_cwg::CwgSnapshot;
-use icn_sim::{Network, SnapshotArena};
 
-use crate::runner::{run_with, RunObserver};
-
+use super::probe::{knot_sets, rerun};
 use super::DeadlockIncident;
 
 /// Outcome of [`minimize`].
@@ -32,8 +32,8 @@ use super::DeadlockIncident;
 pub struct MinimizedIncident {
     /// The knot-induced sub-CWG: only deadlock-set messages.
     pub cwg: CwgSnapshot,
-    /// Whether re-analysis of the sub-CWG reproduced exactly the
-    /// incident's deadlock sets.
+    /// Whether the sub-CWG's knots have exactly the incident's deadlock
+    /// sets.
     pub verified: bool,
     /// Messages in the original capture.
     pub original_messages: usize,
@@ -54,13 +54,8 @@ pub struct ShortestPrefix {
     pub saved_cycles: u64,
 }
 
-fn sorted(mut sets: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-    sets.sort();
-    sets
-}
-
 /// Reduces the incident's CWG to its deadlock-set messages and verifies
-/// (by re-running the detector) that every captured knot survives with an
+/// (by re-reading its knots) that every captured knot survives with an
 /// identical deadlock set and nothing new appears.
 pub fn minimize_cwg(incident: &DeadlockIncident) -> (CwgSnapshot, bool) {
     let members = incident.members();
@@ -74,67 +69,10 @@ pub fn minimize_cwg(incident: &DeadlockIncident) -> (CwgSnapshot, bool) {
             .cloned()
             .collect(),
     };
-    let analysis = sub.build_graph().analyze(incident.config.density_cap);
-    let observed = sorted(
-        analysis
-            .deadlocks
-            .iter()
-            .map(|d| d.deadlock_set.clone())
-            .collect(),
-    );
-    let verified = observed == sorted(incident.deadlock_sets());
+    let mut expected = incident.deadlock_sets();
+    expected.sort_unstable();
+    let verified = knot_sets(&sub) == expected;
     (sub, verified)
-}
-
-struct ProbeAtCycle {
-    target: u64,
-    expected: Vec<Vec<u64>>,
-    density_cap: u64,
-    knot_present: bool,
-}
-
-impl RunObserver for ProbeAtCycle {
-    fn on_cycle(&mut self, net: &Network, _ev: &icn_sim::StepEvents) -> ControlFlow<()> {
-        if net.cycle() < self.target {
-            return ControlFlow::Continue(());
-        }
-        let mut arena = SnapshotArena::new();
-        net.wait_snapshot_into(&mut arena);
-        let analysis = CwgSnapshot::from_messages(
-            arena.num_vertices(),
-            arena.messages().map(|m| (m.id, m.chain, m.requests)),
-        )
-        .build_graph()
-        .analyze(self.density_cap);
-        let observed = sorted(
-            analysis
-                .deadlocks
-                .iter()
-                .map(|d| d.deadlock_set.clone())
-                .collect(),
-        );
-        self.knot_present = self.expected.iter().all(|s| observed.contains(s));
-        ControlFlow::Break(())
-    }
-}
-
-/// Whether the incident's knots all exist after exactly `t` cycles of the
-/// incident's config.
-fn knot_present_at(incident: &DeadlockIncident, t: u64) -> bool {
-    let mut cfg = incident.config.clone();
-    cfg.forensics = None;
-    let total = cfg.warmup + cfg.measure;
-    if total < t {
-        cfg.measure += t - total;
-    }
-    let mut probe = ProbeAtCycle {
-        target: t,
-        expected: sorted(incident.deadlock_sets()),
-        density_cap: cfg.density_cap,
-        knot_present: false,
-    };
-    run_with(&cfg, &mut probe);
-    probe.knot_present
 }
 
 /// Bisects for the shortest cycle-prefix of the run after which the
@@ -145,19 +83,23 @@ fn knot_present_at(incident: &DeadlockIncident, t: u64) -> bool {
 /// the *previous* epoch it would have been detected (and recovered) there,
 /// so its closure lies strictly inside the final interval.
 pub fn shortest_prefix(incident: &DeadlockIncident) -> Option<ShortestPrefix> {
+    // Whether every recorded knot exists after exactly `t` cycles.
+    let sets = incident.deadlock_sets();
+    let knot_present_at =
+        |t| rerun(incident, t).is_some_and(|seen| sets.iter().all(|s| seen.sets.contains(s)));
     let hi = incident.cycle;
     let lo = hi
         .saturating_sub(incident.config.detection_interval.saturating_sub(1))
         .max(1);
     let mut probes = 1u32;
-    if !knot_present_at(incident, hi) {
+    if !knot_present_at(hi) {
         return None;
     }
     let (mut lo, mut hi) = (lo, hi);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         probes += 1;
-        if knot_present_at(incident, mid) {
+        if knot_present_at(mid) {
             hi = mid;
         } else {
             lo = mid + 1;

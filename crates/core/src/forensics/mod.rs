@@ -22,14 +22,18 @@
 //!
 //! * [`IncidentStore`] persists them as JSON plus a knot-highlighted DOT
 //!   rendering, under an `index.json` catalogue.
-//! * [`replay`] re-runs config + seed to the incident epoch and asserts
+//! * [`replay`] re-runs config + seed to the incident cycle and asserts
 //!   the same blocked-wait-state fingerprint and deadlock sets re-form.
 //! * [`minimize`] shrinks the incident to the knot-induced sub-CWG
 //!   (provably still a knot) and bisects the run for the shortest cycle
 //!   prefix that reproduces the deadlock.
+//!
+//! Replay and bisection share one re-run probe, and all three read knots
+//! one way: the sorted deadlock sets of a fresh graph build.
 
 mod incident;
 mod minimize;
+mod probe;
 mod replay;
 mod store;
 mod timeline;

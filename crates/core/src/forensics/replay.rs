@@ -1,35 +1,29 @@
 //! Deterministic incident replay.
 //!
-//! The simulation is a pure function of its [`RunConfig`] (the only
-//! randomness is `StdRng` seeded from `cfg.seed`), so re-running the
-//! incident's config halts at the incident epoch with — if the record is
-//! faithful — the *same* blocked wait-state. The assertion is two-fold:
-//! the order-independent 64-bit wait-state fingerprint must match, and so
-//! must the deadlock sets (the message ids of each knot). The replay is
-//! not a forensic run, so the runner captures nothing at the epoch; the
-//! observer takes the one snapshot the fingerprint comes from.
+//! Re-running the incident's config reaches the incident cycle with — if
+//! the record is faithful — the *same* blocked wait state. The assertion
+//! is two-fold: the order-independent 64-bit wait-state fingerprint must
+//! match, and so must the deadlock sets (the message ids of each knot).
+//! Both come from the shared re-run probe, which captures the wait state
+//! after the incident cycle's engine step and finds its knots on a fresh
+//! graph build, independently of the detector that recorded the incident.
 
-use std::ops::ControlFlow;
-
-use icn_sim::SnapshotArena;
-
-use crate::runner::{run_with, EpochView, RunObserver};
-
+use super::probe::rerun;
 use super::DeadlockIncident;
 
 /// Outcome of [`replay`].
 #[derive(Clone, Debug)]
 pub struct ReplayReport {
-    /// Epoch cycle the replay halted at.
+    /// Cycle the replay halted at.
     pub cycle: u64,
     /// Fingerprint recorded in the incident.
     pub expected_fingerprint: u64,
-    /// Fingerprint observed at the replayed epoch (`None` when the run
+    /// Fingerprint observed at the replayed cycle (`None` when the run
     /// ended before reaching it — a non-reproduction).
     pub observed_fingerprint: Option<u64>,
     /// Deadlock sets recorded in the incident (sorted).
     pub expected_sets: Vec<Vec<u64>>,
-    /// Deadlock sets observed at the replayed epoch (sorted).
+    /// Deadlock sets observed at the replayed cycle (sorted).
     pub observed_sets: Vec<Vec<u64>>,
 }
 
@@ -51,61 +45,19 @@ impl ReplayReport {
     }
 }
 
-struct HaltAtEpoch {
-    target: u64,
-    fingerprint: Option<u64>,
-    sets: Vec<Vec<u64>>,
-}
-
-impl RunObserver for HaltAtEpoch {
-    fn on_epoch(&mut self, view: &EpochView<'_>) -> ControlFlow<()> {
-        if view.cycle == self.target {
-            let mut arena = SnapshotArena::new();
-            view.net.wait_snapshot_into(&mut arena);
-            self.fingerprint = Some(arena.fingerprint());
-            self.sets = view
-                .analysis
-                .deadlocks
-                .iter()
-                .map(|d| d.deadlock_set.clone())
-                .collect();
-            return ControlFlow::Break(());
-        }
-        ControlFlow::Continue(())
-    }
-}
-
-fn sorted(mut sets: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-    sets.sort();
-    sets
-}
-
-/// Re-runs the incident's config + seed up to the incident epoch and
-/// reports whether the identical knot re-formed.
-///
-/// Forensic capture is disabled for the re-run — tracing never perturbs
-/// the simulation, so the replay is cycle-identical either way; skipping
-/// it just makes the replay cheaper.
+/// Re-runs the incident's config + seed to the incident cycle and reports
+/// whether the identical knot re-formed there. The observed sets come
+/// from a fresh full capture, so every replay also checks the detector's
+/// event-patched store that recorded the incident.
 pub fn replay(incident: &DeadlockIncident) -> ReplayReport {
-    let mut cfg = incident.config.clone();
-    cfg.forensics = None;
-    // Make sure the run actually reaches the incident epoch even if it
-    // was captured close to the configured end of the window.
-    let total = cfg.warmup + cfg.measure;
-    if total < incident.cycle {
-        cfg.measure += incident.cycle - total;
-    }
-    let mut halt = HaltAtEpoch {
-        target: incident.cycle,
-        fingerprint: None,
-        sets: Vec::new(),
-    };
-    run_with(&cfg, &mut halt);
+    let seen = rerun(incident, incident.cycle);
+    let mut expected_sets = incident.deadlock_sets();
+    expected_sets.sort_unstable();
     ReplayReport {
         cycle: incident.cycle,
         expected_fingerprint: incident.fingerprint,
-        observed_fingerprint: halt.fingerprint,
-        expected_sets: sorted(incident.deadlock_sets()),
-        observed_sets: sorted(halt.sets),
+        observed_fingerprint: seen.as_ref().map(|s| s.fingerprint),
+        expected_sets,
+        observed_sets: seen.map(|s| s.sets).unwrap_or_default(),
     }
 }

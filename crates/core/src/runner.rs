@@ -29,9 +29,9 @@ pub struct EpochView<'a> {
     /// The epoch's knot analysis: empty (bar `num_blocked`) whenever the
     /// event-patched wait graph certifies the epoch knot-free.
     pub analysis: &'a Analysis,
-    /// Whether the epoch was settled without asking for a verdict at all:
-    /// nothing is blocked, or the previous epoch was knot-free and this
-    /// epoch's drain changed no blocked record.
+    /// Whether the epoch was knot-free and settled by the cached verdict:
+    /// nothing is blocked, or this epoch's drain changed no blocked
+    /// record.
     pub skipped: bool,
     /// Whether `arena` was refilled at this epoch. The detector works from
     /// the engine's wait-state events, not from captures, so the arena is
@@ -46,8 +46,8 @@ pub struct EpochView<'a> {
     pub net: &'a Network,
 }
 
-/// Hooks into [`run_with`]: forensic replay and minimization probes use
-/// these to halt a deterministic re-run at an exact cycle or epoch.
+/// Hooks into [`run_with`]: the forensic re-run probe behind replay and
+/// minimization uses them to halt a deterministic re-run at an exact cycle.
 /// Returning `ControlFlow::Break` stops the run; the result reflects the
 /// truncated window.
 pub trait RunObserver {
@@ -146,10 +146,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     let mut dwg = DynamicWaitGraph::new(net.wait_vertex_count());
     let mut arena = SnapshotArena::new();
     let mut scratch = DetectorScratch::new();
-    // Whether the previous epoch was knot-free. Knots are closed
-    // exclusively by blocked messages — moving chains are CWG sinks — so
-    // an unchanged blocked wait-state keeps that verdict.
-    let mut knot_free = false;
 
     // Forensic capture: enable engine tracing and index events per live
     // message, so a detected knot's formation can be reconstructed.
@@ -241,10 +237,11 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
 
             // Skipped epochs: with nothing blocked there are no dashed
             // arcs, so neither knots nor resource cycles can exist; and an
-            // unchanged wait-state keeps the previous knot-free verdict.
-            let skip = dwg.num_blocked() == 0 || (knot_free && !changed);
-            let knot = !skip && dwg.has_knot();
-            knot_free = !knot;
+            // unchanged wait-state keeps the graph's cached verdict (knots
+            // are closed by blocked messages only, so an unchanged record
+            // table answers in O(1)). A knot epoch is never skipped.
+            let knot = dwg.num_blocked() > 0 && dwg.has_knot();
+            let skip = !knot && (dwg.num_blocked() == 0 || !changed);
 
             // A knot-free verdict ends detection. A knot epoch analyses the
             // wait graph itself: the blocked-only graph has exactly the full

@@ -6,7 +6,9 @@
 
 use std::ops::ControlFlow;
 
-use flexsim::forensics::{minimize, replay, timeline_table, DeadlockIncident, IncidentStore};
+use flexsim::forensics::{
+    minimize, replay, shortest_prefix, timeline_table, DeadlockIncident, IncidentStore,
+};
 use flexsim::{
     run, run_with, EpochView, ForensicsConfig, RoutingSpec, RunConfig, RunObserver, TopologySpec,
 };
@@ -150,6 +152,30 @@ fn replay_reproduces_the_identical_knot() {
     assert!(report.reproduced());
 }
 
+/// A record whose seed no longer produces its knot does not replay, and
+/// the bisection finds no prefix that reproduces it.
+#[test]
+fn replay_rejects_a_record_with_another_seed() {
+    let (_, incidents) = captured();
+    let mut inc = incidents[0].clone();
+    inc.config.seed += 1;
+    assert!(!replay(&inc).reproduced());
+    assert_eq!(shortest_prefix(&inc), None);
+}
+
+/// A record whose deadlock set names a message the knot does not hold
+/// replays to the same wait state but not to the same sets.
+#[test]
+fn replay_rejects_an_edited_deadlock_set() {
+    let (_, incidents) = captured();
+    let mut inc = incidents[0].clone();
+    let stranger = inc.cwg.messages.iter().map(|m| m.id).max().unwrap() + 1;
+    inc.analysis.deadlocks[0].deadlock_set[0] = stranger;
+    let report = replay(&inc);
+    assert!(report.fingerprint_match(), "the wait state itself re-forms");
+    assert!(!report.sets_match());
+}
+
 #[test]
 fn incident_json_round_trips_identically() {
     let (_, incidents) = captured();
@@ -261,6 +287,38 @@ fn store_persists_and_reloads_incidents() {
     let err = store.load(&index[0].file).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("num_vertices"), "{err}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records no capture produces are refused on load: timelines out of id
+/// order, an epoch off the detection interval, a knot formed after the
+/// epoch that found it.
+#[test]
+fn store_refuses_impossible_incidents() {
+    let (_, incidents) = captured();
+    let inc = incidents
+        .iter()
+        .find(|inc| inc.timelines.len() > 1)
+        .expect("an incident with two members");
+    let dir = std::env::temp_dir().join(format!("icn-forensics-refuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = IncidentStore::open(&dir).unwrap();
+    let (path, _) = store.save(inc).unwrap();
+    let file = store.list().unwrap()[0].file.clone();
+    assert_eq!(&store.load(&file).unwrap(), inc);
+
+    let refusal = |tamper: fn(&mut DeadlockIncident)| {
+        let mut bad = inc.clone();
+        tamper(&mut bad);
+        std::fs::write(&path, bad.to_json_string()).unwrap();
+        let err = store.load(&file).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    };
+    assert!(refusal(|i| i.timelines.swap(0, 1)).contains("timelines"));
+    assert!(refusal(|i| i.cycle += 1).contains("detection interval"));
+    assert!(refusal(|i| i.formation_cycle = i.cycle + 1).contains("formation_cycle"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -82,22 +82,23 @@
 //! messages (released by one, acquired by another); removing every stale
 //! record before inserting any new one makes the ownership index
 //! transiently consistent regardless of staging order.
+//!
+//! Each id is staged at most once per commit with a blocked state
+//! (`Network::drain_wait_updates` emits each id once); a clear staged
+//! beside it is overridden, and a debug build asserts the rule. A staged
+//! state identical to the current record is a no-op, so a commit that
+//! changes nothing keeps the cached verdict, and the verdict is the only
+//! one kept: the runner settles an unchanged epoch from it rather than
+//! remembering the previous epoch's answer itself.
 
 use crate::analysis::DetectorScratch;
 use crate::graph::{MessageId, VertexId, WaitGraph};
 use crate::idmap::mix;
 
-/// One staged edit: the message's new state, or its removal.
-#[derive(Clone, Debug)]
-enum Staged {
-    /// `(chain_len, pool range start)` — chain then requests, contiguous.
-    Blocked {
-        start: u32,
-        chain_len: u32,
-        len: u32,
-    },
-    Clear,
-}
+/// One staged edit: the message's new state as offsets `(start, chain
+/// end, end)` into the staging pool (chain, then requests), or `None` for
+/// its removal.
+type Staged = Option<(u32, u32, u32)>;
 
 /// FNV-1a over a word stream (same constants as the simulator snapshot).
 #[inline]
@@ -139,9 +140,6 @@ pub struct DynamicWaitGraph {
     rev_start: Vec<u32>,
     rev: Vec<u32>,
     red_stack: Vec<u32>,
-    // The current commit's staged ids, sorted: an id staged more than
-    // once (rare; API-only) appears twice in a row.
-    dup_buf: Vec<MessageId>,
 }
 
 impl DynamicWaitGraph {
@@ -182,96 +180,72 @@ impl DynamicWaitGraph {
 
     /// Stages the new state of a blocked message (chain must be
     /// non-empty; requests may be empty for fault-stranded messages).
-    /// Takes effect at [`commit`](Self::commit).
+    /// At most once per id per commit; takes effect at
+    /// [`commit`](Self::commit).
     pub fn stage_blocked(&mut self, id: MessageId, chain: &[VertexId], requests: &[VertexId]) {
         debug_assert!(!chain.is_empty(), "a blocked message owns its head VC");
         let start = self.staged_pool.len() as u32;
         self.staged_pool.extend_from_slice(chain);
+        let chain_end = self.staged_pool.len() as u32;
         self.staged_pool.extend_from_slice(requests);
-        self.staged.push((
-            id,
-            Staged::Blocked {
-                start,
-                chain_len: chain.len() as u32,
-                len: (chain.len() + requests.len()) as u32,
-            },
-        ));
+        let end = self.staged_pool.len() as u32;
+        self.staged.push((id, Some((start, chain_end, end))));
     }
 
     /// Stages the removal of `id` (delivered, recovering, ejecting, or
     /// simply no longer blocked). Unknown ids are fine — the engine marks
-    /// conservatively. Takes effect at [`commit`](Self::commit).
+    /// conservatively — and a [`stage_blocked`](Self::stage_blocked) of
+    /// the same id in the same commit wins. Takes effect at
+    /// [`commit`](Self::commit).
     pub fn stage_clear(&mut self, id: MessageId) {
-        self.staged.push((id, Staged::Clear));
+        self.staged.push((id, None));
     }
 
-    /// Applies every staged edit: phase 1 removes the old records of all
-    /// staged messages, phase 2 inserts the new blocked states. At most
-    /// one staged entry per id per commit (the engine's drain dedups).
-    /// Returns whether any record changed; a change stales the verdict.
+    /// Applies every staged edit: phase 1 removes the old record of every
+    /// staged message whose state changed, phase 2 inserts the new blocked
+    /// states. Returns whether any record changed; a change stales the
+    /// verdict.
+    ///
+    /// Contract: at most one [`stage_blocked`](Self::stage_blocked) per id
+    /// per commit (the engine's drain emits each id once). A
+    /// [`stage_clear`](Self::stage_clear) of the same id may accompany it
+    /// and is overridden, since removals apply before insertions; a debug
+    /// build asserts that no id is staged with two different blocked
+    /// states.
     pub fn commit(&mut self) -> bool {
-        if self.staged.is_empty() {
-            return false;
-        }
-        let mut staged = std::mem::take(&mut self.staged);
-        let pool = std::mem::take(&mut self.staged_pool);
-        // Drop reconciliation no-ops before touching the store: the
-        // engine re-resolves conservatively-marked messages (fault
-        // transitions mark *everything*), and an identical re-staging
-        // must neither churn the store nor stale the verdict.
-        //
-        // The per-entry no-op test compares against pre-commit state
-        // only, so an id staged more than once (a Clear + re-Block pair
-        // in one commit — never from the engine's drain, but legal for
-        // direct API users) must bypass the filter: dropping the Block
-        // as "identical" while keeping its paired Clear would wrongly
-        // remove the record.
-        self.dup_buf.clear();
-        self.dup_buf.extend(staged.iter().map(|(id, _)| *id));
-        self.dup_buf.sort_unstable();
-        let ids = &self.dup_buf;
-        let any_dup = ids.windows(2).any(|w| w[0] == w[1]);
-        let dup =
-            |id: &MessageId| any_dup && ids.get(ids.partition_point(|x| x < id) + 1) == Some(id);
-        let split = |start: u32, chain_len: u32, len: u32| {
-            let (s, c) = (start as usize, (start + chain_len) as usize);
-            (&pool[s..c], &pool[c..s + len as usize])
+        let pool = &self.staged_pool;
+        let state = |at: Staged| {
+            at.map(|(s, c, e)| (&pool[s as usize..c as usize], &pool[c as usize..e as usize]))
         };
-        staged.retain(|(id, st)| match *st {
-            _ if dup(id) => true,
-            Staged::Blocked {
-                start,
-                chain_len,
-                len,
-            } => self.graph.record(*id) != Some(split(start, chain_len, len)),
-            Staged::Clear => self.graph.record(*id).is_some(),
-        });
-        let changed = !staged.is_empty();
+        let mut changed = false;
+        // An identical re-staging is a no-op: the engine re-resolves
+        // conservatively-marked messages (fault transitions mark
+        // *everything*), and that must neither churn the store nor stale
+        // the verdict.
+        for &(id, at) in &self.staged {
+            let stale = state(at).is_none_or(|new| self.graph.record(id).is_some_and(|r| r != new));
+            changed |= stale && self.graph.remove_record(id);
+        }
+        for &(id, at) in &self.staged {
+            let Some((chain, requests)) = state(at) else {
+                continue;
+            };
+            match self.graph.record(id) {
+                None => {
+                    self.graph.add_record(id, chain, requests);
+                    changed = true;
+                }
+                Some(r) => debug_assert!(
+                    r == (chain, requests),
+                    "message {id} staged twice in one commit"
+                ),
+            }
+        }
         if changed {
             self.verdict = None;
         }
-        for (id, _) in &staged {
-            self.graph.remove_record(*id);
-        }
-        for (id, st) in &staged {
-            if let Staged::Blocked {
-                start,
-                chain_len,
-                len,
-            } = *st
-            {
-                if dup(id) {
-                    // A duplicate stage for one id keeps the last state.
-                    self.graph.remove_record(*id);
-                }
-                let (chain, requests) = split(start, chain_len, len);
-                self.graph.add_record(*id, chain, requests);
-            }
-        }
-        self.staged_pool = pool;
-        self.staged_pool.clear();
-        self.staged = staged;
         self.staged.clear();
+        self.staged_pool.clear();
         changed
     }
 
@@ -609,6 +583,37 @@ mod tests {
         assert!(!d.commit());
         assert_eq!(d.verdict, Some(true));
         d.check_invariants();
+    }
+
+    #[test]
+    fn a_clear_beside_an_identical_restage_keeps_the_record() {
+        // Removals apply before insertions, so the restage wins in either
+        // staging order, even when it equals the current record.
+        for clear_first in [false, true] {
+            let mut d = DynamicWaitGraph::new(10);
+            stage_figure1(&mut d);
+            if clear_first {
+                d.stage_clear(2);
+            }
+            d.stage_blocked(2, &[3, 4, 5], &[6]);
+            if !clear_first {
+                d.stage_clear(2);
+            }
+            d.commit();
+            d.check_invariants();
+            assert!(d.diff_against_snapshot(&figure1_full()).is_empty());
+            assert!(d.has_knot());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "staged twice")]
+    fn two_blocked_states_for_one_id_are_refused() {
+        let mut d = DynamicWaitGraph::new(10);
+        d.stage_blocked(1, &[1, 2], &[3]);
+        d.stage_blocked(1, &[1, 2], &[4]);
+        d.commit();
     }
 
     #[test]
