@@ -145,6 +145,13 @@ fn parse_or_exit<T: FromStr>(what: &str, kind: &str, v: &str) -> T {
     })
 }
 
+/// Reports a configuration [`RunConfig::check`] refused, and returns the
+/// exit code for it: the run would panic with the same message.
+fn refuse(rule: &str) -> i32 {
+    eprintln!("unrunnable configuration: {rule}");
+    2
+}
+
 /// One command's arguments, checked against its usage line.
 struct Args {
     usage: &'static str,
@@ -236,6 +243,9 @@ fn forensics_main(args: &Args) -> i32 {
         max_incidents: args.flag("--max", 8),
         ..ForensicsConfig::default()
     });
+    if let Err(e) = cfg.check() {
+        return refuse(&e);
+    }
 
     println!("== deadlock forensics ==");
     println!("   config: {}", cfg.label());
@@ -663,6 +673,9 @@ fn probe_main(args: &Args) -> i32 {
     };
     cfg.warmup = 0;
     cfg.measure = pos(3).map_or(5000, |v| parse_or_exit("[cycles]", "an integer", v));
+    if let Err(e) = cfg.check() {
+        return refuse(&e);
+    }
 
     let res = run_with(&cfg, &mut EpochPrinter);
     println!("final delivered={}", res.delivered);

@@ -87,3 +87,24 @@ fn probe_is_dispatched() {
         );
     }
 }
+
+/// A configuration the runner would panic on is refused before it runs,
+/// with the rule it breaks: a zero-depth buffer for `probe`, and a cycle
+/// count whose sum with the warm-up overflows for `forensics`.
+#[test]
+fn unrunnable_configs_exit_2_naming_the_rule() {
+    for (args, rule) in [
+        (
+            &["probe", "0", "0.3", "0", "120"][..],
+            "buffers hold at least one flit",
+        ),
+        (
+            &["forensics", "--cycles", "18446744073709551615"][..],
+            "`warmup` + `measure` must fit in 64 bits",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(rule), "{args:?}: {}", stderr(&out));
+    }
+}

@@ -8,8 +8,9 @@
 //!
 //! The generator evolves a population of blocked messages the way the
 //! engine does: messages block on owner-disjoint VC chains, re-block with
-//! grown or shrunk chains, migrate onto vertices freed by messages cleared
-//! in the *same* commit (the two-phase hazard), and clear entirely.
+//! grown or shrunk chains or with the identical record beside a clear of
+//! it, migrate onto vertices freed by messages cleared in the *same*
+//! commit (the two-phase hazard), and clear entirely.
 //! Edit order within a cycle is shuffled, so order-insensitivity is part
 //! of what the lockstep locks. Knots are broken as the runner breaks them:
 //! one member's requests are removed in the live store, and the next
@@ -115,9 +116,12 @@ fn evolve(rng: &mut Lcg, n: usize, truth: &mut Truth, dwg: &mut DynamicWaitGraph
         }
     }
 
-    // (Re)block a few messages on free vertices. One edit per id per
-    // commit: the engine emits at most one resolved update per message
-    // per drain, so a duplicate would make the shuffled order ambiguous.
+    // (Re)block a few messages on free vertices. One blocked stage per
+    // id per commit: the engine emits at most one resolved update per
+    // message per drain, so two would make the shuffled order ambiguous.
+    // A clear staged beside it (the defensive re-block path) is
+    // overridden by it, whatever the order, and sometimes the blocked
+    // stage restages the very record the clear removes.
     let blocks = 1 + rng.next(3);
     let mut blocked_now: HashSet<u64> = HashSet::new();
     for _ in 0..blocks {
@@ -126,11 +130,16 @@ fn evolve(rng: &mut Lcg, n: usize, truth: &mut Truth, dwg: &mut DynamicWaitGraph
             continue;
         }
         if let Some(record) = truth.remove(&id) {
+            retired += words(&record);
+            edits.push(Edit::Clear(id));
+            if rng.next(3) == 0 {
+                truth.insert(id, record.clone());
+                edits.push(Edit::Block(id, record.0, record.1));
+                continue;
+            }
             for v in &record.0 {
                 held.remove(v);
             }
-            retired += words(&record);
-            edits.push(Edit::Clear(id)); // defensive re-block path
         }
         let free: Vec<u32> = (0..n as u32).filter(|v| !held.contains(v)).collect();
         if free.is_empty() {

@@ -37,7 +37,9 @@
 //! the survivors once its leases expire — with its completed records
 //! adopted, never recomputed. `POST /jobs/:id/cancel` writes the marker
 //! and runs the same step: it appends nothing, since only the submitter
-//! and lease holders append checkpoint records.
+//! and lease holders append checkpoint records. The marker raises the
+//! job's cancel token, and each unsettled slot is recorded `cancelled` by
+//! its lease holder, as a timeout is.
 
 use std::fs;
 use std::io::{self, ErrorKind, Read};
@@ -566,18 +568,19 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
 
 /// `POST /jobs/:id/cancel`: writes the durable fleet-wide marker, then
 /// runs the job's reconcile step, which applies it here as every fleet
-/// member's scanner applies it there: waiting slots settle `cancelled`
-/// unless their record is already in the checkpoint, and running configs
-/// (here or on siblings) stop at their next observer check and are
-/// recorded by their lease holders. Nothing is appended here.
+/// member's scanner applies it there: it raises the job's cancel token.
+/// Running configs (here or on siblings) stop at their next observer
+/// check, and every unsettled slot is recorded by its lease holder —
+/// `cancelled`, unless a record is already in the checkpoint. Nothing is
+/// appended here.
 fn cancel_job(ctx: &Arc<Ctx>, id: u64) -> Reply {
-    let (marker, before) = {
+    let marker = {
         let inner = ctx.shared.inner.lock().unwrap();
         let job = inner
             .jobs
             .get(&id)
             .ok_or_else(|| (404, format!("no job {id}")))?;
-        (job.ckpt.with_extension("cancel"), job.counts().cancelled)
+        job.ckpt.with_extension("cancel")
     };
     // The marker first: once this returns, the decision survives any
     // crash and reaches every fleet member via its scanner.
@@ -588,7 +591,6 @@ fn cancel_job(ctx: &Arc<Ctx>, id: u64) -> Reply {
     let body = obj(vec![
         ("id", Json::U64(id)),
         ("cancelled", Json::Bool(true)),
-        ("newly_cancelled", Json::U64((t.cancelled - before) as u64)),
         ("still_running", Json::U64(t.running as u64)),
     ]);
     Ok(Response::json(body.to_string()))

@@ -32,21 +32,23 @@
 //! its record into the checkpoint the job is born with, before the job is
 //! published, so a checkpoint record is appended either by the submitter
 //! before publication or by a lease holder, in `Shared::finish_unit` —
-//! never by anyone else. A cancel appends nothing: its durable marker is
-//! the decision.
+//! never by anyone else. A cancel appends nothing itself: its marker
+//! raises the job's cancel token, and each unsettled slot's lease holder
+//! records `cancelled` unless it adopts a record, as it records a timeout.
 //!
 //! # Slot transitions
 //!
-//! A [`Job`] is the only writer of its slots, and its methods do no I/O.
-//! Disk state reaches them by one path, [`Job::apply`] (each waiting slot
-//! takes its checkpoint record; a cancelled job's other waiting slots
-//! settle `cancelled`), called by the one reconcile step
-//! `Shared::reconcile_job` — which the scanner, the cancel endpoint and a
-//! worker popping a cancelled unit share — and by recovery. A running
-//! slot ends in `finish_unit` only. A job settles in [`Job::set_slot`]
-//! only: the write that settles it says so, once, releases the
-//! configurations and says whether the tail's per-index state may be
-//! sealed too ([`CheckpointTail::seal`]).
+//! A slot settles only from a durable record, or fails (memory-only: a
+//! restart retries it). A [`Job`] is the only writer of its slots, and
+//! its methods do no I/O. Disk state reaches them by one path,
+//! [`Job::apply`] (each waiting slot takes its checkpoint record; the
+//! cancel marker raises the token and settles nothing), called by the one
+//! reconcile step `Shared::reconcile_job` — which the scanner and the
+//! cancel endpoint share — and by recovery. A running slot ends in
+//! `finish_unit` only. A job settles in [`Job::set_slot`] only: the write
+//! that settles it says so, once, releases the configurations and says
+//! whether the tail's per-index state may be sealed too
+//! ([`CheckpointTail::seal`]).
 //!
 //! Every look at a checkpoint goes through the job's one
 //! [`CheckpointTail`]: a refresh reads and verifies only the bytes
@@ -64,7 +66,7 @@ use std::time::Duration;
 use flexsim::jsonio::{durable, frame_record};
 use flexsim::{
     checkpoint_line, checkpoint_status_line, run_supervised, CancelToken, CheckpointRestore,
-    CheckpointTail, RunConfig, RunResult, SweepError, Verdict,
+    CheckpointTail, RunConfig, SweepError, Verdict,
 };
 
 use crate::cache::ResultCache;
@@ -101,6 +103,20 @@ pub enum SlotState {
     Cancelled {
         timed_out: bool,
     },
+}
+
+impl SlotState {
+    /// The state a durable record read back from the checkpoint settles a
+    /// slot to.
+    fn restored(verdict: Verdict) -> SlotState {
+        match verdict {
+            Verdict::Result => SlotState::Done {
+                cached: false,
+                restored: true,
+            },
+            Verdict::Cancelled { timed_out } => SlotState::Cancelled { timed_out },
+        }
+    }
 }
 
 /// Per-job slot counts for status reporting.
@@ -211,9 +227,8 @@ impl Job {
     /// settles the job — once per job, since a settled job has no slot
     /// left that can change — and that write releases the configurations.
     /// `seal` says whether every verdict is durable, so the tail may be
-    /// sealed: a `Failed` slot is memory-only (a restart retries it), and a
-    /// cancelled job may still receive the record of a sibling that was
-    /// mid-run when the marker landed.
+    /// sealed: every settled slot but a `Failed` one (memory-only, a
+    /// restart retries it) settled from its record.
     pub fn set_slot(&mut self, index: usize, state: SlotState) -> Option<bool> {
         let was_settled = self.is_settled();
         self.counts.count(&self.slots[index], false);
@@ -223,7 +238,7 @@ impl Job {
             return None;
         }
         self.configs = Vec::new();
-        Some(self.counts.failed == 0 && !self.cancel.is_cancelled())
+        Some(self.counts.failed == 0)
     }
 
     /// Slot counts for status reporting, kept current by
@@ -283,11 +298,11 @@ impl Job {
 
     /// The one path from disk to slots. `record` is the restorable
     /// checkpoint verdict of an index, `cancelled` whether the durable
-    /// cancel marker exists. Each `Pending` or `Queued` slot takes its
-    /// record; once the job is cancelled, every slot still waiting settles
-    /// as `cancelled`. A running slot belongs to its claimant and is left
-    /// alone. Returns what [`set_slot`](Job::set_slot) returned for the
-    /// write that settled the job, if one did.
+    /// cancel marker exists, which only raises the cancel token. Each
+    /// `Pending` or `Queued` slot takes its record; a running slot belongs
+    /// to its claimant and is left alone. Returns what
+    /// [`set_slot`](Job::set_slot) returned for the write that settled the
+    /// job, if one did.
     pub fn apply(
         &mut self,
         record: impl Fn(usize) -> Option<Verdict>,
@@ -301,16 +316,9 @@ impl Job {
             if !matches!(self.slots[index], SlotState::Pending | SlotState::Queued) {
                 continue;
             }
-            let state = match record(index) {
-                Some(Verdict::Result) => SlotState::Done {
-                    cached: false,
-                    restored: true,
-                },
-                Some(Verdict::Cancelled { timed_out }) => SlotState::Cancelled { timed_out },
-                None if self.cancel.is_cancelled() => SlotState::Cancelled { timed_out: false },
-                None => continue,
-            };
-            settled = settled.or(self.set_slot(index, state));
+            if let Some(verdict) = record(index) {
+                settled = settled.or(self.set_slot(index, SlotState::restored(verdict)));
+            }
         }
         settled
     }
@@ -462,32 +470,31 @@ impl Shared {
         }
     }
 
-    /// The shared checkpoint's restorable record for `index`, if any —
+    /// What the shared checkpoint's restorable record for `index` says —
     /// consulted after winning a lease, so work a dead former owner
     /// completed is adopted instead of recomputed. Reads only what was
     /// appended since the tail's last refresh, then one line.
-    fn checkpoint_record_for(
-        &self,
-        tail: &Mutex<CheckpointTail>,
-        index: usize,
-    ) -> Option<Result<RunResult, bool>> {
+    fn checkpoint_verdict(&self, tail: &Mutex<CheckpointTail>, index: usize) -> Option<Verdict> {
         let mut tail = tail.lock().expect("tail lock");
         self.stats.refresh(&mut tail);
-        tail.record(index)
+        Some(match tail.record(index)? {
+            Ok(_) => Verdict::Result,
+            Err(timed_out) => Verdict::Cancelled { timed_out },
+        })
     }
 
-    /// Returns a claimed slot to `Pending` (the lease went to a sibling,
-    /// could not be taken, or the job was cancelled while the unit was
-    /// queued); the next reconcile step settles or re-queues it.
+    /// Returns a claimed slot to `Pending` (the lease went to a sibling or
+    /// could not be taken); the next reconcile step settles or re-queues
+    /// it.
     fn unclaim(&self, unit: Unit) {
         if let Some(job) = self.inner.lock().unwrap().jobs.get_mut(&unit.job) {
             job.unclaim(unit.index);
         }
     }
 
-    /// Runs one unit to completion: lease claim, checkpoint adoption,
-    /// cache lookup, supervised run on a miss, then `finish_unit` before
-    /// the lease is released.
+    /// Runs one unit to completion: lease claim, checkpoint adoption, then
+    /// a `cancelled` record, a cache hit or a supervised run, then
+    /// `finish_unit` before the lease is released.
     fn execute_unit(&self, unit: Unit) {
         let (cfg, ckpt, tail, cancel, timeout) = {
             let mut inner = self.inner.lock().unwrap();
@@ -505,13 +512,6 @@ impl Shared {
                 job.timeout,
             )
         };
-
-        // Cancelled while queued: the marker is the decision, and the
-        // reconcile step applies it to this slot like any other.
-        if cancel.is_cancelled() {
-            self.unclaim(unit);
-            return self.reconcile_job(unit.job);
-        }
 
         // Claim the per-config lease; a live sibling owning it means the
         // config is theirs — the reconciler will adopt their record.
@@ -542,17 +542,18 @@ impl Shared {
         // With the lease won, consult the shared checkpoint: a dead
         // former owner may have finished this config before dying. Its
         // record is adopted, never recomputed — this check is what makes
-        // lease reclamation duplicate-free.
+        // lease reclamation duplicate-free. Without one, a cancelled job's
+        // slot is recorded `cancelled` by this holder, like a timeout.
         let label = cfg.label();
-        let (state, record) = match self.checkpoint_record_for(&tail, unit.index) {
-            Some(Ok(_)) => (
-                SlotState::Done {
-                    cached: false,
-                    restored: true,
-                },
-                None,
-            ),
-            Some(Err(timed_out)) => (SlotState::Cancelled { timed_out }, None),
+        let stopped = |timed_out| {
+            (
+                SlotState::Cancelled { timed_out },
+                Some(checkpoint_status_line(unit.index, &label, timed_out)),
+            )
+        };
+        let (state, record) = match self.checkpoint_verdict(&tail, unit.index) {
+            Some(verdict) => (SlotState::restored(verdict), None),
+            None if cancel.is_cancelled() => stopped(false),
             None => match self.cache.lookup(&cfg) {
                 Some(hit) => (
                     SlotState::Done {
@@ -579,10 +580,7 @@ impl Shared {
                                 Some(checkpoint_line(unit.index, &label, &r)),
                             )
                         }
-                        Err(SweepError::Cancelled { timed_out, .. }) => (
-                            SlotState::Cancelled { timed_out },
-                            Some(checkpoint_status_line(unit.index, &label, timed_out)),
-                        ),
+                        Err(SweepError::Cancelled { timed_out, .. }) => stopped(timed_out),
                         // The run panicked: a failure kept in memory
                         // only — a restart retries it.
                         Err(e) => (SlotState::Failed(e.to_string()), None),
@@ -645,13 +643,12 @@ impl Shared {
     }
 
     /// The one reconcile step from disk to a job's slots, shared by the
-    /// scanner, the cancel endpoint and a worker that pops a cancelled
-    /// unit: reads the cancel marker, refreshes the tail off the
-    /// job-table lock, [`applies`](Job::apply) both, re-queues `Pending`
-    /// slots (lease lost to a live sibling, or never scheduled here —
-    /// `execute_unit` re-arbitrates with the lease, so the worst case is
-    /// a cheap failed acquire) and accounts for the job if this step
-    /// settled it. It appends nothing.
+    /// scanner and the cancel endpoint: reads the cancel marker, refreshes
+    /// the tail off the job-table lock, [`applies`](Job::apply) both,
+    /// re-queues `Pending` slots (lease lost to a live sibling, or never
+    /// scheduled here — `execute_unit` re-arbitrates with the lease, so
+    /// the worst case is a cheap failed acquire) and accounts for the job
+    /// if this step settled it. It appends nothing.
     pub(crate) fn reconcile_job(&self, id: u64) {
         let (marker, tail) = {
             let inner = self.inner.lock().unwrap();
@@ -662,9 +659,6 @@ impl Shared {
                 _ => return,
             }
         };
-        // The marker before the records: every record appended before
-        // the marker was seen is then read, and adopted rather than
-        // cancelled.
         let cancelled = marker.exists();
         let mut tail = tail.lock().expect("tail lock");
         self.stats.refresh(&mut tail);
@@ -830,8 +824,8 @@ mod tests {
 
     /// Settlement is signalled once per job, by the write that settles it,
     /// and gives the configurations back; the tail is to be sealed only
-    /// when every verdict is durable — never with a `Failed` slot, never
-    /// for a cancelled job.
+    /// when every verdict is durable — never with a `Failed` slot, and for
+    /// a cancelled job too, whose every other slot settled from a record.
     #[test]
     fn settled_job_has_empty_configs_and_seals_only_durable_verdicts() {
         let stats = Stats::default();
@@ -864,7 +858,7 @@ mod tests {
         let mut cancelled = dummy_job(3, vec![SlotState::Running; 2]);
         cancelled.cancel.cancel();
         let cancel = SlotState::Cancelled { timed_out: false };
-        assert!(!settle(&mut cancelled, [done, cancel.clone()]));
+        assert!(settle(&mut cancelled, [done, cancel.clone()]));
         // A settled job has no slot left to change: no second signal.
         assert_eq!(cancelled.set_slot(1, cancel), None);
 
@@ -916,9 +910,6 @@ mod tests {
         /// Settle signals seen, and records this process appended, by index.
         settled: usize,
         appended: Vec<usize>,
-        /// A result record became visible for a slot already `cancelled`:
-        /// the late-sibling window.
-        late_results: bool,
     }
 
     impl World {
@@ -931,7 +922,6 @@ mod tests {
                 marker: false,
                 settled: 0,
                 appended: Vec::new(),
-                late_results: false,
             }
         }
 
@@ -994,13 +984,7 @@ mod tests {
                 Event::Claim(i) => assert!(self.job.claim(i)),
                 Event::LeaseLost(i) => self.job.unclaim(i),
                 Event::RunEnds(i, run, append_ok) => {
-                    let adopted = self.records[i].map(|v| match v {
-                        Verdict::Result => SlotState::Done {
-                            cached: false,
-                            restored: true,
-                        },
-                        Verdict::Cancelled { timed_out } => SlotState::Cancelled { timed_out },
-                    });
+                    let adopted = self.records[i].map(SlotState::restored);
                     let (state, record) = adopted.map(|s| (s, None)).unwrap_or(match run {
                         Run::Result => (
                             SlotState::Done {
@@ -1032,14 +1016,7 @@ mod tests {
                     };
                     settled = self.job.set_slot(i, state);
                 }
-                Event::Sibling(i, v) => {
-                    if v == Verdict::Result
-                        && before[i] == (SlotState::Cancelled { timed_out: false })
-                    {
-                        self.late_results = true;
-                    }
-                    self.records[i] = Some(v);
-                }
+                Event::Sibling(i, v) => self.records[i] = Some(v),
                 Event::Cancel | Event::Reconcile => {
                     self.marker |= matches!(event, Event::Cancel);
                     // `Shared::reconcile_job`: a settled job is left alone.
@@ -1056,7 +1033,7 @@ mod tests {
             assert_eq!(job.counts(), job.tally(), "counts follow the slots");
             if let Some(seal) = settled {
                 self.settled += 1;
-                let durable = job.counts().failed == 0 && !job.cancel.is_cancelled();
+                let durable = job.counts().failed == 0;
                 assert_eq!(seal, durable, "seal only when every verdict is durable");
                 if seal {
                     assert!(self.records.iter().all(Option::is_some), "sealed = on disk");
@@ -1080,41 +1057,57 @@ mod tests {
                 }
             }
         }
+
+        /// A restart: a fresh job that applies what is on disk settles
+        /// every slot settled here, bar a failed one, to the same verdict.
+        fn check_restart(&self) {
+            let mut restarted = World::new().job;
+            let records = self.records;
+            restarted.apply(|i| records[i], self.marker);
+            for (now, after) in self.job.slots().iter().zip(restarted.slots()) {
+                let agrees = match now {
+                    SlotState::Done { .. } => matches!(after, SlotState::Done { .. }),
+                    SlotState::Cancelled { .. } => now == after,
+                    _ => true,
+                };
+                assert!(agrees, "{now:?} here reads {after:?} after a restart");
+            }
+        }
     }
 
     /// Every event sequence of at most `JOB_PROTOCOL_DEPTH` events on a
     /// fresh 2-config job, replayed from scratch like
     /// `validate::explore`'s schedules, with the invariants of
-    /// [`World::step`] checked after every event.
+    /// [`World::step`] checked after every event and
+    /// [`World::check_restart`] after every prefix.
     const JOB_PROTOCOL_DEPTH: usize = 7;
 
-    /// Counts the sequences below `prefix` (itself already checked), and
-    /// those that hit the late-sibling window.
-    fn explore_job_protocol(prefix: &mut Vec<Event>) -> (u64, u64) {
+    /// Counts the sequences below `prefix`, whose own prefixes are already
+    /// checked.
+    fn explore_job_protocol(prefix: &mut Vec<Event>) -> u64 {
         let mut world = World::new();
         for &event in prefix.iter() {
             world.step(event);
         }
+        world.check_restart();
         let events = world.applicable();
         if prefix.len() == JOB_PROTOCOL_DEPTH || events.is_empty() {
-            return (1, u64::from(world.late_results));
+            return 1;
         }
-        let mut counts = (0, 0);
+        let mut sequences = 0;
         for event in events {
             prefix.push(event);
-            let (n, late) = explore_job_protocol(prefix);
+            sequences += explore_job_protocol(prefix);
             prefix.pop();
-            counts = (counts.0 + n, counts.1 + late);
         }
-        counts
+        sequences
     }
 
     #[test]
     fn job_protocol_holds_on_every_event_sequence() {
-        let (sequences, late) = explore_job_protocol(&mut Vec::new());
-        eprintln!("job protocol: {sequences} sequences, {late} through the late-sibling window");
+        let sequences = explore_job_protocol(&mut Vec::new());
+        eprintln!("job protocol: {sequences} sequences, each restart-checked after every event");
         assert!(sequences > 100_000, "{sequences}");
-        assert!(late > 0, "the late-sibling window is reachable");
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1186,11 +1179,10 @@ mod tests {
             );
             assert_eq!(job.counts(), job.tally());
         }
-        assert!(shared.checkpoint_record_for(&tail, 0).is_none());
-        assert!(shared.checkpoint_record_for(&tail, 1).is_none());
-        let adopted = shared
-            .checkpoint_record_for(&tail, 2)
-            .expect("genuine record");
+        assert_eq!(shared.checkpoint_verdict(&tail, 0), None);
+        assert_eq!(shared.checkpoint_verdict(&tail, 1), None);
+        assert_eq!(shared.checkpoint_verdict(&tail, 2), Some(Verdict::Result));
+        let adopted = tail.lock().unwrap().record(2).expect("genuine record");
         assert_eq!(adopted.unwrap().digest(), result.digest());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -21,7 +21,8 @@
 //!    checkpoint append fails the slot, and a restart settles it.
 //! 8. A cancel applies its marker through the one reconcile step: a
 //!    record already in the checkpoint is kept, and only a lease holder
-//!    appends.
+//!    appends — a `cancelled` record for each slot it settles, so a slot
+//!    reads the same in every server life.
 //! 9. A body nested past the parser's bound, or asking for a network too
 //!    large to allocate, is a 400 and the server keeps serving.
 //!
@@ -39,7 +40,7 @@ use deadlock_characterization::flexsim::{
 use deadlock_characterization::icn_topology::NodeId;
 use deadlock_characterization::icn_traffic::Pattern;
 use deadlock_characterization::server::{
-    http_request, Client, ResultCache, ServerOptions, SweepGrid,
+    http_request, Client, LeaseDir, ResultCache, ServerOptions, SweepGrid,
 };
 use icn_bench::{
     checkpoint_path, direct_digests, full_line_count, garble_last_record, resubmission_storyline,
@@ -342,11 +343,13 @@ fn failed_checkpoint_append_fails_the_slot_and_a_restart_settles_it() {
 
 /// A cancel that lands after a sibling's record keeps that record: the
 /// slot it settles is `done:restored`, in this life and the next, and the
-/// cancel appends nothing itself. The one status line in the checkpoint is
-/// written by the holder of the only lease this process took, for the run
-/// the cancel stopped. The job is found on disk (no submit-time pass), one
-/// worker takes the last index first, and the scanner sleeps throughout,
-/// so only the cancel endpoint's own reconcile step sees the record.
+/// cancel appends nothing itself. Each status line in the checkpoint is
+/// written by a lease holder: first for the run the cancel stopped, then
+/// for the queued index, which the worker leases and records `cancelled`
+/// without running it. The job is found on disk (no submit-time pass),
+/// one worker takes the last index first, and the scanner sleeps
+/// throughout, so only the cancel endpoint's own reconcile step sees the
+/// record.
 #[test]
 fn cancel_keeps_a_sibling_record_and_appends_only_under_a_lease() {
     let dir = scratch_dir("e2e-cancel-sibling");
@@ -398,12 +401,107 @@ fn cancel_keeps_a_sibling_record_and_appends_only_under_a_lease() {
         let streamed: Vec<&String> = digests.iter().filter(|d| !d.is_empty()).collect();
         assert_eq!(streamed.len() as u64, completed, "{digests:?}");
         assert_eq!(digests[0], sibling.digest());
-        // The sibling's record, then the status line of the one index
-        // this process leased: nothing for an index it never leased.
-        assert_eq!(record_indices(&ckpt), [0, 2]);
+        // The sibling's record, then the status lines of the two indices
+        // this process leased, in the order it leased them.
+        assert_eq!(record_indices(&ckpt), [0, 2, 1]);
     };
     check_life(client);
-    assert_eq!(client.stat(&["leases_acquired"]).unwrap(), 1);
+    assert_eq!(client.stat(&["leases_acquired"]).unwrap(), 2);
+    assert_eq!(client.stat(&["sims_run"]).unwrap(), 1, "index 1 never ran");
+    shutdown(client, handle);
+
+    let (client2, handle2) = Client::serve_local(&opts).expect("bind");
+    check_life(client2);
+    assert_eq!(work_counters(client2), [0, 0, 0], "nothing re-ran");
+    shutdown(client2, handle2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sibling holds index 0's lease when the cancel lands, and appends its
+/// result afterwards. The cancel settles no slot by itself, so index 0
+/// waits for that record and reads `done:restored` in this life and the
+/// next. The test is the
+/// sibling: it holds the lease through its own [`LeaseDir`] on the shared
+/// data dir, with an expiry far longer than the test. One worker runs
+/// index 2 until the cancel stops it, then leases index 1 and records it
+/// `cancelled` without running it, then loses index 0's lease race until
+/// the sibling releases it.
+#[test]
+fn a_sibling_record_after_a_cancel_reads_the_same_in_both_lives() {
+    let dir = scratch_dir("e2e-late-sibling");
+    let mut grid = short_grid(vec![1, 2, 3], vec![0.3]);
+    // Far longer than the test: the run ends only by being cancelled.
+    grid.base.measure = 100_000_000;
+    let configs = grid.expand();
+    let id = 1;
+    plant_job(&dir, id, &grid);
+    let mut opts = ServerOptions::new(&dir);
+    opts.workers = 1;
+    opts.lease_expiry = Duration::from_secs(600);
+    opts.scan_interval = Duration::from_millis(50);
+    let sibling = LeaseDir::open(dir.join("leases"), opts.lease_expiry).unwrap();
+    let lease = sibling
+        .try_acquire(id, 0)
+        .unwrap()
+        .expect("the sibling leases index 0 first");
+
+    let (client, handle) = Client::serve_local(&opts).expect("bind");
+    let slot = |client: Client, i: usize| {
+        let (code, body) = http_request(client.addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+        assert_eq!(code, 200, "{body}");
+        let v = parse(&body).unwrap();
+        let slots = v.get("slots").and_then(Json::as_arr).unwrap();
+        slots[i].as_str().unwrap().to_string()
+    };
+    let wait_slot = |client: Client, i: usize, want: &str| {
+        let deadline = Instant::now() + SETTLE;
+        while slot(client, i) != want {
+            assert!(Instant::now() < deadline, "index {i} never read {want}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+    wait_slot(client, 2, "running");
+    let (code, body) =
+        http_request(client.addr, "POST", &format!("/jobs/{id}/cancel"), None).unwrap();
+    assert_eq!(code, 200, "{body}");
+    wait_slot(client, 1, "cancelled");
+    let waiting = slot(client, 0);
+    assert!(
+        waiting == "pending" || waiting == "running",
+        "the cancel settles nothing: index 0 reads {waiting}"
+    );
+
+    // The sibling's run ends after the cancel: its record, then the
+    // release.
+    let result = sweep_supervised(&short_grid(vec![99], vec![0.3]).expand(), &SweepOptions)
+        .remove(0)
+        .expect("direct run");
+    let ckpt = checkpoint_path(&dir, id);
+    let line = checkpoint_line(0, &configs[0].label(), &result);
+    durable::append_line(&ckpt, &frame_record(&line)).unwrap();
+    sibling.release(lease.lease);
+
+    let check_life = |client: Client| {
+        let status = client.wait_done(id, SETTLE).expect("settles");
+        let slots: Vec<&str> = status
+            .get("slots")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(slots, ["done:restored", "cancelled", "cancelled"]);
+        let (complete, digests) = client.result_digests(id, 3).expect("results");
+        assert!(complete);
+        assert_eq!(digests[0], result.digest());
+        assert_eq!(record_indices(&ckpt), [2, 1, 0]);
+    };
+    check_life(client);
+    assert_eq!(
+        client.stat(&["sims_run"]).unwrap(),
+        1,
+        "only index 2's run started"
+    );
     shutdown(client, handle);
 
     let (client2, handle2) = Client::serve_local(&opts).expect("bind");
