@@ -41,12 +41,13 @@
 //! job's cancel token, and each unsettled slot is recorded `cancelled` by
 //! its lease holder, as a timeout is.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::{self, ErrorKind, Read};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -62,7 +63,7 @@ use crate::http::{
 };
 use crate::lease::LeaseDir;
 use crate::signal;
-use crate::state::{Job, Shared, SlotState, Stats};
+use crate::state::{Job, Shared, SlotState};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -128,7 +129,8 @@ impl CampaignServer {
         let leases = LeaseDir::open(opts.data_dir.join("leases"), opts.lease_expiry)?;
 
         let shared = Shared::new(cache, leases);
-        let resumed = load_new_jobs(&shared, &jobs_dir);
+        let mut unparseable = BTreeSet::new();
+        let resumed = load_new_jobs(&shared, &jobs_dir, &mut unparseable);
         shared
             .stats
             .jobs_resumed
@@ -154,7 +156,7 @@ impl CampaignServer {
                 thread::Builder::new()
                     .name("campaign-scanner".into())
                     .spawn(move || loop {
-                        load_new_jobs(&s, &dir);
+                        load_new_jobs(&s, &dir, &mut unparseable);
                         s.reconcile();
                         if s.wait_shutdown(interval) {
                             break;
@@ -303,7 +305,7 @@ fn shut_down(ctx: &Ctx) {
 }
 
 /// Lists the job ids with a grid file in `jobs_dir`.
-fn job_ids_on_disk(jobs_dir: &std::path::Path) -> Vec<u64> {
+fn job_ids_on_disk(jobs_dir: &Path) -> Vec<u64> {
     let Ok(rd) = fs::read_dir(jobs_dir) else {
         return Vec::new();
     };
@@ -321,26 +323,27 @@ fn job_ids_on_disk(jobs_dir: &std::path::Path) -> Vec<u64> {
     ids
 }
 
-/// Builds the in-memory [`Job`] for `id` from its on-disk grid and
-/// checkpoint. Recovery is the tail's first, whole-file pass: what it
-/// found is kept for the job status, a torn tail is sealed with a guard
-/// newline so fresh appends start clean, and the slots take the records
-/// and the cancel marker through the one step from disk to slots,
-/// [`Job::apply`]. A job that comes back settled is released and sealed
-/// like one that settles here, but was completed in an earlier life and
-/// is not counted again.
-fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64, stats: &Stats) -> Option<Job> {
+/// Loads job `id` from its grid and checkpoint and publishes it, unless
+/// the table holds it already; returns whether it did. Recovery is the
+/// tail's first, whole-file pass: what it found is kept for the job
+/// status, a torn tail gets a guard newline so fresh appends start clean,
+/// and publishing runs the job's first reconcile step. A job that comes
+/// back settled is sealed like one that settles here, but is not counted
+/// again. A grid that does not parse is logged once per id (in
+/// `unparseable`) and retried every scan: a sibling may be writing it.
+fn load_job(shared: &Shared, jobs_dir: &Path, id: u64, unparseable: &mut BTreeSet<u64>) -> bool {
     let grid_path = jobs_dir.join(format!("job-{id}.json"));
-    let text = fs::read_to_string(&grid_path).ok()?;
-    let grid = match SweepGrid::from_json(&text) {
-        Ok(g) => g,
-        Err(_) => {
+    let Ok(text) = fs::read_to_string(&grid_path) else {
+        return false;
+    };
+    let Ok(grid) = SweepGrid::from_json(&text) else {
+        if unparseable.insert(id) {
             eprintln!(
-                "campaign: ignoring unparseable grid {}",
+                "campaign: skipping unparseable grid {} until it parses",
                 grid_path.display()
             );
-            return None;
         }
+        return false;
     };
     let mut job = Job::new(
         id,
@@ -351,23 +354,30 @@ fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64, stats: &Stats) -> Opt
     let cancelled = job.ckpt.with_extension("cancel").exists();
     let tail = Arc::clone(&job.tail);
     let mut tail = tail.lock().expect("tail lock");
-    stats.refresh(&mut tail);
+    shared.stats.refresh(&mut tail);
     job.recovered = tail.report();
     if job.recovered.torn_tail {
         let _ = durable::append_line(&job.ckpt, "");
     }
-    if job.apply(|index| tail.verdict(index), cancelled) == Some(true) {
-        stats.seal(&mut tail);
+    let mut inner = shared.inner.lock().unwrap();
+    // The HTTP thread may have published it meanwhile.
+    if inner.jobs.contains_key(&id) {
+        return false;
     }
-    drop(tail);
-    Some(job)
+    let seal = inner.publish(job, |index| tail.verdict(index), cancelled) == Some(true);
+    drop(inner);
+    shared.work_cv.notify_all();
+    if seal {
+        shared.stats.seal(&mut tail);
+    }
+    true
 }
 
 /// Loads every job in `jobs_dir` this process does not know yet — all of
 /// them at start-up (recovery), afterwards those submitted through a
 /// sibling process (fleet discovery) — and queues their unfinished
 /// slots. Returns how many were loaded.
-fn load_new_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) -> u64 {
+fn load_new_jobs(shared: &Shared, jobs_dir: &Path, unparseable: &mut BTreeSet<u64>) -> u64 {
     let ids = job_ids_on_disk(jobs_dir);
     let new: Vec<u64> = {
         let inner = shared.inner.lock().unwrap();
@@ -375,19 +385,10 @@ fn load_new_jobs(shared: &Arc<Shared>, jobs_dir: &std::path::Path) -> u64 {
             .filter(|id| !inner.jobs.contains_key(id))
             .collect()
     };
-    let mut loaded = 0;
-    for id in new {
-        // Load outside the lock (grid parse + checkpoint pass do I/O).
-        let Some(job) = load_job_from_disk(jobs_dir, id, &shared.stats) else {
-            continue;
-        };
-        // The HTTP thread may have published it meanwhile.
-        if shared.inner.lock().unwrap().publish(job) {
-            shared.work_cv.notify_all();
-            loaded += 1;
-        }
-    }
-    loaded
+    // Loaded outside the lock (grid parse + checkpoint pass do I/O).
+    new.into_iter()
+        .filter(|&id| load_job(shared, jobs_dir, id, unparseable))
+        .count() as u64
 }
 
 /// Reads one request, dispatches it, writes the response. All errors end
@@ -537,18 +538,11 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
         grid.timeout_ms.map(Duration::from_millis),
     );
     // Every config a hit: the job settles here and nowhere else.
-    let mut settled = None;
-    for index in hits {
-        let hit = SlotState::Done {
-            cached: true,
-            restored: false,
-        };
-        settled = settled.or(job.set_slot(index, hit));
-    }
-    let seal = ctx.shared.stats.count_settled(settled);
+    let seal = ctx.shared.stats.count_settled(job.settle_hits(&hits));
     let tail = Arc::clone(&job.tail);
-    // Holding the lock since the id claim, nobody can have published it.
-    inner.publish(job);
+    // Holding the lock since the id claim, nobody can have published it;
+    // its checkpoint holds nothing but the hits.
+    inner.publish(job, |_| None, false);
     drop(inner);
     ctx.shared
         .stats

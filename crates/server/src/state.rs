@@ -13,8 +13,7 @@
 //! job's checkpoint file as a CRC-framed [`checkpoint_line`] via the
 //! durable append path, so `GET /jobs/:id/results` is a file read and a
 //! restarted server resumes through the job's [`CheckpointTail`] —
-//! digest-exact. A slot flips to `Done` only once its record is durable:
-//! a failed append leaves it `Failed`, which a restart retries.
+//! digest-exact.
 //!
 //! # Multi-process fleet
 //!
@@ -31,7 +30,7 @@
 //! when its job is submitted never reaches a worker. `submit_job` writes
 //! its record into the checkpoint the job is born with, before the job is
 //! published, so a checkpoint record is appended either by the submitter
-//! before publication or by a lease holder, in `Shared::finish_unit` —
+//! before publication or by a lease holder, in `Shared::execute_unit` —
 //! never by anyone else. A cancel appends nothing itself: its marker
 //! raises the job's cancel token, and each unsettled slot's lease holder
 //! records `cancelled` unless it adopts a record, as it records a timeout.
@@ -39,16 +38,12 @@
 //! # Slot transitions
 //!
 //! A slot settles only from a durable record, or fails (memory-only: a
-//! restart retries it). A [`Job`] is the only writer of its slots, and
-//! its methods do no I/O. Disk state reaches them by one path,
-//! [`Job::apply`] (each waiting slot takes its checkpoint record; the
-//! cancel marker raises the token and settles nothing), called by the one
-//! reconcile step `Shared::reconcile_job` — which the scanner and the
-//! cancel endpoint share — and by recovery. A running slot ends in
-//! `finish_unit` only. A job settles in [`Job::set_slot`] only: the write
-//! that settles it says so, once, releases the configurations and says
-//! whether the tail's per-index state may be sealed too
-//! ([`CheckpointTail::seal`]).
+//! restart retries it). A [`Job`] is the only writer of its slots. Disk
+//! state reaches them by one step, [`Job::reconcile`], which the scanner,
+//! the cancel endpoint and recovery share; a unit's verdict is
+//! [`Job::decide`]'s, and a running slot ends in [`Job::end`] only. A job
+//! settles in one write: it says so, once, releases the configurations
+//! and says whether the tail may be sealed ([`CheckpointTail::seal`]).
 //!
 //! Every look at a checkpoint goes through the job's one
 //! [`CheckpointTail`]: a refresh reads and verifies only the bytes
@@ -58,6 +53,7 @@
 //! job-table lock when both are needed and never the other way round.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,7 +62,7 @@ use std::time::Duration;
 use flexsim::jsonio::{durable, frame_record};
 use flexsim::{
     checkpoint_line, checkpoint_status_line, run_supervised, CancelToken, CheckpointRestore,
-    CheckpointTail, RunConfig, SweepError, Verdict,
+    CheckpointTail, RunConfig, RunResult, SweepError, Verdict,
 };
 
 use crate::cache::ResultCache;
@@ -119,6 +115,15 @@ impl SlotState {
     }
 }
 
+/// How a claimant's turn at a slot ends, for [`Job::end`]: the slot's next
+/// state, and the record that must be durable before it takes it.
+#[derive(Debug)]
+pub struct Outcome {
+    state: SlotState,
+    /// The verdict this lease holder records, and its checkpoint line.
+    pub record: Option<(Verdict, String)>,
+}
+
 /// Per-job slot counts for status reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
@@ -164,17 +169,17 @@ impl Tally {
 /// One submitted job.
 ///
 /// Its slots change only through its own methods, and none of them does
-/// I/O: the callers read the disk and append records, and a test can drive
-/// every transition by enumeration.
+/// I/O: the callers pass in what the disk says and append the records, so
+/// a test drives the same methods through every event sequence.
 #[derive(Debug)]
 pub struct Job {
     pub id: u64,
     /// Read only for slots that can still run (by `execute_unit`); empty
     /// once the job has settled.
     pub configs: Vec<RunConfig>,
-    /// Written only through [`Job::set_slot`], which keeps `counts` in
-    /// step, and by [`Job::queue_pending`]'s `Pending` → `Queued`, which
-    /// the counts do not tell apart.
+    /// Written only through `set_slot`, which keeps `counts` in step, and
+    /// by [`Job::reconcile`]'s `Pending` → `Queued`, which the counts do
+    /// not tell apart.
     slots: Vec<SlotState>,
     counts: Tally,
     /// JSON-lines results/checkpoint file (framed core `checkpoint_line`
@@ -188,7 +193,7 @@ pub struct Job {
     /// status; all zero for a job submitted to this process.
     pub recovered: CheckpointRestore,
     /// Cooperative cancellation shared by every run of this job, raised
-    /// only by [`Job::apply`] once the durable marker is seen.
+    /// only by [`Job::reconcile`] once the durable marker is seen.
     pub cancel: CancelToken,
     /// Per-config wall-clock budget (from the grid's `timeout_ms`).
     pub timeout: Option<Duration>,
@@ -229,7 +234,7 @@ impl Job {
     /// `seal` says whether every verdict is durable, so the tail may be
     /// sealed: every settled slot but a `Failed` one (memory-only, a
     /// restart retries it) settled from its record.
-    pub fn set_slot(&mut self, index: usize, state: SlotState) -> Option<bool> {
+    fn set_slot(&mut self, index: usize, state: SlotState) -> Option<bool> {
         let was_settled = self.is_settled();
         self.counts.count(&self.slots[index], false);
         self.counts.count(&state, true);
@@ -241,8 +246,7 @@ impl Job {
         Some(self.counts.failed == 0)
     }
 
-    /// Slot counts for status reporting, kept current by
-    /// [`set_slot`](Job::set_slot).
+    /// Slot counts for status reporting, kept current by every slot write.
     pub fn counts(&self) -> Tally {
         self.counts
     }
@@ -262,20 +266,54 @@ impl Job {
         self.counts.pending == 0 && self.counts.running == 0
     }
 
-    /// Pushes every `Pending` slot onto `queue` in index order, marking it
-    /// `Queued`. Returns how many were pushed.
-    pub fn queue_pending(&mut self, queue: &mut VecDeque<Unit>) -> usize {
-        let before = queue.len();
-        for (index, slot) in self.slots.iter_mut().enumerate() {
-            if *slot == SlotState::Pending {
-                *slot = SlotState::Queued;
-                queue.push_back(Unit {
-                    job: self.id,
-                    index,
-                });
+    /// Settles `hits`, the slots whose cache hits the job was born with
+    /// (`POST /jobs` writes them into its first checkpoint), `done:cached`.
+    /// Returns `Some(seal)` if that settled the job.
+    pub fn settle_hits(&mut self, hits: &[usize]) -> Option<bool> {
+        let hit = SlotState::Done {
+            cached: true,
+            restored: false,
+        };
+        hits.iter().fold(None, |settled, &i| {
+            settled.or(self.set_slot(i, hit.clone()))
+        })
+    }
+
+    /// The one step from disk to slots, which leaves a settled job alone.
+    /// `cancelled` (the durable marker exists) raises the cancel token and
+    /// settles nothing; each `Pending` or `Queued` slot takes `record`, its
+    /// index's checkpoint verdict (a `Running` one is its claimant's); each
+    /// slot still `Pending` is queued, in index order. Returns `Some(seal)`
+    /// if this step settled the job.
+    pub fn reconcile(
+        &mut self,
+        record: impl Fn(usize) -> Option<Verdict>,
+        cancelled: bool,
+        queue: &mut VecDeque<Unit>,
+    ) -> Option<bool> {
+        if self.is_settled() {
+            return None;
+        }
+        if cancelled {
+            self.cancel.cancel();
+        }
+        let mut settled = None;
+        for index in 0..self.slots.len() {
+            match (&self.slots[index], record(index)) {
+                (SlotState::Pending | SlotState::Queued, Some(verdict)) => {
+                    settled = settled.or(self.set_slot(index, SlotState::restored(verdict)));
+                }
+                (SlotState::Pending, None) => {
+                    self.slots[index] = SlotState::Queued;
+                    queue.push_back(Unit {
+                        job: self.id,
+                        index,
+                    });
+                }
+                _ => {}
             }
         }
-        queue.len() - before
+        settled
     }
 
     /// A worker takes a `Queued` slot; `false` if it is no longer queued
@@ -288,39 +326,75 @@ impl Job {
         true
     }
 
-    /// Returns a claimed slot to `Pending`, for the next reconcile step to
-    /// settle or re-queue.
-    pub fn unclaim(&mut self, index: usize) {
-        if self.slots[index] == SlotState::Running {
-            self.set_slot(index, SlotState::Pending);
+    /// The outcome of a lease a live sibling holds: the next reconcile
+    /// step adopts its record or re-queues the slot.
+    pub const LEASE_LOST: Outcome = Outcome {
+        state: SlotState::Pending,
+        record: None,
+    };
+
+    /// The one verdict of a unit whose lease this process holds, in this
+    /// order: adopt `record`, the checkpoint's verdict for `index`; else,
+    /// with `cancel` raised, record `cancelled`; else record the hit
+    /// `lookup` finds in the cache; else `run` the configuration labelled
+    /// `label` and record how it ended (a panic fails the slot).
+    pub fn decide(
+        index: usize,
+        label: &str,
+        record: Option<Verdict>,
+        cancel: &CancelToken,
+        lookup: impl FnOnce() -> Option<RunResult>,
+        run: impl FnOnce() -> Result<RunResult, SweepError>,
+    ) -> Outcome {
+        let kept = |state| Outcome {
+            state,
+            record: None,
+        };
+        let result = |cached, r: &RunResult| Outcome {
+            state: SlotState::Done {
+                cached,
+                restored: false,
+            },
+            record: Some((Verdict::Result, checkpoint_line(index, label, r))),
+        };
+        let stopped = |timed_out| Outcome {
+            state: SlotState::Cancelled { timed_out },
+            record: Some((
+                Verdict::Cancelled { timed_out },
+                checkpoint_status_line(index, label, timed_out),
+            )),
+        };
+        if let Some(verdict) = record {
+            return kept(SlotState::restored(verdict));
+        }
+        if cancel.is_cancelled() {
+            return stopped(false);
+        }
+        if let Some(hit) = lookup() {
+            return result(true, &hit);
+        }
+        match run() {
+            Ok(r) => result(false, &r),
+            Err(SweepError::Cancelled { timed_out, .. }) => stopped(timed_out),
+            Err(e) => kept(SlotState::Failed(e.to_string())),
         }
     }
 
-    /// The one path from disk to slots. `record` is the restorable
-    /// checkpoint verdict of an index, `cancelled` whether the durable
-    /// cancel marker exists, which only raises the cancel token. Each
-    /// `Pending` or `Queued` slot takes its record; a running slot belongs
-    /// to its claimant and is left alone. Returns what
-    /// [`set_slot`](Job::set_slot) returned for the write that settled the
-    /// job, if one did.
-    pub fn apply(
+    /// The one end of a `Running` slot, by its claimant: it takes the
+    /// outcome's state once its record, if any, is appended, or fails if
+    /// that append failed (`appended`). Returns `Some(seal)` if it settled.
+    pub fn end(
         &mut self,
-        record: impl Fn(usize) -> Option<Verdict>,
-        cancelled: bool,
+        index: usize,
+        outcome: Outcome,
+        appended: io::Result<()>,
     ) -> Option<bool> {
-        if cancelled {
-            self.cancel.cancel();
-        }
-        let mut settled = None;
-        for index in 0..self.slots.len() {
-            if !matches!(self.slots[index], SlotState::Pending | SlotState::Queued) {
-                continue;
-            }
-            if let Some(verdict) = record(index) {
-                settled = settled.or(self.set_slot(index, SlotState::restored(verdict)));
-            }
-        }
-        settled
+        debug_assert_eq!(self.slots[index], SlotState::Running);
+        let state = match appended {
+            Ok(()) => outcome.state,
+            Err(e) => SlotState::Failed(format!("checkpoint append failed: {e}")),
+        };
+        self.set_slot(index, state)
     }
 }
 
@@ -333,18 +407,21 @@ pub struct Inner {
 }
 
 impl Inner {
-    /// Puts `job` in the table and queues its `Pending` slots — the one
-    /// way a job, submitted here or found on disk, becomes known to this
-    /// process. `false` (and `job` dropped) when the table already holds
-    /// its id: a racing loader got there first. The caller wakes the pool.
-    pub fn publish(&mut self, mut job: Job) -> bool {
-        if self.jobs.contains_key(&job.id) {
-            return false;
-        }
+    /// Puts `job`, whose id the table does not hold yet, in the table and
+    /// runs its first [`reconcile`](Job::reconcile) step — the one way a
+    /// job, submitted here or found on disk, becomes known to this process.
+    /// Returns that step's settle signal. The caller wakes the pool.
+    pub fn publish(
+        &mut self,
+        mut job: Job,
+        record: impl Fn(usize) -> Option<Verdict>,
+        cancelled: bool,
+    ) -> Option<bool> {
         self.next_job_id = self.next_job_id.max(job.id + 1);
-        job.queue_pending(&mut self.queue);
-        self.jobs.insert(job.id, job);
-        true
+        let settled = job.reconcile(record, cancelled, &mut self.queue);
+        let known = self.jobs.insert(job.id, job);
+        debug_assert!(known.is_none(), "a job is published once");
+        settled
     }
 }
 
@@ -470,10 +547,9 @@ impl Shared {
         }
     }
 
-    /// What the shared checkpoint's restorable record for `index` says —
-    /// consulted after winning a lease, so work a dead former owner
-    /// completed is adopted instead of recomputed. Reads only what was
-    /// appended since the tail's last refresh, then one line.
+    /// What the checkpoint's restorable record for `index` says, for the
+    /// post-acquire check: reads what was appended since the tail's last
+    /// refresh, then that one line.
     fn checkpoint_verdict(&self, tail: &Mutex<CheckpointTail>, index: usize) -> Option<Verdict> {
         let mut tail = tail.lock().expect("tail lock");
         self.stats.refresh(&mut tail);
@@ -483,18 +559,9 @@ impl Shared {
         })
     }
 
-    /// Returns a claimed slot to `Pending` (the lease went to a sibling or
-    /// could not be taken); the next reconcile step settles or re-queues
-    /// it.
-    fn unclaim(&self, unit: Unit) {
-        if let Some(job) = self.inner.lock().unwrap().jobs.get_mut(&unit.job) {
-            job.unclaim(unit.index);
-        }
-    }
-
-    /// Runs one unit to completion: lease claim, checkpoint adoption, then
-    /// a `cancelled` record, a cache hit or a supervised run, then
-    /// `finish_unit` before the lease is released.
+    /// Runs one unit: claims the slot and the config's lease, reads the
+    /// checkpoint, lets [`Job::decide`] use the cache and the runner, appends
+    /// the record, [`end`](Job::end)s the slot, then releases the lease.
     fn execute_unit(&self, unit: Unit) {
         let (cfg, ckpt, tail, cancel, timeout) = {
             let mut inner = self.inner.lock().unwrap();
@@ -513,142 +580,84 @@ impl Shared {
             )
         };
 
-        // Claim the per-config lease; a live sibling owning it means the
-        // config is theirs — the reconciler will adopt their record.
-        let acquired = match self.leases.try_acquire(unit.job, unit.index) {
-            Ok(Some(a)) => a,
-            Ok(None) => return self.unclaim(unit),
+        let outcome = match self.leases.try_acquire(unit.job, unit.index) {
+            Ok(Some(acquired)) => {
+                self.stats.leases_acquired.fetch_add(1, Ordering::Relaxed);
+                if acquired.reclaimed {
+                    self.stats.leases_reclaimed.fetch_add(1, Ordering::Relaxed);
+                    let mut inner = self.inner.lock().unwrap();
+                    if let Some(job) = inner.jobs.get_mut(&unit.job) {
+                        job.reclaimed_leases += 1;
+                    }
+                }
+                self.held
+                    .lock()
+                    .unwrap()
+                    .insert((unit.job, unit.index), acquired.lease);
+                let record = self.checkpoint_verdict(&tail, unit.index);
+                let run = || {
+                    self.stats.sims_run.fetch_add(1, Ordering::Relaxed);
+                    // The direct sweep's workers call the same function, so
+                    // a served result is the direct result by construction.
+                    let ran = run_supervised(&cfg, &cancel, timeout);
+                    if let Ok(r) = &ran {
+                        // Best-effort: a failed store costs only a re-run.
+                        let _ = self.cache.store(&cfg, r);
+                    }
+                    ran
+                };
+                let lookup = || self.cache.lookup(&cfg);
+                Job::decide(unit.index, &cfg.label(), record, &cancel, lookup, run)
+            }
+            Ok(None) => Job::LEASE_LOST,
             Err(e) => {
                 eprintln!(
                     "campaign: lease acquire failed for job {} cfg {}: {e}",
                     unit.job, unit.index
                 );
-                return self.unclaim(unit);
+                Job::LEASE_LOST
             }
         };
-        self.stats.leases_acquired.fetch_add(1, Ordering::Relaxed);
-        if acquired.reclaimed {
-            self.stats.leases_reclaimed.fetch_add(1, Ordering::Relaxed);
+
+        // The append happens before the lease release: the lease holder is
+        // the sole writer for this index, so release-after-append means no
+        // sibling can interleave a duplicate record. No lock is held across
+        // it: the durable single-buffer `O_APPEND` write is what keeps
+        // appenders — this process's workers and sibling processes alike —
+        // from tearing each other, and their fsyncs overlap.
+        let appended = match &outcome.record {
+            Some((_, line)) => durable::append_line(&ckpt, &frame_record(line)),
+            None => Ok(()),
+        };
+        let seal = {
             let mut inner = self.inner.lock().unwrap();
-            if let Some(job) = inner.jobs.get_mut(&unit.job) {
-                job.reclaimed_leases += 1;
-            }
-        }
-        self.held
-            .lock()
-            .unwrap()
-            .insert((unit.job, unit.index), acquired.lease);
-
-        // With the lease won, consult the shared checkpoint: a dead
-        // former owner may have finished this config before dying. Its
-        // record is adopted, never recomputed — this check is what makes
-        // lease reclamation duplicate-free. Without one, a cancelled job's
-        // slot is recorded `cancelled` by this holder, like a timeout.
-        let label = cfg.label();
-        let stopped = |timed_out| {
-            (
-                SlotState::Cancelled { timed_out },
-                Some(checkpoint_status_line(unit.index, &label, timed_out)),
-            )
+            let job = inner.jobs.get_mut(&unit.job);
+            self.stats
+                .count_settled(job.and_then(|job| job.end(unit.index, outcome, appended)))
         };
-        let (state, record) = match self.checkpoint_verdict(&tail, unit.index) {
-            Some(verdict) => (SlotState::restored(verdict), None),
-            None if cancel.is_cancelled() => stopped(false),
-            None => match self.cache.lookup(&cfg) {
-                Some(hit) => (
-                    SlotState::Done {
-                        cached: true,
-                        restored: false,
-                    },
-                    Some(checkpoint_line(unit.index, &label, &hit)),
-                ),
-                None => {
-                    self.stats.sims_run.fetch_add(1, Ordering::Relaxed);
-                    // The direct sweep's workers call the same function,
-                    // so a served result is the direct result by
-                    // construction.
-                    match run_supervised(&cfg, &cancel, timeout) {
-                        Ok(r) => {
-                            // Best-effort: a failed store only costs a
-                            // future re-run.
-                            let _ = self.cache.store(&cfg, &r);
-                            (
-                                SlotState::Done {
-                                    cached: false,
-                                    restored: false,
-                                },
-                                Some(checkpoint_line(unit.index, &label, &r)),
-                            )
-                        }
-                        Err(SweepError::Cancelled { timed_out, .. }) => stopped(timed_out),
-                        // The run panicked: a failure kept in memory
-                        // only — a restart retries it.
-                        Err(e) => (SlotState::Failed(e.to_string()), None),
-                    }
-                }
-            },
-        };
-
-        // The append happens before the lease release: the lease holder
-        // is the sole writer for this index, so release-after-append
-        // means no sibling can interleave a duplicate record.
-        self.finish_unit(unit, &ckpt, state, record);
-        if let Some(held) = self.held.lock().unwrap().remove(&(unit.job, unit.index)) {
-            self.leases.release(held);
-        }
-    }
-
-    /// The one place a `Running` slot ends, by the holder of its lease.
-    /// `record`, when the verdict has one, is appended first — fsync'd,
-    /// off the job-table lock — and the slot takes `state` only once the
-    /// record is durable; a failed append makes it `Failed` instead. An
-    /// adopted record or a failed run appends nothing. No lock is held
-    /// across the append: the durable single-buffer `O_APPEND` write is
-    /// what keeps appenders — this process's workers and sibling
-    /// processes alike — from tearing each other, and their fsyncs
-    /// overlap.
-    fn finish_unit(&self, unit: Unit, ckpt: &Path, state: SlotState, record: Option<String>) {
-        let state = match record.map(|line| durable::append_line(ckpt, &frame_record(&line))) {
-            Some(Err(e)) => SlotState::Failed(format!("checkpoint append failed: {e}")),
-            _ => state,
-        };
-        let mut inner = self.inner.lock().unwrap();
-        let Some(job) = inner.jobs.get_mut(&unit.job) else {
-            return;
-        };
-        debug_assert_eq!(job.slots()[unit.index], SlotState::Running);
-        let seal = self.stats.count_settled(job.set_slot(unit.index, state));
-        let tail = Arc::clone(&job.tail);
-        drop(inner);
         if seal {
             self.stats.seal(&mut tail.lock().expect("tail lock"));
+        }
+        if let Some(held) = self.held.lock().unwrap().remove(&(unit.job, unit.index)) {
+            self.leases.release(held);
         }
     }
 
     /// Runs the reconcile step of every unsettled job. Called
     /// periodically by the fleet scanner thread.
     pub fn reconcile(&self) {
-        let ids: Vec<u64> = {
-            let inner = self.inner.lock().unwrap();
-            inner
-                .jobs
-                .iter()
-                .filter(|(_, j)| !j.is_settled())
-                .map(|(id, _)| *id)
-                .collect()
-        };
+        let ids: Vec<u64> = self.inner.lock().unwrap().jobs.keys().copied().collect();
         for id in ids {
             self.reconcile_job(id);
         }
     }
 
-    /// The one reconcile step from disk to a job's slots, shared by the
-    /// scanner and the cancel endpoint: reads the cancel marker, refreshes
-    /// the tail off the job-table lock, [`applies`](Job::apply) both,
-    /// re-queues `Pending` slots (lease lost to a live sibling, or never
-    /// scheduled here — `execute_unit` re-arbitrates with the lease, so
-    /// the worst case is a cheap failed acquire) and accounts for the job
-    /// if this step settled it. It appends nothing.
+    /// The scanner's and the cancel endpoint's reconcile step: unless the
+    /// job is settled, reads the cancel marker, refreshes the tail off the
+    /// job-table lock, runs [`Job::reconcile`] on both, wakes the pool for
+    /// the slots it queued (lease lost to a live sibling, or never scheduled
+    /// here — `execute_unit` re-arbitrates with the lease, so the worst case
+    /// is a cheap failed acquire) and accounts for the job if it settled.
     pub(crate) fn reconcile_job(&self, id: u64) {
         let (marker, tail) = {
             let inner = self.inner.lock().unwrap();
@@ -667,14 +676,10 @@ impl Shared {
         let Some(job) = jobs.get_mut(&id) else {
             return;
         };
-        let seal = self
-            .stats
-            .count_settled(job.apply(|index| tail.verdict(index), cancelled));
-        let queued = job.queue_pending(queue);
+        let settled = job.reconcile(|index| tail.verdict(index), cancelled, queue);
+        let seal = self.stats.count_settled(settled);
         drop(inner);
-        if queued > 0 {
-            self.work_cv.notify_all();
-        }
+        self.work_cv.notify_all();
         if seal {
             self.stats.seal(&mut tail);
         }
@@ -735,17 +740,15 @@ mod tests {
         let mut inner = Inner::default();
         let mut slots = vec![SlotState::Pending; 4];
         slots[2] = SlotState::Cancelled { timed_out: false };
-        assert!(inner.publish(dummy_job(1, slots)));
+        assert_eq!(inner.publish(dummy_job(1, slots), |_| None, false), None);
         let indices: Vec<usize> = inner.queue.iter().map(|u| u.index).collect();
         assert_eq!(indices, [0, 1, 3]);
         assert_eq!(inner.jobs[&1].counts().pending, 3);
         assert_eq!(inner.next_job_id, 2);
         assert_eq!(inner.queue.pop_back(), Some(Unit { job: 1, index: 3 }));
-        // Queued slots are not queued twice, and a job is published once.
+        // Queued slots are not queued twice.
         let Inner { jobs, queue, .. } = &mut inner;
-        assert_eq!(jobs.get_mut(&1).unwrap().queue_pending(queue), 0);
-        assert_eq!(inner.queue.len(), 2);
-        assert!(!inner.publish(dummy_job(1, vec![SlotState::Pending])));
+        jobs.get_mut(&1).unwrap().reconcile(|_| None, false, queue);
         assert_eq!(inner.queue.len(), 2);
     }
 
@@ -797,31 +800,6 @@ mod tests {
         assert!(done.is_settled());
     }
 
-    /// The running counters follow every slot transition a unit can take.
-    #[test]
-    fn counters_track_slot_transitions() {
-        let mut job = dummy_job(1, vec![SlotState::Pending; 3]);
-        let done = SlotState::Done {
-            cached: true,
-            restored: false,
-        };
-        for (index, state) in [
-            (0, SlotState::Queued),
-            (0, SlotState::Running),
-            (1, SlotState::Running),
-            (0, done.clone()),
-            (1, SlotState::Pending),
-            (1, SlotState::Failed("boom".into())),
-            (2, SlotState::Cancelled { timed_out: true }),
-        ] {
-            assert!(!job.is_settled());
-            job.set_slot(index, state);
-            assert_eq!(job.counts(), job.tally());
-        }
-        assert!(job.is_settled());
-        assert_eq!(job.counts().cached, 1);
-    }
-
     /// Settlement is signalled once per job, by the write that settles it,
     /// and gives the configurations back; the tail is to be sealed only
     /// when every verdict is durable — never with a `Failed` slot, and for
@@ -865,14 +843,16 @@ mod tests {
         assert_eq!(stats.jobs_completed.load(Ordering::Relaxed), 3);
     }
 
-    /// How a claimant's run of a slot ends.
-    #[derive(Clone, Copy, Debug)]
+    /// What the cache and, after a miss, the runner answer when
+    /// [`Job::decide`] asks.
+    #[derive(Clone, Copy, Debug, PartialEq)]
     enum Run {
+        /// The cache holds the result.
+        Hit,
         Result,
         TimedOut,
-        /// Stopped by the job's cancel token.
+        /// The cancel endpoint runs during the run, which stops on the token.
         Cancelled,
-        /// The supervised run panicked.
         Panicked,
     }
 
@@ -884,18 +864,27 @@ mod tests {
         Queue,
         /// A worker claims queued slot `i`.
         Claim(usize),
-        /// The claimant loses the lease race for `i` and unclaims it.
+        /// The claimant loses the lease race for `i`.
         LeaseLost(usize),
-        /// The claimant's run of `i` ends; the bool is whether its append
-        /// succeeds. The post-acquire check comes first: a visible record
-        /// is adopted instead.
+        /// The claimant wins the lease for `i` and its turn ends: the
+        /// post-acquire check, then the cache and the runner answer as
+        /// `Run` says if asked; the bool is whether an append succeeds.
         RunEnds(usize, Run, bool),
         /// A sibling's record for `i` becomes visible in the checkpoint.
         Sibling(usize, Verdict),
-        /// The cancel endpoint: the marker, then the reconcile step.
+        /// The cancel endpoint: the marker, then the reconcile step
+        /// (before publication, only a sibling's marker).
         Cancel,
         /// The scanner's reconcile step.
         Reconcile,
+    }
+
+    /// A result for the cache and the runner to answer with.
+    fn result() -> RunResult {
+        static RESULT: std::sync::OnceLock<RunResult> = std::sync::OnceLock::new();
+        let mut cfg = RunConfig::small_default();
+        (cfg.warmup, cfg.measure) = (0, 1);
+        RESULT.get_or_init(|| flexsim::run(&cfg)).clone()
     }
 
     /// A 2-config job, what its checkpoint shows, and what the protocol
@@ -903,13 +892,12 @@ mod tests {
     struct World {
         job: Job,
         queue: VecDeque<Unit>,
+        published: bool,
         /// The latest visible record per index, as [`CheckpointTail::verdict`]
         /// would report it.
         records: [Option<Verdict>; 2],
         marker: bool,
-        /// Settle signals seen, and records this process appended, by index.
         settled: usize,
-        appended: Vec<usize>,
     }
 
     impl World {
@@ -918,16 +906,31 @@ mod tests {
             World {
                 job: Job::new(1, configs, PathBuf::from("/nonexistent"), None),
                 queue: VecDeque::new(),
+                published: false,
                 records: [None; 2],
                 marker: false,
                 settled: 0,
-                appended: Vec::new(),
+            }
+        }
+
+        /// An independent copy: its own job, with its own cancel token.
+        fn fork(&self) -> World {
+            let mut job = Job::new(1, Vec::new(), PathBuf::new(), None);
+            job.configs.clone_from(&self.job.configs);
+            (job.slots, job.counts) = (self.job.slots.clone(), self.job.counts);
+            if self.job.cancel.is_cancelled() {
+                job.cancel.cancel();
+            }
+            World {
+                job,
+                queue: self.queue.clone(),
+                ..*self
             }
         }
 
         fn applicable(&self) -> Vec<Event> {
             let mut events = Vec::new();
-            if self.job.slots().contains(&SlotState::Pending) {
+            if !self.published {
                 events.push(Event::Queue);
             }
             for (i, slot) in self.job.slots().iter().enumerate() {
@@ -935,19 +938,11 @@ mod tests {
                     SlotState::Queued => events.push(Event::Claim(i)),
                     SlotState::Running => {
                         events.push(Event::LeaseLost(i));
-                        if self.records[i].is_some() {
-                            events.push(Event::RunEnds(i, Run::Result, true));
-                        } else {
-                            let mut runs = vec![Run::Result, Run::TimedOut];
-                            if self.job.cancel.is_cancelled() {
-                                runs.push(Run::Cancelled);
-                            }
-                            for run in runs {
-                                events.push(Event::RunEnds(i, run, true));
-                                events.push(Event::RunEnds(i, run, false));
-                            }
-                            events.push(Event::RunEnds(i, Run::Panicked, true));
+                        for run in [Run::Hit, Run::Result, Run::TimedOut, Run::Cancelled] {
+                            events.push(Event::RunEnds(i, run, true));
+                            events.push(Event::RunEnds(i, run, false));
                         }
+                        events.push(Event::RunEnds(i, Run::Panicked, true));
                     }
                     _ => {}
                 }
@@ -965,10 +960,19 @@ mod tests {
             if !self.marker {
                 events.push(Event::Cancel);
             }
-            if !self.job.is_settled() {
+            if self.published && !self.job.is_settled() {
                 events.push(Event::Reconcile);
             }
             events
+        }
+
+        /// The reconcile step, as `Shared::reconcile_job` and
+        /// `Inner::publish` run it; a cancel raises the marker first.
+        fn reconcile(&mut self, cancel: bool) -> Option<bool> {
+            self.marker |= cancel;
+            let records = self.records;
+            self.job
+                .reconcile(|i| records[i], self.marker, &mut self.queue)
         }
 
         /// Applies `event` as the server does and checks every invariant
@@ -978,55 +982,58 @@ mod tests {
             let mut settled = None;
             let mut reconciled = false;
             match event {
-                Event::Queue => {
-                    self.job.queue_pending(&mut self.queue);
-                }
-                Event::Claim(i) => assert!(self.job.claim(i)),
-                Event::LeaseLost(i) => self.job.unclaim(i),
-                Event::RunEnds(i, run, append_ok) => {
-                    let adopted = self.records[i].map(SlotState::restored);
-                    let (state, record) = adopted.map(|s| (s, None)).unwrap_or(match run {
-                        Run::Result => (
-                            SlotState::Done {
-                                cached: false,
-                                restored: false,
-                            },
-                            Some(Verdict::Result),
-                        ),
-                        Run::TimedOut => (
-                            SlotState::Cancelled { timed_out: true },
-                            Some(Verdict::Cancelled { timed_out: true }),
-                        ),
-                        Run::Cancelled => (
-                            SlotState::Cancelled { timed_out: false },
-                            Some(Verdict::Cancelled { timed_out: false }),
-                        ),
-                        Run::Panicked => (SlotState::Failed("panicked".into()), None),
-                    });
-                    let state = match record {
-                        Some(v) if append_ok => {
-                            assert_eq!(before[i], SlotState::Running, "only a claimant appends");
-                            assert!(!self.appended.contains(&i), "one record per index");
-                            self.records[i] = Some(v);
-                            self.appended.push(i);
-                            state
-                        }
-                        Some(_) => SlotState::Failed("append failed".into()),
-                        None => state,
-                    };
-                    settled = self.job.set_slot(i, state);
-                }
-                Event::Sibling(i, v) => self.records[i] = Some(v),
-                Event::Cancel | Event::Reconcile => {
-                    self.marker |= matches!(event, Event::Cancel);
-                    // `Shared::reconcile_job`: a settled job is left alone.
-                    if !self.job.is_settled() {
-                        let records = self.records;
-                        settled = self.job.apply(|i| records[i], self.marker);
-                        self.job.queue_pending(&mut self.queue);
-                    }
+                Event::Cancel if !self.published => self.marker = true,
+                Event::Queue | Event::Reconcile | Event::Cancel => {
+                    self.published = true;
+                    settled = self.reconcile(matches!(event, Event::Cancel));
                     reconciled = true;
                 }
+                Event::Claim(i) => assert!(self.job.claim(i)),
+                Event::LeaseLost(i) => settled = self.job.end(i, Job::LEASE_LOST, Ok(())),
+                Event::RunEnds(i, run, append_ok) => {
+                    let (cancel, record) = (self.job.cancel.clone(), self.records[i]);
+                    let raised = cancel.is_cancelled() && record.is_none();
+                    let outcome = Job::decide(
+                        i,
+                        "cfg",
+                        record,
+                        &cancel,
+                        || (run == Run::Hit).then(result),
+                        || match run {
+                            Run::Hit => unreachable!("a hit is never run"),
+                            Run::Result => Ok(result()),
+                            Run::Panicked => Err(SweepError::Panicked {
+                                label: "cfg".into(),
+                                message: "boom".into(),
+                            }),
+                            Run::TimedOut | Run::Cancelled => {
+                                if run == Run::Cancelled && !self.marker {
+                                    reconciled = true;
+                                    assert_eq!(self.reconcile(true), None, "`i` runs");
+                                }
+                                let timed_out = run == Run::TimedOut;
+                                let label = "cfg".into();
+                                Err(SweepError::Cancelled { label, timed_out })
+                            }
+                        },
+                    );
+                    let appended = match &outcome.record {
+                        Some(_) if !append_ok => Err(io::Error::other("append failed")),
+                        Some((verdict, _)) => {
+                            let stopped = Verdict::Cancelled { timed_out: false };
+                            assert!(
+                                !raised || *verdict == stopped,
+                                "a token up at the check records `cancelled`"
+                            );
+                            assert_eq!(self.records[i], None, "one record per index");
+                            self.records[i] = Some(*verdict);
+                            Ok(())
+                        }
+                        None => Ok(()),
+                    };
+                    settled = self.job.end(i, outcome, appended);
+                }
+                Event::Sibling(i, v) => self.records[i] = Some(v),
             }
 
             let job = &self.job;
@@ -1058,13 +1065,14 @@ mod tests {
             }
         }
 
-        /// A restart: a fresh job that applies what is on disk settles
+        /// A restart: a fresh job published on what is on disk settles
         /// every slot settled here, bar a failed one, to the same verdict.
         fn check_restart(&self) {
-            let mut restarted = World::new().job;
-            let records = self.records;
-            restarted.apply(|i| records[i], self.marker);
-            for (now, after) in self.job.slots().iter().zip(restarted.slots()) {
+            let mut restarted = World::new();
+            restarted.records = self.records;
+            restarted.marker = self.marker;
+            restarted.reconcile(false);
+            for (now, after) in self.job.slots().iter().zip(restarted.job.slots()) {
                 let agrees = match now {
                     SlotState::Done { .. } => matches!(after, SlotState::Done { .. }),
                     SlotState::Cancelled { .. } => now == after,
@@ -1076,38 +1084,33 @@ mod tests {
     }
 
     /// Every event sequence of at most `JOB_PROTOCOL_DEPTH` events on a
-    /// fresh 2-config job, replayed from scratch like
-    /// `validate::explore`'s schedules, with the invariants of
-    /// [`World::step`] checked after every event and
-    /// [`World::check_restart`] after every prefix.
+    /// fresh 2-config job, each event applied to a copy of its prefix's
+    /// world, with the invariants of [`World::step`] checked after every
+    /// event and [`World::check_restart`] after every prefix.
     const JOB_PROTOCOL_DEPTH: usize = 7;
 
-    /// Counts the sequences below `prefix`, whose own prefixes are already
-    /// checked.
-    fn explore_job_protocol(prefix: &mut Vec<Event>) -> u64 {
-        let mut world = World::new();
-        for &event in prefix.iter() {
-            world.step(event);
-        }
+    /// Counts the sequences that extend the `depth` events that made
+    /// `world`, whose own invariants are already checked.
+    fn explore_job_protocol(world: &World, depth: usize) -> u64 {
         world.check_restart();
         let events = world.applicable();
-        if prefix.len() == JOB_PROTOCOL_DEPTH || events.is_empty() {
+        if depth == JOB_PROTOCOL_DEPTH || events.is_empty() {
             return 1;
         }
         let mut sequences = 0;
         for event in events {
-            prefix.push(event);
-            sequences += explore_job_protocol(prefix);
-            prefix.pop();
+            let mut next = world.fork();
+            next.step(event);
+            sequences += explore_job_protocol(&next, depth + 1);
         }
         sequences
     }
 
     #[test]
     fn job_protocol_holds_on_every_event_sequence() {
-        let sequences = explore_job_protocol(&mut Vec::new());
+        let sequences = explore_job_protocol(&World::new(), 0);
         eprintln!("job protocol: {sequences} sequences, each restart-checked after every event");
-        assert!(sequences > 100_000, "{sequences}");
+        assert_eq!(sequences, 211_658);
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

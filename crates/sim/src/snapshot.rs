@@ -127,8 +127,8 @@ pub struct ArenaMsg<'a> {
 /// message's `(id, settled chain, requests)`). Knots are closed exclusively
 /// by blocked messages — moving chains are CWG sinks — so two epochs with
 /// equal blocked wait-states have identical knot analyses. The
-/// event-patched `icn_cwg::DynamicWaitGraph` maintains the same hash
-/// incrementally, which is what the lockstep tests compare.
+/// event-patched `icn_cwg::DynamicWaitGraph` computes the same hash from
+/// its own records on demand, which is what the lockstep tests compare.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotArena {
     num_vertices: usize,

@@ -25,6 +25,8 @@
 //!    reads the same in every server life.
 //! 9. A body nested past the parser's bound, or asking for a network too
 //!    large to allocate, is a 400 and the server keeps serving.
+//! 10. A grid file that does not parse yet is no job, and is read again
+//!     on every scan until it parses.
 //!
 //! Everything runs on an ephemeral 127.0.0.1 port; no network egress.
 
@@ -1011,6 +1013,36 @@ fn orphan_checkpoint_is_no_job_and_its_id_is_skipped() {
     assert_eq!(std::fs::read(&orphan).unwrap(), planted, "never written");
     assert!(!orphan.with_extension("quarantine").exists(), "never read");
 
+    shutdown(client, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sibling creates a grid file through its exclusive handle, so a scan
+/// can read it empty or short. Such a file is no job yet, and the scanner
+/// reads it again on every pass: once whole, the job loads and settles
+/// digest-equal to the direct sweep.
+#[test]
+fn unparseable_grid_is_retried_until_it_parses() {
+    let dir = scratch_dir("e2e-empty-grid");
+    let grid = test_grid();
+    let want = direct_digests(&grid).expect("direct sweep");
+    let id = 1;
+    let jobs = dir.join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    std::fs::write(jobs.join(format!("job-{id}.json")), "").unwrap();
+
+    let mut opts = ServerOptions::new(&dir);
+    opts.workers = 2;
+    opts.scan_interval = Duration::from_millis(20);
+    let (client, handle) = Client::serve_local(&opts).expect("bind");
+    // Recovery and several scans read the empty grid.
+    std::thread::sleep(Duration::from_millis(200));
+    let (code, _) = http_request(client.addr, "GET", "/jobs/1", None).unwrap();
+    assert_eq!(code, 404, "an unparseable grid is no job");
+    assert_eq!(client.stat(&["jobs", "resumed"]).unwrap(), 0);
+
+    plant_job(&dir, id, &grid);
+    settles_to(client, id, &want).expect("the whole grid loads and settles");
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
