@@ -153,17 +153,6 @@ impl RoutingSpec {
             RoutingSpec::Misroute { .. } => "TFAR-misroute",
         }
     }
-
-    /// Whether the relation is deadlock-free by construction.
-    pub fn is_deadlock_free(&self) -> bool {
-        matches!(
-            self,
-            RoutingSpec::DatelineDor
-                | RoutingSpec::Duato
-                | RoutingSpec::WestFirst
-                | RoutingSpec::NegativeFirst
-        )
-    }
 }
 
 /// What to do when the detector finds a knot.
@@ -231,7 +220,6 @@ mod tests {
         ] {
             let algo = spec.build();
             assert!(!algo.name().is_empty());
-            assert_eq!(algo.is_deadlock_free(), spec.is_deadlock_free());
         }
     }
 }

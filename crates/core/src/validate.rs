@@ -25,7 +25,7 @@
 //!   what the oracle derives from the recorded CWG.
 //!
 //! Every production-vs-oracle comparison goes through the one comparator,
-//! [`check_messages`]; the observer adds only its skipped-epoch branch.
+//! [`check_messages`], skipped epochs included.
 //! Any oracle divergence yields a minimized reproducer
 //! ([`divergence_repro_json`]): a [`CwgSnapshot`] in its JSON form, the
 //! shape forensics incidents store, so it replays through
@@ -257,31 +257,12 @@ impl RunObserver for ValidationObserver {
             arena.num_vertices(),
             arena.messages().map(|m| (m.id, m.chain, m.requests)),
         );
-        let diffs: Vec<String> = if view.skipped {
-            // The skip claims the epoch is knot-free because nothing is
-            // blocked or nothing blocked changed since a knot-free epoch;
-            // the oracle re-derives that claim from scratch.
-            let oracle = oracle_analyze(&snap);
-            let mut out = Vec::new();
-            if oracle.has_deadlock() {
-                out.push(format!(
-                    "skipped epoch declared clean but the oracle finds knots: {:?}",
-                    oracle.deadlock_sets()
-                ));
-            }
-            if view.analysis.num_blocked != oracle.num_blocked {
-                out.push(format!(
-                    "num_blocked: production={} oracle={}",
-                    view.analysis.num_blocked, oracle.num_blocked
-                ));
-            }
-            out
-        } else {
-            check_messages(&snap, Some(view.analysis))
-                .iter()
-                .map(ToString::to_string)
-                .collect()
-        };
+        // A skipped epoch carries the same knot-free placeholder as any
+        // other knot-free epoch, so the one comparator covers it too.
+        let diffs: Vec<String> = check_messages(&snap, Some(view.analysis))
+            .iter()
+            .map(ToString::to_string)
+            .collect();
         if !diffs.is_empty() {
             if self.divergence_repro.is_none() {
                 self.divergence_repro = Some(divergence_repro_json(&snap));

@@ -20,14 +20,6 @@ impl RoutingAlgorithm for DatelineDor {
         "DOR-dateline"
     }
 
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn min_vcs(&self) -> usize {
         2
     }

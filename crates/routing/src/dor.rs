@@ -40,10 +40,6 @@ impl RoutingAlgorithm for Dor {
         "DOR"
     }
 
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         if let Some((ch, _)) = Self::next_hop(topo, ctx) {
             out.push(Candidate {

@@ -21,14 +21,6 @@ impl RoutingAlgorithm for DuatoFar {
         "Duato"
     }
 
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn min_vcs(&self) -> usize {
         3
     }

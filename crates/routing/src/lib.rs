@@ -49,30 +49,10 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// Short human-readable name ("DOR", "TFAR", ...).
     fn name(&self) -> &'static str;
 
-    /// Whether the relation can return more than one physical channel.
-    fn is_adaptive(&self) -> bool;
-
-    /// Whether the relation is deadlock-free by construction (avoidance
-    /// based). Recovery-based relations return `false`; the simulator only
-    /// needs recovery armed for those.
-    fn is_deadlock_free(&self) -> bool {
-        false
-    }
-
     /// Minimum number of virtual channels per physical channel required for
     /// the relation to be well defined.
     fn min_vcs(&self) -> usize {
         1
-    }
-
-    /// Whether the relation can be expected to route around a link outage.
-    /// Adaptive relations offer several physical channels per hop, so a
-    /// fault-filtered candidate set usually stays non-empty when one link
-    /// dies; single-path relations (DOR, dateline DOR) become unroutable
-    /// on a severed dimension and the engine drops the affected traffic
-    /// as counted fault losses instead.
-    fn routes_around_faults(&self) -> bool {
-        self.is_adaptive()
     }
 
     /// Appends candidates for the message described by `ctx`, in preference

@@ -32,10 +32,6 @@ impl RoutingAlgorithm for MisroutingTfar {
         "TFAR-misroute"
     }
 
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         let mask = VcMask::all(vcs);
         let mut buf = PROFITABLE_BUF;

@@ -18,14 +18,6 @@ impl RoutingAlgorithm for NegativeFirst {
         "negative-first"
     }
 
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         debug_assert!(!topo.is_torus(), "turn model applies to meshes");
         let mask = VcMask::all(vcs);

@@ -60,10 +60,6 @@ impl RoutingAlgorithm for Tfar {
         "TFAR"
     }
 
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         let mut buf = PROFITABLE_BUF;
         let chans = profitable_channels(topo, ctx, &mut buf);

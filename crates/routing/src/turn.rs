@@ -17,14 +17,6 @@ impl RoutingAlgorithm for WestFirst {
         "west-first"
     }
 
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn candidates(&self, topo: &KAryNCube, vcs: usize, ctx: &RoutingCtx, out: &mut Vec<Candidate>) {
         debug_assert!(!topo.is_torus(), "turn model applies to meshes");
         debug_assert_eq!(topo.n(), 2, "west-first is defined for 2-D meshes");

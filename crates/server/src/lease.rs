@@ -78,11 +78,6 @@ impl LeaseDir {
         Ok(LeaseDir { dir, expiry })
     }
 
-    /// The expiry window (heartbeats should run several times per window).
-    pub fn expiry(&self) -> Duration {
-        self.expiry
-    }
-
     fn path_for(&self, job: u64, index: usize) -> PathBuf {
         self.dir.join(format!("job-{job}-cfg-{index}.lease"))
     }
@@ -104,8 +99,7 @@ impl LeaseDir {
             }
             Some(pid) => match pid_alive(pid) {
                 Some(false) => true,
-                Some(true) => self.older_than_expiry(path),
-                None => self.older_than_expiry(path),
+                Some(true) | None => self.older_than_expiry(path),
             },
             // Torn content: the claimant died inside `create_exclusive`.
             None => self.older_than_expiry(path),

@@ -1081,18 +1081,45 @@ mod tests {
                 assert!(agrees, "{now:?} here reads {after:?} after a restart");
             }
         }
+
+        /// Liveness: left to this process alone — no sibling event — a
+        /// published job settles in one round: a reconcile, a claim of
+        /// every `Queued` slot and an end of every `Running` one with a
+        /// result that appends.
+        fn check_settles(&self) {
+            if !self.published || self.job.is_settled() {
+                return;
+            }
+            let mut world = self.fork();
+            world.step(Event::Reconcile);
+            for i in 0..world.job.slots().len() {
+                if world.job.slots()[i] == SlotState::Queued {
+                    world.step(Event::Claim(i));
+                }
+                if world.job.slots()[i] == SlotState::Running {
+                    world.step(Event::RunEnds(i, Run::Result, true));
+                }
+            }
+            assert!(
+                world.job.is_settled(),
+                "a published job is unsettled after one round: {:?}",
+                world.job.slots()
+            );
+        }
     }
 
     /// Every event sequence of at most `JOB_PROTOCOL_DEPTH` events on a
     /// fresh 2-config job, each event applied to a copy of its prefix's
     /// world, with the invariants of [`World::step`] checked after every
-    /// event and [`World::check_restart`] after every prefix.
+    /// event, and [`World::check_restart`] and [`World::check_settles`]
+    /// after every prefix.
     const JOB_PROTOCOL_DEPTH: usize = 7;
 
     /// Counts the sequences that extend the `depth` events that made
     /// `world`, whose own invariants are already checked.
     fn explore_job_protocol(world: &World, depth: usize) -> u64 {
         world.check_restart();
+        world.check_settles();
         let events = world.applicable();
         if depth == JOB_PROTOCOL_DEPTH || events.is_empty() {
             return 1;

@@ -4,7 +4,7 @@
 use icn_topology::{ChannelId, NodeId};
 
 use super::wake::AllocState;
-use super::{compute_candidates, ctx_of, first_free_vc, flatten_candidates, Network, NO_OWNER};
+use super::{ctx_of, Network, Scan, NO_OWNER};
 use crate::message::MsgPhase;
 
 /// Outcome of one header's [`Network::next_hop`] attempt.
@@ -84,12 +84,12 @@ impl Network {
             }
             HopOutcome::ReceptionBusy(here) => {
                 self.alloc_state[slot as usize] = AllocState::Parked;
-                self.watch(slot, (self.num_vcs() + here.idx()) as u32);
+                self.watch(self.slot_waiter(slot), (self.num_vcs() + here.idx()) as u32);
                 false
             }
             HopOutcome::Blocked => {
                 self.alloc_state[slot as usize] = AllocState::Parked;
-                self.park_on_cached(slot, false);
+                self.park_on_cached(self.slot_waiter(slot));
                 false
             }
         }
@@ -104,7 +104,6 @@ impl Network {
     #[inline(always)]
     fn next_hop(&mut self, slot: u32) -> HopOutcome {
         let s = slot as usize;
-        let vcs_per = self.cfg.vcs_per_channel;
         let msg = self.messages[s].as_ref().expect("routing slot");
         debug_assert_eq!(msg.phase, MsgPhase::Routing);
         let (head_vc, dst) = (msg.head, msg.dst);
@@ -148,49 +147,31 @@ impl Network {
             return HopOutcome::Ejecting;
         }
 
-        let cached = self.cand_cache_valid[s];
+        let w = self.slot_waiter(slot) as usize;
         let msg = self.messages[s].as_ref().expect("routing slot");
-        let free = if cached {
-            // Frozen candidates: since the header blocked, nothing the
-            // routing relation reads changed (header position and policy
-            // state are frozen, and link transitions invalidate), so scan
-            // the flattened list in the same nested order `first_free_vc`
-            // would use over the recomputed set.
-            debug_assert!(msg.blocked, "frozen candidates imply a blocked episode");
-            self.cand_cache[s]
-                .iter()
-                .copied()
-                .find(|&v| self.vc_owner[v as usize] == NO_OWNER)
-        } else {
-            compute_candidates(
-                &self.topo,
-                &*self.routing,
-                vcs_per,
-                &self.failed,
-                &ctx_of(msg, here),
-                &mut self.cand_buf,
-            );
-            first_free_vc(&self.vc_owner, vcs_per, &self.cand_buf)
-        };
-        let Some(vc_idx) = free else {
-            if !cached {
-                // Freeze the flattened set for re-attempts.
-                flatten_candidates(&self.cand_buf, vcs_per, &mut self.cand_cache[s]);
-                self.cand_cache_valid[s] = true;
-                if self.fault_mode && self.cand_buf.is_empty() {
-                    // Unroutable under the active fault set: resolved
-                    // (dropped, or spared by a LinkUp) at the start of the
-                    // next cycle, identically in both steppers.
-                    self.stranded.push((slot, msg.id));
+        // Frozen candidates: since the header blocked, nothing the routing
+        // relation reads changed (header position and policy state are
+        // frozen, and link transitions invalidate).
+        debug_assert!(
+            !self.cand_cache_valid[w] || msg.blocked,
+            "frozen candidates imply a blocked episode"
+        );
+        let (id, was_blocked) = (msg.id, msg.blocked);
+        let vc_idx = match self.scan_candidates(w, &ctx_of(msg, here)) {
+            Scan::Free(v) => v,
+            scan => {
+                if scan == Scan::Unroutable {
+                    // Resolved (dropped, or spared by a LinkUp) at the start
+                    // of the next cycle, identically in both steppers.
+                    self.stranded.push((slot, id));
                 }
+                self.mark_blocked(s, here, true);
+                return HopOutcome::Blocked;
             }
-            self.mark_blocked(s, here, true);
-            return HopOutcome::Blocked;
         };
-        self.cand_cache_valid[s] = false;
-        if msg.blocked {
+        if was_blocked {
             self.blocked_ctr -= 1;
-            self.wait_dirty.mark(msg.id);
+            self.wait_dirty.mark(id);
         }
         self.acquire_vc(slot, vc_idx);
         HopOutcome::Acquired(vc_idx)

@@ -3,7 +3,7 @@
 
 use icn_topology::ChannelId;
 
-use super::wake::{AllocState, InjState, INJECTOR};
+use super::wake::{AllocState, InjState};
 use super::{compute_candidates, ctx_of, Network, NO_OWNER};
 use crate::events::StepEvents;
 use crate::faults::{FaultKind, FaultPlan};
@@ -76,7 +76,6 @@ impl Network {
     fn set_failed(&mut self, ch: usize, down: bool) {
         self.failed[ch] = down;
         self.cand_cache_valid.fill(false);
-        self.inj_cand_valid.fill(false);
         self.wait_dirty_all = true;
     }
 
@@ -130,11 +129,11 @@ impl Network {
                 .dst
                 == src
             {
-                woke.push(slot);
+                woke.push(self.slot_waiter(slot));
             }
         }
         if self.inj_state[src.idx()] == InjState::Parked {
-            woke.push(INJECTOR | src.idx() as u32);
+            woke.push(src.idx() as u32);
         }
         for waiter in woke {
             self.requeue(waiter);
@@ -172,7 +171,7 @@ impl Network {
             if self.cand_buf.is_empty() {
                 self.drop_message(slot, events);
             } else if self.alloc_state[slot as usize] == AllocState::Parked {
-                self.requeue(slot);
+                self.requeue(self.slot_waiter(slot));
             }
         }
         stranded.clear();
@@ -184,7 +183,7 @@ impl Network {
     /// loss is counted and traced. Nothing is delivered.
     fn drop_message(&mut self, slot: u32, events: &mut StepEvents) {
         let s = slot as usize;
-        self.unpark(slot);
+        self.unpark(self.slot_waiter(slot));
         // The slot may be recycled by an injection later this very cycle:
         // no runnable or release entry may survive pointing at it.
         self.alloc_queue.retain(|&x| x != slot);

@@ -1,12 +1,13 @@
-//! Injection: source-queue fronts acquire their first VC.
+//! Injection: source-queue fronts acquire their first VC. The front of
+//! node `n`'s queue is waiter `n`: it scans (or freezes) its candidates
+//! and parks exactly as a blocked header does, and differs only in
+//! rejecting, at the source, a front whose first hop is unroutable.
 
 use icn_routing::RoutingCtx;
 use icn_topology::NodeId;
 
 use super::wake::{AllocState, InjState};
-use super::{
-    compute_candidates, first_free_vc, flatten_candidates, Network, Pending, VcOcc, NO_OWNER,
-};
+use super::{Network, Pending, Scan, VcOcc, NO_OWNER};
 use crate::events::StepEvents;
 use crate::message::{Message, MsgPhase};
 
@@ -19,7 +20,7 @@ pub(super) enum InjectOutcome {
     /// Nothing queued at this node.
     EmptyQueue,
     /// Every candidate VC for the queue front is owned; the candidates are
-    /// frozen in `inj_cand_cache` so the activity engine can park on them.
+    /// frozen at waiter `node` so the activity engine can park on them.
     NoFreeVc,
     /// The queue front's fault-filtered candidate set is empty — its first
     /// hop is unroutable under the active fault set — so it was popped and
@@ -58,46 +59,20 @@ impl Network {
             return InjectOutcome::EmptyQueue;
         };
         let src = NodeId(node as u32);
-        let free = if self.inj_cand_valid[node] {
-            // Frozen candidates: the queue front (and everything the
-            // routing relation reads for a fresh injection) is unchanged
-            // since this set was computed, so skip the relation and scan
-            // the flattened list. Same nested order as `first_free_vc`
-            // over the recomputed set, so the same VC wins.
-            self.inj_cand_cache[node]
-                .iter()
-                .copied()
-                .find(|&v| self.vc_owner[v as usize] == NO_OWNER)
-        } else {
-            compute_candidates(
-                &self.topo,
-                &*self.routing,
-                self.cfg.vcs_per_channel,
-                &self.failed,
-                &RoutingCtx::fresh(src, dst, src),
-                &mut self.cand_buf,
-            );
-            if self.fault_mode && self.cand_buf.is_empty() {
+        let vc_idx = match self.scan_candidates(node, &RoutingCtx::fresh(src, dst, src)) {
+            Scan::Free(v) => v,
+            Scan::Busy => return InjectOutcome::NoFreeVc,
+            Scan::Unroutable => {
                 // First hop unroutable under the active fault set: reject at
-                // the source (counted; the message never enters the network).
+                // the source (counted; the message never enters the network),
+                // and unfreeze, since the next queue front is another message.
+                self.cand_cache_valid[node] = false;
                 self.source_q[node].pop_front();
                 self.total_fault_rejected += 1;
                 events.fault_rejected += 1;
                 return InjectOutcome::Rejected;
             }
-            first_free_vc(&self.vc_owner, self.cfg.vcs_per_channel, &self.cand_buf)
         };
-        let Some(vc_idx) = free else {
-            if !self.inj_cand_valid[node] {
-                // Freeze the flattened set for re-attempts while blocked.
-                let vcs_per = self.cfg.vcs_per_channel;
-                flatten_candidates(&self.cand_buf, vcs_per, &mut self.inj_cand_cache[node]);
-                self.inj_cand_valid[node] = true;
-            }
-            return InjectOutcome::NoFreeVc;
-        };
-        self.inj_cand_valid[node] = false;
-
         self.source_q[node].pop_front();
         let id = self.next_id;
         self.next_id += 1;
@@ -146,18 +121,20 @@ impl Network {
             self.alloc_state.resize(n, AllocState::Inactive);
             self.drain_idx.resize(n, NO_OWNER);
             self.release_flag.resize(n, false);
-            self.msg_watches.resize_with(n, Vec::new);
             self.msg_uninjected.resize(n, 0);
             let nv = self.num_vcs();
             self.occ.resize(nv + 1 + n, VcOcc::free(nv));
             self.slot_id.resize(n, 0);
-            self.cand_cache.resize_with(n, Vec::new);
-            self.cand_cache_valid.resize(n, false);
+            let waiters = self.topo.num_nodes() + n;
+            self.watches.resize_with(waiters, Vec::new);
+            self.cand_cache.resize_with(waiters, Vec::new);
+            self.cand_cache_valid.resize(waiters, false);
         }
         // A recycled slot may carry a stale frozen candidate set from
         // its previous occupant (e.g. one pulled into recovery while
         // blocked); the new message must start uncached.
-        self.cand_cache_valid[slot as usize] = false;
+        let w = self.slot_waiter(slot) as usize;
+        self.cand_cache_valid[w] = false;
         self.msg_uninjected[slot as usize] = len;
         let src = self.source_entry(slot);
         self.occ[src].start = 1;
@@ -221,7 +198,7 @@ impl Network {
                 }
                 InjectOutcome::NoFreeVc => {
                     self.inj_state[n] = InjState::Parked;
-                    self.park_on_cached(node, true);
+                    self.park_on_cached(node);
                     return;
                 }
             }

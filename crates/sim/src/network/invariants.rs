@@ -3,7 +3,7 @@
 use icn_routing::RoutingCtx;
 use icn_topology::{ChannelId, NodeId};
 
-use super::wake::{AllocState, InjState, INJECTOR};
+use super::wake::{AllocState, InjState};
 use super::{
     compute_candidates, ctx_of, flatten_candidates, Network, Pending, StepMode, VcOcc, NO_OWNER,
 };
@@ -115,31 +115,31 @@ impl Network {
         assert_eq!(self.blocked_ctr, blocked_scan, "blocked counter drifted");
 
         // Frozen ⇒ equals recompute: a frozen candidate list (either
-        // stepper, with or without a fault plan) is exactly the flattened
-        // set the routing relation would produce now.
-        for &slot in &self.active {
-            let msg = self.messages[slot as usize].as_ref().unwrap();
-            if msg.phase != MsgPhase::Routing || !self.cand_cache_valid[slot as usize] {
-                continue;
-            }
-            assert!(msg.blocked, "frozen candidates outside a blocked episode");
-            let here = self.topo.channel(ChannelId(msg.head / vcs_per as u32)).dst;
-            assert_eq!(
-                self.cand_cache[slot as usize],
-                self.recompute_frozen(&ctx_of(msg, here)),
-                "frozen candidate set diverged from recompute"
-            );
-        }
-        for node in (0..self.topo.num_nodes()).filter(|&n| self.inj_cand_valid[n]) {
-            let &Pending { dst, .. } = self.source_q[node]
-                .front()
-                .expect("frozen injector candidates without a queue front");
-            let src = NodeId(node as u32);
-            assert_eq!(
-                self.inj_cand_cache[node],
-                self.recompute_frozen(&RoutingCtx::fresh(src, dst, src)),
-                "frozen injector candidate set diverged from recompute"
-            );
+        // stepper, with or without a fault plan, injector or message) is
+        // exactly the flattened set the routing relation would produce now.
+        let nodes = self.topo.num_nodes();
+        for w in (0..self.cand_cache.len()).filter(|&w| self.cand_cache_valid[w]) {
+            let (ctx, what) = if w < nodes {
+                let &Pending { dst, .. } = self.source_q[w]
+                    .front()
+                    .expect("frozen injector candidates without a queue front");
+                let src = NodeId(w as u32);
+                let ctx = RoutingCtx::fresh(src, dst, src);
+                (ctx, "frozen injector candidate set diverged from recompute")
+            } else {
+                match self.messages.get(w - nodes).and_then(Option::as_ref) {
+                    Some(msg) if msg.phase == MsgPhase::Routing => {
+                        assert!(msg.blocked, "frozen candidates outside a blocked episode");
+                        let here = self.topo.channel(ChannelId(msg.head / vcs_per as u32)).dst;
+                        (
+                            ctx_of(msg, here),
+                            "frozen candidate set diverged from recompute",
+                        )
+                    }
+                    _ => continue,
+                }
+            };
+            assert_eq!(self.cand_cache[w], self.recompute_frozen(&ctx), "{what}");
         }
 
         if self.mode == StepMode::Activity {
@@ -149,9 +149,7 @@ impl Network {
             // scheduling state the shared bodies touch must stay empty,
             // which is what lets those bodies run without a mode test.
             assert!(
-                self.wake_lists.iter().all(Vec::is_empty)
-                    && self.msg_watches.iter().all(Vec::is_empty)
-                    && self.inj_watches.iter().all(Vec::is_empty),
+                self.wake_lists.iter().all(Vec::is_empty) && self.watches.iter().all(Vec::is_empty),
                 "watch on a dense-stepped instance"
             );
             assert!(
@@ -173,22 +171,10 @@ impl Network {
         let vcs_per = self.cfg.vcs_per_channel;
         // Wake lists and watch tables are bidirectionally consistent.
         let mut total_watches = 0usize;
-        for (w, watches) in self.msg_watches.iter().enumerate() {
+        for (w, watches) in self.watches.iter().enumerate() {
             for (k, &(r, i)) in watches.iter().enumerate() {
                 let e = self.wake_lists[r as usize][i as usize];
                 assert_eq!(e.waiter, w as u32, "watch back-pointer broken");
-                assert_eq!(e.watch_pos, k as u32, "watch back-pointer broken");
-                total_watches += 1;
-            }
-        }
-        for (node, watches) in self.inj_watches.iter().enumerate() {
-            for (k, &(r, i)) in watches.iter().enumerate() {
-                let e = self.wake_lists[r as usize][i as usize];
-                assert_eq!(
-                    e.waiter,
-                    INJECTOR | node as u32,
-                    "watch back-pointer broken"
-                );
                 assert_eq!(e.watch_pos, k as u32, "watch back-pointer broken");
                 total_watches += 1;
             }
@@ -209,9 +195,11 @@ impl Network {
             assert_eq!(self.inj_state[s as usize], InjState::Ready);
         }
 
+        let nodes = self.topo.num_nodes();
         for &slot in &self.active {
             let msg = self.messages[slot as usize].as_ref().unwrap();
             let s = slot as usize;
+            let watches = &self.watches[nodes + s];
             if msg.phase != MsgPhase::Routing {
                 assert_eq!(self.alloc_state[s], AllocState::Inactive);
                 assert_ne!(
@@ -228,7 +216,7 @@ impl Network {
                         "queued message {} lost or duplicated",
                         msg.id
                     );
-                    assert!(self.msg_watches[s].is_empty());
+                    assert!(watches.is_empty());
                 }
                 AllocState::Parked => {
                     assert!(msg.blocked, "parked message must be blocked");
@@ -242,9 +230,9 @@ impl Network {
                             NO_OWNER,
                             "parked at destination with a free reception channel: missed wake"
                         );
-                        assert_eq!(self.msg_watches[s].len(), 1);
+                        assert_eq!(watches.len(), 1);
                         assert_eq!(
-                            self.msg_watches[s][0].0,
+                            watches[0].0,
                             (self.num_vcs() + here.idx()) as u32,
                             "destination wait must watch the reception channel"
                         );
@@ -256,7 +244,7 @@ impl Network {
                             msg.id
                         );
                         assert_eq!(
-                            self.msg_watches[s].len(),
+                            watches.len(),
                             cand.len(),
                             "watch set does not match candidate set"
                         );
@@ -274,7 +262,7 @@ impl Network {
                         self.source_q[node].is_empty() || self.injecting[node],
                         "idle injector {node} with work and a free channel: missed wake"
                     );
-                    assert!(self.inj_watches[node].is_empty());
+                    assert!(self.watches[node].is_empty());
                 }
                 InjState::Ready => {
                     assert_eq!(
@@ -299,7 +287,7 @@ impl Network {
                         cand.iter().all(|&v| self.vc_owner[v as usize] != NO_OWNER),
                         "parked injector {node} has a free candidate VC: missed wake"
                     );
-                    assert_eq!(self.inj_watches[node].len(), cand.len());
+                    assert_eq!(self.watches[node].len(), cand.len());
                 }
             }
         }

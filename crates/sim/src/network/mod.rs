@@ -236,10 +236,10 @@ pub struct Network {
     /// Per-resource wake lists: VC `v` at index `v`, the reception channel
     /// of node `n` at `num_vcs + n`.
     wake_lists: Vec<Vec<WakeEntry>>,
-    /// Per-slot watch table: `(resource, index in wake_lists[resource])`.
-    msg_watches: Vec<Vec<(u32, u32)>>,
-    /// Per-node watch table for parked injectors.
-    inj_watches: Vec<Vec<(u32, u32)>>,
+    /// Per-waiter watch table: `(resource, index in wake_lists[resource])`.
+    /// A waiter is the injector of node `n` at index `n`, or the message in
+    /// slot `s` at `num_nodes + s` ([`Self::slot_waiter`]).
+    watches: Vec<Vec<(u32, u32)>>,
     /// Active-channel bitset: bit `ch % 64` of word `ch / 64` marks a
     /// channel the transfer phase must examine. Activations during
     /// allocation land in the set scanned the same cycle; the transfer
@@ -266,23 +266,17 @@ pub struct Network {
     /// value, so `v / vcs_per` outside the `V = 2` transfer walk would
     /// compile to a hardware divide.
     vc_chan: Vec<u32>,
-    /// Frozen flattened candidate-VC list per message slot, filled when a
-    /// header blocks. Until the message acquires, nothing its routing
-    /// relation reads changes except `failed`, which only the fault plan's
-    /// `apply_link_down` / `apply_link_up` write — exactly the two places
-    /// every frozen list is invalidated — so re-attempts (a wake, or every
-    /// cycle in the dense stepper) scan this list instead of re-running
-    /// the routing relation. Also invalidated on acquisition and on slot
-    /// reuse.
+    /// Frozen flattened candidate-VC list per waiter, filled when a
+    /// header or a source-queue front blocks. Until the waiter acquires,
+    /// nothing its routing relation reads changes except `failed`, which
+    /// only the fault plan's `apply_link_down` / `apply_link_up` write —
+    /// exactly the two places every frozen list is invalidated — so
+    /// re-attempts (a wake, or every cycle in the dense stepper) scan this
+    /// list instead of re-running the routing relation. Also invalidated
+    /// on acquisition and on slot reuse.
     cand_cache: Vec<Vec<u32>>,
-    /// Validity flag per slot for [`Self::cand_cache`].
+    /// Validity flag per waiter for [`Self::cand_cache`].
     cand_cache_valid: Vec<bool>,
-    /// Frozen flattened candidate-VC list per injector node (valid while
-    /// the source-queue front is unchanged; same rules as
-    /// [`Self::cand_cache`]).
-    inj_cand_cache: Vec<Vec<u32>>,
-    /// Validity flag per node for [`Self::inj_cand_cache`].
-    inj_cand_valid: Vec<bool>,
     /// Slots the release phase must visit this cycle (unordered; sorted).
     release_check: Vec<u32>,
     /// Slots whose release visit is deferred to the next cycle: the dense
@@ -376,6 +370,18 @@ fn first_free_vc(vc_owner: &[u32], vcs_per: usize, cands: &[Candidate]) -> Optio
     None
 }
 
+/// Outcome of a waiter's candidate scan ([`Network::scan_candidates`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Scan {
+    /// The first free candidate VC in the routing relation's order.
+    Free(u32),
+    /// Every candidate VC is owned; the candidates are frozen.
+    Busy,
+    /// The fault-filtered candidate set is empty (fault plan only); the
+    /// empty set is frozen.
+    Unroutable,
+}
+
 impl Network {
     /// A new, empty network.
     pub fn new(topo: KAryNCube, routing: Box<dyn RoutingAlgorithm>, cfg: SimConfig) -> Self {
@@ -423,8 +429,7 @@ impl Network {
             inj_state: vec![InjState::Idle; n_nodes],
             inj_ready: Vec::new(),
             wake_lists: vec![Vec::new(); n_vcs + n_nodes],
-            msg_watches: Vec::new(),
-            inj_watches: vec![Vec::new(); n_nodes],
+            watches: vec![Vec::new(); n_nodes],
             chan_words: vec![0; topo.num_channels().div_ceil(64)],
             chan_scan: vec![0; topo.num_channels().div_ceil(64)],
             drain_list: Vec::new(),
@@ -434,10 +439,8 @@ impl Network {
             vc_chan: (0..n_vcs)
                 .map(|v| (v / cfg.vcs_per_channel) as u32)
                 .collect(),
-            cand_cache: Vec::new(),
-            cand_cache_valid: Vec::new(),
-            inj_cand_cache: vec![Vec::new(); n_nodes],
-            inj_cand_valid: vec![false; n_nodes],
+            cand_cache: vec![Vec::new(); n_nodes],
+            cand_cache_valid: vec![false; n_nodes],
             release_check: Vec::new(),
             release_deferred: Vec::new(),
             release_flag: vec![],
@@ -490,6 +493,48 @@ impl Network {
     #[inline]
     fn num_vcs(&self) -> usize {
         self.vc_owner.len()
+    }
+
+    /// The waiter index of the message in `slot` (injectors are `0..num_nodes`).
+    #[inline]
+    fn slot_waiter(&self, slot: u32) -> u32 {
+        self.topo.num_nodes() as u32 + slot
+    }
+
+    /// One waiter's attempt to find a free candidate VC at `ctx`, shared by
+    /// injection and allocation: scan the frozen list, or run the routing
+    /// relation and freeze the flattened set if nothing is free. The frozen
+    /// scan keeps [`first_free_vc`]'s nested order, so the same VC wins. A
+    /// freshly computed set stays in `cand_buf` for the blocked trace.
+    #[inline(always)]
+    fn scan_candidates(&mut self, w: usize, ctx: &RoutingCtx) -> Scan {
+        if self.cand_cache_valid[w] {
+            let free = self.cand_cache[w]
+                .iter()
+                .copied()
+                .find(|&v| self.vc_owner[v as usize] == NO_OWNER);
+            self.cand_cache_valid[w] = free.is_none();
+            return free.map_or(Scan::Busy, Scan::Free);
+        }
+        let vcs_per = self.cfg.vcs_per_channel;
+        compute_candidates(
+            &self.topo,
+            &*self.routing,
+            vcs_per,
+            &self.failed,
+            ctx,
+            &mut self.cand_buf,
+        );
+        if let Some(v) = first_free_vc(&self.vc_owner, vcs_per, &self.cand_buf) {
+            return Scan::Free(v);
+        }
+        flatten_candidates(&self.cand_buf, vcs_per, &mut self.cand_cache[w]);
+        self.cand_cache_valid[w] = true;
+        if self.fault_mode && self.cand_buf.is_empty() {
+            Scan::Unroutable
+        } else {
+            Scan::Busy
+        }
     }
 
     /// Index of `slot`'s source entry in [`Self::occ`].

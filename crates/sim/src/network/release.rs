@@ -40,7 +40,7 @@ impl Network {
         // and is dropped by the state check at the next pass, before the
         // slot can ever be recycled.
         if self.alloc_state[slot as usize] == AllocState::Parked {
-            self.unpark(slot);
+            self.unpark(self.slot_waiter(slot));
         }
         self.alloc_state[slot as usize] = AllocState::Inactive;
         self.drain_push(slot);
@@ -66,7 +66,7 @@ impl Network {
         }
         self.active_idx[slot as usize] = NO_OWNER;
         self.alloc_state[slot as usize] = AllocState::Inactive;
-        debug_assert!(self.msg_watches[slot as usize].is_empty());
+        debug_assert!(self.watches[self.slot_waiter(slot) as usize].is_empty());
         let di = self.drain_idx[slot as usize];
         if di != NO_OWNER {
             self.drain_list.swap_remove(di as usize);

@@ -2,14 +2,18 @@
 //!
 //! The activity stepper exploits three facts about the dense phases:
 //!
-//! * A blocked message's re-attempt has no side effects, and its
-//!   candidate set is frozen while it is parked (routing state only
-//!   changes on acquisition, and a link transition invalidates every
-//!   frozen list and wakes what it may have unblocked; all of a parked
-//!   waiter's candidate VCs are owned — that is why it parked). It can
-//!   therefore only become acquirable when a watched VC or reception
-//!   channel is freed, which happens exclusively in the release phase (or a fault
-//!   drop), where the wake fires.
+//! * A waiter — a blocked header, or an injector whose queue front found
+//!   no free VC — re-attempts without side effects, and its candidate set
+//!   is frozen while it is parked (routing state only changes on
+//!   acquisition, and a link transition invalidates every frozen list and
+//!   wakes what it may have unblocked; all of a parked waiter's candidate
+//!   VCs are owned — that is why it parked). It can therefore only become
+//!   acquirable when a watched VC or reception channel is freed, which
+//!   happens exclusively in the release phase (or a fault drop), where
+//!   the wake fires. Both kinds share one index space — the injector of
+//!   node `n` is waiter `n`, the message in slot `s` is waiter
+//!   `num_nodes + s` — so one watch table and one frozen list per waiter
+//!   serve both, and only [`Network::requeue`] tells them apart.
 //! * Transfer decisions read only start-of-cycle occupancies, so
 //!   per-channel decisions are order-independent and every movability
 //!   transition is caused by an acquisition or an occupancy change —
@@ -57,13 +61,10 @@ pub(super) enum InjState {
     Parked,
 }
 
-/// High bit of a wake-list waiter: set when the waiter is an injector node
-/// rather than a message slot.
-pub(super) const INJECTOR: u32 = 1 << 31;
-
-/// One entry on a resource's wake list: `waiter` (message slot, or
-/// `INJECTOR | node`) plus the index of this watch in the waiter's own
-/// watch table, so either side can unlink the other in O(1).
+/// One entry on a resource's wake list: `waiter` (the injector of node
+/// `n` is waiter `n`, the message in slot `s` is waiter `num_nodes + s`)
+/// plus the index of this watch in the waiter's own watch table, so either
+/// side can unlink the other in O(1).
 #[derive(Clone, Copy, Debug)]
 pub(super) struct WakeEntry {
     pub(super) waiter: u32,
@@ -112,36 +113,10 @@ impl Network {
         self.drain_head.push(head);
     }
 
-    fn watches_of(&self, waiter: u32) -> &Vec<(u32, u32)> {
-        if waiter & INJECTOR != 0 {
-            &self.inj_watches[(waiter ^ INJECTOR) as usize]
-        } else {
-            &self.msg_watches[waiter as usize]
-        }
-    }
-
-    fn watches_of_mut(&mut self, waiter: u32) -> &mut Vec<(u32, u32)> {
-        if waiter & INJECTOR != 0 {
-            &mut self.inj_watches[(waiter ^ INJECTOR) as usize]
-        } else {
-            &mut self.msg_watches[waiter as usize]
-        }
-    }
-
-    /// Parks `waiter` (message slot, or `INJECTOR | node`) on `resource`.
+    /// Parks `waiter` on `resource`.
     pub(super) fn watch(&mut self, waiter: u32, resource: u32) {
-        let Self {
-            wake_lists,
-            msg_watches,
-            inj_watches,
-            ..
-        } = self;
-        let watches = if waiter & INJECTOR != 0 {
-            &mut inj_watches[(waiter ^ INJECTOR) as usize]
-        } else {
-            &mut msg_watches[waiter as usize]
-        };
-        let list = &mut wake_lists[resource as usize];
+        let watches = &mut self.watches[waiter as usize];
+        let list = &mut self.wake_lists[resource as usize];
         list.push(WakeEntry {
             waiter,
             watch_pos: watches.len() as u32,
@@ -153,18 +128,18 @@ impl Network {
     /// on the wake list plus a back-pointer fix-up for the entry that slid
     /// into the hole. Leaves no stale entries behind.
     pub(super) fn unpark(&mut self, waiter: u32) {
-        let n = self.watches_of(waiter).len();
-        for k in 0..n {
-            let (resource, i) = self.watches_of(waiter)[k];
+        let w = waiter as usize;
+        for k in 0..self.watches[w].len() {
+            let (resource, i) = self.watches[w][k];
             let list = &mut self.wake_lists[resource as usize];
             debug_assert_eq!(list[i as usize].waiter, waiter);
             list.swap_remove(i as usize);
             if let Some(&moved) = list.get(i as usize) {
                 debug_assert_ne!(moved.waiter, waiter, "one watch per resource");
-                self.watches_of_mut(moved.waiter)[moved.watch_pos as usize].1 = i;
+                self.watches[moved.waiter as usize][moved.watch_pos as usize].1 = i;
             }
         }
-        self.watches_of_mut(waiter).clear();
+        self.watches[w].clear();
     }
 
     /// Wakes every waiter parked on `resource`.
@@ -175,45 +150,36 @@ impl Network {
         }
     }
 
-    /// Unparks `waiter` (message slot, or `INJECTOR | node`): messages join
-    /// the `woken` buffer and injectors the ready list, both re-attempted
-    /// next cycle.
+    /// Unparks `waiter`: a message joins the `woken` buffer and an
+    /// injector the ready list, both re-attempted next cycle.
     pub(super) fn requeue(&mut self, waiter: u32) {
         self.unpark(waiter);
-        if waiter & INJECTOR != 0 {
-            let node = (waiter ^ INJECTOR) as usize;
+        let nodes = self.topo.num_nodes() as u32;
+        if waiter < nodes {
+            let node = waiter as usize;
             debug_assert_eq!(self.inj_state[node], InjState::Parked);
             self.inj_state[node] = InjState::Ready;
-            self.inj_ready.push(node as u32);
+            self.inj_ready.push(waiter);
         } else {
-            debug_assert_eq!(self.alloc_state[waiter as usize], AllocState::Parked);
-            self.alloc_state[waiter as usize] = AllocState::Queued;
-            self.woken.push(waiter);
+            let slot = waiter - nodes;
+            debug_assert_eq!(self.alloc_state[slot as usize], AllocState::Parked);
+            self.alloc_state[slot as usize] = AllocState::Queued;
+            self.woken.push(slot);
         }
     }
 
-    /// Parks a waiter on every VC of its frozen candidate list (all are
-    /// owned, or the attempt would have succeeded); `idx` is a message
-    /// slot, or a node when `injector` is set. An empty list parks with no
-    /// watches: only a fault plan can produce one, and then the waiter is
-    /// stranded (resolved at the next cycle start) or rejected, and
-    /// `LinkUp` wakes cover everything else.
-    pub(super) fn park_on_cached(&mut self, idx: u32, injector: bool) {
-        let list = if injector {
-            std::mem::take(&mut self.inj_cand_cache[idx as usize])
-        } else {
-            std::mem::take(&mut self.cand_cache[idx as usize])
-        };
-        let waiter = if injector { INJECTOR | idx } else { idx };
+    /// Parks `waiter` on every VC of its frozen candidate list (all are
+    /// owned, or the attempt would have succeeded). An empty list parks
+    /// with no watches: only a fault plan can produce one, and then the
+    /// waiter is stranded (resolved at the next cycle start) or rejected,
+    /// and `LinkUp` wakes cover everything else.
+    pub(super) fn park_on_cached(&mut self, waiter: u32) {
+        let list = std::mem::take(&mut self.cand_cache[waiter as usize]);
         for &v in &list {
             debug_assert_ne!(self.vc_owner[v as usize], NO_OWNER);
             self.watch(waiter, v);
         }
-        if injector {
-            self.inj_cand_cache[idx as usize] = list;
-        } else {
-            self.cand_cache[idx as usize] = list;
-        }
+        self.cand_cache[waiter as usize] = list;
     }
 
     /// An injection channel of `node` was freed: an idle node with queued

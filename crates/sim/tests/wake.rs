@@ -9,9 +9,9 @@
 //! tests build that exact schedule and pin the cycle every acquisition
 //! and delivery must land on.
 
-use icn_routing::{DatelineDor, Dor};
-use icn_sim::{Network, SimConfig};
-use icn_topology::{KAryNCube, NodeId};
+use icn_routing::{DatelineDor, Dor, Tfar};
+use icn_sim::{FaultPlan, Network, SimConfig};
+use icn_topology::{Direction, KAryNCube, NodeId};
 
 /// Unidirectional 4-ring (n0→n1→n2→n3→n0), one VC per channel.
 fn ring() -> Network {
@@ -87,6 +87,88 @@ fn same_cycle_park_and_release_wakes_both_waiter_kinds() {
         vec![(0, 2), (2, 4), (1, 6)],
         "wake timing shifted: A frees c1 at 2, C at 4, B delivers at 6"
     );
+    assert_eq!(a.in_network(), 0, "a waiter stranded");
+    assert_eq!(a.source_queued(), 0);
+}
+
+/// The fault paths into the same two waiters: a parked header and a
+/// parked injector at one node, both offered the channel a `link_outage`
+/// takes down. TFAR on a 4-ary 2-cube (node `x + 4y`, one VC per
+/// channel), every waiter at n0 heading for n5 = (1,1), so both frozen
+/// sets are {n0→n1, n0→n4} and the fault leaves each a part of it:
+///
+/// * cycle 0 — R1 (n2→n1, len 30) and R2 (n8→n4, len 30) inject; from
+///   cycle 1 they hold the reception channels of n1 and n4. B1 (n3→n1)
+///   and B2 (n12→n4), one flit each, inject through n0 and from cycle 2
+///   sit at their destinations, each owning only n0→n1 / n0→n4.
+/// * cycle 2 — H (n3→n5) injects on n3→n0; cycle 3 its header at n0
+///   *parks* on both busy channels. C (n0→n5, enqueued after cycle 1)
+///   parks the n0 *injector* on the same two.
+/// * cycle 6 — n0→n1 goes down: its frozen sets are invalidated and B1 is
+///   dropped, which wakes both waiters; each re-parks on n0→n4 alone.
+/// * cycle 10 — n0→n1 comes back up: the link-up wakes the header and
+///   the injector at its source. C injects on n0→n1 (injections go
+///   first) and H re-parks behind it; C delivers at 12, and H, woken when
+///   C's flit frees n0→n1, at 14.
+///
+/// A waiter left on a stale frozen set or watch fails `check_invariants`
+/// (run after every step); a missed link-up wake leaves C parked until
+/// B2 clears at 31. The dense reference runs the identical schedule.
+#[test]
+fn link_outage_wakes_a_parked_header_and_injector_at_one_node() {
+    let topo = KAryNCube::torus(4, 2, true);
+    let down = topo.channel_from(NodeId(0), 0, Direction::Plus).unwrap();
+    let mut plan = FaultPlan::new();
+    plan.link_outage(down.0, 6, 10);
+    let build = || {
+        let mut net = Network::new(
+            topo.clone(),
+            Box::new(Tfar),
+            SimConfig {
+                vcs_per_channel: 1,
+                buffer_depth: 2,
+                msg_len: 1,
+            },
+        );
+        net.set_fault_plan(&plan);
+        net
+    };
+    let (mut a, mut b) = (build(), build());
+    let enqueue = |a: &mut Network, b: &mut Network, src: u32, dst: u32, len: usize| {
+        a.enqueue_with_len(NodeId(src), NodeId(dst), len);
+        b.enqueue_with_len(NodeId(src), NodeId(dst), len);
+    };
+
+    let mut delivered: Vec<(u64, u64)> = Vec::new(); // (id, cycle)
+    for cycle in 0..60u64 {
+        match cycle {
+            0 => {
+                enqueue(&mut a, &mut b, 2, 1, 30); // R1
+                enqueue(&mut a, &mut b, 8, 4, 30); // R2
+                enqueue(&mut a, &mut b, 3, 1, 1); // B1
+                enqueue(&mut a, &mut b, 12, 4, 1); // B2
+            }
+            1 => enqueue(&mut a, &mut b, 3, 5, 1), // H
+            2 => enqueue(&mut a, &mut b, 0, 5, 1), // C
+            _ => {}
+        }
+        let ea = a.step();
+        let eb = b.step_reference();
+        assert_eq!(ea, eb, "engines diverged at cycle {cycle}");
+        a.check_invariants();
+        b.check_invariants();
+        for d in &ea.delivered {
+            delivered.push((d.id, cycle));
+        }
+    }
+
+    // Ids follow injection order: R1 0, B1 1, R2 2, B2 3, H 4, C 5.
+    assert_eq!(
+        delivered,
+        vec![(5, 12), (4, 14), (0, 30), (2, 30), (3, 31)],
+        "wake timing shifted: C injects at the link-up (10), H follows it"
+    );
+    assert_eq!(a.fault_totals(), (1, 0), "B1 is the one fault loss");
     assert_eq!(a.in_network(), 0, "a waiter stranded");
     assert_eq!(a.source_queued(), 0);
 }
