@@ -12,6 +12,10 @@
 //! [`encode_result`] objects. A checkpoint line wraps one in
 //! [`checkpoint_line`] (or records a terminal cancellation with
 //! [`checkpoint_status_line`]); [`crate::CheckpointTail`] reads them back.
+//! An [`EncodedResult`] is that text, encoded once: the campaign server
+//! stores it in the cache and splices it into checkpoint lines
+//! ([`splice_checkpoint_line`]), so a cached result is copied, never
+//! decoded and encoded again. [`RESULT_CODEC`] names the format.
 //! Derived, human-oriented columns come from
 //! [`crate::experiments::results_table`] (`repro --csv`).
 
@@ -19,7 +23,7 @@ use icn_metrics::{Histogram, Mean, TimeSeries};
 
 use crate::forensics::DeadlockIncident;
 use crate::jsonio::{
-    bad, f64_bits, get, get_f64_bits, get_u64, get_u64_vec, obj, u64_arr, Json, ParseError,
+    bad, f64_bits, get, get_f64_bits, get_u64, get_u64_vec, obj, parse, u64_arr, Json, ParseError,
 };
 use crate::result::{Incident, RunOutcome, RunResult, StallReport};
 
@@ -160,16 +164,61 @@ pub fn encode_result(r: &RunResult) -> Json {
     ])
 }
 
+/// Names the [`encode_result`] format. A cache entry stores result text
+/// under this tag and a reader serves it only under the same tag, so a
+/// change to the encoding (a field added, dropped or re-encoded) must come
+/// with a new tag: `encode_result_fields_are_pinned_to_the_codec` fails
+/// until it does.
+pub const RESULT_CODEC: &str = "run-result-v1";
+
+/// A [`RunResult`] as its [`encode_result`] text. The text is what a
+/// cache entry stores and what a checkpoint line embeds, so a result
+/// served from the cache is copied, never decoded and encoded again.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncodedResult(String);
+
+impl EncodedResult {
+    /// Encodes `result`, once.
+    pub fn new(result: &RunResult) -> EncodedResult {
+        EncodedResult(encode_result(result).to_string())
+    }
+
+    /// Wraps text that a verified record says is [`encode_result`] output
+    /// under [`RESULT_CODEC`]; nothing is parsed.
+    pub fn from_text(text: String) -> EncodedResult {
+        EncodedResult(text)
+    }
+
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// [`RunResult::digest`] of the result the text decodes to, or the
+    /// decode error for text that does not decode (no digest reads like
+    /// one).
+    pub fn digest(&self) -> String {
+        parse(&self.0)
+            .and_then(|v| decode_result(&v))
+            .map_or_else(|e| format!("undecodable result: {e}"), |r| r.digest())
+    }
+}
+
 /// Renders one checkpoint line: `{"index":i,"label":...,"result":{...}}`.
 /// The campaign server writes its per-job checkpoint/result files in
 /// exactly this format, and [`crate::CheckpointTail`] restores them.
 pub fn checkpoint_line(index: usize, label: &str, result: &RunResult) -> String {
-    obj(vec![
-        ("index", Json::U64(index as u64)),
-        ("label", Json::Str(label.to_string())),
-        ("result", encode_result(result)),
-    ])
-    .to_string()
+    splice_checkpoint_line(index, label, &EncodedResult::new(result))
+}
+
+/// [`checkpoint_line`] around an already encoded result: the text is
+/// spliced in as it is, and the line is byte-identical to
+/// `checkpoint_line(index, label, &result)`.
+pub fn splice_checkpoint_line(index: usize, label: &str, result: &EncodedResult) -> String {
+    let label = Json::Str(label.to_string()).to_string();
+    format!(
+        "{{\"index\":{index},\"label\":{label},\"result\":{}}}",
+        result.as_str()
+    )
 }
 
 /// Renders one checkpoint *status* line persisting a terminal
@@ -296,7 +345,6 @@ pub fn decode_result(v: &Json) -> Result<RunResult, ParseError> {
 mod tests {
     use super::*;
     use crate::{run, ForensicsConfig, RoutingSpec, RunConfig, TopologySpec};
-    use icn_cwg::jsonio::parse;
 
     #[test]
     fn checkpoint_round_trip_is_digest_exact() {
@@ -319,6 +367,92 @@ mod tests {
         let text = encode_result(&r).to_string();
         let back = decode_result(&parse(&text).unwrap()).unwrap();
         assert_eq!(back.digest(), r.digest());
+    }
+
+    /// The spliced line is the line the object writer renders, byte for
+    /// byte, whatever the label holds; and the text decodes to the result.
+    #[test]
+    fn spliced_line_equals_the_rendered_line() {
+        let mut cfg = RunConfig::small_default();
+        (cfg.warmup, cfg.measure) = (50, 200);
+        let r = run(&cfg);
+        let text = EncodedResult::new(&r);
+        assert_eq!(text.digest(), r.digest());
+        for (index, label) in [(0, cfg.label()), (7, "q\"uo\\te\u{1}\n".to_string())] {
+            let rendered = obj(vec![
+                ("index", Json::U64(index as u64)),
+                ("label", Json::Str(label.clone())),
+                ("result", encode_result(&r)),
+            ])
+            .to_string();
+            assert_eq!(splice_checkpoint_line(index, &label, &text), rendered);
+            assert_eq!(checkpoint_line(index, &label, &r), rendered);
+        }
+        let garbled = EncodedResult::from_text("{\"label\":".into());
+        assert!(garbled.digest().starts_with("undecodable result"));
+    }
+
+    /// Cache entries written under one [`RESULT_CODEC`] are served as
+    /// text to every later reader under that tag, so the encoding behind
+    /// a tag must never change. This pins the members `encode_result`
+    /// writes to the tag: change them and this fails until the tag (and
+    /// this pin) moves too, which turns every stored entry into a miss.
+    #[test]
+    fn encode_result_fields_are_pinned_to_the_codec() {
+        let Json::Obj(fields) = encode_result(&RunResult::new("t".into(), 0.5, 16, 0.5, 32)) else {
+            panic!("a result encodes as an object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let pinned: (&str, &[&str]) = (
+            "run-result-v1",
+            &[
+                "label",
+                "offered_load",
+                "cycles",
+                "nodes",
+                "capacity",
+                "msg_len",
+                "generated",
+                "injected",
+                "delivered",
+                "recovered",
+                "delivered_flits",
+                "latency",
+                "link_flits",
+                "deadlocks",
+                "single_cycle",
+                "multi_cycle",
+                "deadlock_set",
+                "resource_set",
+                "knot_density",
+                "dependent_committed",
+                "dependent_transient",
+                "blocked",
+                "in_network",
+                "source_queued",
+                "cwg_cycles",
+                "blocked_frac",
+                "cycles_capped",
+                "cyclic_nondeadlock_epochs",
+                "counting_epochs",
+                "victims_started",
+                "resolution_latency",
+                "detection_lag",
+                "incidents",
+                "formation_latency",
+                "formation_spread",
+                "forensic_incidents",
+                "outcome",
+                "fault_losses",
+                "fault_rejected",
+                "stall",
+            ],
+        );
+        assert_eq!(
+            (RESULT_CODEC, names.as_slice()),
+            pinned,
+            "encode_result's members changed: give RESULT_CODEC a new tag and pin it here"
+        );
     }
 
     #[test]

@@ -47,18 +47,60 @@ pub fn get_f64_bits(v: &Json, key: &str) -> Result<f64, ParseError> {
     Ok(f64::from_bits(get_u64(v, key)?))
 }
 
-/// CRC-32 (IEEE, reflected) over `bytes` — the integrity check behind
-/// framed checkpoint records. Bitwise (no table): record frames are a few
-/// kilobytes written once per completed simulation, so throughput is
-/// irrelevant and the zero-state implementation is the auditable one.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// The eight lookup tables of slicing-by-8 CRC-32: `CRC_TABLES[0][b]` is
+/// the reflected IEEE remainder of byte `b`, and `CRC_TABLES[k][b]` that of
+/// `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE, reflected) over `bytes` — the integrity check behind
+/// framed checkpoint records and cache entries. Slicing-by-8 over
+/// compile-time tables: one cached campaign round frames, seals and
+/// serves about 255 KB, every byte of it through this function, so it
+/// runs eight bytes per step. The bitwise definition it must equal is
+/// the oracle in this module's tests.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][(lo >> 8 & 0xff) as usize]
+            ^ t[5][(lo >> 16 & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -229,11 +271,51 @@ mod tests {
         assert_eq!(record_line(payload), RecordLine::Garbage);
     }
 
+    /// One byte of the bitwise CRC-32 (IEEE, reflected): the definition,
+    /// one bit per step and no table.
+    fn crc32_bitwise_step(mut crc: u32, byte: u8) -> u32 {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+        }
+        crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        let bitwise = !b"123456789"
+            .iter()
+            .fold(!0, |c, &b| crc32_bitwise_step(c, b));
+        assert_eq!(bitwise, 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The table CRC equals the bitwise oracle on every length from 0 to
+    /// 4096 at every offset 0 to 8 of a seeded buffer, so each split into
+    /// eight-byte steps and a remainder is covered. The oracle runs once
+    /// per offset, its state after `len` bytes being the prefix's CRC.
+    #[test]
+    fn crc32_equals_the_bitwise_oracle() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let buf: Vec<u8> = (0..4096 + 9)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        for offset in 0..=8 {
+            let mut oracle = !0u32;
+            for len in 0..=4096 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(crc32(bytes), !oracle, "length {len} at offset {offset}");
+                oracle = crc32_bitwise_step(oracle, buf[offset + len]);
+            }
+        }
     }
 
     /// A bare JSON line, however well-formed, counts as loss next to a

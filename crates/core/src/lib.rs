@@ -53,7 +53,10 @@ mod sweep;
 mod tail;
 pub mod validate;
 
-pub use checkpoint::{checkpoint_line, checkpoint_status_line, decode_result, encode_result};
+pub use checkpoint::{
+    checkpoint_line, checkpoint_status_line, decode_result, encode_result, splice_checkpoint_line,
+    EncodedResult, RESULT_CODEC,
+};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use forensics::ForensicsConfig;
 pub use result::{Incident, RunOutcome, RunResult, StallReport};

@@ -11,6 +11,10 @@
 //! latest restorable record sits, not the record: fetching one is a
 //! re-read and re-verification of that single line.
 //!
+//! A tail [`born`](CheckpointTail::born) past lines its creator wrote as
+//! the file's first content starts with their spans and verdicts
+//! recorded, and never reads them.
+//!
 //! Once every configuration's verdict is durable nothing a reader needs
 //! can be appended any more, and [`seal`](CheckpointTail::seal) shrinks
 //! the tail to what the results stream needs: the spans of its lines.
@@ -134,6 +138,53 @@ impl CheckpointTail {
         }
     }
 
+    /// A tail already past `batch`, the lines its caller wrote as the
+    /// whole first content of `path`: one result record for configuration
+    /// `index` at each `(index, span)`, back to back from offset 0. The
+    /// tail knows them as a refresh would have found them, without reading
+    /// them: it starts past the batch with each span and its
+    /// [`Verdict::Result`] recorded.
+    ///
+    /// Sound only for a file nobody else can have appended to before the
+    /// batch ends: the campaign server creates a job's checkpoint
+    /// exclusively, holding the batch, before the job is published. Debug
+    /// builds read the batch back and assert that a refresh from offset 0
+    /// finds the same spans, verdicts and accounting.
+    pub fn born(
+        path: impl Into<PathBuf>,
+        labels: Vec<String>,
+        batch: &[(usize, LineSpan)],
+    ) -> CheckpointTail {
+        let mut tail = CheckpointTail::new(path, labels);
+        for &(index, span) in batch {
+            debug_assert_eq!(span.offset, tail.offset, "the batch is back to back");
+            tail.latest[index] = Some((Verdict::Result, span));
+            tail.result_lines.push(span);
+            tail.report.restored += 1;
+            tail.offset = span.offset + span.len as u64 + 1;
+        }
+        #[cfg(debug_assertions)]
+        if !batch.is_empty() {
+            tail.check_born();
+        }
+        tail
+    }
+
+    /// The debug check of [`born`](Self::born): a fresh tail fed the
+    /// file's first `offset` bytes knows what this one was told.
+    #[cfg(debug_assertions)]
+    fn check_born(&self) {
+        let bytes = std::fs::read(&self.path).unwrap_or_default();
+        let batch = usize::try_from(self.offset).expect("batch fits in memory");
+        assert!(bytes.len() >= batch, "the batch is on disk");
+        let mut read = CheckpointTail::new(&self.path, self.labels.clone());
+        read.consume(&bytes[..batch]);
+        assert_eq!(read.offset, self.offset, "born past the batch");
+        assert_eq!(read.result_lines, self.result_lines, "born spans");
+        assert_eq!(read.latest, self.latest, "born verdicts");
+        assert_eq!(read.report, self.report, "born accounting");
+    }
+
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -186,7 +237,14 @@ impl CheckpointTail {
         file.seek(SeekFrom::Start(self.offset))?;
         let mut fresh = Vec::with_capacity(usize::try_from(len - self.offset).unwrap_or(0));
         file.take(len - self.offset).read_to_end(&mut fresh)?;
+        self.consume(&fresh);
+        Ok(fresh.len() as u64)
+    }
 
+    /// Takes in `fresh`, the bytes of the file from the current offset
+    /// on: verifies every newline-terminated line and moves the offset
+    /// past the last one; an unterminated remainder is left unread.
+    fn consume(&mut self, fresh: &[u8]) {
         let sealed = fresh.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
         let mut damaged: Vec<String> = Vec::new();
         let mut at = self.offset;
@@ -242,7 +300,6 @@ impl CheckpointTail {
             let _ =
                 durable::append_line(&self.path.with_extension("quarantine"), &damaged.join("\n"));
         }
-        Ok(fresh.len() as u64)
     }
 
     /// A last [`refresh`](Self::refresh), after which the tail stops

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use flexsim::jsonio::{frame_record, parse, scan_records, Json, FRAME_MARK};
 use flexsim::{
     checkpoint_line, checkpoint_status_line, decode_result, read_results, run, CheckpointRestore,
-    CheckpointTail, RunConfig, RunResult, Verdict,
+    CheckpointTail, LineSpan, RunConfig, RunResult, Verdict,
 };
 use proptest::prelude::*;
 
@@ -403,4 +403,93 @@ fn sealed_tail_keeps_only_the_results_stream() {
         assert!(tail.record(index).is_none());
         assert_eq!(tail.verdict(index), None);
     }
+}
+
+/// A tail born past the batch its caller wrote knows that batch as a
+/// refresh from offset 0 would, without reading it; and after appended
+/// lines (a result, a `cancelled` status, a corrupt frame, a torn tail)
+/// it still agrees with a tail that read the whole file.
+#[test]
+fn born_tail_equals_a_tail_refreshed_from_offset_zero() {
+    let path = temp_file("born");
+    let labels = labels();
+    let base = template();
+    let mut batch = String::new();
+    let mut born = Vec::new();
+    for index in [0, 2, 3] {
+        let line = frame_record(&checkpoint_line(index, &labels[index], &base));
+        let span = LineSpan {
+            offset: batch.len() as u64,
+            len: line.len(),
+        };
+        born.push((index, span));
+        batch.push_str(&line);
+        batch.push('\n');
+    }
+    fs::write(&path, &batch).unwrap();
+    let mut tail = CheckpointTail::born(&path, labels.clone(), &born);
+
+    let agree = |tail: &CheckpointTail| {
+        let mut read = CheckpointTail::new(&path, labels.clone());
+        read.refresh().unwrap();
+        assert_eq!(tail.result_lines(), read.result_lines(), "result lines");
+        assert_eq!(tail.report(), read.report(), "accounting");
+        for index in 0..SLOTS {
+            assert_eq!(tail.verdict(index), read.verdict(index), "verdict {index}");
+            let digest = |t: &CheckpointTail| t.record(index).map(|r| r.map(|r| r.digest()));
+            assert_eq!(digest(tail), digest(&read), "record {index}");
+        }
+    };
+    agree(&tail);
+    assert_eq!(tail.refresh().unwrap(), 0, "the batch is not read again");
+
+    let result = frame_record(&checkpoint_line(1, &labels[1], &base));
+    let cancelled = frame_record(&checkpoint_status_line(4, &labels[4], false));
+    let mut corrupt = frame_record(&checkpoint_line(2, &labels[2], &base)).into_bytes();
+    let last = corrupt.len() - 2;
+    corrupt[last] ^= 0x01;
+    let mut appended = format!("{result}\n{cancelled}\n").into_bytes();
+    appended.extend_from_slice(&corrupt);
+    appended.push(b'\n');
+    appended.extend_from_slice(&result.as_bytes()[..result.len() / 2]);
+    append(&path, &appended);
+
+    assert_eq!(tail.refresh().unwrap(), appended.len() as u64);
+    agree(&tail);
+    assert_eq!(tail.verdict(1), Some(Verdict::Result));
+    assert_eq!(
+        tail.verdict(4),
+        Some(Verdict::Cancelled { timed_out: false })
+    );
+    assert_eq!(
+        tail.verdict(2),
+        Some(Verdict::Result),
+        "the batch record stands"
+    );
+    assert_eq!(tail.report().corrupt_frames, 1);
+    assert!(tail.report().torn_tail);
+    assert_eq!(
+        read_results(&path, tail.result_lines())
+            .unwrap()
+            .lines()
+            .count(),
+        4
+    );
+}
+
+/// Debug builds check a born tail against the bytes on disk: a batch
+/// claimed for the wrong index is caught at birth.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "born verdicts")]
+fn born_tail_with_a_wrong_index_fails_its_debug_check() {
+    let path = temp_file("born-wrong");
+    let labels = labels();
+    let line = frame_record(&checkpoint_line(0, &labels[0], &template()));
+    fs::write(&path, format!("{line}\n")).unwrap();
+    let span = LineSpan {
+        offset: 0,
+        len: line.len(),
+    };
+    CheckpointTail::born(&path, labels, &[(1, span)]);
 }

@@ -54,7 +54,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use flexsim::jsonio::{durable, frame_record, obj, Json};
-use flexsim::{checkpoint_line, read_results, ENGINE_VERSION};
+use flexsim::{read_results, splice_checkpoint_line, LineSpan, ENGINE_VERSION};
 
 use crate::cache::ResultCache;
 use crate::grid::SweepGrid;
@@ -350,6 +350,7 @@ fn load_job(shared: &Shared, jobs_dir: &Path, id: u64, unparseable: &mut BTreeSe
         grid.expand(),
         jobs_dir.join(format!("job-{id}.ckpt.jsonl")),
         grid.timeout_ms.map(Duration::from_millis),
+        &[],
     );
     let cancelled = job.ckpt.with_extension("cancel").exists();
     let tail = Arc::clone(&job.tail);
@@ -482,12 +483,14 @@ fn parse_id(s: &str) -> Result<u64, (u16, String)> {
 }
 
 /// `POST /jobs`. A job is born with its cache hits: every configuration
-/// is looked up before the job exists, the hits are framed as ordinary
-/// checkpoint records, and the job id is claimed by creating the job's
-/// checkpoint already holding that batch — one write, one fsync — before
-/// the grid file that makes the job visible to the fleet. Only the misses
-/// are queued for the workers (and their leases); a fully cached grid is
-/// `done` in the reply's first status.
+/// is looked up before the job exists, each hit's stored result text is
+/// spliced into an ordinary checkpoint record and framed, and the job id
+/// is claimed by creating the job's checkpoint already holding that batch
+/// — one write, one fsync — before the grid file that makes the job
+/// visible to the fleet. The job's tail is born past the batch, knowing
+/// its lines without reading them back. Only the misses are queued for
+/// the workers (and their leases); a fully cached grid is `done` in the
+/// reply's first status, and sealing it reads nothing.
 fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
     let text = std::str::from_utf8(body).map_err(|_| (400, "body is not UTF-8".to_string()))?;
     let grid = SweepGrid::from_json(text).map_err(|e| (400, format!("bad grid: {e}")))?;
@@ -496,17 +499,18 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
     let grid_json = grid.to_json().to_string();
 
     // Off the job-table lock: n file reads, and for each hit a record.
-    let mut hits = Vec::new();
+    let mut born = Vec::new();
     let mut batch = String::new();
     for (index, cfg) in configs.iter().enumerate() {
-        if let Some(result) = ctx.shared.cache.lookup(cfg) {
-            batch.push_str(&frame_record(&checkpoint_line(
-                index,
-                &cfg.label(),
-                &result,
-            )));
+        if let Some(text) = ctx.shared.cache.lookup(cfg) {
+            let line = frame_record(&splice_checkpoint_line(index, &cfg.label(), &text));
+            let span = LineSpan {
+                offset: batch.len() as u64,
+                len: line.len(),
+            };
+            batch.push_str(&line);
             batch.push('\n');
-            hits.push(index);
+            born.push((index, span));
         }
     }
 
@@ -531,14 +535,20 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
             Err(e) => return Err((500, format!("persisting job {id}: {e}"))),
         }
     };
+    // The checkpoint was created holding exactly `batch`: whatever a
+    // sibling appends once the grid file publishes the job lands after it.
     let mut job = Job::new(
         id,
         configs,
         ckpt,
         grid.timeout_ms.map(Duration::from_millis),
+        &born,
     );
     // Every config a hit: the job settles here and nowhere else.
-    let seal = ctx.shared.stats.count_settled(job.settle_hits(&hits));
+    let seal = ctx
+        .shared
+        .stats
+        .count_settled(job.settle_hits(born.iter().map(|&(index, _)| index)));
     let tail = Arc::clone(&job.tail);
     // Holding the lock since the id claim, nobody can have published it;
     // its checkpoint holds nothing but the hits.

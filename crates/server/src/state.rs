@@ -10,7 +10,7 @@
 //! lengthening the tail of the run.
 //!
 //! Results are never kept in memory: a completed unit is appended to its
-//! job's checkpoint file as a CRC-framed [`checkpoint_line`] via the
+//! job's checkpoint file as a CRC-framed [`flexsim::checkpoint_line`] via the
 //! durable append path, so `GET /jobs/:id/results` is a file read and a
 //! restarted server resumes through the job's [`CheckpointTail`] —
 //! digest-exact.
@@ -61,8 +61,8 @@ use std::time::Duration;
 
 use flexsim::jsonio::{durable, frame_record};
 use flexsim::{
-    checkpoint_line, checkpoint_status_line, run_supervised, CancelToken, CheckpointRestore,
-    CheckpointTail, RunConfig, RunResult, SweepError, Verdict,
+    checkpoint_status_line, run_supervised, splice_checkpoint_line, CancelToken, CheckpointRestore,
+    CheckpointTail, EncodedResult, LineSpan, RunConfig, SweepError, Verdict,
 };
 
 use crate::cache::ResultCache;
@@ -203,8 +203,17 @@ pub struct Job {
 }
 
 impl Job {
-    /// A job with every slot `Pending` and an unread checkpoint tail.
-    pub fn new(id: u64, configs: Vec<RunConfig>, ckpt: PathBuf, timeout: Option<Duration>) -> Job {
+    /// A job with every slot `Pending` and a checkpoint tail born past
+    /// `born`, the result lines the job's checkpoint was created holding
+    /// (see [`CheckpointTail::born`]; empty for a job found on disk, whose
+    /// tail starts at offset 0).
+    pub fn new(
+        id: u64,
+        configs: Vec<RunConfig>,
+        ckpt: PathBuf,
+        timeout: Option<Duration>,
+        born: &[(usize, LineSpan)],
+    ) -> Job {
         let n = configs.len();
         let labels = configs.iter().map(RunConfig::label).collect();
         Job {
@@ -215,7 +224,7 @@ impl Job {
                 pending: n,
                 ..Tally::default()
             },
-            tail: Arc::new(Mutex::new(CheckpointTail::new(&ckpt, labels))),
+            tail: Arc::new(Mutex::new(CheckpointTail::born(&ckpt, labels, born))),
             ckpt,
             recovered: CheckpointRestore::default(),
             cancel: CancelToken::new(),
@@ -269,14 +278,13 @@ impl Job {
     /// Settles `hits`, the slots whose cache hits the job was born with
     /// (`POST /jobs` writes them into its first checkpoint), `done:cached`.
     /// Returns `Some(seal)` if that settled the job.
-    pub fn settle_hits(&mut self, hits: &[usize]) -> Option<bool> {
+    pub fn settle_hits(&mut self, hits: impl IntoIterator<Item = usize>) -> Option<bool> {
         let hit = SlotState::Done {
             cached: true,
             restored: false,
         };
-        hits.iter().fold(None, |settled, &i| {
-            settled.or(self.set_slot(i, hit.clone()))
-        })
+        hits.into_iter()
+            .fold(None, |settled, i| settled.or(self.set_slot(i, hit.clone())))
     }
 
     /// The one step from disk to slots, which leaves a settled job alone.
@@ -343,19 +351,19 @@ impl Job {
         label: &str,
         record: Option<Verdict>,
         cancel: &CancelToken,
-        lookup: impl FnOnce() -> Option<RunResult>,
-        run: impl FnOnce() -> Result<RunResult, SweepError>,
+        lookup: impl FnOnce() -> Option<EncodedResult>,
+        run: impl FnOnce() -> Result<EncodedResult, SweepError>,
     ) -> Outcome {
         let kept = |state| Outcome {
             state,
             record: None,
         };
-        let result = |cached, r: &RunResult| Outcome {
+        let result = |cached, r: &EncodedResult| Outcome {
             state: SlotState::Done {
                 cached,
                 restored: false,
             },
-            record: Some((Verdict::Result, checkpoint_line(index, label, r))),
+            record: Some((Verdict::Result, splice_checkpoint_line(index, label, r))),
         };
         let stopped = |timed_out| Outcome {
             state: SlotState::Cancelled { timed_out },
@@ -599,12 +607,12 @@ impl Shared {
                     self.stats.sims_run.fetch_add(1, Ordering::Relaxed);
                     // The direct sweep's workers call the same function, so
                     // a served result is the direct result by construction.
-                    let ran = run_supervised(&cfg, &cancel, timeout);
-                    if let Ok(r) = &ran {
-                        // Best-effort: a failed store costs only a re-run.
-                        let _ = self.cache.store(&cfg, r);
-                    }
-                    ran
+                    // Encoded once: the cache entry and the checkpoint line
+                    // share the text.
+                    let text = EncodedResult::new(&run_supervised(&cfg, &cancel, timeout)?);
+                    // Best-effort: a failed store costs only a re-run.
+                    let _ = self.cache.store_encoded(&cfg, &text);
+                    Ok(text)
                 };
                 let lookup = || self.cache.lookup(&cfg);
                 Job::decide(unit.index, &cfg.label(), record, &cancel, lookup, run)
@@ -723,10 +731,11 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexsim::checkpoint_line;
 
     fn dummy_job(id: u64, slots: Vec<SlotState>) -> Job {
         let configs = vec![RunConfig::small_default(); slots.len()];
-        let mut job = Job::new(id, configs, PathBuf::from("/nonexistent"), None);
+        let mut job = Job::new(id, configs, PathBuf::from("/nonexistent"), None, &[]);
         for (index, slot) in slots.into_iter().enumerate() {
             job.set_slot(index, slot);
         }
@@ -880,11 +889,13 @@ mod tests {
     }
 
     /// A result for the cache and the runner to answer with.
-    fn result() -> RunResult {
-        static RESULT: std::sync::OnceLock<RunResult> = std::sync::OnceLock::new();
+    fn result() -> EncodedResult {
+        static RESULT: std::sync::OnceLock<EncodedResult> = std::sync::OnceLock::new();
         let mut cfg = RunConfig::small_default();
         (cfg.warmup, cfg.measure) = (0, 1);
-        RESULT.get_or_init(|| flexsim::run(&cfg)).clone()
+        RESULT
+            .get_or_init(|| EncodedResult::new(&flexsim::run(&cfg)))
+            .clone()
     }
 
     /// A 2-config job, what its checkpoint shows, and what the protocol
@@ -904,7 +915,7 @@ mod tests {
         fn new() -> World {
             let configs = vec![RunConfig::small_default(); 2];
             World {
-                job: Job::new(1, configs, PathBuf::from("/nonexistent"), None),
+                job: Job::new(1, configs, PathBuf::from("/nonexistent"), None, &[]),
                 queue: VecDeque::new(),
                 published: false,
                 records: [None; 2],
@@ -915,7 +926,7 @@ mod tests {
 
         /// An independent copy: its own job, with its own cancel token.
         fn fork(&self) -> World {
-            let mut job = Job::new(1, Vec::new(), PathBuf::new(), None);
+            let mut job = Job::new(1, Vec::new(), PathBuf::new(), None, &[]);
             job.configs.clone_from(&self.job.configs);
             (job.slots, job.counts) = (self.job.slots.clone(), self.job.counts);
             if self.job.cancel.is_cancelled() {
@@ -1182,7 +1193,7 @@ mod tests {
         ] {
             durable::append_line(&ckpt, &frame_record(&payload)).unwrap();
         }
-        let job = Job::new(1, configs, ckpt, None);
+        let job = Job::new(1, configs, ckpt, None, &[]);
         let tail = Arc::clone(&job.tail);
         shared.inner.lock().unwrap().jobs.insert(1, job);
 

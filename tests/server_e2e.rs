@@ -914,8 +914,10 @@ fn fully_cached_resubmission_is_done_at_submit_without_a_lease() {
         "a miss simulates under a lease"
     );
     let completed = client.stat(&["jobs", "completed"]).unwrap();
+    let cold_body = results_by_index(client, cold);
 
     let before = work_counters(client);
+    let read_before = client.stat(&["checkpoint", "bytes_read"]).unwrap();
     let id = client.submit(&grid).expect("resubmit");
     let (code, first) = http_request(client.addr, "GET", &format!("/jobs/{id}"), None).unwrap();
     assert_eq!(code, 200);
@@ -926,6 +928,16 @@ fn fully_cached_resubmission_is_done_at_submit_without_a_lease() {
     assert!(complete, "X-Job-Complete: true on the first fetch");
     assert_eq!(got, want, "served from the cache == the direct sweep");
     assert_eq!(deltas(before, work_counters(client)), [0, n, 0]);
+    assert_eq!(
+        client.stat(&["checkpoint", "bytes_read"]).unwrap(),
+        read_before,
+        "the job is born past its hits: sealing and serving it re-read nothing"
+    );
+    let body = results_by_index(client, id);
+    assert_eq!(
+        body, cold_body,
+        "each record is the cold job's, byte for byte"
+    );
 
     let ckpt = checkpoint_path(&dir, id);
     assert_eq!(full_line_count(&ckpt) as u64, n);
@@ -935,9 +947,37 @@ fn fully_cached_resubmission_is_done_at_submit_without_a_lease() {
     std::thread::sleep(Duration::from_millis(250));
     assert_eq!(client.stat(&["jobs", "completed"]).unwrap(), completed + 1);
     assert_eq!(full_line_count(&ckpt) as u64, n);
+    shutdown(client, handle);
+
+    // A restart reads the whole checkpoint and restores every slot from
+    // the records the job was born with.
+    let (client, handle) = Client::serve_local(&opts).expect("rebind");
+    let status = client.wait_done(id, SETTLE).expect("restored");
+    assert_eq!(status.get("restored").and_then(Json::as_u64), Some(n));
+    let recovered = status.get("checkpoint").and_then(|c| c.get("restored"));
+    assert_eq!(recovered.and_then(Json::as_u64), Some(n));
+    assert_eq!(
+        results_by_index(client, id),
+        body,
+        "the same bytes after a restart"
+    );
 
     shutdown(client, handle);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Job `id`'s results body as its lines keyed by index.
+fn results_by_index(client: Client, id: u64) -> std::collections::BTreeMap<u64, String> {
+    let (code, body) =
+        http_request(client.addr, "GET", &format!("/jobs/{id}/results"), None).unwrap();
+    assert_eq!(code, 200);
+    body.lines()
+        .map(|line| {
+            let v = parse(line).expect("a served line parses");
+            let index = v.get("index").and_then(Json::as_u64).expect("an index");
+            (index, line.to_string())
+        })
+        .collect()
 }
 
 /// A half-cached grid: the hits are settled at submit, the misses are

@@ -1,0 +1,141 @@
+#!/usr/bin/env bash
+# A/B benchmark of a parent revision against the worktree: builds the
+# unmodified `perfbench` of each, runs them in alternating pairs and
+# prints, per workload and end-to-end metric (both read from
+# BENCHMARK.json), the parent median, the change median, their ratio
+# (change / parent), the pairs the change won and the parent's
+# IQR / median.
+#
+#   tools/ab.sh PARENT [--pairs N] [--seconds S] [--workload W ...]
+#
+# Defaults: 10 pairs, 12 s per run, every workload. The parent is built
+# in a throwaway `git clone --shared` under $TMPDIR (removed on exit; the
+# checkout and its git metadata are left alone), the worktree in place.
+# One process runs at a time. Each pair gets a fresh random seed, used by
+# both sides, and a random first side, so neither build always runs
+# right after the other's previous workload. Progress and every run's
+# metrics go to stderr, the summary to stdout. A run that reports a
+# failed operation or an unstable digest is flagged in the summary.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+    echo "usage: tools/ab.sh PARENT [--pairs N] [--seconds S] [--workload W ...]" >&2
+    exit 2
+}
+[ $# -ge 1 ] || usage
+parent=$1
+shift
+pairs=10
+seconds=12
+workloads=()
+while [ $# -gt 0 ]; do
+    [ $# -ge 2 ] || usage
+    case $1 in
+        --pairs) pairs=$2 ;;
+        --seconds) seconds=$2 ;;
+        --workload) workloads+=("$2") ;;
+        *) usage ;;
+    esac
+    shift 2
+done
+[[ $pairs =~ ^[1-9][0-9]*$ && $seconds =~ ^[1-9][0-9]*$ ]] || usage
+sha=$(git rev-parse --verify --quiet "$parent^{commit}") ||
+    { echo "ab.sh: unknown revision '$parent'" >&2; exit 2; }
+if [ ${#workloads[@]} -eq 0 ]; then
+    # `{"name": "W", "why": ...}` lines of BENCHMARK.json.
+    mapfile -t workloads < <(awk -F'"' '/"name":/ && /"why":/ { print $4 }' BENCHMARK.json)
+fi
+# `{"name": "M", "unit": ..., "better": "higher|lower", "bound": ...}`:
+# the end-to-end metrics, as "M better M better ...".
+metrics=$(awk -F'"' '/"name":/ && /"bound":/ { printf "%s %s ", $4, $12 }' BENCHMARK.json)
+
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
+trap 'rm -rf "$tmp"' EXIT
+echo "ab.sh: building perfbench at ${sha:0:12} in $tmp/parent" >&2
+git clone --quiet --shared --no-checkout . "$tmp/parent"
+git -C "$tmp/parent" checkout --quiet --detach "$sha"
+declare -A bin
+for side in parent change; do
+    case $side in
+        parent) root=$tmp/parent ;;
+        change) root=$PWD ;;
+    esac
+    cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
+    bin[$side]=$root/benchmark/target/release/perfbench
+done
+
+# One line per run and metric: "workload pair side metric value", plus a
+# "workload pair side ok 0|1" line.
+runs=$tmp/runs
+: >"$runs"
+run() { # workload pair side seed
+    local out
+    out=$("${bin[$3]}" --workload "$1" --seed "$4" --seconds "$seconds" --trace 0) || true
+    awk -v w="$1" -v p="$2" -v s="$3" -v metrics="$metrics" '
+        BEGIN { n = split(metrics, m, " "); for (i = 1; i < n; i += 2) want[m[i]] = 1 }
+        $1 in want { print w, p, s, $1, $2 }
+        $1 == "attempted" { ok = ($4 == 0 && $8 == 1) }
+        END { print w, p, s, "ok", ok + 0 }' <<<"$out" | tee -a "$runs" >&2
+}
+for w in "${workloads[@]}"; do
+    for ((pair = 1; pair <= pairs; pair++)); do
+        seed=$((RANDOM * 32768 + RANDOM + 1000))
+        if ((RANDOM % 2)); then order="parent change"; else order="change parent"; fi
+        echo "ab.sh: $w pair $pair seed $seed, $order" >&2
+        for side in $order; do run "$w" "$pair" "$side" "$seed"; done
+    done
+done
+
+echo "parent ${sha:0:12} vs worktree: $pairs pairs, --seconds $seconds; ratio = change / parent"
+awk -v metrics="$metrics" '
+    function sort(a, n,    i, j, x) {
+        for (i = 2; i <= n; i++) {
+            x = a[i]
+            for (j = i - 1; j >= 1 && a[j] > x; j--) a[j + 1] = a[j]
+            a[j + 1] = x
+        }
+    }
+    function median(a, n) {
+        sort(a, n)
+        return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+    }
+    # Python statistics.quantiles(n=4), the exclusive method; sorted a.
+    function cut(a, n, i,    j, d) {
+        j = int(i * (n + 1) / 4)
+        if (j < 1) j = 1
+        if (j > n - 1) j = n - 1
+        d = i * (n + 1) - 4 * j
+        return (a[j] * (4 - d) + a[j + 1] * d) / 4
+    }
+    BEGIN {
+        k = split(metrics, m, " ")
+        for (i = 1; i < k; i += 2) { order[++nm] = m[i]; better[m[i]] = m[i + 1] }
+    }
+    $4 == "ok" { if (!$5) bad[$1] = bad[$1] " " $3 "@" $2; next }
+    { v[$1, $4, $3, $2] = $5; if (!($1 in seen)) { seen[$1] = 1; wl[++nw] = $1 }
+      if ($2 > pairs[$1]) pairs[$1] = $2 }
+    END {
+        printf "%-16s %-22s %12s %12s %7s %5s %10s\n", "workload", "metric", "parent", "change", "ratio", "won", "iqr/med"
+        for (i = 1; i <= nw; i++) {
+            w = wl[i]
+            for (j = 1; j <= nm; j++) {
+                met = order[j]; np = nc = won = both = 0
+                for (p = 1; p <= pairs[w]; p++) {
+                    hp = ((w, met, "parent", p) in v); hc = ((w, met, "change", p) in v)
+                    if (hp) a[++np] = v[w, met, "parent", p]
+                    if (hc) b[++nc] = v[w, met, "change", p]
+                    if (hp && hc) {
+                        both++
+                        x = v[w, met, "parent", p]; y = v[w, met, "change", p]
+                        if (better[met] == "higher" ? y > x : y < x) won++
+                    }
+                }
+                if (!np || !nc) continue
+                pm = median(a, np); cm = median(b, nc)
+                iqr = np > 1 ? cut(a, np, 3) - cut(a, np, 1) : 0
+                printf "%-16s %-22s %12.5g %12.5g %7.3f %2d/%-2d %10.3f\n", w, met, pm, cm, pm ? cm / pm : 0, won, both, pm ? iqr / pm : 0
+            }
+            if (w in bad) printf "%-16s failed or digest-unstable runs (side@pair):%s\n", w, bad[w]
+        }
+    }' "$runs"
