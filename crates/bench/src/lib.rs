@@ -1,14 +1,15 @@
 //! Fleet harness: real campaign-server processes, crashed on purpose.
 //!
 //! `repro chaos` and the root `tests/server_*.rs` suites exercise the
-//! campaign fleet through this module, so the
-//! fleet's crash properties — no result lost, damage detected and
-//! quarantined, the survivor digest-identical to a clean sweep — are
-//! stated once, in [`crash_storyline`] (and the cache's, in
-//! [`resubmission_storyline`]). The only thing a caller brings is how to
-//! start a member process: `repro` re-runs itself as `repro
-//! serve`, the chaos test re-runs its own test binary. See
-//! `src/bin/repro.rs` for the experiment harness.
+//! campaign fleet through this module, so the fleet's crash properties —
+//! no result lost, damage detected and quarantined, the survivor
+//! digest-identical to a clean sweep — are stated once, in
+//! [`crash_storyline`]. The only thing a caller brings is how to start a
+//! member process: `repro` re-runs itself as `repro serve`, the chaos
+//! test re-runs its own test binary. The cache's resubmission storyline
+//! and the checkpoint's per-slot record census are test-only and live in
+//! `tests/server_e2e.rs` and `tests/common`. See `src/bin/repro.rs` for
+//! the experiment harness.
 
 use std::io::Write;
 use std::net::SocketAddr;
@@ -187,42 +188,6 @@ pub fn settles_to(client: Client, id: u64, want: &[String]) -> Result<Json, Stri
     Ok(status)
 }
 
-/// The cache's properties on a fresh server: a first submission of `grid`
-/// simulates every config and streams digests identical to `want` (the
-/// direct sweep); an identical resubmission settles every slot from the
-/// cache with the same digests and not one new simulation.
-pub fn resubmission_storyline(
-    client: Client,
-    grid: &SweepGrid,
-    want: &[String],
-) -> Result<(), String> {
-    let n = want.len() as u64;
-    let count = |status: &Json, key: &str| status.get(key).and_then(Json::as_u64);
-
-    let first = settles_to(client, client.submit(grid)?, want)?;
-    same(
-        "first submission: completed",
-        count(&first, "completed"),
-        Some(n),
-    )?;
-    same("first submission: failed", count(&first, "failed"), Some(0))?;
-    same("first submission: sims_run", client.stat(&["sims_run"])?, n)?;
-
-    let second = settles_to(client, client.submit(grid)?, want)?;
-    same(
-        "resubmission: cached slots",
-        count(&second, "cached"),
-        Some(n),
-    )?;
-    same("resubmission: sims_run", client.stat(&["sims_run"])?, n)?;
-    let hits = client.stat(&["cache", "hits"])?;
-    same(
-        &format!("resubmission: {hits} cache hits cover {n} slots"),
-        hits >= n,
-        true,
-    )
-}
-
 /// Where the server keeps job `id`'s checkpoint under data dir `dir`.
 pub fn checkpoint_path(dir: &Path, id: u64) -> PathBuf {
     dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"))
@@ -234,19 +199,6 @@ pub fn full_line_count(ckpt: &Path) -> usize {
     let text = std::fs::read_to_string(ckpt).unwrap_or_default();
     let sealed = text.rfind('\n').map_or("", |end| &text[..end]);
     sealed.lines().filter(|l| !l.trim().is_empty()).count()
-}
-
-/// The slot index of every verified result record in the checkpoint, in
-/// file order: `0..n` exactly when each slot was recorded once and only
-/// once.
-pub fn result_indices(ckpt: &Path) -> Vec<u64> {
-    let text = std::fs::read_to_string(ckpt).unwrap_or_default();
-    flexsim::jsonio::scan_records(&text)
-        .values
-        .iter()
-        .filter(|(_, v)| v.get("result").is_some())
-        .filter_map(|(_, v)| v.get("index").and_then(Json::as_u64))
-        .collect()
 }
 
 /// Waits until the checkpoint holds at least `want` full lines.

@@ -8,19 +8,22 @@
 /// One plotted series: symbol, legend label, and (x, y) points.
 type Series = (char, String, Vec<(f64, f64)>);
 
+/// Plot-area width in characters.
+const WIDTH: usize = 64;
+/// Plot-area height in rows.
+const HEIGHT: usize = 16;
+
 /// A fixed-size scatter chart with one symbol per series.
 #[derive(Clone, Debug)]
 pub struct AsciiChart {
     title: String,
     x_label: String,
     y_label: String,
-    width: usize,
-    height: usize,
     series: Vec<Series>,
 }
 
 impl AsciiChart {
-    /// A chart with default terminal dimensions (64×16 plot area).
+    /// A chart with a 64×16 plot area.
     pub fn new(
         title: impl Into<String>,
         x_label: impl Into<String>,
@@ -30,18 +33,8 @@ impl AsciiChart {
             title: title.into(),
             x_label: x_label.into(),
             y_label: y_label.into(),
-            width: 64,
-            height: 16,
             series: Vec::new(),
         }
-    }
-
-    /// Overrides the plot-area size.
-    pub fn with_size(mut self, width: usize, height: usize) -> Self {
-        assert!(width >= 8 && height >= 4, "chart too small to render");
-        self.width = width;
-        self.height = height;
-        self
     }
 
     /// Adds a named series drawn with `symbol`.
@@ -53,11 +46,6 @@ impl AsciiChart {
     ) -> &mut Self {
         self.series.push((symbol, name.into(), points));
         self
-    }
-
-    /// Number of series added.
-    pub fn num_series(&self) -> usize {
-        self.series.len()
     }
 
     /// Renders the chart, or a placeholder when no finite data exists.
@@ -87,16 +75,15 @@ impl AsciiChart {
             y_max = y_min + 1.0;
         }
 
-        let mut grid = vec![vec![' '; self.width]; self.height];
+        let mut grid = vec![vec![' '; WIDTH]; HEIGHT];
         for (symbol, _, points) in &self.series {
             for &(x, y) in points {
                 if !x.is_finite() || !y.is_finite() {
                     continue;
                 }
-                let cx = ((x - x_min) / (x_max - x_min) * (self.width - 1) as f64).round() as usize;
-                let cy =
-                    ((y - y_min) / (y_max - y_min) * (self.height - 1) as f64).round() as usize;
-                let row = self.height - 1 - cy;
+                let cx = ((x - x_min) / (x_max - x_min) * (WIDTH - 1) as f64).round() as usize;
+                let cy = ((y - y_min) / (y_max - y_min) * (HEIGHT - 1) as f64).round() as usize;
+                let row = HEIGHT - 1 - cy;
                 let cell = &mut grid[row][cx];
                 *cell = if *cell == ' ' || *cell == *symbol {
                     *symbol
@@ -112,7 +99,7 @@ impl AsciiChart {
         for (i, row) in grid.iter().enumerate() {
             let label = if i == 0 {
                 format!("{:>9.3}", y_max)
-            } else if i == self.height - 1 {
+            } else if i == HEIGHT - 1 {
                 format!("{:>9.3}", y_min)
             } else {
                 " ".repeat(9)
@@ -123,14 +110,14 @@ impl AsciiChart {
         }
         out.push_str(&" ".repeat(ylab_w));
         out.push('+');
-        out.push_str(&"-".repeat(self.width));
+        out.push_str(&"-".repeat(WIDTH));
         out.push('\n');
         out.push_str(&format!(
             "{}{:<12.3}{:>w$.3}\n",
             " ".repeat(ylab_w),
             x_min,
             x_max,
-            w = self.width.saturating_sub(12).max(1)
+            w = WIDTH - 12
         ));
         out.push_str(&format!(
             "{}x: {}   y: {}\n",
@@ -185,7 +172,7 @@ mod tests {
 
     #[test]
     fn collisions_marked() {
-        let mut c = AsciiChart::new("overlap", "x", "y").with_size(8, 4);
+        let mut c = AsciiChart::new("overlap", "x", "y");
         c.series('o', "a", vec![(0.0, 0.0)]);
         c.series('+', "b", vec![(0.0, 0.0)]);
         assert!(c.render().contains('#'));
@@ -197,11 +184,5 @@ mod tests {
         c.series('o', "a", vec![(0.0, f64::INFINITY), (1.0, 2.0)]);
         let s = c.render();
         assert!(s.contains('o'));
-    }
-
-    #[test]
-    #[should_panic(expected = "too small")]
-    fn tiny_chart_rejected() {
-        let _ = AsciiChart::new("t", "x", "y").with_size(2, 2);
     }
 }

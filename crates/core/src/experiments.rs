@@ -868,8 +868,10 @@ mod tests {
             .iter()
             .map(|c| crate::RunResult::new(c.label(), c.load, 64, 0.5, c.sim.msg_len))
             .collect();
-        let chart = figure_chart(&exp, &results);
-        assert_eq!(chart.num_series(), 2);
+        let text = figure_chart(&exp, &results).render();
+        let keys = curve_keys(&exp);
+        assert_eq!(keys.len(), 2);
+        assert!(text.ends_with(&format!("legend: o {}  + {}\n", keys[0], keys[1])));
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl DeadlockIncident {
             .unwrap_or(self.cycle)
     }
 
-    /// The timeline of member `id`.
-    pub fn timeline_of(&self, id: u64) -> Option<&MemberTimeline> {
-        self.timelines.iter().find(|t| t.id == id)
-    }
-
     /// Knot-highlighted Graphviz rendering, titled with the config label
     /// and capture cycle.
     pub fn to_dot(&self) -> String {

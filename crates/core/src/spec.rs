@@ -182,7 +182,7 @@ mod tests {
     fn build_matches_spec() {
         let t = TopologySpec::torus(4, 3, false).build();
         assert_eq!(t.num_nodes(), 64);
-        assert!(!t.is_bidirectional());
+        assert_eq!(t.ports_per_node(), t.n(), "one port per dimension");
         let m = TopologySpec::mesh(5, 2).build();
         assert!(!m.is_torus());
     }

@@ -1,5 +1,5 @@
-//! Run-coupled validation: invariant torture harness, live differential
-//! oracle checks, and forensics-incident auditing.
+//! Run-coupled validation: the invariant-auditing run observer, live
+//! differential oracle checks, and forensics-incident auditing.
 //!
 //! The structure-only validation machinery (naive oracle, brute-force
 //! enumerator, random CWG generator, exhaustive small-world explorer)
@@ -13,10 +13,9 @@
 //!   differential check of the production verdict and analysis
 //!   (skipped and knot-free epochs included) against the
 //!   naive oracle and the brute-force enumerator, from the observer's own
-//!   capture of the live network.
-//! * [`torture`] / [`torture_regimes`] — long-horizon randomized runs on
-//!   **both** steppers with the observer attached, plus a digest
-//!   cross-check between them.
+//!   capture of the live network. The torture harness in
+//!   `tests/validation.rs` attaches it to long-horizon runs on **both**
+//!   steppers and cross-checks their digests.
 //! * [`random_config`] / [`campaign`] — seeded random [`RunConfig`]s
 //!   spanning topologies, routings, recoveries, and detection cadences,
 //!   each run under full observation.
@@ -48,7 +47,7 @@ use icn_topology::KAryNCube;
 use icn_traffic::{MsgLenDist, Pattern};
 
 use crate::forensics::{DeadlockIncident, IncidentStore};
-use crate::runner::{run_reference_with, run_with, EpochView, RunObserver};
+use crate::runner::{run_with, EpochView, RunObserver};
 use crate::spec::{RecoveryPolicy, RoutingSpec, TopologySpec};
 use crate::RunConfig;
 
@@ -70,7 +69,7 @@ pub fn divergence_repro_json(snap: &CwgSnapshot) -> String {
 
 /// A [`RunObserver`] auditing a live run against the §2 theory and the
 /// engine's own conservation laws. Attach with [`run_with`] (or
-/// [`run_reference_with`]); afterwards inspect
+/// [`run_reference_with`](crate::run_reference_with)); afterwards inspect
 /// [`violations`](Self::violations) — empty means every audited cycle and
 /// epoch passed.
 pub struct ValidationObserver {
@@ -308,200 +307,6 @@ impl RunObserver for ValidationObserver {
     }
 }
 
-/// Outcome of one observed run.
-#[derive(Clone, Debug)]
-pub struct TortureOutcome {
-    /// Config label.
-    pub label: String,
-    /// Which stepper drove the run.
-    pub stepper: &'static str,
-    /// Cycles / epochs audited and epochs with detected knots.
-    pub cycles: u64,
-    /// Detection epochs audited.
-    pub epochs: u64,
-    /// Epochs at which the production detector reported a knot.
-    pub deadlock_epochs: u64,
-    /// Audit failures (empty = pass).
-    pub violations: Vec<String>,
-    /// Minimized reproducer of the first oracle divergence, if any.
-    pub divergence_repro: Option<String>,
-}
-
-impl TortureOutcome {
-    /// True when the run passed every audit.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Runs `cfg` under full observation on **both** steppers and checks the
-/// two runs' results are byte-identical ([`crate::RunResult::digest`]).
-/// Returns one outcome per stepper; a digest mismatch is appended to both
-/// violation lists.
-pub fn torture(cfg: &RunConfig) -> Vec<TortureOutcome> {
-    let mut act = ValidationObserver::new(cfg);
-    let res_act = run_with(cfg, &mut act);
-    let mut dense = ValidationObserver::new(cfg);
-    let res_dense = run_reference_with(cfg, &mut dense);
-
-    let mut outcomes: Vec<TortureOutcome> = [("activity", act), ("dense", dense)]
-        .into_iter()
-        .map(|(stepper, obs)| TortureOutcome {
-            label: cfg.label(),
-            stepper,
-            cycles: obs.cycles,
-            epochs: obs.epochs,
-            deadlock_epochs: obs.deadlock_epochs,
-            violations: obs.violations,
-            divergence_repro: obs.divergence_repro,
-        })
-        .collect();
-    if res_act.digest() != res_dense.digest() {
-        for o in &mut outcomes {
-            o.violations
-                .push("stepper digest mismatch: activity != dense".to_string());
-        }
-    }
-    outcomes
-}
-
-/// The torture regimes: ≥ 8 qualitatively different operating points —
-/// deep saturation with recovery, oversaturated rings, deadlock-free
-/// avoidance baselines, non-minimal misrouting, no-recovery wedging,
-/// deep buffers (cut-through), and hybrid message lengths. `measure`
-/// scales the horizon; warmup stays short so the audit covers the
-/// transient too.
-pub fn torture_regimes(measure: u64) -> Vec<RunConfig> {
-    let base = RunConfig {
-        topology: TopologySpec::torus(4, 2, true),
-        warmup: 200,
-        measure,
-        detection_interval: 25,
-        ..RunConfig::paper_default()
-    };
-    let mut regimes = Vec::new();
-
-    // 1. Deep saturation on a unidirectional torus: DOR, 1 VC, the
-    // paper's canonical deadlock machine.
-    let mut r = base.clone();
-    r.topology = TopologySpec::torus(4, 2, false);
-    r.routing = RoutingSpec::Dor;
-    r.sim.vcs_per_channel = 1;
-    r.load = 1.0;
-    regimes.push(r);
-
-    // 2. TFAR at saturation with 2 VCs (knots form through adaptive
-    // request fans).
-    let mut r = base.clone();
-    r.routing = RoutingSpec::Tfar;
-    r.sim.vcs_per_channel = 2;
-    r.load = 1.1;
-    regimes.push(r);
-
-    // 3. Oversaturated unidirectional ring, youngest-victim recovery.
-    let mut r = base.clone();
-    r.topology = TopologySpec::torus(8, 1, false);
-    r.routing = RoutingSpec::Dor;
-    r.sim.vcs_per_channel = 2;
-    r.load = 1.2;
-    r.recovery = RecoveryPolicy::RemoveYoungest;
-    regimes.push(r);
-
-    // 4. Dateline avoidance at capacity: must stay knot-free throughout.
-    let mut r = base.clone();
-    r.routing = RoutingSpec::DatelineDor;
-    r.sim.vcs_per_channel = 2;
-    r.load = 1.0;
-    regimes.push(r);
-
-    // 5. West-first turn model on a mesh.
-    let mut r = base.clone();
-    r.topology = TopologySpec::mesh(4, 2);
-    r.routing = RoutingSpec::WestFirst;
-    r.sim.vcs_per_channel = 1;
-    r.load = 0.9;
-    regimes.push(r);
-
-    // 6. Duato's protocol at capacity (adaptive + escape VCs).
-    let mut r = base.clone();
-    r.routing = RoutingSpec::Duato;
-    r.sim.vcs_per_channel = 3;
-    r.load = 1.0;
-    regimes.push(r);
-
-    // 7. Non-minimal misrouting under pressure (hop-minimality audit
-    // relaxes to >= distance).
-    let mut r = base.clone();
-    r.routing = RoutingSpec::Misroute { budget: 2 };
-    r.sim.vcs_per_channel = 2;
-    r.load = 1.0;
-    regimes.push(r);
-
-    // 8. No recovery: the network wedges and stays wedged; detection,
-    // conservation, and the oracle keep auditing the frozen state.
-    let mut r = base.clone();
-    r.topology = TopologySpec::torus(4, 2, false);
-    r.routing = RoutingSpec::Tfar;
-    r.sim.vcs_per_channel = 1;
-    r.load = 1.1;
-    r.recovery = RecoveryPolicy::None;
-    regimes.push(r);
-
-    // 9. Deep buffers (virtual cut-through) at saturation: settled-chain
-    // snapshots shrink to the header neighbourhood.
-    let mut r = base.clone();
-    r.topology = TopologySpec::torus(4, 2, false);
-    r.routing = RoutingSpec::Dor;
-    r.sim.vcs_per_channel = 1;
-    r.sim.buffer_depth = 32;
-    r.load = 1.0;
-    regimes.push(r);
-
-    // 10. Hybrid message lengths with every-epoch cycle census.
-    let mut r = base.clone();
-    r.routing = RoutingSpec::Tfar;
-    r.sim.vcs_per_channel = 1;
-    r.len_dist = MsgLenDist::Bimodal {
-        short: 4,
-        long: 32,
-        long_frac: 0.3,
-    };
-    r.load = 1.0;
-    r.count_cycles_every = Some(2);
-    regimes.push(r);
-
-    // 11. Transient link flaps under saturation: several outage windows
-    // land mid-run while TFAR routes around them; conservation must
-    // balance modulo counted fault losses, and recovery must stay live
-    // on the knots the disruption induces.
-    let mut r = base.clone();
-    r.routing = RoutingSpec::Tfar;
-    r.sim.vcs_per_channel = 2;
-    r.load = 1.1;
-    let span = 200 + measure;
-    r.faults
-        .link_outage(0, span / 8, span / 4)
-        .link_outage(5, span / 3, span / 2)
-        .link_outage(11, span / 2, (span * 3) / 4);
-    regimes.push(r);
-
-    // 12. Permanent link kill with TFAR reroute: one channel dies early
-    // and stays dead; surviving traffic reroutes adaptively, traffic
-    // caught on the channel is dropped as counted fault loss, and a
-    // router stall adds a frozen-node episode on top.
-    let mut r = base;
-    r.routing = RoutingSpec::Tfar;
-    r.sim.vcs_per_channel = 2;
-    r.load = 1.0;
-    r.faults
-        .link_kill(250, 7)
-        .node_stall(400, 3, 60)
-        .injector_down(500, 9, 80);
-    regimes.push(r);
-
-    regimes
-}
-
 /// Deterministically draws one randomized [`RunConfig`] from `seed`:
 /// topology, routing relation (with a VC count satisfying its minimum),
 /// buffers, lengths, load, pattern, detection cadence and recovery policy
@@ -668,19 +473,6 @@ mod tests {
         run_with(&cfg, &mut obs);
         assert!(obs.ok(), "violations: {:?}", obs.violations);
         assert!(obs.deadlock_epochs > 0, "regime must actually deadlock");
-    }
-
-    #[test]
-    fn torture_regimes_cover_the_required_breadth() {
-        let regimes = torture_regimes(1_000);
-        assert!(regimes.len() >= 8);
-        // Deep saturation with recovery is present.
-        assert!(regimes
-            .iter()
-            .any(|r| r.load >= 1.0 && r.recovery != RecoveryPolicy::None));
-        // Every label is distinct (genuinely different regimes).
-        let labels: HashSet<String> = regimes.iter().map(|r| r.label()).collect();
-        assert_eq!(labels.len(), regimes.len());
     }
 
     /// Every config drawn here — seeds `0..32` and the 16 that `repro

@@ -62,7 +62,11 @@ fn capture_records_cwg_timelines_and_formation_stats() {
         let members = inc.members();
         assert!(!members.is_empty());
         for &m in &members {
-            let tl = inc.timeline_of(m).expect("member timeline");
+            let tl = inc
+                .timelines
+                .iter()
+                .find(|t| t.id == m)
+                .expect("member timeline");
             assert!(tl.injected_at().is_some());
             let (block_cycle, _, _) = tl.final_block().expect("member must have blocked");
             assert!(block_cycle <= inc.cycle);

@@ -69,9 +69,8 @@
 //! non-empty ⟺ knot. The exact deadlock sets come from analysing
 //! [`graph`](DynamicWaitGraph::graph): the runner, on a knot epoch, runs
 //! [`WaitGraph::analyze_with`] on it and breaks each knot it finds with one
-//! victim, which leaves no knot;
-//! [`diff_against_snapshot`](DynamicWaitGraph::diff_against_snapshot) and
-//! the lockstep tests compare [`WaitGraph::knot_deadlock_sets`].
+//! victim, which leaves no knot; the lockstep tests compare its records
+//! and [`WaitGraph::knot_deadlock_sets`] with a fresh build's.
 //!
 //! # Update protocol
 //!
@@ -91,7 +90,6 @@
 //! one kept: the runner settles an unchanged epoch from it rather than
 //! remembering the previous epoch's answer itself.
 
-use crate::analysis::DetectorScratch;
 use crate::graph::{MessageId, VertexId, WaitGraph};
 use crate::idmap::mix;
 
@@ -340,66 +338,6 @@ impl DynamicWaitGraph {
         true // survivors form a core
     }
 
-    /// Compares this incrementally maintained state against a freshly
-    /// built full-snapshot [`WaitGraph`], returning human-readable
-    /// mismatches (empty = lockstep). The full graph also carries moving
-    /// messages; agreement is defined on the blocked subset plus the knot
-    /// verdict.
-    pub fn diff_against_snapshot(&self, full: &WaitGraph) -> Vec<String> {
-        let mut out = Vec::new();
-        // Every blocked message of the snapshot (non-empty requests) must
-        // be tracked verbatim. Blocked messages with empty request sets
-        // are indistinguishable from moving ones in the bare graph; the
-        // fingerprint equality in the engine-level tests covers those.
-        for m in full.blocked_messages() {
-            match self.graph.record(m) {
-                None => out.push(format!("blocked message {m} missing from dynamic state")),
-                Some((chain, requests)) => {
-                    if full.chain(m) != Some(chain) {
-                        out.push(format!(
-                            "message {m} chain: snapshot={:?} dynamic={chain:?}",
-                            full.chain(m),
-                        ));
-                    }
-                    if full.requests_of(m) != Some(requests) {
-                        out.push(format!(
-                            "message {m} requests: snapshot={:?} dynamic={requests:?}",
-                            full.requests_of(m),
-                        ));
-                    }
-                }
-            }
-        }
-        for m in self.graph.blocked_messages() {
-            if full.requests_of(m).is_none() {
-                out.push(format!(
-                    "dynamic tracks {m} but the snapshot does not block it"
-                ));
-            }
-        }
-        // Verdicts must agree set-for-set (order-independently).
-        let mut scratch = DetectorScratch::new();
-        let sorted = |sets: Vec<Vec<MessageId>>| {
-            let mut sets: Vec<Vec<MessageId>> = sets
-                .into_iter()
-                .map(|mut s| {
-                    s.sort_unstable();
-                    s
-                })
-                .collect();
-            sets.sort_unstable();
-            sets
-        };
-        let want = sorted(full.knot_deadlock_sets(&mut scratch));
-        let got = sorted(self.graph.knot_deadlock_sets(&mut scratch));
-        if want != got {
-            out.push(format!(
-                "knot deadlock sets: snapshot={want:?} dynamic={got:?}"
-            ));
-        }
-        out
-    }
-
     /// Verifies the store's invariants from scratch, and a cached verdict
     /// against a naive reduction (tests; O(state)).
     pub fn check_invariants(&self) {
@@ -436,19 +374,28 @@ impl DynamicWaitGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::DetectorScratch;
 
-    /// Builds the Figure-1 ring both ways and checks lockstep.
-    fn figure1_full() -> WaitGraph {
-        let mut g = WaitGraph::new(10);
-        g.add_chain(1, &[1, 2]);
-        g.add_chain(2, &[3, 4, 5]);
-        g.add_chain(3, &[6, 7, 0]);
-        g.add_chain(4, &[8]); // moving
-        g.add_chain(5, &[9]); // moving
-        g.add_requests(1, &[3]);
-        g.add_requests(2, &[6]);
-        g.add_requests(3, &[1]);
-        g
+    /// Checks that `d` holds exactly the Figure-1 ring's three blocked
+    /// records, which form one knot.
+    fn assert_figure1(d: &DynamicWaitGraph) {
+        let mut records: Vec<_> = d
+            .graph()
+            .records()
+            .map(|(id, chain, requests)| (id, chain.to_vec(), requests.to_vec()))
+            .collect();
+        records.sort();
+        assert_eq!(
+            records,
+            [
+                (1, vec![1, 2], vec![3]),
+                (2, vec![3, 4, 5], vec![6]),
+                (3, vec![6, 7, 0], vec![1]),
+            ]
+        );
+        let mut sets = d.graph().knot_deadlock_sets(&mut DetectorScratch::new());
+        sets.iter_mut().for_each(|s| s.sort_unstable());
+        assert_eq!(sets, [vec![1, 2, 3]]);
     }
 
     fn stage_figure1(d: &mut DynamicWaitGraph) {
@@ -465,11 +412,7 @@ mod tests {
         d.check_invariants();
         assert_eq!(d.num_blocked(), 3);
         assert!(d.has_knot());
-        assert_eq!(
-            d.graph().knot_deadlock_sets(&mut DetectorScratch::new()),
-            [vec![1, 2, 3]]
-        );
-        assert!(d.diff_against_snapshot(&figure1_full()).is_empty());
+        assert_figure1(&d);
     }
 
     #[test]
@@ -601,7 +544,7 @@ mod tests {
             }
             d.commit();
             d.check_invariants();
-            assert!(d.diff_against_snapshot(&figure1_full()).is_empty());
+            assert_figure1(&d);
             assert!(d.has_knot());
         }
     }
@@ -636,7 +579,7 @@ mod tests {
         assert!(d.commit());
         d.check_invariants();
         assert!(d.has_knot());
-        assert!(d.diff_against_snapshot(&figure1_full()).is_empty());
+        assert_figure1(&d);
     }
 
     #[test]

@@ -305,20 +305,10 @@ impl WaitGraph {
         self.record(msg).map(|(chain, _)| chain)
     }
 
-    /// Request targets of `msg`, if it is blocked.
-    pub fn requests_of(&self, msg: MessageId) -> Option<&[VertexId]> {
-        self.record(msg)
-            .and_then(|(_, requests)| (!requests.is_empty()).then_some(requests))
-    }
-
-    /// Messages with registered requests (the blocked messages).
-    pub fn blocked_messages(&self) -> impl Iterator<Item = MessageId> + '_ {
-        self.msgs.iter().filter(|e| e.req_len > 0).map(|e| e.id)
-    }
-
     /// `(id, chain, requests)` of every record, in slot order (a record's
-    /// slot is its position), straight from the record table.
-    pub(crate) fn records(
+    /// slot is its position), straight from the record table. A blocked
+    /// message's requests are non-empty.
+    pub fn records(
         &self,
     ) -> impl ExactSizeIterator<Item = (MessageId, &[VertexId], &[VertexId])> + '_ {
         self.msgs
@@ -329,11 +319,6 @@ impl WaitGraph {
     /// Number of blocked messages in the snapshot. O(1).
     pub fn num_blocked(&self) -> usize {
         self.blocked
-    }
-
-    /// All registered messages (owners of at least one vertex).
-    pub fn messages(&self) -> impl Iterator<Item = MessageId> + '_ {
-        self.msgs.iter().map(|e| e.id)
     }
 
     /// Verifies the store against a fresh build of its own records (tests;
@@ -378,6 +363,13 @@ impl Adjacency for WaitGraph {
 mod tests {
     use super::*;
 
+    /// Request targets of `msg`, if it is blocked.
+    fn requests(g: &WaitGraph, msg: MessageId) -> Option<&[VertexId]> {
+        g.record(msg)
+            .map(|(_, requests)| requests)
+            .filter(|r| !r.is_empty())
+    }
+
     #[test]
     fn chain_adds_solid_edges() {
         let mut g = WaitGraph::new(4);
@@ -400,7 +392,7 @@ mod tests {
         assert_eq!(g.neighbors(1), &[3, 4]);
         assert_eq!(g.owner(1), Some(7));
         assert_eq!(g.num_blocked(), 1);
-        assert_eq!(g.requests_of(7), Some(&[3, 4][..]));
+        assert_eq!(requests(&g, 7), Some(&[3, 4][..]));
     }
 
     #[test]
@@ -463,7 +455,7 @@ mod tests {
         g.add_chain(1, &[1, 2]);
         g.add_requests(1, &[0]);
         assert_eq!(g.chain(1), Some(&[1, 2][..]));
-        assert_eq!(g.requests_of(1), Some(&[0][..]));
+        assert_eq!(requests(&g, 1), Some(&[0][..]));
     }
 
     #[test]
@@ -503,8 +495,8 @@ mod tests {
             assert_eq!(g.owner(v), fresh.owner(v), "vertex {v} owner diverges");
         }
         assert_eq!(g.num_blocked(), fresh.num_blocked());
-        assert_eq!(g.requests_of(1), None);
-        assert_eq!(g.requests_of(2), Some(&[0][..]));
+        assert_eq!(requests(&g, 1), None);
+        assert_eq!(requests(&g, 2), Some(&[0][..]));
     }
 
     #[test]

@@ -27,14 +27,11 @@ mod frozen {
     /// order, then each blocked head's dashed arcs in request order.
     pub fn adjacency(g: &WaitGraph) -> Vec<Vec<VertexId>> {
         let mut adj = vec![Vec::new(); g.num_vertices()];
-        for m in g.messages() {
-            let chain = g.chain(m).expect("a registered message has a chain");
+        for (_, chain, reqs) in g.records() {
             for w in chain.windows(2) {
                 adj[w[0] as usize].push(w[1]);
             }
-            if let Some(reqs) = g.requests_of(m) {
-                adj[*chain.last().expect("chains are non-empty") as usize].extend_from_slice(reqs);
-            }
+            adj[*chain.last().expect("chains are non-empty") as usize].extend_from_slice(reqs);
         }
         adj
     }
@@ -251,11 +248,10 @@ mod frozen {
                     }
                 }
             }
-            for msg in g.blocked_messages() {
+            for (msg, _, reqs) in g.records().filter(|(_, _, reqs)| !reqs.is_empty()) {
                 if deadlocked_msgs.contains(&msg) {
                     continue;
                 }
-                let reqs = g.requests_of(msg).unwrap();
                 let hits = reqs.iter().filter(|&&t| reaches_knot[t as usize]).count();
                 if hits == 0 {
                     continue;
@@ -461,7 +457,10 @@ proptest! {
                 prop_assert_eq!(reused.neighbors(v), adj[v as usize].as_slice(), "vertex {}", v);
             }
             // Leave a removed victim behind for the next epoch's reset.
-            let first_blocked = reused.blocked_messages().next();
+            let first_blocked = reused
+                .records()
+                .find(|(_, _, reqs)| !reqs.is_empty())
+                .map(|(m, _, _)| m);
             if let Some(m) = first_blocked {
                 reused.remove_requests(m);
             }

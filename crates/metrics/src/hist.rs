@@ -124,17 +124,6 @@ impl Histogram {
             buckets,
         })
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,20 +171,6 @@ mod tests {
         let q99 = h.quantile(0.99);
         assert!(q10 <= q50 && q50 <= q99);
         assert!((255..=1023).contains(&q50), "median bucket bound {q50}");
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(7);
-        b.record(1);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 13);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 7);
     }
 
     #[test]

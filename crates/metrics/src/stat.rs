@@ -1,6 +1,8 @@
-//! Running mean / variance.
+//! Running mean.
 
-/// Welford's online mean and variance over `f64` samples.
+/// Welford's online mean over `f64` samples. Its M2 sum of squared
+/// deviations is kept and encoded with the mean, so a decoded accumulator
+/// continues exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Mean {
     n: u64,
@@ -37,20 +39,6 @@ impl Mean {
         }
     }
 
-    /// Population variance, or 0.0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Serializes the accumulator state: `n`, then the running mean and
     /// M2 as `f64` bit patterns. Lossless counterpart of [`Mean::decode`].
     pub fn encode(&self) -> [u64; 3] {
@@ -71,10 +59,19 @@ impl Mean {
 mod tests {
     use super::*;
 
+    /// Population variance, or 0.0 with fewer than two samples.
+    fn variance(m: &Mean) -> f64 {
+        if m.n < 2 {
+            0.0
+        } else {
+            m.m2 / m.n as f64
+        }
+    }
+
     #[test]
     fn empty_mean_zero() {
         assert_eq!(Mean::new().mean(), 0.0);
-        assert_eq!(Mean::new().variance(), 0.0);
+        assert_eq!(variance(&Mean::new()), 0.0);
     }
 
     #[test]
@@ -84,8 +81,7 @@ mod tests {
             m.record(x);
         }
         assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 4.0).abs() < 1e-12);
-        assert!((m.std_dev() - 2.0).abs() < 1e-12);
+        assert!((variance(&m) - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -93,7 +89,7 @@ mod tests {
         let mut m = Mean::new();
         m.record(3.5);
         assert_eq!(m.mean(), 3.5);
-        assert_eq!(m.variance(), 0.0);
+        assert_eq!(variance(&m), 0.0);
         assert_eq!(m.count(), 1);
     }
 }

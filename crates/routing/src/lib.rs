@@ -42,7 +42,7 @@ pub use negative_first::NegativeFirst;
 pub use tfar::Tfar;
 pub use turn::WestFirst;
 
-use icn_topology::{KAryNCube, NodeId};
+use icn_topology::KAryNCube;
 
 /// A routing relation: supplies candidate (channel, VC-set) pairs.
 pub trait RoutingAlgorithm: Send + Sync {
@@ -64,15 +64,15 @@ pub trait RoutingAlgorithm: Send + Sync {
 
 /// Validates that an algorithm is *minimal* and *connected* on a topology:
 /// every candidate strictly decreases the distance to the destination, and
-/// at least one candidate exists whenever current ≠ destination.
-///
-/// Used by tests and available to downstream callers wiring up custom
-/// configurations.
-pub fn check_minimal_connected(
+/// at least one candidate exists whenever current ≠ destination (the
+/// relations' own tests).
+#[cfg(test)]
+pub(crate) fn check_minimal_connected(
     algo: &dyn RoutingAlgorithm,
     topo: &KAryNCube,
     vcs: usize,
 ) -> Result<(), String> {
+    use icn_topology::NodeId;
     let mut out = Vec::new();
     for cur in 0..topo.num_nodes() as u32 {
         for dst in 0..topo.num_nodes() as u32 {

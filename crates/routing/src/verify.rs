@@ -180,40 +180,22 @@ pub fn subgraph(adj: &[Vec<u32>], keep: impl Fn(u32) -> bool) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Statically verifies that `algo` is deadlock-free on `topo` by the
-/// acyclic-dependency sufficient condition. `Err` carries a description;
-/// note that relations relying on escape layers (Duato) legitimately fail
-/// this whole-graph test — check their escape [`subgraph`] instead.
-pub fn verify_acyclic(
-    algo: &dyn RoutingAlgorithm,
-    topo: &KAryNCube,
-    vcs: usize,
-) -> Result<(), String> {
-    let adj = channel_dependency_graph(algo, topo, vcs);
-    if has_cycle(&adj) {
-        Err(format!(
-            "{} has cyclic channel dependencies on {}-ary {}-cube ({} VCs)",
-            algo.name(),
-            topo.k(),
-            topo.n(),
-            vcs
-        ))
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DatelineDor, Dor, DuatoFar, NegativeFirst, Tfar, WestFirst};
 
+    /// The acyclic-dependency sufficient condition for deadlock freedom.
+    fn acyclic(algo: &dyn RoutingAlgorithm, topo: &KAryNCube, vcs: usize) -> bool {
+        !has_cycle(&channel_dependency_graph(algo, topo, vcs))
+    }
+
     #[test]
     fn dor_on_torus_is_cyclic() {
         let t = KAryNCube::torus(4, 2, true);
-        assert!(verify_acyclic(&Dor, &t, 1).is_err());
+        assert!(!acyclic(&Dor, &t, 1));
         let uni = KAryNCube::torus(4, 1, false);
-        assert!(verify_acyclic(&Dor, &uni, 1).is_err());
+        assert!(!acyclic(&Dor, &uni, 1));
     }
 
     #[test]
@@ -221,32 +203,32 @@ mod tests {
         // The classic result: dimension-order routing is deadlock-free on
         // meshes (no wraparound to close the ring cycles).
         let m = KAryNCube::mesh(4, 2);
-        verify_acyclic(&Dor, &m, 1).unwrap();
-        verify_acyclic(&Dor, &KAryNCube::mesh(3, 3), 2).unwrap();
+        assert!(acyclic(&Dor, &m, 1));
+        assert!(acyclic(&Dor, &KAryNCube::mesh(3, 3), 2));
     }
 
     #[test]
     fn tfar_is_cyclic_everywhere_interesting() {
-        assert!(verify_acyclic(&Tfar, &KAryNCube::torus(4, 2, true), 1).is_err());
-        assert!(verify_acyclic(&Tfar, &KAryNCube::torus(4, 2, true), 4).is_err());
+        assert!(!acyclic(&Tfar, &KAryNCube::torus(4, 2, true), 1));
+        assert!(!acyclic(&Tfar, &KAryNCube::torus(4, 2, true), 4));
         // Even on a mesh, unrestricted adaptivity creates turn cycles.
-        assert!(verify_acyclic(&Tfar, &KAryNCube::mesh(4, 2), 1).is_err());
+        assert!(!acyclic(&Tfar, &KAryNCube::mesh(4, 2), 1));
     }
 
     #[test]
     fn dateline_dor_is_acyclic_on_tori() {
-        verify_acyclic(&DatelineDor, &KAryNCube::torus(4, 2, true), 2).unwrap();
-        verify_acyclic(&DatelineDor, &KAryNCube::torus(5, 2, true), 2).unwrap();
-        verify_acyclic(&DatelineDor, &KAryNCube::torus(4, 1, false), 2).unwrap();
-        verify_acyclic(&DatelineDor, &KAryNCube::torus(3, 3, true), 2).unwrap();
+        assert!(acyclic(&DatelineDor, &KAryNCube::torus(4, 2, true), 2));
+        assert!(acyclic(&DatelineDor, &KAryNCube::torus(5, 2, true), 2));
+        assert!(acyclic(&DatelineDor, &KAryNCube::torus(4, 1, false), 2));
+        assert!(acyclic(&DatelineDor, &KAryNCube::torus(3, 3, true), 2));
     }
 
     #[test]
     fn turn_models_are_acyclic_on_meshes() {
-        verify_acyclic(&WestFirst, &KAryNCube::mesh(5, 2), 1).unwrap();
-        verify_acyclic(&NegativeFirst, &KAryNCube::mesh(5, 2), 1).unwrap();
-        verify_acyclic(&NegativeFirst, &KAryNCube::mesh(3, 3), 1).unwrap();
-        verify_acyclic(&NegativeFirst, &KAryNCube::hypercube(4), 1).unwrap();
+        assert!(acyclic(&WestFirst, &KAryNCube::mesh(5, 2), 1));
+        assert!(acyclic(&NegativeFirst, &KAryNCube::mesh(5, 2), 1));
+        assert!(acyclic(&NegativeFirst, &KAryNCube::mesh(3, 3), 1));
+        assert!(acyclic(&NegativeFirst, &KAryNCube::hypercube(4), 1));
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl SimConfig {
         }
         Ok(())
     }
-
-    /// True when a whole message fits in a single VC buffer (virtual
-    /// cut-through switching).
-    pub fn is_cut_through(&self) -> bool {
-        self.buffer_depth >= self.msg_len
-    }
 }
 
 #[cfg(test)]
@@ -76,16 +70,6 @@ mod tests {
         c.check().unwrap();
         assert_eq!(c.msg_len, 32);
         assert_eq!(c.buffer_depth, 2);
-        assert!(!c.is_cut_through());
-    }
-
-    #[test]
-    fn cut_through_detection() {
-        let c = SimConfig {
-            buffer_depth: 32,
-            ..Default::default()
-        };
-        assert!(c.is_cut_through());
     }
 
     #[test]

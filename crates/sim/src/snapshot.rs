@@ -32,7 +32,7 @@
 //! wait-for record, which this crate does not depend on.
 
 use crate::message::MsgPhase;
-use crate::network::{compute_candidates, ctx_of, Network, NO_OWNER};
+use crate::network::{compute_candidates, ctx_of, Network};
 use crate::MessageId;
 use icn_routing::Candidate;
 use icn_topology::ChannelId;
@@ -425,11 +425,5 @@ impl Network {
         self.wait_dirty.compacted = 0;
         self.wait_cand = cand_buf;
         self.wait_buf = out;
-    }
-
-    /// Whether any VC of `ch` is currently owned (test helper).
-    pub fn channel_busy(&self, ch: ChannelId) -> bool {
-        let base = ch.idx() * self.vcs_per();
-        (0..self.vcs_per()).any(|v| self.vc_owner[base + v] != NO_OWNER)
     }
 }

@@ -71,15 +71,6 @@ impl Direction {
             Direction::Minus => 1,
         }
     }
-
-    /// The opposite direction.
-    #[inline]
-    pub fn opposite(self) -> Direction {
-        match self {
-            Direction::Plus => Direction::Minus,
-            Direction::Minus => Direction::Plus,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,13 +81,6 @@ mod tests {
     fn ids_format_compactly() {
         assert_eq!(format!("{:?}", NodeId(3)), "n3");
         assert_eq!(format!("{}", ChannelId(17)), "c17");
-    }
-
-    #[test]
-    fn direction_opposite_is_involution() {
-        assert_eq!(Direction::Plus.opposite(), Direction::Minus);
-        assert_eq!(Direction::Minus.opposite(), Direction::Plus);
-        assert_eq!(Direction::Plus.opposite().opposite(), Direction::Plus);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Geometry is tabulated, not computed: every node's coordinates and every
 //! channel's wraparound flag are stored when the network is built, so the
-//! routing hot path (`routing_offset`, `distance`, `neighbor`,
-//! `is_wraparound`) reads memory instead of dividing by `k`. The tables
-//! are filled in the same single pass that numbers the channels, with an
-//! odometer for the coordinates and `node ± stride` for the neighbours, so
-//! building them costs no division either.
+//! routing hot path (`routing_offset`, `distance`, `is_wraparound`) reads
+//! memory instead of dividing by `k`. The tables are filled in the same
+//! single pass that numbers the channels, with an odometer for the
+//! coordinates and `node ± stride` for the neighbours, so building them
+//! costs no division either.
 
 use crate::{ChannelId, Coords, Direction, NodeId, MAX_DIMS};
 
@@ -53,8 +53,6 @@ pub struct KAryNCube {
     wrap: bool,
     bidirectional: bool,
     num_nodes: u32,
-    /// Node-id distance between neighbours along each dimension (`k^d`).
-    stride: [u32; MAX_DIMS],
     /// Per-node coordinates, flattened: dimension `d` of `node` at
     /// `node * n + d`.
     coords: Vec<u16>,
@@ -171,7 +169,6 @@ impl KAryNCube {
             wrap,
             bidirectional,
             num_nodes,
-            stride,
             coords,
             channels,
             wraparound,
@@ -200,12 +197,6 @@ impl KAryNCube {
     #[inline]
     pub fn is_torus(&self) -> bool {
         self.wrap
-    }
-
-    /// True when channels exist in both directions along each dimension.
-    #[inline]
-    pub fn is_bidirectional(&self) -> bool {
-        self.bidirectional
     }
 
     /// Total node count (`k^n`).
@@ -262,16 +253,6 @@ impl KAryNCube {
         NodeId(id as u32)
     }
 
-    /// The node one hop away along `dim` in direction `dir`, if the hop
-    /// stays on the network (mesh edges return `None`). Pure geometry: a
-    /// unidirectional torus answers for `Minus` too, though it has no such
-    /// channel.
-    pub fn neighbor(&self, node: NodeId, dim: usize, dir: Direction) -> Option<NodeId> {
-        debug_assert!(dim < self.n);
-        let cur = self.coord(node, dim);
-        hop(node.0, cur, self.k, self.stride[dim], self.wrap, dir).map(|(dst, _)| NodeId(dst))
-    }
-
     /// The outgoing channel at (`node`, `dim`, `dir`), if present.
     pub fn channel_from(&self, node: NodeId, dim: usize, dir: Direction) -> Option<ChannelId> {
         debug_assert!(dim < self.n);
@@ -289,14 +270,6 @@ impl KAryNCube {
         let lo = self.out_offsets[node.idx()] as usize;
         let hi = self.out_offsets[node.idx() + 1] as usize;
         &self.out_flat[lo..hi]
-    }
-
-    /// The channel from `a` to adjacent node `b`, if any.
-    pub fn channel_between(&self, a: NodeId, b: NodeId) -> Option<ChannelId> {
-        self.channels_from(a)
-            .iter()
-            .copied()
-            .find(|&c| self.channel(c).dst == b)
     }
 
     /// Per-dimension routing offset from `cur` to `dst` under minimal
@@ -491,12 +464,13 @@ mod tests {
         let t = KAryNCube::torus(4, 2, true);
         // node (3, 0) in +x wraps to (0, 0)
         let n = t.node_at(&Coords::new(&[3, 0]));
+        let step = |node, dim, dir| t.channel_from(node, dim, dir).map(|c| t.channel(c).dst);
         assert_eq!(
-            t.neighbor(n, 0, Direction::Plus),
+            step(n, 0, Direction::Plus),
             Some(t.node_at(&Coords::new(&[0, 0])))
         );
         assert_eq!(
-            t.neighbor(NodeId(0), 1, Direction::Minus),
+            step(NodeId(0), 1, Direction::Minus),
             Some(t.node_at(&Coords::new(&[0, 3])))
         );
     }
@@ -505,10 +479,9 @@ mod tests {
     fn mesh_has_edges() {
         let m = KAryNCube::mesh(4, 2);
         let corner = m.node_at(&Coords::new(&[0, 0]));
-        assert_eq!(m.neighbor(corner, 0, Direction::Minus), None);
-        assert_eq!(m.neighbor(corner, 1, Direction::Minus), None);
-        assert!(m.neighbor(corner, 0, Direction::Plus).is_some());
         assert_eq!(m.channel_from(corner, 0, Direction::Minus), None);
+        assert_eq!(m.channel_from(corner, 1, Direction::Minus), None);
+        assert!(m.channel_from(corner, 0, Direction::Plus).is_some());
     }
 
     #[test]
@@ -530,11 +503,7 @@ mod tests {
                 t.channel_from(info.src, info.dim as usize, info.dir),
                 Some(c)
             );
-            assert_eq!(
-                t.neighbor(info.src, info.dim as usize, info.dir),
-                Some(info.dst)
-            );
-            assert_eq!(t.channel_between(info.src, info.dst), Some(c));
+            assert!(t.channels_from(info.src).contains(&c));
         }
     }
 

@@ -10,6 +10,25 @@
 use icn_topology::{ChannelId, Coords, Direction, KAryNCube, NodeId, RoutingOffset, MAX_DIMS};
 use proptest::prelude::*;
 
+/// The node one hop from `node` along `dim` in direction `dir`, over the
+/// channel there (`None` off a mesh edge and for `Minus` on a
+/// unidirectional torus).
+fn step(t: &KAryNCube, node: NodeId, dim: usize, dir: Direction) -> Option<NodeId> {
+    t.channel_from(node, dim, dir).map(|c| t.channel(c).dst)
+}
+
+fn opposite(dir: Direction) -> Direction {
+    match dir {
+        Direction::Plus => Direction::Minus,
+        Direction::Minus => Direction::Plus,
+    }
+}
+
+/// True when channels exist in both directions along each dimension.
+fn bidirectional(t: &KAryNCube) -> bool {
+    t.ports_per_node() == 2 * t.n()
+}
+
 // ---------------------------------------------------------------------------
 // Radix-2 tori: +/- neighbours coincide, channels come in parallel pairs.
 // ---------------------------------------------------------------------------
@@ -19,8 +38,8 @@ fn radix2_torus_plus_and_minus_reach_the_same_node() {
     let t = KAryNCube::torus(2, 3, true);
     for node in 0..t.num_nodes() as u32 {
         for dim in 0..t.n() {
-            let plus = t.neighbor(NodeId(node), dim, Direction::Plus);
-            let minus = t.neighbor(NodeId(node), dim, Direction::Minus);
+            let plus = step(&t, NodeId(node), dim, Direction::Plus);
+            let minus = step(&t, NodeId(node), dim, Direction::Minus);
             assert_eq!(plus, minus, "k=2 wrap: both directions are one hop");
             assert_ne!(plus, Some(NodeId(node)), "never a self-loop");
         }
@@ -128,8 +147,8 @@ fn line_distances_and_endpoints() {
     assert_eq!(l.channels_from(NodeId(0)).len(), 1);
     assert_eq!(l.channels_from(NodeId(6)).len(), 1);
     assert_eq!(l.channels_from(NodeId(3)).len(), 2);
-    assert_eq!(l.neighbor(NodeId(0), 0, Direction::Minus), None);
-    assert_eq!(l.neighbor(NodeId(6), 0, Direction::Plus), None);
+    assert_eq!(l.channel_from(NodeId(0), 0, Direction::Minus), None);
+    assert_eq!(l.channel_from(NodeId(6), 0, Direction::Plus), None);
 }
 
 #[test]
@@ -162,14 +181,14 @@ fn mesh_boundary_port_census() {
         by_degree[m.channels_from(NodeId(node)).len()] += 1;
     }
     assert_eq!(by_degree, [0, 0, 4, 8, 4]);
-    // Every missing port is a genuine boundary: the neighbour is absent too.
+    // Every missing port is a genuine boundary: the coordinate is at the
+    // edge the port points past.
     for node in 0..m.num_nodes() as u32 {
+        let c = m.coords(NodeId(node));
         for dim in 0..m.n() {
-            for dir in [Direction::Plus, Direction::Minus] {
-                assert_eq!(
-                    m.channel_from(NodeId(node), dim, dir).is_some(),
-                    m.neighbor(NodeId(node), dim, dir).is_some()
-                );
+            let inner = [c.get(dim) + 1 < m.k(), c.get(dim) > 0];
+            for (dir, inside) in [Direction::Plus, Direction::Minus].into_iter().zip(inner) {
+                assert_eq!(m.channel_from(NodeId(node), dim, dir).is_some(), inside);
             }
         }
     }
@@ -181,12 +200,15 @@ fn mesh_channels_pair_up() {
     let m = KAryNCube::mesh(5, 2);
     for id in 0..m.num_channels() as u32 {
         let info = *m.channel(ChannelId(id));
-        let back = m
-            .channel_between(info.dst, info.src)
-            .expect("reverse channel exists");
-        let binfo = m.channel(back);
+        let back: Vec<_> = m
+            .channels_from(info.dst)
+            .iter()
+            .filter(|&&c| m.channel(c).dst == info.src)
+            .collect();
+        assert_eq!(back.len(), 1, "exactly one reverse channel");
+        let binfo = m.channel(*back[0]);
         assert_eq!(binfo.dim, info.dim);
-        assert_eq!(binfo.dir, info.dir.opposite());
+        assert_eq!(binfo.dir, opposite(info.dir));
     }
 }
 
@@ -234,7 +256,6 @@ proptest! {
         let c = ChannelId(raw % t.num_channels() as u32);
         let info = *t.channel(c);
         prop_assert_eq!(t.channel_from(info.src, info.dim as usize, info.dir), Some(c));
-        prop_assert_eq!(t.neighbor(info.src, info.dim as usize, info.dir), Some(info.dst));
         prop_assert!(t.channels_from(info.src).contains(&c));
         prop_assert_eq!(t.distance(info.src, info.dst), 1);
     }
@@ -252,7 +273,7 @@ proptest! {
         // Identity of indiscernibles holds regardless of directionality.
         prop_assert_eq!(t.distance(a, a), 0);
         prop_assert_eq!(t.distance(a, b) == 0, a == b);
-        if t.is_bidirectional() {
+        if bidirectional(&t) {
             prop_assert_eq!(t.distance(a, b), t.distance(b, a), "symmetry");
         }
         // Triangle inequality: walking via b can never beat the minimum.
@@ -276,12 +297,12 @@ proptest! {
     #[test]
     fn neighbor_is_undone_by_the_opposite_step(i in 0usize..8, raw in any::<u32>(), dim_raw in any::<usize>()) {
         let t = topo(i);
-        prop_assume!(t.is_bidirectional());
+        prop_assume!(bidirectional(&t));
         let n = NodeId(raw % t.num_nodes() as u32);
         let dim = dim_raw % t.n();
         for dir in [Direction::Plus, Direction::Minus] {
-            if let Some(m) = t.neighbor(n, dim, dir) {
-                prop_assert_eq!(t.neighbor(m, dim, dir.opposite()), Some(n));
+            if let Some(m) = step(&t, n, dim, dir) {
+                prop_assert_eq!(step(&t, m, dim, opposite(dir)), Some(n));
             }
         }
     }

@@ -22,9 +22,9 @@
 //! * [`explore`](mod@explore) — exhaustive enumeration of every injection schedule on
 //!   tiny networks, auditing every cycle of every execution.
 //!
-//! The run-coupled pieces (torture harness over live simulations,
-//! forensics-incident checking, the `repro validate` CLI) live in
-//! `flexsim::validate`, which builds on this crate.
+//! The run-coupled pieces (auditing run observer, live campaigns,
+//! incident checks) live in `flexsim::validate`, which builds on this
+//! crate; the torture harness over live runs is `tests/validation.rs`.
 
 pub mod cycles;
 pub mod diff;

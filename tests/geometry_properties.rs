@@ -30,7 +30,7 @@ proptest! {
             prop_assert!(topo.distance(a, b) >= 1);
         }
         prop_assert!(topo.distance(a, c) <= topo.distance(a, b) + topo.distance(b, c));
-        if topo.is_bidirectional() {
+        if topo.ports_per_node() == 2 * topo.n() {
             prop_assert_eq!(topo.distance(a, b), topo.distance(b, a));
         }
     }
@@ -43,8 +43,8 @@ proptest! {
             let info = *topo.channel(icn_topology::ChannelId(id));
             prop_assert_eq!(topo.distance(info.src, info.dst), 1);
             prop_assert_eq!(
-                topo.neighbor(info.src, info.dim as usize, info.dir),
-                Some(info.dst)
+                topo.channel_from(info.src, info.dim as usize, info.dir),
+                Some(icn_topology::ChannelId(id))
             );
         }
     }

@@ -173,7 +173,7 @@ proptest! {
             }
             // Deadlock-set messages are blocked (they have requests).
             for m in &d.deadlock_set {
-                prop_assert!(wg.requests_of(*m).is_some());
+                prop_assert!(wg.records().any(|(id, _, reqs)| id == *m && !reqs.is_empty()));
             }
         }
         // Dependent messages are disjoint from every deadlock set.

@@ -29,9 +29,11 @@ use std::time::Duration;
 use deadlock_characterization::flexsim::jsonio::{durable, Json};
 use deadlock_characterization::server::{CampaignServer, Client, ServerOptions, SweepGrid};
 use icn_bench::{
-    checkpoint_path, crash_storyline, direct_digests, result_indices, scratch_dir, settles_to,
-    short_grid, Member,
+    checkpoint_path, crash_storyline, direct_digests, scratch_dir, settles_to, short_grid, Member,
 };
+
+mod common;
+use common::result_indices;
 
 /// Re-exec entry point, not a test of its own: the chaos tests spawn
 /// this binary again with `--exact worker_entry` and `ICN_CHAOS_DATA`

@@ -45,9 +45,12 @@ use deadlock_characterization::server::{
     http_request, Client, LeaseDir, ResultCache, ServerOptions, SweepGrid,
 };
 use icn_bench::{
-    checkpoint_path, direct_digests, full_line_count, garble_last_record, resubmission_storyline,
-    result_indices, scratch_dir, settles_to, short_grid, wait_lines,
+    checkpoint_path, direct_digests, full_line_count, garble_last_record, same, scratch_dir,
+    settles_to, short_grid, wait_lines,
 };
+
+mod common;
+use common::result_indices;
 
 /// How long any job in this file may take to settle.
 const SETTLE: Duration = Duration::from_secs(300);
@@ -82,6 +85,38 @@ fn plant_job(data_dir: &Path, id: u64, grid: &SweepGrid) {
         grid.to_json().to_string(),
     )
     .unwrap();
+}
+
+/// The cache's properties on a fresh server: a first submission of `grid`
+/// simulates every config and streams digests identical to `want` (the
+/// direct sweep); an identical resubmission settles every slot from the
+/// cache with the same digests and not one new simulation.
+fn resubmission_storyline(client: Client, grid: &SweepGrid, want: &[String]) -> Result<(), String> {
+    let n = want.len() as u64;
+    let count = |status: &Json, key: &str| status.get(key).and_then(Json::as_u64);
+
+    let first = settles_to(client, client.submit(grid)?, want)?;
+    same(
+        "first submission: completed",
+        count(&first, "completed"),
+        Some(n),
+    )?;
+    same("first submission: failed", count(&first, "failed"), Some(0))?;
+    same("first submission: sims_run", client.stat(&["sims_run"])?, n)?;
+
+    let second = settles_to(client, client.submit(grid)?, want)?;
+    same(
+        "resubmission: cached slots",
+        count(&second, "cached"),
+        Some(n),
+    )?;
+    same("resubmission: sims_run", client.stat(&["sims_run"])?, n)?;
+    let hits = client.stat(&["cache", "hits"])?;
+    same(
+        &format!("resubmission: {hits} cache hits cover {n} slots"),
+        hits >= n,
+        true,
+    )
 }
 
 /// Criteria 1 and 3 are [`resubmission_storyline`].
@@ -463,6 +498,14 @@ fn a_sibling_record_after_a_cancel_reads_the_same_in_both_lives() {
         }
     };
     wait_slot(client, 2, "running");
+    // A slot reads `running` from its claim on, before the lease and the
+    // run start; a cancel in that window records index 2 without a run.
+    // Cancel only once the run has started.
+    let deadline = Instant::now() + SETTLE;
+    while client.stat(&["sims_run"]).unwrap() != 1 {
+        assert!(Instant::now() < deadline, "index 2's run never started");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     let (code, body) =
         http_request(client.addr, "POST", &format!("/jobs/{id}/cancel"), None).unwrap();
     assert_eq!(code, 200, "{body}");

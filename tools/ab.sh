@@ -3,8 +3,14 @@
 # unmodified `perfbench` of each, runs them in alternating pairs and
 # prints, per workload and end-to-end metric (both read from
 # BENCHMARK.json), the parent median, the change median, their ratio
-# (change / parent), the pairs the change won and the parent's
-# IQR / median.
+# (change / parent), the pairs the change won, the parent's IQR / median
+# and a verdict against the metric's `bound`, the first that holds of:
+#   worse       the median moved the wrong way by more than the bound;
+#   unresolved  the parent's IQR / median exceeds the bound, and not every
+#               change run beats every parent run;
+#   claim       the change won at least 9/10 of the pairs and its median
+#               is better by more than the parent's IQR;
+#   same        anything else.
 #
 #   tools/ab.sh PARENT [--pairs N] [--seconds S] [--workload W ...]
 #
@@ -46,9 +52,10 @@ if [ ${#workloads[@]} -eq 0 ]; then
     # `{"name": "W", "why": ...}` lines of BENCHMARK.json.
     mapfile -t workloads < <(awk -F'"' '/"name":/ && /"why":/ { print $4 }' BENCHMARK.json)
 fi
-# `{"name": "M", "unit": ..., "better": "higher|lower", "bound": ...}`:
-# the end-to-end metrics, as "M better M better ...".
-metrics=$(awk -F'"' '/"name":/ && /"bound":/ { printf "%s %s ", $4, $12 }' BENCHMARK.json)
+# `{"name": "M", "unit": ..., "better": "higher|lower", "bound": B}`:
+# the end-to-end metrics, as "M better B M better B ...".
+metrics=$(awk -F'"' '/"name":/ && /"bound":/ {
+    b = $15; gsub(/[^0-9.]/, "", b); printf "%s %s %s ", $4, $12, b }' BENCHMARK.json)
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
@@ -73,7 +80,7 @@ run() { # workload pair side seed
     local out
     out=$("${bin[$3]}" --workload "$1" --seed "$4" --seconds "$seconds" --trace 0) || true
     awk -v w="$1" -v p="$2" -v s="$3" -v metrics="$metrics" '
-        BEGIN { n = split(metrics, m, " "); for (i = 1; i < n; i += 2) want[m[i]] = 1 }
+        BEGIN { n = split(metrics, m, " "); for (i = 1; i < n; i += 3) want[m[i]] = 1 }
         $1 in want { print w, p, s, $1, $2 }
         $1 == "attempted" { ok = ($4 == 0 && $8 == 1) }
         END { print w, p, s, "ok", ok + 0 }' <<<"$out" | tee -a "$runs" >&2
@@ -110,13 +117,15 @@ awk -v metrics="$metrics" '
     }
     BEGIN {
         k = split(metrics, m, " ")
-        for (i = 1; i < k; i += 2) { order[++nm] = m[i]; better[m[i]] = m[i + 1] }
+        for (i = 1; i < k; i += 3) {
+            order[++nm] = m[i]; better[m[i]] = m[i + 1]; bound[m[i]] = m[i + 2]
+        }
     }
     $4 == "ok" { if (!$5) bad[$1] = bad[$1] " " $3 "@" $2; next }
     { v[$1, $4, $3, $2] = $5; if (!($1 in seen)) { seen[$1] = 1; wl[++nw] = $1 }
       if ($2 > pairs[$1]) pairs[$1] = $2 }
     END {
-        printf "%-16s %-22s %12s %12s %7s %5s %10s\n", "workload", "metric", "parent", "change", "ratio", "won", "iqr/med"
+        printf "%-16s %-22s %12s %12s %7s %5s %10s  %s\n", "workload", "metric", "parent", "change", "ratio", "won", "iqr/med", "verdict"
         for (i = 1; i <= nw; i++) {
             w = wl[i]
             for (j = 1; j <= nm; j++) {
@@ -134,7 +143,15 @@ awk -v metrics="$metrics" '
                 if (!np || !nc) continue
                 pm = median(a, np); cm = median(b, nc)
                 iqr = np > 1 ? cut(a, np, 3) - cut(a, np, 1) : 0
-                printf "%-16s %-22s %12.5g %12.5g %7.3f %2d/%-2d %10.3f\n", w, met, pm, cm, pm ? cm / pm : 0, won, both, pm ? iqr / pm : 0
+                # Sorted by median(): a[1], b[1] are the minima.
+                up = better[met] == "higher"
+                gain = up ? cm - pm : pm - cm
+                apart = up ? b[1] > a[np] : b[nc] < a[1]
+                if (-gain > bound[met] * pm) verdict = "worse"
+                else if (iqr > bound[met] * pm && !apart) verdict = "unresolved"
+                else if (won >= 0.9 * both && gain > iqr) verdict = "claim"
+                else verdict = "same"
+                printf "%-16s %-22s %12.5g %12.5g %7.3f %2d/%-2d %10.3f  %s\n", w, met, pm, cm, pm ? cm / pm : 0, won, both, pm ? iqr / pm : 0, verdict
             }
             if (w in bad) printf "%-16s failed or digest-unstable runs (side@pair):%s\n", w, bad[w]
         }
