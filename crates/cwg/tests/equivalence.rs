@@ -200,7 +200,13 @@ mod frozen {
             deadlocked_msgs.extend(dset.iter().copied());
             let mut rset: Vec<VertexId> = dset
                 .iter()
-                .flat_map(|m| g.chain(*m).unwrap_or(&[]).iter().copied())
+                .flat_map(|m| {
+                    g.records()
+                        .find(|&(id, _, _)| id == *m)
+                        .map_or(&[][..], |(_, chain, _)| chain)
+                        .iter()
+                        .copied()
+                })
                 .collect();
             rset.sort_unstable();
             rset.dedup();

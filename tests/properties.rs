@@ -162,7 +162,10 @@ proptest! {
             let expect_resources: HashSet<u32> = d
                 .deadlock_set
                 .iter()
-                .flat_map(|m| wg.chain(*m).unwrap().iter().copied())
+                .flat_map(|m| {
+                    let (_, chain, _) = wg.records().find(|&(id, _, _)| id == *m).unwrap();
+                    chain.iter().copied()
+                })
                 .collect();
             let got: HashSet<u32> = d.resource_set.iter().copied().collect();
             prop_assert_eq!(got, expect_resources);
