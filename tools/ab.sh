@@ -15,9 +15,12 @@
 #   tools/ab.sh PARENT [--pairs N] [--seconds S] [--workload W ...]
 #               [--record FILE]
 #
-# Defaults: 10 pairs, 12 s per run, every workload. The parent is built
-# in a throwaway `git clone --shared` under $TMPDIR (removed on exit; the
-# checkout and its git metadata are left alone), the worktree in place.
+# Defaults: 10 pairs, 12 s per run, every workload. Both sides are built
+# in throwaway `git clone --shared`s under one directory in $TMPDIR
+# (removed on exit; the checkout and its git metadata are left alone):
+# `parent` at PARENT, and `change` at HEAD with the worktree's diff and
+# untracked files applied. The two paths have equal length, so the
+# binaries differ only in what the code differs in.
 # One process runs at a time. Each pair gets a fresh random seed, used by
 # both sides, and a random first side, so neither build always runs
 # right after the other's previous workload. Progress and every run's
@@ -78,9 +81,21 @@ metrics=$(awk -F'"' '/"name":/ && /"bound":/ {
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
-echo "ab.sh: building perfbench at ${sha:0:12} in $tmp/parent" >&2
+echo "ab.sh: building perfbench at ${sha:0:12} in $tmp/parent, the worktree in $tmp/change" >&2
 git clone --quiet --shared --no-checkout . "$tmp/parent"
 git -C "$tmp/parent" checkout --quiet --detach "$sha"
+git clone --quiet --shared --no-checkout . "$tmp/change"
+git -C "$tmp/change" checkout --quiet --detach "$head"
+# The worktree as a patch on HEAD: tracked edits, then each untracked
+# file as a new one (`git diff --no-index` exits 1 when files differ).
+{
+    git diff --binary HEAD
+    git ls-files -z --others --exclude-standard |
+        while IFS= read -r -d '' f; do
+            git diff --binary --no-index /dev/null "$f" || [ $? -eq 1 ]
+        done
+} >"$tmp/worktree.patch"
+[ ! -s "$tmp/worktree.patch" ] || git -C "$tmp/change" apply "$tmp/worktree.patch"
 # What the change side is built from: the diff against the parent, and
 # whether the worktree holds anything uncommitted.
 diffstat=$(git diff --stat "$sha")
@@ -89,12 +104,8 @@ fingerprint() { { git diff "$sha"; git status --porcelain; } | cksum; }
 built=$(fingerprint)
 declare -A bin
 for side in parent change; do
-    case $side in
-        parent) root=$tmp/parent ;;
-        change) root=$PWD ;;
-    esac
-    cargo build --release --offline --quiet --manifest-path "$root/benchmark/Cargo.toml"
-    bin[$side]=$root/benchmark/target/release/perfbench
+    cargo build --release --offline --quiet --manifest-path "$tmp/$side/benchmark/Cargo.toml"
+    bin[$side]=$tmp/$side/benchmark/target/release/perfbench
 done
 
 # One line per run and metric: "workload pair side metric value", plus a
