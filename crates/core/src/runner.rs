@@ -162,15 +162,15 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
     'run: for cycle in 0..total {
         let measuring = cycle >= cfg.warmup;
 
-        // Traffic generation.
-        for node in 0..num_nodes as u32 {
-            if injector.fires(&mut rng) {
-                if let Some(dst) = cfg.pattern.dest(net.topology(), NodeId(node), &mut rng) {
-                    let len = cfg.len_dist.sample(&mut rng);
-                    net.enqueue_with_len(NodeId(node), dst, len);
-                    if measuring {
-                        res.generated += 1;
-                    }
+        // Traffic generation, drawing exactly as `fires` node by node would.
+        let mut from = 0;
+        while let Some(node) = injector.next_firing(&mut rng, from..num_nodes as u32) {
+            from = node + 1;
+            if let Some(dst) = cfg.pattern.dest(net.topology(), NodeId(node), &mut rng) {
+                let len = cfg.len_dist.sample(&mut rng);
+                net.enqueue_with_len(NodeId(node), dst, len);
+                if measuring {
+                    res.generated += 1;
                 }
             }
         }

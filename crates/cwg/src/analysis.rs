@@ -77,7 +77,7 @@ impl Analysis {
 
 /// Reusable working storage for the per-epoch detection pass.
 ///
-/// Holds Tarjan scratch, the per-component terminal and reaches-a-knot
+/// Holds Tarjan scratch, the per-component knot and reaches-a-knot
 /// marks, and the cycle counter's buffers (its branch-vertex contraction
 /// included). No copy of the graph lives here: every pass walks the
 /// [`WaitGraph`] itself. Once capacities have warmed up,
@@ -86,7 +86,8 @@ impl Analysis {
 #[derive(Clone, Debug, Default)]
 pub struct DetectorScratch {
     scc: SccScratch,
-    terminal: Vec<bool>,
+    /// Per component: is a knot (terminal and cyclic).
+    knot: Vec<bool>,
     /// Per component: is a knot, or has an arc path into one.
     reaches_knot: Vec<bool>,
     cycles: CycleScratch,
@@ -102,28 +103,34 @@ impl DetectorScratch {
         Self::default()
     }
 
-    /// Decomposes `g` and marks which components are terminal (no leaving
-    /// arc). Returns the component count.
+    /// Decomposes `g`, settling each component's knot and reaches-a-knot
+    /// marks as Tarjan emits it. Returns the component count.
+    ///
+    /// At emission every arc leaving the component ends in a component
+    /// emitted before it, whose marks are final: the component is
+    /// terminal when no arc leaves it, a knot when it is also cyclic (more
+    /// than one vertex, or a self-loop), and reaches a knot when it is one
+    /// or an arc leads into a component that reaches one.
     fn decompose(&mut self, g: &WaitGraph) -> usize {
-        self.scc.run(g);
-        let nc = self.scc.num_components();
-        self.terminal.clear();
-        self.terminal.resize(nc, true);
-        for v in 0..g.num_vertices() as u32 {
-            let cv = self.scc.comp_of(v);
-            for &w in g.neighbors(v) {
-                if self.scc.comp_of(w) != cv {
-                    self.terminal[cv as usize] = false;
+        self.knot.clear();
+        self.reaches_knot.clear();
+        self.scc.run_with(g, 0, |id, comp, comp_of| {
+            let mut terminal = true;
+            let mut reaches = false;
+            for &v in comp {
+                for &w in g.neighbors(v) {
+                    let cw = comp_of[w as usize];
+                    if cw != id {
+                        terminal = false;
+                        reaches |= self.reaches_knot[cw as usize];
+                    }
                 }
             }
-        }
-        nc
-    }
-
-    /// Whether component `ci` is a knot: terminal and non-trivial (more
-    /// than one vertex, or a single vertex with a self-loop).
-    fn is_knot(&self, g: &WaitGraph, ci: usize) -> bool {
-        self.terminal[ci] && is_cyclic(g, self.scc.component(ci as u32))
+            let is_knot = terminal && is_cyclic(g, comp);
+            self.knot.push(is_knot);
+            self.reaches_knot.push(is_knot || reaches);
+        });
+        self.knot.len()
     }
 
     /// The sorted, deduplicated owners of component `ci`'s vertices, also
@@ -135,24 +142,6 @@ impl DetectorScratch {
         self.slots.sort_unstable_by_key(|&s| g.slot_id(s));
         self.slots.dedup();
         self.slots.iter().map(|&s| g.slot_id(s)).collect()
-    }
-
-    /// Marks every component from which a knot is reachable. Tarjan numbers
-    /// components in reverse topological order — an arc only ever leads to
-    /// a smaller component id — so one ascending sweep settles each
-    /// component after all of its successors.
-    fn mark_reaches_knot(&mut self, g: &WaitGraph, nc: usize) {
-        self.reaches_knot.clear();
-        for ci in 0..nc {
-            let reaches = self.is_knot(g, ci)
-                || self.scc.component(ci as u32).iter().any(|&v| {
-                    g.neighbors(v).iter().any(|&w| {
-                        let cw = self.scc.comp_of(w) as usize;
-                        cw != ci && self.reaches_knot[cw]
-                    })
-                });
-            self.reaches_knot.push(reaches);
-        }
     }
 }
 
@@ -186,7 +175,7 @@ impl WaitGraph {
 
         let mut deadlocks = Vec::new();
         for ci in 0..nc {
-            if !scratch.is_knot(self, ci) {
+            if !scratch.knot[ci] {
                 continue;
             }
             let deadlock_set = scratch.deadlock_set(self, ci);
@@ -219,14 +208,13 @@ impl WaitGraph {
         // wait into a deadlock.
         let mut dependent = Vec::new();
         if !deadlocks.is_empty() {
-            scratch.mark_reaches_knot(self, nc);
             let reaches = |v: VertexId| scratch.reaches_knot[scratch.scc.comp_of(v) as usize];
             for (msg, chain, reqs) in self.records() {
                 // A knot has no leaving arc, so a message owning any knot
                 // vertex owns its chain from there to the head: deadlock
                 // set membership is decided by the head alone.
                 let head = *chain.last().expect("chains are non-empty");
-                if scratch.is_knot(self, scratch.scc.comp_of(head) as usize) {
+                if scratch.knot[scratch.scc.comp_of(head) as usize] {
                     continue;
                 }
                 let hits = reqs.iter().filter(|&&t| reaches(t)).count();
@@ -256,7 +244,7 @@ impl WaitGraph {
         let nc = scratch.decompose(self);
         let mut sets = Vec::new();
         for ci in 0..nc {
-            if scratch.is_knot(self, ci) {
+            if scratch.knot[ci] {
                 sets.push(scratch.deadlock_set(self, ci));
             }
         }
@@ -589,6 +577,68 @@ mod tests {
             g.analyze(0).deadlocks[0].cycle_density,
             CycleCount::AtLeast(0)
         );
+    }
+
+    /// Random wait graphs: free vertices, moving chains, and blocked
+    /// messages whose requests are drawn with replacement from every
+    /// vertex (their own chain and head included), so self-loops and
+    /// parallel arcs occur.
+    fn random_wait_graph(rng: &mut rand::rngs::StdRng) -> WaitGraph {
+        use rand::Rng;
+        let n = rng.gen_range(1u32..32);
+        let mut order: Vec<VertexId> = (0..n).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut g = WaitGraph::new(n as usize);
+        let mut rest = &order[..rng.gen_range(0..n as usize + 1)];
+        let mut id = 0;
+        while !rest.is_empty() {
+            let (chain, tail) = rest.split_at(rng.gen_range(1..rest.len().min(4) + 1));
+            rest = tail;
+            id += 1;
+            g.add_chain(id, chain);
+            if rng.gen_range(0..4) != 0 {
+                let reqs: Vec<_> = (0..rng.gen_range(1..4))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect();
+                g.add_requests(id, &reqs);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn emission_marks_match_naive_reachability() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut scratch = DetectorScratch::new();
+        for _ in 0..3000 {
+            let g = random_wait_graph(&mut rng);
+            let n = g.num_vertices();
+            // reach[v][w]: a path of at least one arc leads from v to w.
+            let mut reach = vec![vec![false; n]; n];
+            for (v, row) in reach.iter_mut().enumerate() {
+                let mut todo: Vec<VertexId> = g.neighbors(v as u32).to_vec();
+                while let Some(w) = todo.pop() {
+                    if !row[w as usize] {
+                        row[w as usize] = true;
+                        todo.extend_from_slice(g.neighbors(w));
+                    }
+                }
+            }
+            // In a knot: on a cycle, and reached back from all it reaches.
+            let in_knot: Vec<bool> = (0..n)
+                .map(|v| reach[v][v] && (0..n).all(|w| !reach[v][w] || reach[w][v]))
+                .collect();
+            scratch.decompose(&g);
+            for v in 0..n {
+                let c = scratch.scc.comp_of(v as u32) as usize;
+                let reaches = in_knot[v] || (0..n).any(|w| reach[v][w] && in_knot[w]);
+                assert_eq!(scratch.knot[c], in_knot[v], "knot at {v}: {g:?}");
+                assert_eq!(scratch.reaches_knot[c], reaches, "reaches at {v}: {g:?}");
+            }
+        }
     }
 
     #[test]

@@ -68,6 +68,17 @@ impl SccScratch {
     /// components cover `lo..n` only. Johnson's cycle enumeration restarts
     /// on such a suffix for each start vertex, without copying the graph.
     pub(crate) fn run_from<A: Adjacency + ?Sized>(&mut self, adj: &A, lo: VertexId) {
+        self.run_with(adj, lo, |_, _, _| {});
+    }
+
+    /// [`run_from`](Self::run_from), calling `emit(id, vertices, comp_of)`
+    /// as each component is emitted, which is after everything it reaches:
+    /// `comp_of` is final at both ends of each arc from `vertices` to `lo..n`.
+    pub(crate) fn run_with<A, F>(&mut self, adj: &A, lo: VertexId, mut emit: F)
+    where
+        A: Adjacency + ?Sized,
+        F: FnMut(u32, &[VertexId], &[u32]),
+    {
         let n = adj.num_vertices();
         self.index.clear();
         self.index.resize(n, UNVISITED);
@@ -88,12 +99,7 @@ impl SccScratch {
             if self.index[start as usize] != UNVISITED {
                 continue;
             }
-            self.frames.push((start, 0));
-            self.index[start as usize] = next_index;
-            self.lowlink[start as usize] = next_index;
-            next_index += 1;
-            self.stack.push(start);
-            self.on_stack[start as usize] = true;
+            self.open(adj, start, &mut next_index, &mut emit);
 
             while let Some(&mut (v, ref mut ei)) = self.frames.last_mut() {
                 let outs = adj.neighbors(v);
@@ -104,12 +110,7 @@ impl SccScratch {
                         continue;
                     }
                     if self.index[w as usize] == UNVISITED {
-                        self.index[w as usize] = next_index;
-                        self.lowlink[w as usize] = next_index;
-                        next_index += 1;
-                        self.stack.push(w);
-                        self.on_stack[w as usize] = true;
-                        self.frames.push((w, 0));
+                        self.open(adj, w, &mut next_index, &mut emit);
                     } else if self.on_stack[w as usize] {
                         self.lowlink[v as usize] =
                             self.lowlink[v as usize].min(self.index[w as usize]);
@@ -121,21 +122,54 @@ impl SccScratch {
                             self.lowlink[parent as usize].min(self.lowlink[v as usize]);
                     }
                     if self.lowlink[v as usize] == self.index[v as usize] {
-                        let comp_id = (self.comp_offsets.len() - 1) as u32;
                         loop {
                             let w = self.stack.pop().expect("tarjan stack underflow");
                             self.on_stack[w as usize] = false;
-                            self.comp_of[w as usize] = comp_id;
                             self.comp_vertices.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        self.comp_offsets.push(self.comp_vertices.len() as u32);
+                        self.close(&mut emit);
                     }
                 }
             }
         }
+    }
+
+    /// Visits `v`. A vertex without out-arcs is emitted at once: its frame
+    /// would find no child, move no lowlink and emit it next, so the index
+    /// order, the component ids and the emission order are the same.
+    #[inline]
+    fn open<A, F>(&mut self, adj: &A, v: VertexId, next_index: &mut u32, emit: &mut F)
+    where
+        A: Adjacency + ?Sized,
+        F: FnMut(u32, &[VertexId], &[u32]),
+    {
+        self.index[v as usize] = *next_index;
+        *next_index += 1;
+        if adj.neighbors(v).is_empty() {
+            self.comp_vertices.push(v);
+            self.close(emit);
+        } else {
+            self.lowlink[v as usize] = self.index[v as usize];
+            self.stack.push(v);
+            self.on_stack[v as usize] = true;
+            self.frames.push((v, 0));
+        }
+    }
+
+    /// Ends the component just pushed onto `comp_vertices`; hands it to `emit`.
+    #[inline]
+    fn close<F: FnMut(u32, &[VertexId], &[u32])>(&mut self, emit: &mut F) {
+        let id = (self.comp_offsets.len() - 1) as u32;
+        let s = *self.comp_offsets.last().expect("offsets start at 0") as usize;
+        let comp = &self.comp_vertices[s..];
+        for &w in comp {
+            self.comp_of[w as usize] = id;
+        }
+        self.comp_offsets.push(self.comp_vertices.len() as u32);
+        emit(id, comp, &self.comp_of);
     }
 
     /// Number of components of the last run.
@@ -266,6 +300,137 @@ mod tests {
         let adj = vec![vec![0], vec![]];
         let r = scc(&adj);
         assert_eq!(r.len(), 2);
+    }
+
+    /// Frozen frame-only Tarjan over `lo..n` (every vertex gets a DFS
+    /// frame, sinks included), as `run_from` was before sinks were emitted
+    /// without one: `(comp_of, components in emission order)`.
+    fn frozen_tarjan(adj: &[Vec<VertexId>], lo: VertexId) -> (Vec<u32>, Vec<Vec<VertexId>>) {
+        let n = adj.len();
+        let mut index = vec![UNVISITED; n];
+        let mut lowlink = vec![0; n];
+        let mut on_stack = vec![false; n];
+        let mut stack = Vec::new();
+        let mut frames: Vec<(u32, usize)> = Vec::new();
+        let mut comp_of = vec![0; n];
+        let mut comps: Vec<Vec<VertexId>> = Vec::new();
+        let mut next = 0;
+        for start in lo..n as u32 {
+            if index[start as usize] != UNVISITED {
+                continue;
+            }
+            frames.push((start, 0));
+            index[start as usize] = next;
+            lowlink[start as usize] = next;
+            next += 1;
+            stack.push(start);
+            on_stack[start as usize] = true;
+            while let Some(&mut (v, ref mut ei)) = frames.last_mut() {
+                let outs = &adj[v as usize];
+                if *ei < outs.len() {
+                    let w = outs[*ei];
+                    *ei += 1;
+                    if w < lo {
+                        continue;
+                    }
+                    if index[w as usize] == UNVISITED {
+                        index[w as usize] = next;
+                        lowlink[w as usize] = next;
+                        next += 1;
+                        stack.push(w);
+                        on_stack[w as usize] = true;
+                        frames.push((w, 0));
+                    } else if on_stack[w as usize] {
+                        lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                    }
+                } else {
+                    frames.pop();
+                    if let Some(&mut (parent, _)) = frames.last_mut() {
+                        lowlink[parent as usize] =
+                            lowlink[parent as usize].min(lowlink[v as usize]);
+                    }
+                    if lowlink[v as usize] == index[v as usize] {
+                        let mut comp = Vec::new();
+                        loop {
+                            let w = stack.pop().unwrap();
+                            on_stack[w as usize] = false;
+                            comp_of[w as usize] = comps.len() as u32;
+                            comp.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        comps.push(comp);
+                    }
+                }
+            }
+        }
+        (comp_of, comps)
+    }
+
+    /// A random multigraph: about a third of the vertices are sinks, and
+    /// arcs are drawn with replacement, so self-loops and parallel arcs
+    /// occur.
+    fn random_graph(rng: &mut rand::rngs::StdRng) -> Vec<Vec<VertexId>> {
+        use rand::Rng;
+        let n = rng.gen_range(1usize..40);
+        (0..n)
+            .map(|_| {
+                let deg = if rng.gen_range(0..3) == 0 {
+                    0
+                } else {
+                    rng.gen_range(1usize..4)
+                };
+                (0..deg).map(|_| rng.gen_range(0..n as u32)).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sink_emission_matches_frozen_frame_only_tarjan() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut scratch = SccScratch::new();
+        for _ in 0..3000 {
+            let adj = random_graph(&mut rng);
+            let n = adj.len() as u32;
+            let lo = if rng.gen_range(0..2) == 0 {
+                0
+            } else {
+                rng.gen_range(0..n)
+            };
+            let (comp_of, comps) = frozen_tarjan(&adj, lo);
+            let mut emitted = Vec::new();
+            let mut done = vec![false; n as usize];
+            scratch.run_with(&adj, lo, |id, comp, ids| {
+                for &v in comp {
+                    assert_eq!(ids[v as usize], id);
+                    done[v as usize] = true;
+                }
+                // Every arc leaving the component ends in an earlier one.
+                for &v in comp {
+                    for &w in adj[v as usize].iter().filter(|&&w| w >= lo) {
+                        assert!(done[w as usize] && ids[w as usize] <= id, "arc {v}->{w}");
+                    }
+                }
+                emitted.push(comp.to_vec());
+            });
+            assert_eq!(emitted, comps, "lo {lo}, {adj:?}");
+            assert_eq!(scratch.num_components(), comps.len());
+            for (c, comp) in comps.iter().enumerate() {
+                assert_eq!(scratch.component(c as u32), comp.as_slice());
+            }
+            for v in lo..n {
+                assert_eq!(scratch.comp_of(v), comp_of[v as usize]);
+            }
+            // `run_from` and `run` go through the same walk.
+            scratch.run_from(&adj, lo);
+            assert_eq!(scratch.components().collect::<Vec<_>>(), comps);
+            if lo == 0 {
+                scratch.run(&adj);
+                assert_eq!(scratch.components().collect::<Vec<_>>(), comps);
+            }
+        }
     }
 
     #[test]

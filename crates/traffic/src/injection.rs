@@ -1,7 +1,9 @@
 //! Injection processes and capacity-normalized load.
 
+use std::ops::Range;
+
 use icn_topology::KAryNCube;
-use rand::Rng;
+use rand::RngCore;
 
 /// Converts a normalized load (fraction of network capacity, 1.0 = links
 /// saturated given the average travel distance) into a per-node, per-cycle
@@ -31,9 +33,12 @@ pub fn check_load(load: f64) -> Result<(), &'static str> {
 
 /// Bernoulli (geometric inter-arrival) injection: each cycle each node
 /// independently generates a message with fixed probability.
+/// A node fires when its draw's top 53 bits `u` are below `ceil(prob · 2^53)`:
+/// `gen_bool(prob)`'s exact test `u · 2^-53 < prob`, in integers.
 #[derive(Clone, Copy, Debug)]
 pub struct BernoulliInjector {
     prob: f64,
+    below: u64,
 }
 
 impl BernoulliInjector {
@@ -43,8 +48,10 @@ impl BernoulliInjector {
     /// cycle (the injection channel is a single resource).
     pub fn new(rate: f64) -> Self {
         assert!(rate >= 0.0 && rate.is_finite());
+        let prob = rate.min(1.0);
         BernoulliInjector {
-            prob: rate.min(1.0),
+            prob,
+            below: (prob * (1u64 << 53) as f64).ceil() as u64,
         }
     }
 
@@ -55,8 +62,27 @@ impl BernoulliInjector {
 
     /// Whether this node generates a message this cycle.
     #[inline]
-    pub fn fires<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        self.prob > 0.0 && rng.gen_bool(self.prob)
+    pub fn fires<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
+        self.below > 0 && rng.next_u64() >> 11 < self.below
+    }
+
+    /// The first node of `nodes` that generates a message, drawing as
+    /// [`fires`](Self::fires) would node by node up to and including it.
+    /// The generator is copied into a local for the scan and written back
+    /// once, so its state stays in registers between draws.
+    #[inline]
+    pub fn next_firing<R: RngCore + Clone>(
+        &self,
+        rng: &mut R,
+        mut nodes: Range<u32>,
+    ) -> Option<u32> {
+        if self.below == 0 {
+            return None;
+        }
+        let mut local = rng.clone();
+        let hit = nodes.find(|_| local.next_u64() >> 11 < self.below);
+        *rng = local;
+        hit
     }
 }
 
@@ -103,6 +129,88 @@ mod tests {
         let fires = (0..40_000).filter(|_| inj.fires(&mut rng)).count();
         let frac = fires as f64 / 40_000.0;
         assert!((frac - 0.25).abs() < 0.01, "observed {frac}");
+    }
+
+    /// A generator whose every draw is one fixed word.
+    #[derive(Clone)]
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// `fires` on the 53-bit draw `u` agrees with `gen_bool(p)` on it.
+    fn agrees(p: f64, u: u64) -> bool {
+        use rand::Rng;
+        let inj = BernoulliInjector::new(p);
+        inj.fires(&mut Fixed(u << 11)) == Fixed(u << 11).gen_bool(p)
+    }
+
+    #[test]
+    fn integer_test_equals_gen_bool() {
+        let top = (1u64 << 53) - 1;
+        let mut rng = StdRng::seed_from_u64(4);
+        let fixed = [
+            0.0,
+            2f64.powi(-60),
+            2f64.powi(-53),
+            0.0156,
+            0.5,
+            1.0 - 2f64.powi(-53),
+            1.0,
+        ];
+        let random = (0..1000).map(|i| {
+            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            // Every other p is scaled down by up to 2^-63, so small
+            // probabilities are covered too.
+            if i % 2 == 0 {
+                u
+            } else {
+                u * 2f64.powi(-((rng.next_u64() % 64) as i32))
+            }
+        });
+        for p in fixed.into_iter().chain(random.collect::<Vec<_>>()) {
+            let below = BernoulliInjector::new(p).below;
+            // Both sides of the threshold, the ends, and random draws.
+            let edges = [below.saturating_sub(1), below, below + 1, 0, top];
+            let draws = (0..20).map(|_| rng.next_u64() >> 11);
+            for u in edges.into_iter().filter(|&u| u <= top).chain(draws) {
+                assert!(agrees(p, u), "p {p:e}, u {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn next_firing_replays_the_fires_loop() {
+        let mut pick = StdRng::seed_from_u64(5);
+        for _ in 0..2000 {
+            let p = [0.0, 0.001, 0.02, 0.3, 1.0][(pick.next_u64() % 5) as usize];
+            let inj = BernoulliInjector::new(p);
+            let lo = (pick.next_u64() % 200) as u32;
+            let hi = lo + (pick.next_u64() % 200) as u32;
+            let seed = pick.next_u64();
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let found = inj.next_firing(&mut a, lo..hi);
+            let expect = (lo..hi).find(|_| inj.fires(&mut b));
+            assert_eq!(found, expect, "p {p}, {lo}..{hi}");
+            // Both generators were left in the same state.
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn next_firing_on_an_empty_range_draws_nothing() {
+        let inj = BernoulliInjector::new(1.0);
+        let mut a = StdRng::seed_from_u64(6);
+        let mut b = StdRng::seed_from_u64(6);
+        assert_eq!(inj.next_firing(&mut a, 7..7), None);
+        assert_eq!(a.next_u64(), b.next_u64());
+        // A zero rate draws nothing either.
+        assert_eq!(BernoulliInjector::new(0.0).next_firing(&mut a, 0..50), None);
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Production line count: the lines of every `crates/*/src/**/*.rs` and
-# `src/**/*.rs` file before its first `#[cfg(test)]`, per crate and in
-# total. Run from anywhere; counts the checkout this script lives in.
+# `src/**/*.rs` file outside its `#[cfg(test)]` items, per crate and in
+# total. An item runs from its `#[cfg(test)]` line to the line that
+# closes its outermost brace, or to its `;` if it has no body, and takes
+# the blank lines after it along; braces in string and char literals and
+# in `//` comments are not counted. Run from
+# anywhere; counts the checkout this script lives in.
 #
 #   tools/prod_lines.sh        # the worktree
 #   tools/prod_lines.sh REV    # the worktree, beside git revision REV
@@ -18,7 +22,21 @@ fi
 
 # Production lines of the file text on stdin.
 lines() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { live = 1 } !live { n++ } END { print n + 0 }'
+    awk '
+    !skip && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = opened = 0 }
+    skip {
+        t = $0
+        gsub(/"([^"\\]|\\.)*"|\047([^\047\\]|\\.)\047|\/\/.*/, "", t)
+        o = gsub(/\{/, "", t)
+        depth += o - gsub(/\}/, "", t)
+        opened = opened || o
+        if (opened ? depth <= 0 : t ~ /;[[:space:]]*$/) skip = 0
+        gap = !skip
+        next
+    }
+    gap && /^[[:space:]]*$/ { next }
+    { gap = 0; n++ }
+    END { print n + 0 }'
 }
 
 sum() {
