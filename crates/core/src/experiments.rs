@@ -3,7 +3,7 @@
 //! [`all`] lists the paper's evaluation section (Figures 5–8, §3.5, §3.6),
 //! the ablations over the reproduction's own design choices, and the
 //! paper's §5 future-work extensions. Each [`Experiment`] is a list of
-//! [`RunConfig`] points plus the claims that judge them: [`crate::sweep`]
+//! [`RunConfig`] points plus the claims that judge them: [`crate::sweep`](fn@crate::sweep)
 //! executes the points, [`results_table`] renders the series the paper
 //! plots, and [`Experiment::shape_checks`] evaluates the entry's
 //! qualitative claims ("who wins, by roughly what factor, where crossovers
@@ -39,7 +39,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// Evaluates this experiment's claims. `results` must be index-aligned
-    /// with `configs` (as produced by [`crate::sweep`]).
+    /// with `configs` (as produced by [`crate::sweep`](fn@crate::sweep)).
     pub fn shape_checks(&self, results: &[RunResult]) -> Vec<ShapeCheck> {
         assert_eq!(self.configs.len(), results.len());
         (self.checks)(self, results)

@@ -63,8 +63,8 @@ pub struct RecoveryOutcome {
 }
 
 /// A self-contained record of one knot-bearing detection epoch: enough to
-/// re-render, deterministically replay ([`replay`](super::replay)) and
-/// minimize ([`minimize`](super::minimize)) the deadlock with no other
+/// re-render, deterministically replay ([`replay`](fn@super::replay)) and
+/// minimize ([`minimize`](fn@super::minimize)) the deadlock with no other
 /// state.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeadlockIncident {

@@ -16,7 +16,7 @@
 //!   the (first) detection epoch, so "knot present at cycle `t`" is
 //!   monotone in `t` over the window between epochs — binary search
 //!   applies, and only `O(log detection_interval)` deterministic probe
-//!   runs are needed. Each probe is the re-run [`replay`](super::replay)
+//!   runs are needed. Each probe is the re-run [`replay`](fn@super::replay)
 //!   uses, halted at `t` instead of at the incident cycle.
 //!
 //! Both read knots the same way: the sorted deadlock sets of a fresh

@@ -22,9 +22,9 @@
 //!
 //! * [`IncidentStore`] persists them as JSON plus a knot-highlighted DOT
 //!   rendering, under an `index.json` catalogue.
-//! * [`replay`] re-runs config + seed to the incident cycle and asserts
+//! * [`replay`](fn@replay) re-runs config + seed to the incident cycle and asserts
 //!   the same blocked-wait-state fingerprint and deadlock sets re-form.
-//! * [`minimize`] shrinks the incident to the knot-induced sub-CWG
+//! * [`minimize`](fn@minimize) shrinks the incident to the knot-induced sub-CWG
 //!   (provably still a knot) and bisects the run for the shortest cycle
 //!   prefix that reproduces the deadlock.
 //!

@@ -1,4 +1,4 @@
-//! The one forensic re-run probe behind [`replay`](super::replay) and
+//! The one forensic re-run probe behind [`replay`](fn@super::replay) and
 //! [`shortest_prefix`](super::shortest_prefix). A run is a pure function
 //! of its config and seed, so a re-run reaches every cycle in the recorded
 //! state; the probe captures it once and reads its knots from a fresh

@@ -13,7 +13,7 @@
 //!   paper's metrics: normalized deadlocks, deadlock/resource set sizes,
 //!   knot cycle densities, cyclic non-deadlock counts, congestion and
 //!   throughput.
-//! * [`sweep`] — runs many points across OS threads, deterministically,
+//! * [`sweep`](fn@sweep) — runs many points across OS threads, deterministically,
 //!   each through the one supervised run ([`run_supervised`]).
 //! * [`experiments`] — the experiment index used by the `repro` binary
 //!   and the integration tests: the per-figure sweeps (Figures 5–8, §3.5

@@ -103,14 +103,10 @@ impl DetectorScratch {
         Self::default()
     }
 
-    /// Decomposes `g`, settling each component's knot and reaches-a-knot
-    /// marks as Tarjan emits it. Returns the component count.
-    ///
-    /// At emission every arc leaving the component ends in a component
-    /// emitted before it, whose marks are final: the component is
-    /// terminal when no arc leaves it, a knot when it is also cyclic (more
-    /// than one vertex, or a self-loop), and reaches a knot when it is one
-    /// or an arc leads into a component that reaches one.
+    /// Decomposes `g` and returns the component count, settling each
+    /// component's marks as Tarjan emits it, when every arc leaving it ends
+    /// in an earlier component: terminal if none leaves, a knot if also
+    /// cyclic, reaching a knot if one or if an arc leads into one that does.
     fn decompose(&mut self, g: &WaitGraph) -> usize {
         self.knot.clear();
         self.reaches_knot.clear();

@@ -13,7 +13,7 @@
 //!   chain and request list, and each vertex's arcs are a range of it, so
 //!   the algorithms below walk the graph through [`Adjacency`] without a
 //!   per-epoch copy.
-//! * [`scc`] — iterative Tarjan strongly-connected components.
+//! * [`scc`](fn@scc) — iterative Tarjan strongly-connected components.
 //! * Knot detection: a knot is precisely a **non-trivial terminal SCC**
 //!   (no arcs leave the component), because then the reachable set of every
 //!   member is the component itself.

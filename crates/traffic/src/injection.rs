@@ -68,9 +68,10 @@ impl BernoulliInjector {
 
     /// The first node of `nodes` that generates a message, drawing as
     /// [`fires`](Self::fires) would node by node up to and including it.
-    /// The generator is copied into a local for the scan and written back
-    /// once, so its state stays in registers between draws.
-    #[inline]
+    /// The generator's state is copied into registers for the scan and
+    /// written back once; inlined, the copy would merge into the caller's
+    /// stack slot, and each draw would store and reload it again.
+    #[inline(never)]
     pub fn next_firing<R: RngCore + Clone>(
         &self,
         rng: &mut R,
