@@ -129,14 +129,14 @@ impl DetectorScratch {
         self.knot.len()
     }
 
-    /// The sorted owners of knot `ci`, also left in `slots` as record slots.
-    /// A knot holds each owner's head (no arc leaves it): one slot per owner.
+    /// The sorted, deduplicated owners of component `ci`'s vertices, also
+    /// left in `slots` as record slots.
     fn deadlock_set(&mut self, g: &WaitGraph, ci: usize) -> Vec<MessageId> {
         self.slots.clear();
         let comp = self.scc.component(ci as u32);
-        let head = |&v: &VertexId| g.slot_of(v).filter(|&s| g.slot_chain(s).last() == Some(&v));
-        self.slots.extend(comp.iter().filter_map(head));
+        self.slots.extend(comp.iter().filter_map(|&v| g.slot_of(v)));
         self.slots.sort_unstable_by_key(|&s| g.slot_id(s));
+        self.slots.dedup();
         self.slots.iter().map(|&s| g.slot_id(s)).collect()
     }
 }
@@ -180,8 +180,8 @@ impl WaitGraph {
             for &slot in &scratch.slots {
                 scratch.vertices.extend_from_slice(self.slot_chain(slot));
             }
-            // Chains are disjoint: the resource set needs no dedup.
             scratch.vertices.sort_unstable();
+            scratch.vertices.dedup();
             let resource_set = scratch.vertices.clone();
 
             // The knot is already one SCC of the graph: count inside it
