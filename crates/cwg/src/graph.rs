@@ -293,6 +293,11 @@ impl WaitGraph {
         &self.pool[self.msgs[slot as usize].chain()]
     }
 
+    /// The requests of record `slot`; empty when it waits for nothing.
+    pub(crate) fn slot_requests(&self, slot: u32) -> &[VertexId] {
+        &self.pool[self.msgs[slot as usize].requests()]
+    }
+
     /// The `(chain, requests)` of `msg`, if registered; the requests are
     /// empty when it waits for nothing.
     pub(crate) fn record(&self, msg: MessageId) -> Option<(&[VertexId], &[VertexId])> {

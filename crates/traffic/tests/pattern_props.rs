@@ -223,8 +223,19 @@ proptest! {
         // Inverse in message length.
         let rlen = message_rate(&topo, load, (2 * len) as f64);
         prop_assert!((2.0 * rlen - r).abs() < 1e-12 * r.max(1.0));
-        // The injector clamps to a valid probability.
+        // The injector clamps to a valid probability: it draws exactly as
+        // one built at `min(r, 1)`, and a rate of 1 or more fires on every
+        // draw.
         let inj = BernoulliInjector::new(r);
-        prop_assert!((0.0..=1.0).contains(&inj.prob()));
+        let clamped = BernoulliInjector::new(r.min(1.0));
+        let over = BernoulliInjector::new(1.0 + r);
+        let mut a = StdRng::seed_from_u64(load_pct as u64 * 131 + len as u64);
+        let (mut b, mut c) = (a.clone(), a.clone());
+        for _ in 0..256 {
+            let fired = inj.fires(&mut a);
+            prop_assert_eq!(fired, clamped.fires(&mut b));
+            prop_assert!(fired || r < 1.0, "rate {r} missed a draw");
+            prop_assert!(over.fires(&mut c), "rate {} missed a draw", 1.0 + r);
+        }
     }
 }
