@@ -13,7 +13,7 @@
 //!   chain and request list, and each vertex's arcs are a range of it, so
 //!   the algorithms below walk the graph through [`Adjacency`] without a
 //!   per-epoch copy.
-//! * [`scc`](fn@scc) — iterative Tarjan strongly-connected components.
+//! * [`SccScratch`] — iterative Tarjan strongly-connected components.
 //! * Knot detection: a knot is precisely a **non-trivial terminal SCC**
 //!   (no arcs leave the component), because then the reachable set of every
 //!   member is the component itself.
@@ -70,5 +70,5 @@ pub use analysis::{Analysis, Deadlock, DeadlockKind, DependentKind, DetectorScra
 pub use cycles::{count_cycles, CycleCount};
 pub use dynamic::DynamicWaitGraph;
 pub use graph::{MessageId, VertexId, WaitGraph};
-pub use scc::{scc, SccResult, SccScratch};
+pub use scc::SccScratch;
 pub use snapshot::{CwgMsg, CwgSnapshot};

@@ -19,8 +19,25 @@ mod frozen {
     use std::collections::{HashMap, HashSet};
 
     use icn_cwg::{
-        scc, Analysis, CycleCount, Deadlock, DependentKind, MessageId, VertexId, WaitGraph,
+        Analysis, CycleCount, Deadlock, DependentKind, MessageId, SccScratch, VertexId, WaitGraph,
     };
+
+    /// Tarjan's components of `adj`, copied out of the scratch: each
+    /// vertex's component id and each component's vertices, in emission
+    /// order.
+    struct Comps {
+        comp_of: Vec<u32>,
+        components: Vec<Vec<VertexId>>,
+    }
+
+    fn scc(adj: &[Vec<VertexId>]) -> Comps {
+        let mut s = SccScratch::new();
+        s.run(adj);
+        Comps {
+            comp_of: (0..adj.len() as u32).map(|v| s.comp_of(v)).collect(),
+            components: s.components().map(<[VertexId]>::to_vec).collect(),
+        }
+    }
 
     /// The CWG read off the records alone (chains and requests), never
     /// through the graph's own adjacency: a chain's solid arcs in chain
@@ -157,7 +174,7 @@ mod frozen {
     /// emission order.
     fn knots(adj: &[Vec<VertexId>]) -> Vec<Vec<VertexId>> {
         let comps = scc(adj);
-        let mut terminal = vec![true; comps.len()];
+        let mut terminal = vec![true; comps.components.len()];
         for (v, outs) in adj.iter().enumerate() {
             for &w in outs {
                 if comps.comp_of[w as usize] != comps.comp_of[v] {
