@@ -68,9 +68,11 @@
 //! terminal SCC, and a knot's deadlock set is itself such a set: core
 //! non-empty ⟺ knot. The exact deadlock sets come from analysing
 //! [`graph`](DynamicWaitGraph::graph): the runner, on a knot epoch, runs
-//! [`WaitGraph::analyze_with`] on it and breaks each knot it finds with one
-//! victim, which leaves no knot; the lockstep tests compare its records
-//! and [`WaitGraph::knot_deadlock_sets`] with a fresh build's.
+//! [`WaitGraph::analyze_with`] on it, which finds the knots on the same
+//! record graph (one Tarjan over the records, none over the VC space), and
+//! breaks each knot it finds with one victim, which leaves no knot; the
+//! lockstep tests compare its records and
+//! [`WaitGraph::knot_deadlock_sets`] with a fresh build's.
 //!
 //! # Update protocol
 //!
