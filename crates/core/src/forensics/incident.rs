@@ -11,7 +11,7 @@ use crate::spec::{
 };
 use crate::RunConfig;
 
-use super::timeline::{final_block_cycle, injected_cycle, TimelineIndex};
+use super::timeline::{injected_cycle, TimelineIndex};
 
 /// The recorded event log of one deadlock-set member.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -157,17 +157,13 @@ impl DeadlockIncident {
 
     /// Cycle the knot closed — the first cycle boundary at which every
     /// member was blocked, i.e. the shortest run prefix that exhibits the
-    /// knot. Trace events are stamped with the in-progress cycle (one
+    /// knot. The engine stamps a block with the in-progress cycle (one
     /// less than the post-step cycle counter [`cycle`](Self::cycle) uses),
-    /// so this is one past the last member's final `Blocked` event.
-    /// Falls back to the detection cycle when timelines are empty.
+    /// so this is one past [`formation_cycle`](Self::formation_cycle),
+    /// whatever the trace kept; a record written without a formation
+    /// stamp reads its detection cycle.
     pub fn closure_cycle(&self) -> u64 {
-        self.timelines
-            .iter()
-            .filter_map(|t| final_block_cycle(&t.events))
-            .max()
-            .map(|c| c + 1)
-            .unwrap_or(self.cycle)
+        (self.formation_cycle + 1).min(self.cycle)
     }
 
     /// Knot-highlighted Graphviz rendering, titled with the config label

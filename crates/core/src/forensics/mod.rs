@@ -63,7 +63,10 @@ pub struct ForensicsConfig {
     /// Engine trace-buffer capacity between per-cycle drains. Events
     /// beyond it are dropped (and counted in
     /// [`DeadlockIncident::trace_dropped`]); the default is far above
-    /// anything a single cycle emits.
+    /// anything a single cycle emits. The formation statistics
+    /// ([`RunResult::formation_latency`], [`RunResult::formation_spread`])
+    /// are read off the trace, so a capacity small enough to drop events
+    /// loses their samples, and the run's digest moves with it.
     pub trace_capacity: usize,
 }
 

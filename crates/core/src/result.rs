@@ -130,12 +130,17 @@ pub struct RunResult {
     /// member. Populated only when [`RunConfig::forensics`] is set (the
     /// timelines come from the tracer), and over the whole run including
     /// warm-up — forensics diagnoses formation, it is not a §3 metric.
+    /// Both stamps are read off the trace, so a member whose injection or
+    /// final block the trace buffer dropped adds no sample (see
+    /// [`ForensicsConfig::trace_capacity`]).
     ///
     /// [`RunConfig::forensics`]: crate::RunConfig::forensics
+    /// [`ForensicsConfig::trace_capacity`]: crate::ForensicsConfig::trace_capacity
     pub formation_latency: Histogram,
     /// Knot formation spread per knot: cycles between the first member
     /// entering its final blocking episode and the knot closing (the last
-    /// member blocking). Forensic runs only, whole run.
+    /// member blocking). Forensic runs only, whole run; read off the trace
+    /// like [`formation_latency`](Self::formation_latency).
     pub formation_spread: Histogram,
     /// Full forensic incident records (capped by
     /// [`ForensicsConfig::max_incidents`]). Forensic runs only, whole run.

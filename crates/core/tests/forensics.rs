@@ -84,6 +84,24 @@ fn capture_records_cwg_timelines_and_formation_stats() {
 }
 
 #[test]
+fn closure_does_not_depend_on_the_trace_capacity() {
+    // A one-event trace buffer drops most of the members' timelines; the
+    // knot still closed when it did.
+    let (mut cfg, full) = captured();
+    cfg.forensics = Some(ForensicsConfig {
+        trace_capacity: 1,
+        ..ForensicsConfig::default()
+    });
+    let truncated = run(&cfg).forensic_incidents;
+    assert_eq!(truncated.len(), full.len());
+    assert!(truncated.iter().any(|inc| inc.trace_dropped > 0));
+    for (t, f) in truncated.iter().zip(&full) {
+        assert_eq!(t.cycle, f.cycle);
+        assert_eq!(t.closure_cycle(), f.closure_cycle(), "incident {}", f.seq);
+    }
+}
+
+#[test]
 fn forensic_capture_never_perturbs_the_run() {
     let mut cfg = fig6_micro();
     let with = run(&cfg);

@@ -19,6 +19,7 @@ pub trait Adjacency {
     fn neighbors(&self, v: VertexId) -> &[VertexId];
 }
 
+#[cfg(test)]
 impl Adjacency for [Vec<VertexId>] {
     fn num_vertices(&self) -> usize {
         self.len()
@@ -30,6 +31,7 @@ impl Adjacency for [Vec<VertexId>] {
     }
 }
 
+#[cfg(test)]
 impl Adjacency for Vec<Vec<VertexId>> {
     fn num_vertices(&self) -> usize {
         self.len()

@@ -50,22 +50,6 @@ impl std::fmt::Display for CycleCount {
     }
 }
 
-/// Counts elementary cycles of `adj`, stopping once `cap` have been found.
-///
-/// Cycles never span strongly connected components, so the graph is first
-/// decomposed and Johnson's algorithm runs inside each non-trivial
-/// component — on CWG snapshots the overwhelming majority of vertices sit
-/// in trivial components, making this far cheaper than running Johnson on
-/// the full vertex range.
-///
-/// Convenience wrapper that allocates fresh scratch; the detection loop
-/// counts through its [`DetectorScratch`](crate::DetectorScratch) instead.
-pub fn count_cycles<A: Adjacency + ?Sized>(adj: &A, cap: u64) -> CycleCount {
-    let mut comps = SccScratch::new();
-    comps.run(adj);
-    CycleScratch::default().count_components(adj, &comps, cap)
-}
-
 /// Whether the strongly connected component `comp` of `adj` contains a
 /// cycle: more than one vertex, or a single vertex with a self-loop.
 pub(crate) fn is_cyclic<A: Adjacency + ?Sized>(adj: &A, comp: &[VertexId]) -> bool {
@@ -371,6 +355,15 @@ impl CycleScratch {
 mod tests {
     use super::*;
 
+    /// Counts elementary cycles of `adj`, stopping once `cap` have been
+    /// found: one decomposition, then Johnson in every cyclic component,
+    /// on fresh scratch.
+    fn count_cycles<A: Adjacency + ?Sized>(adj: &A, cap: u64) -> CycleCount {
+        let mut comps = SccScratch::default();
+        comps.run(adj);
+        CycleScratch::default().count_components(adj, &comps, cap)
+    }
+
     #[test]
     fn empty_and_acyclic() {
         let empty: &[Vec<u32>] = &[];
@@ -457,7 +450,7 @@ mod tests {
             .map(|v| (0..4u32).filter(|&w| w != v).collect())
             .collect();
         let small = vec![vec![1], vec![0, 2], vec![2, 0]];
-        let mut comps = SccScratch::new();
+        let mut comps = SccScratch::default();
         let mut scratch = CycleScratch::default();
         for _ in 0..2 {
             comps.run(&k4);

@@ -26,10 +26,12 @@
 //!   from its head), so the non-trivial SCCs among them — and their
 //!   terminal status — coincide.
 //!
-//! Hence the blocked-only graph has exactly the full graph's knots, and the
-//! per-knot deadlock sets match [`WaitGraph::knot_deadlock_sets`] on a
-//! fresh full snapshot (set-for-set; emission order may differ when
-//! several independent knots coexist).
+//! Hence the blocked-only graph has exactly the full graph's knots. Their
+//! order is the same too: on the record graph the analysis walks, a
+//! moving record is a sink, exactly like the free node its targets become
+//! here, so the walk over the blocked records is unchanged and
+//! [`WaitGraph::analyze_with`] returns the same analysis, knot order
+//! included (`blocked_only_graph_analyzes_like_the_full_snapshot`).
 //!
 //! # Maintenance invariants
 //!

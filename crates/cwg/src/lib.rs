@@ -13,13 +13,14 @@
 //!   chain and request list, and each vertex's arcs are a range of it, so
 //!   the algorithms below walk the graph through [`Adjacency`] without a
 //!   per-epoch copy.
-//! * [`SccScratch`] — iterative Tarjan strongly-connected components.
 //! * Knot detection: a knot is precisely a **non-trivial terminal SCC**
 //!   (no arcs leave the component), because then the reachable set of every
-//!   member is the component itself.
-//! * [`count_cycles`] — capped elementary-cycle counting (Johnson's
-//!   algorithm, run per SCC), used for the paper's *cyclic non-deadlock*
-//!   and *knot cycle density* measurements.
+//!   member is the component itself. An iterative Tarjan finds them on the
+//!   record graph ([`DetectorScratch`]).
+//! * [`WaitGraph::count_cycles_with`] — capped elementary-cycle counting
+//!   (Johnson's algorithm, run per SCC on its branch-vertex contraction),
+//!   used for the paper's *cyclic non-deadlock* and *knot cycle density*
+//!   measurements.
 //! * [`Analysis`] — per-knot deadlock descriptors: deadlock set, resource
 //!   set, knot cycle density, single- vs multi-cycle classification, plus
 //!   the *dependent message* census of §2.2.1.
@@ -67,8 +68,7 @@ mod snapshot;
 
 pub use adjacency::Adjacency;
 pub use analysis::{Analysis, Deadlock, DeadlockKind, DependentKind, DetectorScratch};
-pub use cycles::{count_cycles, CycleCount};
+pub use cycles::CycleCount;
 pub use dynamic::DynamicWaitGraph;
 pub use graph::{MessageId, VertexId, WaitGraph};
-pub use scc::SccScratch;
 pub use snapshot::{CwgMsg, CwgSnapshot};

@@ -12,7 +12,7 @@ const UNVISITED: u32 = u32::MAX;
 /// (`comp_offsets`/`comp_vertices`) instead of a `Vec` per component — live
 /// here and are refilled in place: the steady state allocates nothing.
 #[derive(Clone, Debug, Default)]
-pub struct SccScratch {
+pub(crate) struct SccScratch {
     index: Vec<u32>,
     lowlink: Vec<u32>,
     on_stack: Vec<bool>,
@@ -25,11 +25,6 @@ pub struct SccScratch {
 }
 
 impl SccScratch {
-    /// Empty scratch; capacities grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Decomposes `adj` (vertices `0..n`), replacing any previous result.
     ///
     /// Implemented iteratively: deep chains of waiting messages would
@@ -157,7 +152,12 @@ impl SccScratch {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/tarjan.rs"]
+mod tarjan;
+
+#[cfg(test)]
 mod tests {
+    use super::tarjan::frozen_tarjan;
     use super::*;
 
     /// A run's result, copied out: each vertex's component id and each
@@ -174,7 +174,7 @@ mod tests {
     }
 
     fn scc(adj: &[Vec<VertexId>]) -> SccResult {
-        let mut scratch = SccScratch::new();
+        let mut scratch = SccScratch::default();
         scratch.run(adj);
         SccResult {
             comp_of: scratch.comp_of.clone(),
@@ -269,72 +269,6 @@ mod tests {
         assert_eq!(r.len(), 2);
     }
 
-    /// Frozen frame-only Tarjan over `lo..n` (every vertex gets a DFS
-    /// frame, sinks included), as `run_from` was before sinks were emitted
-    /// without one: `(comp_of, components in emission order)`.
-    fn frozen_tarjan(adj: &[Vec<VertexId>], lo: VertexId) -> (Vec<u32>, Vec<Vec<VertexId>>) {
-        let n = adj.len();
-        let mut index = vec![UNVISITED; n];
-        let mut lowlink = vec![0; n];
-        let mut on_stack = vec![false; n];
-        let mut stack = Vec::new();
-        let mut frames: Vec<(u32, usize)> = Vec::new();
-        let mut comp_of = vec![0; n];
-        let mut comps: Vec<Vec<VertexId>> = Vec::new();
-        let mut next = 0;
-        for start in lo..n as u32 {
-            if index[start as usize] != UNVISITED {
-                continue;
-            }
-            frames.push((start, 0));
-            index[start as usize] = next;
-            lowlink[start as usize] = next;
-            next += 1;
-            stack.push(start);
-            on_stack[start as usize] = true;
-            while let Some(&mut (v, ref mut ei)) = frames.last_mut() {
-                let outs = &adj[v as usize];
-                if *ei < outs.len() {
-                    let w = outs[*ei];
-                    *ei += 1;
-                    if w < lo {
-                        continue;
-                    }
-                    if index[w as usize] == UNVISITED {
-                        index[w as usize] = next;
-                        lowlink[w as usize] = next;
-                        next += 1;
-                        stack.push(w);
-                        on_stack[w as usize] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w as usize] {
-                        lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&mut (parent, _)) = frames.last_mut() {
-                        lowlink[parent as usize] =
-                            lowlink[parent as usize].min(lowlink[v as usize]);
-                    }
-                    if lowlink[v as usize] == index[v as usize] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().unwrap();
-                            on_stack[w as usize] = false;
-                            comp_of[w as usize] = comps.len() as u32;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comps.push(comp);
-                    }
-                }
-            }
-        }
-        (comp_of, comps)
-    }
-
     /// A random multigraph: about a third of the vertices are sinks, and
     /// arcs are drawn with replacement, so self-loops and parallel arcs
     /// occur.
@@ -357,7 +291,7 @@ mod tests {
     fn sink_emission_matches_frozen_frame_only_tarjan() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let mut scratch = SccScratch::new();
+        let mut scratch = SccScratch::default();
         for _ in 0..3000 {
             let adj = random_graph(&mut rng);
             let n = adj.len() as u32;
@@ -401,7 +335,7 @@ mod tests {
             vec![],
             vec![vec![0]],
         ];
-        let mut scratch = SccScratch::new();
+        let mut scratch = SccScratch::default();
         for adj in &graphs {
             scratch.run(adj);
             let fresh = scc(adj);

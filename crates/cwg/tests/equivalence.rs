@@ -5,297 +5,12 @@
 //! consecutive random "epochs" per case — exactly the detection loop's
 //! usage — so stale state from any previous rebuild would be caught.
 
+mod common;
+
 use std::collections::HashSet;
 
 use icn_cwg::{Adjacency, Analysis, DetectorScratch, WaitGraph};
 use proptest::prelude::*;
-
-/// The analysis as it stood before the knot-local kernel (nested-`Vec`
-/// knot subgraphs, a hash set per knot, an SCC pass per Johnson start
-/// vertex, a reverse-adjacency DFS for dependents), frozen here as the
-/// reference the production path must match field by field. Written
-/// against the public API only.
-mod frozen {
-    use std::collections::{HashMap, HashSet};
-
-    use icn_cwg::{
-        Analysis, CycleCount, Deadlock, DependentKind, MessageId, SccScratch, VertexId, WaitGraph,
-    };
-
-    /// Tarjan's components of `adj`, copied out of the scratch: each
-    /// vertex's component id and each component's vertices, in emission
-    /// order.
-    struct Comps {
-        comp_of: Vec<u32>,
-        components: Vec<Vec<VertexId>>,
-    }
-
-    fn scc(adj: &[Vec<VertexId>]) -> Comps {
-        let mut s = SccScratch::new();
-        s.run(adj);
-        Comps {
-            comp_of: (0..adj.len() as u32).map(|v| s.comp_of(v)).collect(),
-            components: s.components().map(<[VertexId]>::to_vec).collect(),
-        }
-    }
-
-    /// The CWG read off the records alone (chains and requests), never
-    /// through the graph's own adjacency: a chain's solid arcs in chain
-    /// order, then each blocked head's dashed arcs in request order.
-    pub fn adjacency(g: &WaitGraph) -> Vec<Vec<VertexId>> {
-        let mut adj = vec![Vec::new(); g.num_vertices()];
-        for (_, chain, reqs) in g.records() {
-            for w in chain.windows(2) {
-                adj[w[0] as usize].push(w[1]);
-            }
-            adj[*chain.last().expect("chains are non-empty") as usize].extend_from_slice(reqs);
-        }
-        adj
-    }
-
-    pub fn count_cycles(adj: &[Vec<VertexId>], cap: u64) -> CycleCount {
-        let comps = scc(adj);
-        let mut total = CycleCount::Exact(0);
-        for comp in &comps.components {
-            let has_self_loop = comp.len() == 1 && adj[comp[0] as usize].contains(&comp[0]);
-            if comp.len() < 2 && !has_self_loop {
-                continue;
-            }
-            let remaining = cap.saturating_sub(total.value());
-            if remaining == 0 {
-                return CycleCount::AtLeast(total.value());
-            }
-            total = total.combine(count_in_component(adj, comp, remaining));
-        }
-        total
-    }
-
-    fn count_in_component(adj: &[Vec<VertexId>], comp: &[VertexId], cap: u64) -> CycleCount {
-        let m = comp.len();
-        let index_of: HashMap<VertexId, u32> = comp
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
-        let local: Vec<Vec<u32>> = comp
-            .iter()
-            .map(|&v| {
-                adj[v as usize]
-                    .iter()
-                    .filter_map(|t| index_of.get(t).copied())
-                    .collect()
-            })
-            .collect();
-
-        let mut count = 0u64;
-        let mut capped = false;
-        'starts: for s in 0..m as u32 {
-            let sub: Vec<Vec<u32>> = (0..m as u32)
-                .map(|v| {
-                    if v < s {
-                        Vec::new()
-                    } else {
-                        local[v as usize]
-                            .iter()
-                            .copied()
-                            .filter(|&t| t >= s)
-                            .collect()
-                    }
-                })
-                .collect();
-            let sub_comps = scc(&sub);
-            let s_comp = sub_comps.comp_of[s as usize];
-            let in_k: Vec<bool> = (0..m as u32)
-                .map(|v| v >= s && sub_comps.comp_of[v as usize] == s_comp)
-                .collect();
-            if sub_comps.components[s_comp as usize].len() < 2 && !local[s as usize].contains(&s) {
-                continue;
-            }
-
-            let mut blocked = vec![false; m];
-            let mut b_sets: Vec<Vec<u32>> = vec![Vec::new(); m];
-            let mut frames: Vec<(u32, usize, bool)> = vec![(s, 0, false)];
-            blocked[s as usize] = true;
-            while let Some(&mut (v, ref mut ei, ref mut found)) = frames.last_mut() {
-                let nexts = &local[v as usize];
-                let mut descended = false;
-                while *ei < nexts.len() {
-                    let w = nexts[*ei];
-                    *ei += 1;
-                    if !in_k[w as usize] {
-                        continue;
-                    }
-                    if w == s {
-                        count += 1;
-                        *found = true;
-                        if count >= cap {
-                            capped = true;
-                            break 'starts;
-                        }
-                    } else if !blocked[w as usize] {
-                        blocked[w as usize] = true;
-                        frames.push((w, 0, false));
-                        descended = true;
-                        break;
-                    }
-                }
-                if descended {
-                    continue;
-                }
-                let (v, _, found) = frames.pop().unwrap();
-                if found {
-                    let mut stack = vec![v];
-                    while let Some(v) = stack.pop() {
-                        if blocked[v as usize] {
-                            blocked[v as usize] = false;
-                            stack.append(&mut b_sets[v as usize]);
-                        }
-                    }
-                } else {
-                    for &w in &local[v as usize] {
-                        if in_k[w as usize] && !b_sets[w as usize].contains(&v) {
-                            b_sets[w as usize].push(v);
-                        }
-                    }
-                }
-                if let Some(&mut (_, _, ref mut parent_found)) = frames.last_mut() {
-                    *parent_found |= found;
-                }
-            }
-        }
-        if capped {
-            CycleCount::AtLeast(count)
-        } else {
-            CycleCount::Exact(count)
-        }
-    }
-
-    /// Knot components of `adj` (terminal and non-trivial), in Tarjan
-    /// emission order.
-    fn knots(adj: &[Vec<VertexId>]) -> Vec<Vec<VertexId>> {
-        let comps = scc(adj);
-        let mut terminal = vec![true; comps.components.len()];
-        for (v, outs) in adj.iter().enumerate() {
-            for &w in outs {
-                if comps.comp_of[w as usize] != comps.comp_of[v] {
-                    terminal[comps.comp_of[v] as usize] = false;
-                }
-            }
-        }
-        comps
-            .components
-            .iter()
-            .enumerate()
-            .filter(|&(ci, comp)| {
-                terminal[ci] && (comp.len() >= 2 || adj[comp[0] as usize].contains(&comp[0]))
-            })
-            .map(|(_, comp)| comp.clone())
-            .collect()
-    }
-
-    fn owners(g: &WaitGraph, knot: &[VertexId]) -> Vec<MessageId> {
-        let mut dset: Vec<MessageId> = knot.iter().filter_map(|&v| g.owner(v)).collect();
-        dset.sort_unstable();
-        dset.dedup();
-        dset
-    }
-
-    pub fn knot_deadlock_sets(g: &WaitGraph) -> Vec<Vec<MessageId>> {
-        knots(&adjacency(g)).iter().map(|k| owners(g, k)).collect()
-    }
-
-    pub fn analyze(g: &WaitGraph, density_cap: u64) -> Analysis {
-        let adj = adjacency(g);
-        let n = adj.len();
-        let mut deadlocks = Vec::new();
-        let mut deadlocked_msgs: HashSet<MessageId> = HashSet::new();
-        let mut knot_vertices: Vec<VertexId> = Vec::new();
-        for mut knot in knots(&adj) {
-            knot.sort_unstable();
-            knot_vertices.extend_from_slice(&knot);
-            let dset = owners(g, &knot);
-            deadlocked_msgs.extend(dset.iter().copied());
-            let mut rset: Vec<VertexId> = dset
-                .iter()
-                .flat_map(|m| {
-                    g.records()
-                        .find(|&(id, _, _)| id == *m)
-                        .map_or(&[][..], |(_, chain, _)| chain)
-                        .iter()
-                        .copied()
-                })
-                .collect();
-            rset.sort_unstable();
-            rset.dedup();
-
-            let knot_set: HashSet<VertexId> = knot.iter().copied().collect();
-            let sub: Vec<Vec<VertexId>> = (0..n as u32)
-                .map(|v| {
-                    if knot_set.contains(&v) {
-                        adj[v as usize]
-                            .iter()
-                            .copied()
-                            .filter(|t| knot_set.contains(t))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            deadlocks.push(Deadlock {
-                knot,
-                deadlock_set: dset,
-                resource_set: rset,
-                cycle_density: count_cycles(&sub, density_cap),
-            });
-        }
-
-        let mut dependent = Vec::new();
-        if !deadlocks.is_empty() {
-            let mut radj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-            for (v, outs) in adj.iter().enumerate() {
-                for &w in outs {
-                    radj[w as usize].push(v as u32);
-                }
-            }
-            let mut reaches_knot = vec![false; n];
-            for &v in &knot_vertices {
-                reaches_knot[v as usize] = true;
-            }
-            let mut stack = knot_vertices;
-            while let Some(v) = stack.pop() {
-                for &p in &radj[v as usize] {
-                    if !reaches_knot[p as usize] {
-                        reaches_knot[p as usize] = true;
-                        stack.push(p);
-                    }
-                }
-            }
-            for (msg, _, reqs) in g.records().filter(|(_, _, reqs)| !reqs.is_empty()) {
-                if deadlocked_msgs.contains(&msg) {
-                    continue;
-                }
-                let hits = reqs.iter().filter(|&&t| reaches_knot[t as usize]).count();
-                if hits == 0 {
-                    continue;
-                }
-                let kind = if hits == reqs.len() {
-                    DependentKind::Committed
-                } else {
-                    DependentKind::Transient
-                };
-                dependent.push((msg, kind));
-            }
-            dependent.sort_unstable_by_key(|&(m, _)| m);
-        }
-
-        Analysis {
-            deadlocks,
-            dependent,
-            num_blocked: g.num_blocked(),
-        }
-    }
-}
 
 /// A randomly generated wait-for snapshot: vertex count, ownership chains,
 /// and per-message requests (parallel to chains; empty = not blocked).
@@ -474,7 +189,7 @@ proptest! {
             assert_same_analysis(&got, &expected);
             // Arc for arc against the records, so a range left stale by
             // `reset` (or by a previous epoch's victim removal) fails here.
-            let adj = frozen::adjacency(&fresh);
+            let adj = common::adjacency(&fresh);
             prop_assert_eq!(reused.num_vertices(), adj.len());
             for v in 0..cwg.n as u32 {
                 prop_assert_eq!(reused.neighbors(v), adj[v as usize].as_slice(), "vertex {}", v);
@@ -505,10 +220,10 @@ proptest! {
             fill(&mut g, &cwg);
             for cap in [0, 1, 2, 3, 10_000] {
                 let got = g.analyze_with(cap, &mut scratch);
-                assert_same_analysis(&got, &frozen::analyze(&g, cap));
+                assert_same_analysis(&got, &common::analyze(&g, cap));
                 assert_eq!(g.count_cycles(cap), g.count_cycles_with(cap, &mut scratch));
             }
-            assert_eq!(g.knot_deadlock_sets(&mut scratch), frozen::knot_deadlock_sets(&g));
+            assert_eq!(g.knot_deadlock_sets(&mut scratch), common::knot_deadlock_sets(&g));
             let victims: Vec<u64> = g
                 .analyze_with(10_000, &mut scratch)
                 .deadlocks
@@ -518,10 +233,10 @@ proptest! {
             for v in victims {
                 g.remove_requests(v);
             }
-            assert_eq!(g.knot_deadlock_sets(&mut scratch), frozen::knot_deadlock_sets(&g));
+            assert_eq!(g.knot_deadlock_sets(&mut scratch), common::knot_deadlock_sets(&g));
             assert_same_analysis(
                 &g.analyze_with(10_000, &mut scratch),
-                &frozen::analyze(&g, 10_000),
+                &common::analyze(&g, 10_000),
             );
         }
     }
@@ -537,13 +252,13 @@ proptest! {
             let cwg = contraction_cwg(seed.wrapping_add(epoch));
             g.reset(cwg.n);
             fill(&mut g, &cwg);
-            let adj = frozen::adjacency(&g);
+            let adj = common::adjacency(&g);
             for cap in (0..=24).chain([u64::MAX]) {
                 let got = g.analyze_with(cap, &mut scratch);
-                assert_same_analysis(&got, &frozen::analyze(&g, cap));
+                assert_same_analysis(&got, &common::analyze(&g, cap));
                 assert_eq!(
                     g.count_cycles_with(cap, &mut scratch),
-                    frozen::count_cycles(&adj, cap),
+                    common::count_cycles(&adj, cap),
                     "census at cap {cap}: {cwg:?}"
                 );
             }
@@ -592,7 +307,7 @@ proptest! {
 
         // Arc-for-arc equality, the stronger invariant behind it, against
         // both the rebuilt graph and its records.
-        let adj = frozen::adjacency(&rebuilt);
+        let adj = common::adjacency(&rebuilt);
         for v in 0..cwg.n as u32 {
             assert_eq!(g.neighbors(v), rebuilt.neighbors(v), "vertex {v} arcs diverge");
             assert_eq!(g.neighbors(v), adj[v as usize].as_slice(), "vertex {v} arcs diverge");

@@ -1,7 +1,8 @@
 //! Differential test of knot order: the record-graph analysis against the
-//! frozen VC-space analysis (`common`), field for field and knot for knot
-//! in emission order, and against `icn-validate`'s naive oracle set for
-//! set.
+//! frozen reference (`common`: the whole VC space through its own
+//! frame-only Tarjan), field for field and knot for knot in emission
+//! order, and against `icn-validate`'s naive oracle set for set; and the
+//! blocked-only graph the runner analyses against the full snapshot's.
 //!
 //! The generator is built to make the two orders differ if anything is
 //! off: several knots on ascending vertex blocks, dependents on the
@@ -120,7 +121,7 @@ fn order_snapshot(seed: u64) -> CwgSnapshot {
     }
 }
 
-/// Same analysis and same deadlock sets as the frozen VC-space copy, knot
+/// Same analysis and same deadlock sets as the frozen reference, knot
 /// order included, and the oracle's verdict set for set.
 fn assert_agree(g: &WaitGraph, snap: &CwgSnapshot, scratch: &mut DetectorScratch, seed: u64) {
     for cap in [2, 1_000] {
@@ -171,4 +172,47 @@ fn record_graph_knots_match_the_vc_space_in_emission_order() {
     // The generator does what the module docs claim it does.
     assert!(multi > 2000, "{multi} multi-knot cases");
     assert!(out_of_order > 800, "{out_of_order} out of vertex order");
+}
+
+#[test]
+fn blocked_only_graph_analyzes_like_the_full_snapshot() {
+    // The runner analyses a graph of the blocked records alone. A moving
+    // record is a sink, as the free node is, so dropping it changes no
+    // output: the same analysis, knot order included.
+    let mut scratch = DetectorScratch::new();
+    let mut into_moving = 0;
+    for seed in 0..4000 {
+        let full = order_snapshot(seed);
+        let (blocked, moving): (Vec<CwgMsg>, Vec<CwgMsg>) = full
+            .messages
+            .iter()
+            .cloned()
+            .partition(|m| !m.requests.is_empty());
+        let moving: Vec<u32> = moving.into_iter().flat_map(|m| m.chain).collect();
+        into_moving += usize::from(
+            blocked
+                .iter()
+                .any(|m| m.requests.iter().any(|t| moving.contains(t))),
+        );
+        let g = full.build_graph();
+        let b = CwgSnapshot {
+            num_vertices: full.num_vertices,
+            messages: blocked,
+        }
+        .build_graph();
+        for cap in [2, 1_000] {
+            assert_eq!(
+                b.analyze_with(cap, &mut scratch),
+                g.analyze_with(cap, &mut scratch),
+                "seed {seed}, cap {cap}: {full:?}"
+            );
+        }
+        assert_eq!(
+            b.knot_deadlock_sets(&mut scratch),
+            g.knot_deadlock_sets(&mut scratch),
+            "seed {seed}: {full:?}"
+        );
+    }
+    // Requests into moving chains are common enough to matter.
+    assert!(into_moving > 800, "{into_moving} cases");
 }

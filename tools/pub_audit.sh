@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Production `pub fn`s that no production code calls. Each
 # `crates/*/src`, `src` and `benchmark/src` file is read without its
-# `#[cfg(test)]` items (cut by brace depth, as `tools/prod_lines.sh` cuts
-# them); comment lines and `use` / `pub use` declarations are dropped. A `pub fn` whose name occurs
+# `#[cfg(test)]` items (cut by `tools/cfg_test.awk`, as
+# `tools/prod_lines.sh` cuts them); comment lines and `use` / `pub use` declarations are dropped. A `pub fn` whose name occurs
 # in the rest only on its own definition lines is flagged, one line each:
 # the name, where it is defined, and its allowlist reason or `NOT
 # ALLOWLISTED`. Run from anywhere; reads the checkout this script lives
@@ -29,18 +29,9 @@ wait_dirty_len           ROADMAP item 15 telemetry (detector events pending per 
 '
 
 mapfile -d '' files < <(find crates/*/src src benchmark/src -name '*.rs' -print0 | sort -z)
-awk -v allow="$allow" '
+awk -v allow="$allow" "$(cat tools/cfg_test.awk)"'
     FNR == 1 { skip = inuse = 0 }
-    !skip && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = opened = 0 }
-    skip {
-        t = $0
-        gsub(/"([^"\\]|\\.)*"|\047([^\047\\]|\\.)\047|\/\/.*/, "", t)
-        o = gsub(/\{/, "", t)
-        depth += o - gsub(/\}/, "", t)
-        opened = opened || o
-        if (opened ? depth <= 0 : t ~ /;[[:space:]]*$/) skip = 0
-        next
-    }
+    cfg_test() { next }
     /^[[:space:]]*\/\// { next }
     # A `use` declaration, possibly over several lines, names no caller.
     inuse || /^[[:space:]]*(pub(\([a-z:]+\))?[[:space:]]+)?use[[:space:]]/ {
